@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cpfsim import analytic, spinbath, stochastic
+from cpfsim import analytic, core, spinbath, stochastic
 from cpfsim.stochastic import McConfig
 
 GAMMA = 1.0
@@ -34,19 +34,19 @@ def main() -> None:
 
     white = analytic.White(GAMMA / 2.0)
     t_grid = np.linspace(0.05, 3.0, 30)
+    # one-spin Cauchy-coupling ensemble: its coherence is exactly exp(-gamma t)
+    lorentz = spinbath.lorentz_moment_set(spinbath.LorentzCouplingSpec(gamma=GAMMA), t_grid, t_grid)
 
-    rows = []
-    for t in t_grid:
-        rows.append(
-            (
-                t,
-                analytic.first_moment(white, t),  # equals exp(-gamma t)
-                analytic.cpf(white, t, t),
-                spinbath.lorentz_cpf(GAMMA, t, t),
-                spinbath.lorentz_conditional_coherence(GAMMA, t, t, +1),
-                analytic.conditional_coherence(white, t, t, +1),
-            )
+    rows = list(
+        zip(
+            t_grid,
+            analytic.first_moment(white, t_grid),  # equals exp(-gamma t)
+            analytic.cpf(white, t_grid, t_grid),
+            core.cpf_from_moments(lorentz),
+            core.conditional_coherence(lorentz, +1),
+            analytic.conditional_coherence(white, t_grid, t_grid, +1),
         )
+    )
 
     path = out_dir / "lorentz_vs_lindblad.csv"
     with open(path, "w", newline="") as fh:

@@ -1,7 +1,7 @@
 """Conditional past-future (CPF) correlations of a dephasing qubit.
 
 Subpackages:
-    core        protocol types, probability tables, C_pf combination rules
+    core        moment sets, probability tables, C_pf and coherence combinators
     analytic    closed-form moments for four stationary noise models
     spinbath    exact finite-N spin bath, Cauchy ensemble, statevector oracle
     stochastic  exact-phase Monte Carlo estimators and the OU path oracle
@@ -10,6 +10,6 @@ Subpackages:
 
 from . import analytic, core, errors, spinbath, stochastic
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = ["analytic", "core", "errors", "spinbath", "stochastic", "__version__"]

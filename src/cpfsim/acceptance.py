@@ -50,8 +50,8 @@ def criterion_1_markovian_nullity(workers: int = 1) -> tuple[bool, list[str]]:
     c = _Checker()
     model = analytic.White(1.0)
     grid = np.linspace(0.0, 2.5, 50)
-    vals = [analytic.cpf(model, t, tau) for t in grid for tau in grid]
-    c.check(all(v == 0.0 for v in vals), "analytic cpf identically 0.0 on 50x50 grid")
+    vals = analytic.cpf(model, *np.meshgrid(grid, grid, indexing="ij"))
+    c.check(bool(np.all(vals == 0.0)), "analytic cpf identically 0.0 on 50x50 grid")
     est = stochastic.mc_cpf_sampling(
         model, 0.25, 0.25, +1, McConfig(n_trajectories=1_000_000, seed=20250801), workers
     )
@@ -67,7 +67,7 @@ def criterion_2_gaussian_plateau(workers: int = 1) -> tuple[bool, list[str]]:
     c = _Checker()
     model = analytic.StaticGauss(1.0)
     ts = np.linspace(2.0, 6.0, 17)
-    vals = [analytic.cpf(model, t, t) for t in ts]
+    vals = analytic.cpf(model, ts, ts)
     c.check(
         all(0.499 <= v <= 0.5 + 5e-16 for v in vals),
         f"plateau range [{min(vals):.6f}, {max(vals):.6f}] inside [0.499, 0.5] for gt in [2, 6]",
@@ -94,15 +94,16 @@ def criterion_3_spinbath_gaussian_fit(workers: int = 1) -> tuple[bool, list[str]
     )
     c.check(dc <= 0.01, f"max |c_t - exp(-2(gt)^2)| = {dc:.5f} <= 0.01 on gt in [0, 2]")
     grid = np.linspace(0.0, 2.0, 41)
-    dcpf = max(
-        abs(spinbath.cpf(spec, t, tau) - analytic.cpf(gauss, t, tau))
-        for t in grid
-        for tau in grid
-    )
+    t, tau = np.meshgrid(grid, grid, indexing="ij")
+    dcpf = np.max(np.abs(_bath_cpf(spec, t, tau) - analytic.cpf(gauss, t, tau)))
     c.check(dcpf <= 0.02, f"max |CPF - Gaussian closed form| = {dcpf:.5f} <= 0.02")
-    plateau = spinbath.cpf(spec, 2.0, 2.0)
+    plateau = _bath_cpf(spec, 2.0, 2.0)
     c.check(abs(plateau - 0.5) <= 0.02, f"diagonal plateau at gt=2: {plateau:.4f} ~ 1/2")
     return c.ok, c.details
+
+
+def _bath_cpf(spec: spinbath.SpinBathSpec, t, tau):
+    return core.cpf_from_moments(spinbath.moment_set(spec, t, tau))
 
 
 def _random_spec(rng: np.random.Generator, n: int) -> spinbath.SpinBathSpec:
@@ -131,7 +132,7 @@ def criterion_4_oracle_equivalence(workers: int = 1) -> tuple[bool, list[str]]:
         t, tau = rng.uniform(0.0, 3.0, size=2)
         y = +1 if rng.random() < 0.5 else -1
         oracle = spinbath.oracle_protocol(spec, spinbath.SystemInit.plus(), t, tau, y)
-        closed = spinbath.cpf_probability(spec, t, tau, y)
+        closed = core.cpf_probability_table(spinbath.moment_set(spec, t, tau), y)
         worst = max(worst, _table_distance(oracle, closed))
     c.check(worst <= 1e-10, f"25 random specs (N in 1..10): max table diff {worst:.2e} <= 1e-10")
     return c.ok, c.details
@@ -156,7 +157,7 @@ def criterion_5_lorentz_lindblad(workers: int = 1) -> tuple[bool, list[str]]:
     )
 
     spec1 = spinbath.LorentzCouplingSpec(gamma=1.0)
-    target_cpf = spinbath.lorentz_cpf(1.0, 1.0, 1.0)
+    target_cpf = core.cpf_from_moments(spinbath.lorentz_moment_set(spec1, 1.0, 1.0))
     est_cpf = spinbath.lorentz_mc_cpf(
         spec1, 1.0, 1.0, McConfig(n_trajectories=1_000_000, seed=20250806), workers
     )
@@ -165,7 +166,7 @@ def criterion_5_lorentz_lindblad(workers: int = 1) -> tuple[bool, list[str]]:
         f"table-first ensemble MC CPF {est_cpf} vs closed form {target_cpf:.5f} (3 sigma)",
     )
 
-    target_cc = spinbath.lorentz_conditional_coherence(1.0, 1.0, 1.0, +1)
+    target_cc = core.conditional_coherence(spinbath.lorentz_moment_set(spec1, 1.0, 1.0), +1)
     est_cc = stochastic.mc_conditional_coherence(
         analytic.StaticLorentz(1.0),
         1.0,
@@ -180,11 +181,9 @@ def criterion_5_lorentz_lindblad(workers: int = 1) -> tuple[bool, list[str]]:
     )
 
     grid = np.linspace(0.08, 4.0, 50)
+    m = spinbath.lorentz_moment_set(spec1, *np.meshgrid(grid, grid, indexing="ij"))
     bound_ok = all(
-        abs(spinbath.lorentz_conditional_coherence(1.0, t, tau, yx)) <= 1.0 + 1e-12
-        for t in grid
-        for tau in grid
-        for yx in (+1, -1)
+        np.all(np.abs(core.conditional_coherence(m, yx)) <= 1.0 + 1e-12) for yx in (+1, -1)
     )
     c.check(bound_ok, "corrected conditional coherence stays in [-1, 1] on 50x50 grid, both yx")
 
@@ -202,24 +201,20 @@ def criterion_6_random_frequency_equivalence(workers: int = 1) -> tuple[bool, li
     """StaticLorentz noise model equals the Cauchy spin-bath closed forms."""
     c = _Checker()
     model = analytic.StaticLorentz(1.0)
+    ensemble = spinbath.LorentzCouplingSpec(gamma=1.0)
     grid = np.linspace(0.0, 3.0, 20)
-    worst_f = worst_cpf = worst_cc = 0.0
-    for t in grid:
-        worst_f = max(worst_f, abs(analytic.first_moment(model, t) - math.exp(-t)))
-        for tau in grid:
-            worst_cpf = max(
-                worst_cpf, abs(analytic.cpf(model, t, tau) - spinbath.lorentz_cpf(1.0, t, tau))
-            )
-            for yx in (+1, -1):
-                if t == 0.0 and yx == -1:
-                    continue
-                worst_cc = max(
-                    worst_cc,
-                    abs(
-                        analytic.conditional_coherence(model, t, tau, yx)
-                        - spinbath.lorentz_conditional_coherence(1.0, t, tau, yx)
-                    ),
-                )
+    worst_f = np.max(np.abs(analytic.first_moment(model, grid) - np.exp(-grid)))
+    t, tau = np.meshgrid(grid, grid, indexing="ij")
+    bath = spinbath.lorentz_moment_set(ensemble, t, tau)
+    worst_cpf = np.max(np.abs(analytic.cpf(model, t, tau) - core.cpf_from_moments(bath)))
+    # yx = -1 cannot be conditioned on at t = 0, the first row of the grid
+    worst_cc = max(
+        np.max(np.abs(
+            analytic.conditional_coherence(model, t[k:], tau[k:], yx)
+            - core.conditional_coherence(spinbath.lorentz_moment_set(ensemble, t[k:], tau[k:]), yx)
+        ))
+        for yx, k in ((+1, 0), (-1, 1))
+    )
     c.check(worst_f <= 1e-12, f"first moments agree to {worst_f:.1e}")
     c.check(worst_cpf <= 1e-12, f"CPF surfaces agree to {worst_cpf:.1e}")
     c.check(worst_cc <= 1e-12, f"conditional coherences agree to {worst_cc:.1e}")
@@ -266,7 +261,7 @@ def criterion_7_ou_limits(workers: int = 1) -> tuple[bool, list[str]]:
         c.check(ok, f"tau_c={tau_c}: MC moments and CPF within 3 sigma at 5 diagonal points")
         # the diagonal maximum sits near g t ~ 2, i.e. t ~ 2 sqrt(2 tau_c)
         diag = np.linspace(0.0, 10.0 * math.sqrt(tau_c) + 5.0, 400)
-        peaks.append(max(analytic.cpf(model, t, t) for t in diag))
+        peaks.append(np.max(analytic.cpf(model, diag, diag)))
     c.check(
         all(a < b for a, b in zip(peaks, peaks[1:])),
         f"diagonal CPF peak grows with tau_c at fixed gamma_w: {[f'{p:.3f}' for p in peaks]}",
@@ -341,7 +336,7 @@ def criterion_10_property_suite(workers: int = 1) -> tuple[bool, list[str]]:
         model = models[int(rng.integers(len(models)))]
         t, tau = rng.uniform(0.0, 4.0, size=2)
         y = +1 if rng.random() < 0.5 else -1
-        table = analytic.probability_table(model, t, tau, y)
+        table = core.cpf_probability_table(analytic.moment_set(model, t, tau), y)
         norm_ok &= abs(sum(table.entries.values()) - 1.0) <= 1e-12
     c.check(norm_ok, "probability tables normalized for random models and times")
 
@@ -359,8 +354,8 @@ def criterion_10_property_suite(workers: int = 1) -> tuple[bool, list[str]]:
     spec = _random_spec(rng, 4)
     for s in rng.uniform(0.0, 3.0, size=5):
         # bath product formula carries ~N ulp of state-normalization dust
-        edge_ok &= abs(spinbath.cpf(spec, s, 0.0)) <= 1e-13
-        edge_ok &= abs(spinbath.cpf(spec, 0.0, s)) <= 1e-13
+        edge_ok &= abs(_bath_cpf(spec, s, 0.0)) <= 1e-13
+        edge_ok &= abs(_bath_cpf(spec, 0.0, s)) <= 1e-13
     c.check(edge_ok, "C_pf(t,0) = C_pf(0,tau) = 0 (exact for noise models)")
 
     y_ok = True
@@ -379,7 +374,7 @@ def criterion_10_property_suite(workers: int = 1) -> tuple[bool, list[str]]:
     for _ in range(30):
         spec = _random_spec(rng, 1)
         t, tau = rng.uniform(0.0, 5.0, size=2)
-        n1_ok &= abs(spinbath.cpf(spec, t, tau)) <= 1e-14
+        n1_ok &= abs(_bath_cpf(spec, t, tau)) <= 1e-14
     c.check(n1_ok, "single-spin bath CPF vanishes identically")
 
     model = analytic.StaticGauss(1.0)

@@ -26,7 +26,9 @@ with theta1 = int_0^t xi dt' and theta2 = int_t^{t+tau} xi dt'.  Models:
 From the moments: C_pf = f(t,tau) - f(t) f(tau) and the post-measurement
 conditional coherence c^{yx} = [f(tau) + yx f(t,tau)] / [1 + yx f(t)].
 
-All operations are pure functions of the frozen model dataclasses.
+All operations are pure functions of the frozen model dataclasses.  The
+moment functions and everything built on them take scalar or array times
+that broadcast against each other.
 """
 
 from __future__ import annotations
@@ -34,15 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import core
-from .errors import (
-    DeltaSingularCorrelation,
-    UndefinedCorrelation,
-    ZeroProbabilityPostselection,
-)
+import numpy as np
 
-# Postselection feasibility threshold on |1 + yx f(t)|.
-POSTSELECTION_EPS = 1e-12
+from . import core
+from .errors import DeltaSingularCorrelation, UndefinedCorrelation
 
 
 def _positive(value: float, name: str) -> float:
@@ -52,10 +49,11 @@ def _positive(value: float, name: str) -> float:
     return v
 
 
-def _time(value: float, name: str = "t") -> float:
-    v = float(value)
-    if not math.isfinite(v) or v < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+def _times(value, name: str = "t") -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(v) & (v >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"{name} must be finite and >= 0, got {float(v[bad][0])!r}")
     return v
 
 
@@ -115,8 +113,6 @@ class StaticLorentz:
 
 NoiseModel = White | ExpCorrGauss | StaticGauss | StaticLorentz
 
-GAUSSIAN_FAMILY = (White, ExpCorrGauss, StaticGauss)
-
 
 def model_tag(model: NoiseModel) -> str:
     """Short lowercase tag used in CSV output and configs."""
@@ -136,7 +132,7 @@ def correlation_function(model: NoiseModel, dt: float) -> float:
     chi must use phase_covariance instead.  StaticLorentz has no finite
     second moment at all and always raises UndefinedCorrelation.
     """
-    dt = _time(dt, "dt")
+    dt = float(_times(dt, "dt"))
     match model:
         case White(gamma_w=gw):
             if dt == 0.0:
@@ -155,9 +151,9 @@ def correlation_function(model: NoiseModel, dt: float) -> float:
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def _h(u: float) -> float:
+def _h(u):
     # h(u) = u - (1 - e^{-u}) = u + expm1(-u), accurate for small u.
-    return u + math.expm1(-u)
+    return u + np.expm1(-u)
 
 
 def phase_covariance(model: NoiseModel, t: float, tau: float) -> tuple[float, float, float]:
@@ -177,15 +173,17 @@ def phase_covariance(model: NoiseModel, t: float, tau: float) -> tuple[float, fl
 
     Raises UndefinedCorrelation for StaticLorentz.
     """
-    t = _time(t, "t")
-    tau = _time(tau, "tau")
+    t = float(_times(t, "t"))
+    tau = float(_times(tau, "tau"))
     match model:
         case White(gamma_w=gw):
             return gw * t, gw * tau, 0.0
         case ExpCorrGauss(g=g, tau_c=tc):
+            # math.expm1 rather than _h: the Monte Carlo samplers draw with
+            # these variances, and their output bits must not move
             a = g * g * tc * tc
-            var1 = 2.0 * a * _h(t / tc)
-            var2 = 2.0 * a * _h(tau / tc)
+            var1 = 2.0 * a * (t / tc + math.expm1(-t / tc))
+            var2 = 2.0 * a * (tau / tc + math.expm1(-tau / tc))
             cov = a * (-math.expm1(-t / tc)) * (-math.expm1(-tau / tc))
             return var1, var2, cov
         case StaticGauss(g=g):
@@ -197,53 +195,60 @@ def phase_covariance(model: NoiseModel, t: float, tau: float) -> tuple[float, fl
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def first_moment(model: NoiseModel, s: float) -> float:
-    """f(s) = E[cos 2 theta] over one interval of length s; f(0) = 1."""
-    s = _time(s, "s")
+def first_moment(model: NoiseModel, s):
+    """f(s) = E[cos 2 theta] over one interval of length s; f(0) = 1.
+
+    Takes a scalar or an array of times and returns the same shape.
+    """
+    s = _times(s, "s")
     match model:
         case White(gamma_w=gw):
-            return math.exp(-2.0 * gw * s)
+            return np.exp(-2.0 * gw * s)
         case ExpCorrGauss(g=g, tau_c=tc):
-            return math.exp(-4.0 * (tc * g) ** 2 * _h(s / tc))
+            return np.exp(-4.0 * (tc * g) ** 2 * _h(s / tc))
         case StaticGauss(g=g):
-            return math.exp(-2.0 * (g * s) ** 2)
+            return np.exp(-2.0 * (g * s) ** 2)
         case StaticLorentz(gamma=gamma, omega=omega):
-            return math.exp(-gamma * abs(s)) * math.cos(omega * s)
+            return _lorentz_f(gamma, omega, s)
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def _lorentz_f(gamma: float, omega: float, s: float) -> float:
+def _lorentz_f(gamma: float, omega: float, s):
     # s may be negative here (via t - tau); f is even in s.
-    return math.exp(-gamma * abs(s)) * math.cos(omega * s)
+    s = np.abs(s)
+    return np.exp(-gamma * s) * np.cos(omega * s)
 
 
-def joint_moment(model: NoiseModel, t: float, tau: float) -> float:
-    """f(t, tau) = E[cos 2 theta1 cos 2 theta2]; reduces to f at t=0 or tau=0."""
-    t = _time(t, "t")
-    tau = _time(tau, "tau")
+def joint_moment(model: NoiseModel, t, tau):
+    """f(t, tau) = E[cos 2 theta1 cos 2 theta2]; reduces to f at t=0 or tau=0.
+
+    t and tau are scalars or arrays that broadcast against each other.
+    """
+    t = _times(t, "t")
+    tau = _times(tau, "tau")
     match model:
         case White():
             return first_moment(model, t) * first_moment(model, tau)
         case ExpCorrGauss(g=g, tau_c=tc):
             a = (tc * g) ** 2
-            phi = 4.0 * a * (-math.expm1(-t / tc)) * (-math.expm1(-tau / tc))
-            if phi == 0.0:
-                # t = 0 or tau = 0: factorize exactly so cpf cancels to 0.0
-                return first_moment(model, t) * first_moment(model, tau)
+            phi = 4.0 * a * (-np.expm1(-t / tc)) * (-np.expm1(-tau / tc))
             # log-space combination avoids 0 * inf from underflow * cosh overflow
             log_ff = -4.0 * a * (_h(t / tc) + _h(tau / tc))
-            return 0.5 * (math.exp(log_ff + phi) + math.exp(log_ff - phi))
+            joint = 0.5 * (np.exp(log_ff + phi) + np.exp(log_ff - phi))
+            # t = 0 or tau = 0: factorize exactly so cpf cancels to 0.0
+            return np.where(phi == 0.0, first_moment(model, t) * first_moment(model, tau), joint)[()]
         case StaticGauss():
-            return 0.5 * (first_moment(model, t + tau) + first_moment(model, abs(t - tau)))
+            return 0.5 * (first_moment(model, t + tau) + first_moment(model, np.abs(t - tau)))
         case StaticLorentz(gamma=gamma, omega=omega):
             return 0.5 * (_lorentz_f(gamma, omega, t + tau) + _lorentz_f(gamma, omega, t - tau))
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def moment_set(model: NoiseModel, t: float, tau: float) -> core.MomentSet:
+def moment_set(model: NoiseModel, t, tau) -> core.MomentSet:
     """The protocol MomentSet (f_t, f_tau, f_joint) for this model.
 
-    For White the joint moment is computed as the literal product of the two
+    t and tau are scalars or arrays that broadcast against each other.  For
+    White the joint moment is computed as the literal product of the two
     first moments, so the connected combination cancels to exactly 0.0.
     """
     f_t = first_moment(model, t)
@@ -255,7 +260,7 @@ def moment_set(model: NoiseModel, t: float, tau: float) -> core.MomentSet:
     return core.MomentSet(f_t=f_t, f_tau=f_tau, f_joint=f_joint)
 
 
-def cpf(model: NoiseModel, t: float, tau: float) -> float:
+def cpf(model: NoiseModel, t, tau):
     """Conditional past-future correlation C_pf(t, tau) = f(t,tau) - f(t) f(tau).
 
     Identically zero for White; non-negative for the other three models with
@@ -264,44 +269,32 @@ def cpf(model: NoiseModel, t: float, tau: float) -> float:
     return core.cpf_from_moments(moment_set(model, t, tau))
 
 
-def probability_table(model: NoiseModel, t: float, tau: float, y: int) -> core.CpfProbabilityTable:
-    """Conditional outcome table P(z, x | y) for this model at (t, tau)."""
-    return core.cpf_probability_table(moment_set(model, t, tau), y)
-
-
-def conditional_coherence(model: NoiseModel, t: float, tau: float, yx: int) -> float:
+def conditional_coherence(model: NoiseModel, t, tau, yx: int):
     """Coherence after the second measurement, conditioned on the product yx.
 
     c^{yx}(t,tau) = [f(tau) + yx f(t,tau)] / [1 + yx f(t)].  The deviation
     from the unconditional f(tau) is the measurement back action; it vanishes
     for White noise, where this returns exactly f(tau) for both yx.
     """
-    yx = core.validate_outcome(yx, "yx")
-    m = moment_set(model, t, tau)
-    denom = 1.0 + yx * m.f_t
-    if abs(denom) <= POSTSELECTION_EPS:
-        raise ZeroProbabilityPostselection(
-            f"outcome pair with yx={yx:+d} has probability (1 + yx f(t))/2 ~ 0 at t={t}"
-        )
-    return (m.f_tau + yx * m.f_joint) / denom
+    return core.conditional_coherence(moment_set(model, t, tau), yx)
 
 
-def dephasing_rate(model: NoiseModel, t: float) -> float:
-    """Instantaneous dephasing rate gamma(t) = -d/dt ln f(t).
+def dephasing_rate(model: NoiseModel, t):
+    """Instantaneous dephasing rate gamma(t) = -d/dt ln f(t), scalar or array t.
 
     White: 2 gamma_w.  StaticGauss: 4 g^2 t.  ExpCorrGauss:
     4 g^2 tau_c (1 - e^{-t/tau_c}).  StaticLorentz: gamma + omega tan(omega t)
     (constant gamma for omega = 0; diverges where the cosine envelope crosses
     zero, i.e. where the coherence itself vanishes).
     """
-    t = _time(t, "t")
+    t = _times(t, "t")
     match model:
         case White(gamma_w=gw):
-            return 2.0 * gw
+            return np.full_like(t, 2.0 * gw)[()]
         case ExpCorrGauss(g=g, tau_c=tc):
-            return 4.0 * g * g * tc * (-math.expm1(-t / tc))
+            return 4.0 * g * g * tc * (-np.expm1(-t / tc))
         case StaticGauss(g=g):
             return 4.0 * g * g * t
         case StaticLorentz(gamma=gamma, omega=omega):
-            return gamma if omega == 0.0 else gamma + omega * math.tan(omega * t)
+            return gamma + omega * np.tan(omega * t)
     raise TypeError(f"unknown noise model {model!r}")

@@ -10,8 +10,9 @@ Configs are JSON documents (see README for the schema).  Every run writes a
 manifest next to the CSV that echoes the fully resolved config; feeding the
 manifest back to `run` reproduces the CSV bit for bit.
 
-Exit codes: 0 success, 2 config validation failure, 3 runtime model error
-(impossible postselection, bath too large, ...), 1 I/O failure.  `compare`
+Exit codes: 0 success, 2 config validation failure or bad command-line value
+(argparse, e.g. --threads 0), 3 runtime model error (impossible
+postselection, bath too large, ...), 1 I/O failure.  `compare`
 exits 5 when the result sets disagree beyond tolerance; `selftest` exits 1
 when a criterion fails.
 """
@@ -22,12 +23,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import platform
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -51,38 +53,6 @@ QUANTITIES = (
     "probability_table",
 )
 METHODS = ("analytic", "montecarlo", "sampling", "oracle")
-
-_NOISE_KINDS = ("white", "exp_corr_gauss", "static_gauss", "static_lorentz")
-_BATH_KINDS = ("spin_bath", "scaled_spin_bath")
-
-# quantity -> methods, per model family; anything absent is rejected
-_ALLOWED: dict[str, dict[str, tuple[str, ...]]] = {
-    "noise": {
-        "coherence": ("analytic", "montecarlo"),
-        "conditional_coherence": ("analytic", "montecarlo"),
-        "cpf": ("analytic", "montecarlo", "sampling"),
-        "cpf_surface": ("analytic", "montecarlo", "sampling"),
-        "moments": ("analytic", "montecarlo"),
-        "rate": ("analytic",),
-        "probability_table": ("analytic",),
-    },
-    "bath": {
-        "coherence": ("analytic",),
-        "conditional_coherence": ("analytic",),
-        "cpf": ("analytic", "oracle"),
-        "cpf_surface": ("analytic", "oracle"),
-        "moments": ("analytic",),
-        "probability_table": ("analytic", "oracle"),
-    },
-    "lorentz_coupling": {
-        "coherence": ("analytic", "montecarlo"),
-        "conditional_coherence": ("analytic", "montecarlo"),
-        "cpf": ("analytic", "montecarlo"),
-        "cpf_surface": ("analytic", "montecarlo"),
-        "moments": ("analytic", "montecarlo"),
-        "probability_table": ("analytic",),
-    },
-}
 
 _T_ONLY = ("coherence", "rate")
 
@@ -130,6 +100,99 @@ class Row:
     quantity: str
     model: str
     method: str
+
+
+_MOMENT_LABELS = ("f_t", "f_tau", "f_joint")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """How one family of model kinds is evaluated.
+
+    The functions are looked up on their modules at call time, so wrappers
+    installed on those modules see every call.
+    """
+
+    # (model, t, tau) -> core.MomentSet over broadcast arrays of times
+    moments: Callable[[Any, np.ndarray, np.ndarray], core.MomentSet]
+    # (model, t) -> real coherence f(t) over an array of times
+    coherence: Callable[[Any, np.ndarray], np.ndarray]
+    # quantity -> methods; anything absent is rejected
+    allowed: dict[str, tuple[str, ...]]
+    # quantity, or "sampling" for the sampling method -> per-point estimator
+    # (config, t, tau, workers) -> Estimate, or three of them for "moments"
+    mc: dict[str, Callable[[ExperimentConfig, float, float | None, int], Any]]
+
+
+_NOISE = _Family(
+    moments=lambda model, t, tau: analytic.moment_set(model, t, tau),
+    coherence=lambda model, t: analytic.first_moment(model, t),
+    allowed={
+        "coherence": ("analytic", "montecarlo"),
+        "conditional_coherence": ("analytic", "montecarlo"),
+        "cpf": ("analytic", "montecarlo", "sampling"),
+        "cpf_surface": ("analytic", "montecarlo", "sampling"),
+        "moments": ("analytic", "montecarlo"),
+        "rate": ("analytic",),
+        "probability_table": ("analytic",),
+    },
+    mc={
+        "coherence": lambda c, t, tau, w: stochastic.mc_moments(c.model, t, 0.0, c.mc, w)[0],
+        "conditional_coherence": lambda c, t, tau, w: stochastic.mc_conditional_coherence(
+            c.model, t, tau, c.yx, c.mc, w
+        ),
+        "cpf": lambda c, t, tau, w: stochastic.mc_cpf_semianalytic(c.model, t, tau, c.mc, w),
+        "moments": lambda c, t, tau, w: stochastic.mc_moments(c.model, t, tau, c.mc, w),
+        "sampling": lambda c, t, tau, w: stochastic.mc_cpf_sampling(
+            c.model, t, tau, c.y_select, c.mc, w
+        ),
+    },
+)
+
+_BATH = _Family(
+    moments=lambda spec, t, tau: spinbath.moment_set(spec, t, tau),
+    coherence=lambda spec, t: spinbath.coherence(spec, t).real,
+    allowed={
+        "coherence": ("analytic",),
+        "conditional_coherence": ("analytic",),
+        "cpf": ("analytic", "oracle"),
+        "cpf_surface": ("analytic", "oracle"),
+        "moments": ("analytic",),
+        "probability_table": ("analytic", "oracle"),
+    },
+    mc={},
+)
+
+_ENSEMBLE = _Family(
+    moments=lambda spec, t, tau: spinbath.lorentz_moment_set(spec, t, tau),
+    coherence=lambda spec, t: spinbath.lorentz_coherence(spec, t).real,
+    allowed={
+        "coherence": ("analytic", "montecarlo"),
+        "conditional_coherence": ("analytic", "montecarlo"),
+        "cpf": ("analytic", "montecarlo"),
+        "cpf_surface": ("analytic", "montecarlo"),
+        "moments": ("analytic", "montecarlo"),
+        "probability_table": ("analytic",),
+    },
+    mc={
+        "coherence": lambda c, t, tau, w: spinbath.lorentz_mc_coherence(c.model, t, c.mc, w),
+        "conditional_coherence": lambda c, t, tau, w: spinbath.lorentz_mc_conditional_coherence(
+            c.model, t, tau, c.yx, c.mc, w
+        ),
+        "cpf": lambda c, t, tau, w: spinbath.lorentz_mc_cpf(c.model, t, tau, c.mc, w),
+        "moments": lambda c, t, tau, w: spinbath.lorentz_mc_moments(c.model, t, tau, c.mc, w),
+    },
+)
+
+MODEL_FAMILIES: dict[str, _Family] = {
+    "white": _NOISE,
+    "exp_corr_gauss": _NOISE,
+    "static_gauss": _NOISE,
+    "static_lorentz": _NOISE,
+    "spin_bath": _BATH,
+    "scaled_spin_bath": _BATH,
+    "lorentz_coupling": _ENSEMBLE,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +264,8 @@ def _parse_grid(doc: Any, path: str) -> GridSpec:
     stop = _float(_pop(doc, "stop", path + ".", required=True), path + ".stop")
     count = _int(_pop(doc, "count", path + ".", required=True), path + ".count", positive=True)
     _reject_unknown(doc, path + ".")
+    if start < 0.0:
+        raise ConfigError(f"{path}.start: must be >= 0, got {start!r}")
     if stop < start:
         raise ConfigError(f"{path}.stop: must be >= start")
     if count > 1 and stop == start:
@@ -337,10 +402,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
     if method not in METHODS:
         raise ConfigError(f"method: unknown method {method!r}; expected one of {METHODS}")
 
-    family = "noise" if model_kind in _NOISE_KINDS else (
-        "bath" if model_kind in _BATH_KINDS else "lorentz_coupling"
-    )
-    allowed = _ALLOWED[family].get(quantity, ())
+    allowed = MODEL_FAMILIES[model_kind].allowed.get(quantity, ())
     if method not in allowed:
         raise ConfigError(
             f"method: {method!r} does not support quantity {quantity!r} for model "
@@ -445,177 +507,72 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _time_pairs(config: ExperimentConfig) -> list[tuple[float, float | None]]:
-    ts = [float(v) for v in config.t_grid.values()]
+def _time_points(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Flat (t, tau) arrays of the evaluation points in row order; tau is None for t-only."""
+    t = config.t_grid.values()
     if config.quantity in _T_ONLY:
-        return [(t, None) for t in ts]
+        return t, None
     if config.quantity == "cpf_surface":
-        taus = [float(v) for v in (config.tau_grid or config.t_grid).values()]
-        return [(t, u) for t in ts for u in taus]
-    if config.tau_grid is None:
-        return [(t, t) for t in ts]
-    return list(zip(ts, [float(v) for v in config.tau_grid.values()]))
+        tau = (config.tau_grid or config.t_grid).values()
+        return np.repeat(t, tau.size), np.tile(tau, t.size)
+    return t, t if config.tau_grid is None else config.tau_grid.values()
 
 
-def _analytic_value(config: ExperimentConfig, t: float, tau: float | None) -> float:
-    kind, model = config.model_kind, config.model
-    q = config.quantity
+def _analytic_columns(
+    config: ExperimentConfig, family: _Family, t: np.ndarray, tau: np.ndarray | None
+) -> list[tuple[str, np.ndarray]]:
+    """(row label, values at every point) for the closed forms, in one call per grid."""
+    model, q = config.model, config.quantity
     if q == "coherence":
-        if kind in _NOISE_KINDS:
-            return analytic.first_moment(model, t)
-        if kind in _BATH_KINDS:
-            return spinbath.coherence(model, t).real
-        return spinbath.lorentz_coherence(model, t).real
+        return [(q, family.coherence(model, t))]
     if q == "rate":
-        return analytic.dephasing_rate(model, t)
-    assert tau is not None
+        return [(q, analytic.dephasing_rate(model, t))]
+    m = family.moments(model, t, tau)
+    if q == "moments":
+        return list(zip(_MOMENT_LABELS, (m.f_t, m.f_tau, m.f_joint)))
+    if q == "probability_table":
+        cells = core.cpf_table_cells(m, config.y_select)
+        return [(label, cells[key]) for key, label in _TABLE_LABELS]
     if q == "conditional_coherence":
-        if kind in _NOISE_KINDS:
-            return analytic.conditional_coherence(model, t, tau, config.yx)
-        if kind in _BATH_KINDS:
-            return spinbath.conditional_coherence(model, t, tau, config.yx).real
-        return spinbath.lorentz_ensemble_conditional_coherence(model, t, tau, config.yx).real
-    # cpf and cpf_surface
-    if kind in _NOISE_KINDS:
-        return analytic.cpf(model, t, tau)
-    if kind in _BATH_KINDS:
-        return spinbath.cpf(model, t, tau)
-    return core.cpf_from_moments(spinbath.lorentz_moment_set(model, t, tau))
+        return [(q, core.conditional_coherence(m, config.yx))]
+    return [(q, core.cpf_from_moments(m))]
 
 
-def _analytic_moment_set(config: ExperimentConfig, t: float, tau: float) -> core.MomentSet:
-    kind, model = config.model_kind, config.model
-    if kind in _NOISE_KINDS:
-        return analytic.moment_set(model, t, tau)
-    if kind in _BATH_KINDS:
-        return spinbath.moment_set(model, t, tau)
-    return spinbath.lorentz_moment_set(model, t, tau)
-
-
-def _mc_scalar(config: ExperimentConfig, t: float, tau: float | None, workers: int) -> core.Estimate:
-    kind, model, q = config.model_kind, config.model, config.quantity
-    cfg = config.mc
-    assert cfg is not None
-    if config.method == "sampling":
-        assert tau is not None
-        return stochastic.mc_cpf_sampling(model, t, tau, config.y_select, cfg, workers)
-    if q == "coherence":
-        if kind == "lorentz_coupling":
-            return spinbath.lorentz_mc_coherence(model, t, cfg, workers)
-        return stochastic.mc_moments(model, t, 0.0, cfg, workers)[0]
-    assert tau is not None
-    if q == "conditional_coherence":
-        if kind == "lorentz_coupling":
-            return spinbath.lorentz_mc_conditional_coherence(model, t, tau, config.yx, cfg, workers)
-        return stochastic.mc_conditional_coherence(model, t, tau, config.yx, cfg, workers)
-    # cpf and cpf_surface
-    if kind == "lorentz_coupling":
-        return spinbath.lorentz_mc_cpf(model, t, tau, cfg, workers)
-    return stochastic.mc_cpf_semianalytic(model, t, tau, cfg, workers)
-
-
-def _table_rows(config: ExperimentConfig, t: float, tau: float) -> list[Row]:
+def _point_values(
+    config: ExperimentConfig, family: _Family, t: float, tau: float | None, workers: int
+) -> list[tuple[str, float, float | None, int | None]]:
+    """(row label, value, std_error, n_samples) at one point, oracle or Monte Carlo."""
+    q = config.quantity
     if config.method == "oracle":
-        table = spinbath.oracle_protocol(
-            config.model, config.system_init, t, tau, config.y_select
-        )
-    elif config.model_kind in _NOISE_KINDS:
-        table = analytic.probability_table(config.model, t, tau, config.y_select)
-    else:
-        table = core.cpf_probability_table(
-            _analytic_moment_set(config, t, tau), config.y_select
-        )
-    return [
-        Row(t, tau, table.entries[key], None, None, label, config.model_kind, config.method)
-        for key, label in _TABLE_LABELS
-    ]
+        table = spinbath.oracle_protocol(config.model, config.system_init, t, tau, config.y_select)
+        if q == "probability_table":
+            return [(label, table.entries[key], None, None) for key, label in _TABLE_LABELS]
+        return [(q, core.cpf_from_table(table), None, None)]
+    key = "sampling" if config.method == "sampling" else ("cpf" if q == "cpf_surface" else q)
+    est = family.mc[key](config, t, tau, workers)
+    pairs = zip(_MOMENT_LABELS, est) if q == "moments" else [(q, est)]
+    return [(label, e.value, e.std_error, e.n_samples) for label, e in pairs]
 
 
 def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> list[Row]:
     """Produce the long-format result rows for one experiment config."""
-    rows: list[Row] = []
-    pairs = _time_pairs(config)
-    kind, method, q = config.model_kind, config.method, config.quantity
-
-    if q == "moments":
-        labels = ("f_t", "f_tau", "f_joint")
-        for t, tau in pairs:
-            assert tau is not None
-            if method == "analytic":
-                m = _analytic_moment_set(config, t, tau)
-                for label, value in zip(labels, (m.f_t, m.f_tau, m.f_joint)):
-                    rows.append(Row(t, tau, value, None, None, label, kind, method))
-                continue
-            if kind == "lorentz_coupling":
-                ests = spinbath.lorentz_mc_moments(config.model, t, tau, config.mc, workers)
-            else:
-                ests = stochastic.mc_moments(config.model, t, tau, config.mc, workers)
-            for label, est in zip(labels, ests):
-                rows.append(
-                    Row(t, tau, est.value, est.std_error, est.n_samples, label, kind, method)
-                )
-        return rows
-
-    if q == "probability_table":
-        for t, tau in pairs:
-            assert tau is not None
-            rows.extend(_table_rows(config, t, tau))
-        return rows
-
-    if q == "cpf_surface":
-        ts = config.t_grid.values()
-        taus = (config.tau_grid or config.t_grid).values()
-        values = np.empty((len(ts), len(taus)))
-        errors = np.zeros_like(values)
-        counts = np.zeros(values.shape, dtype=np.int64)
-        for i, t in enumerate(float(v) for v in ts):
-            for j, tau in enumerate(float(v) for v in taus):
-                if method == "analytic":
-                    values[i, j] = _analytic_value(config, t, tau)
-                elif method == "oracle":
-                    values[i, j] = core.cpf_from_table(
-                        spinbath.oracle_protocol(
-                            config.model, config.system_init, t, tau, config.y_select
-                        )
-                    )
-                else:
-                    est = _mc_scalar(config, t, tau, workers)
-                    values[i, j] = est.value
-                    errors[i, j] = est.std_error
-                    counts[i, j] = est.n_samples
-        stochastic_run = method in ("montecarlo", "sampling")
-        try:
-            surface = core.CpfSurface(
-                t_grid=ts,
-                tau_grid=taus,
-                values=values,
-                model_tag=kind,
-                method_tag="montecarlo" if stochastic_run else method,
-                std_errors=errors if stochastic_run else None,
-                n_samples=config.mc.n_trajectories if stochastic_run else None,
-            )
-        except ValueError as exc:
-            raise CpfError(f"cpf_surface: {exc}") from exc
-        for i, t in enumerate(float(v) for v in surface.t_grid):
-            for j, tau in enumerate(float(v) for v in surface.tau_grid):
-                se = float(surface.std_errors[i, j]) if stochastic_run else None
-                n = int(counts[i, j]) if stochastic_run else None
-                rows.append(Row(t, tau, float(surface.values[i, j]), se, n, q, kind, method))
-        return rows
-
-    for t, tau in pairs:
-        if method == "analytic":
-            rows.append(Row(t, tau, _analytic_value(config, t, tau), None, None, q, kind, method))
-        elif method == "oracle":
-            assert tau is not None
-            value = core.cpf_from_table(
-                spinbath.oracle_protocol(config.model, config.system_init, t, tau, config.y_select)
-            )
-            rows.append(Row(t, tau, value, None, None, q, kind, method))
-        else:
-            est = _mc_scalar(config, t, tau, workers)
-            rows.append(Row(t, tau, est.value, est.std_error, est.n_samples, q, kind, method))
-    return rows
+    family = MODEL_FAMILIES[config.model_kind]
+    t, tau = _time_points(config)
+    ts = t.tolist()
+    taus = [None] * len(ts) if tau is None else tau.tolist()
+    if config.method == "analytic":
+        columns = [
+            (label, np.broadcast_to(values, t.shape).tolist())
+            for label, values in _analytic_columns(config, family, t, tau)
+        ]
+        points = ([(label, values[i], None, None) for label, values in columns] for i in range(len(ts)))
+    else:
+        points = (_point_values(config, family, t_i, tau_i, workers) for t_i, tau_i in zip(ts, taus))
+    return [
+        Row(t_i, tau_i, value, se, n, label, config.model_kind, config.method)
+        for t_i, tau_i, values in zip(ts, taus, points)
+        for label, value, se, n in values
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -693,17 +650,22 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+def _run_config(config: ExperimentConfig, threads: int) -> tuple[Path, int, Path]:
+    """Evaluate one config, write its CSV and manifest; (CSV path, rows, manifest path)."""
     start = time.perf_counter()
-    rows = evaluate_rows(config, workers=args.threads)
+    rows = evaluate_rows(config, workers=threads)
     csv_path = Path(config.output_path)
     if csv_path.parent != Path("."):
         csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(rows, csv_path)
-    manifest = write_manifest(config, csv_path, time.perf_counter() - start)
+    return csv_path, len(rows), write_manifest(config, csv_path, time.perf_counter() - start)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _apply_overrides(load_config(args.config), args)
+    csv_path, n_rows, manifest = _run_config(config, args.threads)
     if not args.quiet:
-        print(f"wrote {csv_path} ({len(rows)} rows) and {manifest}")
+        print(f"wrote {csv_path} ({n_rows} rows) and {manifest}")
     return 0
 
 
@@ -766,8 +728,9 @@ def _set_by_path(doc: dict, dotted: str, value: Any) -> None:
 
 
 def _leg_suffix(assignment: list[tuple[str, Any]]) -> str:
-    return "__".join(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
-                     for key, value in assignment)
+    # str of a float is its shortest round-tripping repr, so distinct values
+    # give distinct names
+    return "__".join(f"{key}={value}" for key, value in assignment)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -788,7 +751,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import itertools
 
     keys = sorted(sweep)
-    legs = []
+    legs: dict[str, tuple[list[tuple[str, Any]], ExperimentConfig]] = {}
     for combo in itertools.product(*(sweep[k] for k in keys)):
         doc = copy.deepcopy(base_doc)
         doc.pop("sweep")
@@ -800,23 +763,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         leg_name = f"{out.stem}__{_leg_suffix(assignment)}{out.suffix or '.csv'}"
         config.output_path = str(out.with_name(leg_name))
         config.canonical["output_path"] = config.output_path
-        legs.append((assignment, config))
+        if config.output_path in legs:
+            raise ConfigError(
+                f"sweep: legs {dict(legs[config.output_path][0])} and {dict(assignment)} "
+                f"both write {config.output_path}"
+            )
+        legs[config.output_path] = (assignment, config)
 
     written = []
-    for assignment, config in legs:
-        start = time.perf_counter()
-        rows = evaluate_rows(config, workers=args.threads)
-        csv_path = Path(config.output_path)
-        if csv_path.parent != Path("."):
-            csv_path.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(rows, csv_path)
-        write_manifest(config, csv_path, time.perf_counter() - start)
+    for assignment, config in legs.values():
+        csv_path, _, _ = _run_config(config, args.threads)
         written.append({"parameters": dict(assignment), "output": csv_path.name})
         if not args.quiet:
             label = ", ".join(f"{k}={v}" for k, v in assignment)
             print(f"wrote {csv_path} ({label})")
 
-    index_path = Path(legs[0][1].output_path).with_name("sweep_manifest.json")
+    index_path = Path(next(iter(legs))).with_name("sweep_manifest.json")
     with open(index_path, "w", encoding="utf-8") as fh:
         json.dump({"kind": "cpfsim-sweep-manifest", "legs": written}, fh, indent=2)
         fh.write("\n")
@@ -847,6 +809,17 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _threads(text: str) -> int:
+    """--threads value: at least 1, capped at the number of CPUs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return min(value, os.cpu_count() or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpfsim",
@@ -858,7 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="config or manifest JSON path")
     run.add_argument("--output", help="override the config output_path")
     run.add_argument("--seed", type=int, help="override mc.seed")
-    run.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    run.add_argument("--threads", type=_threads, default=1,
+                     help="worker threads, capped at the CPU count (default 1)")
     run.add_argument("--quiet", action="store_true")
     run.set_defaults(func=_cmd_run)
 
@@ -869,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="allowed |a-b| in combined std errors (default 3)")
     comp.add_argument("--abs-tol", type=float, default=1e-9,
                       help="absolute tolerance for deterministic pairs (default 1e-9)")
-    comp.add_argument("--threads", type=int, default=1)
+    comp.add_argument("--threads", type=_threads, default=1)
     comp.add_argument("--quiet", action="store_true")
     comp.set_defaults(func=_cmd_compare)
 
@@ -877,13 +851,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--output", help="override the base output_path")
     sweep.add_argument("--seed", type=int, help="override mc.seed for every leg")
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=_threads, default=1)
     sweep.add_argument("--quiet", action="store_true")
     sweep.set_defaults(func=_cmd_sweep)
 
     self_p = sub.add_parser("selftest", help="run the acceptance criteria")
     self_p.add_argument("--criteria", help="comma separated criterion numbers (default all)")
-    self_p.add_argument("--threads", type=int, default=1)
+    self_p.add_argument("--threads", type=_threads, default=1)
     self_p.add_argument("--verbose", action="store_true", help="print detail lines for passes too")
     self_p.set_defaults(func=_cmd_selftest)
     return parser

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidMomentSet, InvalidProbabilityTable
+from .errors import InvalidMomentSet, InvalidProbabilityTable, ZeroProbabilityPostselection
 
 OUTCOMES: tuple[int, int] = (+1, -1)
 
@@ -41,8 +41,8 @@ NORMALIZATION_TOL = 1e-12
 # Entries may fall outside [0, 1] by at most this much before rejection;
 # violations inside the band are clipped to the boundary.
 ENTRY_TOL = 1e-9
-
-METHOD_TAGS = ("analytic", "montecarlo", "oracle")
+# Conditioning on an outcome pair needs |1 + yx f_t| above this threshold.
+POSTSELECTION_EPS = 1e-12
 
 
 def validate_outcome(value: int, name: str = "outcome") -> int:
@@ -51,34 +51,6 @@ def validate_outcome(value: int, name: str = "outcome") -> int:
     if v != value or v not in OUTCOMES:
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
     return v
-
-
-@dataclass(frozen=True)
-class OutcomeTriple:
-    """One realization (x, y, z) of the three-measurement record."""
-
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, validate_outcome(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
-class TimePair:
-    """Measurement intervals (t, tau), both non-negative and finite."""
-
-    t: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        for name in ("t", "tau"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
 
 
 def joint_moment_bounds(f_t: float, f_tau: float) -> tuple[float, float]:
@@ -100,26 +72,34 @@ def joint_moment_bounds(f_t: float, f_tau: float) -> tuple[float, float]:
 class MomentSet:
     """The three conditional moments (f_t, f_tau, f_joint).
 
-    Each moment must be finite and lie in [-1, +1].  Whether the triple is
-    jointly realizable as a probability table is only decided at table
-    construction time; see :func:`joint_moment_bounds`.
+    Each moment is a float64 scalar or array (the three broadcast against
+    each other); every value must be finite and lie in [-1, +1].  Whether a
+    triple is jointly realizable as a probability table is only decided at
+    table construction time; see :func:`joint_moment_bounds`.
     """
 
-    f_t: float
-    f_tau: float
-    f_joint: float
+    f_t: np.ndarray
+    f_tau: np.ndarray
+    f_joint: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("f_t", "f_tau", "f_joint"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidMomentSet(f"{name} must be finite, got {v!r}")
-            if abs(v) > 1.0 + 1e-12:
-                raise InvalidMomentSet(f"{name} must lie in [-1, +1], got {v!r}")
-            object.__setattr__(self, name, v)
+            v = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise InvalidMomentSet(f"{name} must be finite, got {_first(v, ~np.isfinite(v))!r}")
+            if np.any(np.abs(v) > 1.0 + 1e-12):
+                raise InvalidMomentSet(
+                    f"{name} must lie in [-1, +1], got {_first(v, np.abs(v) > 1.0 + 1e-12)!r}"
+                )
+            object.__setattr__(self, name, v[()])
 
 
-def cpf_from_moments(moments: MomentSet) -> float:
+def _first(values: np.ndarray, mask: np.ndarray) -> float:
+    """The first entry of values where mask holds, for error messages."""
+    return float(np.broadcast_to(values, mask.shape)[mask].flat[0])
+
+
+def cpf_from_moments(moments: MomentSet) -> np.ndarray:
     """Connected correlation C_pf = f_joint - f_t * f_tau."""
     return moments.f_joint - moments.f_t * moments.f_tau
 
@@ -184,15 +164,16 @@ class CpfProbabilityTable:
         return MomentSet(f_t=f_t, f_tau=f_tau, f_joint=f_joint)
 
 
-def cpf_probability_table(moments: MomentSet, y: int) -> CpfProbabilityTable:
-    """Build P(z, x | y) from the three moments.
+def cpf_table_cells(moments: MomentSet, y: int) -> dict[tuple[int, int], np.ndarray]:
+    """The four cells P(z, x | y) of the table implied by the moments.
 
-    Raises InvalidMomentSet if any implied entry falls outside [0, 1] by more
-    than ``ENTRY_TOL``; smaller excursions (floating-point dust from upstream
-    engines) are clipped to the boundary.
+    Raises InvalidMomentSet if any cell falls outside [0, 1] by more than
+    ``ENTRY_TOL``; smaller excursions (floating-point dust from upstream
+    engines) are clipped to the boundary.  Raises InvalidProbabilityTable
+    if the clipped cells do not sum to 1 within ``NORMALIZATION_TOL``.
     """
     y = validate_outcome(y, "y")
-    entries: dict[tuple[int, int], float] = {}
+    cells: dict[tuple[int, int], np.ndarray] = {}
     for z in OUTCOMES:
         for x in OUTCOMES:
             p = 0.25 * (
@@ -201,12 +182,41 @@ def cpf_probability_table(moments: MomentSet, y: int) -> CpfProbabilityTable:
                 + z * y * moments.f_tau
                 + z * x * moments.f_joint
             )
-            if p < -ENTRY_TOL or p > 1.0 + ENTRY_TOL:
+            bad = (p < -ENTRY_TOL) | (p > 1.0 + ENTRY_TOL)
+            if np.any(bad):
                 raise InvalidMomentSet(
-                    f"moments {moments} imply P(z={z:+d}, x={x:+d} | y={y:+d}) = {p!r}"
+                    f"moments imply P(z={z:+d}, x={x:+d} | y={y:+d}) = {_first(p, bad)!r}"
                 )
-            entries[(z, x)] = min(max(p, 0.0), 1.0)
-    return CpfProbabilityTable(y=y, entries=entries)
+            cells[(z, x)] = np.clip(p, 0.0, 1.0)[()]
+    total = sum(cells.values())
+    off = np.abs(total - 1.0) > NORMALIZATION_TOL
+    if np.any(off):
+        raise InvalidProbabilityTable(f"entries sum to {_first(total, off)!r}, not 1")
+    return cells
+
+
+def cpf_probability_table(moments: MomentSet, y: int) -> CpfProbabilityTable:
+    """Build P(z, x | y) from scalar moments; see :func:`cpf_table_cells`."""
+    return CpfProbabilityTable(y=y, entries=cpf_table_cells(moments, y))
+
+
+def conditional_coherence(moments: MomentSet, yx: int) -> np.ndarray:
+    """Real coherence after the second measurement, conditioned on yx.
+
+    c^{yx} = [f_tau + yx f_joint] / [1 + yx f_t].  Raises
+    ZeroProbabilityPostselection where |1 + yx f_t| <= ``POSTSELECTION_EPS``,
+    i.e. where the conditioning outcome pair has (numerically) zero
+    probability (1 + yx f_t) / 2.
+    """
+    yx = validate_outcome(yx, "yx")
+    denom = 1.0 + yx * moments.f_t
+    dead = np.abs(denom) <= POSTSELECTION_EPS
+    if np.any(dead):
+        raise ZeroProbabilityPostselection(
+            f"outcome pair with yx={yx:+d} has probability (1 + yx f_t)/2 ~ 0 "
+            f"(f_t = {_first(moments.f_t, dead)!r})"
+        )
+    return (moments.f_tau + yx * moments.f_joint) / denom
 
 
 def cpf_from_table(table: CpfProbabilityTable) -> float:
@@ -243,52 +253,3 @@ class Estimate:
 
     def __str__(self) -> str:
         return f"{self.value:.6g} +/- {self.std_error:.3g} (n={self.n_samples})"
-
-
-@dataclass(frozen=True)
-class CpfSurface:
-    """C_pf evaluated on a cartesian (t, tau) grid.
-
-    ``values[i, j]`` corresponds to (t_grid[i], tau_grid[j]).  Estimated
-    surfaces carry elementwise standard errors and a sample count; exact
-    surfaces leave both as None.
-    """
-
-    t_grid: np.ndarray
-    tau_grid: np.ndarray
-    values: np.ndarray
-    model_tag: str
-    method_tag: str
-    std_errors: np.ndarray | None = None
-    n_samples: int | None = None
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t_grid, dtype=float)
-        u = np.asarray(self.tau_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        for name, g in (("t_grid", t), ("tau_grid", u)):
-            if g.ndim != 1 or g.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-d array")
-            if not np.all(np.isfinite(g)) or np.any(g < 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
-            if g.size > 1 and not np.all(np.diff(g) > 0.0):
-                raise ValueError(f"{name} must be strictly increasing")
-        if v.shape != (t.size, u.size):
-            raise ValueError(f"values shape {v.shape} != ({t.size}, {u.size})")
-        if not np.all(np.isfinite(v)) or np.any(np.abs(v) > 1.0 + 1e-9):
-            raise ValueError("values must be finite and lie in [-1, +1]")
-        if self.method_tag not in METHOD_TAGS:
-            raise ValueError(f"method_tag must be one of {METHOD_TAGS}")
-        se = self.std_errors
-        if se is not None:
-            se = np.asarray(se, dtype=float)
-            if se.shape != v.shape or not np.all(np.isfinite(se)) or np.any(se < 0):
-                raise ValueError("std_errors must match values and be >= 0")
-        n = None if self.n_samples is None else int(self.n_samples)
-        if n is not None and n < 1:
-            raise ValueError("n_samples must be >= 1")
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "tau_grid", u)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "std_errors", se)
-        object.__setattr__(self, "n_samples", n)

@@ -24,17 +24,18 @@ probabilities unchanged; both conventions are exposed for testing.)
 
 The Lorentz-ensemble model draws each total coupling gtilde_k = N g_k from
 an independent Cauchy(omega/2, gamma/2) density.  Averaging e^{2 i gtilde s}
-gives e^{i omega s - gamma |s|}, hence the closed forms implemented in
-lorentz_coherence / lorentz_cpf / lorentz_conditional_coherence.  The Monte
-Carlo estimators average the per-realization probability *table* over the
-ensemble before combining moments (table-first order); averaging the
-per-realization CPF instead is a documented negative control that yields
-identically zero for this model.
+gives e^{i omega s - gamma |s|}, hence the closed forms lorentz_coherence
+and lorentz_moment_set.  The Monte Carlo estimators average the
+per-realization probability *table* over the ensemble before combining
+moments (table-first order); averaging the per-realization CPF instead is a
+documented negative control that yields identically zero for this model.
+
+The closed forms take scalar or array times; their moment sets feed the
+array combinators of core.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,7 +50,6 @@ from .errors import (
 )
 
 ORACLE_MAX_SPINS = 14
-POSTSELECTION_EPS = 1e-12
 
 
 def _normalized_pair(a: complex, b: complex, what: str) -> tuple[complex, complex]:
@@ -143,57 +143,65 @@ class LorentzCouplingSpec:
         object.__setattr__(self, "beta", b)
 
 
-def coherence(spec: SpinBathSpec, t: float) -> complex:
+def _finite(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    return t
+
+
+def coherence(spec: SpinBathSpec, t):
     """Bath overlap c_t by the product formula; c_0 = 1, |c_t| <= 1.
 
-    The protocol only uses t >= 0, but negative arguments (arising as t-tau
+    Takes a scalar or an array of times and returns the same shape.  The
+    protocol only uses t >= 0, but negative arguments (arising as t-tau
     inside conditional quantities) evaluate the same product formula, which
     is the analytic continuation: c_{-t} = conj(c_t).
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    phases = np.exp(2j * t * spec.couplings)
-    w_up = np.abs(spec.alphas) ** 2
-    w_dn = np.abs(spec.betas) ** 2
-    return complex(np.prod(w_up * phases + w_dn * np.conj(phases)))
+    # Spin by spin, so memory stays at a few grid-sized arrays for any N, and
+    # in real arithmetic: numpy's complex multiply rounds differently in its
+    # scalar and vector loops, so a point would not match a grid bit for bit.
+    t = _finite(t)
+    re, im = np.ones(t.shape), np.zeros(t.shape)
+    for g_k, a_k, b_k in zip(spec.couplings, spec.alphas, spec.betas):
+        up, dn = abs(a_k) ** 2, abs(b_k) ** 2
+        theta = 2.0 * g_k * t
+        c, d = (up + dn) * np.cos(theta), (up - dn) * np.sin(theta)
+        re, im = re * c - im * d, re * d + im * c
+    return (re + 1j * im)[()]
 
 
-def moment_set(spec: SpinBathSpec, t: float, tau: float) -> core.MomentSet:
-    """Table moments (f(t), f(tau), [f(t+tau)+f(t-tau)]/2) with f = Re c."""
-    f = lambda u: coherence(spec, u).real
+def _moment_set(overlap, t, tau) -> core.MomentSet:
+    t, tau = _finite(t), _finite(tau)
     return core.MomentSet(
-        f_t=f(t),
-        f_tau=f(tau),
-        f_joint=0.5 * (f(t + tau) + f(t - tau)),
+        f_t=overlap(t).real,
+        f_tau=overlap(tau).real,
+        f_joint=0.5 * (overlap(t + tau).real + overlap(t - tau).real),
     )
 
 
-def cpf(spec: SpinBathSpec, t: float, tau: float) -> float:
-    """Exact CPF [f(t+tau) + f(t-tau)]/2 - f(t) f(tau) of the bath spec.
+def moment_set(spec: SpinBathSpec, t, tau) -> core.MomentSet:
+    """Table moments (f(t), f(tau), [f(t+tau)+f(t-tau)]/2) with f = Re c.
 
-    Vanishes at t = 0 or tau = 0 only up to state-normalization rounding
+    t and tau are scalars or arrays that broadcast against each other.  The
+    CPF vanishes at t = 0 or tau = 0 only up to state-normalization rounding
     (a few n_spins ulp), since f(0) is the computed product of per-spin
     norms rather than an exact 1.0.
     """
-    return core.cpf_from_moments(moment_set(spec, t, tau))
-
-
-def cpf_probability(spec: SpinBathSpec, t: float, tau: float, y: int) -> core.CpfProbabilityTable:
-    """Conditional table P(z, x | y) implied by the product formula."""
-    return core.cpf_probability_table(moment_set(spec, t, tau), y)
+    return _moment_set(lambda u: coherence(spec, u), t, tau)
 
 
 def conditional_coherence(spec: SpinBathSpec, t: float, tau: float, yx: int) -> complex:
     """Post-second-measurement coherence c^{yx}(t, tau) (complex).
 
-    c^{yx} = [c_tau + yx (c_{t+tau} + conj(c_{t-tau}))/2] / [1 + yx Re c_t].
-    Raises ZeroProbabilityPostselection when the denominator magnitude is
-    below 1e-12 (the conditioning outcome pair cannot occur).
+    c^{yx} = [c_tau + yx (c_{t+tau} + conj(c_{t-tau}))/2] / [1 + yx Re c_t];
+    its real part is core.conditional_coherence of moment_set.  Raises
+    ZeroProbabilityPostselection when the denominator magnitude is at most
+    core.POSTSELECTION_EPS (the conditioning outcome pair cannot occur).
     """
     yx = core.validate_outcome(yx, "yx")
     denom = 1.0 + yx * coherence(spec, t).real
-    if abs(denom) <= POSTSELECTION_EPS:
+    if abs(denom) <= core.POSTSELECTION_EPS:
         raise ZeroProbabilityPostselection(
             f"outcome pair with yx={yx:+d} has vanishing probability at t={t}"
         )
@@ -236,104 +244,37 @@ def scaled_gaussian_bath(n_spins: int, g: float, omega: float = 0.0) -> SpinBath
 # Cauchy-coupling ensemble: closed forms
 
 
-def lorentz_coherence(spec: LorentzCouplingSpec, t: float) -> complex:
+def lorentz_coherence(spec: LorentzCouplingSpec, t):
     """Ensemble-averaged coherence e^{-gamma|t|} (|a|^2 e^{i w t/N} + |b|^2 e^{-i w t/N})^N.
 
-    Reduces to a pure exponential e^{-gamma|t|} for omega = 0 or balanced
-    amplitudes |alpha| = |beta|... the latter because the bracket then equals
-    cos(omega t / N) -- strictly, only for omega = 0 is the decay purely
-    exponential; balanced amplitudes make it e^{-gamma|t|} cos^N(omega t/N).
+    Takes a scalar or an array of times and returns the same shape.  For
+    omega = 0 the decay is the pure exponential e^{-gamma|t|}; balanced
+    amplitudes |alpha| = |beta| give e^{-gamma|t|} cos^N(omega t/N).
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = _finite(t)
     n = spec.n_spins
     w_up = abs(spec.alpha) ** 2
     w_dn = abs(spec.beta) ** 2
-    bracket = w_up * cmath.exp(1j * spec.omega * t / n) + w_dn * cmath.exp(
-        -1j * spec.omega * t / n
-    )
-    return math.exp(-spec.gamma * abs(t)) * bracket**n
+    # bracket^N in polar form, in real arithmetic for the reason given in coherence
+    arg = spec.omega * t / n
+    re, im = (w_up + w_dn) * np.cos(arg), (w_up - w_dn) * np.sin(arg)
+    size = np.exp(-spec.gamma * np.abs(t)) * np.power(np.hypot(re, im), float(n))
+    phase = n * np.arctan2(im, re)
+    return (size * np.cos(phase) + 1j * (size * np.sin(phase)))[()]
 
 
-def lorentz_cpf(gamma: float, t: float, tau: float) -> float:
-    """Closed-form ensemble CPF [e^{-g(t+tau)} + e^{-g|t-tau|}]/2 - e^{-g(t+tau)}.
-
-    Non-negative, zero at tau = 0, and -> 1/2 along the diagonal t = tau ->
-    infinity even though the averaged coherence is exactly exponential (a
-    time-independent dephasing Lindblad dynamics on average).
-    """
-    gamma, t, tau = float(gamma), float(t), float(tau)
-    if gamma <= 0.0 or not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
-    if t < 0.0 or tau < 0.0:
-        raise ValueError("t and tau must be >= 0")
-    return (
-        0.5 * (math.exp(-gamma * (t + tau)) + math.exp(-gamma * abs(t - tau)))
-        - math.exp(-gamma * (t + tau))
-    )
-
-
-def lorentz_conditional_coherence(gamma: float, t: float, tau: float, yx: int) -> float:
-    """Ensemble conditional coherence with the yx term halved.
-
-    c^{yx} = [e^{-g tau} + yx (e^{-g(t+tau)} + e^{-g|t-tau|})/2]
-             / [1 + yx e^{-g t}]
-    which stays within [-1, 1] and has the kink at tau = t.  The denominator
-    vanishes only at t = 0 with yx = -1 (zero-probability postselection).
-    """
-    gamma, t, tau = float(gamma), float(t), float(tau)
-    yx = core.validate_outcome(yx, "yx")
-    if gamma <= 0.0 or not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
-    if t < 0.0 or tau < 0.0:
-        raise ValueError("t and tau must be >= 0")
-    denom = 1.0 + yx * math.exp(-gamma * t)
-    if abs(denom) <= POSTSELECTION_EPS:
-        raise ZeroProbabilityPostselection(
-            f"outcome pair with yx={yx:+d} cannot occur at t={t}"
-        )
-    num = math.exp(-gamma * tau) + yx * 0.5 * (
-        math.exp(-gamma * (t + tau)) + math.exp(-gamma * abs(t - tau))
-    )
-    return num / denom
-
-
-def lorentz_moment_set(spec: LorentzCouplingSpec, t: float, tau: float) -> core.MomentSet:
+def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
     """Ensemble-averaged protocol moments under Cauchy coupling draws.
 
     The probability table is linear in (f_t, f_tau, f_joint), so the table
     of the realization-averaged moments equals the realization average of
-    the tables; each moment is Re lorentz_coherence at the right lag.
-    Valid for any omega and polarization, unlike the scalar-gamma forms.
+    the tables; each moment is Re lorentz_coherence at the right lag.  For
+    omega = 0 the CPF is [e^{-g(t+tau)} + e^{-g|t-tau|}]/2 - e^{-g(t+tau)}:
+    non-negative, zero at tau = 0, and -> 1/2 along the diagonal even though
+    the averaged coherence is exactly exponential (a time-independent
+    dephasing Lindblad dynamics on average).
     """
-    f_t = lorentz_coherence(spec, t).real
-    f_tau = lorentz_coherence(spec, tau).real
-    f_joint = 0.5 * (
-        lorentz_coherence(spec, t + tau).real + lorentz_coherence(spec, t - tau).real
-    )
-    return core.MomentSet(f_t=f_t, f_tau=f_tau, f_joint=f_joint)
-
-
-def lorentz_ensemble_conditional_coherence(
-    spec: LorentzCouplingSpec, t: float, tau: float, yx: int
-) -> complex:
-    """Conditional coherence of the averaged statistics for Cauchy couplings.
-
-    Same ratio as conditional_coherence but built from ensemble-averaged
-    branch overlaps; reduces to lorentz_conditional_coherence(gamma, ...)
-    when omega = 0.
-    """
-    yx = core.validate_outcome(yx, "yx")
-    denom = 1.0 + yx * lorentz_coherence(spec, t).real
-    if abs(denom) <= POSTSELECTION_EPS:
-        raise ZeroProbabilityPostselection(
-            f"outcome pair with yx={yx:+d} cannot occur at t={t}"
-        )
-    num = lorentz_coherence(spec, tau) + yx * 0.5 * (
-        lorentz_coherence(spec, t + tau) + lorentz_coherence(spec, t - tau).conjugate()
-    )
-    return num / denom
+    return _moment_set(lambda u: lorentz_coherence(spec, u), t, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +354,8 @@ def lorentz_mc_cpf(
     The per-realization probability table is linear in the per-realization
     moments, so the ensemble-averaged table is the table of the averaged
     moments; the estimate applies cpf_from_table to it.  This reproduces the
-    closed form lorentz_cpf (for omega = 0), unlike the per-realization
-    average below.
+    closed form of lorentz_moment_set, unlike the per-realization average
+    below.
     """
     stats = _ensemble_stats(spec, t, tau, cfg, workers)
     m = stats.mean()
@@ -439,7 +380,7 @@ def lorentz_mc_cpf_per_realization(
     Each fixed-coupling realization has its own deterministic CPF; averaging
     those does NOT commute with averaging the tables.  For N = 1 the
     per-realization CPF is identically zero (product-to-sum identity), so
-    this estimator returns 0 +- 0 and does not reproduce lorentz_cpf.
+    this estimator returns 0 +- 0 and does not reproduce the closed form.
     """
     return _ensemble_stats(spec, t, tau, cfg, workers).estimate(_COL_CPF)
 
@@ -456,7 +397,7 @@ def lorentz_mc_conditional_coherence(
     stats = _ensemble_stats(spec, t, tau, cfg, workers)
     m = stats.mean()
     denom = 1.0 + yx * m[_COL_T]
-    if abs(denom) <= POSTSELECTION_EPS:
+    if abs(denom) <= core.POSTSELECTION_EPS:
         raise ZeroProbabilityPostselection(
             f"ensemble postselection weight vanishes at t={t}, yx={yx:+d}"
         )

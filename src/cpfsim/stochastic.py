@@ -31,7 +31,6 @@ bit-identical for a given (seed, chunk_size, n) at any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,11 +48,6 @@ from .errors import EmptyPostselection, StepTooCoarse, ZeroProbabilityPostselect
 
 __all__ = [
     "McConfig",
-    "PhasePair",
-    "TrajectoryProbabilities",
-    "sample_phase_pair",
-    "trajectory_probabilities",
-    "sample_outcome_triple",
     "mc_moments",
     "mc_cpf_semianalytic",
     "mc_cpf_sampling",
@@ -64,45 +58,6 @@ __all__ = [
 BOOTSTRAP_RESAMPLES = 200
 # Estimated-denominator feasibility threshold for conditional coherence.
 POSTSELECTION_EPS_MC = 1e-9
-
-
-@dataclass(frozen=True)
-class PhasePair:
-    """Integrated noise phases over the two measurement intervals."""
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self) -> None:
-        for name in ("theta1", "theta2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class TrajectoryProbabilities:
-    """Per-realization outcome probabilities of the second and third measurement."""
-
-    p_y_given_x: dict[tuple[int, int], float]
-    p_z_given_yx: dict[tuple[int, int, int], float]
-
-    def __post_init__(self) -> None:
-        for table, keylen in ((self.p_y_given_x, 2), (self.p_z_given_yx, 3)):
-            for key, p in table.items():
-                if len(key) != keylen or not all(o in core.OUTCOMES for o in key):
-                    raise ValueError(f"bad outcome key {key!r}")
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"probability out of range at {key!r}: {p!r}")
-        for x in core.OUTCOMES:
-            if abs(self.p_y_given_x[(+1, x)] + self.p_y_given_x[(-1, x)] - 1.0) > 1e-12:
-                raise ValueError(f"p(y|x={x:+d}) does not sum to 1")
-        for y in core.OUTCOMES:
-            for x in core.OUTCOMES:
-                total = self.p_z_given_yx[(+1, y, x)] + self.p_z_given_yx[(-1, y, x)]
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(f"p(z|y={y:+d},x={x:+d}) does not sum to 1")
 
 
 def _phase_arrays(
@@ -133,40 +88,6 @@ def _phase_arrays(
             gt = 0.5 * omega + 0.5 * gamma * np.tan(math.pi * (u - 0.5))
             return gt * t, gt * tau
     raise TypeError(f"unknown noise model {model!r}")
-
-
-def sample_phase_pair(
-    model: NoiseModel, t: float, tau: float, stream: np.random.Generator
-) -> PhasePair:
-    """Draw one (theta1, theta2) sample with the model's exact joint law."""
-    th1, th2 = _phase_arrays(model, float(t), float(tau), stream, 1)
-    return PhasePair(theta1=float(th1[0]), theta2=float(th2[0]))
-
-
-def trajectory_probabilities(pp: PhasePair) -> TrajectoryProbabilities:
-    """Measurement probabilities of one noise realization."""
-    c1 = math.cos(2.0 * pp.theta1)
-    c2 = math.cos(2.0 * pp.theta2)
-    p_y = {
-        (y, x): 0.5 * (1.0 + y * x * c1) for y in core.OUTCOMES for x in core.OUTCOMES
-    }
-    p_z = {
-        (z, y, x): 0.5 * (1.0 + z * y * c2)
-        for z in core.OUTCOMES
-        for y in core.OUTCOMES
-        for x in core.OUTCOMES
-    }
-    return TrajectoryProbabilities(p_y_given_x=p_y, p_z_given_yx=p_z)
-
-
-def sample_outcome_triple(pp: PhasePair, stream: np.random.Generator) -> core.OutcomeTriple:
-    """Simulate the three measurements of one trajectory; x is unbiased."""
-    probs = trajectory_probabilities(pp)
-    u = stream.random(3)
-    x = +1 if u[0] < 0.5 else -1
-    y = +1 if u[1] < probs.p_y_given_x[(+1, x)] else -1
-    z = +1 if u[2] < probs.p_z_given_yx[(+1, y, x)] else -1
-    return core.OutcomeTriple(x=x, y=y, z=z)
 
 
 def _moment_cols(model: NoiseModel, t: float, tau: float):

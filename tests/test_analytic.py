@@ -249,7 +249,7 @@ def test_moment_set_within_joint_bounds(model, t, tau):
 @given(models_strategy(), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
        st.sampled_from([+1, -1]))
 def test_cpf_consistent_with_table(model, t, tau, y):
-    table = analytic.probability_table(model, t, tau, y)
+    table = core.cpf_probability_table(analytic.moment_set(model, t, tau), y)
     assert analytic.cpf(model, t, tau) == pytest.approx(
         core.cpf_from_table(table), abs=1e-12
     )
@@ -259,13 +259,18 @@ def test_cpf_consistent_with_table(model, t, tau, y):
 def test_cpf_vanishes_on_axes(model, s):
     assert analytic.cpf(model, s, 0.0) == 0.0
     assert analytic.cpf(model, 0.0, s) == 0.0
+    # the same points inside an array evaluation
+    grid = np.array([0.0, s, 2.0 * s + 0.5])
+    assert np.all(analytic.cpf(model, grid, 0.0) == 0.0)
+    assert np.all(analytic.cpf(model, 0.0, grid) == 0.0)
 
 
 def test_white_cpf_identically_zero():
     model = analytic.White(1.0)
-    for t in np.linspace(0.0, 3.0, 40):
-        for tau in np.linspace(0.0, 3.0, 7):
-            assert analytic.cpf(model, t, tau) == 0.0
+    t, tau = np.meshgrid(np.linspace(0.0, 3.0, 40), np.linspace(0.0, 3.0, 7), indexing="ij")
+    assert np.all(analytic.cpf(model, t, tau) == 0.0)
+    for i, j in ((0, 0), (13, 4), (39, 6)):
+        assert analytic.cpf(model, t[i, j], tau[i, j]) == 0.0
 
 
 def test_gaussian_family_cpf_nonnegative():

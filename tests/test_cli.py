@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cpfsim import analytic, cli
+from cpfsim import analytic, cli, core, spinbath
 from cpfsim.errors import ConfigError
 
 
@@ -78,6 +78,7 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(surprise=True), "surprise"),
         (lambda d: d.update(t_grid={"start": 1.0, "stop": 0.5, "count": 3}), "t_grid"),
         (lambda d: d.update(output_path=""), "output_path"),
+        (lambda d: d.update(t_grid={"start": -1.0, "stop": 0.5, "count": 3}), "t_grid.start"),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate, fragment):
@@ -106,23 +107,93 @@ def test_parse_config_bath_amplitudes():
 # ---------------------------------------------------------------------------
 # run subcommand
 
-def test_run_analytic_cpf_roundtrip(tmp_path):
-    code, out = run_cli(tmp_path, base_config())
+MODELS = {
+    "white": {"kind": "white", "gamma_w": 0.4},
+    "exp_corr_gauss": {"kind": "exp_corr_gauss", "g": 0.9, "tau_c": 1.3},
+    "static_gauss": {"kind": "static_gauss", "g": 0.7},
+    "static_lorentz": {"kind": "static_lorentz", "gamma": 0.6, "omega": 0.9},
+    "spin_bath": {"kind": "spin_bath", "couplings": [0.5, 1.1, 0.8],
+                  "alphas": [[0.6, 0.2], 0.8, 0.6], "betas": [0.7745966692414834, 0.6, 0.8]},
+    "scaled_spin_bath": {"kind": "scaled_spin_bath", "n_spins": 12, "g": 0.9, "omega": 0.5},
+    "lorentz_coupling": {"kind": "lorentz_coupling", "gamma": 0.7, "omega": 0.4, "n_spins": 3,
+                         "alpha": 0.6, "beta": 0.8},
+}
+
+DETERMINISTIC = [
+    (kind, quantity, method)
+    for kind in MODELS
+    for quantity, methods in cli.MODEL_FAMILIES[kind].allowed.items()
+    for method in methods
+    if method in ("analytic", "oracle")
+]
+
+
+def library_values(config, t, tau):
+    """Row label -> the scalar library value at one point."""
+    model, q, kind = config.model, config.quantity, config.model_kind
+    if config.method == "oracle":
+        table = spinbath.oracle_protocol(model, config.system_init, t, tau, config.y_select)
+        if q == "probability_table":
+            return {label: table.entries[key] for key, label in cli._TABLE_LABELS}
+        return {q: core.cpf_from_table(table)}
+    if kind in ("spin_bath", "scaled_spin_bath"):
+        if q == "coherence":
+            return {q: spinbath.coherence(model, t).real}
+        m = spinbath.moment_set(model, t, tau)
+    elif kind == "lorentz_coupling":
+        if q == "coherence":
+            return {q: spinbath.lorentz_coherence(model, t).real}
+        m = spinbath.lorentz_moment_set(model, t, tau)
+    else:
+        if q == "coherence":
+            return {q: analytic.first_moment(model, t)}
+        if q == "rate":
+            return {q: analytic.dephasing_rate(model, t)}
+        if q == "conditional_coherence":
+            return {q: analytic.conditional_coherence(model, t, tau, config.yx)}
+        if q in ("cpf", "cpf_surface"):
+            return {q: analytic.cpf(model, t, tau)}
+        m = analytic.moment_set(model, t, tau)
+    if q == "moments":
+        return {"f_t": m.f_t, "f_tau": m.f_tau, "f_joint": m.f_joint}
+    if q == "probability_table":
+        table = core.cpf_probability_table(m, config.y_select)
+        return {label: table.entries[key] for key, label in cli._TABLE_LABELS}
+    if q == "conditional_coherence":
+        return {q: core.conditional_coherence(m, config.yx)}
+    return {q: core.cpf_from_moments(m)}
+
+
+@pytest.mark.parametrize("kind, quantity, method", DETERMINISTIC)
+def test_run_analytic_cpf_roundtrip(tmp_path, kind, quantity, method):
+    doc = base_config(
+        model=MODELS[kind], quantity=quantity, method=method,
+        t_grid={"start": 0.0, "stop": 2.0, "count": 5}, y_select=-1,
+    )
+    code, out = run_cli(tmp_path, doc)
     assert code == 0
     rows = read_rows(out)
-    assert len(rows) == 5
     assert list(rows[0]) == list(cli.CSV_HEADER)
+    config = cli.parse_config(doc)
+    n_labels = len(library_values(config, 1.0, 1.0))
+    assert len(rows) == (25 if quantity == "cpf_surface" else 5) * n_labels
     for row in rows:
         t = float(row["t"])
-        assert float(row["tau"]) == t  # pointwise default is tau = t
-        assert float(row["value"]) == analytic.cpf(analytic.White(0.4), t, t)
+        tau = None if row["tau"] == "" else float(row["tau"])
+        if quantity in ("coherence", "rate"):
+            assert tau is None
+        elif quantity != "cpf_surface":
+            assert tau == t  # pointwise default is tau = t
+        assert float(row["value"]) == library_values(config, t, tau)[row["quantity"]]
         assert row["std_error"] == "" and row["n_samples"] == ""
-        assert (row["quantity"], row["model"], row["method"]) == ("cpf", "white", "analytic")
+        assert (row["model"], row["method"]) == (kind, method)
+    if (kind, quantity) == ("white", "cpf_surface"):
+        assert all(float(row["value"]) == 0.0 for row in rows)
 
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["kind"] == "cpfsim-run-manifest"
     assert manifest["outputs"] == ["out.csv"]
-    assert manifest["config"]["model"] == {"kind": "white", "gamma_w": 0.4}
+    assert manifest["config"]["model"]["kind"] == kind
     assert manifest["wall_time_s"] >= 0.0
 
 
@@ -234,11 +305,11 @@ def test_run_cpf_surface_is_cartesian(tmp_path):
     assert len(rows) == 12
     import numpy as np
 
-    assert {(r["t"], r["tau"]) for r in rows} == {
+    assert [(r["t"], r["tau"]) for r in rows] == [  # row-major, t outer
         (cli._fmt(t), cli._fmt(u))
         for t in np.linspace(0.5, 2.0, 3)
         for u in np.linspace(0.5, 3.0, 4)
-    }
+    ]
 
 
 def test_run_lorentz_coupling_model(tmp_path):
@@ -278,6 +349,27 @@ def test_exit_code_domain_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, doc)
     assert code == 3
     assert "model error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["run", "--config", "c.json"],
+    ["compare", "--config-a", "a.json", "--config-b", "b.json"],
+    ["sweep", "--config", "c.json"],
+    ["selftest"],
+])
+def test_threads_below_one_rejected(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--threads", value])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus, want", [(2, 2), (None, 1)])
+def test_threads_capped_at_cpu_count(monkeypatch, cpus, want):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    args = cli.build_parser().parse_args(["run", "--config", "c.json", "--threads", "3"])
+    assert args.threads == want
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +439,29 @@ def test_sweep_expands_cartesian_legs(tmp_path):
         assert len(read_rows(leg_csv)) == 5
     names = {leg["output"] for leg in index["legs"]}
     assert "scan__model.tau_c=0.5__yx=1.csv" in names
+
+
+def test_sweep_legs_with_close_float_values_write_distinct_files(tmp_path):
+    doc = base_config(
+        model={"kind": "exp_corr_gauss", "g": 1.0, "tau_c": 1.0},
+        output_path=str(tmp_path / "o.csv"),
+        sweep={"model.g": [1.0000001, 1.0000002]},
+    )
+    cfg = write_json(tmp_path, doc)
+    assert cli.main(["sweep", "--config", str(cfg), "--quiet"]) == 0
+    index = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    outputs = [leg["output"] for leg in index["legs"]]
+    assert outputs == ["o__model.g=1.0000001.csv", "o__model.g=1.0000002.csv"]
+    a, b = (read_rows(tmp_path / name) for name in outputs)
+    assert [r["value"] for r in a] != [r["value"] for r in b]
+
+
+def test_sweep_rejects_legs_that_share_an_output(tmp_path, capsys):
+    doc = base_config(output_path=str(tmp_path / "o.csv"), sweep={"model.gamma_w": [0.5, 0.5]})
+    cfg = write_json(tmp_path, doc)
+    assert cli.main(["sweep", "--config", str(cfg), "--quiet"]) == 2
+    assert "both write" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o__*"))
 
 
 def test_sweep_rejects_unknown_field(tmp_path):

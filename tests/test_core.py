@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpfsim import core
-from cpfsim.errors import InvalidMomentSet, InvalidProbabilityTable
+from cpfsim.errors import InvalidMomentSet, InvalidProbabilityTable, ZeroProbabilityPostselection
 
 
 def moments_strategy():
@@ -53,6 +53,8 @@ def test_moment_set_rejects_out_of_range():
         core.MomentSet(0.0, math.nan, 0.0)
     with pytest.raises(InvalidMomentSet):
         core.MomentSet(0.0, 0.0, -2.0)
+    with pytest.raises(InvalidMomentSet, match="1.5"):
+        core.MomentSet(np.array([0.2, 1.5]), 0.0, 0.0)
 
 
 def test_table_requires_consistent_moments():
@@ -95,6 +97,26 @@ def test_cpf_from_table_matches_moment_form(m, y):
     assert core.cpf_from_table(table) == direct
 
 
+@given(st.lists(moments_strategy(), min_size=1, max_size=6), st.sampled_from([+1, -1]))
+def test_array_cells_equal_scalar_tables(ms, y):
+    stacked = core.MomentSet(
+        *(np.array([getattr(m, name) for m in ms]) for name in ("f_t", "f_tau", "f_joint"))
+    )
+    cells = core.cpf_table_cells(stacked, y)
+    cpf = core.cpf_from_moments(stacked)
+    for i, m in enumerate(ms):
+        table = core.cpf_probability_table(m, y)
+        assert all(cells[key][i] == p for key, p in table.entries.items())
+        assert cpf[i] == core.cpf_from_moments(m)
+
+
+def test_conditional_coherence_rejects_any_dead_point():
+    m = core.MomentSet(np.array([0.5, -1.0]), np.array([0.2, 0.1]), np.array([0.1, -0.1]))
+    assert list(core.conditional_coherence(m, -1)) == [(0.2 - 0.1) / 0.5, (0.1 + 0.1) / 2.0]
+    with pytest.raises(ZeroProbabilityPostselection):
+        core.conditional_coherence(m, +1)
+
+
 def test_cpf_from_moments_value():
     m = core.MomentSet(0.5, 0.25, 0.4)
     assert core.cpf_from_moments(m) == 0.4 - 0.5 * 0.25
@@ -122,32 +144,3 @@ def test_estimate_validation_and_repr():
         core.Estimate(0.0, -1.0, 1)
     with pytest.raises(ValueError):
         core.Estimate(0.0, 0.0, 0)
-
-
-def test_time_pair_and_outcome_triple():
-    pair = core.TimePair(1.0, 2.0)
-    assert (pair.t, pair.tau) == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        core.TimePair(-0.1, 0.0)
-    triple = core.OutcomeTriple(x=+1, y=-1, z=+1)
-    assert (triple.x, triple.y, triple.z) == (1, -1, 1)
-    with pytest.raises(ValueError):
-        core.OutcomeTriple(x=0, y=1, z=1)
-
-
-def test_cpf_surface_validation():
-    t = np.array([0.0, 1.0])
-    u = np.array([0.0, 0.5, 1.0])
-    v = np.zeros((2, 3))
-    surf = core.CpfSurface(t, u, v, "white", "analytic")
-    assert surf.values.shape == (2, 3)
-    with pytest.raises(ValueError):
-        core.CpfSurface(t[::-1].copy(), u, v, "white", "analytic")
-    with pytest.raises(ValueError):
-        core.CpfSurface(t, u, np.zeros((3, 2)), "white", "analytic")
-    with pytest.raises(ValueError):
-        core.CpfSurface(t, u, v + 1.5, "white", "analytic")
-    with pytest.raises(ValueError):
-        core.CpfSurface(t, u, v, "white", "quadrature")
-    with pytest.raises(ValueError):
-        core.CpfSurface(t, u, v, "white", "montecarlo", std_errors=np.zeros((3, 2)))

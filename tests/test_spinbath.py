@@ -17,6 +17,16 @@ from cpfsim.errors import (
 PLUS = spinbath.SystemInit.plus()
 
 
+def bath_cpf(spec, t, tau):
+    return core.cpf_from_moments(spinbath.moment_set(spec, t, tau))
+
+
+def ensemble(gamma, n_spins=1):
+    """Moments of the Cauchy-coupling ensemble with balanced amplitudes."""
+    spec = spinbath.LorentzCouplingSpec(gamma=gamma, n_spins=n_spins)
+    return lambda t, tau: spinbath.lorentz_moment_set(spec, t, tau)
+
+
 def random_spec(rng, n):
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -97,13 +107,13 @@ def test_single_spin_cpf_vanishes(g, pop, phase, t, tau):
     alpha = math.sqrt(pop)
     beta = math.sqrt(1.0 - pop) * complex(math.cos(phase), math.sin(phase))
     spec = spinbath.SpinBathSpec([g], [alpha], [beta])
-    assert abs(spinbath.cpf(spec, t, tau)) <= 1e-13
+    assert abs(bath_cpf(spec, t, tau)) <= 1e-13
 
 
 def test_two_spin_cpf_does_not_vanish():
     half = 1.0 / math.sqrt(2.0)
     spec = spinbath.SpinBathSpec([0.7, 1.3], [half, half], [half, half])
-    assert abs(spinbath.cpf(spec, 0.8, 0.6)) > 1e-3
+    assert abs(bath_cpf(spec, 0.8, 0.6)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,7 @@ def test_oracle_matches_product_formula(n, y):
     rng = np.random.default_rng(100 + n)
     spec = random_spec(rng, n)
     t, tau = rng.uniform(0.1, 2.5, size=2)
-    closed = spinbath.cpf_probability(spec, t, tau, y)
+    closed = core.cpf_probability_table(spinbath.moment_set(spec, t, tau), y)
     oracle = spinbath.oracle_protocol(spec, PLUS, t, tau, y)
     _assert_tables_close(oracle, closed, 1e-12)
 
@@ -163,6 +173,8 @@ def test_oracle_conditional_coherence_matches_closed_form():
                 got = spinbath.oracle_conditional_coherence(spec, PLUS, t, tau, x, y)
                 want = spinbath.conditional_coherence(spec, t, tau, y * x)
                 assert got == pytest.approx(want, abs=1e-12)
+                real = core.conditional_coherence(spinbath.moment_set(spec, t, tau), y * x)
+                assert real == pytest.approx(want.real, abs=1e-14)
 
 
 def test_conditional_coherence_impossible_postselection():
@@ -227,19 +239,20 @@ def test_lorentz_coherence_detuned():
 
 def test_lorentz_cpf_diagonal_value():
     # [e^{-2 gamma t} + 1]/2 - e^{-2 gamma t} = (1 - e^{-2 gamma t})/2
-    got = spinbath.lorentz_cpf(1.0, 1.0, 1.0)
+    got = core.cpf_from_moments(ensemble(1.0)(1.0, 1.0))
     assert got == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-14)
     assert got == pytest.approx(0.43233235838169365, rel=1e-12)
 
 
 def test_lorentz_cpf_vanishes_on_axes():
+    moments = ensemble(1.3)
     for s in (0.0, 0.7, 2.2):
-        assert spinbath.lorentz_cpf(1.3, s, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert spinbath.lorentz_cpf(1.3, 0.0, s) == pytest.approx(0.0, abs=1e-15)
+        assert core.cpf_from_moments(moments(s, 0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert core.cpf_from_moments(moments(0.0, s)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lorentz_conditional_coherence_anchor():
-    got = spinbath.lorentz_conditional_coherence(1.0, 1.0, 1.0, +1)
+    got = core.conditional_coherence(ensemble(1.0)(1.0, 1.0), +1)
     want = (math.exp(-1) + 0.5 * (math.exp(-2) + 1)) / (1 + math.exp(-1))
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(0.68394, abs=5e-6)
@@ -247,11 +260,9 @@ def test_lorentz_conditional_coherence_anchor():
 
 def test_lorentz_conditional_coherence_bounded():
     grid = np.linspace(0.05, 4.0, 40)
-    vals = [
-        abs(spinbath.lorentz_conditional_coherence(1.0, t, tau, yx))
-        for t in grid for tau in grid for yx in (+1, -1)
-    ]
-    assert max(vals) <= 1.0 + 1e-12
+    m = ensemble(1.0)(*np.meshgrid(grid, grid, indexing="ij"))
+    for yx in (+1, -1):
+        assert np.max(np.abs(core.conditional_coherence(m, yx))) <= 1.0 + 1e-12
 
 
 def test_unhalved_variant_breaks_the_bound():
@@ -265,17 +276,19 @@ def test_unhalved_variant_breaks_the_bound():
 
 
 def test_lorentz_ensemble_reduces_to_scalar_forms():
-    spec = spinbath.LorentzCouplingSpec(gamma=0.8, n_spins=12)
+    # for omega = 0 every bath size gives the scalar-gamma closed forms
+    moments = ensemble(0.8, n_spins=12)
     for t, tau in ((0.4, 0.9), (1.5, 1.5)):
-        m = spinbath.lorentz_moment_set(spec, t, tau)
-        assert core.cpf_from_moments(m) == pytest.approx(
-            spinbath.lorentz_cpf(0.8, t, tau), abs=1e-14
+        e_sum, e_diff = math.exp(-0.8 * (t + tau)), math.exp(-0.8 * abs(t - tau))
+        assert core.cpf_from_moments(moments(t, tau)) == pytest.approx(
+            0.5 * (e_sum + e_diff) - e_sum, abs=1e-14
         )
         for yx in (+1, -1):
-            assert spinbath.lorentz_ensemble_conditional_coherence(
-                spec, t, tau, yx
-            ) == pytest.approx(
-                spinbath.lorentz_conditional_coherence(0.8, t, tau, yx), abs=1e-14
+            want = (math.exp(-0.8 * tau) + yx * 0.5 * (e_sum + e_diff)) / (
+                1.0 + yx * math.exp(-0.8 * t)
+            )
+            assert core.conditional_coherence(moments(t, tau), yx) == pytest.approx(
+                want, abs=1e-14
             )
 
 
@@ -283,8 +296,8 @@ def test_static_lorentz_model_equals_single_spin_ensemble():
     model = analytic.StaticLorentz(0.7)
     for t in (0.3, 1.1):
         for tau in (0.6, 1.7):
-            assert analytic.cpf(model, t, tau) * 0.7 / 0.7 == pytest.approx(
-                spinbath.lorentz_cpf(0.7, t, tau), abs=1e-14
+            assert analytic.cpf(model, t, tau) == pytest.approx(
+                core.cpf_from_moments(ensemble(0.7)(t, tau)), abs=1e-14
             )
 
 
@@ -322,7 +335,7 @@ def test_lorentz_mc_conditional_coherence():
     spec = spinbath.LorentzCouplingSpec(gamma=1.0)
     cfg = McConfig(n_trajectories=300_000, seed=2027)
     est = spinbath.lorentz_mc_conditional_coherence(spec, 1.0, 1.0, +1, cfg)
-    want = spinbath.lorentz_conditional_coherence(1.0, 1.0, 1.0, +1)
+    want = core.conditional_coherence(ensemble(1.0)(1.0, 1.0), +1)
     assert abs(est.value - want) <= 4.0 * est.std_error
 
 

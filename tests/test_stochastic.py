@@ -22,68 +22,37 @@ def _pull(est: core.Estimate, truth: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# building blocks
-
-def test_phase_pair_validation():
-    stochastic.PhasePair(0.1, -0.2)
-    with pytest.raises(ValueError):
-        stochastic.PhasePair(math.nan, 0.0)
-
-
-def test_trajectory_probabilities_validation():
-    good = stochastic.trajectory_probabilities(stochastic.PhasePair(0.3, 1.1))
-    assert good.p_y_given_x[(+1, +1)] == pytest.approx(
-        0.5 * (1.0 + math.cos(0.6))
-    )
-    bad_y = dict(good.p_y_given_x)
-    bad_y[(+1, +1)] = 0.9
-    with pytest.raises(ValueError):
-        stochastic.TrajectoryProbabilities(bad_y, good.p_z_given_yx)
-    with pytest.raises(ValueError):
-        stochastic.TrajectoryProbabilities(
-            {(y, x): 1.5 for y in core.OUTCOMES for x in core.OUTCOMES},
-            good.p_z_given_yx,
-        )
-
+# the sampler behind the estimators
 
 def test_sample_phase_pair_matches_model_law():
     # static Gaussian noise: theta2/theta1 = tau/t on every draw
-    stream = np.random.default_rng(5)
-    for _ in range(20):
-        pp = stochastic.sample_phase_pair(GAUSS, 2.0, 0.5, stream)
-        assert pp.theta2 == pytest.approx(pp.theta1 * 0.25, rel=1e-12)
+    th1, th2 = stochastic._phase_arrays(GAUSS, 2.0, 0.5, np.random.default_rng(5), 20)
+    assert th2 == pytest.approx(th1 * 0.25, rel=1e-12)
 
 
 def test_sample_outcome_triple_is_valid():
-    stream = np.random.default_rng(6)
-    pp = stochastic.sample_phase_pair(OU, 1.0, 0.7, stream)
-    for _ in range(10):
-        trip = stochastic.sample_outcome_triple(pp, stream)
-        assert trip.x in core.OUTCOMES
-        assert trip.y in core.OUTCOMES
-        assert trip.z in core.OUTCOMES
+    # every trajectory lands in exactly one of the eight (y, z, x) cells
+    counts = stochastic._outcome_counts(OU, 1.0, 0.7, McConfig(n_trajectories=1_000, seed=6))
+    assert counts.shape == (2, 2, 2)
+    assert counts.min() >= 0 and counts.sum() == 1_000
 
 
 # ---------------------------------------------------------------------------
 # the sampled triples follow the analytic eight-cell law
+#
+# _outcome_counts is the vectorized sampler behind mc_cpf_sampling; its
+# counts are indexed [y, z, x] with index 0 for +1 and 1 for -1.
 
 def _cell_counts(model, t, tau, n, seed):
-    stream = np.random.default_rng(seed)
-    counts = {}
-    for _ in range(n):
-        pp = stochastic.sample_phase_pair(model, t, tau, stream)
-        trip = stochastic.sample_outcome_triple(pp, stream)
-        key = (trip.x, trip.y, trip.z)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return stochastic._outcome_counts(model, t, tau, McConfig(n_trajectories=n, seed=seed))
 
 
 def _cell_expected(model, t, tau, n):
-    expected = {}
+    expected = np.zeros((2, 2, 2))
     for y in core.OUTCOMES:
-        table = analytic.probability_table(model, t, tau, y)
+        table = core.cpf_probability_table(analytic.moment_set(model, t, tau), y)
         for (z, x), p in table.entries.items():
-            expected[(x, y, z)] = 0.5 * p * n  # P(y) = 1/2
+            expected[(1 - y) // 2, (1 - z) // 2, (1 - x) // 2] = 0.5 * p * n  # P(y) = 1/2
     return expected
 
 
@@ -92,10 +61,7 @@ def test_triple_frequencies_chi_squared(model):
     n = 40_000
     counts = _cell_counts(model, 0.9, 0.6, n, seed=71)
     expected = _cell_expected(model, 0.9, 0.6, n)
-    keys = sorted(expected)
-    chi2, p = sps.chisquare(
-        [counts.get(k, 0) for k in keys], [expected[k] for k in keys]
-    )
+    chi2, p = sps.chisquare(counts.ravel(), expected.ravel())
     assert p > 1e-4, f"chi2 = {chi2}, p = {p}"
 
 
@@ -104,10 +70,7 @@ def test_triple_frequencies_reject_wrong_model():
     n = 40_000
     counts = _cell_counts(WHITE, 0.9, 0.6, n, seed=71)
     expected = _cell_expected(analytic.White(1.4), 0.9, 0.6, n)
-    keys = sorted(expected)
-    _, p = sps.chisquare(
-        [counts.get(k, 0) for k in keys], [expected[k] for k in keys]
-    )
+    _, p = sps.chisquare(counts.ravel(), expected.ravel())
     assert p < 1e-6
 
 

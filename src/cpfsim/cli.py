@@ -20,7 +20,6 @@ when a criterion fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -90,19 +89,41 @@ class ExperimentConfig:
     canonical: dict
 
 
+_MOMENT_LABELS = ("f_t", "f_tau", "f_joint")
+
+# row labels of the quantities that emit more than one row per point; every
+# other quantity labels its single row with its own name
+_LABELS = {
+    "moments": _MOMENT_LABELS,
+    "probability_table": tuple(label for _, label in _TABLE_LABELS),
+}
+
+
 @dataclass(frozen=True)
-class Row:
-    t: float
-    tau: float | None
-    value: float
-    std_error: float | None
-    n_samples: int | None
-    quantity: str
+class Results:
+    """The long-format result rows of one config, held as columns.
+
+    CSV row ``k * len(labels) + j`` is point ``k`` under label ``j``.
+    """
+
+    t: np.ndarray  # (points,)
+    tau: np.ndarray | None  # (points,); None for t-only quantities
+    labels: tuple[str, ...]
+    value: np.ndarray  # (points, labels)
+    std_error: np.ndarray | None  # (points, labels); None unless Monte Carlo
+    n_samples: np.ndarray | None  # (points, labels); None unless Monte Carlo
     model: str
     method: str
 
+    def __len__(self) -> int:
+        """Number of CSV rows."""
+        return self.value.size
 
-_MOMENT_LABELS = ("f_t", "f_tau", "f_joint")
+    def key(self, row: int) -> tuple[float, float | None, str]:
+        """(t, tau, label) of one CSV row."""
+        point, j = divmod(row, len(self.labels))
+        tau = None if self.tau is None else float(self.tau[point])
+        return float(self.t[point]), tau, self.labels[j]
 
 
 @dataclass(frozen=True)
@@ -520,89 +541,109 @@ def _time_points(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | Non
 
 def _analytic_columns(
     config: ExperimentConfig, family: _Family, t: np.ndarray, tau: np.ndarray | None
-) -> list[tuple[str, np.ndarray]]:
-    """(row label, values at every point) for the closed forms, in one call per grid."""
+) -> list[np.ndarray]:
+    """Closed-form values at every point, one array per row label, in one call per grid."""
     model, q = config.model, config.quantity
     if q == "coherence":
-        return [(q, family.coherence(model, t))]
+        return [family.coherence(model, t)]
     if q == "rate":
-        return [(q, analytic.dephasing_rate(model, t))]
+        return [analytic.dephasing_rate(model, t)]
     m = family.moments(model, t, tau)
     if q == "moments":
-        return list(zip(_MOMENT_LABELS, (m.f_t, m.f_tau, m.f_joint)))
+        return [m.f_t, m.f_tau, m.f_joint]
     if q == "probability_table":
         cells = core.cpf_table_cells(m, config.y_select)
-        return [(label, cells[key]) for key, label in _TABLE_LABELS]
+        return [cells[key] for key, _ in _TABLE_LABELS]
     if q == "conditional_coherence":
-        return [(q, core.conditional_coherence(m, config.yx))]
-    return [(q, core.cpf_from_moments(m))]
+        return [core.conditional_coherence(m, config.yx)]
+    return [core.cpf_from_moments(m)]
 
 
 def _point_values(
     config: ExperimentConfig, family: _Family, t: float, tau: float | None, workers: int
-) -> list[tuple[str, float, float | None, int | None]]:
-    """(row label, value, std_error, n_samples) at one point, oracle or Monte Carlo."""
+) -> list[tuple[float, float | None, int | None]]:
+    """(value, std_error, n_samples) per row label at one point, oracle or Monte Carlo."""
     q = config.quantity
     if config.method == "oracle":
         table = spinbath.oracle_protocol(config.model, config.system_init, t, tau, config.y_select)
         if q == "probability_table":
-            return [(label, table.entries[key], None, None) for key, label in _TABLE_LABELS]
-        return [(q, core.cpf_from_table(table), None, None)]
+            return [(table.entries[key], None, None) for key, _ in _TABLE_LABELS]
+        return [(core.cpf_from_table(table), None, None)]
     key = "sampling" if config.method == "sampling" else ("cpf" if q == "cpf_surface" else q)
     est = family.mc[key](config, t, tau, workers)
-    pairs = zip(_MOMENT_LABELS, est) if q == "moments" else [(q, est)]
-    return [(label, e.value, e.std_error, e.n_samples) for label, e in pairs]
+    return [(e.value, e.std_error, e.n_samples) for e in (est if q == "moments" else [est])]
 
 
-def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> list[Row]:
+def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
     """Produce the long-format result rows for one experiment config."""
     family = MODEL_FAMILIES[config.model_kind]
     t, tau = _time_points(config)
-    ts = t.tolist()
-    taus = [None] * len(ts) if tau is None else tau.tolist()
+    std_error = n_samples = None
     if config.method == "analytic":
-        columns = [
-            (label, np.broadcast_to(values, t.shape).tolist())
-            for label, values in _analytic_columns(config, family, t, tau)
-        ]
-        points = ([(label, values[i], None, None) for label, values in columns] for i in range(len(ts)))
+        columns = _analytic_columns(config, family, t, tau)
+        value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
     else:
-        points = (_point_values(config, family, t_i, tau_i, workers) for t_i, tau_i in zip(ts, taus))
-    return [
-        Row(t_i, tau_i, value, se, n, label, config.model_kind, config.method)
-        for t_i, tau_i, values in zip(ts, taus, points)
-        for label, value, se, n in values
-    ]
+        taus = [None] * t.size if tau is None else tau.tolist()
+        points = [
+            _point_values(config, family, t_k, tau_k, workers)
+            for t_k, tau_k in zip(t.tolist(), taus)
+        ]
+        value = np.array([[v for v, _, _ in p] for p in points], dtype=float)
+        if config.method != "oracle":
+            std_error = np.array([[se for _, se, _ in p] for p in points], dtype=float)
+            n_samples = np.array([[n for _, _, n in p] for p in points], dtype=np.int64)
+    return Results(
+        t, tau, _LABELS.get(config.quantity, (config.quantity,)), value, std_error, n_samples,
+        config.model_kind, config.method,
+    )
 
 
 # ---------------------------------------------------------------------------
 # output
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# Points whose CSV lines are formatted and written at once: bounds the text
+# held in memory whatever the size of the grid.
+_BLOCK_POINTS = 1024
 
 
-def write_csv(rows: list[Row], path: Path) -> None:
+def _distinct_texts(x: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(.17g text of each distinct value of x, index of every element's text).
+
+    Values are told apart by their bits, so -0.0 keeps its sign.
+    """
+    bits, index = np.unique(np.ascontiguousarray(x, dtype=float).view(np.int64),
+                            return_inverse=True)
+    return ["%.17g" % v for v in bits.view(float).tolist()], index
+
+
+def write_csv(rows: Results, path: Path) -> None:
+    """Write the CSV of rows: \\r\\n line ends, floats at .17g, empty missing fields.
+
+    Labels, model kinds and methods are plain words, so no field needs
+    quoting.  Each distinct t and tau is formatted once.
+    """
+    t_text, t_index = _distinct_texts(rows.t)
+    if rows.tau is None:
+        tau_text, tau_index = [""], np.zeros(rows.t.size, dtype=np.intp)
+    else:
+        tau_text, tau_index = _distinct_texts(rows.tau)
+    if rows.std_error is None:
+        line, columns = "%s,%s,%.17g,,,%s", [rows.value]
+    else:
+        line, columns = "%s,%s,%.17g,%.17g,%d,%s", [rows.value, rows.std_error, rows.n_samples]
+    n_labels = len(rows.labels)
+    tails = [f"{label},{rows.model},{rows.method}\r\n" for label in rows.labels]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                (
-                    _fmt(row.t),
-                    _fmt(row.tau),
-                    _fmt(row.value),
-                    _fmt(row.std_error),
-                    _fmt(row.n_samples),
-                    row.quantity,
-                    row.model,
-                    row.method,
-                )
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for start in range(0, rows.t.size, _BLOCK_POINTS):
+            block = slice(start, start + _BLOCK_POINTS)
+            fields = zip(
+                map(t_text.__getitem__, np.repeat(t_index[block], n_labels).tolist()),
+                map(tau_text.__getitem__, np.repeat(tau_index[block], n_labels).tolist()),
+                *(c[block].ravel().tolist() for c in columns),
+                tails * len(t_index[block]),
             )
+            fh.write("".join(map(line.__mod__, fields)))
 
 
 def _manifest_path(csv_path: Path) -> Path:
@@ -669,32 +710,46 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _row_keys(rows: Results) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """t, tau (None for t-only quantities) and label of every CSV row."""
+    n_labels = len(rows.labels)
+    tau = None if rows.tau is None else np.repeat(rows.tau, n_labels)
+    return np.repeat(rows.t, n_labels), tau, np.tile(np.array(rows.labels), rows.t.size)
+
+
+def _std_errors(rows: Results) -> np.ndarray:
+    return np.zeros(len(rows)) if rows.std_error is None else rows.std_error.ravel()
+
+
 def _compare_rows(
-    rows_a: list[Row], rows_b: list[Row], sigma_tol: float, abs_tol: float
+    rows_a: Results, rows_b: Results, sigma_tol: float, abs_tol: float
 ) -> list[str]:
     if len(rows_a) != len(rows_b):
         raise GridMismatch(f"result sets have {len(rows_a)} vs {len(rows_b)} rows")
+    (t_a, tau_a, q_a), (t_b, tau_b, q_b) = _row_keys(rows_a), _row_keys(rows_b)
+    differ = (t_a != t_b) | (q_a != q_b)
+    if tau_a is None or tau_b is None:
+        differ |= (tau_a is None) != (tau_b is None)
+    else:
+        differ |= tau_a != tau_b
+    if differ.any():
+        row = int(np.argmax(differ))
+        raise GridMismatch(
+            "row mismatch: ({}, {}, {}) vs ({}, {}, {})".format(*rows_a.key(row), *rows_b.key(row))
+        )
+    value_a, value_b = rows_a.value.ravel(), rows_b.value.ravel()
+    sigma = np.hypot(_std_errors(rows_a), _std_errors(rows_b))
+    diff = np.abs(value_a - value_b)
+    beyond = np.where(sigma > 0.0, diff > sigma_tol * sigma, diff > abs_tol)
     failures = []
-    for ra, rb in zip(rows_a, rows_b):
-        if (ra.t, ra.tau, ra.quantity) != (rb.t, rb.tau, rb.quantity):
-            raise GridMismatch(
-                f"row mismatch: ({ra.t}, {ra.tau}, {ra.quantity}) vs ({rb.t}, {rb.tau}, {rb.quantity})"
-            )
-        sigma = math.hypot(ra.std_error or 0.0, rb.std_error or 0.0)
-        diff = abs(ra.value - rb.value)
-        if sigma > 0.0:
-            if diff > sigma_tol * sigma:
-                failures.append(
-                    f"{ra.quantity} at t={ra.t:g}"
-                    + (f", tau={ra.tau:g}" if ra.tau is not None else "")
-                    + f": |{ra.value:.6g} - {rb.value:.6g}| = {diff:.3g} > {sigma_tol:g} * {sigma:.3g}"
-                )
-        elif diff > abs_tol:
-            failures.append(
-                f"{ra.quantity} at t={ra.t:g}"
-                + (f", tau={ra.tau:g}" if ra.tau is not None else "")
-                + f": |{ra.value:.6g} - {rb.value:.6g}| = {diff:.3g} > abs_tol {abs_tol:g}"
-            )
+    for row in np.flatnonzero(beyond).tolist():
+        t, tau, quantity = rows_a.key(row)
+        bound = f"{sigma_tol:g} * {sigma[row]:.3g}" if sigma[row] > 0.0 else f"abs_tol {abs_tol:g}"
+        failures.append(
+            f"{quantity} at t={t:g}"
+            + (f", tau={tau:g}" if tau is not None else "")
+            + f": |{value_a[row]:.6g} - {value_b[row]:.6g}| = {diff[row]:.3g} > {bound}"
+        )
     return failures
 
 
@@ -770,20 +825,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         legs[config.output_path] = (assignment, config)
 
+    # the index lists the finished legs, and the failed leg with its error
     written = []
-    for assignment, config in legs.values():
-        csv_path, _, _ = _run_config(config, args.threads)
-        written.append({"parameters": dict(assignment), "output": csv_path.name})
+    try:
+        for assignment, config in legs.values():
+            leg = {"parameters": dict(assignment), "output": Path(config.output_path).name}
+            try:
+                csv_path, _, _ = _run_config(config, args.threads)
+            except (CpfError, OSError) as exc:
+                written.append({**leg, "error": f"{type(exc).__name__}: {exc}"})
+                raise
+            written.append(leg)
+            if not args.quiet:
+                label = ", ".join(f"{k}={v}" for k, v in assignment)
+                print(f"wrote {csv_path} ({label})")
+    finally:
+        index_path = Path(next(iter(legs))).with_name("sweep_manifest.json")
+        with open(index_path, "w", encoding="utf-8") as fh:
+            json.dump({"kind": "cpfsim-sweep-manifest", "legs": written}, fh, indent=2)
+            fh.write("\n")
         if not args.quiet:
-            label = ", ".join(f"{k}={v}" for k, v in assignment)
-            print(f"wrote {csv_path} ({label})")
-
-    index_path = Path(next(iter(legs))).with_name("sweep_manifest.json")
-    with open(index_path, "w", encoding="utf-8") as fh:
-        json.dump({"kind": "cpfsim-sweep-manifest", "legs": written}, fh, indent=2)
-        fh.write("\n")
-    if not args.quiet:
-        print(f"wrote {index_path}")
+            print(f"wrote {index_path}")
     return 0
 
 

@@ -29,7 +29,8 @@ class EmptyPostselection(CpfError):
 
 
 class BathTooLarge(CpfError):
-    """Requested dense statevector oracle beyond the supported spin count."""
+    """Requested bath too large to simulate: the dense statevector oracle beyond
+    its spin count, or a Cauchy-ensemble chunk beyond its memory budget."""
 
 
 class UnreachablePolarization(CpfError):

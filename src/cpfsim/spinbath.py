@@ -51,6 +51,10 @@ from .errors import (
 
 ORACLE_MAX_SPINS = 14
 
+# Largest draw of one Cauchy-ensemble chunk: the uniforms and the couplings,
+# two (chunk_size, n_spins) float64 arrays.
+ENSEMBLE_MAX_BYTES = 256 * 2**20
+
 
 def _normalized_pair(a: complex, b: complex, what: str) -> tuple[complex, complex]:
     a, b = complex(a), complex(b)
@@ -310,12 +314,24 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float):
     return sample
 
 
+def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
+    """Bytes of the uniforms and couplings that one chunk draws."""
+    return 2 * 8 * cfg.resolved_chunk_size * spec.n_spins
+
+
 def _ensemble_stats(
     spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int
 ) -> RunningMoments:
     t, tau = float(t), float(tau)
     if not (math.isfinite(t) and math.isfinite(tau)) or t < 0.0 or tau < 0.0:
         raise ValueError("t and tau must be finite and >= 0")
+    need = _ensemble_chunk_bytes(spec, cfg)
+    if need > ENSEMBLE_MAX_BYTES:
+        raise BathTooLarge(
+            f"N = {spec.n_spins} spins at chunk_size {cfg.resolved_chunk_size} draw "
+            f"{need / 2**20:.0f} MiB per chunk, over the {ENSEMBLE_MAX_BYTES // 2**20} MiB "
+            "budget; lower mc.chunk_size"
+        )
     return collect_moments(_ensemble_cols(spec, t, tau), cfg, workers)
 
 

@@ -1,6 +1,7 @@
 """Command line interface: config validation, outputs, manifests, exit codes."""
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -306,10 +307,43 @@ def test_run_cpf_surface_is_cartesian(tmp_path):
     import numpy as np
 
     assert [(r["t"], r["tau"]) for r in rows] == [  # row-major, t outer
-        (cli._fmt(t), cli._fmt(u))
+        (format(t, ".17g"), format(u, ".17g"))
         for t in np.linspace(0.5, 2.0, 3)
         for u in np.linspace(0.5, 3.0, 4)
     ]
+
+
+def _number(field, kind):
+    return "" if field == "" else format(kind(field), ".17g" if kind is float else "d")
+
+
+def rerendered(path):
+    """The CSV at path written again by csv.writer (default dialect): floats
+    at .17g, counts as plain integers, empty fields for missing values."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for t, tau, value, std_error, n_samples, *labels in rows:
+        writer.writerow([_number(t, float), _number(tau, float), _number(value, float),
+                         _number(std_error, float), _number(n_samples, int), *labels])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"quantity": "moments"},
+    {"quantity": "probability_table", "model": {"kind": "static_gauss", "g": 0.7}},
+    {"quantity": "coherence", "model": {"kind": "exp_corr_gauss", "g": 0.9, "tau_c": 1.3}},
+    {"method": "montecarlo", "model": {"kind": "exp_corr_gauss", "g": 0.8, "tau_c": 1.0},
+     "mc": {"n_trajectories": 5_000, "seed": 3}},
+], ids=["moments", "probability_table", "coherence", "montecarlo_cpf"])
+def test_run_csv_bytes_match_stdlib_writer(tmp_path, overrides):
+    code, out = run_cli(tmp_path, base_config(**overrides))
+    assert code == 0
+    data = out.read_bytes()
+    assert data.startswith(b"t,tau,value,std_error,n_samples,quantity,model,method\r\n")
+    assert data == rerendered(out)
 
 
 def test_run_lorentz_coupling_model(tmp_path):
@@ -351,6 +385,22 @@ def test_exit_code_domain_error(tmp_path, capsys):
     assert "model error" in capsys.readouterr().err
 
 
+def test_exit_code_ensemble_over_memory_budget(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble drew samples")
+
+    monkeypatch.setattr(spinbath, "collect_moments", never)
+    doc = base_config(
+        model={"kind": "lorentz_coupling", "gamma": 1.0, "n_spins": 10**7},
+        quantity="coherence",
+        method="montecarlo",
+        mc={"n_trajectories": 65_536},
+    )
+    code, _ = run_cli(tmp_path, doc)
+    assert code == 3
+    assert "over the 256 MiB budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("command", [
     ["run", "--config", "c.json"],
@@ -375,10 +425,13 @@ def test_threads_capped_at_cpu_count(monkeypatch, cpus, want):
 # ---------------------------------------------------------------------------
 # compare subcommand
 
-def test_compare_deterministic_pair_agrees(tmp_path, capsys):
-    a = write_json(tmp_path, base_config(), "a.json")
+@pytest.mark.parametrize("quantity, n_rows", [
+    ("cpf", 5), ("moments", 15), ("probability_table", 20), ("coherence", 5),
+])
+def test_compare_deterministic_pair_agrees(tmp_path, capsys, quantity, n_rows):
+    a = write_json(tmp_path, base_config(quantity=quantity), "a.json")
     assert cli.main(["compare", "--config-a", str(a), "--config-b", str(a)]) == 0
-    assert "agree" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(f"compare: all {n_rows} points agree")
 
 
 def test_compare_estimator_cross_check(tmp_path):
@@ -404,7 +457,9 @@ def test_compare_flags_disagreement(tmp_path, capsys):
     b = write_json(tmp_path, base_config(model={"kind": "static_gauss", "g": 1.2}), "b.json")
     code = cli.main(["compare", "--config-a", str(a), "--config-b", str(b)])
     assert code == 5
-    assert "FAIL" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL cpf at t=0.2, tau=0.2: |0.00473672 - 0.0211736| = 0.0164 > abs_tol 1e-09"
+    assert lines[-1] == "compare: 0/5 points agree; 5 beyond tolerance"
 
 
 def test_compare_rejects_mismatched_grids(tmp_path, capsys):
@@ -413,7 +468,19 @@ def test_compare_rejects_mismatched_grids(tmp_path, capsys):
         tmp_path, base_config(t_grid={"start": 0.2, "stop": 2.0, "count": 7}), "b.json"
     )
     assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b)]) == 2
-    assert "grid mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == "grid mismatch: result sets have 5 vs 7 rows\n"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"t_grid": {"start": 0.2, "stop": 3.0, "count": 5}},
+     "(0.65, 0.65, cpf) vs (0.8999999999999999, 0.8999999999999999, cpf)"),
+    ({"quantity": "coherence"}, "(0.2, 0.2, cpf) vs (0.2, None, coherence)"),
+])
+def test_compare_rejects_misaligned_rows(tmp_path, capsys, overrides, message):
+    a = write_json(tmp_path, base_config(), "a.json")
+    b = write_json(tmp_path, base_config(**overrides), "b.json")
+    assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b)]) == 2
+    assert capsys.readouterr().err == f"grid mismatch: row mismatch: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +529,26 @@ def test_sweep_rejects_legs_that_share_an_output(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg), "--quiet"]) == 2
     assert "both write" in capsys.readouterr().err
     assert not list(tmp_path.glob("o__*"))
+
+
+def test_sweep_failed_leg_still_writes_index(tmp_path, capsys):
+    doc = base_config(
+        model={"kind": "scaled_spin_bath", "n_spins": 4, "g": 0.9},
+        method="oracle",
+        output_path=str(tmp_path / "o.csv"),
+        sweep={"model.n_spins": [4, 20]},
+    )
+    cfg = write_json(tmp_path, doc)
+    assert cli.main(["sweep", "--config", str(cfg), "--quiet"]) == 3
+    assert "dense oracle limit" in capsys.readouterr().err
+    index = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    assert index == {"kind": "cpfsim-sweep-manifest", "legs": [
+        {"parameters": {"model.n_spins": 4}, "output": "o__model.n_spins=4.csv"},
+        {"parameters": {"model.n_spins": 20}, "output": "o__model.n_spins=20.csv",
+         "error": "BathTooLarge: N = 20 exceeds the dense oracle limit 14"},
+    ]}
+    assert len(read_rows(tmp_path / "o__model.n_spins=4.csv")) == 5
+    assert not (tmp_path / "o__model.n_spins=20.csv").exists()
 
 
 def test_sweep_rejects_unknown_field(tmp_path):

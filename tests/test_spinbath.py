@@ -331,6 +331,24 @@ def test_lorentz_mc_moments_match_moment_set():
     assert abs(f_joint.value - want.f_joint) <= 4.0 * f_joint.std_error
 
 
+def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble drew samples")
+
+    monkeypatch.setattr(spinbath, "collect_moments", never)
+    spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=10**7)
+    cfg = McConfig(n_trajectories=65_536, chunk_size=65_536)
+    assert spinbath._ensemble_chunk_bytes(spec, cfg) == 2 * 8 * 65_536 * 10**7
+    with pytest.raises(BathTooLarge, match="lower mc.chunk_size"):
+        spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
+    # the benchmark's ensemble points (N = 50, chunks of 16,384) stay far below
+    points = spinbath._ensemble_chunk_bytes(
+        spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=50),
+        McConfig(n_trajectories=16_384, chunk_size=16_384),
+    )
+    assert points == 13_107_200 < spinbath.ENSEMBLE_MAX_BYTES / 10
+
+
 def test_lorentz_mc_conditional_coherence():
     spec = spinbath.LorentzCouplingSpec(gamma=1.0)
     cfg = McConfig(n_trajectories=300_000, seed=2027)

@@ -3,14 +3,15 @@
 Sampling is partitioned into fixed-size chunks.  Chunk i draws from an
 independent Philox stream keyed by the run seed with the chunk index placed
 in the high half of the 256-bit counter, so streams never overlap and any
-chunk (hence any trajectory) is recomputable in isolation.  Partial sums are
-combined in ascending chunk order, which makes every estimate bit-identical
+chunk (hence any trajectory) is recomputable in isolation.  Chunk statistics
+are merged in ascending chunk order, which makes every estimate bit-identical
 for a given (seed, chunk_size, n) regardless of how many workers execute the
 chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,10 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Estimate
+from .errors import ZeroProbabilityPostselection
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 _MASK64 = (1 << 64) - 1
+
+# Conditioning on estimated moments needs |1 + yx f_t| above this threshold.
+ESTIMATED_POSTSELECTION_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,69 +98,96 @@ def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 
-class RunningMoments:
-    """Ordered accumulator of sums and cross-products of sample columns."""
+def validate_times(t, tau) -> tuple[float, float]:
+    """t and tau as floats, checked to be finite and >= 0."""
+    t, tau = float(t), float(tau)
+    if not (math.isfinite(t) and math.isfinite(tau)) or t < 0.0 or tau < 0.0:
+        raise ValueError(f"t and tau must be finite and >= 0, got t={t!r}, tau={tau!r}")
+    return t, tau
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.n = 0
-        self.s = np.zeros(dim)
-        self.ss = np.zeros((dim, dim))
+
+@dataclass(frozen=True, eq=False)  # array fields: no value equality
+class MomentStats:
+    """Count, column sums and centred second moments of per-trajectory columns.
+
+    Columns 0-2 hold one trajectory's (f_t, f_tau, f_joint); a sampler may
+    append more (the Cauchy ensemble appends its per-realization CPF as
+    column 3).  Each chunk keeps its second moments about its own mean, and
+    chunks merge pairwise (Chan, Golub and LeVeque), so nearly constant
+    columns keep their small variances instead of cancelling them away.
+    """
+
+    n: int
+    s: np.ndarray  # (dim,) column sums
+    m2: np.ndarray  # (dim, dim) cross-products of deviations from the mean
 
     @classmethod
-    def from_samples(cls, cols: np.ndarray) -> RunningMoments:
+    def from_samples(cls, cols: np.ndarray) -> MomentStats:
         """cols has shape (n_samples, dim)."""
-        rm = cls(cols.shape[1])
-        rm.n = cols.shape[0]
-        rm.s = cols.sum(axis=0)
-        rm.ss = cols.T @ cols
-        return rm
+        n = cols.shape[0]
+        s = cols.sum(axis=0)
+        d = cols - s / n
+        return cls(n, s, d.T @ d)
 
-    def add(self, other: RunningMoments) -> None:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        self.n += other.n
-        self.s += other.s
-        self.ss += other.ss
-
-    @classmethod
-    def combine(cls, parts: list[RunningMoments]) -> RunningMoments:
-        total = cls(parts[0].dim)
-        for p in parts:
-            total.add(p)
-        return total
+    def merge(self, other: MomentStats) -> MomentStats:
+        n = self.n + other.n
+        delta = other.s / other.n - self.s / self.n
+        m2 = self.m2 + other.m2 + np.outer(delta, delta) * (self.n * other.n / n)
+        return MomentStats(n, self.s + other.s, m2)
 
     def mean(self) -> np.ndarray:
         return self.s / self.n
 
-    def cov_of_mean(self) -> np.ndarray:
-        """Covariance matrix of the sample means (sample cov / n)."""
+    def _cov_of_mean(self) -> np.ndarray:
+        """Covariance matrix of the column means (sample cov / n)."""
         if self.n < 2:
-            return np.zeros((self.dim, self.dim))
-        m = self.mean()
-        sample_cov = (self.ss - self.n * np.outer(m, m)) / (self.n - 1)
-        return sample_cov / self.n
+            return np.zeros_like(self.m2)
+        return self.m2 / (self.n - 1) / self.n
+
+    def _delta(self, value: float, grad: list[float]) -> Estimate:
+        """Estimate of a smooth function of the first len(grad) column means."""
+        g = np.array(grad, dtype=float)
+        k = g.size
+        var = float(g @ self._cov_of_mean()[:k, :k] @ g)
+        return Estimate(float(value), math.sqrt(max(var, 0.0)), self.n)
 
     def estimate(self, index: int) -> Estimate:
         """Mean of one column as an Estimate."""
-        var = max(self.cov_of_mean()[index, index], 0.0)
+        var = self._cov_of_mean()[index, index]
         return Estimate(float(self.mean()[index]), math.sqrt(var), self.n)
 
-    def delta_estimate(self, value: float, grad: np.ndarray) -> Estimate:
-        """Estimate for a smooth function of the means, first-order error."""
-        g = np.asarray(grad, dtype=float)
-        var = max(float(g @ self.cov_of_mean() @ g), 0.0)
-        return Estimate(float(value), math.sqrt(var), self.n)
+    def moments(self) -> tuple[Estimate, Estimate, Estimate]:
+        """Estimates of (f_t, f_tau, f_joint)."""
+        return self.estimate(0), self.estimate(1), self.estimate(2)
+
+    def cpf(self) -> Estimate:
+        """Plug-in C_pf = f_joint - f_t f_tau, delta-method error."""
+        m = self.mean()
+        return self._delta(m[2] - m[0] * m[1], [-m[1], -m[0], 1.0])
+
+    def conditional_coherence(self, yx: int) -> Estimate:
+        """(f_tau + yx f_joint) / (1 + yx f_t) of the means, delta-method error.
+
+        Raises ZeroProbabilityPostselection when the estimated weight
+        |1 + yx f_t| is at most ESTIMATED_POSTSELECTION_EPS.
+        """
+        m = self.mean()
+        denom = 1.0 + yx * m[0]
+        if abs(denom) <= ESTIMATED_POSTSELECTION_EPS:
+            raise ZeroProbabilityPostselection(
+                f"estimated postselection weight 1 + yx f(t) = {denom!r} for yx={yx:+d}"
+            )
+        num = m[1] + yx * m[2]
+        return self._delta(num / denom, [-yx * num / denom**2, 1.0 / denom, yx / denom])
 
 
-def collect_moments(sample_cols, cfg: McConfig, workers: int = 1) -> RunningMoments:
-    """Accumulate RunningMoments over all chunks.
+def collect_moments(sample_cols, cfg: McConfig, workers: int = 1) -> MomentStats:
+    """Accumulate MomentStats over all chunks, merged in chunk-index order.
 
     sample_cols(rng, m) must return an (m, dim) array drawn from rng.
     """
 
-    def worker(i: int, m: int) -> RunningMoments:
-        rng = chunk_stream(cfg.seed, i)
-        return RunningMoments.from_samples(sample_cols(rng, m))
+    def worker(i: int, m: int) -> MomentStats:
+        return MomentStats.from_samples(sample_cols(chunk_stream(cfg.seed, i), m))
 
-    return RunningMoments.combine(map_chunks(worker, cfg, workers))
+    return functools.reduce(MomentStats.merge, map_chunks(worker, cfg, workers))

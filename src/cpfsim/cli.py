@@ -100,8 +100,8 @@ _LABELS = {
 
 
 @dataclass(frozen=True)
-class Results:
-    """The long-format result rows of one config, held as columns.
+class RowKeys:
+    """The (t, tau, label) keys of a config's CSV rows, known before evaluation.
 
     CSV row ``k * len(labels) + j`` is point ``k`` under label ``j``.
     """
@@ -109,21 +109,27 @@ class Results:
     t: np.ndarray  # (points,)
     tau: np.ndarray | None  # (points,); None for t-only quantities
     labels: tuple[str, ...]
-    value: np.ndarray  # (points, labels)
-    std_error: np.ndarray | None  # (points, labels); None unless Monte Carlo
-    n_samples: np.ndarray | None  # (points, labels); None unless Monte Carlo
-    model: str
-    method: str
 
     def __len__(self) -> int:
         """Number of CSV rows."""
-        return self.value.size
+        return self.t.size * len(self.labels)
 
     def key(self, row: int) -> tuple[float, float | None, str]:
         """(t, tau, label) of one CSV row."""
         point, j = divmod(row, len(self.labels))
         tau = None if self.tau is None else float(self.tau[point])
         return float(self.t[point]), tau, self.labels[j]
+
+
+@dataclass(frozen=True)
+class Results(RowKeys):
+    """The long-format result rows of one config, held as columns."""
+
+    value: np.ndarray  # (points, labels)
+    std_error: np.ndarray | None  # (points, labels); None unless Monte Carlo
+    n_samples: np.ndarray | None  # (points, labels); None unless Monte Carlo
+    model: str
+    method: str
 
 
 @dataclass(frozen=True)
@@ -528,15 +534,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _time_points(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """Flat (t, tau) arrays of the evaluation points in row order; tau is None for t-only."""
+def _row_keys(config: ExperimentConfig) -> RowKeys:
+    """Flat (t, tau) arrays of the evaluation points in row order, and the row labels."""
+    labels = _LABELS.get(config.quantity, (config.quantity,))
     t = config.t_grid.values()
     if config.quantity in _T_ONLY:
-        return t, None
+        return RowKeys(t, None, labels)
     if config.quantity == "cpf_surface":
         tau = (config.tau_grid or config.t_grid).values()
-        return np.repeat(t, tau.size), np.tile(tau, t.size)
-    return t, t if config.tau_grid is None else config.tau_grid.values()
+        return RowKeys(np.repeat(t, tau.size), np.tile(tau, t.size), labels)
+    return RowKeys(t, t if config.tau_grid is None else config.tau_grid.values(), labels)
 
 
 def _analytic_columns(
@@ -577,7 +584,8 @@ def _point_values(
 def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
     """Produce the long-format result rows for one experiment config."""
     family = MODEL_FAMILIES[config.model_kind]
-    t, tau = _time_points(config)
+    keys = _row_keys(config)
+    t, tau = keys.t, keys.tau
     std_error = n_samples = None
     if config.method == "analytic":
         columns = _analytic_columns(config, family, t, tau)
@@ -593,8 +601,7 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
             std_error = np.array([[se for _, se, _ in p] for p in points], dtype=float)
             n_samples = np.array([[n for _, _, n in p] for p in points], dtype=np.int64)
     return Results(
-        t, tau, _LABELS.get(config.quantity, (config.quantity,)), value, std_error, n_samples,
-        config.model_kind, config.method,
+        t, tau, keys.labels, value, std_error, n_samples, config.model_kind, config.method
     )
 
 
@@ -710,11 +717,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _row_keys(rows: Results) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def _row_columns(keys: RowKeys) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """t, tau (None for t-only quantities) and label of every CSV row."""
-    n_labels = len(rows.labels)
-    tau = None if rows.tau is None else np.repeat(rows.tau, n_labels)
-    return np.repeat(rows.t, n_labels), tau, np.tile(np.array(rows.labels), rows.t.size)
+    n_labels = len(keys.labels)
+    tau = None if keys.tau is None else np.repeat(keys.tau, n_labels)
+    return np.repeat(keys.t, n_labels), tau, np.tile(np.array(keys.labels), keys.t.size)
+
+
+def _check_keys(keys_a: RowKeys, keys_b: RowKeys) -> None:
+    """Raise GridMismatch unless both result sets have the same rows in the same order."""
+    if len(keys_a) != len(keys_b):
+        raise GridMismatch(f"result sets have {len(keys_a)} vs {len(keys_b)} rows")
+    (t_a, tau_a, q_a), (t_b, tau_b, q_b) = _row_columns(keys_a), _row_columns(keys_b)
+    differ = (t_a != t_b) | (q_a != q_b)
+    if tau_a is None or tau_b is None:
+        differ |= (tau_a is None) != (tau_b is None)
+    else:
+        differ |= tau_a != tau_b
+    if differ.any():
+        row = int(np.argmax(differ))
+        raise GridMismatch(
+            "row mismatch: ({}, {}, {}) vs ({}, {}, {})".format(*keys_a.key(row), *keys_b.key(row))
+        )
 
 
 def _std_errors(rows: Results) -> np.ndarray:
@@ -724,19 +748,7 @@ def _std_errors(rows: Results) -> np.ndarray:
 def _compare_rows(
     rows_a: Results, rows_b: Results, sigma_tol: float, abs_tol: float
 ) -> list[str]:
-    if len(rows_a) != len(rows_b):
-        raise GridMismatch(f"result sets have {len(rows_a)} vs {len(rows_b)} rows")
-    (t_a, tau_a, q_a), (t_b, tau_b, q_b) = _row_keys(rows_a), _row_keys(rows_b)
-    differ = (t_a != t_b) | (q_a != q_b)
-    if tau_a is None or tau_b is None:
-        differ |= (tau_a is None) != (tau_b is None)
-    else:
-        differ |= tau_a != tau_b
-    if differ.any():
-        row = int(np.argmax(differ))
-        raise GridMismatch(
-            "row mismatch: ({}, {}, {}) vs ({}, {}, {})".format(*rows_a.key(row), *rows_b.key(row))
-        )
+    """Failure lines of rows beyond tolerance; the keys already passed _check_keys."""
     value_a, value_b = rows_a.value.ravel(), rows_b.value.ravel()
     sigma = np.hypot(_std_errors(rows_a), _std_errors(rows_b))
     diff = np.abs(value_a - value_b)
@@ -756,6 +768,7 @@ def _compare_rows(
 def _cmd_compare(args: argparse.Namespace) -> int:
     config_a = load_config(args.config_a)
     config_b = load_config(args.config_b)
+    _check_keys(_row_keys(config_a), _row_keys(config_b))
     rows_a = evaluate_rows(config_a, workers=args.threads)
     rows_b = evaluate_rows(config_b, workers=args.threads)
     failures = _compare_rows(rows_a, rows_b, args.sigma_tol, args.abs_tol)

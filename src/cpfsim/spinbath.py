@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from ._mc import McConfig, RunningMoments, collect_moments
+from ._mc import McConfig, MomentStats, collect_moments, validate_times
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -51,8 +51,7 @@ from .errors import (
 
 ORACLE_MAX_SPINS = 14
 
-# Largest draw of one Cauchy-ensemble chunk: the uniforms and the couplings,
-# two (chunk_size, n_spins) float64 arrays.
+# Largest draw of one Cauchy-ensemble chunk, as counted by _ensemble_chunk_bytes.
 ENSEMBLE_MAX_BYTES = 256 * 2**20
 
 
@@ -154,6 +153,25 @@ def _finite(t) -> np.ndarray:
     return t
 
 
+def _spin_product(couplings, amplitudes, t):
+    """Re and Im of prod_k (|a_k|^2 e^{+i 2 g_k t} + |b_k|^2 e^{-i 2 g_k t}).
+
+    couplings yields one g_k per spin, a scalar or an array that broadcasts
+    against t; amplitudes yields the matching (a_k, b_k) scalars.  Spin by
+    spin, so memory stays at a few broadcast-sized arrays for any N, and in
+    real arithmetic: numpy's complex multiply (and its array abs) round
+    differently in their scalar and vector loops, so a point would not match
+    a grid bit for bit.
+    """
+    re, im = 1.0, 0.0
+    for g_k, (a_k, b_k) in zip(couplings, amplitudes):
+        up, dn = abs(a_k) ** 2, abs(b_k) ** 2
+        theta = 2.0 * g_k * t
+        c, d = (up + dn) * np.cos(theta), (up - dn) * np.sin(theta)
+        re, im = re * c - im * d, re * d + im * c
+    return re, im
+
+
 def coherence(spec: SpinBathSpec, t):
     """Bath overlap c_t by the product formula; c_0 = 1, |c_t| <= 1.
 
@@ -162,16 +180,8 @@ def coherence(spec: SpinBathSpec, t):
     inside conditional quantities) evaluate the same product formula, which
     is the analytic continuation: c_{-t} = conj(c_t).
     """
-    # Spin by spin, so memory stays at a few grid-sized arrays for any N, and
-    # in real arithmetic: numpy's complex multiply rounds differently in its
-    # scalar and vector loops, so a point would not match a grid bit for bit.
     t = _finite(t)
-    re, im = np.ones(t.shape), np.zeros(t.shape)
-    for g_k, a_k, b_k in zip(spec.couplings, spec.alphas, spec.betas):
-        up, dn = abs(a_k) ** 2, abs(b_k) ** 2
-        theta = 2.0 * g_k * t
-        c, d = (up + dn) * np.cos(theta), (up - dn) * np.sin(theta)
-        re, im = re * c - im * d, re * d + im * c
+    re, im = _spin_product(spec.couplings, zip(spec.alphas, spec.betas), t)
     return (re + 1j * im)[()]
 
 
@@ -284,47 +294,46 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 # ---------------------------------------------------------------------------
 # Cauchy-coupling ensemble: Monte Carlo
 
-# Column layout of the ensemble statistics:
-# (Re c_t, Re c_tau, Re c_{t+tau}, Re c_{t-tau}, per-realization CPF).
-_COL_T, _COL_TAU, _COL_SUM, _COL_DIFF, _COL_CPF = range(5)
-
-
 def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float):
+    """Sampler of the per-realization (f_t, f_tau, f_joint, CPF) columns."""
     n = spec.n_spins
-    w_up = abs(spec.alpha) ** 2
-    w_dn = abs(spec.beta) ** 2
+    amplitudes = [(spec.alpha, spec.beta)] * n
+    lags = np.array([[t], [tau], [t + tau], [t - tau]])
     half_w = 0.5 * spec.omega
     half_g = 0.5 * spec.gamma
 
     def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        u = rng.random((m, n))
-        gk = (half_w + half_g * np.tan(math.pi * (u - 0.5))) / n
-        cols = np.empty((m, 5))
-        for j, arg in ((_COL_T, t), (_COL_TAU, tau), (_COL_SUM, t + tau), (_COL_DIFF, t - tau)):
-            prod = np.ones(m, dtype=complex)
-            for k in range(n):
-                ph = np.exp(2j * arg * gk[:, k])
-                prod *= w_up * ph + w_dn * np.conj(ph)
-            cols[:, j] = prod.real
-        cols[:, _COL_CPF] = (
-            0.5 * (cols[:, _COL_SUM] + cols[:, _COL_DIFF]) - cols[:, _COL_T] * cols[:, _COL_TAU]
-        )
-        return cols
+        # couplings gtilde_k / N by inverse CDF, in the buffer of the uniforms
+        g = rng.random((m, n))
+        g -= 0.5
+        g *= math.pi
+        np.tan(g, out=g)
+        g *= half_g
+        g += half_w
+        g /= n
+        re, _ = _spin_product(g.T, amplitudes, lags)
+        f_joint = 0.5 * (re[2] + re[3])
+        return np.column_stack([re[0], re[1], f_joint, f_joint - re[0] * re[1]])
 
     return sample
 
 
+# Per-trajectory float64 values one draw holds besides its couplings: the spin
+# product keeps up to eight (4, chunk_size) lag arrays alive at once (32), and
+# 8 more cover the (chunk_size, 4) columns and the fixed small objects of short
+# chunks.
+_ENSEMBLE_DRAW_COLUMNS = 40
+
+
 def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
-    """Bytes of the uniforms and couplings that one chunk draws."""
-    return 2 * 8 * cfg.resolved_chunk_size * spec.n_spins
+    """Peak bytes of one chunk's draw: the couplings and the per-trajectory arrays."""
+    return 8 * cfg.resolved_chunk_size * (spec.n_spins + _ENSEMBLE_DRAW_COLUMNS)
 
 
 def _ensemble_stats(
     spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int
-) -> RunningMoments:
-    t, tau = float(t), float(tau)
-    if not (math.isfinite(t) and math.isfinite(tau)) or t < 0.0 or tau < 0.0:
-        raise ValueError("t and tau must be finite and >= 0")
+) -> MomentStats:
+    t, tau = validate_times(t, tau)
     need = _ensemble_chunk_bytes(spec, cfg)
     if need > ENSEMBLE_MAX_BYTES:
         raise BathTooLarge(
@@ -339,53 +348,28 @@ def lorentz_mc_coherence(
     spec: LorentzCouplingSpec, t: float, cfg: McConfig, workers: int = 1
 ) -> core.Estimate:
     """Ensemble-averaged Re c_t by direct Cauchy sampling."""
-    return _ensemble_stats(spec, t, 0.0, cfg, workers).estimate(_COL_T)
+    return _ensemble_stats(spec, t, 0.0, cfg, workers).estimate(0)
 
 
 def lorentz_mc_moments(
     spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int = 1
 ) -> tuple[core.Estimate, core.Estimate, core.Estimate]:
     """Ensemble means of (f(t), f(tau), f_joint): the averaged-table moments."""
-    stats = _ensemble_stats(spec, t, tau, cfg, workers)
-    m = stats.mean()
-    joint = 0.5 * (m[_COL_SUM] + m[_COL_DIFF])
-    grad = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
-    return (
-        stats.estimate(_COL_T),
-        stats.estimate(_COL_TAU),
-        stats.delta_estimate(joint, grad),
-    )
+    return _ensemble_stats(spec, t, tau, cfg, workers).moments()
 
 
 def lorentz_mc_cpf(
-    spec: LorentzCouplingSpec,
-    t: float,
-    tau: float,
-    cfg: McConfig,
-    workers: int = 1,
-    y: int = +1,
+    spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int = 1
 ) -> core.Estimate:
     """Ensemble CPF in table-first order: average the table, then combine.
 
     The per-realization probability table is linear in the per-realization
     moments, so the ensemble-averaged table is the table of the averaged
-    moments; the estimate applies cpf_from_table to it.  This reproduces the
-    closed form of lorentz_moment_set, unlike the per-realization average
-    below.
+    moments, and its CPF is f_joint - f_t f_tau of those.  This reproduces
+    the closed form of lorentz_moment_set, unlike the per-realization
+    average below.
     """
-    stats = _ensemble_stats(spec, t, tau, cfg, workers)
-    m = stats.mean()
-    table = core.cpf_probability_table(
-        core.MomentSet(
-            f_t=m[_COL_T],
-            f_tau=m[_COL_TAU],
-            f_joint=0.5 * (m[_COL_SUM] + m[_COL_DIFF]),
-        ),
-        y=y,
-    )
-    value = core.cpf_from_table(table)
-    grad = np.array([-m[_COL_TAU], -m[_COL_T], 0.5, 0.5, 0.0])
-    return stats.delta_estimate(value, grad)
+    return _ensemble_stats(spec, t, tau, cfg, workers).cpf()
 
 
 def lorentz_mc_cpf_per_realization(
@@ -398,7 +382,7 @@ def lorentz_mc_cpf_per_realization(
     per-realization CPF is identically zero (product-to-sum identity), so
     this estimator returns 0 +- 0 and does not reproduce the closed form.
     """
-    return _ensemble_stats(spec, t, tau, cfg, workers).estimate(_COL_CPF)
+    return _ensemble_stats(spec, t, tau, cfg, workers).estimate(3)
 
 
 def lorentz_mc_conditional_coherence(
@@ -406,23 +390,13 @@ def lorentz_mc_conditional_coherence(
 ) -> core.Estimate:
     """Ensemble conditional coherence (real part) from averaged moments.
 
-    Evaluates [E c_tau + yx (E c_{t+tau} + E conj(c_{t-tau}))/2] /
-    [1 + yx E Re c_t] over the Cauchy ensemble, with delta-method error.
+    Evaluates [E f_tau + yx E f_joint] / [1 + yx E f_t] over the Cauchy
+    ensemble, with delta-method error.  Raises ZeroProbabilityPostselection
+    when the estimated denominator magnitude is at most
+    _mc.ESTIMATED_POSTSELECTION_EPS.
     """
     yx = core.validate_outcome(yx, "yx")
-    stats = _ensemble_stats(spec, t, tau, cfg, workers)
-    m = stats.mean()
-    denom = 1.0 + yx * m[_COL_T]
-    if abs(denom) <= core.POSTSELECTION_EPS:
-        raise ZeroProbabilityPostselection(
-            f"ensemble postselection weight vanishes at t={t}, yx={yx:+d}"
-        )
-    num = m[_COL_TAU] + yx * 0.5 * (m[_COL_SUM] + m[_COL_DIFF])
-    value = num / denom
-    grad = np.array(
-        [-yx * num / denom**2, 1.0 / denom, yx * 0.5 / denom, yx * 0.5 / denom, 0.0]
-    )
-    return stats.delta_estimate(value, grad)
+    return _ensemble_stats(spec, t, tau, cfg, workers).conditional_coherence(yx)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +478,7 @@ def oracle_protocol(
         raise BathTooLarge(
             f"N = {spec.n_spins} exceeds the dense oracle limit {ORACLE_MAX_SPINS}"
         )
-    t, tau = float(t), float(tau)
-    if t < 0.0 or tau < 0.0:
-        raise ValueError("t and tau must be >= 0")
+    t, tau = validate_times(t, tau)
     y = core.validate_outcome(y, "y")
     if propagator == "diagonal":
         levels = _bath_levels(spec)

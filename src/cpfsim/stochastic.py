@@ -37,14 +37,15 @@ import numpy as np
 from . import analytic, core
 from ._mc import (
     McConfig,
-    RunningMoments,
+    MomentStats,
     aux_stream,
     chunk_stream,
     collect_moments,
     map_chunks,
+    validate_times,
 )
 from .analytic import NoiseModel
-from .errors import EmptyPostselection, StepTooCoarse, ZeroProbabilityPostselection
+from .errors import EmptyPostselection, StepTooCoarse
 
 __all__ = [
     "McConfig",
@@ -56,8 +57,6 @@ __all__ = [
 ]
 
 BOOTSTRAP_RESAMPLES = 200
-# Estimated-denominator feasibility threshold for conditional coherence.
-POSTSELECTION_EPS_MC = 1e-9
 
 
 def _phase_arrays(
@@ -102,11 +101,8 @@ def _moment_cols(model: NoiseModel, t: float, tau: float):
 
 def _moment_stats(
     model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int
-) -> RunningMoments:
-    t = float(t)
-    tau = float(tau)
-    if t < 0.0 or tau < 0.0:
-        raise ValueError("t and tau must be >= 0")
+) -> MomentStats:
+    t, tau = validate_times(t, tau)
     return collect_moments(_moment_cols(model, t, tau), cfg, workers)
 
 
@@ -119,8 +115,7 @@ def mc_moments(
     theta2 alone, so a stationarity violation would show up as
     f'(tau) != f(tau).
     """
-    stats = _moment_stats(model, t, tau, cfg, workers)
-    return stats.estimate(0), stats.estimate(1), stats.estimate(2)
+    return _moment_stats(model, t, tau, cfg, workers).moments()
 
 
 def mc_cpf_semianalytic(
@@ -131,10 +126,7 @@ def mc_cpf_semianalytic(
     Standard error by the delta method over the joint covariance of the
     three moment means.
     """
-    stats = _moment_stats(model, t, tau, cfg, workers)
-    m = stats.mean()
-    value = m[2] - m[0] * m[1]
-    return stats.delta_estimate(value, np.array([-m[1], -m[0], 1.0]))
+    return _moment_stats(model, t, tau, cfg, workers).cpf()
 
 
 def mc_conditional_coherence(
@@ -145,20 +137,10 @@ def mc_conditional_coherence(
     The numerator is the unconditional average of cos 2theta2 (1 + yx
     cos 2theta1); the denominator uses the same-sample estimate of f(t).
     Raises ZeroProbabilityPostselection when the estimated denominator
-    magnitude drops below 1e-9.
+    magnitude is at most _mc.ESTIMATED_POSTSELECTION_EPS.
     """
     yx = core.validate_outcome(yx, "yx")
-    stats = _moment_stats(model, t, tau, cfg, workers)
-    m = stats.mean()
-    denom = 1.0 + yx * m[0]
-    if abs(denom) <= POSTSELECTION_EPS_MC:
-        raise ZeroProbabilityPostselection(
-            f"estimated postselection weight 1 + yx f(t) = {denom!r} at t={t}"
-        )
-    num = m[1] + yx * m[2]
-    value = num / denom
-    grad = np.array([-yx * num / denom**2, 1.0 / denom, yx / denom])
-    return stats.delta_estimate(value, grad)
+    return _moment_stats(model, t, tau, cfg, workers).conditional_coherence(yx)
 
 
 def _outcome_counts(
@@ -215,10 +197,7 @@ def mc_cpf_sampling(
     (multinomial resampling, 200 replicas, deterministic auxiliary stream).
     """
     y_select = core.validate_outcome(y_select, "y_select")
-    t = float(t)
-    tau = float(tau)
-    if t < 0.0 or tau < 0.0:
-        raise ValueError("t and tau must be >= 0")
+    t, tau = validate_times(t, tau)
     counts = _outcome_counts(model, t, tau, cfg, workers)
     kept = counts[(1 - y_select) // 2]
     n_kept = int(kept.sum())
@@ -248,10 +227,7 @@ def ou_path_reference(
     """
     if not isinstance(model, analytic.ExpCorrGauss):
         raise TypeError("ou_path_reference requires an ExpCorrGauss model")
-    t = float(t)
-    tau = float(tau)
-    if t < 0.0 or tau < 0.0:
-        raise ValueError("t and tau must be >= 0")
+    t, tau = validate_times(t, tau)
     g, tc = model.g, model.tau_c
     dt = cfg.path_dt if cfg.path_dt is not None else min(tc, 1.0 / g) / 50.0
     if dt > tc / 10.0:
@@ -283,5 +259,4 @@ def ou_path_reference(
         a, b = cols
         return np.column_stack([a, b, a * b])
 
-    stats = collect_moments(sample, cfg, workers)
-    return stats.estimate(0), stats.estimate(1), stats.estimate(2)
+    return collect_moments(sample, cfg, workers).moments()

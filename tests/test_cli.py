@@ -462,11 +462,23 @@ def test_compare_flags_disagreement(tmp_path, capsys):
     assert lines[-1] == "compare: 0/5 points agree; 5 beyond tolerance"
 
 
-def test_compare_rejects_mismatched_grids(tmp_path, capsys):
+def _no_evaluation(monkeypatch):
+    """Fail the test if compare evaluates a config: the grids decide a mismatch."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("compare evaluated a config")
+
+    monkeypatch.setattr(cli, "evaluate_rows", never)
+
+
+def test_compare_rejects_mismatched_grids(tmp_path, monkeypatch, capsys):
+    _no_evaluation(monkeypatch)
     a = write_json(tmp_path, base_config(), "a.json")
-    b = write_json(
-        tmp_path, base_config(t_grid={"start": 0.2, "stop": 2.0, "count": 7}), "b.json"
-    )
+    b = write_json(tmp_path, base_config(
+        t_grid={"start": 0.2, "stop": 2.0, "count": 7},
+        method="montecarlo",
+        mc={"n_trajectories": 100_000},
+    ), "b.json")
     assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b)]) == 2
     assert capsys.readouterr().err == "grid mismatch: result sets have 5 vs 7 rows\n"
 
@@ -476,7 +488,8 @@ def test_compare_rejects_mismatched_grids(tmp_path, capsys):
      "(0.65, 0.65, cpf) vs (0.8999999999999999, 0.8999999999999999, cpf)"),
     ({"quantity": "coherence"}, "(0.2, 0.2, cpf) vs (0.2, None, coherence)"),
 ])
-def test_compare_rejects_misaligned_rows(tmp_path, capsys, overrides, message):
+def test_compare_rejects_misaligned_rows(tmp_path, monkeypatch, capsys, overrides, message):
+    _no_evaluation(monkeypatch)
     a = write_json(tmp_path, base_config(), "a.json")
     b = write_json(tmp_path, base_config(**overrides), "b.json")
     assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b)]) == 2

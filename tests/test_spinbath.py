@@ -1,12 +1,13 @@
 """Finite spin baths: product formula, statevector oracle, Cauchy ensembles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpfsim import analytic, core, spinbath
+from cpfsim import _mc, analytic, core, spinbath
 from cpfsim._mc import McConfig
 from cpfsim.errors import (
     BathTooLarge,
@@ -338,7 +339,7 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
     monkeypatch.setattr(spinbath, "collect_moments", never)
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=10**7)
     cfg = McConfig(n_trajectories=65_536, chunk_size=65_536)
-    assert spinbath._ensemble_chunk_bytes(spec, cfg) == 2 * 8 * 65_536 * 10**7
+    assert spinbath._ensemble_chunk_bytes(spec, cfg) == 8 * 65_536 * (10**7 + 40)
     with pytest.raises(BathTooLarge, match="lower mc.chunk_size"):
         spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
     # the benchmark's ensemble points (N = 50, chunks of 16,384) stay far below
@@ -346,7 +347,26 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
         spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=50),
         McConfig(n_trajectories=16_384, chunk_size=16_384),
     )
-    assert points == 13_107_200 < spinbath.ENSEMBLE_MAX_BYTES / 10
+    assert points == 11_796_480 < spinbath.ENSEMBLE_MAX_BYTES / 10
+
+
+@pytest.mark.parametrize("n_spins, chunk", [(50, 16_384), (200, 2_000), (1, 4_096)])
+def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk):
+    # the budget has to count every array one draw holds at its peak
+    spec = spinbath.LorentzCouplingSpec(gamma=1.0, omega=0.4, n_spins=n_spins)
+    sample = spinbath._ensemble_cols(spec, 0.7, 1.1)
+    rng = _mc.chunk_stream(3, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample(rng, chunk)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    counted = spinbath._ensemble_chunk_bytes(
+        spec, McConfig(n_trajectories=chunk, chunk_size=chunk)
+    )
+    assert 8 * chunk * n_spins < peak <= counted
 
 
 def test_lorentz_mc_conditional_coherence():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from cpfsim import analytic, core, stochastic
+from cpfsim import _mc, analytic, core, stochastic
 from cpfsim.errors import EmptyPostselection, StepTooCoarse, ZeroProbabilityPostselection
 from cpfsim.stochastic import McConfig
 
@@ -155,6 +155,23 @@ def test_semianalytic_pulls_are_standard_normal():
     assert within2 >= 0.8
     assert 0.6 < pulls.std(ddof=1) < 1.45
     assert abs(pulls.mean()) < 3.0 / math.sqrt(len(pulls))
+
+
+def test_semianalytic_error_bar_survives_nearly_constant_columns():
+    # at t = tau = 0.02 every column lies within about 1e-4 of 1, and a
+    # one-pass covariance cancelled the CPF's error bar to 0 at most seeds
+    model, t, n = analytic.StaticGauss(0.3), 0.02, 20_000
+    for seed in range(40):
+        est = stochastic.mc_cpf_semianalytic(model, t, t, McConfig(n_trajectories=n, seed=seed))
+        # the same draws (a single chunk), linearized about their means in a second pass
+        th1, th2 = stochastic._phase_arrays(model, t, t, _mc.chunk_stream(seed, 0), n)
+        a, b = np.cos(2.0 * th1), np.cos(2.0 * th2)
+        cols = np.column_stack([a, b, a * b])
+        m = cols.mean(axis=0)
+        lin = (cols - m) @ np.array([-m[1], -m[0], 1.0])
+        two_pass = math.sqrt(lin @ lin / ((n - 1) * n))
+        assert est.std_error > 0.0
+        assert est.std_error == pytest.approx(two_pass, rel=0.1)
 
 
 def test_sampling_bootstrap_error_bar_is_honest():

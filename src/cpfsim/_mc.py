@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +93,8 @@ def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
     sizes = chunk_sizes(cfg)
     if workers <= 1:
         return [worker(i, m) for i, m in enumerate(sizes)]
+    from concurrent.futures import ThreadPoolExecutor  # only parallel runs pay its import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
 

@@ -422,9 +422,12 @@ def run_criterion(number: int, workers: int = 1) -> CriterionResult:
     raise ValueError(f"no acceptance criterion numbered {number}")
 
 
-def run_all(workers: int = 1, verbose: bool = False) -> list[CriterionResult]:
+def run_all(
+    workers: int = 1, verbose: bool = False, numbers: list[int] | None = None
+) -> list[CriterionResult]:
+    """Run the numbered criteria (default all, in order), one verdict line each."""
     results = []
-    for num, _, _ in CRITERIA:
+    for num in [num for num, _, _ in CRITERIA] if numbers is None else numbers:
         result = run_criterion(num, workers)
         results.append(result)
         print(result.line(), flush=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import DeltaSingularCorrelation, UndefinedCorrelation
+from .errors import UndefinedCorrelation
 
 
 def _positive(value: float, name: str) -> float:
@@ -122,33 +122,6 @@ def model_tag(model: NoiseModel) -> str:
         StaticGauss: "static_gauss",
         StaticLorentz: "static_lorentz",
     }[type(model)]
-
-
-def correlation_function(model: NoiseModel, dt: float) -> float:
-    """Stationary autocorrelation chi(dt) of the underlying noise.
-
-    White noise is delta-correlated: chi(0) is singular, so dt = 0 raises
-    DeltaSingularCorrelation (carrying the weight gamma_w); integrals over
-    chi must use phase_covariance instead.  StaticLorentz has no finite
-    second moment at all and always raises UndefinedCorrelation.
-    """
-    dt = float(_times(dt, "dt"))
-    match model:
-        case White(gamma_w=gw):
-            if dt == 0.0:
-                raise DeltaSingularCorrelation(
-                    f"white noise chi(0) is a Dirac delta of weight {gw}", weight=gw
-                )
-            return 0.0
-        case ExpCorrGauss(g=g, tau_c=tc):
-            return g * g * math.exp(-dt / tc)
-        case StaticGauss(g=g):
-            return g * g
-        case StaticLorentz():
-            raise UndefinedCorrelation(
-                "Cauchy-distributed frequency has no second moment"
-            )
-    raise TypeError(f"unknown noise model {model!r}")
 
 
 def _h(u):

@@ -10,23 +10,26 @@ Configs are JSON documents (see README for the schema).  Every run writes a
 manifest next to the CSV that echoes the fully resolved config; feeding the
 manifest back to `run` reproduces the CSV bit for bit.
 
-Exit codes: 0 success, 2 config validation failure or bad command-line value
-(argparse, e.g. --threads 0), 3 runtime model error (impossible
-postselection, bath too large, ...), 1 I/O failure.  `compare`
-exits 5 when the result sets disagree beyond tolerance; `selftest` exits 1
-when a criterion fails.
+Exit codes: 0 success, 1 I/O failure, 2 bad config (a file that is not UTF-8
+JSON too), bad command-line value (e.g. --threads 0, a negative or non-finite
+--sigma-tol/--abs-tol, an unknown --criteria number) or grid mismatch, 3
+runtime model error (impossible postselection, bath too large, ...), 5
+`compare` beyond tolerance; `selftest` exits 1 when a criterion fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import itertools
 import json
 import math
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -34,11 +37,7 @@ import numpy as np
 
 from . import analytic, core, spinbath, stochastic
 from ._mc import McConfig
-from .errors import (
-    ConfigError,
-    CpfError,
-    GridMismatch,
-)
+from .errors import ConfigError, CpfError, GridMismatch
 
 CSV_HEADER = ("t", "tau", "value", "std_error", "n_samples", "quantity", "model", "method")
 
@@ -89,12 +88,10 @@ class ExperimentConfig:
     canonical: dict
 
 
-_MOMENT_LABELS = ("f_t", "f_tau", "f_joint")
-
 # row labels of the quantities that emit more than one row per point; every
 # other quantity labels its single row with its own name
 _LABELS = {
-    "moments": _MOMENT_LABELS,
+    "moments": ("f_t", "f_tau", "f_joint"),
     "probability_table": tuple(label for _, label in _TABLE_LABELS),
 }
 
@@ -211,19 +208,15 @@ _ENSEMBLE = _Family(
     },
 )
 
-MODEL_FAMILIES: dict[str, _Family] = {
-    "white": _NOISE,
-    "exp_corr_gauss": _NOISE,
-    "static_gauss": _NOISE,
-    "static_lorentz": _NOISE,
-    "spin_bath": _BATH,
-    "scaled_spin_bath": _BATH,
-    "lorentz_coupling": _ENSEMBLE,
-}
-
-
 # ---------------------------------------------------------------------------
 # config parsing
+
+_REQUIRED = object()  # the default of a field that must be given
+
+# (name, parser, default): parser(value, path) returns the parsed value or
+# raises ConfigError, and a default goes through the same parser
+_Field = tuple[str, Callable[[Any, str], Any], Any]
+
 
 def _expect_mapping(doc: Any, path: str) -> dict:
     if not isinstance(doc, dict):
@@ -231,23 +224,43 @@ def _expect_mapping(doc: Any, path: str) -> dict:
     return doc
 
 
-def _pop(doc: dict, key: str, path: str, required: bool = False, default: Any = None) -> Any:
-    if key in doc:
-        return doc.pop(key)
-    if required:
-        raise ConfigError(f"{path}{key}: required field is missing")
-    return default
+def _section(doc: Any, path: str, fields: tuple[_Field, ...]) -> dict[str, Any]:
+    """Parse the fields of the section at path ("" for the top level), in table order.
 
-
-def _reject_unknown(doc: dict, path: str) -> None:
+    Returns field name -> parsed value; any field not in the table is rejected.
+    """
+    doc = dict(_expect_mapping(doc, path))
+    prefix = f"{path}." if path else ""
+    values = {}
+    for name, parse, default in fields:
+        if name not in doc and default is _REQUIRED:
+            raise ConfigError(f"{prefix}{name}: required field is missing")
+        values[name] = parse(doc.pop(name, default), prefix + name)
     if doc:
-        raise ConfigError(f"{path}{sorted(doc)[0]}: unknown field")
+        raise ConfigError(f"{prefix}{sorted(doc)[0]}: unknown field")
+    return values
+
+
+def _construct(build: Callable[..., Any], fields: dict[str, Any], path: str) -> Any:
+    """build(**fields), its ValueError reported as a ConfigError of the section at path."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _real(value: int | float) -> float:
+    """float(value), with an integer beyond the float range as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _float(value: Any, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
+    out = _real(value)
     if not math.isfinite(out):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if positive and out <= 0.0:
@@ -263,6 +276,16 @@ def _int(value: Any, path: str, positive: bool = False) -> int:
     return value
 
 
+_positive_float = partial(_float, positive=True)
+_positive_int = partial(_int, positive=True)
+
+
+def _floats(value: Any, path: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    return [_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _outcome(value: Any, path: str) -> int:
     if value not in (1, -1):
         raise ConfigError(f"{path}: expected +1 or -1, got {value!r}")
@@ -270,142 +293,170 @@ def _outcome(value: Any, path: str) -> int:
 
 
 def _complex(value: Any, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    """A number x or an [re, im] pair; finiteness is left to the model's constructor."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    return complex(_real(parts[0]), _real(parts[1]))
 
 
-def _c_json(z: complex) -> Any:
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
+def _text(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+    return value
+
+
+def _raw(value: Any, path: str) -> Any:
+    """The field as given; a later check of its section parses it."""
+    return value
+
+
+def _optional(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """parse, with None (an absent or null field) passed through."""
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _choice(value: Any, path: str, options: tuple[str, ...]) -> str:
+    if value not in options:
+        raise ConfigError(f"{path}: unknown {path} {value!r}; expected one of {options}")
+    return value
+
+
+_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _bath_amplitudes(fields: dict[str, Any]) -> None:
+    """spin_bath, in place: alphas and betas come together, one per coupling, or
+    both default to 1/sqrt 2; their length is known only once couplings are parsed."""
+    n = len(fields["couplings"])
+    if (fields["alphas"] is None) != (fields["betas"] is None):
+        raise ConfigError("model.alphas: alphas and betas must be given together")
+    for name in ("alphas", "betas"):
+        raw = [_HALF] * n if fields[name] is None else fields[name]
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ConfigError(f"model.{name}: expected a list of length {n}")
+        fields[name] = [_complex(v, f"model.{name}[{i}]") for i, v in enumerate(raw)]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One model kind: how it is evaluated, built and read from a config."""
+
+    family: _Family
+    # parsed fields as keywords -> model object; functions go through a lambda, as in _Family
+    build: Callable[..., Any]
+    fields: tuple[_Field, ...]
+
+
+MODEL_KINDS: dict[str, _Kind] = {
+    "white": _Kind(_NOISE, analytic.White, (("gamma_w", _positive_float, _REQUIRED),)),
+    "exp_corr_gauss": _Kind(_NOISE, analytic.ExpCorrGauss, (
+        ("g", _positive_float, _REQUIRED),
+        ("tau_c", _positive_float, _REQUIRED),
+    )),
+    "static_gauss": _Kind(_NOISE, analytic.StaticGauss, (("g", _positive_float, _REQUIRED),)),
+    "static_lorentz": _Kind(_NOISE, analytic.StaticLorentz, (
+        ("gamma", _positive_float, _REQUIRED),
+        ("omega", _float, 0.0),
+    )),
+    "spin_bath": _Kind(_BATH, spinbath.SpinBathSpec, (
+        ("couplings", _floats, _REQUIRED),
+        ("alphas", _raw, None),
+        ("betas", _raw, None),
+    )),
+    "scaled_spin_bath": _Kind(_BATH, lambda **f: spinbath.scaled_gaussian_bath(**f), (
+        ("n_spins", _positive_int, _REQUIRED),
+        ("g", _positive_float, _REQUIRED),
+        ("omega", _float, 0.0),
+    )),
+    "lorentz_coupling": _Kind(_ENSEMBLE, spinbath.LorentzCouplingSpec, (
+        ("gamma", _positive_float, _REQUIRED),
+        ("omega", _float, 0.0),
+        ("n_spins", _positive_int, 1),
+        ("alpha", _complex, _HALF),
+        ("beta", _complex, _HALF),
+    )),
+}
+
+
+def _parse_model(doc: Any, path: str) -> tuple[str, Any, dict[str, Any]]:
+    """(kind, model object, the kind and its parsed fields) of the model section."""
+    doc = dict(_expect_mapping(doc, path))
+    if "kind" not in doc:
+        raise ConfigError(f"{path}.kind: required field is missing")
+    kind = doc.pop("kind")
+    entry = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+    fields = _section(doc, path, entry.fields)
+    if kind == "spin_bath":
+        _bath_amplitudes(fields)
+    return kind, _construct(entry.build, fields, path), {"kind": kind, **fields}
+
+
+_GRID_FIELDS: tuple[_Field, ...] = (
+    ("start", _float, _REQUIRED),
+    ("stop", _float, _REQUIRED),
+    ("count", _positive_int, _REQUIRED),
+)
 
 
 def _parse_grid(doc: Any, path: str) -> GridSpec:
-    doc = dict(_expect_mapping(doc, path))
-    start = _float(_pop(doc, "start", path + ".", required=True), path + ".start")
-    stop = _float(_pop(doc, "stop", path + ".", required=True), path + ".stop")
-    count = _int(_pop(doc, "count", path + ".", required=True), path + ".count", positive=True)
-    _reject_unknown(doc, path + ".")
-    if start < 0.0:
-        raise ConfigError(f"{path}.start: must be >= 0, got {start!r}")
-    if stop < start:
+    grid = GridSpec(**_section(doc, path, _GRID_FIELDS))
+    if grid.start < 0.0:
+        raise ConfigError(f"{path}.start: must be >= 0, got {grid.start!r}")
+    if grid.stop < grid.start:
         raise ConfigError(f"{path}.stop: must be >= start")
-    if count > 1 and stop == start:
+    if grid.count > 1 and grid.stop == grid.start:
         raise ConfigError(f"{path}.count: must be 1 when start == stop")
-    return GridSpec(start=start, stop=stop, count=count)
+    return grid
 
 
-def _parse_model(doc: Any) -> tuple[str, Any, dict]:
-    doc = dict(_expect_mapping(doc, "model"))
-    kind = _pop(doc, "kind", "model.", required=True)
-    canon: dict[str, Any] = {"kind": kind}
-    try:
-        if kind == "white":
-            gamma_w = _float(_pop(doc, "gamma_w", "model.", required=True), "model.gamma_w", positive=True)
-            _reject_unknown(doc, "model.")
-            canon["gamma_w"] = gamma_w
-            return kind, analytic.White(gamma_w=gamma_w), canon
-        if kind == "exp_corr_gauss":
-            g = _float(_pop(doc, "g", "model.", required=True), "model.g", positive=True)
-            tau_c = _float(_pop(doc, "tau_c", "model.", required=True), "model.tau_c", positive=True)
-            _reject_unknown(doc, "model.")
-            canon.update(g=g, tau_c=tau_c)
-            return kind, analytic.ExpCorrGauss(g=g, tau_c=tau_c), canon
-        if kind == "static_gauss":
-            g = _float(_pop(doc, "g", "model.", required=True), "model.g", positive=True)
-            _reject_unknown(doc, "model.")
-            canon["g"] = g
-            return kind, analytic.StaticGauss(g=g), canon
-        if kind == "static_lorentz":
-            gamma = _float(_pop(doc, "gamma", "model.", required=True), "model.gamma", positive=True)
-            omega = _float(_pop(doc, "omega", "model.", default=0.0), "model.omega")
-            _reject_unknown(doc, "model.")
-            canon.update(gamma=gamma, omega=omega)
-            return kind, analytic.StaticLorentz(gamma=gamma, omega=omega), canon
-        if kind == "spin_bath":
-            raw = _pop(doc, "couplings", "model.", required=True)
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("model.couplings: expected a non-empty list")
-            couplings = [_float(v, f"model.couplings[{i}]") for i, v in enumerate(raw)]
-            n = len(couplings)
-            half = 1.0 / math.sqrt(2.0)
-            raw_a = _pop(doc, "alphas", "model.", default=None)
-            raw_b = _pop(doc, "betas", "model.", default=None)
-            if (raw_a is None) != (raw_b is None):
-                raise ConfigError("model.alphas: alphas and betas must be given together")
-            if raw_a is None:
-                alphas = [complex(half, 0.0)] * n
-                betas = [complex(half, 0.0)] * n
-            else:
-                for name, raw_l in (("alphas", raw_a), ("betas", raw_b)):
-                    if not isinstance(raw_l, list) or len(raw_l) != n:
-                        raise ConfigError(f"model.{name}: expected a list of length {n}")
-                alphas = [_complex(v, f"model.alphas[{i}]") for i, v in enumerate(raw_a)]
-                betas = [_complex(v, f"model.betas[{i}]") for i, v in enumerate(raw_b)]
-            _reject_unknown(doc, "model.")
-            canon.update(
-                couplings=couplings,
-                alphas=[_c_json(a) for a in alphas],
-                betas=[_c_json(b) for b in betas],
-            )
-            return kind, spinbath.SpinBathSpec(couplings=couplings, alphas=alphas, betas=betas), canon
-        if kind == "scaled_spin_bath":
-            n_spins = _int(_pop(doc, "n_spins", "model.", required=True), "model.n_spins", positive=True)
-            g = _float(_pop(doc, "g", "model.", required=True), "model.g", positive=True)
-            omega = _float(_pop(doc, "omega", "model.", default=0.0), "model.omega")
-            _reject_unknown(doc, "model.")
-            canon.update(n_spins=n_spins, g=g, omega=omega)
-            return kind, spinbath.scaled_gaussian_bath(n_spins, g, omega), canon
-        if kind == "lorentz_coupling":
-            gamma = _float(_pop(doc, "gamma", "model.", required=True), "model.gamma", positive=True)
-            omega = _float(_pop(doc, "omega", "model.", default=0.0), "model.omega")
-            n_spins = _int(_pop(doc, "n_spins", "model.", default=1), "model.n_spins", positive=True)
-            half = 1.0 / math.sqrt(2.0)
-            alpha = _complex(_pop(doc, "alpha", "model.", default=half), "model.alpha")
-            beta = _complex(_pop(doc, "beta", "model.", default=half), "model.beta")
-            _reject_unknown(doc, "model.")
-            canon.update(gamma=gamma, omega=omega, n_spins=n_spins, alpha=_c_json(alpha), beta=_c_json(beta))
-            spec = spinbath.LorentzCouplingSpec(
-                gamma=gamma, omega=omega, n_spins=n_spins, alpha=alpha, beta=beta
-            )
-            return kind, spec, canon
-    except CpfError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    raise ConfigError(f"model.kind: unknown model kind {kind!r}")
+_MC_FIELDS: tuple[_Field, ...] = (
+    ("n_trajectories", _positive_int, _REQUIRED),
+    ("seed", _int, 0),
+    ("chunk_size", _optional(_positive_int), None),
+    ("path_dt", _optional(_positive_float), None),
+)
 
 
-def _parse_mc(doc: Any) -> tuple[McConfig, dict]:
-    doc = dict(_expect_mapping(doc, "mc"))
-    n = _int(_pop(doc, "n_trajectories", "mc.", required=True), "mc.n_trajectories", positive=True)
-    seed = _pop(doc, "seed", "mc.", default=0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"mc.seed: expected an integer, got {seed!r}")
-    chunk_size = _pop(doc, "chunk_size", "mc.", default=None)
-    if chunk_size is not None:
-        chunk_size = _int(chunk_size, "mc.chunk_size", positive=True)
-    path_dt = _pop(doc, "path_dt", "mc.", default=None)
-    if path_dt is not None:
-        path_dt = _float(path_dt, "mc.path_dt", positive=True)
-    _reject_unknown(doc, "mc.")
-    try:
-        cfg = McConfig(n_trajectories=n, seed=seed, chunk_size=chunk_size, path_dt=path_dt)
-    except ValueError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
-    canon: dict[str, Any] = {
-        "n_trajectories": cfg.n_trajectories,
-        "seed": cfg.seed,
-        "chunk_size": cfg.resolved_chunk_size,
-    }
-    if cfg.path_dt is not None:
-        canon["path_dt"] = cfg.path_dt
-    return cfg, canon
+def _parse_mc(doc: Any, path: str) -> McConfig:
+    """The mc section, its chunk size pinned so that the manifest records it."""
+    mc = _construct(McConfig, _section(doc, path, _MC_FIELDS), path)
+    return replace(mc, chunk_size=mc.resolved_chunk_size)
+
+
+def _parse_system_init(doc: Any, path: str) -> spinbath.SystemInit:
+    fields = _section(doc, path, (("a", _complex, _REQUIRED), ("b", _complex, _REQUIRED)))
+    return _construct(spinbath.SystemInit, fields, path)
+
+
+_CONFIG_FIELDS: tuple[_Field, ...] = (
+    ("model", _parse_model, _REQUIRED),
+    ("quantity", partial(_choice, options=QUANTITIES), _REQUIRED),
+    ("method", partial(_choice, options=METHODS), _REQUIRED),
+    ("t_grid", _parse_grid, _REQUIRED),
+    ("tau_grid", _optional(_parse_grid), None),
+    ("yx", _outcome, 1),
+    ("y_select", _outcome, 1),
+    ("mc", _optional(_parse_mc), None),
+    ("system_init", _optional(_parse_system_init), None),
+    ("output_path", _text, "cpfsim_out.csv"),
+)
+
+
+def _echo(value: Any) -> Any:
+    """The JSON form of a parsed value: dataclasses as objects without their
+    None fields, complex numbers as x or [re, im]."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _echo(v) for key, v in value.items() if v is not None}
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    if isinstance(value, complex):
+        return value.real if value.imag == 0.0 else [value.real, value.imag]
+    return value
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
@@ -419,116 +470,54 @@ def parse_config(doc: Any) -> ExperimentConfig:
     if doc.get("kind") == "cpfsim-run-manifest":
         doc = dict(_expect_mapping(doc.get("config"), "config"))
     doc.pop("sweep", None)  # sweep section is consumed by the sweep subcommand
+    values = _section(doc, "", _CONFIG_FIELDS)
+    kind, model, model_fields = values["model"]
+    quantity, method = values["quantity"], values["method"]
+    t_grid, tau_grid, mc = values["t_grid"], values["tau_grid"], values["mc"]
 
-    model_kind, model, model_canon = _parse_model(_pop(doc, "model", "", required=True))
-
-    quantity = _pop(doc, "quantity", "", required=True)
-    if quantity not in QUANTITIES:
-        raise ConfigError(f"quantity: unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    method = _pop(doc, "method", "", required=True)
-    if method not in METHODS:
-        raise ConfigError(f"method: unknown method {method!r}; expected one of {METHODS}")
-
-    allowed = MODEL_FAMILIES[model_kind].allowed.get(quantity, ())
+    allowed = MODEL_KINDS[kind].family.allowed.get(quantity, ())
     if method not in allowed:
         raise ConfigError(
             f"method: {method!r} does not support quantity {quantity!r} for model "
-            f"kind {model_kind!r} (allowed: {', '.join(allowed) or 'none'})"
+            f"kind {kind!r} (allowed: {', '.join(allowed) or 'none'})"
         )
-
-    t_grid = _parse_grid(_pop(doc, "t_grid", "", required=True), "t_grid")
-    raw_tau = _pop(doc, "tau_grid", "", default=None)
-    tau_grid = None if raw_tau is None else _parse_grid(raw_tau, "tau_grid")
     if tau_grid is not None and quantity in _T_ONLY:
         raise ConfigError(f"tau_grid: not used by t-only quantity {quantity!r}")
-    if (
-        tau_grid is not None
-        and quantity not in ("cpf_surface",)
-        and tau_grid.count != t_grid.count
-    ):
+    if tau_grid is not None and quantity != "cpf_surface" and tau_grid.count != t_grid.count:
         raise ConfigError(
             f"tau_grid.count: must equal t_grid.count ({t_grid.count}) for pointwise "
             f"quantity {quantity!r}, got {tau_grid.count}"
         )
+    if method in ("montecarlo", "sampling") and mc is None:
+        raise ConfigError(f"mc: required for method {method!r}")
+    if method not in ("montecarlo", "sampling") and mc is not None:
+        raise ConfigError(f"mc: not used by deterministic method {method!r}")
+    if values["system_init"] is not None and method != "oracle":
+        raise ConfigError("system_init: only used by the oracle method")
 
-    yx = _outcome(_pop(doc, "yx", "", default=1), "yx")
-    y_select = _outcome(_pop(doc, "y_select", "", default=1), "y_select")
+    canonical = _echo({**values, "model": model_fields})
+    values.update(model=model, system_init=values["system_init"] or spinbath.SystemInit.plus())
+    return ExperimentConfig(model_kind=kind, canonical=canonical, **values)
 
-    raw_mc = _pop(doc, "mc", "", default=None)
-    if method in ("montecarlo", "sampling"):
-        if raw_mc is None:
-            raise ConfigError(f"mc: required for method {method!r}")
-        mc, mc_canon = _parse_mc(raw_mc)
-    else:
-        if raw_mc is not None:
-            raise ConfigError(f"mc: not used by deterministic method {method!r}")
-        mc, mc_canon = None, None
 
-    raw_init = _pop(doc, "system_init", "", default=None)
-    if raw_init is None:
-        system_init = spinbath.SystemInit.plus()
-        init_canon = None
-    else:
-        if method != "oracle":
-            raise ConfigError("system_init: only used by the oracle method")
-        init_doc = dict(_expect_mapping(raw_init, "system_init"))
-        a = _complex(_pop(init_doc, "a", "system_init.", required=True), "system_init.a")
-        b = _complex(_pop(init_doc, "b", "system_init.", required=True), "system_init.b")
-        _reject_unknown(init_doc, "system_init.")
-        try:
-            system_init = spinbath.SystemInit(a=a, b=b)
-        except ValueError as exc:
-            raise ConfigError(f"system_init: {exc}") from exc
-        init_canon = {"a": _c_json(system_init.a), "b": _c_json(system_init.b)}
+def _read_json(path: str | Path) -> Any:
+    """The JSON document in the file at path; a ConfigError unless it is UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, huge integer
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
-    output_path = _pop(doc, "output_path", "", default="cpfsim_out.csv")
-    if not isinstance(output_path, str) or not output_path:
-        raise ConfigError(f"output_path: expected a non-empty string, got {output_path!r}")
-    _reject_unknown(doc, "")
 
-    canonical: dict[str, Any] = {
-        "model": model_canon,
-        "quantity": quantity,
-        "method": method,
-        "t_grid": {"start": t_grid.start, "stop": t_grid.stop, "count": t_grid.count},
-    }
-    if tau_grid is not None:
-        canonical["tau_grid"] = {
-            "start": tau_grid.start,
-            "stop": tau_grid.stop,
-            "count": tau_grid.count,
-        }
-    canonical.update(yx=yx, y_select=y_select)
-    if mc_canon is not None:
-        canonical["mc"] = mc_canon
-    if init_canon is not None:
-        canonical["system_init"] = init_canon
-    canonical["output_path"] = output_path
-
-    return ExperimentConfig(
-        model_kind=model_kind,
-        model=model,
-        quantity=quantity,
-        method=method,
-        t_grid=t_grid,
-        tau_grid=tau_grid,
-        yx=yx,
-        y_select=y_select,
-        mc=mc,
-        system_init=system_init,
-        output_path=output_path,
-        canonical=canonical,
-    )
+def _write_json(path: Path, doc: Any) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_config(doc)
+    return parse_config(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +572,7 @@ def _point_values(
 
 def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
     """Produce the long-format result rows for one experiment config."""
-    family = MODEL_FAMILIES[config.model_kind]
+    family = MODEL_KINDS[config.model_kind].family
     keys = _row_keys(config)
     t, tau = keys.t, keys.tau
     std_error = n_samples = None
@@ -653,10 +642,6 @@ def write_csv(rows: Results, path: Path) -> None:
             fh.write("".join(map(line.__mod__, fields)))
 
 
-def _manifest_path(csv_path: Path) -> Path:
-    return csv_path.with_name(csv_path.name + ".manifest.json")
-
-
 def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float) -> Path:
     manifest = {
         "kind": "cpfsim-run-manifest",
@@ -670,10 +655,8 @@ def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float)
         "wall_time_s": wall_time_s,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    path = _manifest_path(csv_path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    path = csv_path.with_name(csv_path.name + ".manifest.json")
+    _write_json(path, manifest)
     return path
 
 
@@ -681,14 +664,8 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     if getattr(args, "seed", None) is not None:
         if config.mc is None:
             raise ConfigError("--seed: config has no mc section to reseed")
-        mc = McConfig(
-            n_trajectories=config.mc.n_trajectories,
-            seed=args.seed,
-            chunk_size=config.mc.resolved_chunk_size,
-            path_dt=config.mc.path_dt,
-        )
-        config.mc = mc
-        config.canonical["mc"]["seed"] = mc.seed
+        config.mc = replace(config.mc, seed=args.seed)
+        config.canonical["mc"]["seed"] = config.mc.seed
     if getattr(args, "output", None) is not None:
         config.output_path = args.output
         config.canonical["output_path"] = args.output
@@ -703,8 +680,7 @@ def _run_config(config: ExperimentConfig, threads: int) -> tuple[Path, int, Path
     start = time.perf_counter()
     rows = evaluate_rows(config, workers=threads)
     csv_path = Path(config.output_path)
-    if csv_path.parent != Path("."):
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(rows, csv_path)
     return csv_path, len(rows), write_manifest(config, csv_path, time.perf_counter() - start)
 
@@ -717,10 +693,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _row_columns(keys: RowKeys) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """t, tau (None for t-only quantities) and label of every CSV row."""
+def _row_columns(keys: RowKeys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, tau and label of every CSV row; tau is -1 for t-only quantities (times are >= 0)."""
     n_labels = len(keys.labels)
-    tau = None if keys.tau is None else np.repeat(keys.tau, n_labels)
+    tau = np.full(len(keys), -1.0) if keys.tau is None else np.repeat(keys.tau, n_labels)
     return np.repeat(keys.t, n_labels), tau, np.tile(np.array(keys.labels), keys.t.size)
 
 
@@ -729,11 +705,7 @@ def _check_keys(keys_a: RowKeys, keys_b: RowKeys) -> None:
     if len(keys_a) != len(keys_b):
         raise GridMismatch(f"result sets have {len(keys_a)} vs {len(keys_b)} rows")
     (t_a, tau_a, q_a), (t_b, tau_b, q_b) = _row_columns(keys_a), _row_columns(keys_b)
-    differ = (t_a != t_b) | (q_a != q_b)
-    if tau_a is None or tau_b is None:
-        differ |= (tau_a is None) != (tau_b is None)
-    else:
-        differ |= tau_a != tau_b
+    differ = (t_a != t_b) | (tau_a != tau_b) | (q_a != q_b)
     if differ.any():
         row = int(np.argmax(differ))
         raise GridMismatch(
@@ -795,28 +767,14 @@ def _set_by_path(doc: dict, dotted: str, value: Any) -> None:
     node[parts[-1]] = value
 
 
-def _leg_suffix(assignment: list[tuple[str, Any]]) -> str:
-    # str of a float is its shortest round-tripping repr, so distinct values
-    # give distinct names
-    return "__".join(f"{key}={value}" for key, value in assignment)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            base_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    base_doc = _expect_mapping(base_doc, "")
+    base_doc = _expect_mapping(_read_json(args.config), "")
     sweep = base_doc.get("sweep")
     if not isinstance(sweep, dict) or not sweep:
         raise ConfigError("sweep: sweep subcommand needs a non-empty 'sweep' object")
     for key, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: expected a non-empty list of values")
-
-    import copy
-    import itertools
 
     keys = sorted(sweep)
     legs: dict[str, tuple[list[tuple[str, Any]], ExperimentConfig]] = {}
@@ -828,7 +786,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             _set_by_path(doc, key, value)
         config = _apply_overrides(parse_config(doc), args)
         out = Path(config.output_path)
-        leg_name = f"{out.stem}__{_leg_suffix(assignment)}{out.suffix or '.csv'}"
+        # str of a float is its shortest round-tripping repr: distinct values, distinct names
+        suffix = "__".join(f"{key}={value}" for key, value in assignment)
+        leg_name = f"{out.stem}__{suffix}{out.suffix or '.csv'}"
         config.output_path = str(out.with_name(leg_name))
         config.canonical["output_path"] = config.output_path
         if config.output_path in legs:
@@ -854,9 +814,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"wrote {csv_path} ({label})")
     finally:
         index_path = Path(next(iter(legs))).with_name("sweep_manifest.json")
-        with open(index_path, "w", encoding="utf-8") as fh:
-            json.dump({"kind": "cpfsim-sweep-manifest", "legs": written}, fh, indent=2)
-            fh.write("\n")
+        _write_json(index_path, {"kind": "cpfsim-sweep-manifest", "legs": written})
         if not args.quiet:
             print(f"wrote {index_path}")
     return 0
@@ -865,22 +823,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from . import acceptance
 
-    if args.criteria:
-        try:
-            numbers = [int(v) for v in args.criteria.split(",")]
-        except ValueError:
-            print(f"selftest: bad --criteria value {args.criteria!r}", file=sys.stderr)
-            return 2
-        results = []
-        for number in numbers:
-            result = acceptance.run_criterion(number, workers=args.threads)
-            results.append(result)
-            print(result.line())
-            if args.verbose or not result.passed:
-                for line in result.details:
-                    print("      " + line)
-    else:
-        results = acceptance.run_all(workers=args.threads, verbose=args.verbose)
+    known = [number for number, _, _ in acceptance.CRITERIA]
+    try:
+        numbers = [int(v) for v in args.criteria.split(",")] if args.criteria else known
+    except ValueError:
+        numbers = None
+    if numbers is None or not set(numbers) <= set(known):
+        print(f"selftest: bad --criteria value {args.criteria!r}", file=sys.stderr)
+        return 2
+    results = acceptance.run_all(workers=args.threads, verbose=args.verbose, numbers=numbers)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -895,6 +846,17 @@ def _threads(text: str) -> int:
     return min(value, os.cpu_count() or 1)
 
 
+def _tolerance(text: str) -> float:
+    """--sigma-tol and --abs-tol value: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpfsim",
@@ -906,35 +868,33 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="config or manifest JSON path")
     run.add_argument("--output", help="override the config output_path")
     run.add_argument("--seed", type=int, help="override mc.seed")
-    run.add_argument("--threads", type=_threads, default=1,
-                     help="worker threads, capped at the CPU count (default 1)")
-    run.add_argument("--quiet", action="store_true")
     run.set_defaults(func=_cmd_run)
 
     comp = sub.add_parser("compare", help="check two result sets agree on a shared grid")
     comp.add_argument("--config-a", required=True)
     comp.add_argument("--config-b", required=True)
-    comp.add_argument("--sigma-tol", type=float, default=3.0,
+    comp.add_argument("--sigma-tol", type=_tolerance, default=3.0,
                       help="allowed |a-b| in combined std errors (default 3)")
-    comp.add_argument("--abs-tol", type=float, default=1e-9,
+    comp.add_argument("--abs-tol", type=_tolerance, default=1e-9,
                       help="absolute tolerance for deterministic pairs (default 1e-9)")
-    comp.add_argument("--threads", type=_threads, default=1)
-    comp.add_argument("--quiet", action="store_true")
     comp.set_defaults(func=_cmd_compare)
 
     sweep = sub.add_parser("sweep", help="expand the config's sweep section into runs")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--output", help="override the base output_path")
     sweep.add_argument("--seed", type=int, help="override mc.seed for every leg")
-    sweep.add_argument("--threads", type=_threads, default=1)
-    sweep.add_argument("--quiet", action="store_true")
     sweep.set_defaults(func=_cmd_sweep)
 
     self_p = sub.add_parser("selftest", help="run the acceptance criteria")
     self_p.add_argument("--criteria", help="comma separated criterion numbers (default all)")
-    self_p.add_argument("--threads", type=_threads, default=1)
     self_p.add_argument("--verbose", action="store_true", help="print detail lines for passes too")
     self_p.set_defaults(func=_cmd_selftest)
+
+    for command in (run, comp, sweep, self_p):
+        command.add_argument("--threads", type=_threads, default=1,
+                             help="worker threads, capped at the CPU count (default 1)")
+        if command is not self_p:
+            command.add_argument("--quiet", action="store_true")
     return parser
 
 

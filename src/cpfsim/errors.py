@@ -45,18 +45,6 @@ class UndefinedCorrelation(CpfError):
     """The noise model has no finite second-moment correlation function."""
 
 
-class DeltaSingularCorrelation(CpfError):
-    """chi(0) is a Dirac delta; only the integrated weight is meaningful.
-
-    Carries the delta weight so callers that understand the singularity can
-    still retrieve it.
-    """
-
-    def __init__(self, message: str, weight: float):
-        super().__init__(message)
-        self.weight = weight
-
-
 class ConfigError(CpfError):
     """Experiment configuration file is malformed or inconsistent."""
 

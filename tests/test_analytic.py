@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from cpfsim import analytic, core
-from cpfsim.errors import DeltaSingularCorrelation, UndefinedCorrelation
+from cpfsim.errors import UndefinedCorrelation
 
 ALL_MODELS = (
     analytic.White(0.8),
@@ -56,35 +56,6 @@ def test_model_parameter_validation():
 def test_model_tags():
     tags = [analytic.model_tag(m) for m in ALL_MODELS]
     assert tags == ["white", "exp_corr_gauss", "static_gauss", "static_lorentz"]
-
-
-# ---------------------------------------------------------------------------
-# correlation functions
-
-def test_white_correlation_is_delta():
-    with pytest.raises(DeltaSingularCorrelation) as err:
-        analytic.correlation_function(analytic.White(0.8), 0.0)
-    # delta weight gamma_w, so that Var theta(t) = gamma_w t and f = e^{-2 gamma_w t}
-    assert err.value.weight == pytest.approx(0.8)
-    assert analytic.correlation_function(analytic.White(0.8), 0.3) == 0.0
-
-
-def test_static_gauss_correlation_constant():
-    model = analytic.StaticGauss(0.9)
-    for dt in (0.0, 0.4, 2.0):
-        assert analytic.correlation_function(model, dt) == pytest.approx(0.81)
-
-
-def test_ou_correlation_exponential():
-    model = analytic.ExpCorrGauss(1.2, 0.7)
-    assert analytic.correlation_function(model, 0.0) == pytest.approx(1.44)
-    got = analytic.correlation_function(model, 0.35)
-    assert got == pytest.approx(1.44 * math.exp(-0.5))
-
-
-def test_lorentz_correlation_undefined():
-    with pytest.raises(UndefinedCorrelation):
-        analytic.correlation_function(analytic.StaticLorentz(1.0), 0.1)
 
 
 # ---------------------------------------------------------------------------

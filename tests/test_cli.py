@@ -4,12 +4,20 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cpfsim import analytic, cli, core, spinbath
 from cpfsim.errors import ConfigError
+
+
+# a spin_bath config for the oracle method, which alone takes a system_init
+ORACLE = {"model": {"kind": "spin_bath", "couplings": [0.5, 1.0]}, "method": "oracle"}
 
 
 def base_config(**overrides):
@@ -80,12 +88,104 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(t_grid={"start": 1.0, "stop": 0.5, "count": 3}), "t_grid"),
         (lambda d: d.update(output_path=""), "output_path"),
         (lambda d: d.update(t_grid={"start": -1.0, "stop": 0.5, "count": 3}), "t_grid.start"),
+        # one case per field text of each section
+        (lambda d: d.pop("model"), "model: required field is missing"),
+        (lambda d: d.update(model=[1]), "model: expected a JSON object, got list"),
+        (lambda d: d.update(model={"gamma_w": 1}), "model.kind: required field is missing"),
+        (lambda d: d.update(model={"kind": ["white"]}), "model.kind: unknown model kind ['white']"),
+        (lambda d: d.update(model={"kind": "white"}), "model.gamma_w: required field is missing"),
+        (lambda d: d.update(model={"kind": "white", "gamma_w": "x"}),
+         "model.gamma_w: expected a number, got 'x'"),
+        (lambda d: d.update(model={"kind": "white", "gamma_w": 0}), "model.gamma_w: must be > 0, got 0"),
+        (lambda d: d.update(model={"kind": "white", "gamma_w": 10**400}),
+         "model.gamma_w: must be finite, got 1000000"),
+        (lambda d: d.update(model={"kind": "exp_corr_gauss", "g": 0.9}),
+         "model.tau_c: required field is missing"),
+        (lambda d: d.update(model={"kind": "exp_corr_gauss", "g": 0.9, "tau_c": 0.0}),
+         "model.tau_c: must be > 0, got 0.0"),
+        (lambda d: d.update(model={"kind": "static_gauss", "g": True}),
+         "model.g: expected a number, got True"),
+        (lambda d: d.update(model={"kind": "static_lorentz", "gamma": 0.6, "omega": math.nan}),
+         "model.omega: must be finite, got nan"),
+        (lambda d: d.update(model={"kind": "static_lorentz", "omega": 0.9}),
+         "model.gamma: required field is missing"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": 3}),
+         "model.couplings: expected a non-empty list"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, "x"]}),
+         "model.couplings[1]: expected a number, got 'x'"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0], "alphas": [1, 0]}),
+         "model.alphas: alphas and betas must be given together"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
+                                   "alphas": [1.0], "betas": [0.0, 0.0]}),
+         "model.alphas: expected a list of length 2"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
+                                   "alphas": [1.0, 1.0], "betas": 0.0}),
+         "model.betas: expected a list of length 2"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
+                                   "alphas": [1.0, "x"], "betas": [0.0, 0.0]}),
+         "model.alphas[1]: expected a number or [re, im] pair, got 'x'"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
+                                   "alphas": [1.0, 1.0], "betas": [[0, 0, 0], 0.0]}),
+         "model.betas[0]: expected a number or [re, im] pair, got [0, 0, 0]"),
+        (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
+                                   "alphas": [1.0, [10**400, 0]], "betas": [0.0, 0.0]}),
+         "model: per-spin amplitudes must satisfy |alpha|^2+|beta|^2=1"),
+        (lambda d: d.update(model={"kind": "scaled_spin_bath", "n_spins": 1.5, "g": 0.9}),
+         "model.n_spins: expected an integer, got 1.5"),
+        (lambda d: d.update(model={"kind": "scaled_spin_bath", "n_spins": 0, "g": 0.9}),
+         "model.n_spins: must be > 0, got 0"),
+        (lambda d: d.update(model={"kind": "scaled_spin_bath", "n_spins": 2, "g": 0.9, "omega": "w"}),
+         "model.omega: expected a number, got 'w'"),
+        (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "alpha": "a"}),
+         "model.alpha: expected a number or [re, im] pair, got 'a'"),
+        (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "beta": 0.5}),
+         "model: bath spin amplitudes must satisfy |a|^2+|b|^2=1, got 0.7499999999999999"),
+        (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "alpha": [0, -10**400]}),
+         "model: bath spin amplitudes must be finite"),
+        (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "zeta": 1, "aaa": 2}),
+         "model.aaa: unknown field"),
+        (lambda d: d.update(t_grid=5), "t_grid: expected a JSON object, got int"),
+        (lambda d: d.update(t_grid={"start": 0, "stop": 1}), "t_grid.count: required field is missing"),
+        (lambda d: d.update(t_grid={"start": 0, "stop": 1, "count": 5.0}),
+         "t_grid.count: expected an integer, got 5.0"),
+        (lambda d: d.update(t_grid={"start": "0", "stop": 1, "count": 5}),
+         "t_grid.start: expected a number, got '0'"),
+        (lambda d: d.update(tau_grid={"start": 1, "stop": 1, "count": 5}),
+         "tau_grid.count: must be 1 when start == stop"),
+        (lambda d: d.update(tau_grid={"start": 0, "stop": 1, "count": 5, "step": 0.1}),
+         "tau_grid.step: unknown field"),
+        (lambda d: d.update(method="montecarlo", mc=5), "mc: expected a JSON object, got int"),
+        (lambda d: d.update(method="montecarlo", mc={"seed": 1}),
+         "mc.n_trajectories: required field is missing"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 0}),
+         "mc.n_trajectories: must be > 0, got 0"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "seed": "1"}),
+         "mc.seed: expected an integer, got '1'"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "chunk_size": 0}),
+         "mc.chunk_size: must be > 0, got 0"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "chunk_size": 20}),
+         "mc: chunk_size must be in [1, n_trajectories], got 20"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "path_dt": "x"}),
+         "mc.path_dt: expected a number, got 'x'"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "path_dt": 0}),
+         "mc.path_dt: must be > 0, got 0"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "threads": 2}),
+         "mc.threads: unknown field"),
+        (lambda d: d.update(ORACLE, system_init=[1, 0]), "system_init: expected a JSON object, got list"),
+        (lambda d: d.update(ORACLE, system_init={"a": 1.0}), "system_init.b: required field is missing"),
+        (lambda d: d.update(ORACLE, system_init={"a": "1", "b": 0}),
+         "system_init.a: expected a number or [re, im] pair, got '1'"),
+        (lambda d: d.update(ORACLE, system_init={"a": 1.0, "b": 1.0}),
+         "system_init: system amplitudes must satisfy |a|^2+|b|^2=1, got 2.0"),
+        (lambda d: d.update(ORACLE, system_init={"a": 1.0, "b": 0.0, "c": 0}),
+         "system_init.c: unknown field"),
+        (lambda d: d.update(output_path=3), "output_path: expected a non-empty string, got 3"),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate, fragment):
     doc = base_config()
     mutate(doc)
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
         cli.parse_config(doc)
 
 
@@ -123,7 +223,7 @@ MODELS = {
 DETERMINISTIC = [
     (kind, quantity, method)
     for kind in MODELS
-    for quantity, methods in cli.MODEL_FAMILIES[kind].allowed.items()
+    for quantity, methods in cli.MODEL_KINDS[kind].family.allowed.items()
     for method in methods
     if method in ("analytic", "oracle")
 ]
@@ -367,9 +467,16 @@ def test_exit_code_missing_config(tmp_path, capsys):
 
 def test_exit_code_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    assert cli.main(["run", "--config", str(bad)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for content, message in [
+        (b"{ not json", "invalid JSON at line 1"),
+        (b'{"model": "\xff"}', "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 11"),
+        (b"[" + b"1" * 5000 + b"]", "invalid JSON: Exceeds the limit"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+    ]:
+        bad.write_bytes(content)
+        for command in ("run", "sweep"):
+            assert cli.main([command, "--config", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {bad}: {message}")
 
 
 def test_exit_code_domain_error(tmp_path, capsys):
@@ -413,6 +520,15 @@ def test_threads_below_one_rejected(command, value, capsys):
         cli.main([*command, "--threads", value])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+@pytest.mark.parametrize("flag", ["--sigma-tol", "--abs-tol"])
+def test_compare_tolerance_must_be_finite_and_nonnegative(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--config-a", "a.json", "--config-b", "b.json", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cpus, want", [(2, 2), (None, 1)])
@@ -585,4 +701,54 @@ def test_selftest_single_criterion(capsys):
 
 
 def test_selftest_rejects_bad_criteria(capsys):
-    assert cli.main(["selftest", "--criteria", "four"]) == 2
+    for value in ("four", "11", "1,,2", "4,11"):
+        assert cli.main(["selftest", "--criteria", value]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""  # rejected before any criterion runs
+        assert out.err == f"selftest: bad --criteria value {value!r}\n"
+
+
+# ---------------------------------------------------------------------------
+# import cost, stored manifests, README
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_import_does_not_load_thread_pool():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cpfsim.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# spin_bath with complex amplitudes (oracle), and a Monte Carlo run with mc.path_dt
+@pytest.mark.parametrize("name", ["spin_bath_oracle", "ou_montecarlo"])
+def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
+    manifest = ROOT / "tests" / "data" / "manifests_0.3.0" / f"{name}.csv.manifest.json"
+    stored = json.loads(manifest.read_text())
+    assert stored["versions"]["cpfsim"] == "0.3.0"
+    assert cli.load_config(manifest).canonical == stored["config"]
+    redo = tmp_path / "redo.csv"
+    assert cli.main(["run", "--config", str(manifest), "--output", str(redo), "--quiet"]) == 0
+    assert redo.read_bytes() == manifest.with_name(stored["outputs"][0]).read_bytes()
+    rerun = json.loads((tmp_path / "redo.csv.manifest.json").read_text())
+    assert rerun["config"] == dict(stored["config"], output_path=str(redo))
+
+
+def readme_model_kinds():
+    """kind -> field names, from the README's "Model kinds:" paragraph."""
+    text = (ROOT / "README.md").read_text()
+    paragraph = text[text.index("Model kinds:"):].split("\n\n")[0]
+    return {
+        kind: {name.strip() for name in fields.split(";")[0].split(",")}
+        for kind, fields in re.findall(r"`(\w+)`\s*\(([^)]*)\)", paragraph)
+    }
+
+
+def test_readme_lists_every_model_kind_and_field():
+    table = {kind: {name for name, _, _ in entry.fields} for kind, entry in cli.MODEL_KINDS.items()}
+    assert readme_model_kinds() == table

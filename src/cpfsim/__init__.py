@@ -10,6 +10,6 @@ Subpackages:
 
 from . import analytic, core, errors, spinbath, stochastic
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = ["analytic", "core", "errors", "spinbath", "stochastic", "__version__"]

@@ -81,13 +81,6 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
 
 
-def aux_stream(seed: int, tag: int) -> np.random.Generator:
-    """Generator for side tasks (e.g. bootstrap), disjoint from all chunks."""
-    if tag < 1:
-        raise ValueError("tag must be >= 1 to stay clear of the chunk key")
-    return np.random.Generator(np.random.Philox(key=(int(tag) << 64) | seed))
-
-
 def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
     """Run worker(chunk_index, chunk_n) for every chunk, results in order."""
     sizes = chunk_sizes(cfg)
@@ -129,6 +122,15 @@ class MomentStats:
         s = cols.sum(axis=0)
         d = cols - s / n
         return cls(n, s, d.T @ d)
+
+    @classmethod
+    def from_counts(cls, rows: np.ndarray, counts: np.ndarray) -> MomentStats:
+        """from_samples of rows[k] (integers) repeated counts[k] times: exact column
+        sums, and no (n_samples, dim) array."""
+        n = int(counts.sum())
+        s = counts @ rows
+        d = rows - s / n
+        return cls(n, s.astype(float), (d.T * counts) @ d)
 
     def merge(self, other: MomentStats) -> MomentStats:
         n = self.n + other.n

@@ -287,9 +287,9 @@ def _floats(value: Any, path: str) -> list[float]:
 
 
 def _outcome(value: Any, path: str) -> int:
-    if value not in (1, -1):
+    if type(value) is not int or value not in (1, -1):  # not True, not 1.0
         raise ConfigError(f"{path}: expected +1 or -1, got {value!r}")
-    return int(value)
+    return value
 
 
 def _complex(value: Any, path: str) -> complex:
@@ -394,6 +394,9 @@ def _parse_model(doc: Any, path: str) -> tuple[str, Any, dict[str, Any]]:
     return kind, _construct(entry.build, fields, path), {"kind": kind, **fields}
 
 
+# Most evaluation points of one grid, or of a cpf_surface: a 1024 x 1024 surface.
+_MAX_POINTS = 2**20
+
 _GRID_FIELDS: tuple[_Field, ...] = (
     ("start", _float, _REQUIRED),
     ("stop", _float, _REQUIRED),
@@ -409,6 +412,8 @@ def _parse_grid(doc: Any, path: str) -> GridSpec:
         raise ConfigError(f"{path}.stop: must be >= start")
     if grid.count > 1 and grid.stop == grid.start:
         raise ConfigError(f"{path}.count: must be 1 when start == stop")
+    if grid.count > _MAX_POINTS:
+        raise ConfigError(f"{path}.count: must be <= {_MAX_POINTS}, got {grid.count}")
     return grid
 
 
@@ -487,6 +492,12 @@ def parse_config(doc: Any) -> ExperimentConfig:
         raise ConfigError(
             f"tau_grid.count: must equal t_grid.count ({t_grid.count}) for pointwise "
             f"quantity {quantity!r}, got {tau_grid.count}"
+        )
+    n_tau = (tau_grid or t_grid).count
+    if quantity == "cpf_surface" and t_grid.count * n_tau > _MAX_POINTS:
+        raise ConfigError(
+            f"quantity: cpf_surface of {t_grid.count} x {n_tau} points is over the "
+            f"{_MAX_POINTS}-point limit"
         )
     if method in ("montecarlo", "sampling") and mc is None:
         raise ConfigError(f"mc: required for method {method!r}")

@@ -294,11 +294,12 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 # ---------------------------------------------------------------------------
 # Cauchy-coupling ensemble: Monte Carlo
 
-def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float):
-    """Sampler of the per-realization (f_t, f_tau, f_joint, CPF) columns."""
+def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
+    """Sampler of the per-realization (f_t, f_tau, f_joint, CPF) columns, or of
+    the f_t column alone when tau is None."""
     n = spec.n_spins
     amplitudes = [(spec.alpha, spec.beta)] * n
-    lags = np.array([[t], [tau], [t + tau], [t - tau]])
+    lags = np.array([[t]] if tau is None else [[t], [tau], [t + tau], [t - tau]])
     half_w = 0.5 * spec.omega
     half_g = 0.5 * spec.gamma
 
@@ -312,6 +313,8 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float):
         g += half_w
         g /= n
         re, _ = _spin_product(g.T, amplitudes, lags)
+        if tau is None:
+            return re.T
         f_joint = 0.5 * (re[2] + re[3])
         return np.column_stack([re[0], re[1], f_joint, f_joint - re[0] * re[1]])
 
@@ -331,9 +334,11 @@ def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
 
 
 def _ensemble_stats(
-    spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int
+    spec: LorentzCouplingSpec, t: float, tau: float | None, cfg: McConfig, workers: int
 ) -> MomentStats:
-    t, tau = validate_times(t, tau)
+    """MomentStats of _ensemble_cols(spec, t, tau) over the Cauchy ensemble."""
+    t, tau_checked = validate_times(t, 0.0 if tau is None else tau)
+    tau = None if tau is None else tau_checked
     need = _ensemble_chunk_bytes(spec, cfg)
     if need > ENSEMBLE_MAX_BYTES:
         raise BathTooLarge(
@@ -348,7 +353,7 @@ def lorentz_mc_coherence(
     spec: LorentzCouplingSpec, t: float, cfg: McConfig, workers: int = 1
 ) -> core.Estimate:
     """Ensemble-averaged Re c_t by direct Cauchy sampling."""
-    return _ensemble_stats(spec, t, 0.0, cfg, workers).estimate(0)
+    return _ensemble_stats(spec, t, None, cfg, workers).estimate(0)
 
 
 def lorentz_mc_moments(

@@ -38,7 +38,6 @@ from . import analytic, core
 from ._mc import (
     McConfig,
     MomentStats,
-    aux_stream,
     chunk_stream,
     collect_moments,
     map_chunks,
@@ -56,7 +55,8 @@ __all__ = [
     "ou_path_reference",
 ]
 
-BOOTSTRAP_RESAMPLES = 200
+# (z, x, zx) of the kept cells in the ravel order of counts[y_idx] (index 0 is +1)
+_ZX_ROWS = np.array([(z, x, z * x) for z in core.OUTCOMES for x in core.OUTCOMES])
 
 
 def _phase_arrays(
@@ -157,28 +157,10 @@ def _outcome_counts(
         y = np.where(u[:, 1] < p_y, 1, -1)
         p_z = 0.5 * (1.0 + y * np.cos(2.0 * th2))
         z = np.where(u[:, 2] < p_z, 1, -1)
-        counts = np.zeros((2, 2, 2), dtype=np.int64)
-        yi = (1 - y) // 2
-        zi = (1 - z) // 2
-        xi = (1 - x) // 2
-        np.add.at(counts, (yi, zi, xi), 1)
-        return counts
+        # cell index 4 y_idx + 2 z_idx + x_idx
+        return np.bincount(2 * (1 - y) + (1 - z) + (1 - x) // 2, minlength=8)
 
-    parts = map_chunks(worker, cfg, workers)
-    total = np.zeros((2, 2, 2), dtype=np.int64)
-    for p in parts:
-        total += p
-    return total
-
-
-def _cpf_of_counts(counts_zx: np.ndarray) -> float:
-    """Connected zx correlation of a 2x2 count table (index 0 -> +1)."""
-    n = counts_zx.sum()
-    sign = np.array([1.0, -1.0])
-    pz = counts_zx.sum(axis=1) / n
-    px = counts_zx.sum(axis=0) / n
-    mean_zx = float(sign @ (counts_zx / n) @ sign)
-    return mean_zx - float(sign @ pz) * float(sign @ px)
+    return sum(map_chunks(worker, cfg, workers)).reshape(2, 2, 2)
 
 
 def mc_cpf_sampling(
@@ -192,26 +174,20 @@ def mc_cpf_sampling(
     """CPF from literal postselection on the sampled middle outcome.
 
     Generates one outcome triple per trajectory, keeps those with
-    y == y_select, and returns <zx> - <z><x> over the kept set.  The
-    standard error is a bootstrap over the four (z, x) category counts
-    (multinomial resampling, 200 replicas, deterministic auxiliary stream).
+    y == y_select, and returns <zx> - <z><x> over the kept set.  The kept
+    (z, x) counts are the MomentStats of the kept trajectories' (z, x, zx)
+    columns, so the standard error is the delta-method error every other
+    estimator reports.  It is too small, down to 0, where nearly every kept
+    trajectory falls in one (z, x) cell, as at short times.
     """
     y_select = core.validate_outcome(y_select, "y_select")
     t, tau = validate_times(t, tau)
-    counts = _outcome_counts(model, t, tau, cfg, workers)
-    kept = counts[(1 - y_select) // 2]
-    n_kept = int(kept.sum())
-    if n_kept == 0:
+    kept = _outcome_counts(model, t, tau, cfg, workers)[(1 - y_select) // 2]
+    if not kept.any():
         raise EmptyPostselection(
             f"no trajectory produced y = {y_select:+d} out of {cfg.n_trajectories}"
         )
-    value = _cpf_of_counts(kept)
-    probs = (kept / n_kept).ravel()
-    boot = aux_stream(cfg.seed, tag=1)
-    resamples = boot.multinomial(n_kept, probs, size=BOOTSTRAP_RESAMPLES)
-    replicas = [_cpf_of_counts(r.reshape(2, 2)) for r in resamples]
-    se = float(np.std(replicas, ddof=1)) if n_kept > 1 else 0.0
-    return core.Estimate(value, se, n_kept)
+    return MomentStats.from_counts(_ZX_ROWS, kept.ravel()).cpf()
 
 
 def ou_path_reference(

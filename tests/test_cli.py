@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import cpfsim
 from cpfsim import analytic, cli, core, spinbath
 from cpfsim.errors import ConfigError
 
@@ -80,6 +81,8 @@ def test_parse_config_accepts_manifest_document():
          "t-only"),
         (lambda d: d.update(tau_grid={"start": 0, "stop": 1, "count": 4}), "must equal"),
         (lambda d: d.update(yx=0), "yx"),
+        (lambda d: d.update(yx=True), "yx: expected +1 or -1, got True"),
+        (lambda d: d.update(y_select=1.0), "y_select: expected +1 or -1, got 1.0"),
         (lambda d: d.update(system_init={"a": 1.0, "b": 0.0}), "oracle"),
         (lambda d: d.update(model={"kind": "pink"}), "kind"),
         (lambda d: d.update(model={"kind": "white", "gamma_w": -1.0}), "gamma_w"),
@@ -154,6 +157,13 @@ def test_parse_config_accepts_manifest_document():
          "tau_grid.count: must be 1 when start == stop"),
         (lambda d: d.update(tau_grid={"start": 0, "stop": 1, "count": 5, "step": 0.1}),
          "tau_grid.step: unknown field"),
+        (lambda d: d.update(t_grid={"start": 0, "stop": 1, "count": 10**20}),
+         "t_grid.count: must be <= 1048576, got 100000000000000000000"),
+        (lambda d: d.update(quantity="cpf_surface", t_grid={"start": 0, "stop": 1, "count": 1025}),
+         "quantity: cpf_surface of 1025 x 1025 points is over the 1048576-point limit"),
+        (lambda d: d.update(quantity="cpf_surface", t_grid={"start": 0, "stop": 1, "count": 2**20},
+                            tau_grid={"start": 0, "stop": 1, "count": 2}),
+         "quantity: cpf_surface of 1048576 x 2 points is over the 1048576-point limit"),
         (lambda d: d.update(method="montecarlo", mc=5), "mc: expected a JSON object, got int"),
         (lambda d: d.update(method="montecarlo", mc={"seed": 1}),
          "mc.n_trajectories: required field is missing"),
@@ -479,6 +489,17 @@ def test_exit_code_invalid_json(tmp_path, capsys):
             assert capsys.readouterr().err.startswith(f"config error: {bad}: {message}")
 
 
+def test_exit_code_grid_over_point_limit(tmp_path, capsys):
+    # rejected at parse time: neither grid is ever built
+    doc = base_config(t_grid={"start": 0.0, "stop": 1.0, "count": 10**20}, output_path="never.csv")
+    code, out = run_cli(tmp_path, doc)
+    assert code == 2 and not out.exists()
+    assert "t_grid.count: must be <= 1048576" in capsys.readouterr().err
+    # the largest surface still parses
+    grid = {"start": 0.0, "stop": 1.0, "count": 1024}
+    assert cli.parse_config(base_config(quantity="cpf_surface", t_grid=grid)).t_grid.count == 1024
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     # conditioning on yx = -1 at t = 0 selects a zero-probability branch
     doc = base_config(
@@ -737,6 +758,17 @@ def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
     assert redo.read_bytes() == manifest.with_name(stored["outputs"][0]).read_bytes()
     rerun = json.loads((tmp_path / "redo.csv.manifest.json").read_text())
     assert rerun["config"] == dict(stored["config"], output_path=str(redo))
+
+
+def test_package_version_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        version = tomllib.loads(text)["project"]["version"]
+    else:
+        version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert cpfsim.__version__ == version
 
 
 def readme_model_kinds():

@@ -112,3 +112,21 @@ def test_ensemble_realizations_follow_the_spin_bath_product_formula(spec, seed, 
         want = spinbath.moment_set(bath, t, tau)
         assert cols[j, 0] == want.f_t and cols[j, 1] == want.f_tau
         assert cols[j, 2] == want.f_joint and cols[j, 3] == core.cpf_from_moments(want)
+
+
+@given(st.lists(st.integers(0, 2_000), min_size=4, max_size=4).filter(any))
+def test_moment_stats_from_counts_equals_from_samples_of_the_expanded_rows(counts):
+    # a random 2x2 (z, x) count table, cells in the order of stochastic._ZX_ROWS
+    rows, counts = stochastic._ZX_ROWS, np.array(counts)
+    got = _mc.MomentStats.from_counts(rows, counts)
+    want = _mc.MomentStats.from_samples(np.repeat(rows.astype(float), counts, axis=0))
+    assert got.n == want.n and np.all(got.s == want.s)
+    np.testing.assert_allclose(got.m2, want.m2, rtol=1e-9, atol=1e-9 * want.n)
+
+
+@given(lorentz_specs(), st.integers(0, 2**32 - 1), st.integers(1, 40), times, times)
+def test_ensemble_coherence_draw_is_the_first_lag_of_the_four_lag_draw(spec, seed, m, t, tau):
+    one = spinbath._ensemble_cols(spec, t, None)(_mc.chunk_stream(seed, 0), m)
+    four = spinbath._ensemble_cols(spec, t, tau)(_mc.chunk_stream(seed, 0), m)
+    assert one.shape == (m, 1)
+    assert np.all(one[:, 0] == four[:, 0])

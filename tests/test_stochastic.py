@@ -141,6 +141,26 @@ def test_mc_cpf_sampling_n_samples_is_kept_count():
     assert abs(est.n_samples - 50_000) < 4 * math.sqrt(25_000)
 
 
+def _kept_rows(kept: np.ndarray) -> np.ndarray:
+    """The (z, x, zx) rows of the kept trajectories, expanded from their 2x2 counts."""
+    cells = [(z, x, z * x) for z in core.OUTCOMES for x in core.OUTCOMES]
+    return np.repeat(np.array(cells, dtype=float), kept.ravel(), axis=0)
+
+
+# one chunk, and two unequal chunks (30,000 + 20,000)
+@pytest.mark.parametrize("n, chunk_size", [(20_000, None), (50_000, 30_000)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampling_estimate_is_the_moment_accumulator_of_the_kept_rows(n, chunk_size, workers):
+    cfg = McConfig(n_trajectories=n, seed=17, chunk_size=chunk_size)
+    for model, t, tau, y_select in ((OU, 1.0, 0.8, +1), (GAUSS, 0.5, 1.5, -1), (WHITE, 0.3, 0.3, +1)):
+        kept = stochastic._outcome_counts(model, t, tau, cfg, workers)[(1 - y_select) // 2]
+        want = _mc.MomentStats.from_samples(_kept_rows(kept)).cpf()
+        got = stochastic.mc_cpf_sampling(model, t, tau, y_select, cfg, workers)
+        assert got.n_samples == want.n_samples == kept.sum()
+        assert abs(got.value - want.value) <= 1e-15
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # error bars are honest
 
@@ -174,7 +194,7 @@ def test_semianalytic_error_bar_survives_nearly_constant_columns():
         assert est.std_error == pytest.approx(two_pass, rel=0.1)
 
 
-def test_sampling_bootstrap_error_bar_is_honest():
+def test_sampling_error_bar_is_honest():
     truth = analytic.cpf(GAUSS, 1.0, 1.0)
     pulls = []
     for seed in range(40):

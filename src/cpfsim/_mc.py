@@ -21,6 +21,10 @@ from .core import Estimate
 from .errors import ZeroProbabilityPostselection
 
 DEFAULT_CHUNK_SIZE = 1 << 16
+# McConfig rejects a run layout past either bound, so that neither one chunk's
+# draw (several arrays of chunk_size rows) nor the list of chunks exhausts memory.
+MAX_CHUNK_SIZE = 1 << 20
+MAX_CHUNKS = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -33,9 +37,10 @@ class McConfig:
     """Monte Carlo run parameters.
 
     chunk_size defaults to min(2**16, n_trajectories) and must not exceed
-    n_trajectories; it is part of the reproducibility contract (it fixes the
-    random-stream layout).  path_dt is only consumed by path-integrating
-    samplers; None selects a model-dependent default.
+    n_trajectories or MAX_CHUNK_SIZE, and the run must split into at most
+    MAX_CHUNKS chunks; chunk_size is part of the reproducibility contract (it
+    fixes the random-stream layout).  path_dt is only consumed by
+    path-integrating samplers; None selects a model-dependent default.
     """
 
     n_trajectories: int
@@ -55,7 +60,15 @@ class McConfig:
                 raise ValueError(
                     f"chunk_size must be in [1, n_trajectories], got {self.chunk_size!r}"
                 )
+            if c > MAX_CHUNK_SIZE:
+                raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {c}")
             object.__setattr__(self, "chunk_size", c)
+        chunks = -(-n // self.resolved_chunk_size)
+        if chunks > MAX_CHUNKS:
+            raise ValueError(
+                f"n_trajectories {n} at chunk_size {self.resolved_chunk_size} makes {chunks} "
+                f"chunks, over the {MAX_CHUNKS}-chunk limit"
+            )
         if self.path_dt is not None:
             dt = float(self.path_dt)
             if not math.isfinite(dt) or dt <= 0.0:
@@ -104,11 +117,11 @@ def validate_times(t, tau) -> tuple[float, float]:
 class MomentStats:
     """Count, column sums and centred second moments of per-trajectory columns.
 
-    Columns 0-2 hold one trajectory's (f_t, f_tau, f_joint); a sampler may
-    append more (the Cauchy ensemble appends its per-realization CPF as
-    column 3).  Each chunk keeps its second moments about its own mean, and
-    chunks merge pairwise (Chan, Golub and LeVeque), so nearly constant
-    columns keep their small variances instead of cancelling them away.
+    Columns 0-2 hold one trajectory's (f_t, f_tau, f_joint) (a coherence
+    sampler draws column 0 alone).  Each chunk keeps its second moments about
+    its own mean, and chunks merge pairwise (Chan, Golub and LeVeque), so
+    nearly constant columns keep their small variances instead of cancelling
+    them away.
     """
 
     n: int

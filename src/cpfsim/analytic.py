@@ -180,7 +180,8 @@ def first_moment(model: NoiseModel, s):
         case ExpCorrGauss(g=g, tau_c=tc):
             return np.exp(-4.0 * (tc * g) ** 2 * _h(s / tc))
         case StaticGauss(g=g):
-            return np.exp(-2.0 * (g * s) ** 2)
+            # np.square: a 0-d ** 2 can round differently from the array path
+            return np.exp(-2.0 * np.square(g * s))
         case StaticLorentz(gamma=gamma, omega=omega):
             return _lorentz_f(gamma, omega, s)
     raise TypeError(f"unknown noise model {model!r}")

@@ -36,7 +36,7 @@ from .errors import InvalidMomentSet, InvalidProbabilityTable, ZeroProbabilityPo
 
 OUTCOMES: tuple[int, int] = (+1, -1)
 
-# Absolute tolerance on table normalization and marginal consistency.
+# Absolute tolerance on table normalization.
 NORMALIZATION_TOL = 1e-12
 # Entries may fall outside [0, 1] by at most this much before rejection;
 # violations inside the band are clipped to the boundary.
@@ -108,16 +108,16 @@ def cpf_from_moments(moments: MomentSet) -> np.ndarray:
 class CpfProbabilityTable:
     """Conditional distribution P(z, x | y) for one value of y.
 
-    ``entries`` maps (z, x) to a probability; ``marginal_x`` and
-    ``marginal_z`` are the implied single-outcome conditionals P(x|y) and
-    P(z|y).  Construction validates positivity, normalization to within
-    ``NORMALIZATION_TOL`` and marginal consistency.
+    ``entries`` maps (z, x) to a probability; construction validates
+    positivity and normalization to within ``NORMALIZATION_TOL``, and
+    derives ``marginal_x`` and ``marginal_z``, the single-outcome
+    conditionals P(x|y) and P(z|y).
     """
 
     y: int
     entries: dict[tuple[int, int], float]
-    marginal_x: dict[int, float] = field(default_factory=dict)
-    marginal_z: dict[int, float] = field(default_factory=dict)
+    marginal_x: dict[int, float] = field(init=False)
+    marginal_z: dict[int, float] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "y", validate_outcome(self.y, "y"))
@@ -135,18 +135,6 @@ class CpfProbabilityTable:
             raise InvalidProbabilityTable(f"entries sum to {total!r}, not 1")
         mx = {x: entries[(+1, x)] + entries[(-1, x)] for x in OUTCOMES}
         mz = {z: entries[(z, +1)] + entries[(z, -1)] for z in OUTCOMES}
-        if self.marginal_x:
-            for x in OUTCOMES:
-                if abs(float(self.marginal_x[x]) - mx[x]) > NORMALIZATION_TOL:
-                    raise InvalidProbabilityTable(
-                        f"marginal_x[{x:+d}] inconsistent with entry sums"
-                    )
-        if self.marginal_z:
-            for z in OUTCOMES:
-                if abs(float(self.marginal_z[z]) - mz[z]) > NORMALIZATION_TOL:
-                    raise InvalidProbabilityTable(
-                        f"marginal_z[{z:+d}] inconsistent with entry sums"
-                    )
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "marginal_x", mx)
         object.__setattr__(self, "marginal_z", mz)

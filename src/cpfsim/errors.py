@@ -17,7 +17,7 @@ class InvalidMomentSet(CpfError):
 
 
 class InvalidProbabilityTable(CpfError):
-    """Table entries violate positivity, normalization, or marginal consistency."""
+    """Table entries violate positivity or normalization."""
 
 
 class ZeroProbabilityPostselection(CpfError):

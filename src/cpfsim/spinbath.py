@@ -15,20 +15,20 @@ measurement, conditioned on the product y*x, is
     c^{yx}(t,tau) = [c_tau + yx (c_{t+tau} + conj(c_{t-tau})) / 2]
                     / [1 + yx Re c_t].
 
-Phase convention: the dense statevector oracle applies the diagonal
-propagator phase e^{+i s t L} with s = +-1 the system z-eigenvalue and
-L = sum_k g_k m_k the bath magnetization level, so the *relative* phase
-between the two system branches is 2 g_k t per spin, exactly reproducing
-c_t above.  (Flipping the global phase sign conjugates c_t and leaves all
-probabilities unchanged; both conventions are exposed for testing.)
+Its real part is core.conditional_coherence of moment_set; the dense
+statevector oracle replays the complex value (oracle_conditional_coherence).
+
+Phase convention: the oracle applies the diagonal propagator phase
+e^{+i s t L} with s = +-1 the system z-eigenvalue and L = sum_k g_k m_k the
+bath magnetization level, so the *relative* phase between the two system
+branches is 2 g_k t per spin, exactly reproducing c_t above.
 
 The Lorentz-ensemble model draws each total coupling gtilde_k = N g_k from
 an independent Cauchy(omega/2, gamma/2) density.  Averaging e^{2 i gtilde s}
 gives e^{i omega s - gamma |s|}, hence the closed forms lorentz_coherence
 and lorentz_moment_set.  The Monte Carlo estimators average the
 per-realization probability *table* over the ensemble before combining
-moments (table-first order); averaging the per-realization CPF instead is a
-documented negative control that yields identically zero for this model.
+moments (table-first order).
 
 The closed forms take scalar or array times; their moment sets feed the
 array combinators of core.
@@ -205,26 +205,6 @@ def moment_set(spec: SpinBathSpec, t, tau) -> core.MomentSet:
     return _moment_set(lambda u: coherence(spec, u), t, tau)
 
 
-def conditional_coherence(spec: SpinBathSpec, t: float, tau: float, yx: int) -> complex:
-    """Post-second-measurement coherence c^{yx}(t, tau) (complex).
-
-    c^{yx} = [c_tau + yx (c_{t+tau} + conj(c_{t-tau}))/2] / [1 + yx Re c_t];
-    its real part is core.conditional_coherence of moment_set.  Raises
-    ZeroProbabilityPostselection when the denominator magnitude is at most
-    core.POSTSELECTION_EPS (the conditioning outcome pair cannot occur).
-    """
-    yx = core.validate_outcome(yx, "yx")
-    denom = 1.0 + yx * coherence(spec, t).real
-    if abs(denom) <= core.POSTSELECTION_EPS:
-        raise ZeroProbabilityPostselection(
-            f"outcome pair with yx={yx:+d} has vanishing probability at t={t}"
-        )
-    num = coherence(spec, tau) + yx * 0.5 * (
-        coherence(spec, t + tau) + coherence(spec, t - tau).conjugate()
-    )
-    return num / denom
-
-
 def scaled_gaussian_bath(n_spins: int, g: float, omega: float = 0.0) -> SpinBathSpec:
     """Uniform bath realizing the large-N Gaussian scaling.
 
@@ -295,8 +275,8 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 # Cauchy-coupling ensemble: Monte Carlo
 
 def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
-    """Sampler of the per-realization (f_t, f_tau, f_joint, CPF) columns, or of
-    the f_t column alone when tau is None."""
+    """Sampler of the per-realization (f_t, f_tau, f_joint) columns, or of the
+    f_t column alone when tau is None."""
     n = spec.n_spins
     amplitudes = [(spec.alpha, spec.beta)] * n
     lags = np.array([[t]] if tau is None else [[t], [tau], [t + tau], [t - tau]])
@@ -315,15 +295,14 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
         re, _ = _spin_product(g.T, amplitudes, lags)
         if tau is None:
             return re.T
-        f_joint = 0.5 * (re[2] + re[3])
-        return np.column_stack([re[0], re[1], f_joint, f_joint - re[0] * re[1]])
+        return np.column_stack([re[0], re[1], 0.5 * (re[2] + re[3])])
 
     return sample
 
 
 # Per-trajectory float64 values one draw holds besides its couplings: the spin
 # product keeps up to eight (4, chunk_size) lag arrays alive at once (32), and
-# 8 more cover the (chunk_size, 4) columns and the fixed small objects of short
+# 8 more cover the (chunk_size, 3) columns and the fixed small objects of short
 # chunks.
 _ENSEMBLE_DRAW_COLUMNS = 40
 
@@ -370,24 +349,10 @@ def lorentz_mc_cpf(
 
     The per-realization probability table is linear in the per-realization
     moments, so the ensemble-averaged table is the table of the averaged
-    moments, and its CPF is f_joint - f_t f_tau of those.  This reproduces
-    the closed form of lorentz_moment_set, unlike the per-realization
-    average below.
+    moments, and its CPF is f_joint - f_t f_tau of those: the closed form
+    of lorentz_moment_set.
     """
     return _ensemble_stats(spec, t, tau, cfg, workers).cpf()
-
-
-def lorentz_mc_cpf_per_realization(
-    spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int = 1
-) -> core.Estimate:
-    """Negative control: ensemble mean of the per-realization CPF.
-
-    Each fixed-coupling realization has its own deterministic CPF; averaging
-    those does NOT commute with averaging the tables.  For N = 1 the
-    per-realization CPF is identically zero (product-to-sum identity), so
-    this estimator returns 0 +- 0 and does not reproduce the closed form.
-    """
-    return _ensemble_stats(spec, t, tau, cfg, workers).estimate(3)
 
 
 def lorentz_mc_conditional_coherence(
@@ -419,28 +384,33 @@ def _bath_levels(spec: SpinBathSpec) -> np.ndarray:
     return levels
 
 
-def _bath_product_state(spec: SpinBathSpec) -> np.ndarray:
-    """Amplitudes of prod_k (alpha_k |up> + beta_k |down>), spin k on bit k."""
-    amp = np.ones(1, dtype=complex)
+def _initial_state(spec: SpinBathSpec, init: SystemInit) -> np.ndarray:
+    """The (2, 2^N) system-bath state (a |+> + b |->) (x) prod_k (alpha_k |up>
+    + beta_k |down>), spin k on bit k.  Raises BathTooLarge for N > 14."""
+    if spec.n_spins > ORACLE_MAX_SPINS:
+        raise BathTooLarge(
+            f"N = {spec.n_spins} exceeds the dense oracle limit {ORACLE_MAX_SPINS}"
+        )
+    bath = np.ones(1, dtype=complex)
     for a_k, b_k in zip(spec.alphas, spec.betas):
-        amp = np.concatenate([a_k * amp, b_k * amp])
-    return amp
+        bath = np.concatenate([a_k * bath, b_k * bath])
+    return np.vstack([init.a * bath, init.b * bath])
 
 
-def _evolve_diagonal(state: np.ndarray, levels: np.ndarray, dt: float, sign: int) -> np.ndarray:
-    """Apply exp(+i sign dt L) to the |+> row and the conjugate to the |-> row."""
-    phase = np.exp(1j * sign * dt * levels)
+def _evolve_diagonal(state: np.ndarray, levels: np.ndarray, dt: float) -> np.ndarray:
+    """Apply exp(+i dt L) to the |+> row and the conjugate to the |-> row."""
+    phase = np.exp(1j * dt * levels)
     return np.vstack([state[0] * phase, state[1] * np.conj(phase)])
 
 
-def _evolve_gatewise(state: np.ndarray, spec: SpinBathSpec, dt: float, sign: int) -> np.ndarray:
+def _evolve_gatewise(state: np.ndarray, spec: SpinBathSpec, dt: float) -> np.ndarray:
     """Same unitary as _evolve_diagonal, built spin by spin (independent path)."""
     out = state.copy()
     dim = out.shape[1]
     idx = np.arange(dim)
     for k in range(spec.n_spins):
         m_k = 1.0 - 2.0 * ((idx >> k) & 1)
-        ph = np.exp(1j * sign * dt * spec.couplings[k] * m_k)
+        ph = np.exp(1j * dt * spec.couplings[k] * m_k)
         out[0] *= ph
         out[1] *= np.conj(ph)
     return out
@@ -465,7 +435,6 @@ def oracle_protocol(
     y: int,
     *,
     propagator: str = "diagonal",
-    phase_sign: int = +1,
 ) -> core.CpfProbabilityTable:
     """Replay the full three-measurement protocol on the dense statevector.
 
@@ -475,26 +444,19 @@ def oracle_protocol(
     assembles P(z, x | y) = P(z|y,x) P(y|x) P(x) / P(y).
 
     propagator selects one of two independent implementations of the same
-    unitary ("diagonal" or "gatewise"); phase_sign = -1 runs the conjugate
-    phase convention (observable probabilities are invariant).  Raises
-    BathTooLarge for N > 14 and ZeroProbabilityPostselection if P(y) = 0.
+    unitary ("diagonal" or "gatewise").  Raises BathTooLarge for N > 14 and
+    ZeroProbabilityPostselection if P(y) = 0.
     """
-    if spec.n_spins > ORACLE_MAX_SPINS:
-        raise BathTooLarge(
-            f"N = {spec.n_spins} exceeds the dense oracle limit {ORACLE_MAX_SPINS}"
-        )
+    state = _initial_state(spec, init)
     t, tau = validate_times(t, tau)
     y = core.validate_outcome(y, "y")
     if propagator == "diagonal":
         levels = _bath_levels(spec)
-        evolve = lambda st, dt: _evolve_diagonal(st, levels, dt, phase_sign)
+        evolve = lambda st, dt: _evolve_diagonal(st, levels, dt)
     elif propagator == "gatewise":
-        evolve = lambda st, dt: _evolve_gatewise(st, spec, dt, phase_sign)
+        evolve = lambda st, dt: _evolve_gatewise(st, spec, dt)
     else:
         raise ValueError(f"unknown propagator {propagator!r}")
-
-    bath0 = _bath_product_state(spec)
-    state = np.vstack([init.a * bath0, init.b * bath0])
 
     p_x: dict[int, float] = {}
     p_y_given_x: dict[int, float] = {}
@@ -534,23 +496,19 @@ def oracle_conditional_coherence(
     """Post-second-measurement bath overlap replayed on the statevector.
 
     Returns the complex coherence c^{yx} of the state after collapsing on
-    (x, then y) and evolving tau; matches conditional_coherence(spec, t,
-    tau, x*y) for init = |+>.
+    (x, then y) and evolving tau; for init = |+> it is the c^{yx} of the
+    module docstring with yx = x*y, whose real part is
+    core.conditional_coherence of moment_set.
     """
-    if spec.n_spins > ORACLE_MAX_SPINS:
-        raise BathTooLarge(
-            f"N = {spec.n_spins} exceeds the dense oracle limit {ORACLE_MAX_SPINS}"
-        )
+    state = _initial_state(spec, init)
     x = core.validate_outcome(x, "x")
     y = core.validate_outcome(y, "y")
     levels = _bath_levels(spec)
-    bath0 = _bath_product_state(spec)
-    state = np.vstack([init.a * bath0, init.b * bath0])
     px, st_x = _project_x(state, x)
     if px == 0.0:
         raise ZeroProbabilityPostselection(f"P(x={x:+d}) = 0")
-    py, st_y = _project_x(_evolve_diagonal(st_x, levels, t, +1), y)
+    py, st_y = _project_x(_evolve_diagonal(st_x, levels, t), y)
     if py == 0.0:
         raise ZeroProbabilityPostselection(f"P(y={y:+d}|x={x:+d}) = 0")
-    st_final = _evolve_diagonal(st_y, levels, tau, +1)
+    st_final = _evolve_diagonal(st_y, levels, tau)
     return 2.0 * y * complex(np.vdot(st_final[1], st_final[0]))

@@ -175,6 +175,11 @@ def test_parse_config_accepts_manifest_document():
          "mc.chunk_size: must be > 0, got 0"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "chunk_size": 20}),
          "mc: chunk_size must be in [1, n_trajectories], got 20"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 2**21, "chunk_size": 2**21}),
+         "mc: chunk_size must be <= 1048576, got 2097152"),
+        (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 2**62}),
+         "mc: n_trajectories 4611686018427387904 at chunk_size 65536 makes 70368744177664 "
+         "chunks, over the 65536-chunk limit"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "path_dt": "x"}),
          "mc.path_dt: expected a number, got 'x'"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "path_dt": 0}),
@@ -498,6 +503,15 @@ def test_exit_code_grid_over_point_limit(tmp_path, capsys):
     # the largest surface still parses
     grid = {"start": 0.0, "stop": 1.0, "count": 1024}
     assert cli.parse_config(base_config(quantity="cpf_surface", t_grid=grid)).t_grid.count == 1024
+
+
+def test_exit_code_monte_carlo_over_chunk_limit(tmp_path, capsys):
+    # rejected at parse time: no chunk list is ever built
+    doc = base_config(method="montecarlo", mc={"n_trajectories": 2**62}, output_path="never.csv")
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("config error: ") and "over the 65536-chunk limit" in err
 
 
 def test_exit_code_domain_error(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The experiment scripts run end to end with small arguments."""
+"""The experiment scripts and the README's library example run end to end."""
 
 import os
 import subprocess
@@ -38,3 +38,10 @@ def test_script_writes_its_csvs(tmp_path, script):
     for name in outputs:
         header, *rows = (tmp_path / name).read_text().splitlines()
         assert header and rows
+
+
+def test_readme_library_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -256,6 +256,16 @@ def test_mc_config_validation():
     assert McConfig(n_trajectories=10).resolved_chunk_size == 10
 
 
+def test_mc_config_bounds_the_chunk_layout():
+    most = _mc.MAX_CHUNK_SIZE * _mc.MAX_CHUNKS
+    cfg = McConfig(n_trajectories=most, chunk_size=_mc.MAX_CHUNK_SIZE)
+    assert len(_mc.chunk_sizes(cfg)) == _mc.MAX_CHUNKS
+    with pytest.raises(ValueError, match="chunk_size must be <= 1048576"):
+        McConfig(n_trajectories=most, chunk_size=_mc.MAX_CHUNK_SIZE + 1)
+    with pytest.raises(ValueError, match="over the 65536-chunk limit"):
+        McConfig(n_trajectories=most + 1, chunk_size=_mc.MAX_CHUNK_SIZE)
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -95,13 +95,17 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
-    """Run worker(chunk_index, chunk_n) for every chunk, results in order."""
+    """Run worker(chunk_index, chunk_n) for every chunk, results in order.
+
+    A run of one chunk, or at one worker, runs inline; otherwise a thread
+    pool of at most one worker per chunk.
+    """
     sizes = chunk_sizes(cfg)
-    if workers <= 1:
+    if workers <= 1 or len(sizes) == 1:
         return [worker(i, m) for i, m in enumerate(sizes)]
     from concurrent.futures import ThreadPoolExecutor  # only parallel runs pay its import
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 

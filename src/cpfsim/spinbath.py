@@ -156,19 +156,45 @@ def _finite(t) -> np.ndarray:
 def _spin_product(couplings, amplitudes, t):
     """Re and Im of prod_k (|a_k|^2 e^{+i 2 g_k t} + |b_k|^2 e^{-i 2 g_k t}).
 
-    couplings yields one g_k per spin, a scalar or an array that broadcasts
-    against t; amplitudes yields the matching (a_k, b_k) scalars.  Spin by
-    spin, so memory stays at a few broadcast-sized arrays for any N, and in
-    real arithmetic: numpy's complex multiply (and its array abs) round
-    differently in their scalar and vector loops, so a point would not match
-    a grid bit for bit.
+    couplings is an array whose rows g_k (one per spin, scalars or arrays)
+    broadcast against t; amplitudes yields the matching (a_k, b_k) scalars.
+    Spin by spin into preallocated arrays of the broadcast shape, updated in
+    place: the general path holds five of them (re, im, the cosine and sine
+    factors and one product), so memory stays flat in N.  The arithmetic is
+    real: numpy's complex multiply (and its array abs) round differently in
+    their scalar and vector loops, so a point would not match a grid bit for
+    bit.
+
+    Balanced path: when every spin has |a_k|^2 == |b_k|^2, each sine factor
+    is (|a_k|^2 - |b_k|^2) sin = +-0, so the kernel skips the sines and the
+    imaginary recurrence, updates two arrays (re and the factor) and returns
+    im as a third, of zeros.  re keeps the bits of the general path (re c - (+-0) == re c
+    for nonzero re c); only the sign of a zero im may differ from it.
     """
-    re, im = 1.0, 0.0
-    for g_k, (a_k, b_k) in zip(couplings, amplitudes):
-        up, dn = abs(a_k) ** 2, abs(b_k) ** 2
-        theta = 2.0 * g_k * t
-        c, d = (up + dn) * np.cos(theta), (up - dn) * np.sin(theta)
-        re, im = re * c - im * d, re * d + im * c
+    weights = [(abs(a_k) ** 2, abs(b_k) ** 2) for a_k, b_k in amplitudes]
+    shape = np.broadcast_shapes(np.shape(couplings)[1:], np.shape(t))
+    re, c = np.ones(shape), np.empty(shape)
+    if all(up == dn for up, dn in weights):
+        for g_k, (up, dn) in zip(couplings, weights):
+            np.multiply(2.0 * g_k, t, out=c)
+            np.cos(c, out=c)
+            c *= up + dn
+            re *= c
+        return re, np.zeros(shape)
+    im, d, im_d = np.zeros(shape), np.empty(shape), np.empty(shape)
+    for g_k, (up, dn) in zip(couplings, weights):
+        np.multiply(2.0 * g_k, t, out=c)
+        np.sin(c, out=d)
+        np.cos(c, out=c)
+        c *= up + dn
+        d *= up - dn
+        # (re, im) <- (re c - im d, re d + im c)
+        np.multiply(im, d, out=im_d)
+        d *= re
+        re *= c
+        re -= im_d
+        im *= c
+        im += d
     return re, im
 
 
@@ -300,10 +326,13 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     return sample
 
 
-# Per-trajectory float64 values one draw holds besides its couplings: the spin
-# product keeps up to eight (4, chunk_size) lag arrays alive at once (32), and
-# 8 more cover the (chunk_size, 3) columns and the fixed small objects of short
-# chunks.
+# Per-trajectory float64 values one draw holds besides its couplings, at most:
+# the spin product's general path keeps five (4, chunk_size) lag arrays and one
+# doubled coupling row (21); its balanced path, which every spec with
+# |alpha| == |beta| takes, keeps three lag arrays (12).  Building the
+# (chunk_size, 3) columns from re afterwards holds fewer (about 9).  The rest
+# is headroom for the fixed small objects that weigh on short chunks (N = 200
+# at chunk 2,000 peaks near 30 on the general path).
 _ENSEMBLE_DRAW_COLUMNS = 40
 
 

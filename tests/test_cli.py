@@ -763,9 +763,20 @@ def test_import_does_not_load_thread_pool():
 # spin_bath with complex amplitudes (oracle), and a Monte Carlo run with mc.path_dt
 @pytest.mark.parametrize("name", ["spin_bath_oracle", "ou_montecarlo"])
 def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
-    manifest = ROOT / "tests" / "data" / "manifests_0.3.0" / f"{name}.csv.manifest.json"
+    assert_reruns_byte_for_byte(tmp_path, "0.3.0", name)
+
+
+# Cauchy ensembles of 2 chunks: balanced amplitudes (the spin product's
+# real-only path) and unbalanced ones (its general path)
+@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence"])
+def test_manifest_written_by_0_5_0_reruns_byte_for_byte(tmp_path, name):
+    assert_reruns_byte_for_byte(tmp_path, "0.5.0", name)
+
+
+def assert_reruns_byte_for_byte(tmp_path, version, name):
+    manifest = ROOT / "tests" / "data" / f"manifests_{version}" / f"{name}.csv.manifest.json"
     stored = json.loads(manifest.read_text())
-    assert stored["versions"]["cpfsim"] == "0.3.0"
+    assert stored["versions"]["cpfsim"] == version
     assert cli.load_config(manifest).canonical == stored["config"]
     redo = tmp_path / "redo.csv"
     assert cli.main(["run", "--config", str(manifest), "--output", str(redo), "--quiet"]) == 0

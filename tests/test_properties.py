@@ -133,3 +133,66 @@ def test_ensemble_coherence_draw_is_the_first_lag_of_the_four_lag_draw(spec, see
     four = spinbath._ensemble_cols(spec, t, tau)(_mc.chunk_stream(seed, 0), m)
     assert one.shape == (m, 1)
     assert np.all(one[:, 0] == four[:, 0])
+
+
+def plain_spin_product(couplings, amplitudes, t):
+    """The spin product's complex recurrence as plain expressions, no buffers."""
+    re, im = 1.0, 0.0
+    for g_k, (a_k, b_k) in zip(couplings, amplitudes):
+        up, dn = abs(a_k) ** 2, abs(b_k) ** 2
+        theta = 2.0 * g_k * t
+        c, d = (up + dn) * np.cos(theta), (up - dn) * np.sin(theta)
+        re, im = re * c - im * d, re * d + im * c
+    return re, im
+
+
+@st.composite
+def spin_products(draw, balanced):
+    """(couplings (n, m), amplitudes, lags (4, m)) for the spin product kernel.
+
+    Balanced amplitudes have |a_k| == |b_k| bit for bit: b_k is a_k or its
+    conjugate times one of +-1, +-i, all exact, so the relative phase is random.
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    couplings = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * m, max_size=n * m)))
+    lags = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=4 * m, max_size=4 * m)))
+    if balanced:
+        def pair(phi, conj, turn):
+            a = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2.0)
+            return a, (a.conjugate() if conj else a) * turn
+
+        pairs = st.builds(pair, st.floats(0.0, 2.0 * math.pi), st.booleans(),
+                          st.sampled_from([1, -1, 1j, -1j]))
+    else:
+        pairs = amplitudes()
+    amps = draw(st.lists(pairs, min_size=n, max_size=n))
+    return couplings.reshape(n, m), amps, lags.reshape(4, m)
+
+
+@given(spin_products(balanced=True))
+def test_balanced_spin_product_keeps_the_general_paths_real_part(case):
+    couplings, amps, lags = case
+    assert all(abs(a) ** 2 == abs(b) ** 2 for a, b in amps)
+    re, im = spinbath._spin_product(couplings, amps, lags)
+    assert np.all(im == 0.0)
+    # a first spin that is uncoupled and fully up is unbalanced, which sends the
+    # kernel down its general path, and multiplies the product by exactly 1 + 0i
+    up_spin = np.zeros((1, couplings.shape[1]))
+    general = spinbath._spin_product(np.vstack([up_spin, couplings]), [(1.0, 0.0)] + amps, lags)
+    assert np.all(re == general[0]) and np.all(general[1] == 0.0)
+    assert np.all(re == plain_spin_product(couplings, amps, lags)[0])
+    # a 0-d lag gives the bits of its element of the grid
+    for i, j in np.ndindex(lags.shape):
+        point = spinbath._spin_product(couplings[:, j], amps, lags[i, j])
+        assert point[0].shape == () and point[0] == re[i, j] and point[1] == 0.0
+
+
+@given(spin_products(balanced=False))
+def test_general_spin_product_equals_the_plain_recurrence(case):
+    couplings, amps, lags = case
+    re, im = spinbath._spin_product(couplings, amps, lags)
+    want_re, want_im = plain_spin_product(couplings, amps, lags)
+    assert np.all(re == want_re) and np.all(im == want_im)
+    for i, j in np.ndindex(lags.shape):
+        point = spinbath._spin_product(couplings[:, j], amps, lags[i, j])
+        assert point[0] == re[i, j] and point[1] == im[i, j]

@@ -6,13 +6,16 @@ in the high half of the 256-bit counter, so streams never overlap and any
 chunk (hence any trajectory) is recomputable in isolation.  Chunk statistics
 are merged in ascending chunk order, which makes every estimate bit-identical
 for a given (seed, chunk_size, n) regardless of how many workers execute the
-chunks.
+chunks.  Inside shared_draws() the points of a grid, which all draw the same
+chunk streams, draw each chunk once and replay it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,9 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 # draw (several arrays of chunk_size rows) nor the list of chunks exhausts memory.
 MAX_CHUNK_SIZE = 1 << 20
 MAX_CHUNKS = 1 << 16
+# Bytes of recorded draws one shared_draws() scope holds at most; draws past
+# the budget are made live at every point.
+SHARED_DRAWS_MAX_BYTES = 16 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,9 +95,126 @@ def chunk_sizes(cfg: McConfig) -> list[int]:
     return [c] * full + ([rest] if rest else [])
 
 
-def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent generator for one chunk of one run."""
+def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
+
+
+def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
+    """Independent generator for one chunk of one run.
+
+    Inside shared_draws() it is a _ReplayStream that yields the same bits.
+    """
+    store = _store
+    if store is None:
+        return _chunk_generator(seed, chunk_index)
+    return store.stream(seed, chunk_index)
+
+
+# One recorded draw: (method, size, array, bit generator state after the call).
+_Entry = tuple[str, object, np.ndarray, dict]
+
+
+class _DrawStore:
+    """The records of one shared_draws() scope: the draws of each (seed, chunk)
+    in call order.  Chunks run on pool threads, so the records and the byte
+    count change under the lock."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.records: dict[tuple[int, int], list[_Entry]] = {}
+        self.nbytes = 0
+
+    def stream(self, seed: int, chunk_index: int) -> _ReplayStream:
+        key = (seed, chunk_index)
+        with self.lock:
+            record = self.records.get(key)
+            if record is None:
+                record = self.records[key] = []
+                return _ReplayStream(self, key, record, recording=True)
+        return _ReplayStream(self, key, record, recording=False)
+
+    def keep(self, record: list[_Entry], method: str, size, out: np.ndarray,
+             live: np.random.Generator) -> bool:
+        """Append a draw to record if it fits the byte budget; True if kept."""
+        with self.lock:
+            if self.nbytes + out.nbytes > SHARED_DRAWS_MAX_BYTES:
+                return False
+            self.nbytes += out.nbytes
+            record.append((method, size, out, live.bit_generator.state))
+        return True
+
+
+class _ReplayStream:
+    """A chunk's stream inside shared_draws().
+
+    The first stream of a (seed, chunk) draws live from Philox and records its
+    calls until one would pass the byte budget.  A later one returns a fresh
+    copy of each recorded array while its calls match the record position by
+    position; from the first call that differs, or past the end of the record,
+    it draws live from a Philox stream set to the state after the matched
+    prefix.  Every array is therefore bit-equal to the one chunk_stream's
+    Generator would return.
+    """
+
+    def __init__(self, store: _DrawStore, key: tuple[int, int], record: list[_Entry],
+                 recording: bool) -> None:
+        self.store, self.key, self.record, self.recording = store, key, record, recording
+        self.live = _chunk_generator(*key) if recording else None
+        self.pos = 0
+
+    def random(self, size) -> np.ndarray:
+        return self._draw("random", size)
+
+    def standard_normal(self, size) -> np.ndarray:
+        return self._draw("standard_normal", size)
+
+    def _draw(self, method: str, size) -> np.ndarray:
+        if self.live is None:
+            record = self.record
+            if self.pos < len(record) and record[self.pos][:2] == (method, size):
+                self.pos += 1
+                return record[self.pos - 1][2].copy()
+            self.live = _chunk_generator(*self.key)
+            if self.pos:
+                self.live.bit_generator.state = record[self.pos - 1][3]
+        out = getattr(self.live, method)(size)
+        if self.recording:
+            self.recording = self.store.keep(self.record, method, size, out, self.live)
+            if self.recording:
+                # a copy, as the caller may write into it (_ensemble_cols does);
+                # the record keeps the generator's array, allocated before the
+                # caller's temporaries: keeping the copy held ~4 MB more RSS
+                return out.copy()
+        return out
+
+
+_store: _DrawStore | None = None  # the open shared_draws() scope's records
+_depth = 0
+_scope_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def shared_draws():
+    """Scope in which each chunk stream is drawn once and replayed after.
+
+    While it is open, chunk_stream(seed, i) records the first call sequence
+    made on it and replays it to every later stream of (seed, i), so points of
+    one grid share their common random numbers without redrawing them.  The
+    bits do not change.  Records hold at most SHARED_DRAWS_MAX_BYTES; they are
+    dropped when the outermost scope exits.
+    """
+    global _store, _depth
+    with _scope_lock:
+        if _depth == 0:
+            _store = _DrawStore()
+        _depth += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _depth -= 1
+            if _depth == 0:
+                _store = None
 
 
 def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, core, spinbath, stochastic
-from ._mc import McConfig
+from ._mc import McConfig, shared_draws
 
 
 @dataclass
@@ -252,11 +252,12 @@ def criterion_7_ou_limits(workers: int = 1) -> tuple[bool, list[str]]:
             # independent seed per point; sharing one stream across points
             # would replay the same normal draws at every (t, tau)
             cfg = McConfig(n_trajectories=200_000, seed=20250810 + 100 * i + j)
-            f1, f2, fj = stochastic.mc_moments(model, t, tau, cfg, workers)
+            with shared_draws():  # both estimators draw the same chunks of cfg
+                f1, f2, fj = stochastic.mc_moments(model, t, tau, cfg, workers)
+                est = stochastic.mc_cpf_semianalytic(model, t, tau, cfg, workers)
             ok &= _within(f1.value, analytic.first_moment(model, t), f1.std_error, 3.0)
             ok &= _within(f2.value, analytic.first_moment(model, tau), f2.std_error, 3.0)
             ok &= _within(fj.value, analytic.joint_moment(model, t, tau), fj.std_error, 3.0)
-            est = stochastic.mc_cpf_semianalytic(model, t, tau, cfg, workers)
             ok &= _within(est.value, analytic.cpf(model, t, tau), est.std_error, 3.0)
         c.check(ok, f"tau_c={tau_c}: MC moments and CPF within 3 sigma at 5 diagonal points")
         # the diagonal maximum sits near g t ~ 2, i.e. t ~ 2 sqrt(2 tau_c)

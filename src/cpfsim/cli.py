@@ -11,8 +11,9 @@ manifest next to the CSV that echoes the fully resolved config; feeding the
 manifest back to `run` reproduces the CSV bit for bit.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad config (a file that is not UTF-8
-JSON too), bad command-line value (e.g. --threads 0, a negative or non-finite
---sigma-tol/--abs-tol, an unknown --criteria number) or grid mismatch, 3
+JSON too, or an output path that is the config file), bad command-line value
+(e.g. --threads 0, a negative or non-finite --sigma-tol/--abs-tol, an unknown
+--criteria number) or grid mismatch, 3
 runtime model error (impossible postselection, bath too large, ...), 5
 `compare` beyond tolerance; `selftest` exits 1 when a criterion fails.
 """
@@ -20,6 +21,7 @@ runtime model error (impossible postselection, bath too large, ...), 5
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import itertools
 import json
@@ -36,7 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import analytic, core, spinbath, stochastic
-from ._mc import McConfig
+from ._mc import McConfig, shared_draws
 from .errors import ConfigError, CpfError, GridMismatch
 
 CSV_HEADER = ("t", "tau", "value", "std_error", "n_samples", "quantity", "model", "method")
@@ -592,10 +594,15 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
         value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
     else:
         taus = [None] * t.size if tau is None else tau.tolist()
-        points = [
-            _point_values(config, family, t_k, tau_k, workers)
-            for t_k, tau_k in zip(t.tolist(), taus)
-        ]
+        # Monte Carlo points all draw the chunk streams of config.mc: the first
+        # draws each chunk and the rest replay it (a single point has no one to
+        # replay to and would only hold the draws)
+        shared = config.method != "oracle" and t.size > 1
+        with shared_draws() if shared else contextlib.nullcontext():
+            points = [
+                _point_values(config, family, t_k, tau_k, workers)
+                for t_k, tau_k in zip(t.tolist(), taus)
+            ]
         value = np.array([[v for v, _, _ in p] for p in points], dtype=float)
         if config.method != "oracle":
             std_error = np.array([[se for _, se, _ in p] for p in points], dtype=float)
@@ -666,9 +673,20 @@ def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float)
         "wall_time_s": wall_time_s,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    path = csv_path.with_name(csv_path.name + ".manifest.json")
+    path = _manifest_path(csv_path)
     _write_json(path, manifest)
     return path
+
+
+def _manifest_path(csv_path: Path) -> Path:
+    return csv_path.with_name(csv_path.name + ".manifest.json")
+
+
+def _refuse_overwriting(config_path: str, csv_path: Path) -> None:
+    """Raise ConfigError if the CSV or its manifest would be written over the config file."""
+    for out in (csv_path, _manifest_path(csv_path)):
+        if out.exists() and out.samefile(config_path):
+            raise ConfigError(f"output {out} would overwrite the config file {config_path}")
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -698,6 +716,7 @@ def _run_config(config: ExperimentConfig, threads: int) -> tuple[Path, int, Path
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    _refuse_overwriting(args.config, Path(config.output_path))
     csv_path, n_rows, manifest = _run_config(config, args.threads)
     if not args.quiet:
         print(f"wrote {csv_path} ({n_rows} rows) and {manifest}")
@@ -802,6 +821,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         leg_name = f"{out.stem}__{suffix}{out.suffix or '.csv'}"
         config.output_path = str(out.with_name(leg_name))
         config.canonical["output_path"] = config.output_path
+        _refuse_overwriting(args.config, Path(config.output_path))
         if config.output_path in legs:
             raise ConfigError(
                 f"sweep: legs {dict(legs[config.output_path][0])} and {dict(assignment)} "

@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cpfsim
-from cpfsim import analytic, cli, core, spinbath
+from cpfsim import _mc, analytic, cli, core, spinbath, stochastic
 from cpfsim.errors import ConfigError
 
 
@@ -347,6 +348,48 @@ def test_run_montecarlo_rerun_from_manifest_is_bit_identical(tmp_path):
     assert redo.read_bytes() == out.read_bytes()
 
 
+OU = {"kind": "exp_corr_gauss", "g": 0.9, "tau_c": 1.3}
+# 2 x 3 surfaces and a 3-point grid, each in two unequal chunks
+SURFACE = {"t_grid": {"start": 0.1, "stop": 1.5, "count": 2},
+           "tau_grid": {"start": 0.2, "stop": 2.0, "count": 3}}
+TWO_CHUNKS = {"n_trajectories": 3_000, "chunk_size": 2_000, "seed": 5}
+GRID_VS_POINTS = [
+    (dict(SURFACE, model=OU, quantity="cpf_surface", method="montecarlo"),
+     stochastic.mc_cpf_semianalytic),
+    (dict(SURFACE, model=OU, quantity="cpf_surface", method="sampling", y_select=-1),
+     lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, -1, cfg, w)),
+    ({"model": {"kind": "static_lorentz", "gamma": 0.7, "omega": 0.3}, "quantity": "moments",
+      "method": "montecarlo", "t_grid": {"start": 0.1, "stop": 2.0, "count": 3}},
+     stochastic.mc_moments),
+    (dict(SURFACE, model={"kind": "lorentz_coupling", "gamma": 1.0, "n_spins": 6},
+          quantity="cpf_surface", method="montecarlo"),
+     spinbath.lorentz_mc_cpf),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("doc, estimator", GRID_VS_POINTS)
+def test_evaluate_rows_equals_per_point_estimator_calls(monkeypatch, doc, estimator, workers):
+    config = cli.parse_config(base_config(**doc, mc=TWO_CHUNKS))
+    keys = cli._row_keys(config)
+    want = []
+    for t, tau in zip(keys.t.tolist(), keys.tau.tolist()):
+        est = estimator(config.model, t, tau, config.mc, workers)
+        want.extend(est if config.quantity == "moments" else [est])
+
+    generators = []
+    chunk_generator = _mc._chunk_generator
+    monkeypatch.setattr(_mc, "_chunk_generator",
+                        lambda *key: generators.append(key) or chunk_generator(*key))
+    rows = cli.evaluate_rows(config, workers)
+    # the first point draws each of the two chunks; every later point replays them
+    assert sorted(generators) == [(5, 0), (5, 1)]
+    for field, column in (("value", rows.value), ("std_error", rows.std_error),
+                          ("n_samples", rows.n_samples)):
+        expected = np.array([getattr(e, field) for e in want], dtype=column.dtype)
+        assert column.ravel().tobytes() == expected.tobytes(), field
+
+
 def test_run_seed_override_changes_results(tmp_path):
     doc = base_config(
         method="montecarlo",
@@ -649,6 +692,27 @@ def test_compare_rejects_misaligned_rows(tmp_path, monkeypatch, capsys, override
 
 # ---------------------------------------------------------------------------
 # sweep subcommand
+
+@pytest.mark.parametrize("command, name, doc, extra", [
+    ("run", "c.json", base_config(output_path="c.json"), []),
+    ("run", "c.json", base_config(), ["--output", "c.json"]),
+    # the manifest goes next to the CSV as <CSV name>.manifest.json
+    ("run", "r.csv.manifest.json", base_config(output_path="r.csv"), []),
+    ("sweep", "s__model.gamma_w=0.5.json",
+     base_config(output_path="s.json", sweep={"model.gamma_w": [0.5, 0.7]}), []),
+    ("sweep", "s__model.gamma_w=0.7.csv.manifest.json",
+     base_config(output_path="s.csv", sweep={"model.gamma_w": [0.5, 0.7]}), []),
+])
+def test_exit_code_output_over_its_own_config(tmp_path, monkeypatch, capsys,
+                                              command, name, doc, extra):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_json(tmp_path, doc, name)
+    before = cfg.read_bytes()
+    assert cli.main([command, "--config", name, "--quiet", *extra]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: output {name} would overwrite")
+    assert cfg.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
 
 def test_sweep_expands_cartesian_legs(tmp_path):
     # swept fields must already exist in the document (typo protection)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import weakref
 
 import numpy as np
 from hypothesis import example, given, strategies as st
@@ -196,3 +197,71 @@ def test_general_spin_product_equals_the_plain_recurrence(case):
     for i, j in np.ndindex(lags.shape):
         point = spinbath._spin_product(couplings[:, j], amps, lags[i, j])
         assert point[0] == re[i, j] and point[1] == im[i, j]
+
+
+# call sequences on a chunk stream: the two methods cpfsim calls, int and tuple sizes
+draw_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["random", "standard_normal"]),
+        st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 20), st.integers(1, 3))),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def draws(rng, calls):
+    return [getattr(rng, method)(size) for method, size in calls]
+
+
+def live_draws(seed, index, calls):
+    return draws(np.random.Generator(np.random.Philox(key=seed, counter=index << 128)), calls)
+
+
+def assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 3), draw_calls, draw_calls, st.data())
+def test_shared_draws_are_bit_equal_to_live_draws(seed, index, calls, tail, data):
+    # points 1 and 2 make the same calls, point 3 parts from them after k calls
+    k = data.draw(st.integers(0, len(calls)), label="calls before the sequences part")
+    budget = data.draw(
+        st.one_of(st.just(_mc.SHARED_DRAWS_MAX_BYTES), st.integers(0, 2_000)), label="budget"
+    )
+    raise_in_body = data.draw(st.booleans(), label="raise in body")
+    parted = calls[:k] + tail
+    want, want_parted = live_draws(seed, index, calls), live_draws(seed, index, parted)
+    old_budget = _mc.SHARED_DRAWS_MAX_BYTES
+    _mc.SHARED_DRAWS_MAX_BYTES = budget
+    try:
+        with _mc.shared_draws():
+            for point in range(3):
+                got = draws(_mc.chunk_stream(seed, index), calls)
+                assert_bit_equal(got, want)
+                for a in got:  # writes into a returned array never reach a replay
+                    a[...] = -1.0
+            assert_bit_equal(draws(_mc.chunk_stream(seed, index), parted), want_parted)
+            store = weakref.ref(_mc._store)
+            held = [e[2].nbytes for r in store().records.values() for e in r]
+            assert sum(held) == store().nbytes <= budget
+            if raise_in_body:
+                raise KeyError("body")
+    except KeyError:
+        assert raise_in_body
+    finally:
+        _mc.SHARED_DRAWS_MAX_BYTES = old_budget
+    assert _mc._store is None and store() is None  # freed without waiting for the gc
+    assert isinstance(_mc.chunk_stream(seed, index), np.random.Generator)
+
+
+@given(st.integers(0, 2**64 - 1), draw_calls)
+def test_nested_shared_draws_share_the_outer_records(seed, calls):
+    with _mc.shared_draws():
+        with _mc.shared_draws():
+            draws(_mc.chunk_stream(seed, 0), calls)
+        assert len(_mc._store.records[seed, 0]) == len(calls)
+        assert_bit_equal(draws(_mc.chunk_stream(seed, 0), calls), live_draws(seed, 0, calls))
+    assert _mc._store is None

@@ -1,6 +1,7 @@
 """Monte Carlo estimators: distributional correctness, error bars, streams."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +231,27 @@ def test_worker_count_does_not_change_results():
         base = fn(1)
         assert fn(2) == base
         assert fn(4) == base
+
+
+def test_shared_draws_on_racing_pool_threads_keep_every_point_exact(monkeypatch):
+    # 64 chunks on 8 threads that switch every microsecond, with a budget that
+    # records about 3/5 of one point's draws, so records close mid-sequence
+    cfg = McConfig(n_trajectories=64 * 50, seed=9, chunk_size=50)
+    points = [(0.3, 0.5), (0.7, 0.2), (1.1, 1.4)]
+    want = [stochastic.mc_cpf_sampling(OU, t, tau, 1, cfg) for t, tau in points]
+    budget = 64 * 50 * 8 * 3
+    monkeypatch.setattr(_mc, "SHARED_DRAWS_MAX_BYTES", budget)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _mc.shared_draws():
+            got = [stochastic.mc_cpf_sampling(OU, t, tau, 1, cfg, workers=8) for t, tau in points]
+            store = _mc._store
+            held = [e[2].nbytes for r in store.records.values() for e in r]
+            assert sum(held) == store.nbytes <= budget
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_chunk_size_is_part_of_the_stream_layout():

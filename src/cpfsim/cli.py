@@ -570,14 +570,9 @@ def _analytic_columns(
 
 def _point_values(
     config: ExperimentConfig, family: _Family, t: float, tau: float | None, workers: int
-) -> list[tuple[float, float | None, int | None]]:
-    """(value, std_error, n_samples) per row label at one point, oracle or Monte Carlo."""
+) -> list[tuple[float, float, int]]:
+    """(value, std_error, n_samples) per row label at one Monte Carlo point."""
     q = config.quantity
-    if config.method == "oracle":
-        table = spinbath.oracle_protocol(config.model, config.system_init, t, tau, config.y_select)
-        if q == "probability_table":
-            return [(table.entries[key], None, None) for key, _ in _TABLE_LABELS]
-        return [(core.cpf_from_table(table), None, None)]
     key = "sampling" if config.method == "sampling" else ("cpf" if q == "cpf_surface" else q)
     est = family.mc[key](config, t, tau, workers)
     return [(e.value, e.std_error, e.n_samples) for e in (est if q == "moments" else [est])]
@@ -592,21 +587,27 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
     if config.method == "analytic":
         columns = _analytic_columns(config, family, t, tau)
         value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
+    elif config.method == "oracle":
+        # one oracle call per run of equal t (rows are t-major)
+        runs = np.split(np.arange(t.size), np.flatnonzero(np.diff(t.view(np.int64))) + 1)
+        tables = [table for run in runs for table in spinbath.oracle_protocol(
+            config.model, config.system_init, t[run[0]], tau[run], config.y_select)]
+        table_rows = config.quantity == "probability_table"
+        value = np.array([[tb.entries[key] for key, _ in _TABLE_LABELS] if table_rows
+                          else [core.cpf_from_table(tb)] for tb in tables])
     else:
         taus = [None] * t.size if tau is None else tau.tolist()
         # Monte Carlo points all draw the chunk streams of config.mc: the first
         # draws each chunk and the rest replay it (a single point has no one to
         # replay to and would only hold the draws)
-        shared = config.method != "oracle" and t.size > 1
-        with shared_draws() if shared else contextlib.nullcontext():
+        with shared_draws() if t.size > 1 else contextlib.nullcontext():
             points = [
                 _point_values(config, family, t_k, tau_k, workers)
                 for t_k, tau_k in zip(t.tolist(), taus)
             ]
         value = np.array([[v for v, _, _ in p] for p in points], dtype=float)
-        if config.method != "oracle":
-            std_error = np.array([[se for _, se, _ in p] for p in points], dtype=float)
-            n_samples = np.array([[n for _, _, n in p] for p in points], dtype=np.int64)
+        std_error = np.array([[se for _, se, _ in p] for p in points], dtype=float)
+        n_samples = np.array([[n for _, _, n in p] for p in points], dtype=np.int64)
     return Results(
         t, tau, keys.labels, value, std_error, n_samples, config.model_kind, config.method
     )

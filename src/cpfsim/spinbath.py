@@ -212,12 +212,15 @@ def coherence(spec: SpinBathSpec, t):
 
 
 def _moment_set(overlap, t, tau) -> core.MomentSet:
+    """Moments of Re overlap, which is called once per distinct value (told
+    apart by its bits) of each lag and spread back to that lag's shape; the
+    overlaps are elementwise, so the bits are those of a call on every point."""
+    def f(u):
+        bits, inverse = np.unique(np.ravel(u).view(np.int64), return_inverse=True)
+        return overlap(bits.view(float)).real[inverse].reshape(np.shape(u))
+
     t, tau = _finite(t), _finite(tau)
-    return core.MomentSet(
-        f_t=overlap(t).real,
-        f_tau=overlap(tau).real,
-        f_joint=0.5 * (overlap(t + tau).real + overlap(t - tau).real),
-    )
+    return core.MomentSet(f_t=f(t), f_tau=f(tau), f_joint=0.5 * (f(t + tau) + f(t - tau)))
 
 
 def moment_set(spec: SpinBathSpec, t, tau) -> core.MomentSet:
@@ -404,12 +407,9 @@ def lorentz_mc_conditional_coherence(
 
 def _bath_levels(spec: SpinBathSpec) -> np.ndarray:
     """L[i] = sum_k g_k m_k for bath basis index i (bit k = 0 means spin k up)."""
-    n = spec.n_spins
-    idx = np.arange(1 << n)
-    levels = np.zeros(1 << n)
-    for k in range(n):
-        m_k = 1.0 - 2.0 * ((idx >> k) & 1)
-        levels += spec.couplings[k] * m_k
+    levels = np.zeros(1)
+    for g_k in spec.couplings:
+        levels = np.concatenate([levels + g_k, levels - g_k])
     return levels
 
 
@@ -426,45 +426,69 @@ def _initial_state(spec: SpinBathSpec, init: SystemInit) -> np.ndarray:
     return np.vstack([init.a * bath, init.b * bath])
 
 
-def _evolve_diagonal(state: np.ndarray, levels: np.ndarray, dt: float) -> np.ndarray:
-    """Apply exp(+i dt L) to the |+> row and the conjugate to the |-> row."""
-    phase = np.exp(1j * dt * levels)
-    return np.vstack([state[0] * phase, state[1] * np.conj(phase)])
+def _propagator_phase(spec: SpinBathSpec, propagator: str):
+    """(dt, out) -> exp(+i dt L) in out, the |+> row's phase (the |-> row takes
+    its conjugate), from the bath levels ("diagonal") or one single-spin gate at
+    a time ("gatewise"): two independent builds of the same unitary."""
+    if propagator == "diagonal":
+        levels = _bath_levels(spec)
+        return lambda dt, out: np.exp(np.multiply(1j * dt, levels, out=out), out=out)
+    if propagator != "gatewise":
+        raise ValueError(f"unknown propagator {propagator!r}")
+
+    def gatewise(dt: float, out: np.ndarray) -> np.ndarray:
+        out[...] = 1.0
+        idx = np.arange(out.size)
+        for k in range(spec.n_spins):
+            out *= np.exp(1j * dt * spec.couplings[k] * (1.0 - 2.0 * ((idx >> k) & 1)))
+        return out
+
+    return gatewise
 
 
-def _evolve_gatewise(state: np.ndarray, spec: SpinBathSpec, dt: float) -> np.ndarray:
-    """Same unitary as _evolve_diagonal, built spin by spin (independent path)."""
-    out = state.copy()
-    dim = out.shape[1]
-    idx = np.arange(dim)
-    for k in range(spec.n_spins):
-        m_k = 1.0 - 2.0 * ((idx >> k) & 1)
-        ph = np.exp(1j * dt * spec.couplings[k] * m_k)
-        out[0] *= ph
-        out[1] *= np.conj(ph)
-    return out
+def _x_probability(
+    up: np.ndarray, dn: np.ndarray, outcome: int, out: np.ndarray, collapse: bool = False
+) -> float:
+    """Probability of an x-basis system outcome on the state rows (up, dn).
+
+    Leaves the bath state (up + outcome dn) / sqrt(2) in out, normalized when
+    collapse is set and the probability is positive; the collapsed rows are
+    then (out, outcome out) / sqrt(2).
+    """
+    np.add(up, np.multiply(outcome, dn, out=out), out=out)
+    out /= math.sqrt(2.0)
+    prob = float(np.vdot(out, out).real)
+    if collapse and prob > 0.0:
+        out /= math.sqrt(prob)
+    return prob
 
 
-def _project_x(state: np.ndarray, outcome: int) -> tuple[float, np.ndarray]:
-    """Probability and collapsed state of an x-basis system measurement."""
-    bath = (state[0] + outcome * state[1]) / math.sqrt(2.0)
-    prob = float(np.vdot(bath, bath).real)
-    if prob <= 0.0:
-        return 0.0, np.zeros_like(state)
-    bath = bath / math.sqrt(prob)
-    collapsed = np.vstack([bath / math.sqrt(2.0), outcome * bath / math.sqrt(2.0)])
-    return prob, collapsed
+def _y_branches(state: np.ndarray, phase, t: float, y: int):
+    """The protocol up to the y measurement: P(x), P(y|x) and, for each x with
+    P(x) P(y|x) > 0, the rows of the state collapsed on x, evolved over t and
+    collapsed on y."""
+    p_x, p_y_given_x, rows = {}, {}, {}
+    ph = phase(t, np.empty_like(state[0]))
+    for x in core.OUTCOMES:
+        bath = np.empty_like(ph)
+        p_x[x] = _x_probability(state[0], state[1], x, bath, collapse=True)
+        p_y_given_x[x] = 0.0 if p_x[x] == 0.0 else _x_probability(
+            bath / math.sqrt(2.0) * ph, x * bath / math.sqrt(2.0) * np.conj(ph), y, bath, True
+        )
+        if p_y_given_x[x] > 0.0:
+            rows[x] = (bath / math.sqrt(2.0), y * bath / math.sqrt(2.0))
+    return p_x, p_y_given_x, rows
 
 
 def oracle_protocol(
     spec: SpinBathSpec,
     init: SystemInit,
     t: float,
-    tau: float,
+    tau: float | np.ndarray,
     y: int,
     *,
     propagator: str = "diagonal",
-) -> core.CpfProbabilityTable:
+) -> core.CpfProbabilityTable | list[core.CpfProbabilityTable]:
     """Replay the full three-measurement protocol on the dense statevector.
 
     Builds the (2, 2^N) system-bath state, applies the first x projector to
@@ -472,51 +496,42 @@ def oracle_protocol(
     the y projector, evolves over tau, reads out the z probabilities, and
     assembles P(z, x | y) = P(z|y,x) P(y|x) P(x) / P(y).
 
+    tau is a scalar, giving one CpfProbabilityTable, or a 1-d array, giving a
+    list with one table per entry (empty for an empty array), each bitwise
+    the table of a scalar call.  The work up to the y projector is done once;
+    each tau adds one phase vector, shared by both x branches, and the z
+    readouts, in a few preallocated 2^N buffers.
+
     propagator selects one of two independent implementations of the same
     unitary ("diagonal" or "gatewise").  Raises BathTooLarge for N > 14 and
-    ZeroProbabilityPostselection if P(y) = 0.
+    ZeroProbabilityPostselection if P(y) = 0 (also for an empty tau array).
     """
     state = _initial_state(spec, init)
-    t, tau = validate_times(t, tau)
+    if np.ndim(tau) > 1:
+        raise ValueError("tau must be a scalar or a 1-d array")
+    t = validate_times(t, 0.0)[0]
+    taus = [validate_times(t, tau_k)[1] for tau_k in np.atleast_1d(tau).tolist()]
     y = core.validate_outcome(y, "y")
-    if propagator == "diagonal":
-        levels = _bath_levels(spec)
-        evolve = lambda st, dt: _evolve_diagonal(st, levels, dt)
-    elif propagator == "gatewise":
-        evolve = lambda st, dt: _evolve_gatewise(st, spec, dt)
-    else:
-        raise ValueError(f"unknown propagator {propagator!r}")
+    phase = _propagator_phase(spec, propagator)
 
-    p_x: dict[int, float] = {}
-    p_y_given_x: dict[int, float] = {}
-    p_z_given_yx: dict[tuple[int, int], float] = {}
-    for x in core.OUTCOMES:
-        px, st_x = _project_x(state, x)
-        p_x[x] = px
-        if px == 0.0:
-            p_y_given_x[x] = 0.0
-            continue
-        py, st_y = _project_x(evolve(st_x, t), y)
-        p_y_given_x[x] = py
-        if py == 0.0:
-            continue
-        st_final = evolve(st_y, tau)
-        for z in core.OUTCOMES:
-            pz, _ = _project_x(st_final, z)
-            p_z_given_yx[(z, x)] = pz
-
+    p_x, p_y_given_x, rows = _y_branches(state, phase, t, y)
     p_y = sum(p_y_given_x[x] * p_x[x] for x in core.OUTCOMES)
     if p_y <= 0.0:
         raise ZeroProbabilityPostselection(f"P(y={y:+d}) = 0 for this protocol")
 
-    entries = {}
-    for z in core.OUTCOMES:
-        for x in core.OUTCOMES:
-            if p_y_given_x[x] == 0.0 or p_x[x] == 0.0:
-                entries[(z, x)] = 0.0
-            else:
-                entries[(z, x)] = p_z_given_yx[(z, x)] * p_y_given_x[x] * p_x[x] / p_y
-    return core.CpfProbabilityTable(y=y, entries=entries)
+    ph, conj_ph, up, dn, bath = (np.empty_like(state[0]) for _ in range(5))
+    zx = [(z, x) for z in core.OUTCOMES for x in core.OUTCOMES]
+    tables = []
+    for tau_k in taus:
+        np.conj(phase(tau_k, ph), out=conj_ph)
+        entries = dict.fromkeys(zx, 0.0)
+        for x, (up_y, dn_y) in rows.items():
+            np.multiply(up_y, ph, out=up)
+            np.multiply(dn_y, conj_ph, out=dn)
+            for z in core.OUTCOMES:
+                entries[(z, x)] = _x_probability(up, dn, z, bath) * p_y_given_x[x] * p_x[x] / p_y
+        tables.append(core.CpfProbabilityTable(y=y, entries=entries))
+    return tables if np.ndim(tau) else tables[0]
 
 
 def oracle_conditional_coherence(
@@ -532,12 +547,12 @@ def oracle_conditional_coherence(
     state = _initial_state(spec, init)
     x = core.validate_outcome(x, "x")
     y = core.validate_outcome(y, "y")
-    levels = _bath_levels(spec)
-    px, st_x = _project_x(state, x)
-    if px == 0.0:
+    phase = _propagator_phase(spec, "diagonal")
+    p_x, _, rows = _y_branches(state, phase, t, y)
+    if p_x[x] == 0.0:
         raise ZeroProbabilityPostselection(f"P(x={x:+d}) = 0")
-    py, st_y = _project_x(_evolve_diagonal(st_x, levels, t), y)
-    if py == 0.0:
+    if x not in rows:
         raise ZeroProbabilityPostselection(f"P(y={y:+d}|x={x:+d}) = 0")
-    st_final = _evolve_diagonal(st_y, levels, tau)
-    return 2.0 * y * complex(np.vdot(st_final[1], st_final[0]))
+    ph = phase(tau, np.empty_like(state[0]))
+    up, dn = rows[x]
+    return 2.0 * y * complex(np.vdot(dn * np.conj(ph), up * ph))

@@ -390,6 +390,28 @@ def test_evaluate_rows_equals_per_point_estimator_calls(monkeypatch, doc, estima
         assert column.ravel().tobytes() == expected.tobytes(), field
 
 
+@pytest.mark.parametrize("quantity, tau_grid", [
+    ("cpf_surface", {"start": 0.0, "stop": 1.5, "count": 4}),
+    ("probability_table", {"start": 0.1, "stop": 0.7, "count": 3}),
+    ("cpf", None),
+])
+def test_evaluate_rows_calls_the_oracle_once_per_run_of_equal_t(monkeypatch, quantity, tau_grid):
+    doc = base_config(model=MODELS["spin_bath"], quantity=quantity, method="oracle",
+                      t_grid={"start": 0.0, "stop": 2.0, "count": 3}, y_select=-1)
+    if tau_grid is not None:
+        doc["tau_grid"] = tau_grid
+    config = cli.parse_config(doc)
+    calls = []
+    oracle = spinbath.oracle_protocol
+    monkeypatch.setattr(spinbath, "oracle_protocol",
+                        lambda spec, init, t, tau, y: calls.append(t) or oracle(spec, init, t, tau, y))
+    rows = cli.evaluate_rows(config)
+    assert calls == sorted(set(rows.t.tolist()))
+    assert rows.std_error is None and rows.n_samples is None
+    for k, (t, tau) in enumerate(zip(rows.t.tolist(), rows.tau.tolist())):
+        assert rows.value[k].tolist() == list(library_values(config, t, tau).values())
+
+
 def test_run_seed_override_changes_results(tmp_path):
     doc = base_config(
         method="montecarlo",

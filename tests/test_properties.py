@@ -74,6 +74,50 @@ def test_array_moment_set_equals_pointwise_calls(moments, ts, taus):
                 assert values[i, j] == getattr(moments(t, tau), name)
 
 
+@st.composite
+def row_key_grids(draw):
+    """Flat (t, tau) like cli.RowKeys: a t-major surface (np.repeat / np.tile)
+    or a pointwise pair of linspaces, with 0.0, -0.0 and duplicate entries."""
+    def axis():
+        grid = np.linspace(draw(times), draw(times), draw(st.integers(1, 5)))
+        extra = st.sampled_from([0.0, -0.0, *grid.tolist()])
+        return np.array(draw(st.permutations([*grid, *draw(st.lists(extra, max_size=3))])))
+
+    ts, taus = axis(), axis()
+    if draw(st.booleans()):
+        return np.repeat(ts, taus.size), np.tile(taus, ts.size)
+    k = min(ts.size, taus.size)
+    return ts[:k], taus[:k]
+
+
+@given(
+    st.one_of(
+        spin_baths().map(lambda s: (spinbath.moment_set, spinbath.coherence, s)),
+        lorentz_specs().map(lambda s: (spinbath.lorentz_moment_set, spinbath.lorentz_coherence, s)),
+    ),
+    row_key_grids(),
+)
+def test_flat_row_moment_sets_equal_pointwise_calls_bitwise(family, grid):
+    moment_set, coherence, spec = family
+    t, tau = grid
+    points = [moment_set(spec, a, b) for a, b in zip(t.tolist(), tau.tolist())]
+    # the moments written out from the overlap, point by point
+    f = lambda u: coherence(spec, u).real
+    direct = {
+        "f_t": [f(a) for a in t.tolist()],
+        "f_tau": [f(b) for b in tau.tolist()],
+        "f_joint": [0.5 * (f(a + b) + f(a - b)) for a, b in zip(t.tolist(), tau.tolist())],
+    }
+    first_t = moment_set(spec, t[0], tau)
+    for name in ("f_t", "f_tau", "f_joint"):
+        values = getattr(moment_set(spec, t, tau), name)
+        assert values.shape == t.shape
+        for want in ([getattr(m, name) for m in points], direct[name]):
+            assert np.array_equal(values.view(np.int64), np.array(want).view(np.int64))
+        # a scalar lag keeps its 0-d shape
+        assert np.shape(getattr(first_t, name)) == (() if name == "f_t" else tau.shape)
+
+
 @given(st.floats(0.05, 3.0), time_lists, time_lists)
 def test_white_noise_cpf_is_exactly_zero(gamma_w, ts, taus):
     t, tau = np.array(ts)[:, None], np.array(taus)[None, :]

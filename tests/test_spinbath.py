@@ -11,6 +11,7 @@ from cpfsim import _mc, analytic, core, spinbath
 from cpfsim._mc import McConfig
 from cpfsim.errors import (
     BathTooLarge,
+    CpfError,
     UnreachablePolarization,
     ZeroProbabilityPostselection,
 )
@@ -171,6 +172,64 @@ def test_oracle_conditional_coherence_matches_closed_form():
                     1.0 + y * x * c(t).real
                 )
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_bath_levels_equal_the_bit_loop_formula(n):
+    rng = np.random.default_rng(200 + n)
+    spec = random_spec(rng, n)
+    spec = spinbath.SpinBathSpec(spec.couplings * rng.choice([-1.0, 1.0], n), spec.alphas, spec.betas)
+    idx = np.arange(1 << n)
+    want = np.zeros(1 << n)
+    for k in range(n):
+        want += spec.couplings[k] * (1.0 - 2.0 * ((idx >> k) & 1))
+    assert np.array_equal(spinbath._bath_levels(spec), want)
+
+
+def _oracle_outcome(call, tau):
+    """call(tau), or the type and message of the CpfError it raises."""
+    try:
+        return call(tau)
+    except CpfError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("propagator", ["diagonal", "gatewise"])
+@pytest.mark.parametrize("y", [+1, -1])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_array_tau_oracle_equals_per_tau_scalar_calls(n, y, propagator):
+    rng = np.random.default_rng(300 + n)
+    spec = random_spec(rng, n)
+    plus_x = spinbath.SystemInit(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+    taus = np.array([0.0, *rng.uniform(0.0, 3.0, size=3), 0.0])
+    taus = np.append(taus, taus[1])
+    # |+x> has P(x = -1) = 0, and at t = 0 also P(y = -1) = 0
+    for init, t in ((PLUS, rng.uniform(0.0, 3.0)), (PLUS, 0.0), (plus_x, 1.3), (plus_x, 0.0)):
+        call = lambda tau: spinbath.oracle_protocol(spec, init, t, tau, y, propagator=propagator)
+        tables = _oracle_outcome(call, taus)
+        empty = _oracle_outcome(call, np.array([]))
+        if init is plus_x and t == 0.0 and y == -1:
+            want = ("ZeroProbabilityPostselection", "P(y=-1) = 0 for this protocol")
+            assert tables == empty == _oracle_outcome(call, 0.5) == want
+            continue
+        assert empty == []
+        singles = [_oracle_outcome(call, float(tau)) for tau in taus]
+        errors = [one for one in singles if isinstance(one, tuple)]
+        if errors:
+            # an entry rounded above 1 (t = tau = 0): the first failing tau's error
+            assert tables == errors[0]
+            continue
+        assert len(tables) == taus.size
+        for table, one in zip(tables, singles):
+            assert table.y == one.y and table.entries == one.entries
+        if init is plus_x:
+            assert all(table.marginal_x[-1] == 0.0 for table in tables)
+
+
+def test_oracle_rejects_two_dimensional_tau():
+    spec = random_spec(np.random.default_rng(17), 2)
+    with pytest.raises(ValueError, match="1-d"):
+        spinbath.oracle_protocol(spec, PLUS, 0.5, np.ones((2, 2)), +1)
 
 
 def test_conditional_coherence_impossible_postselection():

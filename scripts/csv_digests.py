@@ -1,0 +1,58 @@
+"""Print the sha256 of every CSV that the named perfbench workloads write.
+
+Runs every job of each workload at each seed through cpfsim.cli.main, at the
+job's own thread count, in a temporary directory, and prints one line per
+CSV: its sha256 and workload/seed/path.  Checkouts whose CSVs are
+byte-identical print the same lines, so comparing two is one diff:
+
+    PYTHONPATH=src python scripts/csv_digests.py mc_surface mc_ensemble \\
+        --seeds 1 2 > digests.txt
+
+The jobs come from perfbench/workloads.py of this checkout; cpfsim is
+imported as usual, so PYTHONPATH picks the tree under test.
+"""
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+from cpfsim import cli  # noqa: E402
+
+
+def digests(workload: str, seed: int) -> list[str]:
+    """'sha256  workload/seed/path' of each CSV the workload's jobs write."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for job in workloads.jobs_for(workload, seed):
+            config = base / f"{job.name}.json"
+            config.write_text(job.config_text(), encoding="utf-8")
+            argv = [job.command, "--config", str(config), "--threads", str(job.threads),
+                    "--output", str(base / job.config["output_path"]), "--quiet"]
+            code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"{workload} seed {seed}: job {job.name} exited {code}")
+        return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                f"{workload}/{seed}/{path.relative_to(base).as_posix()}"
+                for path in sorted(base.rglob("*.csv"))]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workloads", nargs="+", choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
+                    help="workload seeds (default 1 2)")
+    args = ap.parse_args()
+    print(f"cpfsim from {Path(cli.__file__).parent}", file=sys.stderr)
+    for workload in args.workloads:
+        for seed in args.seeds:
+            print("\n".join(digests(workload, seed)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

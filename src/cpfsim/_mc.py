@@ -6,8 +6,12 @@ in the high half of the 256-bit counter, so streams never overlap and any
 chunk (hence any trajectory) is recomputable in isolation.  Chunk statistics
 are merged in ascending chunk order, which makes every estimate bit-identical
 for a given (seed, chunk_size, n) regardless of how many workers execute the
-chunks.  Inside shared_draws() the points of a grid, which all draw the same
-chunk streams, draw each chunk once and replay it.
+chunks.
+
+A sampler works on one Chunk in stages: the chunk's draws, a per-t stage and
+the rest of the point.  Inside grid_memo() the points of a grid, which all
+draw the same chunk streams, compute each chunk's draws once and each per-t
+stage once per t (rows are t-major); the bits do not change.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -28,8 +33,8 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 # draw (several arrays of chunk_size rows) nor the list of chunks exhausts memory.
 MAX_CHUNK_SIZE = 1 << 20
 MAX_CHUNKS = 1 << 16
-# Bytes of recorded draws one shared_draws() scope holds at most; draws past
-# the budget are made live at every point.
+# Bytes one grid_memo() scope holds at most; a stage past the budget is
+# recomputed at every call.
 SHARED_DRAWS_MAX_BYTES = 16 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -95,141 +100,89 @@ def chunk_sizes(cfg: McConfig) -> list[int]:
     return [c] * full + ([rest] if rest else [])
 
 
-def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
-
-
-def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent generator for one chunk of one run.
-
-    Inside shared_draws() it is a _ReplayStream that yields the same bits.
-    """
-    store = _store
-    if store is None:
-        return _chunk_generator(seed, chunk_index)
-    return store.stream(seed, chunk_index)
-
-
-# One recorded draw: (method, size, array, bit generator state after the call).
-_Entry = tuple[str, object, np.ndarray, dict]
-
-
-class _DrawStore:
-    """The records of one shared_draws() scope: the draws of each (seed, chunk)
-    in call order.  Chunks run on pool threads, so the records and the byte
-    count change under the lock."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.records: dict[tuple[int, int], list[_Entry]] = {}
-        self.nbytes = 0
-
-    def stream(self, seed: int, chunk_index: int) -> _ReplayStream:
-        key = (seed, chunk_index)
-        with self.lock:
-            record = self.records.get(key)
-            if record is None:
-                record = self.records[key] = []
-                return _ReplayStream(self, key, record, recording=True)
-        return _ReplayStream(self, key, record, recording=False)
-
-    def keep(self, record: list[_Entry], method: str, size, out: np.ndarray,
-             live: np.random.Generator) -> bool:
-        """Append a draw to record if it fits the byte budget; True if kept."""
-        with self.lock:
-            if self.nbytes + out.nbytes > SHARED_DRAWS_MAX_BYTES:
-                return False
-            self.nbytes += out.nbytes
-            record.append((method, size, out, live.bit_generator.state))
-        return True
-
-
-class _ReplayStream:
-    """A chunk's stream inside shared_draws().
-
-    The first stream of a (seed, chunk) draws live from Philox and records its
-    calls until one would pass the byte budget.  A later one returns a fresh
-    copy of each recorded array while its calls match the record position by
-    position; from the first call that differs, or past the end of the record,
-    it draws live from a Philox stream set to the state after the matched
-    prefix.  Every array is therefore bit-equal to the one chunk_stream's
-    Generator would return.
-    """
-
-    def __init__(self, store: _DrawStore, key: tuple[int, int], record: list[_Entry],
-                 recording: bool) -> None:
-        self.store, self.key, self.record, self.recording = store, key, record, recording
-        self.live = _chunk_generator(*key) if recording else None
-        self.pos = 0
-
-    def random(self, size) -> np.ndarray:
-        return self._draw("random", size)
-
-    def standard_normal(self, size) -> np.ndarray:
-        return self._draw("standard_normal", size)
-
-    def _draw(self, method: str, size) -> np.ndarray:
-        if self.live is None:
-            record = self.record
-            if self.pos < len(record) and record[self.pos][:2] == (method, size):
-                self.pos += 1
-                return record[self.pos - 1][2].copy()
-            self.live = _chunk_generator(*self.key)
-            if self.pos:
-                self.live.bit_generator.state = record[self.pos - 1][3]
-        out = getattr(self.live, method)(size)
-        if self.recording:
-            self.recording = self.store.keep(self.record, method, size, out, self.live)
-            if self.recording:
-                # a copy, as the caller may write into it (_ensemble_cols does);
-                # the record keeps the generator's array, allocated before the
-                # caller's temporaries: keeping the copy held ~4 MB more RSS
-                return out.copy()
-        return out
-
-
-_store: _DrawStore | None = None  # the open shared_draws() scope's records
+# The open grid_memo() scope's slots, (seed, chunk, stage) -> (owner, tag, value),
+# and their bytes.  Pool threads touch only their own chunk's slots and change
+# the byte count under the lock.
+_memo: dict | None = None
+_memo_bytes = 0
+_memo_lock = threading.Lock()
 _depth = 0
-_scope_lock = threading.Lock()
 
 
 @contextlib.contextmanager
-def shared_draws():
-    """Scope in which each chunk stream is drawn once and replayed after.
+def grid_memo():
+    """Scope in which the points of a grid share their chunks' stages (Chunk.memo).
 
-    While it is open, chunk_stream(seed, i) records the first call sequence
-    made on it and replays it to every later stream of (seed, i), so points of
-    one grid share their common random numbers without redrawing them.  The
-    bits do not change.  Records hold at most SHARED_DRAWS_MAX_BYTES; they are
-    dropped when the outermost scope exits.
+    Its slots hold at most SHARED_DRAWS_MAX_BYTES and are dropped when the
+    outermost scope exits.
     """
-    global _store, _depth
-    with _scope_lock:
+    global _memo, _memo_bytes, _depth
+    with _memo_lock:
         if _depth == 0:
-            _store = _DrawStore()
+            _memo, _memo_bytes = {}, 0
         _depth += 1
     try:
         yield
     finally:
-        with _scope_lock:
+        with _memo_lock:
             _depth -= 1
             if _depth == 0:
-                _store = None
+                _memo.clear()
+                _memo = None
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """Chunk index of the run drawn from seed, and its trajectory count."""
+
+    seed: int
+    index: int
+    size: int
+
+    def stream(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.seed, counter=self.index << 128))
+
+    def memo(self, stage: str, owner, t: float | None, compute) -> tuple:
+        """compute(), a tuple of arrays that depends on this chunk, on owner (the
+        model) and on t (None for a chunk's draws) only.  Inside grid_memo() it
+        is kept, read-only, in the slot of (seed, index, stage) while it fits the
+        budget, and returned while owner (the same object), size and t's bits hold.
+        """
+        global _memo_bytes
+        slots = _memo
+        if slots is None:
+            return compute()
+        key = (self.seed, self.index, stage)
+        tag = (self.size, None if t is None else struct.pack("<d", t))
+        slot = slots.get(key)
+        if slot is not None and slot[0] is owner and slot[1] == tag:
+            return slot[2]
+        value = compute()
+        size = sum(a.nbytes for a in value)
+        with _memo_lock:
+            if (old := slots.pop(key, None)) is not None:
+                _memo_bytes -= sum(a.nbytes for a in old[2])
+            if _memo_bytes + size <= SHARED_DRAWS_MAX_BYTES:
+                for a in value:
+                    a.flags.writeable = False
+                slots[key] = (owner, tag, value)
+                _memo_bytes += size
+        return value
 
 
 def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
-    """Run worker(chunk_index, chunk_n) for every chunk, results in order.
+    """Run worker(chunk) for every Chunk of cfg, results in chunk order.
 
     A run of one chunk, or at one worker, runs inline; otherwise a thread
     pool of at most one worker per chunk.
     """
-    sizes = chunk_sizes(cfg)
-    if workers <= 1 or len(sizes) == 1:
-        return [worker(i, m) for i, m in enumerate(sizes)]
+    chunks = [Chunk(cfg.seed, i, m) for i, m in enumerate(chunk_sizes(cfg))]
+    if workers <= 1 or len(chunks) == 1:
+        return [worker(chunk) for chunk in chunks]
     from concurrent.futures import ThreadPoolExecutor  # only parallel runs pay its import
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-        return list(pool.map(worker, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        return list(pool.map(worker, chunks))
 
 
 def validate_times(t, tau) -> tuple[float, float]:
@@ -327,10 +280,7 @@ class MomentStats:
 def collect_moments(sample_cols, cfg: McConfig, workers: int = 1) -> MomentStats:
     """Accumulate MomentStats over all chunks, merged in chunk-index order.
 
-    sample_cols(rng, m) must return an (m, dim) array drawn from rng.
+    sample_cols(chunk) must return a (chunk.size, dim) array drawn from the chunk.
     """
-
-    def worker(i: int, m: int) -> MomentStats:
-        return MomentStats.from_samples(sample_cols(chunk_stream(cfg.seed, i), m))
-
-    return functools.reduce(MomentStats.merge, map_chunks(worker, cfg, workers))
+    stats = map_chunks(lambda chunk: MomentStats.from_samples(sample_cols(chunk)), cfg, workers)
+    return functools.reduce(MomentStats.merge, stats)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, core, spinbath, stochastic
-from ._mc import McConfig, shared_draws
+from ._mc import McConfig, grid_memo
 
 
 @dataclass
@@ -252,7 +252,7 @@ def criterion_7_ou_limits(workers: int = 1) -> tuple[bool, list[str]]:
             # independent seed per point; sharing one stream across points
             # would replay the same normal draws at every (t, tau)
             cfg = McConfig(n_trajectories=200_000, seed=20250810 + 100 * i + j)
-            with shared_draws():  # both estimators draw the same chunks of cfg
+            with grid_memo():  # both estimators draw the same chunks of cfg
                 f1, f2, fj = stochastic.mc_moments(model, t, tau, cfg, workers)
                 est = stochastic.mc_cpf_semianalytic(model, t, tau, cfg, workers)
             ok &= _within(f1.value, analytic.first_moment(model, t), f1.std_error, 3.0)

@@ -38,7 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import analytic, core, spinbath, stochastic
-from ._mc import McConfig, shared_draws
+from ._mc import McConfig, grid_memo
 from .errors import ConfigError, CpfError, GridMismatch
 
 CSV_HEADER = ("t", "tau", "value", "std_error", "n_samples", "quantity", "model", "method")
@@ -597,10 +597,10 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
                           else [core.cpf_from_table(tb)] for tb in tables])
     else:
         taus = [None] * t.size if tau is None else tau.tolist()
-        # Monte Carlo points all draw the chunk streams of config.mc: the first
-        # draws each chunk and the rest replay it (a single point has no one to
-        # replay to and would only hold the draws)
-        with shared_draws() if t.size > 1 else contextlib.nullcontext():
+        # Monte Carlo points all draw the chunk streams of config.mc: each chunk
+        # is drawn once and each per-t stage computed once per t (a single
+        # point has nothing to share and would only hold the memo)
+        with grid_memo() if t.size > 1 else contextlib.nullcontext():
             points = [
                 _point_values(config, family, t_k, tau_k, workers)
                 for t_k, tau_k in zip(t.tolist(), taus)

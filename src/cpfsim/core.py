@@ -108,8 +108,9 @@ def cpf_from_moments(moments: MomentSet) -> np.ndarray:
 class CpfProbabilityTable:
     """Conditional distribution P(z, x | y) for one value of y.
 
-    ``entries`` maps (z, x) to a probability; construction validates
-    positivity and normalization to within ``NORMALIZATION_TOL``, and
+    ``entries`` maps (z, x) to a probability; construction clips entries within
+    ``ENTRY_TOL`` of [0, 1] to it, rejects the rest, validates normalization
+    to within ``NORMALIZATION_TOL``, and
     derives ``marginal_x`` and ``marginal_z``, the single-outcome
     conditionals P(x|y) and P(z|y).
     """
@@ -128,8 +129,9 @@ class CpfProbabilityTable:
             )
         entries = {k: float(v) for k, v in self.entries.items()}
         for k, p in entries.items():
-            if not math.isfinite(p) or p < 0.0 or p > 1.0:
+            if not math.isfinite(p) or p < -ENTRY_TOL or p > 1.0 + ENTRY_TOL:
                 raise InvalidProbabilityTable(f"entry {k} out of [0, 1]: {p!r}")
+            entries[k] = min(max(p, 0.0), 1.0)  # p itself when inside [0, 1]
         total = sum(entries.values())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidProbabilityTable(f"entries sum to {total!r}, not 1")

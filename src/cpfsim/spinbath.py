@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from ._mc import McConfig, MomentStats, collect_moments, validate_times
+from ._mc import Chunk, McConfig, MomentStats, collect_moments, validate_times
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -309,18 +309,20 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     n = spec.n_spins
     amplitudes = [(spec.alpha, spec.beta)] * n
     lags = np.array([[t]] if tau is None else [[t], [tau], [t + tau], [t - tau]])
-    half_w = 0.5 * spec.omega
-    half_g = 0.5 * spec.gamma
 
-    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        # couplings gtilde_k / N by inverse CDF, in the buffer of the uniforms
-        g = rng.random((m, n))
+    def couplings(chunk: Chunk) -> tuple[np.ndarray]:
+        # gtilde_k / N by inverse CDF, in the buffer of the uniforms
+        g = chunk.stream().random((chunk.size, n))
         g -= 0.5
         g *= math.pi
         np.tan(g, out=g)
-        g *= half_g
-        g += half_w
+        g *= 0.5 * spec.gamma
+        g += 0.5 * spec.omega
         g /= n
+        return (g,)
+
+    def sample(chunk: Chunk) -> np.ndarray:
+        (g,) = chunk.memo("couplings", spec, None, lambda: couplings(chunk))
         re, _ = _spin_product(g.T, amplitudes, lags)
         if tau is None:
             return re.T

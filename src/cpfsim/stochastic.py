@@ -36,9 +36,9 @@ import numpy as np
 
 from . import analytic, core
 from ._mc import (
+    Chunk,
     McConfig,
     MomentStats,
-    chunk_stream,
     collect_moments,
     map_chunks,
     validate_times,
@@ -59,51 +59,57 @@ __all__ = [
 _ZX_ROWS = np.array([(z, x, z * x) for z in core.OUTCOMES for x in core.OUTCOMES])
 
 
-def _phase_arrays(
-    model: NoiseModel, t: float, tau: float, rng: np.random.Generator, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw m exact samples of (theta1, theta2); fixed draw layout per model."""
+def _phase_draws(model: NoiseModel, rng: np.random.Generator, m: int) -> np.ndarray:
+    """A chunk's draws for the phases at every (t, tau): standard normal pairs,
+    shape (m, 2), for the Gaussian processes; the frequency (m,) of a static model."""
     match model:
-        case analytic.White():
-            var1, var2, _ = analytic.phase_covariance(model, t, tau)
-            z = rng.standard_normal((m, 2))
-            return math.sqrt(var1) * z[:, 0], math.sqrt(var2) * z[:, 1]
-        case analytic.ExpCorrGauss():
-            var1, var2, cov = analytic.phase_covariance(model, t, tau)
-            z = rng.standard_normal((m, 2))
-            # two-step Cholesky of [[var1, cov], [cov, var2]]
-            a = math.sqrt(var1)
-            if a > 0.0:
-                b = cov / a
-                c = math.sqrt(max(var2 - b * b, 0.0))
-            else:
-                b, c = 0.0, math.sqrt(var2)
-            return a * z[:, 0], b * z[:, 0] + c * z[:, 1]
+        case analytic.White() | analytic.ExpCorrGauss():
+            return rng.standard_normal((m, 2))
         case analytic.StaticGauss(g=g):
-            xi = g * rng.standard_normal(m)
-            return xi * t, xi * tau
+            return g * rng.standard_normal(m)
         case analytic.StaticLorentz(gamma=gamma, omega=omega):
             u = rng.random(m)
-            gt = 0.5 * omega + 0.5 * gamma * np.tan(math.pi * (u - 0.5))
-            return gt * t, gt * tau
+            return 0.5 * omega + 0.5 * gamma * np.tan(math.pi * (u - 0.5))
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def _moment_cols(model: NoiseModel, t: float, tau: float):
-    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
-        th1, th2 = _phase_arrays(model, t, tau, rng, m)
-        a = np.cos(2.0 * th1)
-        b = np.cos(2.0 * th2)
-        return np.column_stack([a, b, a * b])
+def _theta1(model: NoiseModel, d: np.ndarray, t: float) -> np.ndarray:
+    """theta1 of the draws d of _phase_draws."""
+    if d.ndim == 1:
+        return d * t
+    return math.sqrt(analytic.phase_covariance(model, t, 0.0)[0]) * d[:, 0]
 
-    return sample
+
+def _theta2(model: NoiseModel, d: np.ndarray, t: float, tau: float) -> np.ndarray:
+    """theta2 of the draws d of _phase_draws, jointly exact with _theta1."""
+    if d.ndim == 1:
+        return d * tau
+    var1, var2, cov = analytic.phase_covariance(model, t, tau)
+    if isinstance(model, analytic.White):
+        return math.sqrt(var2) * d[:, 1]
+    # second row of the two-step Cholesky of [[var1, cov], [cov, var2]]
+    a = math.sqrt(var1)
+    if a > 0.0:
+        b = cov / a
+        c = math.sqrt(max(var2 - b * b, 0.0))
+    else:
+        b, c = 0.0, math.sqrt(var2)
+    return b * d[:, 0] + c * d[:, 1]
 
 
 def _moment_stats(
     model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int
 ) -> MomentStats:
     t, tau = validate_times(t, tau)
-    return collect_moments(_moment_cols(model, t, tau), cfg, workers)
+
+    def sample(chunk: Chunk) -> np.ndarray:
+        (d,) = chunk.memo("phase", model, None,
+                          lambda: (_phase_draws(model, chunk.stream(), chunk.size),))
+        (a,) = chunk.memo("cos1", model, t, lambda: (np.cos(2.0 * _theta1(model, d, t)),))
+        b = np.cos(2.0 * _theta2(model, d, t, tau))
+        return np.column_stack([a, b, a * b])
+
+    return collect_moments(sample, cfg, workers)
 
 
 def mc_moments(
@@ -148,17 +154,24 @@ def _outcome_counts(
 ) -> np.ndarray:
     """Counts[y_idx, z_idx, x_idx] of sampled triples; index 0 is +1, 1 is -1."""
 
-    def worker(i: int, m: int) -> np.ndarray:
-        rng = chunk_stream(cfg.seed, i)
-        th1, th2 = _phase_arrays(model, t, tau, rng, m)
-        u = rng.random((m, 3))
-        x = np.where(u[:, 0] < 0.5, 1, -1)
-        p_y = 0.5 * (1.0 + x * np.cos(2.0 * th1))
-        y = np.where(u[:, 1] < p_y, 1, -1)
-        p_z = 0.5 * (1.0 + y * np.cos(2.0 * th2))
+    def draw(chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
+        rng = chunk.stream()
+        return _phase_draws(model, rng, chunk.size), rng.random((chunk.size, 3))
+
+    def worker(chunk: Chunk) -> np.ndarray:
+        d, u = chunk.memo("outcomes", model, None, lambda: draw(chunk))
+
+        def xy() -> tuple[np.ndarray, np.ndarray]:
+            x = np.where(u[:, 0] < 0.5, 1, -1)
+            p_y = 0.5 * (1.0 + x * np.cos(2.0 * _theta1(model, d, t)))
+            y = np.where(u[:, 1] < p_y, 1, -1)
+            return y, 2 * (1 - y) + (1 - x) // 2
+
+        y, yx_cell = chunk.memo("xy", model, t, xy)
+        p_z = 0.5 * (1.0 + y * np.cos(2.0 * _theta2(model, d, t, tau)))
         z = np.where(u[:, 2] < p_z, 1, -1)
-        # cell index 4 y_idx + 2 z_idx + x_idx
-        return np.bincount(2 * (1 - y) + (1 - z) + (1 - x) // 2, minlength=8)
+        # cell index 4 y_idx + 2 z_idx + x_idx: yx_cell holds 4 y_idx + x_idx
+        return np.bincount(yx_cell + (1 - z), minlength=8)
 
     return sum(map_chunks(worker, cfg, workers)).reshape(2, 2, 2)
 
@@ -218,7 +231,9 @@ def ou_path_reference(
     n1, dt1 = segment_steps(t)
     n2, dt2 = segment_steps(tau)
 
-    def sample(rng: np.random.Generator, m: int) -> np.ndarray:
+    # one stage: its draws interleave with the step counts of both intervals
+    def sample(chunk: Chunk) -> np.ndarray:
+        rng, m = chunk.stream(), chunk.size
         x = g * rng.standard_normal(m)
         theta = np.zeros(m)
         cols = []

@@ -364,6 +364,22 @@ GRID_VS_POINTS = [
     (dict(SURFACE, model={"kind": "lorentz_coupling", "gamma": 1.0, "n_spins": 6},
           quantity="cpf_surface", method="montecarlo"),
      spinbath.lorentz_mc_cpf),
+    (dict(SURFACE, model=MODELS["static_gauss"], quantity="cpf_surface", method="montecarlo"),
+     stochastic.mc_cpf_semianalytic),
+    (dict(SURFACE, model=MODELS["static_gauss"], quantity="cpf_surface", method="sampling"),
+     lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)),
+    ({"model": MODELS["white"], "quantity": "moments", "method": "montecarlo",
+      "t_grid": {"start": 0.1, "stop": 2.0, "count": 3}},
+     stochastic.mc_moments),
+    ({"model": MODELS["white"], "quantity": "conditional_coherence", "method": "montecarlo",
+      "yx": -1, "t_grid": {"start": 0.1, "stop": 2.0, "count": 3},
+      "tau_grid": {"start": 0.3, "stop": 1.2, "count": 3}},
+     lambda m, t, tau, cfg, w: stochastic.mc_conditional_coherence(m, t, tau, -1, cfg, w)),
+    # each t, 0.0 among them, repeated over three tau from 0.0
+    (dict(model=OU, quantity="cpf_surface", method="sampling",
+          t_grid={"start": 0.0, "stop": 1.5, "count": 2},
+          tau_grid={"start": 0.0, "stop": 2.0, "count": 3}),
+     lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)),
 ]
 
 
@@ -378,11 +394,11 @@ def test_evaluate_rows_equals_per_point_estimator_calls(monkeypatch, doc, estima
         want.extend(est if config.quantity == "moments" else [est])
 
     generators = []
-    chunk_generator = _mc._chunk_generator
-    monkeypatch.setattr(_mc, "_chunk_generator",
-                        lambda *key: generators.append(key) or chunk_generator(*key))
+    stream = _mc.Chunk.stream
+    monkeypatch.setattr(_mc.Chunk, "stream",
+                        lambda c: generators.append((c.seed, c.index)) or stream(c))
     rows = cli.evaluate_rows(config, workers)
-    # the first point draws each of the two chunks; every later point replays them
+    # the first point draws each of the two chunks; every later point reuses them
     assert sorted(generators) == [(5, 0), (5, 1)]
     for field, column in (("value", rows.value), ("std_error", rows.std_error),
                           ("n_samples", rows.n_samples)):
@@ -464,6 +480,28 @@ def test_run_oracle_table(tmp_path):
     rows = read_rows(out)
     assert [r["quantity"] for r in rows] == ["p_z+_x+", "p_z+_x-", "p_z-_x+", "p_z-_x-"]
     assert math.fsum(float(r["value"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_run_oracle_surface_from_zero_time(tmp_path):
+    # the 7-spin bath whose oracle table at t = tau = 0 rounds one entry to 1 + 2**-52
+    rng = np.random.default_rng(307)
+    a = rng.normal(size=7) + 1j * rng.normal(size=7)
+    b = rng.normal(size=7) + 1j * rng.normal(size=7)
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    doc = base_config(
+        quantity="cpf_surface",
+        method="oracle",
+        model={"kind": "spin_bath", "couplings": rng.uniform(0.1, 2.0, size=7).tolist(),
+               "alphas": [[z.real, z.imag] for z in a / norm],
+               "betas": [[z.real, z.imag] for z in b / norm]},
+        t_grid={"start": 0.0, "stop": 1.0, "count": 2},
+    )
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) == 4
+    # C(0, tau) = C(t, 0) = 0, the latter to the oracle's rounding
+    assert [abs(float(r["value"])) < 1e-15 for r in rows] == [True, True, True, False]
 
 
 def test_run_moments_emits_three_labeled_rows(tmp_path):

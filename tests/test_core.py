@@ -133,6 +133,17 @@ def test_table_constructor_validation():
     negative = {**good, (+1, +1): -0.25, (+1, -1): 0.75}
     with pytest.raises(InvalidProbabilityTable):
         core.CpfProbabilityTable(y=+1, entries=negative)
+    # rounding just past [0, 1] is clipped, as cpf_table_cells does; past ENTRY_TOL it is an error
+    over = {(+1, +1): 1.0 + 2**-52, (+1, -1): 0.0, (-1, +1): -1e-17, (-1, -1): 0.0}
+    table = core.CpfProbabilityTable(y=+1, entries=over)
+    assert table.entries == {(+1, +1): 1.0, (+1, -1): 0.0, (-1, +1): 0.0, (-1, -1): 0.0}
+    for key, bad in [((+1, +1), 1.0 + 2e-9), ((-1, +1), -2e-9), ((-1, +1), math.nan)]:
+        with pytest.raises(InvalidProbabilityTable, match="out of"):
+            core.CpfProbabilityTable(y=+1, entries={**over, key: bad})
+    # entries inside [0, 1] keep their bits, the sign of a zero included
+    inside = {(+1, +1): 0.1 + 0.2, (+1, -1): -0.0, (-1, +1): 0.7 - 2**-53, (-1, -1): 0.0}
+    kept = core.CpfProbabilityTable(y=-1, entries=inside).entries
+    assert [v.hex() for v in kept.values()] == [v.hex() for v in inside.values()]
 
 
 def test_estimate_validation_and_repr():

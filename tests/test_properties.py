@@ -2,9 +2,9 @@
 
 import functools
 import math
-import weakref
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from cpfsim import _mc, analytic, core, spinbath, stochastic
@@ -146,11 +146,11 @@ def test_table_cpf_is_bitwise_independent_of_y(moments, t, tau):
 def test_ensemble_realizations_follow_the_spin_bath_product_formula(spec, seed, t, tau):
     # the couplings the sampler draws, rebuilt from the same stream
     m = 5
-    u = _mc.chunk_stream(seed, 0).random((m, spec.n_spins))
+    u = _mc.Chunk(seed, 0, m).stream().random((m, spec.n_spins))
     g = (0.5 * spec.omega + 0.5 * spec.gamma * np.tan(math.pi * (u - 0.5))) / spec.n_spins
     lags = np.array([t, tau, t + tau, t - tau])[:, None]
     re, im = spinbath._spin_product(g.T, [(spec.alpha, spec.beta)] * spec.n_spins, lags)
-    cols = spinbath._ensemble_cols(spec, t, tau)(_mc.chunk_stream(seed, 0), m)
+    cols = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(seed, 0, m))
     for j in range(m):
         bath = spinbath.SpinBathSpec(
             g[j], np.full(spec.n_spins, spec.alpha), np.full(spec.n_spins, spec.beta)
@@ -174,8 +174,8 @@ def test_moment_stats_from_counts_equals_from_samples_of_the_expanded_rows(count
 
 @given(lorentz_specs(), st.integers(0, 2**32 - 1), st.integers(1, 40), times, times)
 def test_ensemble_coherence_draw_is_the_first_lag_of_the_four_lag_draw(spec, seed, m, t, tau):
-    one = spinbath._ensemble_cols(spec, t, None)(_mc.chunk_stream(seed, 0), m)
-    four = spinbath._ensemble_cols(spec, t, tau)(_mc.chunk_stream(seed, 0), m)
+    one = spinbath._ensemble_cols(spec, t, None)(_mc.Chunk(seed, 0, m))
+    four = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(seed, 0, m))
     assert one.shape == (m, 1)
     assert np.all(one[:, 0] == four[:, 0])
 
@@ -243,69 +243,75 @@ def test_general_spin_product_equals_the_plain_recurrence(case):
         assert point[0] == re[i, j] and point[1] == im[i, j]
 
 
-# call sequences on a chunk stream: the two methods cpfsim calls, int and tuple sizes
-draw_calls = st.lists(
-    st.tuples(
-        st.sampled_from(["random", "standard_normal"]),
-        st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 20), st.integers(1, 3))),
-    ),
-    min_size=1,
-    max_size=5,
-)
+# One-point estimators whose chunks have memo stages, the models they run on
+# (two of each kind differ only in parameters) and run layouts that share
+# seeds and chunk indices but not chunk sizes.
+MEMO_ESTIMATORS = {
+    "moments": lambda model, t, tau, cfg: stochastic.mc_moments(model, t, tau, cfg),
+    "sampling": lambda model, t, tau, cfg: (stochastic.mc_cpf_sampling(model, t, tau, 1, cfg),),
+    "ensemble": lambda spec, t, tau, cfg: spinbath.lorentz_mc_moments(spec, t, tau, cfg),
+}
+MEMO_MODELS = [analytic.White(0.35), analytic.ExpCorrGauss(0.9, 1.3),
+               analytic.ExpCorrGauss(0.4, 2.0), analytic.StaticGauss(0.8),
+               analytic.StaticGauss(0.3), analytic.StaticLorentz(0.6, 0.4)]
+MEMO_SPECS = [spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=3),
+              spinbath.LorentzCouplingSpec(gamma=0.5, omega=0.7, n_spins=3)]
+MEMO_CONFIGS = [McConfig(300, seed=1, chunk_size=100), McConfig(300, seed=1, chunk_size=150),
+                McConfig(250, seed=1, chunk_size=100), McConfig(300, seed=2, chunk_size=100)]
 
 
-def draws(rng, calls):
-    return [getattr(rng, method)(size) for method, size in calls]
+@st.composite
+def memo_calls(draw):
+    kind = draw(st.sampled_from(sorted(MEMO_ESTIMATORS)))
+    model = draw(st.sampled_from(MEMO_SPECS if kind == "ensemble" else MEMO_MODELS))
+    t, tau = draw(st.sampled_from([0.0, 0.4, 1.3])), draw(st.sampled_from([0.0, 0.7]))
+    return kind, model, t, tau, draw(st.sampled_from(MEMO_CONFIGS))
 
 
-def live_draws(seed, index, calls):
-    return draws(np.random.Generator(np.random.Philox(key=seed, counter=index << 128)), calls)
+def estimate_bits(estimates):
+    return [(e.value.hex(), e.std_error.hex(), e.n_samples) for e in estimates]
 
 
-def assert_bit_equal(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-@given(st.integers(0, 2**64 - 1), st.integers(0, 3), draw_calls, draw_calls, st.data())
-def test_shared_draws_are_bit_equal_to_live_draws(seed, index, calls, tail, data):
-    # points 1 and 2 make the same calls, point 3 parts from them after k calls
-    k = data.draw(st.integers(0, len(calls)), label="calls before the sequences part")
-    budget = data.draw(
-        st.one_of(st.just(_mc.SHARED_DRAWS_MAX_BYTES), st.integers(0, 2_000)), label="budget"
-    )
-    raise_in_body = data.draw(st.booleans(), label="raise in body")
-    parted = calls[:k] + tail
-    want, want_parted = live_draws(seed, index, calls), live_draws(seed, index, parted)
+@given(st.lists(memo_calls(), min_size=1, max_size=8),
+       st.one_of(st.just(0), st.integers(1, 12_000), st.just(_mc.SHARED_DRAWS_MAX_BYTES)),
+       st.booleans())
+def test_grid_memo_keeps_every_bit_across_models_seeds_and_budgets(calls, budget, raise_in_body):
+    # a budget from 1 to 12,000 bytes holds part of one point's stages (the
+    # sampling draws of a 100-trajectory chunk take 4,000); consecutive calls
+    # that differ in model, seed or chunk size meet the same slots
+    want = [estimate_bits(MEMO_ESTIMATORS[kind](model, t, tau, cfg))
+            for kind, model, t, tau, cfg in calls]
     old_budget = _mc.SHARED_DRAWS_MAX_BYTES
     _mc.SHARED_DRAWS_MAX_BYTES = budget
     try:
-        with _mc.shared_draws():
-            for point in range(3):
-                got = draws(_mc.chunk_stream(seed, index), calls)
-                assert_bit_equal(got, want)
-                for a in got:  # writes into a returned array never reach a replay
-                    a[...] = -1.0
-            assert_bit_equal(draws(_mc.chunk_stream(seed, index), parted), want_parted)
-            store = weakref.ref(_mc._store)
-            held = [e[2].nbytes for r in store().records.values() for e in r]
-            assert sum(held) == store().nbytes <= budget
+        with _mc.grid_memo():
+            slots = _mc._memo
+            for (kind, model, t, tau, cfg), bits in zip(calls, want):
+                assert estimate_bits(MEMO_ESTIMATORS[kind](model, t, tau, cfg)) == bits
+                held = [a for _, _, value in slots.values() for a in value]
+                assert sum(a.nbytes for a in held) == _mc._memo_bytes <= budget
+                for a in held:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
             if raise_in_body:
                 raise KeyError("body")
     except KeyError:
         assert raise_in_body
     finally:
         _mc.SHARED_DRAWS_MAX_BYTES = old_budget
-    assert _mc._store is None and store() is None  # freed without waiting for the gc
-    assert isinstance(_mc.chunk_stream(seed, index), np.random.Generator)
+    assert _mc._memo is None and slots == {}
 
 
-@given(st.integers(0, 2**64 - 1), draw_calls)
-def test_nested_shared_draws_share_the_outer_records(seed, calls):
-    with _mc.shared_draws():
-        with _mc.shared_draws():
-            draws(_mc.chunk_stream(seed, 0), calls)
-        assert len(_mc._store.records[seed, 0]) == len(calls)
-        assert_bit_equal(draws(_mc.chunk_stream(seed, 0), calls), live_draws(seed, 0, calls))
-    assert _mc._store is None
+def test_nested_grid_memo_shares_the_outer_slots(monkeypatch):
+    streams = []
+    stream = _mc.Chunk.stream
+    monkeypatch.setattr(_mc.Chunk, "stream",
+                        lambda c: streams.append((c.seed, c.index)) or stream(c))
+    model, cfg = analytic.ExpCorrGauss(0.9, 1.3), McConfig(300, seed=4, chunk_size=100)
+    with _mc.grid_memo():
+        with _mc.grid_memo():
+            first = stochastic.mc_moments(model, 0.4, 0.7, cfg)
+        assert sorted(_mc._memo) == [(4, i, stage) for i in range(3) for stage in ("cos1", "phase")]
+        assert stochastic.mc_moments(model, 0.4, 1.3, cfg) != first
+    assert streams == [(4, 0), (4, 1), (4, 2)]
+    assert _mc._memo is None

@@ -140,6 +140,16 @@ def test_oracle_matches_product_formula(n, y):
     _assert_tables_close(oracle, closed, 1e-12)
 
 
+@pytest.mark.parametrize("y", [+1, -1])
+def test_oracle_at_zero_times_clips_an_entry_rounded_above_one(y):
+    # this bath's renormalized state reads P(z = y, x = y | y) as 1 + 2**-52
+    spec = random_spec(np.random.default_rng(307), 7)
+    table = spinbath.oracle_protocol(spec, PLUS, 0.0, 0.0, y)
+    assert table.entries[(y, y)] == 1.0
+    assert all(0.0 <= p <= 1.0 for p in table.entries.values())
+    assert core.cpf_from_table(table) == 0.0
+
+
 def test_oracle_propagators_agree():
     rng = np.random.default_rng(11)
     spec = random_spec(rng, 6)
@@ -409,11 +419,10 @@ def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk):
     # the budget has to count every array one draw holds at its peak
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, omega=0.4, n_spins=n_spins)
     sample = spinbath._ensemble_cols(spec, 0.7, 1.1)
-    rng = _mc.chunk_stream(3, 0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sample(rng, chunk)
+        sample(_mc.Chunk(3, 0, chunk))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -27,7 +27,8 @@ def _pull(est: core.Estimate, truth: float) -> float:
 
 def test_sample_phase_pair_matches_model_law():
     # static Gaussian noise: theta2/theta1 = tau/t on every draw
-    th1, th2 = stochastic._phase_arrays(GAUSS, 2.0, 0.5, np.random.default_rng(5), 20)
+    d = stochastic._phase_draws(GAUSS, np.random.default_rng(5), 20)
+    th1, th2 = stochastic._theta1(GAUSS, d, 2.0), stochastic._theta2(GAUSS, d, 2.0, 0.5)
     assert th2 == pytest.approx(th1 * 0.25, rel=1e-12)
 
 
@@ -185,7 +186,8 @@ def test_semianalytic_error_bar_survives_nearly_constant_columns():
     for seed in range(40):
         est = stochastic.mc_cpf_semianalytic(model, t, t, McConfig(n_trajectories=n, seed=seed))
         # the same draws (a single chunk), linearized about their means in a second pass
-        th1, th2 = stochastic._phase_arrays(model, t, t, _mc.chunk_stream(seed, 0), n)
+        d = stochastic._phase_draws(model, _mc.Chunk(seed, 0, n).stream(), n)
+        th1, th2 = stochastic._theta1(model, d, t), stochastic._theta2(model, d, t, t)
         a, b = np.cos(2.0 * th1), np.cos(2.0 * th2)
         cols = np.column_stack([a, b, a * b])
         m = cols.mean(axis=0)
@@ -233,22 +235,25 @@ def test_worker_count_does_not_change_results():
         assert fn(4) == base
 
 
-def test_shared_draws_on_racing_pool_threads_keep_every_point_exact(monkeypatch):
+def test_grid_memo_on_racing_pool_threads_keeps_every_point_exact(monkeypatch):
     # 64 chunks on 8 threads that switch every microsecond, with a budget that
-    # records about 3/5 of one point's draws, so records close mid-sequence
+    # holds about 3/5 of one point's stages, so slots fill up mid-point; the
+    # rows are t-major, so each t's stage is replaced while chunks race
     cfg = McConfig(n_trajectories=64 * 50, seed=9, chunk_size=50)
-    points = [(0.3, 0.5), (0.7, 0.2), (1.1, 1.4)]
+    points = [(0.3, 0.5), (0.3, 0.2), (0.0, 0.2), (1.1, 1.4), (1.1, 0.0)]
     want = [stochastic.mc_cpf_sampling(OU, t, tau, 1, cfg) for t, tau in points]
-    budget = 64 * 50 * 8 * 3
+    budget = 64 * 50 * 8 * 7 * 3 // 5
     monkeypatch.setattr(_mc, "SHARED_DRAWS_MAX_BYTES", budget)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    got = []
     try:
-        with _mc.shared_draws():
-            got = [stochastic.mc_cpf_sampling(OU, t, tau, 1, cfg, workers=8) for t, tau in points]
-            store = _mc._store
-            held = [e[2].nbytes for r in store.records.values() for e in r]
-            assert sum(held) == store.nbytes <= budget
+        with _mc.grid_memo():
+            for t, tau in points:
+                got.append(stochastic.mc_cpf_sampling(OU, t, tau, 1, cfg, workers=8))
+                held = sum(a.nbytes for _, _, value in _mc._memo.values() for a in value)
+                assert held == _mc._memo_bytes <= budget
+                assert 0 < len(_mc._memo) < 2 * 64
     finally:
         sys.setswitchinterval(interval)
     assert got == want

@@ -1,0 +1,98 @@
+"""Alternate perfbench runs between two checkouts and compare their end-to-end metrics.
+
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload mc_surface \\
+        --seeds 1-10 --seconds 30
+
+For each seed it runs ``python3 perfbench/run.py --workload W --seed N
+--seconds S --trace 0`` in PARENT_DIR and then in CHANGE_DIR, and reads the
+JSON result on the last line of each run's stdout.  It prints every pair's
+end-to-end metrics, then for each metric the two medians, the interquartile
+range of the parent's runs and how many pairs the change improved.  Which way
+is better comes from CHANGE_DIR's BENCHMARK.json; nothing is imported from
+perfbench/.  It exits 1 when a run fails or reports a failed operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-3,7' -> [1, 2, 3, 7]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict[str, dict]:
+    """Per metric of better: medians, the parent's quartile spread and the pairs won.
+
+    pairs holds (parent, change) metric dicts, name -> value, one per seed;
+    better maps a metric name to "lower" or "higher".
+    """
+    out = {}
+    for name, way in better.items():
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = 1.0 if way == "lower" else -1.0
+        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+        gain = sign * (statistics.median(parent) - statistics.median(change))
+        out[name] = {
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_iqr": q3 - q1,
+            "improved": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+            "gain_beyond_iqr": gain > q3 - q1,
+        }
+    return out
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result of one untraced perfbench run in checkout."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{checkout} seed {seed}: {result['failed']} failed operations")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout measured first in each pair")
+    ap.add_argument("change", type=Path, help="checkout measured second in each pair")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
+                    help="seeds as ranges, e.g. 1-10 or 1-3,7 (default 1-10)")
+    ap.add_argument("--seconds", type=float, default=30.0, help="timed window per run")
+    args = ap.parse_args(argv)
+    declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    pairs = []
+    print("seed  " + "  ".join(f"{name:>23}" for name in better))
+    for seed in args.seeds:
+        pair = tuple(run_once(d, args.workload, seed, args.seconds)
+                     for d in (args.parent, args.change))
+        pairs.append(pair)
+        print(f"{seed:>4}  " + "  ".join(
+            f"{pair[0][name]:>10.4g} -> {pair[1][name]:<10.4g}" for name in better), flush=True)
+    for name, s in summarize(pairs, better).items():
+        print(f"{name}: median {s['parent_median']:.4g} -> {s['change_median']:.4g}, "
+              f"parent IQR {s['parent_iqr']:.3g}, better in {s['improved']}/{s['pairs']} pairs, "
+              f"median gain {'beyond' if s['gain_beyond_iqr'] else 'within'} the parent IQR")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

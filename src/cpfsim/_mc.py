@@ -8,10 +8,11 @@ are merged in ascending chunk order, which makes every estimate bit-identical
 for a given (seed, chunk_size, n) regardless of how many workers execute the
 chunks.
 
-A sampler works on one Chunk in stages: the chunk's draws, a per-t stage and
-the rest of the point.  Inside grid_memo() the points of a grid, which all
-draw the same chunk streams, compute each chunk's draws once and each per-t
-stage once per t (rows are t-major); the bits do not change.
+A sampler works on one Chunk in stages: the chunk's draws, a per-t stage, a
+per-tau stage where tau alone fixes it, and the rest of the point.  Inside
+grid_memo() the points of a grid, which all draw the same chunk streams, compute
+each chunk's draws once, each per-t stage once per t (rows are t-major) and each
+per-tau stage once per tau (a slot per tau); the bits do not change.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ MAX_CHUNK_SIZE = 1 << 20
 MAX_CHUNKS = 1 << 16
 # Bytes one grid_memo() scope holds at most; a stage past the budget is
 # recomputed at every call.
-SHARED_DRAWS_MAX_BYTES = 16 << 20
+GRID_MEMO_MAX_BYTES = 16 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -113,7 +114,7 @@ _depth = 0
 def grid_memo():
     """Scope in which the points of a grid share their chunks' stages (Chunk.memo).
 
-    Its slots hold at most SHARED_DRAWS_MAX_BYTES and are dropped when the
+    Its slots hold at most GRID_MEMO_MAX_BYTES and are dropped when the
     outermost scope exits.
     """
     global _memo, _memo_bytes, _depth
@@ -144,9 +145,10 @@ class Chunk:
 
     def memo(self, stage: str, owner, t: float | None, compute) -> tuple:
         """compute(), a tuple of arrays that depends on this chunk, on owner (the
-        model) and on t (None for a chunk's draws) only.  Inside grid_memo() it
-        is kept, read-only, in the slot of (seed, index, stage) while it fits the
-        budget, and returned while owner (the same object), size and t's bits hold.
+        model) and on t (tau for a per-tau stage, None for a chunk's draws) only.
+        Inside grid_memo() it is kept, read-only, in the slot of (seed, index,
+        stage) while it fits the budget, and returned while owner (the same
+        object), size and t's bits hold.
         """
         global _memo_bytes
         slots = _memo
@@ -162,7 +164,7 @@ class Chunk:
         with _memo_lock:
             if (old := slots.pop(key, None)) is not None:
                 _memo_bytes -= sum(a.nbytes for a in old[2])
-            if _memo_bytes + size <= SHARED_DRAWS_MAX_BYTES:
+            if _memo_bytes + size <= GRID_MEMO_MAX_BYTES:
                 for a in value:
                     a.flags.writeable = False
                 slots[key] = (owner, tag, value)
@@ -209,12 +211,16 @@ class MomentStats:
     m2: np.ndarray  # (dim, dim) cross-products of deviations from the mean
 
     @classmethod
-    def from_samples(cls, cols: np.ndarray) -> MomentStats:
-        """cols has shape (n_samples, dim)."""
-        n = cols.shape[0]
-        s = cols.sum(axis=0)
-        d = cols - s / n
-        return cls(n, s, d.T @ d)
+    def from_samples(cls, cols) -> MomentStats:
+        """cols holds dim 1-D columns of n_samples.  The bits are those of the
+        (n_samples, dim) stack's axis-0 sum, which adds rows in order to 0.0
+        (pairwise for one column), and of d.T @ d."""
+        n, dim = cols[0].size, len(cols)
+        s, d = np.empty(dim), np.empty((dim, n))
+        for j, c in enumerate(cols):
+            s[j] = 0.0 + np.cumsum(c, out=d[j])[-1] if dim > 1 else c.sum()
+            np.subtract(c, s[j] / n, out=d[j])
+        return cls(n, s, d @ d.T)
 
     @classmethod
     def from_counts(cls, rows: np.ndarray, counts: np.ndarray) -> MomentStats:
@@ -280,7 +286,8 @@ class MomentStats:
 def collect_moments(sample_cols, cfg: McConfig, workers: int = 1) -> MomentStats:
     """Accumulate MomentStats over all chunks, merged in chunk-index order.
 
-    sample_cols(chunk) must return a (chunk.size, dim) array drawn from the chunk.
+    sample_cols(chunk) must return the dim columns drawn from the chunk, 1-D
+    arrays of chunk.size each.
     """
     stats = map_chunks(lambda chunk: MomentStats.from_samples(sample_cols(chunk)), cfg, workers)
     return functools.reduce(MomentStats.merge, stats)

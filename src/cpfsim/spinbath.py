@@ -321,12 +321,10 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
         g /= n
         return (g,)
 
-    def sample(chunk: Chunk) -> np.ndarray:
+    def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (g,) = chunk.memo("couplings", spec, None, lambda: couplings(chunk))
         re, _ = _spin_product(g.T, amplitudes, lags)
-        if tau is None:
-            return re.T
-        return np.column_stack([re[0], re[1], 0.5 * (re[2] + re[3])])
+        return (re[0],) if tau is None else (re[0], re[1], 0.5 * (re[2] + re[3]))
 
     return sample
 
@@ -334,9 +332,9 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
 # Per-trajectory float64 values one draw holds besides its couplings, at most:
 # the spin product's general path keeps five (4, chunk_size) lag arrays and one
 # doubled coupling row (21); its balanced path, which every spec with
-# |alpha| == |beta| takes, keeps three lag arrays (12).  Building the
-# (chunk_size, 3) columns from re afterwards holds fewer (about 9).  The rest
-# is headroom for the fixed small objects that weigh on short chunks (N = 200
+# |alpha| == |beta| takes, keeps three lag arrays (12).  The four rows of re
+# and the three centred columns afterwards hold fewer (about 9).  The rest is
+# headroom for the fixed small objects that weigh on short chunks (N = 200
 # at chunk 2,000 peaks near 30 on the general path).
 _ENSEMBLE_DRAW_COLUMNS = 40
 

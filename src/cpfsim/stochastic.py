@@ -60,11 +60,15 @@ _ZX_ROWS = np.array([(z, x, z * x) for z in core.OUTCOMES for x in core.OUTCOMES
 
 
 def _phase_draws(model: NoiseModel, rng: np.random.Generator, m: int) -> np.ndarray:
-    """A chunk's draws for the phases at every (t, tau): standard normal pairs,
-    shape (m, 2), for the Gaussian processes; the frequency (m,) of a static model."""
+    """A chunk's draws for the phases at every (t, tau): standard normal pairs, drawn
+    (m, 2) and kept as two rows, for Gaussian processes; a static model's frequency."""
     match model:
         case analytic.White() | analytic.ExpCorrGauss():
-            return rng.standard_normal((m, 2))
+            # block by block, so no (m, 2) copy is held next to the rows
+            d = np.empty((2, m))
+            for k in range(0, m, 4096):
+                d[:, k:k + 4096] = rng.standard_normal((min(4096, m - k), 2)).T
+            return d
         case analytic.StaticGauss(g=g):
             return g * rng.standard_normal(m)
         case analytic.StaticLorentz(gamma=gamma, omega=omega):
@@ -77,7 +81,7 @@ def _theta1(model: NoiseModel, d: np.ndarray, t: float) -> np.ndarray:
     """theta1 of the draws d of _phase_draws."""
     if d.ndim == 1:
         return d * t
-    return math.sqrt(analytic.phase_covariance(model, t, 0.0)[0]) * d[:, 0]
+    return math.sqrt(analytic.phase_covariance(model, t, 0.0)[0]) * d[0]
 
 
 def _theta2(model: NoiseModel, d: np.ndarray, t: float, tau: float) -> np.ndarray:
@@ -86,7 +90,7 @@ def _theta2(model: NoiseModel, d: np.ndarray, t: float, tau: float) -> np.ndarra
         return d * tau
     var1, var2, cov = analytic.phase_covariance(model, t, tau)
     if isinstance(model, analytic.White):
-        return math.sqrt(var2) * d[:, 1]
+        return math.sqrt(var2) * d[1]
     # second row of the two-step Cholesky of [[var1, cov], [cov, var2]]
     a = math.sqrt(var1)
     if a > 0.0:
@@ -94,7 +98,23 @@ def _theta2(model: NoiseModel, d: np.ndarray, t: float, tau: float) -> np.ndarra
         c = math.sqrt(max(var2 - b * b, 0.0))
     else:
         b, c = 0.0, math.sqrt(var2)
-    return b * d[:, 0] + c * d[:, 1]
+    return b * d[0] + c * d[1]
+
+
+def _cos2(theta: np.ndarray) -> np.ndarray:
+    """cos 2 theta, in theta's buffer."""
+    theta *= 2.0
+    return np.cos(theta, out=theta)
+
+
+def _cos2_theta2(chunk: Chunk, model: NoiseModel, d: np.ndarray, t: float, tau: float):
+    """cos 2 theta2 of the chunk's draws d.  Off the OU model it depends on tau
+    alone, and a grid keeps it in one slot per tau (read-only there)."""
+    if isinstance(model, analytic.ExpCorrGauss):
+        return _cos2(_theta2(model, d, t, tau))
+    (b,) = chunk.memo(f"cos2 {tau.hex()}", model, tau,
+                      lambda: (_cos2(_theta2(model, d, t, tau)),))
+    return b
 
 
 def _moment_stats(
@@ -102,12 +122,12 @@ def _moment_stats(
 ) -> MomentStats:
     t, tau = validate_times(t, tau)
 
-    def sample(chunk: Chunk) -> np.ndarray:
+    def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (d,) = chunk.memo("phase", model, None,
                           lambda: (_phase_draws(model, chunk.stream(), chunk.size),))
-        (a,) = chunk.memo("cos1", model, t, lambda: (np.cos(2.0 * _theta1(model, d, t)),))
-        b = np.cos(2.0 * _theta2(model, d, t, tau))
-        return np.column_stack([a, b, a * b])
+        (a,) = chunk.memo("cos1", model, t, lambda: (_cos2(_theta1(model, d, t)),))
+        b = _cos2_theta2(chunk, model, d, t, tau)
+        return a, b, a * b
 
     return collect_moments(sample, cfg, workers)
 
@@ -149,6 +169,31 @@ def mc_conditional_coherence(
     return _moment_stats(model, t, tau, cfg, workers).conditional_coherence(yx)
 
 
+def _xy_cells(u: np.ndarray, cos1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y (+-1.0) and cell = 4 y_idx + 2 z_idx + x_idx at z = -1 from the outcome
+    uniforms u (m, 3) and cos 2 theta1, in whose buffer p(y = +1 | x) is built."""
+    x_up = u[:, 0] < 0.5
+    p_y = cos1
+    p_y *= 2.0 * x_up.astype(float) - 1.0  # x = +-1.0, in float steps (bool casts are slow)
+    p_y += 1.0
+    p_y *= 0.5
+    y_up = u[:, 1] < p_y
+    cell = y_up.astype(np.intp)
+    cell *= -4
+    cell += 7
+    cell -= x_up
+    return 2.0 * y_up.astype(float) - 1.0, cell
+
+
+def _cell_counts(u: np.ndarray, cos2: np.ndarray, y: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """The eight cells' counts; p(z = +1 | y) is built in cos 2 theta2's buffer
+    unless that is a read-only kept stage."""
+    p_z = np.multiply(cos2, y, out=cos2 if cos2.flags.writeable else None)
+    p_z += 1.0
+    p_z *= 0.5
+    return np.bincount(cell - 2 * (u[:, 2] < p_z), minlength=8)
+
+
 def _outcome_counts(
     model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int = 1
 ) -> np.ndarray:
@@ -160,18 +205,8 @@ def _outcome_counts(
 
     def worker(chunk: Chunk) -> np.ndarray:
         d, u = chunk.memo("outcomes", model, None, lambda: draw(chunk))
-
-        def xy() -> tuple[np.ndarray, np.ndarray]:
-            x = np.where(u[:, 0] < 0.5, 1, -1)
-            p_y = 0.5 * (1.0 + x * np.cos(2.0 * _theta1(model, d, t)))
-            y = np.where(u[:, 1] < p_y, 1, -1)
-            return y, 2 * (1 - y) + (1 - x) // 2
-
-        y, yx_cell = chunk.memo("xy", model, t, xy)
-        p_z = 0.5 * (1.0 + y * np.cos(2.0 * _theta2(model, d, t, tau)))
-        z = np.where(u[:, 2] < p_z, 1, -1)
-        # cell index 4 y_idx + 2 z_idx + x_idx: yx_cell holds 4 y_idx + x_idx
-        return np.bincount(yx_cell + (1 - z), minlength=8)
+        y, cell = chunk.memo("xy", model, t, lambda: _xy_cells(u, _cos2(_theta1(model, d, t))))
+        return _cell_counts(u, _cos2_theta2(chunk, model, d, t, tau), y, cell)
 
     return sum(map_chunks(worker, cfg, workers)).reshape(2, 2, 2)
 
@@ -232,7 +267,7 @@ def ou_path_reference(
     n2, dt2 = segment_steps(tau)
 
     # one stage: its draws interleave with the step counts of both intervals
-    def sample(chunk: Chunk) -> np.ndarray:
+    def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         rng, m = chunk.stream(), chunk.size
         x = g * rng.standard_normal(m)
         theta = np.zeros(m)
@@ -248,6 +283,6 @@ def ou_path_reference(
                     x = x_next
             cols.append(np.cos(2.0 * theta))
         a, b = cols
-        return np.column_stack([a, b, a * b])
+        return a, b, a * b
 
     return collect_moments(sample, cfg, workers).moments()

@@ -353,6 +353,9 @@ OU = {"kind": "exp_corr_gauss", "g": 0.9, "tau_c": 1.3}
 SURFACE = {"t_grid": {"start": 0.1, "stop": 1.5, "count": 2},
            "tau_grid": {"start": 0.2, "stop": 2.0, "count": 3}}
 TWO_CHUNKS = {"n_trajectories": 3_000, "chunk_size": 2_000, "seed": 5}
+# each tau, 0.0 among them, repeated at three t from 0.0
+REPEATED_TAU = {"t_grid": {"start": 0.0, "stop": 1.2, "count": 3},
+                "tau_grid": {"start": 0.0, "stop": 0.9, "count": 2}}
 GRID_VS_POINTS = [
     (dict(SURFACE, model=OU, quantity="cpf_surface", method="montecarlo"),
      stochastic.mc_cpf_semianalytic),
@@ -380,6 +383,10 @@ GRID_VS_POINTS = [
           t_grid={"start": 0.0, "stop": 1.5, "count": 2},
           tau_grid={"start": 0.0, "stop": 2.0, "count": 3}),
      lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)),
+    *[(dict(REPEATED_TAU, model=MODELS[kind], quantity="cpf_surface", method=method), estimator)
+      for kind in ("white", "static_lorentz") for method, estimator in (
+          ("montecarlo", stochastic.mc_cpf_semianalytic),
+          ("sampling", lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)))],
 ]
 
 
@@ -404,6 +411,33 @@ def test_evaluate_rows_equals_per_point_estimator_calls(monkeypatch, doc, estima
                           ("n_samples", rows.n_samples)):
         expected = np.array([getattr(e, field) for e in want], dtype=column.dtype)
         assert column.ravel().tobytes() == expected.tobytes(), field
+
+
+# the white and static grids of GRID_VS_POINTS, whose cos 2 theta2 is a per-tau stage
+@pytest.mark.parametrize("doc", [doc for doc, _ in GRID_VS_POINTS[-4:]])
+def test_per_tau_stages_past_the_grid_memo_budget_keep_every_bit(monkeypatch, doc):
+    config = cli.parse_config(base_config(**doc, mc=TWO_CHUNKS))
+    want = cli.evaluate_rows(config)
+    held, stages = [], set()
+    memo = _mc.Chunk.memo
+
+    def watched(chunk, stage, *args):
+        value = memo(chunk, stage, *args)
+        held.append(_mc._memo_bytes)
+        stages.add(stage.split()[0])
+        return value
+
+    monkeypatch.setattr(_mc.Chunk, "memo", watched)
+    cli.evaluate_rows(config)
+    assert "cos2" in stages
+    # half of what the whole grid keeps cannot hold every tau slot
+    budget = max(held) // 2
+    monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", budget)
+    held.clear()
+    rows = cli.evaluate_rows(config)
+    assert 0 < max(held) <= budget
+    for field in ("value", "std_error", "n_samples"):
+        assert getattr(rows, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 @pytest.mark.parametrize("quantity, tau_grid", [

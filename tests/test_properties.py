@@ -158,8 +158,45 @@ def test_ensemble_realizations_follow_the_spin_bath_product_formula(spec, seed, 
         c = spinbath.coherence(bath, lags[:, 0])
         assert np.all(re[:, j] == c.real) and np.all(im[:, j] == c.imag)
         want = spinbath.moment_set(bath, t, tau)
-        assert cols[j, 0] == want.f_t and cols[j, 1] == want.f_tau
-        assert cols[j, 2] == want.f_joint
+        assert cols[0][j] == want.f_t and cols[1][j] == want.f_tau
+        assert cols[2][j] == want.f_joint
+
+
+@st.composite
+def sample_columns(draw):
+    """1 to 3 columns of 1 to 70,000 samples: constant, of mixed magnitude, or
+    cosines; contiguous, or strided rows of a transposed (n, dim) array."""
+    n, dim = draw(st.integers(1, 70_000)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["constant", "mixed", "cos"]))
+    if kind == "constant":
+        cols = [np.full(n, draw(st.floats(-1e6, 1e6))) for _ in range(dim)]
+    elif kind == "mixed":
+        cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n) for _ in range(dim)]
+    else:
+        cols = [np.cos(3.0 * rng.standard_normal(n)) for _ in range(dim)]
+    return list(np.column_stack(cols).T) if draw(st.booleans()) else cols
+
+
+def size_examples(test):
+    for n in (1, 2, 5, 7, 3_000, 20_000, 34_464, 65_536):
+        a = np.cos(0.37 * np.arange(n))
+        test = example([a, a[::-1].copy(), a * a[::-1]])(example([a])(test))
+    return test
+
+
+@size_examples
+@example([np.full(3, -0.0), np.full(3, -0.0)])  # numpy sums from +0.0
+@given(sample_columns())
+def test_moment_stats_from_columns_keeps_the_bits_of_the_stacked_form(cols):
+    # the constructor's old body, on the (n, dim) stack of the columns
+    stack = np.column_stack(cols)
+    n = stack.shape[0]
+    s = stack.sum(axis=0)
+    d = stack - s / n
+    got = _mc.MomentStats.from_samples(cols)
+    assert got.n == n
+    assert got.s.tobytes() == s.tobytes() and got.m2.tobytes() == (d.T @ d).tobytes()
 
 
 @given(st.lists(st.integers(0, 2_000), min_size=4, max_size=4).filter(any))
@@ -167,7 +204,7 @@ def test_moment_stats_from_counts_equals_from_samples_of_the_expanded_rows(count
     # a random 2x2 (z, x) count table, cells in the order of stochastic._ZX_ROWS
     rows, counts = stochastic._ZX_ROWS, np.array(counts)
     got = _mc.MomentStats.from_counts(rows, counts)
-    want = _mc.MomentStats.from_samples(np.repeat(rows.astype(float), counts, axis=0))
+    want = _mc.MomentStats.from_samples(np.repeat(rows.astype(float), counts, axis=0).T)
     assert got.n == want.n and np.all(got.s == want.s)
     np.testing.assert_allclose(got.m2, want.m2, rtol=1e-9, atol=1e-9 * want.n)
 
@@ -176,8 +213,8 @@ def test_moment_stats_from_counts_equals_from_samples_of_the_expanded_rows(count
 def test_ensemble_coherence_draw_is_the_first_lag_of_the_four_lag_draw(spec, seed, m, t, tau):
     one = spinbath._ensemble_cols(spec, t, None)(_mc.Chunk(seed, 0, m))
     four = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(seed, 0, m))
-    assert one.shape == (m, 1)
-    assert np.all(one[:, 0] == four[:, 0])
+    assert len(one) == 1 and one[0].shape == (m,)
+    assert np.all(one[0] == four[0])
 
 
 def plain_spin_product(couplings, amplitudes, t):
@@ -273,7 +310,7 @@ def estimate_bits(estimates):
 
 
 @given(st.lists(memo_calls(), min_size=1, max_size=8),
-       st.one_of(st.just(0), st.integers(1, 12_000), st.just(_mc.SHARED_DRAWS_MAX_BYTES)),
+       st.one_of(st.just(0), st.integers(1, 12_000), st.just(_mc.GRID_MEMO_MAX_BYTES)),
        st.booleans())
 def test_grid_memo_keeps_every_bit_across_models_seeds_and_budgets(calls, budget, raise_in_body):
     # a budget from 1 to 12,000 bytes holds part of one point's stages (the
@@ -281,8 +318,8 @@ def test_grid_memo_keeps_every_bit_across_models_seeds_and_budgets(calls, budget
     # that differ in model, seed or chunk size meet the same slots
     want = [estimate_bits(MEMO_ESTIMATORS[kind](model, t, tau, cfg))
             for kind, model, t, tau, cfg in calls]
-    old_budget = _mc.SHARED_DRAWS_MAX_BYTES
-    _mc.SHARED_DRAWS_MAX_BYTES = budget
+    old_budget = _mc.GRID_MEMO_MAX_BYTES
+    _mc.GRID_MEMO_MAX_BYTES = budget
     try:
         with _mc.grid_memo():
             slots = _mc._memo
@@ -298,7 +335,7 @@ def test_grid_memo_keeps_every_bit_across_models_seeds_and_budgets(calls, budget
     except KeyError:
         assert raise_in_body
     finally:
-        _mc.SHARED_DRAWS_MAX_BYTES = old_budget
+        _mc.GRID_MEMO_MAX_BYTES = old_budget
     assert _mc._memo is None and slots == {}
 
 

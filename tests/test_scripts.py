@@ -1,5 +1,6 @@
 """The experiment scripts and the README's library example run end to end."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ SCRIPTS = {
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(
-        [*SCRIPTS, "csv_digests.py"]
+        [*SCRIPTS, "bench_pairs.py", "csv_digests.py"]
     )
 
 
@@ -63,3 +64,35 @@ def test_csv_digests_prints_one_line_per_csv_of_the_workload(tmp_path):
     for line, name in zip(proc.stdout.splitlines(), names, strict=True):
         assert re.fullmatch(rf"[0-9a-f]{{64}}  closed_forms/3/{name}\.csv", line), line
     assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarizes_fixture_pairs_without_running_a_benchmark():
+    bench_pairs = _load_script("bench_pairs.py")
+    assert bench_pairs.parse_seeds("1-3,7,9-10") == [1, 2, 3, 7, 9, 10]
+    # five (parent, change) pairs: wall_s improves in four, peak_rss_mb in none
+    walls = [(0.36, 0.25), (0.40, 0.26), (0.35, 0.24), (0.30, 0.31), (0.38, 0.27)]
+    pairs = [({"wall_s": p, "peak_rss_mb": 50.0, "ops": 10.0},
+              {"wall_s": c, "peak_rss_mb": 50.5, "ops": 12.0}) for p, c in walls]
+    got = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower",
+                                        "ops": "higher"})
+    wall = got["wall_s"]
+    assert (wall["parent_median"], wall["change_median"]) == (0.36, 0.26)
+    assert wall["improved"] == 4 and wall["pairs"] == 5
+    # parent quartiles (exclusive method) 0.325 and 0.39
+    assert wall["parent_iqr"] == pytest.approx(0.065) and wall["gain_beyond_iqr"]
+    assert got["peak_rss_mb"]["improved"] == 0 and not got["peak_rss_mb"]["gain_beyond_iqr"]
+    assert got["ops"]["improved"] == 5 and got["ops"]["gain_beyond_iqr"]
+
+
+def test_bench_pairs_help_runs_nothing(tmp_path):
+    proc = _run("bench_pairs.py", "--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "PARENT" in proc.stdout.upper() and "--seeds" in proc.stdout
+    assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from cpfsim import _mc, analytic, core, stochastic
@@ -37,6 +38,65 @@ def test_sample_outcome_triple_is_valid():
     counts = stochastic._outcome_counts(OU, 1.0, 0.7, McConfig(n_trajectories=1_000, seed=6))
     assert counts.shape == (2, 2, 2)
     assert counts.min() >= 0 and counts.sum() == 1_000
+
+
+def where_pipeline_counts(u, cos1, cos2):
+    """Cell counts, p_y and p_z of the np.where pipeline the sampling stages replaced."""
+    x = np.where(u[:, 0] < 0.5, 1, -1)
+    p_y = 0.5 * (1.0 + x * cos1)
+    y = np.where(u[:, 1] < p_y, 1, -1)
+    p_z = 0.5 * (1.0 + y * cos2)
+    z = np.where(u[:, 2] < p_z, 1, -1)
+    return np.bincount(2 * (1 - y) + (1 - x) // 2 + (1 - z), minlength=8), p_y, p_z
+
+
+def staged_counts(u, cos1, cos2, keep_cos2):
+    y, cell = stochastic._xy_cells(u, cos1.copy())
+    c = cos2.copy()
+    c.flags.writeable = not keep_cos2  # a kept per-tau stage is read-only
+    counts = stochastic._cell_counts(u, c, y, cell)
+    assert not keep_cos2 or np.all(c == cos2)
+    return counts
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.booleans())
+def test_sampling_stages_count_like_the_where_pipeline_with_ties(m, seed, keep_cos2):
+    rng = np.random.default_rng(seed)
+    # cosines at random phases and at t = 0 or tau = 0 (exactly 1), plus -1 and 0
+    cos1, cos2 = (np.where(rng.random(m) < 0.3, rng.choice([1.0, -1.0, 0.0], m),
+                           np.cos(2.0 * rng.standard_normal(m))) for _ in range(2))
+    u = rng.random((m, 3))
+    # ties u == p: x at u = 0.5, then y and z at the pipeline's own p_y and p_z
+    tie = [rng.random(m) < 0.3 for _ in range(3)]
+    u[tie[0], 0] = 0.5
+    _, p_y, _ = where_pipeline_counts(u, cos1, cos2)
+    u[tie[1], 1] = p_y[tie[1]]
+    _, _, p_z = where_pipeline_counts(u, cos1, cos2)
+    u[tie[2], 2] = p_z[tie[2]]
+    want, _, _ = where_pipeline_counts(u, cos1, cos2)
+    assert np.array_equal(staged_counts(u, cos1, cos2, keep_cos2), want)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("t", [0.0, 0.9])
+def test_outcome_counts_equal_the_where_pipeline_on_the_chunk_draws(model, t):
+    m, tau = 5_000, 0.6
+    rng = _mc.Chunk(8, 0, m).stream()
+    d = stochastic._phase_draws(model, rng, m)
+    u = rng.random((m, 3))
+    cos1 = np.cos(2.0 * stochastic._theta1(model, d, t))
+    cos2 = np.cos(2.0 * stochastic._theta2(model, d, t, tau))
+    want, _, _ = where_pipeline_counts(u, cos1, cos2)
+    got = stochastic._outcome_counts(model, t, tau, McConfig(n_trajectories=m, seed=8))
+    assert np.array_equal(got.ravel(), want)
+
+
+@pytest.mark.parametrize("m", [1, 4_095, 4_096, 4_097, 20_000])
+def test_gaussian_pair_draws_are_the_rows_of_one_m_by_2_draw(m):
+    a, b = (_mc.Chunk(3, 1, m).stream() for _ in range(2))
+    rows = stochastic._phase_draws(OU, a, m)
+    assert rows.flags.c_contiguous and rows.tobytes() == b.standard_normal((m, 2)).T.tobytes()
+    assert a.random(3).tobytes() == b.random(3).tobytes()  # the stream goes on as after one draw
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +216,7 @@ def test_sampling_estimate_is_the_moment_accumulator_of_the_kept_rows(n, chunk_s
     cfg = McConfig(n_trajectories=n, seed=17, chunk_size=chunk_size)
     for model, t, tau, y_select in ((OU, 1.0, 0.8, +1), (GAUSS, 0.5, 1.5, -1), (WHITE, 0.3, 0.3, +1)):
         kept = stochastic._outcome_counts(model, t, tau, cfg, workers)[(1 - y_select) // 2]
-        want = _mc.MomentStats.from_samples(_kept_rows(kept)).cpf()
+        want = _mc.MomentStats.from_samples(_kept_rows(kept).T).cpf()
         got = stochastic.mc_cpf_sampling(model, t, tau, y_select, cfg, workers)
         assert got.n_samples == want.n_samples == kept.sum()
         assert abs(got.value - want.value) <= 1e-15
@@ -243,7 +303,7 @@ def test_grid_memo_on_racing_pool_threads_keeps_every_point_exact(monkeypatch):
     points = [(0.3, 0.5), (0.3, 0.2), (0.0, 0.2), (1.1, 1.4), (1.1, 0.0)]
     want = [stochastic.mc_cpf_sampling(OU, t, tau, 1, cfg) for t, tau in points]
     budget = 64 * 50 * 8 * 7 * 3 // 5
-    monkeypatch.setattr(_mc, "SHARED_DRAWS_MAX_BYTES", budget)
+    monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", budget)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     got = []
@@ -254,6 +314,34 @@ def test_grid_memo_on_racing_pool_threads_keeps_every_point_exact(monkeypatch):
                 held = sum(a.nbytes for _, _, value in _mc._memo.values() for a in value)
                 assert held == _mc._memo_bytes <= budget
                 assert 0 < len(_mc._memo) < 2 * 64
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("model", [WHITE, LORENTZ])
+def test_per_tau_slots_on_racing_pool_threads_keep_every_point_exact(monkeypatch, model):
+    # as above, for the models whose cos 2 theta2 a grid keeps per tau: each tau
+    # recurs at every t, and the budget holds about half of what a sampling grid
+    # keeps (draws 5, x and y 2 and two tau slots per trajectory)
+    cfg = McConfig(n_trajectories=64 * 50, seed=9, chunk_size=50)
+    points = [(t, tau) for t in (0.0, 0.3, 1.1) for tau in (0.5, 0.2)]
+    estimators = [lambda t, tau, w: stochastic.mc_cpf_sampling(model, t, tau, 1, cfg, w),
+                  lambda t, tau, w: stochastic.mc_moments(model, t, tau, cfg, w)]
+    want = [est(t, tau, 1) for est in estimators for t, tau in points]
+    budget = 64 * 50 * 8 * 9 // 2
+    monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", budget)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    got = []
+    try:
+        for est in estimators:
+            with _mc.grid_memo():
+                for t, tau in points:
+                    got.append(est(t, tau, 8))
+                    held = sum(a.nbytes for _, _, value in _mc._memo.values() for a in value)
+                    assert held == _mc._memo_bytes <= budget
+                    assert any(stage.startswith("cos2") for _, _, stage in _mc._memo)
     finally:
         sys.setswitchinterval(interval)
     assert got == want

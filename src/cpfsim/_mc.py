@@ -12,7 +12,8 @@ A sampler works on one Chunk in stages: the chunk's draws, a per-t stage, a
 per-tau stage where tau alone fixes it, and the rest of the point.  Inside
 grid_memo() the points of a grid, which all draw the same chunk streams, compute
 each chunk's draws once, each per-t stage once per t (rows are t-major) and each
-per-tau stage once per tau (a slot per tau); the bits do not change.
+per-tau stage once per tau (a slot per tau); the bits do not change.  A sweep's
+legs share one scope, so draws that no model parameter scales are drawn once.
 """
 
 from __future__ import annotations
@@ -101,13 +102,14 @@ def chunk_sizes(cfg: McConfig) -> list[int]:
     return [c] * full + ([rest] if rest else [])
 
 
-# The open grid_memo() scope's slots, (seed, chunk, stage) -> (owner, tag, value),
-# and their bytes.  Pool threads touch only their own chunk's slots and change
-# the byte count under the lock.
+# The open grid_memo() scope's slots, (seed, chunk, stage) -> (owner, tag, value,
+# generation), and their bytes, changed under the lock; pool threads touch only
+# their own chunk's slots.  Each grid_memo() entry (a sweep leg) is a generation.
 _memo: dict | None = None
 _memo_bytes = 0
 _memo_lock = threading.Lock()
 _depth = 0
+_generation = 0
 
 
 @contextlib.contextmanager
@@ -117,11 +119,12 @@ def grid_memo():
     Its slots hold at most GRID_MEMO_MAX_BYTES and are dropped when the
     outermost scope exits.
     """
-    global _memo, _memo_bytes, _depth
+    global _memo, _memo_bytes, _depth, _generation
     with _memo_lock:
         if _depth == 0:
             _memo, _memo_bytes = {}, 0
         _depth += 1
+        _generation += 1
     try:
         yield
     finally:
@@ -145,7 +148,8 @@ class Chunk:
 
     def memo(self, stage: str, owner, t: float | None, compute) -> tuple:
         """compute(), a tuple of arrays that depends on this chunk, on owner (the
-        model) and on t (tau for a per-tau stage, None for a chunk's draws) only.
+        model, or the law of draws no parameter scales) and on t (tau for a
+        per-tau stage, None for a chunk's draws) only.
         Inside grid_memo() it is kept, read-only, in the slot of (seed, index,
         stage) while it fits the budget, and returned while owner (the same
         object), size and t's bits hold.
@@ -159,15 +163,22 @@ class Chunk:
         slot = slots.get(key)
         if slot is not None and slot[0] is owner and slot[1] == tag:
             return slot[2]
+        with _memo_lock:  # an old value goes before its successor is computed
+            if (old := slots.pop(key, None)) is not None:
+                _memo_bytes -= sum(a.nbytes for a in old[2])
         value = compute()
         size = sum(a.nbytes for a in value)
         with _memo_lock:
-            if (old := slots.pop(key, None)) is not None:
-                _memo_bytes -= sum(a.nbytes for a in old[2])
+            # an earlier generation's slots, which come first, make room for this one's
+            while _memo_bytes + size > GRID_MEMO_MAX_BYTES and slots:
+                k = next(iter(slots))
+                if slots[k][3] == _generation:
+                    break
+                _memo_bytes -= sum(a.nbytes for a in slots.pop(k)[2])
             if _memo_bytes + size <= GRID_MEMO_MAX_BYTES:
                 for a in value:
                     a.flags.writeable = False
-                slots[key] = (owner, tag, value)
+                slots[key] = (owner, tag, value, _generation)
                 _memo_bytes += size
         return value
 

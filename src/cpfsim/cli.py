@@ -833,17 +833,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the index lists the finished legs, and the failed leg with its error
     written = []
     try:
-        for assignment, config in legs.values():
-            leg = {"parameters": dict(assignment), "output": Path(config.output_path).name}
-            try:
-                csv_path, _, _ = _run_config(config, args.threads)
-            except (CpfError, OSError) as exc:
-                written.append({**leg, "error": f"{type(exc).__name__}: {exc}"})
-                raise
-            written.append(leg)
-            if not args.quiet:
-                label = ", ".join(f"{k}={v}" for k, v in assignment)
-                print(f"wrote {csv_path} ({label})")
+        with grid_memo():  # legs that draw the same chunk streams draw them once
+            for assignment, config in legs.values():
+                leg = {"parameters": dict(assignment), "output": Path(config.output_path).name}
+                try:
+                    csv_path, _, _ = _run_config(config, args.threads)
+                except (CpfError, OSError) as exc:
+                    written.append({**leg, "error": f"{type(exc).__name__}: {exc}"})
+                    raise
+                written.append(leg)
+                if not args.quiet:
+                    label = ", ".join(f"{k}={v}" for k, v in assignment)
+                    print(f"wrote {csv_path} ({label})")
     finally:
         index_path = Path(next(iter(legs))).with_name("sweep_manifest.json")
         _write_json(index_path, {"kind": "cpfsim-sweep-manifest", "legs": written})

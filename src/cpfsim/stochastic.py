@@ -55,8 +55,12 @@ __all__ = [
     "ou_path_reference",
 ]
 
-# (z, x, zx) of the kept cells in the ravel order of counts[y_idx] (index 0 is +1)
+# (z, x, zx) of the kept cells 2 z_idx + x_idx (index 0 is +1)
 _ZX_ROWS = np.array([(z, x, z * x) for z in core.OUTCOMES for x in core.OUTCOMES])
+
+# The Gaussian-pair models' draws are standard normal pairs that no parameter
+# scales: their law owns them, so every such model of a grid_memo() scope shares them.
+_PAIR_LAW = dict.fromkeys((analytic.White, analytic.ExpCorrGauss), object())
 
 
 def _phase_draws(model: NoiseModel, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -123,7 +127,7 @@ def _moment_stats(
     t, tau = validate_times(t, tau)
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
-        (d,) = chunk.memo("phase", model, None,
+        (d,) = chunk.memo("phase", _PAIR_LAW.get(type(model), model), None,
                           lambda: (_phase_draws(model, chunk.stream(), chunk.size),))
         (a,) = chunk.memo("cos1", model, t, lambda: (_cos2(_theta1(model, d, t)),))
         b = _cos2_theta2(chunk, model, d, t, tau)
@@ -169,46 +173,53 @@ def mc_conditional_coherence(
     return _moment_stats(model, t, tau, cfg, workers).conditional_coherence(yx)
 
 
-def _xy_cells(u: np.ndarray, cos1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y (+-1.0) and cell = 4 y_idx + 2 z_idx + x_idx at z = -1 from the outcome
-    uniforms u (m, 3) and cos 2 theta1, in whose buffer p(y = +1 | x) is built."""
+def _kept_stage(model: NoiseModel, d: np.ndarray, u: np.ndarray, cos1: np.ndarray,
+                y_select: int) -> tuple[np.ndarray, ...]:
+    """x and y of every trajectory from the outcome uniforms u (m, 3) and cos 2 theta1,
+    in whose buffer p(y = +1 | x) is built; then, of those with y == y_select, the
+    cell 2 z_idx + x_idx at z = -1, the z uniform and what cos 2 theta2 needs: the
+    OU model's normal draw rows, or the index into the chunk's per-tau array."""
     x_up = u[:, 0] < 0.5
     p_y = cos1
     p_y *= 2.0 * x_up.astype(float) - 1.0  # x = +-1.0, in float steps (bool casts are slow)
     p_y += 1.0
     p_y *= 0.5
-    y_up = u[:, 1] < p_y
-    cell = y_up.astype(np.intp)
-    cell *= -4
-    cell += 7
-    cell -= x_up
-    return 2.0 * y_up.astype(float) - 1.0, cell
+    keep = u[:, 1] < p_y
+    del cos1, p_y  # freed before the kept trajectories are gathered
+    idx = np.flatnonzero(keep if y_select > 0 else ~keep)
+    cell = 3 - x_up[idx]  # intp
+    return cell, u[idx, 2], d[:, idx] if isinstance(model, analytic.ExpCorrGauss) else idx
 
 
-def _cell_counts(u: np.ndarray, cos2: np.ndarray, y: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """The eight cells' counts; p(z = +1 | y) is built in cos 2 theta2's buffer
-    unless that is a read-only kept stage."""
-    p_z = np.multiply(cos2, y, out=cos2 if cos2.flags.writeable else None)
+def _z_counts(cell: np.ndarray, u_z: np.ndarray, cos2: np.ndarray, y_select: int) -> np.ndarray:
+    """The four kept cells' counts; p(z = +1 | y_select) is built in the kept
+    trajectories' cos 2 theta2 buffer."""
+    p_z = np.negative(cos2, out=cos2) if y_select < 0 else cos2  # the bits of cos2 * y
     p_z += 1.0
     p_z *= 0.5
-    return np.bincount(cell - 2 * (u[:, 2] < p_z), minlength=8)
+    return np.bincount(cell - 2 * (u_z < p_z), minlength=4)
 
 
-def _outcome_counts(
-    model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int = 1
-) -> np.ndarray:
-    """Counts[y_idx, z_idx, x_idx] of sampled triples; index 0 is +1, 1 is -1."""
+def _kept_counts(model: NoiseModel, t: float, tau: float, y_select: int, cfg: McConfig,
+                 workers: int = 1) -> np.ndarray:
+    """Counts[2 z_idx + x_idx] of the sampled triples with y == y_select; index 0 is +1.
+    Every trajectory draws x and y; only the kept ones are read out in z."""
 
     def draw(chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
         rng = chunk.stream()
         return _phase_draws(model, rng, chunk.size), rng.random((chunk.size, 3))
 
     def worker(chunk: Chunk) -> np.ndarray:
-        d, u = chunk.memo("outcomes", model, None, lambda: draw(chunk))
-        y, cell = chunk.memo("xy", model, t, lambda: _xy_cells(u, _cos2(_theta1(model, d, t))))
-        return _cell_counts(u, _cos2_theta2(chunk, model, d, t, tau), y, cell)
+        d, u = chunk.memo("outcomes", _PAIR_LAW.get(type(model), model), None, lambda: draw(chunk))
+        cell, u_z, r = chunk.memo(f"kept {y_select:+d}", model, t, lambda: _kept_stage(
+            model, d, u, _cos2(_theta1(model, d, t)), y_select))
+        if r.ndim == 2:
+            cos2 = _cos2(_theta2(model, r, t, tau))
+        else:  # gathered from the chunk's, which a grid keeps per tau
+            cos2 = _cos2_theta2(chunk, model, d, t, tau)[r]
+        return _z_counts(cell, u_z, cos2, y_select)
 
-    return sum(map_chunks(worker, cfg, workers)).reshape(2, 2, 2)
+    return sum(map_chunks(worker, cfg, workers))
 
 
 def mc_cpf_sampling(
@@ -221,8 +232,8 @@ def mc_cpf_sampling(
 ) -> core.Estimate:
     """CPF from literal postselection on the sampled middle outcome.
 
-    Generates one outcome triple per trajectory, keeps those with
-    y == y_select, and returns <zx> - <z><x> over the kept set.  The kept
+    Draws x and y for every trajectory, keeps those with y == y_select, reads
+    z out for the kept ones only, and returns <zx> - <z><x> over them.  The kept
     (z, x) counts are the MomentStats of the kept trajectories' (z, x, zx)
     columns, so the standard error is the delta-method error every other
     estimator reports.  It is too small, down to 0, where nearly every kept
@@ -230,12 +241,12 @@ def mc_cpf_sampling(
     """
     y_select = core.validate_outcome(y_select, "y_select")
     t, tau = validate_times(t, tau)
-    kept = _outcome_counts(model, t, tau, cfg, workers)[(1 - y_select) // 2]
+    kept = _kept_counts(model, t, tau, y_select, cfg, workers)
     if not kept.any():
         raise EmptyPostselection(
             f"no trajectory produced y = {y_select:+d} out of {cfg.n_trajectories}"
         )
-    return MomentStats.from_counts(_ZX_ROWS, kept.ravel()).cpf()
+    return MomentStats.from_counts(_ZX_ROWS, kept).cpf()
 
 
 def ou_path_reference(

@@ -845,6 +845,30 @@ def test_sweep_legs_with_close_float_values_write_distinct_files(tmp_path):
     assert [r["value"] for r in a] != [r["value"] for r in b]
 
 
+@pytest.mark.parametrize("model, draws", [(OU, [(5, 0), (5, 1)]),
+                                           (MODELS["static_gauss"], [(5, 0), (5, 1)] * 2)])
+def test_sweep_legs_share_the_draws_no_model_parameter_scales(tmp_path, monkeypatch, model, draws):
+    # the OU legs draw standard normal pairs whatever g is, and draw each chunk
+    # once; a static model's draws are scaled by g, so each leg draws its own
+    doc = base_config(model=model, quantity="cpf_surface", method="sampling", mc=TWO_CHUNKS,
+                      output_path=str(tmp_path / "o.csv"), sweep={"model.g": [0.6, 1.1]},
+                      **SURFACE)
+    streams = []
+    stream = _mc.Chunk.stream
+    monkeypatch.setattr(_mc.Chunk, "stream",
+                        lambda c: streams.append((c.seed, c.index)) or stream(c))
+    assert cli.main(["sweep", "--config", str(write_json(tmp_path, doc)), "--quiet"]) == 0
+    assert sorted(streams) == sorted(draws)
+    for g in (0.6, 1.1):
+        leg = base_config(**{k: v for k, v in doc.items() if k != "sweep"})
+        leg["model"] = dict(model, g=g)
+        leg["output_path"] = str(tmp_path / f"alone{g}.csv")
+        assert cli.main(["run", "--config", str(write_json(tmp_path, leg, f"alone{g}.json")),
+                         "--quiet"]) == 0
+        assert (tmp_path / f"o__model.g={g}.csv").read_bytes() == \
+            (tmp_path / f"alone{g}.csv").read_bytes()
+
+
 def test_sweep_rejects_legs_that_share_an_output(tmp_path, capsys):
     doc = base_config(output_path=str(tmp_path / "o.csv"), sweep={"model.gamma_w": [0.5, 0.5]})
     cfg = write_json(tmp_path, doc)
@@ -925,8 +949,11 @@ def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
 
 
 # Cauchy ensembles of 2 chunks: balanced amplitudes (the spin product's
-# real-only path) and unbalanced ones (its general path)
-@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence"])
+# real-only path) and unbalanced ones (its general path); sampling on an OU
+# surface at y_select = -1 over two unequal chunks, and on a static Lorentz pair
+# of points whose tau = 0 and 0.8 go through the per-tau slots
+@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence",
+                                  "ou_sampling_surface", "static_lorentz_sampling"])
 def test_manifest_written_by_0_5_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.5.0", name)
 

@@ -325,7 +325,7 @@ def test_grid_memo_keeps_every_bit_across_models_seeds_and_budgets(calls, budget
             slots = _mc._memo
             for (kind, model, t, tau, cfg), bits in zip(calls, want):
                 assert estimate_bits(MEMO_ESTIMATORS[kind](model, t, tau, cfg)) == bits
-                held = [a for _, _, value in slots.values() for a in value]
+                held = [a for _, _, value, _ in slots.values() for a in value]
                 assert sum(a.nbytes for a in held) == _mc._memo_bytes <= budget
                 for a in held:
                     with pytest.raises(ValueError, match="read-only"):
@@ -352,3 +352,33 @@ def test_nested_grid_memo_shares_the_outer_slots(monkeypatch):
         assert stochastic.mc_moments(model, 0.4, 1.3, cfg) != first
     assert streams == [(4, 0), (4, 1), (4, 2)]
     assert _mc._memo is None
+
+
+def test_an_earlier_scopes_slots_give_way_to_a_stage_past_the_budget(monkeypatch):
+    # each inner scope is a sweep leg on its own seed; the budget holds one leg's
+    # stages, which give way to the next leg's, while within a leg another
+    # seed's stages never push out the leg's own
+    model = analytic.ExpCorrGauss(0.9, 1.3)
+    cfgs = [McConfig(300, seed=seed, chunk_size=100) for seed in (1, 2, 3)]
+    want = [estimate_bits(stochastic.mc_moments(model, 0.4, 0.7, cfg)) for cfg in cfgs]
+    with _mc.grid_memo():
+        stochastic.mc_moments(model, 0.4, 0.7, cfgs[0])
+        monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", _mc._memo_bytes)
+    with _mc.grid_memo():
+        for cfg, bits in zip(cfgs, want):
+            with _mc.grid_memo():
+                assert estimate_bits(stochastic.mc_moments(model, 0.4, 0.7, cfg)) == bits
+                assert {seed for seed, _, _ in _mc._memo} == {cfg.seed}
+                assert estimate_bits(stochastic.mc_moments(model, 0.4, 0.7, cfgs[0])) == want[0]
+                assert {seed for seed, _, _ in _mc._memo} == {cfg.seed}
+            assert len(_mc._memo) == 6 and _mc._memo_bytes == _mc.GRID_MEMO_MAX_BYTES
+
+
+def test_a_replaced_stage_is_dropped_before_its_successor_is_computed():
+    # a per-t stage at a new t: the old one would otherwise be held beside the new
+    chunk = _mc.Chunk(1, 0, 10)
+    with _mc.grid_memo():
+        chunk.memo("cos1", "model", 0.1, lambda: (np.zeros(10),))
+        held = []
+        chunk.memo("cos1", "model", 0.2, lambda: held.append(dict(_mc._memo)) or (np.ones(10),))
+        assert held == [{}] and _mc._memo_bytes == 80

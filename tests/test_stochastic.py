@@ -1,11 +1,12 @@
 """Monte Carlo estimators: distributional correctness, error bars, streams."""
 
+import contextlib
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from cpfsim import _mc, analytic, core, stochastic
@@ -33,9 +34,16 @@ def test_sample_phase_pair_matches_model_law():
     assert th2 == pytest.approx(th1 * 0.25, rel=1e-12)
 
 
+def eight_cells(model, t, tau, cfg, workers=1):
+    """Counts[y_idx, z_idx, x_idx] of one seed's triples (index 0 is +1), from the
+    kept counts at y_select = +1 and -1: both calls draw the same x and y."""
+    return np.stack([stochastic._kept_counts(model, t, tau, y, cfg, workers)
+                     for y in core.OUTCOMES]).reshape(2, 2, 2)
+
+
 def test_sample_outcome_triple_is_valid():
     # every trajectory lands in exactly one of the eight (y, z, x) cells
-    counts = stochastic._outcome_counts(OU, 1.0, 0.7, McConfig(n_trajectories=1_000, seed=6))
+    counts = eight_cells(OU, 1.0, 0.7, McConfig(n_trajectories=1_000, seed=6))
     assert counts.shape == (2, 2, 2)
     assert counts.min() >= 0 and counts.sum() == 1_000
 
@@ -51,12 +59,16 @@ def where_pipeline_counts(u, cos1, cos2):
 
 
 def staged_counts(u, cos1, cos2, keep_cos2):
-    y, cell = stochastic._xy_cells(u, cos1.copy())
+    """The eight cells from the kept-only stages at y_select = +1 and -1, with cos 2
+    theta2 gathered from a chunk-wide array as a static model's per-tau slot."""
     c = cos2.copy()
     c.flags.writeable = not keep_cos2  # a kept per-tau stage is read-only
-    counts = stochastic._cell_counts(u, c, y, cell)
-    assert not keep_cos2 or np.all(c == cos2)
-    return counts
+    counts = []
+    for y_select in core.OUTCOMES:
+        cell, u_z, idx = stochastic._kept_stage(GAUSS, np.zeros(len(u)), u, cos1.copy(), y_select)
+        counts.append(stochastic._z_counts(cell, u_z, c[idx], y_select))
+    assert np.all(c == cos2)
+    return np.concatenate(counts)
 
 
 @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.booleans())
@@ -77,6 +89,20 @@ def test_sampling_stages_count_like_the_where_pipeline_with_ties(m, seed, keep_c
     assert np.array_equal(staged_counts(u, cos1, cos2, keep_cos2), want)
 
 
+def where_pipeline_estimate(model, t, tau, y_select, cfg):
+    """mc_cpf_sampling's estimate from the where pipeline's counts on the same chunk draws."""
+    counts = 0
+    for i, m in enumerate(_mc.chunk_sizes(cfg)):
+        rng = _mc.Chunk(cfg.seed, i, m).stream()
+        d = stochastic._phase_draws(model, rng, m)
+        u = rng.random((m, 3))
+        cos1 = np.cos(2.0 * stochastic._theta1(model, d, t))
+        cos2 = np.cos(2.0 * stochastic._theta2(model, d, t, tau))
+        counts = counts + where_pipeline_counts(u, cos1, cos2)[0]
+    kept = counts.reshape(2, 4)[(1 - y_select) // 2]
+    return _mc.MomentStats.from_counts(stochastic._ZX_ROWS, kept).cpf()
+
+
 @pytest.mark.parametrize("model", ALL_MODELS)
 @pytest.mark.parametrize("t", [0.0, 0.9])
 def test_outcome_counts_equal_the_where_pipeline_on_the_chunk_draws(model, t):
@@ -87,8 +113,58 @@ def test_outcome_counts_equal_the_where_pipeline_on_the_chunk_draws(model, t):
     cos1 = np.cos(2.0 * stochastic._theta1(model, d, t))
     cos2 = np.cos(2.0 * stochastic._theta2(model, d, t, tau))
     want, _, _ = where_pipeline_counts(u, cos1, cos2)
-    got = stochastic._outcome_counts(model, t, tau, McConfig(n_trajectories=m, seed=8))
+    got = eight_cells(model, t, tau, McConfig(n_trajectories=m, seed=8))
     assert np.array_equal(got.ravel(), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALL_MODELS),
+       st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.4]), st.sampled_from([0.0, 0.6, 2.2])),
+                min_size=1, max_size=4),
+       st.sampled_from(core.OUTCOMES),
+       st.sampled_from([McConfig(700, seed=11), McConfig(700, seed=11, chunk_size=400)]),
+       st.sampled_from([1, 2]), st.booleans())
+def test_sampling_estimate_is_the_where_pipeline_on_the_chunk_draws(
+        model, points, y_select, cfg, workers, in_grid):
+    want = [where_pipeline_estimate(model, t, tau, y_select, cfg) for t, tau in points]
+    with _mc.grid_memo() if in_grid else contextlib.nullcontext():
+        got = [stochastic.mc_cpf_sampling(model, t, tau, y_select, cfg, workers)
+               for t, tau in points]
+    assert [(e.value.hex(), e.std_error.hex(), e.n_samples) for e in got] == \
+        [(e.value.hex(), e.std_error.hex(), e.n_samples) for e in want]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("y_select", core.OUTCOMES)
+def test_sampling_grid_reads_z_out_on_the_kept_trajectories_only(monkeypatch, model, y_select):
+    # two unequal chunks; in a grid a full chunk's cos 2 theta is built once per t
+    # (cos 2 theta1) and, off the OU model, once per tau (the per-tau slot)
+    cfg = McConfig(n_trajectories=5_000, seed=12, chunk_size=3_000)
+    ts, taus = (0.0, 0.5, 1.2), (0.3, 0.9)
+    full, readouts = [], []
+    cos2, z_counts = stochastic._cos2, stochastic._z_counts
+
+    def spy_cos2(theta):
+        full.append(theta.size in (3_000, 2_000))
+        return cos2(theta)
+
+    def spy_z_counts(cell, u_z, c, y):
+        readouts.append((cell.size, u_z.size, c.size))
+        return z_counts(cell, u_z, c, y)
+
+    monkeypatch.setattr(stochastic, "_cos2", spy_cos2)
+    monkeypatch.setattr(stochastic, "_z_counts", spy_z_counts)
+    with _mc.grid_memo():
+        for t in ts:
+            for tau in taus:
+                readouts.clear()
+                est = stochastic.mc_cpf_sampling(model, t, tau, y_select, cfg)
+                assert len(readouts) == 2
+                assert all(a == b == c for a, b, c in readouts)
+                assert sum(a for a, _, _ in readouts) == est.n_samples
+                assert all(a < m for (a, _, _), m in zip(readouts, (3_000, 2_000)))
+    per_tau = not isinstance(model, analytic.ExpCorrGauss)
+    assert sum(full) == 2 * (len(ts) + per_tau * len(taus))
 
 
 @pytest.mark.parametrize("m", [1, 4_095, 4_096, 4_097, 20_000])
@@ -102,11 +178,11 @@ def test_gaussian_pair_draws_are_the_rows_of_one_m_by_2_draw(m):
 # ---------------------------------------------------------------------------
 # the sampled triples follow the analytic eight-cell law
 #
-# _outcome_counts is the vectorized sampler behind mc_cpf_sampling; its
-# counts are indexed [y, z, x] with index 0 for +1 and 1 for -1.
+# eight_cells puts together the kept counts of mc_cpf_sampling's sampler at
+# y_select = +1 and -1 on one seed, indexed [y, z, x] with index 0 for +1.
 
 def _cell_counts(model, t, tau, n, seed):
-    return stochastic._outcome_counts(model, t, tau, McConfig(n_trajectories=n, seed=seed))
+    return eight_cells(model, t, tau, McConfig(n_trajectories=n, seed=seed))
 
 
 def _cell_expected(model, t, tau, n):
@@ -215,7 +291,7 @@ def _kept_rows(kept: np.ndarray) -> np.ndarray:
 def test_sampling_estimate_is_the_moment_accumulator_of_the_kept_rows(n, chunk_size, workers):
     cfg = McConfig(n_trajectories=n, seed=17, chunk_size=chunk_size)
     for model, t, tau, y_select in ((OU, 1.0, 0.8, +1), (GAUSS, 0.5, 1.5, -1), (WHITE, 0.3, 0.3, +1)):
-        kept = stochastic._outcome_counts(model, t, tau, cfg, workers)[(1 - y_select) // 2]
+        kept = stochastic._kept_counts(model, t, tau, y_select, cfg, workers)
         want = _mc.MomentStats.from_samples(_kept_rows(kept).T).cpf()
         got = stochastic.mc_cpf_sampling(model, t, tau, y_select, cfg, workers)
         assert got.n_samples == want.n_samples == kept.sum()
@@ -311,7 +387,7 @@ def test_grid_memo_on_racing_pool_threads_keeps_every_point_exact(monkeypatch):
         with _mc.grid_memo():
             for t, tau in points:
                 got.append(stochastic.mc_cpf_sampling(OU, t, tau, 1, cfg, workers=8))
-                held = sum(a.nbytes for _, _, value in _mc._memo.values() for a in value)
+                held = sum(a.nbytes for _, _, value, _ in _mc._memo.values() for a in value)
                 assert held == _mc._memo_bytes <= budget
                 assert 0 < len(_mc._memo) < 2 * 64
     finally:
@@ -323,7 +399,7 @@ def test_grid_memo_on_racing_pool_threads_keeps_every_point_exact(monkeypatch):
 def test_per_tau_slots_on_racing_pool_threads_keep_every_point_exact(monkeypatch, model):
     # as above, for the models whose cos 2 theta2 a grid keeps per tau: each tau
     # recurs at every t, and the budget holds about half of what a sampling grid
-    # keeps (draws 5, x and y 2 and two tau slots per trajectory)
+    # keeps (draws 5, the kept stage about 1.5 and two tau slots per trajectory)
     cfg = McConfig(n_trajectories=64 * 50, seed=9, chunk_size=50)
     points = [(t, tau) for t in (0.0, 0.3, 1.1) for tau in (0.5, 0.2)]
     estimators = [lambda t, tau, w: stochastic.mc_cpf_sampling(model, t, tau, 1, cfg, w),
@@ -339,7 +415,7 @@ def test_per_tau_slots_on_racing_pool_threads_keep_every_point_exact(monkeypatch
             with _mc.grid_memo():
                 for t, tau in points:
                     got.append(est(t, tau, 8))
-                    held = sum(a.nbytes for _, _, value in _mc._memo.values() for a in value)
+                    held = sum(a.nbytes for _, _, value, _ in _mc._memo.values() for a in value)
                     assert held == _mc._memo_bytes <= budget
                     assert any(stage.startswith("cos2") for _, _, stage in _mc._memo)
     finally:

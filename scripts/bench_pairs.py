@@ -4,9 +4,11 @@
         --seeds 1-10 --seconds 30
 
 For each seed it runs ``python3 perfbench/run.py --workload W --seed N
---seconds S --trace 0`` in PARENT_DIR and then in CHANGE_DIR, and reads the
-JSON result on the last line of each run's stdout.  It prints every pair's
-end-to-end metrics, then for each metric the two medians, the interquartile
+--seconds S --trace 0`` in PARENT_DIR and in CHANGE_DIR, and reads the JSON
+result on the last line of each run's stdout.  The parent runs first in odd
+pairs and the change in even ones, so that neither side always meets the
+machine as the other left it.  It prints every pair's order and end-to-end
+metrics, then for each metric the two medians, the interquartile
 range of the parent's runs and how many pairs the change improved.  Which way
 is better comes from CHANGE_DIR's BENCHMARK.json; nothing is imported from
 perfbench/.  It exits 1 when a run fails or reports a failed operation.
@@ -70,8 +72,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path, help="checkout measured first in each pair")
-    ap.add_argument("change", type=Path, help="checkout measured second in each pair")
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
                     help="seeds as ranges, e.g. 1-10 or 1-3,7 (default 1-10)")
@@ -79,13 +81,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
     pairs = []
-    print("seed  " + "  ".join(f"{name:>23}" for name in better))
-    for seed in args.seeds:
-        pair = tuple(run_once(d, args.workload, seed, args.seconds)
-                     for d in (args.parent, args.change))
+    print("seed  first   " + "  ".join(f"{name:>23}" for name in better))
+    for number, seed in enumerate(args.seeds, 1):
+        order = ["parent", "change"] if number % 2 else ["change", "parent"]
+        got = {side: run_once(sides[side], args.workload, seed, args.seconds) for side in order}
+        pair = (got["parent"], got["change"])
         pairs.append(pair)
-        print(f"{seed:>4}  " + "  ".join(
+        print(f"{seed:>4}  {order[0]}  " + "  ".join(
             f"{pair[0][name]:>10.4g} -> {pair[1][name]:<10.4g}" for name in better), flush=True)
     for name, s in summarize(pairs, better).items():
         print(f"{name}: median {s['parent_median']:.4g} -> {s['change_median']:.4g}, "

@@ -117,12 +117,15 @@ def grid_memo():
     """Scope in which the points of a grid share their chunks' stages (Chunk.memo).
 
     Its slots hold at most GRID_MEMO_MAX_BYTES and are dropped when the
-    outermost scope exits.
+    outermost scope exits.  A nested scope (a sweep leg) keeps only the draws:
+    the stages of a t or tau belong to an earlier leg's model object.
     """
     global _memo, _memo_bytes, _depth, _generation
     with _memo_lock:
         if _depth == 0:
             _memo, _memo_bytes = {}, 0
+        for key in [key for key, (_, (_, t), _, _) in _memo.items() if t is not None]:
+            _memo_bytes -= sum(a.nbytes for a in _memo.pop(key)[2])
         _depth += 1
         _generation += 1
     try:

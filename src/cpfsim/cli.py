@@ -11,9 +11,9 @@ manifest next to the CSV that echoes the fully resolved config; feeding the
 manifest back to `run` reproduces the CSV bit for bit.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad config (a file that is not UTF-8
-JSON too, or an output path that is the config file), bad command-line value
-(e.g. --threads 0, a negative or non-finite --sigma-tol/--abs-tol, an unknown
---criteria number) or grid mismatch, 3
+JSON too, or an output path that is the config file or a directory), bad
+command-line value (e.g. --threads 0, a negative or non-finite
+--sigma-tol/--abs-tol, an unknown --criteria number) or grid mismatch, 3
 runtime model error (impossible postselection, bath too large, ...), 5
 `compare` beyond tolerance; `selftest` exits 1 when a criterion fails.
 """
@@ -302,9 +302,12 @@ def _complex(value: Any, path: str) -> complex:
     return complex(_real(parts[0]), _real(parts[1]))
 
 
-def _text(value: Any, path: str) -> str:
+def _output_path(value: Any, path: str) -> str:
+    """A CSV path: a non-empty string that names no directory (".", "/", "..", an existing one)."""
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+    if Path(value).name in ("", "..") or Path(value).is_dir():
+        raise ConfigError(f"{path}: {value!r} is a directory, not a CSV file name")
     return value
 
 
@@ -448,7 +451,7 @@ _CONFIG_FIELDS: tuple[_Field, ...] = (
     ("y_select", _outcome, 1),
     ("mc", _optional(_parse_mc), None),
     ("system_init", _optional(_parse_system_init), None),
-    ("output_path", _text, "cpfsim_out.csv"),
+    ("output_path", _output_path, "cpfsim_out.csv"),
 )
 
 
@@ -616,49 +619,58 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
 # ---------------------------------------------------------------------------
 # output
 
-# Points whose CSV lines are formatted and written at once: bounds the text
-# held in memory whatever the size of the grid.
+# Points whose CSV lines are written at once, and distinct values formatted by
+# one % at a time: both bound what is held beside the texts of a grid.
 _BLOCK_POINTS = 1024
+_FORMAT_BATCH = 4096
+# The formats pad each number with spaces to 24 characters, the most that .17g
+# takes (-2.2250738585072014e-308); the padding turns into zero bytes.
+_PAD_TO_ZERO = bytes.maketrans(b" ", b"\0")
 
 
-def _distinct_texts(x: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(.17g text of each distinct value of x, index of every element's text).
+def _distinct_texts(x: np.ndarray, sep: str = ",") -> tuple[np.ndarray, np.ndarray]:
+    """(text and sep of each distinct value of x, index of every element's text).
 
-    Values are told apart by their bits, so -0.0 keeps its sign.
+    Integers are written as %d and other values at .17g, told apart by their
+    bits, so -0.0 keeps its sign.  Text i is row i of a 2-d array of character
+    codes, one byte a character, padded with zeros.
     """
-    bits, index = np.unique(np.ascontiguousarray(x, dtype=float).view(np.int64),
-                            return_inverse=True)
-    return ["%.17g" % v for v in bits.view(float).tolist()], index
+    fmt, dtype = ("%-24d", np.int64) if x.dtype.kind in "iu" else ("%-24.17g", float)
+    bits, index = np.unique(np.ascontiguousarray(x, dtype).view(np.int64), return_inverse=True)
+    chars = np.empty((bits.size, 24 + len(sep)), dtype=np.uint8)
+    for start in range(0, bits.size, _FORMAT_BATCH):
+        batch = bits[start:start + _FORMAT_BATCH].view(dtype).tolist()
+        text = ((fmt + sep) * len(batch) % tuple(batch)).encode().translate(_PAD_TO_ZERO)
+        chars[start:start + len(batch)] = np.frombuffer(text, np.uint8).reshape(len(batch), -1)
+    return chars, index.ravel()
 
 
 def write_csv(rows: Results, path: Path) -> None:
     """Write the CSV of rows: \\r\\n line ends, floats at .17g, empty missing fields.
 
     Labels, model kinds and methods are plain words, so no field needs
-    quoting.  Each distinct t and tau is formatted once.
+    quoting.  Each distinct value of a column is formatted once, and a block
+    of lines is written as one array of its fields' texts side by side.
     """
-    t_text, t_index = _distinct_texts(rows.t)
-    if rows.tau is None:
-        tau_text, tau_index = [""], np.zeros(rows.t.size, dtype=np.intp)
-    else:
-        tau_text, tau_index = _distinct_texts(rows.tau)
-    if rows.std_error is None:
-        line, columns = "%s,%s,%.17g,,,%s", [rows.value]
-    else:
-        line, columns = "%s,%s,%.17g,%.17g,%d,%s", [rows.value, rows.std_error, rows.n_samples]
-    n_labels = len(rows.labels)
-    tails = [f"{label},{rows.model},{rows.method}\r\n" for label in rows.labels]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
+    n_labels, mc = len(rows.labels), rows.std_error is not None
+    # a missing field is one more comma after the text before it
+    per_point = [_distinct_texts(rows.t, ",," if rows.tau is None else ",")]
+    per_point += [] if rows.tau is None else [_distinct_texts(rows.tau)]
+    per_line = [_distinct_texts(rows.value, "," if mc else ",,,")]
+    per_line += [_distinct_texts(rows.std_error), _distinct_texts(rows.n_samples)] if mc else []
+    tails = np.array([f"{label},{rows.model},{rows.method}\r\n".encode()
+                      for label in rows.labels] * min(rows.t.size, _BLOCK_POINTS))
+    tails = tails.view(np.uint8).reshape(tails.size, -1)
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode() + b"\r\n")
         for start in range(0, rows.t.size, _BLOCK_POINTS):
-            block = slice(start, start + _BLOCK_POINTS)
-            fields = zip(
-                map(t_text.__getitem__, np.repeat(t_index[block], n_labels).tolist()),
-                map(tau_text.__getitem__, np.repeat(tau_index[block], n_labels).tolist()),
-                *(c[block].ravel().tolist() for c in columns),
-                tails * len(t_index[block]),
-            )
-            fh.write("".join(map(line.__mod__, fields)))
+            points = slice(start, start + _BLOCK_POINTS)
+            lines = slice(start * n_labels, (start + _BLOCK_POINTS) * n_labels)
+            block = np.concatenate(
+                [text[np.repeat(index[points], n_labels)] for text, index in per_point]
+                + [text[index[lines]] for text, index in per_line]
+                + [tails[:rows.t[points].size * n_labels]], axis=1)
+            fh.write(block[block != 0])
 
 
 def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float) -> Path:
@@ -697,7 +709,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
         config.mc = replace(config.mc, seed=args.seed)
         config.canonical["mc"]["seed"] = config.mc.seed
     if getattr(args, "output", None) is not None:
-        config.output_path = args.output
+        config.output_path = _output_path(args.output, "--output")
         config.canonical["output_path"] = args.output
     return config
 

@@ -751,10 +751,10 @@ def test_compare_flags_disagreement(tmp_path, capsys):
 
 
 def _no_evaluation(monkeypatch):
-    """Fail the test if compare evaluates a config: the grids decide a mismatch."""
+    """Fail the test if a config is evaluated: its checks decide without evaluating."""
 
     def never(*args, **kwargs):
-        raise AssertionError("compare evaluated a config")
+        raise AssertionError("a config was evaluated")
 
     monkeypatch.setattr(cli, "evaluate_rows", never)
 
@@ -806,6 +806,27 @@ def test_exit_code_output_over_its_own_config(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.startswith(f"config error: output {name} would overwrite")
     assert cfg.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("output", [".", "/", "..", "outdir"])
+@pytest.mark.parametrize("in_config", [True, False], ids=["output_path", "--output"])
+def test_exit_code_output_path_names_a_directory(tmp_path, monkeypatch, capsys,
+                                                command, output, in_config):
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    doc = base_config(output_path=output if in_config else "out.csv")
+    if command == "sweep":
+        doc["sweep"] = {"model.gamma_w": [0.5, 0.7]}
+    write_json(tmp_path, doc)
+    extra = [] if in_config else ["--output", output]
+    assert cli.main([command, "--config", "config.json", "--quiet", *extra]) == 2
+    field = "output_path" if in_config else "--output"
+    assert capsys.readouterr().err == (
+        f"config error: {field}: {output!r} is a directory, not a CSV file name\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "outdir"]
+    assert list((tmp_path / "outdir").iterdir()) == []
 
 
 def test_sweep_expands_cartesian_legs(tmp_path):
@@ -951,9 +972,12 @@ def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
 # Cauchy ensembles of 2 chunks: balanced amplitudes (the spin product's
 # real-only path) and unbalanced ones (its general path); sampling on an OU
 # surface at y_select = -1 over two unequal chunks, and on a static Lorentz pair
-# of points whose tau = 0 and 0.8 go through the per-tau slots
+# of points whose tau = 0 and 0.8 go through the per-tau slots; closed forms of a
+# scaled spin bath on a square surface (whose values repeat across the diagonal)
+# and as a probability table
 @pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence",
-                                  "ou_sampling_surface", "static_lorentz_sampling"])
+                                  "ou_sampling_surface", "static_lorentz_sampling",
+                                  "bath_surface", "bath_table"])
 def test_manifest_written_by_0_5_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.5.0", name)
 

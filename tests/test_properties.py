@@ -2,12 +2,14 @@
 
 import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cpfsim import _mc, analytic, core, spinbath, stochastic
+from cpfsim import _mc, analytic, cli, core, spinbath, stochastic
 from cpfsim.stochastic import McConfig
 
 times = st.floats(0.0, 4.0)
@@ -354,6 +356,25 @@ def test_nested_grid_memo_shares_the_outer_slots(monkeypatch):
     assert _mc._memo is None
 
 
+def test_a_sweep_legs_entry_drops_the_earlier_legs_per_t_and_per_tau_slots():
+    # leg 1 keeps draws ("phase", "outcomes"), per-t stages ("cos1", "kept +1")
+    # and white noise's per-tau stage; leg 2, whose models are other objects,
+    # can share only the draws
+    cfg = McConfig(300, seed=4, chunk_size=100)
+    with _mc.grid_memo():
+        with _mc.grid_memo():
+            stochastic.mc_moments(analytic.ExpCorrGauss(0.9, 1.3), 0.4, 0.7, cfg)
+            stochastic.mc_cpf_sampling(analytic.White(0.4), 0.4, 0.7, 1, cfg)
+            first = dict(_mc._memo)
+        assert {stage for _, _, stage in first} == {
+            "phase", "cos1", "outcomes", "kept +1", f"cos2 {(0.7).hex()}"}
+        with _mc.grid_memo():
+            draws = {key: slot for key, slot in first.items()
+                     if key[2] in ("phase", "outcomes")}
+            assert _mc._memo == draws
+            assert _mc._memo_bytes == sum(a.nbytes for _, _, v, _ in draws.values() for a in v)
+
+
 def test_an_earlier_scopes_slots_give_way_to_a_stage_past_the_budget(monkeypatch):
     # each inner scope is a sweep leg on its own seed; the budget holds one leg's
     # stages, which give way to the next leg's, while within a leg another
@@ -382,3 +403,46 @@ def test_a_replaced_stage_is_dropped_before_its_successor_is_computed():
         held = []
         chunk.memo("cos1", "model", 0.2, lambda: held.append(dict(_mc._memo)) or (np.ones(10),))
         assert held == [{}] and _mc._memo_bytes == 80
+
+
+# the floats at the edges of .17g text, and a zero of each sign
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def csv_results(draw):
+    """Results whose columns draw from a small pool of floats, so that values repeat."""
+    n = draw(st.sampled_from([1, 2, 1023, 1024, 1025, 2049]))
+    labels = draw(st.sampled_from([("cpf",), tuple(label for _, label in cli._TABLE_LABELS)]))
+    pool = np.array(EDGE_FLOATS + draw(st.lists(st.floats(), max_size=20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (n, len(labels))
+    tau = draw(st.sampled_from([None, rng.choice(pool, n)]))
+    std_error = n_samples = None
+    if draw(st.booleans()):
+        std_error = rng.choice(pool, shape)
+        n_samples = rng.choice(np.array([0, 1, 7, -3, 2**62, 2**20]), shape)
+    return cli.Results(rng.choice(pool, n), tau, labels, rng.choice(pool, shape), std_error,
+                       n_samples, draw(st.sampled_from(["white", "spin_bath"])), "analytic")
+
+
+def csv_one_line_at_a_time(rows):
+    """The CSV of rows, each line formatted by itself: .17g floats, %d counts."""
+    lines = [",".join(cli.CSV_HEADER)]
+    for k in range(rows.t.size):
+        tau = "" if rows.tau is None else "%.17g" % rows.tau[k]
+        for j, label in enumerate(rows.labels):
+            mc = (",," if rows.std_error is None
+                  else "%.17g,%d," % (rows.std_error[k, j], rows.n_samples[k, j]))
+            lines.append("%.17g,%s,%.17g,%s%s,%s,%s" % (
+                rows.t[k], tau, rows.value[k, j], mc, label, rows.model, rows.method))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+@given(csv_results())
+def test_write_csv_bytes_equal_a_writer_of_one_line_at_a_time(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        cli.write_csv(rows, path)
+        assert path.read_bytes() == csv_one_line_at_a_time(rows)

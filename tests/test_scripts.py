@@ -96,3 +96,27 @@ def test_bench_pairs_help_runs_nothing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "PARENT" in proc.stdout.upper() and "--seeds" in proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_pairs_alternates_which_checkout_runs_first(tmp_path, monkeypatch, capsys):
+    bench_pairs = _load_script("bench_pairs.py")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((checkout.name, seed))
+        return {"wall_s": 0.2 if checkout == change else 0.3, "setup_s": 0.1,
+                "peak_rss_mb": 40.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "closed_forms",
+                             "--seeds", "4-7", "--seconds", "1"]) == 0
+    assert runs == [("parent", 4), ("change", 4), ("change", 5), ("parent", 5),
+                    ("parent", 6), ("change", 6), ("change", 7), ("parent", 7)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[1:5]] == [
+        ["4", "parent"], ["5", "change"], ["6", "parent"], ["7", "change"]]
+    # each pair reads parent -> change, whichever ran first
+    assert all("0.3 -> 0.2" in line for line in lines[1:5])

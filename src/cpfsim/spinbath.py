@@ -272,15 +272,13 @@ def lorentz_coherence(spec: LorentzCouplingSpec, t):
 
     Takes a scalar or an array of times and returns the same shape.  For
     omega = 0 the decay is the pure exponential e^{-gamma|t|}; balanced
-    amplitudes |alpha| = |beta| give e^{-gamma|t|} cos^N(omega t/N).
+    amplitudes |alpha| = |beta| give e^{-gamma|t|} cos^N(omega t/N).  As the
+    spec is normalized, the bracket is cos + i (|a|^2 - |b|^2) sin: c_0 = 1.
     """
-    t = _finite(t)
-    n = spec.n_spins
-    w_up = abs(spec.alpha) ** 2
-    w_dn = abs(spec.beta) ** 2
+    t, n = _finite(t), spec.n_spins
     # bracket^N in polar form, in real arithmetic for the reason given in coherence
     arg = spec.omega * t / n
-    re, im = (w_up + w_dn) * np.cos(arg), (w_up - w_dn) * np.sin(arg)
+    re, im = np.cos(arg), (abs(spec.alpha) ** 2 - abs(spec.beta) ** 2) * np.sin(arg)
     size = np.exp(-spec.gamma * np.abs(t)) * np.power(np.hypot(re, im), float(n))
     phase = n * np.arctan2(im, re)
     return (size * np.cos(phase) + 1j * (size * np.sin(phase)))[()]
@@ -303,11 +301,39 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 # ---------------------------------------------------------------------------
 # Cauchy-coupling ensemble: Monte Carlo
 
+def _half_angle_product(g: np.ndarray, lags: np.ndarray, pol: float | None):
+    """Re and Im of prod_k (cos x_k + i pol sin x_k), x_k = 2 g_k lag, as (L, m)
+    arrays for couplings g (m, N) and lags (L, 1).  One vectorized tan of the
+    half angle, h, gives cos x = 2/(1+h^2) - 1 in [-1, 1] and sin x = h 2/(1+h^2),
+    within 2 ulp of 1 of libm and exactly (1, 0) at x = 0.  pol None (balanced
+    amplitudes) skips the sines (im None); re keeps the bits of pol = 0.0."""
+    shape = (lags.shape[0], g.shape[0])
+    re, h, c = np.ones(shape), np.empty(shape), np.empty(shape)
+    im, im_d = (None, None) if pol is None else (np.zeros(shape), np.empty(shape))
+    for g_k in g.T:
+        np.tan(np.multiply(g_k, lags, out=h), out=h)
+        np.divide(2.0, np.add(np.square(h, out=c), 1.0, out=c), out=c)  # 2/(1+h^2)
+        if pol is None:
+            re *= np.subtract(c, 1.0, out=c)
+            continue
+        h *= c
+        h *= pol
+        c -= 1.0
+        # (re, im) <- (re c - im d, re d + im c), d = pol sin x in h
+        np.multiply(im, h, out=im_d)
+        h *= re
+        re *= c
+        re -= im_d
+        im *= c
+        im += h
+    return re, im
+
+
 def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     """Sampler of the per-realization (f_t, f_tau, f_joint) columns, or of the
     f_t column alone when tau is None."""
     n = spec.n_spins
-    amplitudes = [(spec.alpha, spec.beta)] * n
+    pol = abs(spec.alpha) ** 2 - abs(spec.beta) ** 2
     lags = np.array([[t]] if tau is None else [[t], [tau], [t + tau], [t - tau]])
 
     def couplings(chunk: Chunk) -> tuple[np.ndarray]:
@@ -323,19 +349,18 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (g,) = chunk.memo("couplings", spec, None, lambda: couplings(chunk))
-        re, _ = _spin_product(g.T, amplitudes, lags)
+        re, _ = _half_angle_product(g, lags, pol or None)
         return (re[0],) if tau is None else (re[0], re[1], 0.5 * (re[2] + re[3]))
 
     return sample
 
 
 # Per-trajectory float64 values one draw holds besides its couplings, at most:
-# the spin product's general path keeps five (4, chunk_size) lag arrays and one
-# doubled coupling row (21); its balanced path, which every spec with
-# |alpha| == |beta| takes, keeps three lag arrays (12).  The four rows of re
-# and the three centred columns afterwards hold fewer (about 9).  The rest is
-# headroom for the fixed small objects that weigh on short chunks (N = 200
-# at chunk 2,000 peaks near 30 on the general path).
+# the half-angle kernel's general path keeps five (4, chunk_size) lag arrays
+# (re, im, tan, cos, one product: 20), its balanced path (|alpha| == |beta|)
+# three (12); the rows of re and the centred columns afterwards about 9.  The
+# rest is headroom for small objects and numpy's buffer of the strided coupling
+# column, which weigh on short chunks (N = 200 at chunk 2,000 peaks near 28).
 _ENSEMBLE_DRAW_COLUMNS = 40
 
 

@@ -969,29 +969,58 @@ def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.3.0", name)
 
 
-# Cauchy ensembles of 2 chunks: balanced amplitudes (the spin product's
-# real-only path) and unbalanced ones (its general path); sampling on an OU
-# surface at y_select = -1 over two unequal chunks, and on a static Lorentz pair
-# of points whose tau = 0 and 0.8 go through the per-tau slots; closed forms of a
-# scaled spin bath on a square surface (whose values repeat across the diagonal)
-# and as a probability table
-@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence",
-                                  "ou_sampling_surface", "static_lorentz_sampling",
+# sampling on an OU surface at y_select = -1 over two unequal chunks, and on a
+# static Lorentz pair of points whose tau = 0 and 0.8 go through the per-tau
+# slots; closed forms of a scaled spin bath on a square surface (whose values
+# repeat across the diagonal) and as a probability table
+@pytest.mark.parametrize("name", ["ou_sampling_surface", "static_lorentz_sampling",
                                   "bath_surface", "bath_table"])
 def test_manifest_written_by_0_5_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.5.0", name)
 
 
-def assert_reruns_byte_for_byte(tmp_path, version, name):
+# Cauchy ensembles of 2 chunks: balanced amplitudes (the ensemble kernel's
+# real-only path) and unbalanced ones (its general path).  Since 0.6.0 their
+# spin factors come from a tan of the half angle, not from cos and sin, so the
+# 0.5.0 values and errors move by rounding alone.
+@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence"])
+def test_ensemble_manifest_written_by_0_5_0_reruns_within_1e_12(tmp_path, name):
+    redo, stored = rerun_stored(tmp_path, "0.5.0", name)
+    got, want = (list(csv.DictReader(io.StringIO(p.read_text(), newline="")))
+                 for p in (redo, stored))
+    assert len(got) == len(want) == 3
+    for row, old in zip(got, want):
+        assert list(row) == list(old)  # the header
+        for field in set(row) - {"value", "std_error"}:  # t, tau, n_samples, labels
+            assert row[field] == old[field]
+        for field in ("value", "std_error"):
+            assert abs(float(row[field]) - float(old[field])) <= 1e-12
+
+
+# the two ensembles above, and the Cauchy ensemble's closed form on a square
+# surface that starts at t = tau = 0 with unbalanced amplitudes
+@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence",
+                                  "lorentz_surface"])
+def test_manifest_written_by_0_6_0_reruns_byte_for_byte(tmp_path, name):
+    assert_reruns_byte_for_byte(tmp_path, "0.6.0", name)
+
+
+def rerun_stored(tmp_path, version, name):
+    """Rerun a stored manifest into tmp_path: the new and the stored CSV paths."""
     manifest = ROOT / "tests" / "data" / f"manifests_{version}" / f"{name}.csv.manifest.json"
     stored = json.loads(manifest.read_text())
     assert stored["versions"]["cpfsim"] == version
     assert cli.load_config(manifest).canonical == stored["config"]
     redo = tmp_path / "redo.csv"
     assert cli.main(["run", "--config", str(manifest), "--output", str(redo), "--quiet"]) == 0
-    assert redo.read_bytes() == manifest.with_name(stored["outputs"][0]).read_bytes()
     rerun = json.loads((tmp_path / "redo.csv.manifest.json").read_text())
     assert rerun["config"] == dict(stored["config"], output_path=str(redo))
+    return redo, manifest.with_name(stored["outputs"][0])
+
+
+def assert_reruns_byte_for_byte(tmp_path, version, name):
+    redo, stored = rerun_stored(tmp_path, version, name)
+    assert redo.read_bytes() == stored.read_bytes()
 
 
 def test_package_version_matches_pyproject():

@@ -316,6 +316,29 @@ def test_lorentz_cpf_vanishes_on_axes():
         assert core.cpf_from_moments(moments(0.0, s)) == pytest.approx(0.0, abs=1e-15)
 
 
+# balanced amplitudes whose |alpha|^2 + |beta|^2 rounds to 1 - 2^-52 and to
+# 1 + 2^-52, and unbalanced ones whose norm rounds to 1 - 2^-52 and to 1
+ZERO_LAG_AMPLITUDES = [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)), (2**-0.5, 2**-0.5),
+                       (0.633, math.sqrt(1.0 - 0.633**2)), (0.8, 0.6)]
+
+
+@pytest.mark.parametrize("alpha, beta", ZERO_LAG_AMPLITUDES)
+def test_lorentz_closed_forms_are_exact_at_a_zero_lag(alpha, beta):
+    spec = spinbath.LorentzCouplingSpec(gamma=1.3, omega=0.4, n_spins=50, alpha=alpha, beta=beta)
+    assert spinbath.lorentz_coherence(spec, 0.0) == 1.0
+    for t, tau in ((0.0, 0.9), (0.9, 0.0)):
+        assert core.cpf_from_moments(spinbath.lorentz_moment_set(spec, t, tau)) == 0.0
+
+
+@pytest.mark.parametrize("alpha, beta", ZERO_LAG_AMPLITUDES)
+def test_lorentz_mc_cpf_is_exactly_zero_at_a_zero_lag(alpha, beta):
+    spec = spinbath.LorentzCouplingSpec(gamma=1.3, omega=0.4, n_spins=50, alpha=alpha, beta=beta)
+    cfg = McConfig(n_trajectories=3_000, seed=17, chunk_size=1_000)
+    for t, tau in ((0.0, 0.9), (0.9, 0.0)):
+        est = spinbath.lorentz_mc_cpf(spec, t, tau, cfg)
+        assert est.value == 0.0 and est.std_error == 0.0
+
+
 def test_lorentz_conditional_coherence_anchor():
     got = core.conditional_coherence(ensemble(1.0)(1.0, 1.0), +1)
     want = (math.exp(-1) + 0.5 * (math.exp(-2) + 1)) / (1 + math.exp(-1))
@@ -414,10 +437,15 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
     assert points == 11_796_480 < spinbath.ENSEMBLE_MAX_BYTES / 10
 
 
-@pytest.mark.parametrize("n_spins, chunk", [(50, 16_384), (200, 2_000), (1, 4_096)])
-def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk):
-    # the budget has to count every array one draw holds at its peak
-    spec = spinbath.LorentzCouplingSpec(gamma=1.0, omega=0.4, n_spins=n_spins)
+@pytest.mark.parametrize("n_spins, chunk, amplitudes", [
+    pytest.param(n_spins, chunk, amplitudes, id=f"{n_spins}-{chunk}{label}")
+    for n_spins, chunk in [(50, 16_384), (200, 2_000), (1, 4_096)]
+    for label, amplitudes in [("", {}), ("-unbalanced", {"alpha": 0.8, "beta": 0.6})]
+])
+def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
+    # the budget has to count every array one draw holds at its peak, on the
+    # kernel's balanced path and on its general one
+    spec = spinbath.LorentzCouplingSpec(gamma=1.0, omega=0.4, n_spins=n_spins, **amplitudes)
     sample = spinbath._ensemble_cols(spec, 0.7, 1.1)
     tracemalloc.start()
     try:
@@ -430,6 +458,26 @@ def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk):
         spec, McConfig(n_trajectories=chunk, chunk_size=chunk)
     )
     assert 8 * chunk * n_spins < peak <= counted
+
+
+def test_half_angle_factors_match_libm():
+    # half angles g lag: signed zeros, subnormal and tiny ones, Cauchy tails and
+    # log-uniform magnitudes up to an angle of 1e15
+    rng = np.random.default_rng(41)
+    half = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e-20, 1e-8, 5e14, -5e14],
+        10.0 ** rng.uniform(-320.0, -3.0, 20_000),
+        0.5 * np.tan(np.pi * (rng.random(200_000) - 0.5)),
+        rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-3.0, np.log10(5e14), 200_000),
+    ])
+    cos, sin = (v[0] for v in spinbath._half_angle_product(half[:, None], np.ones((1, 1)), 1.0))
+    assert np.all(cos[:2] == 1.0) and np.all(sin[:2] == 0.0)
+    assert np.all(np.abs(cos) <= 1.0)
+    assert np.max(np.abs(cos - np.cos(2.0 * half))) <= 2 * 2.0**-52
+    assert np.max(np.abs(sin - np.sin(2.0 * half))) <= 2 * 2.0**-52
+    # the balanced path's factor is the same cosine
+    balanced, _ = spinbath._half_angle_product(half[:, None], np.ones((1, 1)), None)
+    assert balanced[0].tobytes() == cos.tobytes()
 
 
 def test_lorentz_mc_conditional_coherence():

@@ -998,9 +998,12 @@ def test_ensemble_manifest_written_by_0_5_0_reruns_within_1e_12(tmp_path, name):
 
 
 # the two ensembles above, and the Cauchy ensemble's closed form on a square
-# surface that starts at t = tau = 0 with unbalanced amplitudes
+# surface that starts at t = tau = 0 with unbalanced amplitudes; the oracle on
+# a surface from t = tau = 0, where an entry rounds to 1 + 2**-52 and is
+# clipped, and as a table from |+x>, whose x = -1 entries are exactly 0.0
 @pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence",
-                                  "lorentz_surface"])
+                                  "lorentz_surface", "bath_oracle_surface",
+                                  "bath_oracle_plus_x"])
 def test_manifest_written_by_0_6_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.6.0", name)
 

@@ -116,9 +116,11 @@ def _random_spec(rng: np.random.Generator, n: int) -> spinbath.SpinBathSpec:
 
 
 def _table_distance(a: core.CpfProbabilityTable, b: core.CpfProbabilityTable) -> float:
-    d = max(abs(a.entries[k] - b.entries[k]) for k in a.entries)
-    d = max(d, max(abs(a.marginal_x[x] - b.marginal_x[x]) for x in core.OUTCOMES))
-    return max(d, max(abs(a.marginal_z[z] - b.marginal_z[z]) for z in core.OUTCOMES))
+    """Largest difference of the entries and of the marginals P(x|y) and P(z|y)."""
+    def cells(e):
+        return [*e.values(), *(e[(+1, s)] + e[(-1, s)] for s in core.OUTCOMES),
+                *(e[(s, +1)] + e[(s, -1)] for s in core.OUTCOMES)]
+    return max(abs(p - q) for p, q in zip(cells(a.entries), cells(b.entries)))
 
 
 def criterion_4_oracle_equivalence(workers: int = 1) -> tuple[bool, list[str]]:
@@ -366,8 +368,8 @@ def criterion_10_property_suite(workers: int = 1) -> tuple[bool, list[str]]:
         fj = rng.uniform(lo, hi)
         m = core.MomentSet(f_t, f_tau, fj)
         y_ok &= (
-            core.cpf_from_table(core.cpf_probability_table(m, +1))
-            == core.cpf_from_table(core.cpf_probability_table(m, -1))
+            core.cpf_from_moments(core.cpf_probability_table(m, +1).moment_set())
+            == core.cpf_from_moments(core.cpf_probability_table(m, -1).moment_set())
         )
     c.check(y_ok, "CPF from the table is y-independent")
 

@@ -11,11 +11,11 @@ manifest next to the CSV that echoes the fully resolved config; feeding the
 manifest back to `run` reproduces the CSV bit for bit.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad config (a file that is not UTF-8
-JSON too, or an output path that is the config file or a directory), bad
-command-line value (e.g. --threads 0, a negative or non-finite
---sigma-tol/--abs-tol, an unknown --criteria number) or grid mismatch, 3
-runtime model error (impossible postselection, bath too large, ...), 5
-`compare` beyond tolerance; `selftest` exits 1 when a criterion fails.
+JSON too, or an output path that is the config file, a directory or no file
+name at all), bad command-line value (e.g. --threads 0, a negative or
+non-finite --sigma-tol/--abs-tol, an unknown --criteria number) or grid
+mismatch, 3 runtime model error (impossible postselection, bath too large,
+...), 5 `compare` beyond tolerance; `selftest` exits 1 when a criterion fails.
 """
 
 from __future__ import annotations
@@ -303,9 +303,16 @@ def _complex(value: Any, path: str) -> complex:
 
 
 def _output_path(value: Any, path: str) -> str:
-    """A CSV path: a non-empty string that names no directory (".", "/", "..", an existing one)."""
+    """A CSV path: a non-empty string that can name a file (no NUL, a character
+    the file system can encode) and names no directory (".", "/", "..", an existing one)."""
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+    if "\0" in value:
+        raise ConfigError(f"{path}: {value!r} cannot name a file: it holds a NUL character")
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{path}: {value!r} cannot name a file: {exc.reason}") from exc
     if Path(value).name in ("", "..") or Path(value).is_dir():
         raise ConfigError(f"{path}: {value!r} is a directory, not a CSV file name")
     return value
@@ -551,21 +558,30 @@ def _row_keys(config: ExperimentConfig) -> RowKeys:
     return RowKeys(t, t if config.tau_grid is None else config.tau_grid.values(), labels)
 
 
-def _analytic_columns(
+def _closed_columns(
     config: ExperimentConfig, family: _Family, t: np.ndarray, tau: np.ndarray | None
 ) -> list[np.ndarray]:
-    """Closed-form values at every point, one array per row label, in one call per grid."""
-    model, q = config.model, config.quantity
+    """Closed-form or oracle values at every point, one array per row label."""
+    model, q, y = config.model, config.quantity, config.y_select
     if q == "coherence":
         return [family.coherence(model, t)]
     if q == "rate":
         return [analytic.dephasing_rate(model, t)]
-    m = family.moments(model, t, tau)
+    if config.method == "oracle":
+        # one oracle call per run of equal t (rows are t-major)
+        runs = np.split(np.arange(t.size), np.flatnonzero(np.diff(t.view(np.int64))) + 1)
+        tables = [spinbath.oracle_protocol(model, config.system_init, t[run[0]], tau[run], y)
+                  for run in runs]
+        table = core.CpfProbabilityTable(y, {
+            key: np.concatenate([tb.entries[key] for tb in tables]) for key, _ in _TABLE_LABELS})
+        m = table.moment_set()
+    else:
+        m = family.moments(model, t, tau)
+        table = core.cpf_probability_table(m, y) if q == "probability_table" else None
     if q == "moments":
         return [m.f_t, m.f_tau, m.f_joint]
     if q == "probability_table":
-        cells = core.cpf_table_cells(m, config.y_select)
-        return [cells[key] for key, _ in _TABLE_LABELS]
+        return [table.entries[key] for key, _ in _TABLE_LABELS]
     if q == "conditional_coherence":
         return [core.conditional_coherence(m, config.yx)]
     return [core.cpf_from_moments(m)]
@@ -587,17 +603,9 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
     keys = _row_keys(config)
     t, tau = keys.t, keys.tau
     std_error = n_samples = None
-    if config.method == "analytic":
-        columns = _analytic_columns(config, family, t, tau)
+    if config.method in ("analytic", "oracle"):
+        columns = _closed_columns(config, family, t, tau)
         value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
-    elif config.method == "oracle":
-        # one oracle call per run of equal t (rows are t-major)
-        runs = np.split(np.arange(t.size), np.flatnonzero(np.diff(t.view(np.int64))) + 1)
-        tables = [table for run in runs for table in spinbath.oracle_protocol(
-            config.model, config.system_init, t[run[0]], tau[run], config.y_select)]
-        table_rows = config.quantity == "probability_table"
-        value = np.array([[tb.entries[key] for key, _ in _TABLE_LABELS] if table_rows
-                          else [core.cpf_from_table(tb)] for tb in tables])
     else:
         taus = [None] * t.size if tau is None else tau.tolist()
         # Monte Carlo points all draw the chunk streams of config.mc: each chunk
@@ -832,7 +840,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # str of a float is its shortest round-tripping repr: distinct values, distinct names
         suffix = "__".join(f"{key}={value}" for key, value in assignment)
         leg_name = f"{out.stem}__{suffix}{out.suffix or '.csv'}"
-        config.output_path = str(out.with_name(leg_name))
+        try:
+            config.output_path = str(out.with_name(leg_name))
+        except ValueError as exc:  # a swept value with a path separator
+            raise ConfigError(f"sweep: leg {dict(assignment)} cannot name a file: {exc}") from exc
         config.canonical["output_path"] = config.output_path
         _refuse_overwriting(args.config, Path(config.output_path))
         if config.output_path in legs:

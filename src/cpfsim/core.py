@@ -17,9 +17,10 @@ The conditional past-future correlation is the connected combination
     C_pf = f_joint - f_t * f_tau,
 
 which vanishes identically when the evolution between measurements is
-memoryless.  This module owns the outcome bookkeeping, the moment and table
-containers with their validity constraints, and the C_pf combination rules.
-Dynamical models that produce the moments live in the sibling modules.
+memoryless.  This module owns the outcome bookkeeping, the moment set and the
+probability table (float64 scalars or arrays of points) with their validity
+constraints, and the C_pf combination rules.  Dynamical models that produce
+the moments live in the sibling modules.
 
 Conventions: outcomes are the integers +1 and -1 (the measured eigenvalues),
 and the conditioning outcome y is always explicit in table constructors.
@@ -28,7 +29,7 @@ and the conditioning outcome y is always explicit in table constructors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,86 +109,67 @@ def cpf_from_moments(moments: MomentSet) -> np.ndarray:
 class CpfProbabilityTable:
     """Conditional distribution P(z, x | y) for one value of y.
 
-    ``entries`` maps (z, x) to a probability; construction clips entries within
-    ``ENTRY_TOL`` of [0, 1] to it, rejects the rest, validates normalization
-    to within ``NORMALIZATION_TOL``, and
-    derives ``marginal_x`` and ``marginal_z``, the single-outcome
-    conditionals P(x|y) and P(z|y).
+    ``entries`` maps each (z, x) to a float64 scalar or an array, all of one
+    shape (a ValueError otherwise): one table per point.  Construction clips
+    entries within ``ENTRY_TOL`` of [0, 1] to it and keeps the bits of the
+    others (the sign of a zero too), rejects the rest and NaN, naming the
+    first bad value, and checks that the entries sum to 1 within
+    ``NORMALIZATION_TOL``.
     """
 
     y: int
-    entries: dict[tuple[int, int], float]
-    marginal_x: dict[int, float] = field(init=False)
-    marginal_z: dict[int, float] = field(init=False)
+    entries: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "y", validate_outcome(self.y, "y"))
-        keys = {(z, x) for z in OUTCOMES for x in OUTCOMES}
-        if set(self.entries) != keys:
+        y = validate_outcome(self.y, "y")
+        keys = [(z, x) for z in OUTCOMES for x in OUTCOMES]
+        if set(self.entries) != set(keys):
             raise InvalidProbabilityTable(
                 f"entries must cover all four (z, x) pairs, got {sorted(self.entries)}"
             )
-        entries = {k: float(v) for k, v in self.entries.items()}
-        for k, p in entries.items():
-            if not math.isfinite(p) or p < -ENTRY_TOL or p > 1.0 + ENTRY_TOL:
-                raise InvalidProbabilityTable(f"entry {k} out of [0, 1]: {p!r}")
-            entries[k] = min(max(p, 0.0), 1.0)  # p itself when inside [0, 1]
-        total = sum(entries.values())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise InvalidProbabilityTable(f"entries sum to {total!r}, not 1")
-        mx = {x: entries[(+1, x)] + entries[(-1, x)] for x in OUTCOMES}
-        mz = {z: entries[(z, +1)] + entries[(z, -1)] for z in OUTCOMES}
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "marginal_x", mx)
-        object.__setattr__(self, "marginal_z", mz)
+        p = np.array([self.entries[k] for k in keys], dtype=float)
+        bad = ~((p >= -ENTRY_TOL) & (p <= 1.0 + ENTRY_TOL))  # NaN included
+        if np.any(bad):
+            z, x = keys[np.argwhere(bad)[0][0]]  # of the first bad value, in key order
+            raise InvalidProbabilityTable(
+                f"P(z={z:+d}, x={x:+d} | y={y:+d}) = {_first(p, bad)!r}, out of [0, 1]")
+        p[p < 0.0] = 0.0
+        p[p > 1.0] = 1.0
+        total = sum(p)
+        off = np.abs(total - 1.0) > NORMALIZATION_TOL
+        if np.any(off):
+            raise InvalidProbabilityTable(f"entries sum to {_first(total, off)!r}, not 1")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "entries", dict(zip(keys, p)))
 
     def moment_set(self) -> MomentSet:
-        """Recover (f_t, f_tau, f_joint) from the table.
+        """Recover (f_t, f_tau, f_joint) from the table, elementwise.
 
-        The explicit pairwise sums keep the recovery bitwise invariant under
-        y -> -y, which permutes the entries as (z, x) -> (-z, -x).
+        f_t and f_tau are y times the differences of the marginals P(x|y) and
+        P(z|y).  The explicit pairwise sums keep the recovery bitwise invariant
+        under y -> -y, which permutes the entries as (z, x) -> (-z, -x).
         """
         e = self.entries
-        f_t = self.y * (self.marginal_x[+1] - self.marginal_x[-1])
-        f_tau = self.y * (self.marginal_z[+1] - self.marginal_z[-1])
+        f_t = self.y * ((e[(+1, +1)] + e[(-1, +1)]) - (e[(+1, -1)] + e[(-1, -1)]))
+        f_tau = self.y * ((e[(+1, +1)] + e[(+1, -1)]) - (e[(-1, +1)] + e[(-1, -1)]))
         f_joint = (e[(+1, +1)] + e[(-1, -1)]) - (e[(+1, -1)] + e[(-1, +1)])
         return MomentSet(f_t=f_t, f_tau=f_tau, f_joint=f_joint)
 
 
-def cpf_table_cells(moments: MomentSet, y: int) -> dict[tuple[int, int], np.ndarray]:
-    """The four cells P(z, x | y) of the table implied by the moments.
-
-    Raises InvalidMomentSet if any cell falls outside [0, 1] by more than
-    ``ENTRY_TOL``; smaller excursions (floating-point dust from upstream
-    engines) are clipped to the boundary.  Raises InvalidProbabilityTable
-    if the clipped cells do not sum to 1 within ``NORMALIZATION_TOL``.
-    """
-    y = validate_outcome(y, "y")
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    for z in OUTCOMES:
-        for x in OUTCOMES:
-            p = 0.25 * (
-                1.0
-                + x * y * moments.f_t
-                + z * y * moments.f_tau
-                + z * x * moments.f_joint
-            )
-            bad = (p < -ENTRY_TOL) | (p > 1.0 + ENTRY_TOL)
-            if np.any(bad):
-                raise InvalidMomentSet(
-                    f"moments imply P(z={z:+d}, x={x:+d} | y={y:+d}) = {_first(p, bad)!r}"
-                )
-            cells[(z, x)] = np.clip(p, 0.0, 1.0)[()]
-    total = sum(cells.values())
-    off = np.abs(total - 1.0) > NORMALIZATION_TOL
-    if np.any(off):
-        raise InvalidProbabilityTable(f"entries sum to {_first(total, off)!r}, not 1")
-    return cells
-
-
 def cpf_probability_table(moments: MomentSet, y: int) -> CpfProbabilityTable:
-    """Build P(z, x | y) from scalar moments; see :func:`cpf_table_cells`."""
-    return CpfProbabilityTable(y=y, entries=cpf_table_cells(moments, y))
+    """The table P(z, x | y) = (1 + x y f_t + z y f_tau + z x f_joint) / 4 of scalar
+    or array moments.  Raises InvalidMomentSet where the moments imply no table:
+    an entry outside [0, 1] by more than ``ENTRY_TOL`` (smaller excursions, dust
+    from upstream engines, are clipped) or entries that do not sum to 1."""
+    y = validate_outcome(y, "y")
+    entries = {
+        (z, x): 0.25 * (1.0 + x * y * moments.f_t + z * y * moments.f_tau + z * x * moments.f_joint)
+        for z in OUTCOMES for x in OUTCOMES
+    }
+    try:
+        return CpfProbabilityTable(y=y, entries=entries)
+    except InvalidProbabilityTable as exc:
+        raise InvalidMomentSet(f"moments imply {exc}") from exc
 
 
 def conditional_coherence(moments: MomentSet, yx: int) -> np.ndarray:
@@ -207,16 +189,6 @@ def conditional_coherence(moments: MomentSet, yx: int) -> np.ndarray:
             f"(f_t = {_first(moments.f_t, dead)!r})"
         )
     return (moments.f_tau + yx * moments.f_joint) / denom
-
-
-def cpf_from_table(table: CpfProbabilityTable) -> float:
-    """C_pf evaluated directly from a probability table.
-
-    Equals <zx> - <z><x> conditioned on the table's y.  Going through the
-    recovered moments keeps the value bitwise invariant under y -> -y,
-    which permutes the entries as (z, x) -> (-z, -x).
-    """
-    return cpf_from_moments(table.moment_set())
 
 
 @dataclass(frozen=True)

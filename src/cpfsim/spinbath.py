@@ -513,7 +513,7 @@ def oracle_protocol(
     y: int,
     *,
     propagator: str = "diagonal",
-) -> core.CpfProbabilityTable | list[core.CpfProbabilityTable]:
+) -> core.CpfProbabilityTable:
     """Replay the full three-measurement protocol on the dense statevector.
 
     Builds the (2, 2^N) system-bath state, applies the first x projector to
@@ -521,22 +521,23 @@ def oracle_protocol(
     the y projector, evolves over tau, reads out the z probabilities, and
     assembles P(z, x | y) = P(z|y,x) P(y|x) P(x) / P(y).
 
-    tau is a scalar, giving one CpfProbabilityTable, or a 1-d array, giving a
-    list with one table per entry (empty for an empty array), each bitwise
-    the table of a scalar call.  The work up to the y projector is done once;
-    each tau adds one phase vector, shared by both x branches, and the z
-    readouts, in a few preallocated 2^N buffers.
+    tau is a scalar or a 1-d array, and the one table returned has entries
+    of tau's shape, each point bitwise the entry of a scalar call.  The work
+    up to the y projector is done once; each tau adds one phase vector,
+    shared by both x branches, and the z readouts, in a few preallocated 2^N
+    buffers.
 
     propagator selects one of two independent implementations of the same
-    unitary ("diagonal" or "gatewise").  Raises BathTooLarge for N > 14 and
+    unitary ("diagonal" or "gatewise").  The times and y are checked before
+    the state is built.  Raises BathTooLarge for N > 14 and
     ZeroProbabilityPostselection if P(y) = 0 (also for an empty tau array).
     """
-    state = _initial_state(spec, init)
     if np.ndim(tau) > 1:
         raise ValueError("tau must be a scalar or a 1-d array")
     t = validate_times(t, 0.0)[0]
     taus = [validate_times(t, tau_k)[1] for tau_k in np.atleast_1d(tau).tolist()]
     y = core.validate_outcome(y, "y")
+    state = _initial_state(spec, init)
     phase = _propagator_phase(spec, propagator)
 
     p_x, p_y_given_x, rows = _y_branches(state, phase, t, y)
@@ -545,18 +546,16 @@ def oracle_protocol(
         raise ZeroProbabilityPostselection(f"P(y={y:+d}) = 0 for this protocol")
 
     ph, conj_ph, up, dn, bath = (np.empty_like(state[0]) for _ in range(5))
-    zx = [(z, x) for z in core.OUTCOMES for x in core.OUTCOMES]
-    tables = []
-    for tau_k in taus:
+    entries = {(z, x): np.zeros(np.shape(tau)) for z in core.OUTCOMES for x in core.OUTCOMES}
+    for k, tau_k in enumerate(taus):
         np.conj(phase(tau_k, ph), out=conj_ph)
-        entries = dict.fromkeys(zx, 0.0)
         for x, (up_y, dn_y) in rows.items():
             np.multiply(up_y, ph, out=up)
             np.multiply(dn_y, conj_ph, out=dn)
             for z in core.OUTCOMES:
-                entries[(z, x)] = _x_probability(up, dn, z, bath) * p_y_given_x[x] * p_x[x] / p_y
-        tables.append(core.CpfProbabilityTable(y=y, entries=entries))
-    return tables if np.ndim(tau) else tables[0]
+                p_zx = _x_probability(up, dn, z, bath) * p_y_given_x[x] * p_x[x] / p_y
+                entries[(z, x)].flat[k] = p_zx
+    return core.CpfProbabilityTable(y, entries)
 
 
 def oracle_conditional_coherence(
@@ -567,11 +566,13 @@ def oracle_conditional_coherence(
     Returns the complex coherence c^{yx} of the state after collapsing on
     (x, then y) and evolving tau; for init = |+> it is the c^{yx} of the
     module docstring with yx = x*y, whose real part is
-    core.conditional_coherence of moment_set.
+    core.conditional_coherence of moment_set.  The times, x and y are
+    checked before the state is built.
     """
-    state = _initial_state(spec, init)
+    t, tau = validate_times(t, tau)
     x = core.validate_outcome(x, "x")
     y = core.validate_outcome(y, "y")
+    state = _initial_state(spec, init)
     phase = _propagator_phase(spec, "diagonal")
     p_x, _, rows = _y_branches(state, phase, t, y)
     if p_x[x] == 0.0:

@@ -222,7 +222,7 @@ def test_moment_set_within_joint_bounds(model, t, tau):
 def test_cpf_consistent_with_table(model, t, tau, y):
     table = core.cpf_probability_table(analytic.moment_set(model, t, tau), y)
     assert analytic.cpf(model, t, tau) == pytest.approx(
-        core.cpf_from_table(table), abs=1e-12
+        core.cpf_from_moments(table.moment_set()), abs=1e-12
     )
 
 

@@ -196,6 +196,10 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(ORACLE, system_init={"a": 1.0, "b": 0.0, "c": 0}),
          "system_init.c: unknown field"),
         (lambda d: d.update(output_path=3), "output_path: expected a non-empty string, got 3"),
+        (lambda d: d.update(output_path="a\u0000b.csv"),
+         "output_path: 'a\\x00b.csv' cannot name a file: it holds a NUL character"),
+        (lambda d: d.update(output_path="a\ud800.csv"),
+         "output_path: 'a\\ud800.csv' cannot name a file: surrogates not allowed"),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate, fragment):
@@ -252,7 +256,7 @@ def library_values(config, t, tau):
         table = spinbath.oracle_protocol(model, config.system_init, t, tau, config.y_select)
         if q == "probability_table":
             return {label: table.entries[key] for key, label in cli._TABLE_LABELS}
-        return {q: core.cpf_from_table(table)}
+        return {q: core.cpf_from_moments(table.moment_set())}
     if kind in ("spin_bath", "scaled_spin_bath"):
         if q == "coherence":
             return {q: spinbath.coherence(model, t).real}
@@ -827,6 +831,33 @@ def test_exit_code_output_path_names_a_directory(tmp_path, monkeypatch, capsys,
         f"config error: {field}: {output!r} is a directory, not a CSV file name\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "outdir"]
     assert list((tmp_path / "outdir").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_exit_code_output_override_cannot_name_a_file(tmp_path, monkeypatch, capsys, command):
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    doc = base_config(output_path="out.csv")
+    if command == "sweep":
+        doc["sweep"] = {"model.gamma_w": [0.5, 0.7]}
+    write_json(tmp_path, doc)
+    args = [command, "--config", "config.json", "--quiet", "--output", "a\0b.csv"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "config error: --output: 'a\\x00b.csv' cannot name a file: it holds a NUL character\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_sweep_leg_that_cannot_name_a_file_exits_2_before_any_evaluation(
+        tmp_path, monkeypatch, capsys):
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, base_config(sweep={"output_path": ["a/b.csv"]}))
+    assert cli.main(["sweep", "--config", "config.json", "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep: leg {'output_path': 'a/b.csv'} cannot name a file: "
+        "Invalid name 'b__output_path=a/b.csv.csv'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_sweep_expands_cartesian_legs(tmp_path):

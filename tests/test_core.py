@@ -1,6 +1,7 @@
 """Model-independent table and moment machinery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,15 +65,30 @@ def test_table_requires_consistent_moments():
         core.cpf_probability_table(m, +1)
 
 
+def marginals(entries):
+    """P(x|y) and P(z|y) of a table's entries, each as outcome -> probability."""
+    marginal_x = {x: entries[(+1, x)] + entries[(-1, x)] for x in core.OUTCOMES}
+    marginal_z = {z: entries[(z, +1)] + entries[(z, -1)] for z in core.OUTCOMES}
+    return marginal_x, marginal_z
+
+
+def table_cpf(table):
+    return core.cpf_from_moments(table.moment_set())
+
+
 @given(moments_strategy(), st.sampled_from([+1, -1]))
 def test_table_normalized_and_in_range(m, y):
     table = core.cpf_probability_table(m, y)
     assert abs(sum(table.entries.values()) - 1.0) <= core.NORMALIZATION_TOL
     assert all(0.0 <= p <= 1.0 for p in table.entries.values())
-    for x in core.OUTCOMES:
-        assert table.marginal_x[x] == table.entries[(+1, x)] + table.entries[(-1, x)]
-    for z in core.OUTCOMES:
-        assert table.marginal_z[z] == table.entries[(z, +1)] + table.entries[(z, -1)]
+    marginal_x, marginal_z = marginals(table.entries)
+    for marginal in (marginal_x, marginal_z):
+        assert all(0.0 <= p <= 1.0 + 1e-15 for p in marginal.values())
+        assert abs(marginal[+1] + marginal[-1] - 1.0) <= core.NORMALIZATION_TOL
+    # the recovered f_t and f_tau are y times the marginals' differences, bitwise
+    got = table.moment_set()
+    assert got.f_t == y * (marginal_x[+1] - marginal_x[-1])
+    assert got.f_tau == y * (marginal_z[+1] - marginal_z[-1])
 
 
 @given(moments_strategy(), st.sampled_from([+1, -1]))
@@ -85,28 +101,34 @@ def test_moment_recovery_round_trip(m, y):
 
 @given(moments_strategy())
 def test_cpf_invariant_under_y_relabeling(m):
-    plus = core.cpf_from_table(core.cpf_probability_table(m, +1))
-    minus = core.cpf_from_table(core.cpf_probability_table(m, -1))
+    plus = table_cpf(core.cpf_probability_table(m, +1))
+    minus = table_cpf(core.cpf_probability_table(m, -1))
     assert plus == minus  # bitwise, by construction of the recovery
 
 
 @given(moments_strategy(), st.sampled_from([+1, -1]))
-def test_cpf_from_table_matches_moment_form(m, y):
+def test_table_cpf_matches_moment_form(m, y):
     table = core.cpf_probability_table(m, y)
-    direct = core.cpf_from_moments(table.moment_set())
-    assert core.cpf_from_table(table) == direct
+    recovered = table.moment_set()
+    assert table_cpf(table) == recovered.f_joint - recovered.f_t * recovered.f_tau
+    assert table_cpf(table) == pytest.approx(core.cpf_from_moments(m), abs=1e-14)
 
 
 @given(st.lists(moments_strategy(), min_size=1, max_size=6), st.sampled_from([+1, -1]))
-def test_array_cells_equal_scalar_tables(ms, y):
+def test_array_table_equals_scalar_tables(ms, y):
     stacked = core.MomentSet(
         *(np.array([getattr(m, name) for m in ms]) for name in ("f_t", "f_tau", "f_joint"))
     )
-    cells = core.cpf_table_cells(stacked, y)
+    table = core.cpf_probability_table(stacked, y)
+    recovered = table.moment_set()
     cpf = core.cpf_from_moments(stacked)
     for i, m in enumerate(ms):
-        table = core.cpf_probability_table(m, y)
-        assert all(cells[key][i] == p for key, p in table.entries.items())
+        one = core.cpf_probability_table(m, y)
+        assert all(table.entries[key].shape == (len(ms),) for key in one.entries)
+        assert all(table.entries[key][i].hex() == p.hex() for key, p in one.entries.items())
+        for name in ("f_t", "f_tau", "f_joint"):
+            assert getattr(recovered, name)[i].hex() == getattr(one.moment_set(), name).hex()
+        assert table_cpf(table)[i] == table_cpf(one)
         assert cpf[i] == core.cpf_from_moments(m)
 
 
@@ -133,7 +155,8 @@ def test_table_constructor_validation():
     negative = {**good, (+1, +1): -0.25, (+1, -1): 0.75}
     with pytest.raises(InvalidProbabilityTable):
         core.CpfProbabilityTable(y=+1, entries=negative)
-    # rounding just past [0, 1] is clipped, as cpf_table_cells does; past ENTRY_TOL it is an error
+    # rounding just past [0, 1] is clipped, as in cpf_probability_table; past ENTRY_TOL it is
+    # an error
     over = {(+1, +1): 1.0 + 2**-52, (+1, -1): 0.0, (-1, +1): -1e-17, (-1, -1): 0.0}
     table = core.CpfProbabilityTable(y=+1, entries=over)
     assert table.entries == {(+1, +1): 1.0, (+1, -1): 0.0, (-1, +1): 0.0, (-1, -1): 0.0}
@@ -144,6 +167,33 @@ def test_table_constructor_validation():
     inside = {(+1, +1): 0.1 + 0.2, (+1, -1): -0.0, (-1, +1): 0.7 - 2**-53, (-1, -1): 0.0}
     kept = core.CpfProbabilityTable(y=-1, entries=inside).entries
     assert [v.hex() for v in kept.values()] == [v.hex() for v in inside.values()]
+
+
+def test_array_table_constructor_validation():
+    # the same checks pointwise on arrays: points 0 and 2 are good, point 1 is clipped
+    over = {(+1, +1): [0.25, 1.0 + 2**-52, 0.1 + 0.2], (+1, -1): [0.25, 0.0, -0.0],
+            (-1, +1): [0.25, -1e-17, 0.7 - 2**-53], (-1, -1): [0.25, 0.0, 0.0]}
+    table = core.CpfProbabilityTable(y=+1, entries=over)
+    want = {(+1, +1): [0.25, 1.0, 0.1 + 0.2], (+1, -1): [0.25, 0.0, -0.0],
+            (-1, +1): [0.25, 0.0, 0.7 - 2**-53], (-1, -1): [0.25, 0.0, 0.0]}
+    for key, values in want.items():
+        assert table.entries[key].dtype == np.float64 and table.entries[key].shape == (3,)
+        assert [v.hex() for v in table.entries[key].tolist()] == [v.hex() for v in values]
+    # the first bad value of an entry is named, NaN included
+    for key, bad, text in [((+1, +1), [0.25, 1.0 + 2e-9, 2.0], "1.000000002"),
+                           ((-1, +1), [-3e-9, 0.0, -2e-9], "-3e-09"),
+                           ((-1, +1), [0.25, math.nan, -1.0], "nan")]:
+        message = re.escape(f"P(z={key[0]:+d}, x={key[1]:+d} | y=+1) = {text}, out of [0, 1]")
+        with pytest.raises(InvalidProbabilityTable, match=message):
+            core.CpfProbabilityTable(y=+1, entries={**over, key: bad})
+    with pytest.raises(InvalidProbabilityTable, match=re.escape("entries sum to 1.25, not 1")):
+        core.CpfProbabilityTable(y=+1, entries={**over, (-1, -1): [0.25, 0.0, 0.25]})
+    with pytest.raises(ValueError):  # entries of two shapes
+        core.CpfProbabilityTable(y=+1, entries={**over, (-1, -1): [0.25, 0.0]})
+    # moments that imply a bad entry at one point name it
+    m = core.MomentSet(np.array([0.0, 0.9]), np.array([0.0, 0.9]), np.array([0.0, -0.9]))
+    with pytest.raises(InvalidMomentSet, match=re.escape("P(z=-1, x=-1 | y=+1) = -0.425")):
+        core.cpf_probability_table(m, +1)
 
 
 def test_estimate_validation_and_repr():

@@ -139,8 +139,8 @@ def test_monte_carlo_cpf_on_the_axes_is_exactly_zero(model, s, seed):
 @given(moment_functions(), times, times)
 def test_table_cpf_is_bitwise_independent_of_y(moments, t, tau):
     m = moments(t, tau)
-    plus = core.cpf_from_table(core.cpf_probability_table(m, +1))
-    minus = core.cpf_from_table(core.cpf_probability_table(m, -1))
+    plus = core.cpf_from_moments(core.cpf_probability_table(m, +1).moment_set())
+    minus = core.cpf_from_moments(core.cpf_probability_table(m, -1).moment_set())
     assert plus == minus
 
 

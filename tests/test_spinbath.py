@@ -121,12 +121,17 @@ def test_two_spin_cpf_does_not_vanish():
 # ---------------------------------------------------------------------------
 # statevector oracle vs product formula
 
+def _marginals(entries):
+    """P(x|y) and P(z|y) of a table's entries, as one list."""
+    return [entries[(+1, s)] + entries[(-1, s)] for s in core.OUTCOMES] + [
+        entries[(s, +1)] + entries[(s, -1)] for s in core.OUTCOMES]
+
+
 def _assert_tables_close(a, b, tol):
     for key in a.entries:
         assert a.entries[key] == pytest.approx(b.entries[key], abs=tol)
-    for x in core.OUTCOMES:
-        assert a.marginal_x[x] == pytest.approx(b.marginal_x[x], abs=tol)
-        assert a.marginal_z[z := x] == pytest.approx(b.marginal_z[z], abs=tol)
+    for p, q in zip(_marginals(a.entries), _marginals(b.entries)):
+        assert p == pytest.approx(q, abs=tol)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -147,7 +152,7 @@ def test_oracle_at_zero_times_clips_an_entry_rounded_above_one(y):
     table = spinbath.oracle_protocol(spec, PLUS, 0.0, 0.0, y)
     assert table.entries[(y, y)] == 1.0
     assert all(0.0 <= p <= 1.0 for p in table.entries.values())
-    assert core.cpf_from_table(table) == 0.0
+    assert core.cpf_from_moments(table.moment_set()) == 0.0
 
 
 def test_oracle_propagators_agree():
@@ -216,24 +221,52 @@ def test_array_tau_oracle_equals_per_tau_scalar_calls(n, y, propagator):
     # |+x> has P(x = -1) = 0, and at t = 0 also P(y = -1) = 0
     for init, t in ((PLUS, rng.uniform(0.0, 3.0)), (PLUS, 0.0), (plus_x, 1.3), (plus_x, 0.0)):
         call = lambda tau: spinbath.oracle_protocol(spec, init, t, tau, y, propagator=propagator)
-        tables = _oracle_outcome(call, taus)
+        table = _oracle_outcome(call, taus)
         empty = _oracle_outcome(call, np.array([]))
         if init is plus_x and t == 0.0 and y == -1:
             want = ("ZeroProbabilityPostselection", "P(y=-1) = 0 for this protocol")
-            assert tables == empty == _oracle_outcome(call, 0.5) == want
+            assert table == empty == _oracle_outcome(call, 0.5) == want
             continue
-        assert empty == []
+        assert empty.y == y and all(p.shape == (0,) for p in empty.entries.values())
         singles = [_oracle_outcome(call, float(tau)) for tau in taus]
         errors = [one for one in singles if isinstance(one, tuple)]
         if errors:
-            # an entry rounded above 1 (t = tau = 0): the first failing tau's error
-            assert tables == errors[0]
+            # a bad entry at some tau (none on these inputs: entries are clipped) fails the
+            # array call with an error of its kind
+            assert isinstance(table, tuple) and table[0] == errors[0][0]
             continue
-        assert len(tables) == taus.size
-        for table, one in zip(tables, singles):
-            assert table.y == one.y and table.entries == one.entries
+        assert table.y == y
+        for key, p in table.entries.items():
+            assert p.dtype == np.float64 and p.shape == taus.shape
+            assert [v.hex() for v in p.tolist()] == [one.entries[key].hex() for one in singles]
+        assert all(np.ndim(p) == 0 for one in singles for p in one.entries.values())
         if init is plus_x:
-            assert all(table.marginal_x[-1] == 0.0 for table in tables)
+            # the x = -1 branch is never populated: its entries, and P(x = -1|y), are 0.0
+            for one in [table, *singles]:
+                assert np.all(one.entries[(+1, -1)] == 0.0)
+                assert np.all(one.entries[(-1, -1)] == 0.0)
+                assert np.all(_marginals(one.entries)[1] == 0.0)
+
+
+@pytest.mark.parametrize("t, tau", [(-1.0, -0.5), (math.nan, 0.5), (0.5, -0.5),
+                                    (0.5, math.inf)])
+def test_oracle_conditional_coherence_rejects_bad_times(t, tau):
+    spec = random_spec(np.random.default_rng(19), 3)
+    with pytest.raises(ValueError, match="t and tau must be finite and >= 0"):
+        spinbath.oracle_conditional_coherence(spec, PLUS, t, tau, +1, +1)
+
+
+def test_oracle_entry_points_check_their_arguments_before_building_the_state():
+    # a bath past the dense limit would raise BathTooLarge once its state is built
+    spec = spinbath.scaled_gaussian_bath(15, 1.0)
+    for bad in [dict(t=math.nan), dict(tau=-1.0), dict(y=0)]:
+        args = {**dict(t=0.5, tau=0.5, y=+1), **bad}
+        with pytest.raises(ValueError):
+            spinbath.oracle_protocol(spec, PLUS, args["t"], args["tau"], args["y"])
+    for bad in [dict(t=-1.0), dict(tau=math.nan), dict(x=2), dict(y=0)]:
+        args = {**dict(t=0.5, tau=0.5, x=+1, y=+1), **bad}
+        with pytest.raises(ValueError):
+            spinbath.oracle_conditional_coherence(spec, PLUS, *args.values())
 
 
 def test_oracle_rejects_two_dimensional_tau():

@@ -105,7 +105,7 @@ def cpf_from_moments(moments: MomentSet) -> np.ndarray:
     return moments.f_joint - moments.f_t * moments.f_tau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: no value equality
 class CpfProbabilityTable:
     """Conditional distribution P(z, x | y) for one value of y.
 

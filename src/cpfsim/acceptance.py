@@ -1,7 +1,8 @@
 """Executable acceptance checks shared by the test suite and `cpfsim selftest`.
 
-Each criterion is a function returning a CriterionResult with a pass flag
-and per-check detail lines.  Statistical checks use fixed seeds so the whole
+Each criterion is a function that records its checks on the checker it is
+given; run_criterion turns them into a CriterionResult with a pass flag and
+per-check detail lines.  Statistical checks use fixed seeds so the whole
 suite is deterministic; tolerances are part of the package contract and are
 not tunable from the outside.
 """
@@ -45,9 +46,8 @@ def _within(value: float, target: float, sigma: float, n_sigma: float) -> bool:
     return abs(value - target) <= n_sigma * sigma
 
 
-def criterion_1_markovian_nullity(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_1_markovian_nullity(c: _Checker, workers: int = 1) -> None:
     """Analytic white-noise CPF is exactly zero; the sampling estimator agrees."""
-    c = _Checker()
     model = analytic.White(1.0)
     grid = np.linspace(0.0, 2.5, 50)
     vals = analytic.cpf(model, *np.meshgrid(grid, grid, indexing="ij"))
@@ -59,12 +59,10 @@ def criterion_1_markovian_nullity(workers: int = 1) -> tuple[bool, list[str]]:
         abs(est.value) <= 4.0 * est.std_error,
         f"sampling estimator {est} within 4 sigma of 0",
     )
-    return c.ok, c.details
 
 
-def criterion_2_gaussian_plateau(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_2_gaussian_plateau(c: _Checker, workers: int = 1) -> None:
     """Static-Gaussian diagonal CPF sits on the 1/2 plateau for gt >= 2."""
-    c = _Checker()
     model = analytic.StaticGauss(1.0)
     ts = np.linspace(2.0, 6.0, 17)
     vals = analytic.cpf(model, ts, ts)
@@ -80,12 +78,10 @@ def criterion_2_gaussian_plateau(workers: int = 1) -> tuple[bool, list[str]]:
         _within(est.value, target, est.std_error, 3.0),
         f"MC at gt=2: {est} vs analytic {target:.6f} (3 sigma)",
     )
-    return c.ok, c.details
 
 
-def criterion_3_spinbath_gaussian_fit(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_3_spinbath_gaussian_fit(c: _Checker, workers: int = 1) -> None:
     """N=50 scaled bath matches the Gaussian closed forms at stated tolerances."""
-    c = _Checker()
     spec = spinbath.scaled_gaussian_bath(50, 1.0)
     gauss = analytic.StaticGauss(1.0)
     ts = np.linspace(0.0, 2.0, 81)
@@ -99,7 +95,6 @@ def criterion_3_spinbath_gaussian_fit(workers: int = 1) -> tuple[bool, list[str]
     c.check(dcpf <= 0.02, f"max |CPF - Gaussian closed form| = {dcpf:.5f} <= 0.02")
     plateau = _bath_cpf(spec, 2.0, 2.0)
     c.check(abs(plateau - 0.5) <= 0.02, f"diagonal plateau at gt=2: {plateau:.4f} ~ 1/2")
-    return c.ok, c.details
 
 
 def _bath_cpf(spec: spinbath.SpinBathSpec, t, tau):
@@ -123,9 +118,8 @@ def _table_distance(a: core.CpfProbabilityTable, b: core.CpfProbabilityTable) ->
     return max(abs(p - q) for p, q in zip(cells(a.entries), cells(b.entries)))
 
 
-def criterion_4_oracle_equivalence(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_4_oracle_equivalence(c: _Checker, workers: int = 1) -> None:
     """Statevector oracle reproduces the product-formula table on random baths."""
-    c = _Checker()
     rng = np.random.default_rng(20250804)
     worst = 0.0
     for _ in range(25):
@@ -137,12 +131,10 @@ def criterion_4_oracle_equivalence(workers: int = 1) -> tuple[bool, list[str]]:
         closed = core.cpf_probability_table(spinbath.moment_set(spec, t, tau), y)
         worst = max(worst, _table_distance(oracle, closed))
     c.check(worst <= 1e-10, f"25 random specs (N in 1..10): max table diff {worst:.2e} <= 1e-10")
-    return c.ok, c.details
 
 
-def criterion_5_lorentz_lindblad(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_5_lorentz_lindblad(c: _Checker, workers: int = 1) -> None:
     """Cauchy-coupling ensemble: exponential coherence yet nonzero CPF."""
-    c = _Checker()
     spec50 = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=50)
     ts = np.linspace(0.0, 4.0, 41)
     dmax = max(
@@ -196,12 +188,10 @@ def criterion_5_lorentz_lindblad(workers: int = 1) -> tuple[bool, list[str]]:
         f"un-halved printed variant = {printed:.4f} > 1 at gamma t = gamma tau = 1 "
         "(recorded as the expected failure of the printed form)",
     )
-    return c.ok, c.details
 
 
-def criterion_6_random_frequency_equivalence(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_6_random_frequency_equivalence(c: _Checker, workers: int = 1) -> None:
     """StaticLorentz noise model equals the Cauchy spin-bath closed forms."""
-    c = _Checker()
     model = analytic.StaticLorentz(1.0)
     ensemble = spinbath.LorentzCouplingSpec(gamma=1.0)
     grid = np.linspace(0.0, 3.0, 20)
@@ -220,12 +210,10 @@ def criterion_6_random_frequency_equivalence(workers: int = 1) -> tuple[bool, li
     c.check(worst_f <= 1e-12, f"first moments agree to {worst_f:.1e}")
     c.check(worst_cpf <= 1e-12, f"CPF surfaces agree to {worst_cpf:.1e}")
     c.check(worst_cc <= 1e-12, f"conditional coherences agree to {worst_cc:.1e}")
-    return c.ok, c.details
 
 
-def criterion_7_ou_limits(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_7_ou_limits(c: _Checker, workers: int = 1) -> None:
     """OU noise interpolates white -> static Gaussian; MC matches analytic."""
-    c = _Checker()
     for t in (0.5, 1.0, 2.0):
         tau_c = 1e-4 * t
         g = math.sqrt(1.0 / (2.0 * tau_c))  # keeps gamma_w = 2 g^2 tau_c = 1
@@ -269,12 +257,10 @@ def criterion_7_ou_limits(workers: int = 1) -> tuple[bool, list[str]]:
         all(a < b for a, b in zip(peaks, peaks[1:])),
         f"diagonal CPF peak grows with tau_c at fixed gamma_w: {[f'{p:.3f}' for p in peaks]}",
     )
-    return c.ok, c.details
 
 
-def criterion_8_rate_formulas(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_8_rate_formulas(c: _Checker, workers: int = 1) -> None:
     """Closed-form dephasing rates match finite differences of ln f."""
-    c = _Checker()
     rng = np.random.default_rng(20250808)
     h = 1e-6
     for model in (
@@ -294,12 +280,10 @@ def criterion_8_rate_formulas(workers: int = 1) -> tuple[bool, list[str]]:
             worst <= 1e-5,
             f"{analytic.model_tag(model)}: max rel. FD mismatch {worst:.1e} <= 1e-5 at 20 points",
         )
-    return c.ok, c.details
 
 
-def criterion_9_estimator_cross_validation(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_9_estimator_cross_validation(c: _Checker, workers: int = 1) -> None:
     """Postselected sampling and semianalytic CPF estimators agree at 3 sigma."""
-    c = _Checker()
     points = [(0.25, 0.25), (0.5, 0.5), (1.0, 1.0), (0.5, 1.0), (2.0, 0.5)]
     models = (
         analytic.White(1.0),
@@ -320,12 +304,10 @@ def criterion_9_estimator_cross_validation(workers: int = 1) -> tuple[bool, list
             worst = max(worst, pull)
             ok &= pull <= 3.0
         c.check(ok, f"{analytic.model_tag(model)}: worst |pull| = {worst:.2f} <= 3 at 5 points")
-    return c.ok, c.details
 
 
-def criterion_10_property_suite(workers: int = 1) -> tuple[bool, list[str]]:
+def criterion_10_property_suite(c: _Checker, workers: int = 1) -> None:
     """Spot checks of the structural properties the pytest suite covers in full."""
-    c = _Checker()
     rng = np.random.default_rng(20250809)
 
     models = [
@@ -393,7 +375,6 @@ def criterion_10_property_suite(workers: int = 1) -> tuple[bool, list[str]]:
         for w in (2, 4)
     )
     c.check(rep_ok, "estimates bit-identical for 1, 2, 4 workers")
-    return c.ok, c.details
 
 
 CRITERIA = (
@@ -413,15 +394,10 @@ CRITERIA = (
 def run_criterion(number: int, workers: int = 1) -> CriterionResult:
     for num, name, fn in CRITERIA:
         if num == number:
+            c = _Checker()
             start = time.perf_counter()
-            passed, details = fn(workers)
-            return CriterionResult(
-                number=num,
-                name=name,
-                passed=passed,
-                details=details,
-                elapsed_s=time.perf_counter() - start,
-            )
+            fn(c, workers)
+            return CriterionResult(num, name, c.ok, c.details, time.perf_counter() - start)
     raise ValueError(f"no acceptance criterion numbered {number}")
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import errno
 import itertools
 import json
 import math
@@ -135,33 +136,40 @@ class Results(RowKeys):
 class _Family:
     """How one family of model kinds is evaluated.
 
-    The functions are looked up on their modules at call time, so wrappers
-    installed on those modules see every call.
+    A family declares what it computes, and methods() derives from that which
+    methods serve a quantity: analytic all but a rate the family lacks,
+    montecarlo those with an estimator in mc (cpf_surface that of cpf),
+    sampling the CPF where mc has "sampling", and oracle the CPF and the table
+    on a family with the oracle.  The functions are looked up on their modules
+    at call time, so wrappers installed on those modules see every call.
     """
 
     # (model, t, tau) -> core.MomentSet over broadcast arrays of times
     moments: Callable[[Any, np.ndarray, np.ndarray], core.MomentSet]
     # (model, t) -> real coherence f(t) over an array of times
     coherence: Callable[[Any, np.ndarray], np.ndarray]
-    # quantity -> methods; anything absent is rejected
-    allowed: dict[str, tuple[str, ...]]
     # quantity, or "sampling" for the sampling method -> per-point estimator
     # (config, t, tau, workers) -> Estimate, or three of them for "moments"
     mc: dict[str, Callable[[ExperimentConfig, float, float | None, int], Any]]
+    # (model, t) -> dephasing rate over an array of times
+    rate: Callable[[Any, np.ndarray], np.ndarray] | None = None
+    # whether the statevector oracle replays the protocol on these models
+    oracle: bool = False
+
+    def methods(self, quantity: str) -> tuple[str, ...]:
+        """The methods that serve quantity, in METHODS order."""
+        key = "cpf" if quantity == "cpf_surface" else quantity
+        return tuple(method for method, serves in zip(METHODS, (
+            key != "rate" or self.rate is not None,
+            key in self.mc,
+            key == "cpf" and "sampling" in self.mc,
+            self.oracle and key in ("cpf", "probability_table"),
+        )) if serves)
 
 
 _NOISE = _Family(
     moments=lambda model, t, tau: analytic.moment_set(model, t, tau),
     coherence=lambda model, t: analytic.first_moment(model, t),
-    allowed={
-        "coherence": ("analytic", "montecarlo"),
-        "conditional_coherence": ("analytic", "montecarlo"),
-        "cpf": ("analytic", "montecarlo", "sampling"),
-        "cpf_surface": ("analytic", "montecarlo", "sampling"),
-        "moments": ("analytic", "montecarlo"),
-        "rate": ("analytic",),
-        "probability_table": ("analytic",),
-    },
     mc={
         "coherence": lambda c, t, tau, w: stochastic.mc_moments(c.model, t, 0.0, c.mc, w)[0],
         "conditional_coherence": lambda c, t, tau, w: stochastic.mc_conditional_coherence(
@@ -173,33 +181,19 @@ _NOISE = _Family(
             c.model, t, tau, c.y_select, c.mc, w
         ),
     },
+    rate=lambda model, t: analytic.dephasing_rate(model, t),
 )
 
 _BATH = _Family(
     moments=lambda spec, t, tau: spinbath.moment_set(spec, t, tau),
     coherence=lambda spec, t: spinbath.coherence(spec, t).real,
-    allowed={
-        "coherence": ("analytic",),
-        "conditional_coherence": ("analytic",),
-        "cpf": ("analytic", "oracle"),
-        "cpf_surface": ("analytic", "oracle"),
-        "moments": ("analytic",),
-        "probability_table": ("analytic", "oracle"),
-    },
     mc={},
+    oracle=True,
 )
 
 _ENSEMBLE = _Family(
     moments=lambda spec, t, tau: spinbath.lorentz_moment_set(spec, t, tau),
     coherence=lambda spec, t: spinbath.lorentz_coherence(spec, t).real,
-    allowed={
-        "coherence": ("analytic", "montecarlo"),
-        "conditional_coherence": ("analytic", "montecarlo"),
-        "cpf": ("analytic", "montecarlo"),
-        "cpf_surface": ("analytic", "montecarlo"),
-        "moments": ("analytic", "montecarlo"),
-        "probability_table": ("analytic",),
-    },
     mc={
         "coherence": lambda c, t, tau, w: spinbath.lorentz_mc_coherence(c.model, t, c.mc, w),
         "conditional_coherence": lambda c, t, tau, w: spinbath.lorentz_mc_conditional_coherence(
@@ -304,7 +298,8 @@ def _complex(value: Any, path: str) -> complex:
 
 def _output_path(value: Any, path: str) -> str:
     """A CSV path: a non-empty string that can name a file (no NUL, a character
-    the file system can encode) and names no directory (".", "/", "..", an existing one)."""
+    the file system can encode, a name that with its manifest's suffix is not too
+    long) and names no directory (".", "/", "..", an existing one)."""
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
     if "\0" in value:
@@ -313,8 +308,14 @@ def _output_path(value: Any, path: str) -> str:
         os.fsencode(value)
     except UnicodeEncodeError as exc:
         raise ConfigError(f"{path}: {value!r} cannot name a file: {exc.reason}") from exc
-    if Path(value).name in ("", "..") or Path(value).is_dir():
-        raise ConfigError(f"{path}: {value!r} is a directory, not a CSV file name")
+    try:
+        if Path(value).name in ("", "..") or Path(value).is_dir():
+            raise ConfigError(f"{path}: {value!r} is a directory, not a CSV file name")
+        _manifest_path(Path(value)).exists()  # the longer of the two names
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        raise ConfigError(f"{path}: {value!r} cannot name a file: {exc.strerror}") from exc
     return value
 
 
@@ -492,7 +493,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
     quantity, method = values["quantity"], values["method"]
     t_grid, tau_grid, mc = values["t_grid"], values["tau_grid"], values["mc"]
 
-    allowed = MODEL_KINDS[kind].family.allowed.get(quantity, ())
+    allowed = MODEL_KINDS[kind].family.methods(quantity)
     if method not in allowed:
         raise ConfigError(
             f"method: {method!r} does not support quantity {quantity!r} for model "
@@ -558,43 +559,36 @@ def _row_keys(config: ExperimentConfig) -> RowKeys:
     return RowKeys(t, t if config.tau_grid is None else config.tau_grid.values(), labels)
 
 
-def _closed_columns(
-    config: ExperimentConfig, family: _Family, t: np.ndarray, tau: np.ndarray | None
+def _read_out(
+    config: ExperimentConfig, source: core.MomentSet | core.CpfProbabilityTable
 ) -> list[np.ndarray]:
-    """Closed-form or oracle values at every point, one array per row label."""
-    model, q, y = config.model, config.quantity, config.y_select
-    if q == "coherence":
-        return [family.coherence(model, t)]
-    if q == "rate":
-        return [analytic.dephasing_rate(model, t)]
-    if config.method == "oracle":
-        # one oracle call per run of equal t (rows are t-major)
-        runs = np.split(np.arange(t.size), np.flatnonzero(np.diff(t.view(np.int64))) + 1)
-        tables = [spinbath.oracle_protocol(model, config.system_init, t[run[0]], tau[run], y)
-                  for run in runs]
-        table = core.CpfProbabilityTable(y, {
-            key: np.concatenate([tb.entries[key] for tb in tables]) for key, _ in _TABLE_LABELS})
-        m = table.moment_set()
-    else:
-        m = family.moments(model, t, tau)
-        table = core.cpf_probability_table(m, y) if q == "probability_table" else None
+    """The values of config's quantity in moments or a table, one array per row label."""
+    q = config.quantity
+    if q == "probability_table":
+        if isinstance(source, core.MomentSet):
+            source = core.cpf_probability_table(source, config.y_select)
+        return [source.entries[key] for key, _ in _TABLE_LABELS]
+    m = source.moment_set() if isinstance(source, core.CpfProbabilityTable) else source
     if q == "moments":
         return [m.f_t, m.f_tau, m.f_joint]
-    if q == "probability_table":
-        return [table.entries[key] for key, _ in _TABLE_LABELS]
     if q == "conditional_coherence":
         return [core.conditional_coherence(m, config.yx)]
     return [core.cpf_from_moments(m)]
 
 
-def _point_values(
-    config: ExperimentConfig, family: _Family, t: float, tau: float | None, workers: int
-) -> list[tuple[float, float, int]]:
-    """(value, std_error, n_samples) per row label at one Monte Carlo point."""
-    q = config.quantity
-    key = "sampling" if config.method == "sampling" else ("cpf" if q == "cpf_surface" else q)
-    est = family.mc[key](config, t, tau, workers)
-    return [(e.value, e.std_error, e.n_samples) for e in (est if q == "moments" else [est])]
+def _deterministic_columns(
+    config: ExperimentConfig, family: _Family, t: np.ndarray, tau: np.ndarray | None
+) -> list[np.ndarray]:
+    """Closed-form or oracle values at every point, one array per row label."""
+    if config.quantity in _T_ONLY:  # the family's function of the same name
+        return [getattr(family, config.quantity)(config.model, t)]
+    if config.method == "analytic":
+        return _read_out(config, family.moments(config.model, t, tau))
+    # one oracle call per run of equal t (rows are t-major), each table read out once
+    runs = np.split(np.arange(t.size), np.flatnonzero(np.diff(t.view(np.int64))) + 1)
+    parts = [_read_out(config, spinbath.oracle_protocol(
+        config.model, config.system_init, t[run[0]], tau[run], config.y_select)) for run in runs]
+    return [np.concatenate(columns) for columns in zip(*parts)]
 
 
 def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
@@ -604,21 +598,22 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
     t, tau = keys.t, keys.tau
     std_error = n_samples = None
     if config.method in ("analytic", "oracle"):
-        columns = _closed_columns(config, family, t, tau)
+        columns = _deterministic_columns(config, family, t, tau)
         value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
     else:
+        q = config.quantity
+        estimate = family.mc["sampling" if config.method == "sampling" else
+                             "cpf" if q == "cpf_surface" else q]
         taus = [None] * t.size if tau is None else tau.tolist()
         # Monte Carlo points all draw the chunk streams of config.mc: each chunk
         # is drawn once and each per-t stage computed once per t (a single
         # point has nothing to share and would only hold the memo)
         with grid_memo() if t.size > 1 else contextlib.nullcontext():
-            points = [
-                _point_values(config, family, t_k, tau_k, workers)
-                for t_k, tau_k in zip(t.tolist(), taus)
-            ]
-        value = np.array([[v for v, _, _ in p] for p in points], dtype=float)
-        std_error = np.array([[se for _, se, _ in p] for p in points], dtype=float)
-        n_samples = np.array([[n for _, _, n in p] for p in points], dtype=np.int64)
+            points = [estimate(config, t_k, tau_k, workers) for t_k, tau_k in zip(t.tolist(), taus)]
+        grid = points if q == "moments" else [[e] for e in points]  # estimates per row label
+        value, std_error, n_samples = (
+            np.array([[getattr(e, name) for e in p] for p in grid], dtype)
+            for name, dtype in (("value", float), ("std_error", float), ("n_samples", np.int64)))
     return Results(
         t, tau, keys.labels, value, std_error, n_samples, config.model_kind, config.method
     )
@@ -841,9 +836,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         suffix = "__".join(f"{key}={value}" for key, value in assignment)
         leg_name = f"{out.stem}__{suffix}{out.suffix or '.csv'}"
         try:
-            config.output_path = str(out.with_name(leg_name))
+            leg_path = str(out.with_name(leg_name))
         except ValueError as exc:  # a swept value with a path separator
             raise ConfigError(f"sweep: leg {dict(assignment)} cannot name a file: {exc}") from exc
+        config.output_path = _output_path(leg_path, f"sweep: leg {dict(assignment)}")
         config.canonical["output_path"] = config.output_path
         _refuse_overwriting(args.config, Path(config.output_path))
         if config.output_path in legs:

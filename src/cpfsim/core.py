@@ -69,7 +69,7 @@ def joint_moment_bounds(f_t: float, f_tau: float) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: no value equality
 class MomentSet:
     """The three conditional moments (f_t, f_tau, f_joint).
 

@@ -66,7 +66,7 @@ def _normalized_pair(a: complex, b: complex, what: str) -> tuple[complex, comple
     return a, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: no value equality
 class SpinBathSpec:
     """N bath spins with couplings g_k and initial amplitudes (alpha_k, beta_k)."""
 

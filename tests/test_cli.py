@@ -200,6 +200,13 @@ def test_parse_config_accepts_manifest_document():
          "output_path: 'a\\x00b.csv' cannot name a file: it holds a NUL character"),
         (lambda d: d.update(output_path="a\ud800.csv"),
          "output_path: 'a\\ud800.csv' cannot name a file: surrogates not allowed"),
+        pytest.param(lambda d: d.update(output_path="x" * 300 + ".csv"),
+                     f"output_path: {'x' * 300 + '.csv'!r} cannot name a file: File name too long",
+                     id="output_path-name-too-long"),
+        # the name fits, its manifest's does not
+        pytest.param(lambda d: d.update(output_path="x" * 245 + ".csv"),
+                     f"output_path: {'x' * 245 + '.csv'!r} cannot name a file: File name too long",
+                     id="output_path-manifest-name-too-long"),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate, fragment):
@@ -225,6 +232,19 @@ def test_parse_config_bath_amplitudes():
         cli.parse_config(doc)
 
 
+def test_spin_bath_echoes_its_default_amplitudes(tmp_path):
+    # without alphas and betas, the echo holds the resolved 1/sqrt 2, one per coupling
+    doc = base_config(model={"kind": "spin_bath", "couplings": [0.5, 1.0, 0.8]})
+    half = 1.0 / math.sqrt(2.0)
+    echo = {"kind": "spin_bath", "couplings": [0.5, 1.0, 0.8],
+            "alphas": [half] * 3, "betas": [half] * 3}
+    assert cli.parse_config(doc).canonical["model"] == echo
+    code, _ = run_cli(tmp_path, doc)
+    assert code == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["config"]["model"] == echo
+
+
 # ---------------------------------------------------------------------------
 # run subcommand
 
@@ -243,10 +263,15 @@ MODELS = {
 DETERMINISTIC = [
     (kind, quantity, method)
     for kind in MODELS
-    for quantity, methods in cli.MODEL_KINDS[kind].family.allowed.items()
-    for method in methods
+    for quantity in cli.QUANTITIES
+    for method in cli.MODEL_KINDS[kind].family.methods(quantity)
     if method in ("analytic", "oracle")
 ]
+
+
+def test_deterministic_triples_are_the_52_of_the_support_matrix():
+    # every kind by analytic, each quantity it has; the two bath kinds by oracle, three each
+    assert len(DETERMINISTIC) == len(set(DETERMINISTIC)) == 52
 
 
 def library_values(config, t, tau):
@@ -316,6 +341,28 @@ def test_run_analytic_cpf_roundtrip(tmp_path, kind, quantity, method):
     assert manifest["outputs"] == ["out.csv"]
     assert manifest["config"]["model"]["kind"] == kind
     assert manifest["wall_time_s"] >= 0.0
+
+
+@pytest.mark.parametrize("quantity, moment_sets", [("cpf_surface", 4), ("probability_table", 0)])
+def test_oracle_validates_and_reads_out_each_run_table_once(monkeypatch, quantity, moment_sets):
+    # four distinct t make four runs of equal t, one oracle table each
+    calls = {"validations": 0, "moment_sets": 0}
+    table_class = core.CpfProbabilityTable
+    post_init, moment_set = table_class.__post_init__, table_class.moment_set
+
+    def counted(name, method):
+        def wrapper(self):
+            calls[name] += 1
+            return method(self)
+        return wrapper
+
+    monkeypatch.setattr(table_class, "__post_init__", counted("validations", post_init))
+    monkeypatch.setattr(table_class, "moment_set", counted("moment_sets", moment_set))
+    config = cli.parse_config(base_config(**ORACLE, quantity=quantity,
+                                          t_grid={"start": 0.2, "stop": 1.4, "count": 4}))
+    rows = cli.evaluate_rows(config)
+    assert rows.value.shape == ((16, 1) if quantity == "cpf_surface" else (4, 4))
+    assert calls == {"validations": 4, "moment_sets": moment_sets}
 
 
 def test_run_value_formatting_is_lossless(tmp_path):
@@ -848,6 +895,37 @@ def test_exit_code_output_override_cannot_name_a_file(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("length", [300, 245], ids=["csv", "manifest"])
+def test_exit_code_output_override_name_too_long(tmp_path, monkeypatch, capsys, command, length):
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    doc = base_config(output_path="out.csv")
+    if command == "sweep":
+        doc["sweep"] = {"model.gamma_w": [0.5, 0.7]}
+    write_json(tmp_path, doc)
+    output = "x" * length + ".csv"
+    assert cli.main([command, "--config", "config.json", "--quiet", "--output", output]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --output: {output!r} cannot name a file: File name too long\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_sweep_leg_name_too_long_exits_2_before_any_evaluation(tmp_path, monkeypatch, capsys):
+    # the base name fits with its manifest's suffix; the leg's manifest name does not
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    base = "x" * 230
+    write_json(tmp_path, base_config(output_path=base + ".csv",
+                                     sweep={"model.gamma_w": [0.5, 0.7]}))
+    assert cli.main(["sweep", "--config", "config.json", "--quiet"]) == 2
+    leg = base + "__model.gamma_w=0.5.csv"
+    assert capsys.readouterr().err == (
+        f"config error: sweep: leg {{'model.gamma_w': 0.5}}: {leg!r} cannot name a file: "
+        "File name too long\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_sweep_leg_that_cannot_name_a_file_exits_2_before_any_evaluation(
         tmp_path, monkeypatch, capsys):
     _no_evaluation(monkeypatch)
@@ -1081,3 +1159,24 @@ def readme_model_kinds():
 def test_readme_lists_every_model_kind_and_field():
     table = {kind: {name for name, _, _ in entry.fields} for kind, entry in cli.MODEL_KINDS.items()}
     assert readme_model_kinds() == table
+
+
+def readme_support_matrix():
+    """(kind, quantity) -> methods, from the README's quantity x family table."""
+    text = (ROOT / "README.md").read_text()
+    lines = text[text.index("| quantity |"):].split("\n\n")[0].splitlines()
+    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    families = [re.findall(r"`(\w+)`", cell) for cell in cells[0][1:]]
+    matrix = {}
+    for row in cells[2:]:
+        (quantity,) = re.fullmatch(r"`(\w+)`", row[0]).groups()
+        for kinds, methods in zip(families, row[1:], strict=True):
+            for kind in kinds:
+                matrix[kind, quantity] = () if methods == "—" else tuple(methods.split(", "))
+    return matrix
+
+
+def test_readme_support_matrix_is_the_derived_one():
+    matrix = {(kind, q): entry.family.methods(q)
+              for kind, entry in cli.MODEL_KINDS.items() for q in cli.QUANTITIES}
+    assert readme_support_matrix() == matrix

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpfsim import core
+from cpfsim import core, spinbath
 from cpfsim.errors import InvalidMomentSet, InvalidProbabilityTable, ZeroProbabilityPostselection
 
 
@@ -205,3 +205,16 @@ def test_estimate_validation_and_repr():
         core.Estimate(0.0, -1.0, 1)
     with pytest.raises(ValueError):
         core.Estimate(0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: core.MomentSet(0.1, 0.2, 0.3),
+    lambda: core.MomentSet(np.array([0.1, 0.2]), 0.0, 0.0),
+    lambda: core.cpf_probability_table(core.MomentSet(np.array([0.1, 0.2]), 0.0, 0.0), +1),
+    lambda: spinbath.SpinBathSpec([0.5, 1.0], [0.6, 0.8], [0.8, 0.6]),
+], ids=["scalar_moments", "array_moments", "array_table", "bath_spec"])
+def test_array_field_dataclasses_compare_by_identity(make):
+    # value equality over array fields would raise on == and on hash
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)

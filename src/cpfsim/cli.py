@@ -311,12 +311,29 @@ def _output_path(value: Any, path: str) -> str:
     try:
         if Path(value).name in ("", "..") or Path(value).is_dir():
             raise ConfigError(f"{path}: {value!r} is a directory, not a CSV file name")
-        _manifest_path(Path(value)).exists()  # the longer of the two names
+        _check_name_lengths(_manifest_path(Path(value)))  # the longer of the two names
     except OSError as exc:
         if exc.errno != errno.ENAMETOOLONG:
             raise
         raise ConfigError(f"{path}: {value!r} cannot name a file: {exc.strerror}") from exc
     return value
+
+
+def _check_name_lengths(target: Path) -> None:
+    """Raise ENAMETOOLONG if a name of target's path does not fit its file system.
+    A lookup stops at the first missing directory, so the names below the deepest
+    existing one are measured against that directory's limit."""
+    base = target.parent
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    try:
+        limit = os.pathconf(base, "PC_NAME_MAX")
+    except OSError:  # no limit to read; the lookup below is the only check
+        limit = 0
+    for name in target.parts[len(base.parts):]:
+        if 0 < limit < len(os.fsencode(name)):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(target))
+    target.exists()  # and the whole path against the system's limit
 
 
 def _raw(value: Any, path: str) -> Any:

@@ -303,14 +303,15 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 
 def _half_angle_product(g: np.ndarray, lags: np.ndarray, pol: float | None):
     """Re and Im of prod_k (cos x_k + i pol sin x_k), x_k = 2 g_k lag, as (L, m)
-    arrays for couplings g (m, N) and lags (L, 1).  One vectorized tan of the
-    half angle, h, gives cos x = 2/(1+h^2) - 1 in [-1, 1] and sin x = h 2/(1+h^2),
-    within 2 ulp of 1 of libm and exactly (1, 0) at x = 0.  pol None (balanced
-    amplitudes) skips the sines (im None); re keeps the bits of pol = 0.0."""
-    shape = (lags.shape[0], g.shape[0])
+    arrays for couplings g (N, m), one contiguous row per spin, and lags (L, 1).
+    One vectorized tan of the half angle, h, gives cos x = 2/(1+h^2) - 1 in
+    [-1, 1] and sin x = h 2/(1+h^2), within 2 ulp of 1 of libm and exactly (1, 0)
+    at x = 0.  pol None (balanced amplitudes) skips the sines (im None); re keeps
+    the bits of pol = 0.0."""
+    shape = (lags.shape[0], g.shape[1])
     re, h, c = np.ones(shape), np.empty(shape), np.empty(shape)
     im, im_d = (None, None) if pol is None else (np.zeros(shape), np.empty(shape))
-    for g_k in g.T:
+    for g_k in g:
         np.tan(np.multiply(g_k, lags, out=h), out=h)
         np.divide(2.0, np.add(np.square(h, out=c), 1.0, out=c), out=c)  # 2/(1+h^2)
         if pol is None:
@@ -337,14 +338,20 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     lags = np.array([[t]] if tau is None else [[t], [tau], [t + tau], [t - tau]])
 
     def couplings(chunk: Chunk) -> tuple[np.ndarray]:
-        # gtilde_k / N by inverse CDF, in the buffer of the uniforms
-        g = chunk.stream().random((chunk.size, n))
-        g -= 0.5
-        g *= math.pi
-        np.tan(g, out=g)
-        g *= 0.5 * spec.gamma
-        g += 0.5 * spec.omega
-        g /= n
+        # gtilde_k / N by inverse CDF, spin-major: the stream's (m, N) uniforms
+        # block by block, each transformed in its own buffer and stored transposed
+        stream, rows = chunk.stream(), _ensemble_block_rows(n)
+        g = np.empty((n, chunk.size))
+        for lo in range(0, chunk.size, rows):
+            u = stream.random((min(rows, chunk.size - lo), n))
+            u -= 0.5
+            u *= math.pi
+            np.tan(u, out=u)
+            u *= 0.5 * spec.gamma
+            u += 0.5 * spec.omega
+            u /= n
+            g[:, lo:lo + rows] = u.T
+            del u  # the next block is not drawn beside this one
         return (g,)
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
@@ -355,18 +362,26 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     return sample
 
 
-# Per-trajectory float64 values one draw holds besides its couplings, at most:
-# the half-angle kernel's general path keeps five (4, chunk_size) lag arrays
-# (re, im, tan, cos, one product: 20), its balanced path (|alpha| == |beta|)
-# three (12); the rows of re and the centred columns afterwards about 9.  The
-# rest is headroom for small objects and numpy's buffer of the strided coupling
-# column, which weigh on short chunks (N = 200 at chunk 2,000 peaks near 28).
+# Per-trajectory float64 values one draw holds besides its couplings and the
+# block of uniforms they are drawn in, at most: the half-angle kernel's general
+# path keeps five (4, chunk_size) lag arrays (re, im, tan, cos, one product:
+# 20), its balanced path (|alpha| == |beta|) three (12); the rows of re and the
+# centred columns afterwards about 9.  The rest is headroom for small objects,
+# which weigh on short chunks.
 _ENSEMBLE_DRAW_COLUMNS = 40
 
 
+def _ensemble_block_rows(n_spins: int) -> int:
+    """Trajectories per block of the couplings' draw: 2^15 uniforms (256 KiB),
+    or one trajectory's N when that is more."""
+    return max(1, 2**15 // n_spins)
+
+
 def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
-    """Peak bytes of one chunk's draw: the couplings and the per-trajectory arrays."""
-    return 8 * cfg.resolved_chunk_size * (spec.n_spins + _ENSEMBLE_DRAW_COLUMNS)
+    """Peak bytes of one chunk's draw: the couplings, the per-trajectory arrays
+    and one block of uniforms."""
+    m, n = cfg.resolved_chunk_size, spec.n_spins
+    return 8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, _ensemble_block_rows(n)) * n)
 
 
 def _ensemble_stats(

@@ -911,6 +911,27 @@ def test_exit_code_output_override_name_too_long(tmp_path, monkeypatch, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("output", [
+    pytest.param("nodir/" + "x" * 300 + ".csv", id="csv"),
+    pytest.param("nodir/" + "x" * 245 + ".csv", id="manifest"),
+    pytest.param("nodir/" + "d" * 300 + "/out.csv", id="directory"),
+])
+@pytest.mark.parametrize("in_config", [True, False], ids=["output_path", "--output"])
+def test_exit_code_name_too_long_under_a_missing_directory(tmp_path, monkeypatch, capsys,
+                                                           output, in_config):
+    # the file system's lookup stops at the missing directory, so the names
+    # below it are checked against the limit of the deepest one that exists
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, base_config(output_path=output if in_config else "out.csv"))
+    extra = [] if in_config else ["--output", output]
+    assert cli.main(["run", "--config", "config.json", "--quiet", *extra]) == 2
+    field = "output_path" if in_config else "--output"
+    assert capsys.readouterr().err == (
+        f"config error: {field}: {output!r} cannot name a file: File name too long\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_sweep_leg_name_too_long_exits_2_before_any_evaluation(tmp_path, monkeypatch, capsys):
     # the base name fits with its manifest's suffix; the leg's manifest name does not
     _no_evaluation(monkeypatch)

@@ -173,8 +173,8 @@ def test_ensemble_realizations_follow_the_spin_bath_product_formula(spec, seed, 
     assert cols[0].tobytes() == re[0].tobytes() and cols[1].tobytes() == re[1].tobytes()
     assert cols[2].tobytes() == (0.5 * (re[2] + re[3])).tobytes()
     # the kernel's balanced path keeps the bits of its general path's real part
-    assert (spinbath._half_angle_product(g, lags, None)[0].tobytes()
-            == spinbath._half_angle_product(g, lags, 0.0)[0].tobytes())
+    assert (spinbath._half_angle_product(g.T, lags, None)[0].tobytes()
+            == spinbath._half_angle_product(g.T, lags, 0.0)[0].tobytes())
     # and every realization is the spin bath of its couplings, to a few ulp a spin
     bound = 4 * n * 2.0**-52
     for j in range(m):

@@ -459,7 +459,8 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
     monkeypatch.setattr(spinbath, "collect_moments", never)
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=10**7)
     cfg = McConfig(n_trajectories=65_536, chunk_size=65_536)
-    assert spinbath._ensemble_chunk_bytes(spec, cfg) == 8 * 65_536 * (10**7 + 40)
+    # one block of the draw is one trajectory's 10**7 uniforms
+    assert spinbath._ensemble_chunk_bytes(spec, cfg) == 8 * (65_536 * (10**7 + 40) + 10**7)
     with pytest.raises(BathTooLarge, match="lower mc.chunk_size"):
         spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
     # the benchmark's ensemble points (N = 50, chunks of 16,384) stay far below
@@ -467,12 +468,14 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
         spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=50),
         McConfig(n_trajectories=16_384, chunk_size=16_384),
     )
-    assert points == 11_796_480 < spinbath.ENSEMBLE_MAX_BYTES / 10
+    # one block of the draw is 655 trajectories of 50 uniforms
+    assert points == 8 * (16_384 * 90 + 655 * 50) == 12_058_480 < spinbath.ENSEMBLE_MAX_BYTES / 10
 
 
 @pytest.mark.parametrize("n_spins, chunk, amplitudes", [
     pytest.param(n_spins, chunk, amplitudes, id=f"{n_spins}-{chunk}{label}")
-    for n_spins, chunk in [(50, 16_384), (200, 2_000), (1, 4_096)]
+    for n_spins, chunk in [(50, 16_384), (200, 2_000), (1, 4_096),
+                           (200, 200), (50, 100), (200, 5_000)]
     for label, amplitudes in [("", {}), ("-unbalanced", {"alpha": 0.8, "beta": 0.6})]
 ])
 def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
@@ -493,6 +496,59 @@ def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
     assert 8 * chunk * n_spins < peak <= counted
 
 
+@pytest.mark.parametrize("n_spins, chunk", [
+    pytest.param(n_spins, size, id=f"{n_spins}-{size}")
+    for n_spins in (1, 7, 50, 200, 40_000)
+    for rows in [max(1, 2**15 // n_spins)]
+    for size in (rows - 1, rows, rows + 1, 3 * rows + 17) if size >= 1
+])
+@pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
+                         ids=["balanced", "unbalanced"])
+def test_ensemble_draw_is_bit_identical_to_the_one_shot_draw(n_spins, chunk, amplitudes):
+    # the draw as one (m, N) block of uniforms and the kernel over its strided
+    # columns: the blocked, spin-major draw keeps every bit across block edges
+    spec = spinbath.LorentzCouplingSpec(gamma=1.3, omega=0.4, n_spins=n_spins, **amplitudes)
+    t, tau = 0.7, 1.1
+    g = _mc.Chunk(5, 2, chunk).stream().random((chunk, n_spins))
+    g -= 0.5
+    g *= math.pi
+    np.tan(g, out=g)
+    g *= 0.5 * spec.gamma
+    g += 0.5 * spec.omega
+    g /= n_spins
+    lags = np.array([[t], [tau], [t + tau], [t - tau]])
+    pol = abs(spec.alpha) ** 2 - abs(spec.beta) ** 2 or None
+    shape = (4, chunk)
+    re, h, c = np.ones(shape), np.empty(shape), np.empty(shape)
+    im, im_d = (None, None) if pol is None else (np.zeros(shape), np.empty(shape))
+    for g_k in g.T:
+        np.tan(np.multiply(g_k, lags, out=h), out=h)
+        np.divide(2.0, np.add(np.square(h, out=c), 1.0, out=c), out=c)
+        if pol is None:
+            re *= np.subtract(c, 1.0, out=c)
+            continue
+        h *= c
+        h *= pol
+        c -= 1.0
+        np.multiply(im, h, out=im_d)
+        h *= re
+        re *= c
+        re -= im_d
+        im *= c
+        im += h
+    want = (re[0], re[1], 0.5 * (re[2] + re[3]))
+    got = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(5, 2, chunk))
+    assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
+
+
+def test_ensemble_couplings_are_kept_spin_major():
+    spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=50)
+    with _mc.grid_memo():
+        spinbath._ensemble_cols(spec, 0.7, 1.1)(_mc.Chunk(3, 0, 1_000))
+        (g,) = _mc._memo[(3, 0, "couplings")][2]
+    assert g.shape == (50, 1_000) and g.flags.c_contiguous
+
+
 def test_half_angle_factors_match_libm():
     # half angles g lag: signed zeros, subnormal and tiny ones, Cauchy tails and
     # log-uniform magnitudes up to an angle of 1e15
@@ -503,13 +559,13 @@ def test_half_angle_factors_match_libm():
         0.5 * np.tan(np.pi * (rng.random(200_000) - 0.5)),
         rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-3.0, np.log10(5e14), 200_000),
     ])
-    cos, sin = (v[0] for v in spinbath._half_angle_product(half[:, None], np.ones((1, 1)), 1.0))
+    cos, sin = (v[0] for v in spinbath._half_angle_product(half[None, :], np.ones((1, 1)), 1.0))
     assert np.all(cos[:2] == 1.0) and np.all(sin[:2] == 0.0)
     assert np.all(np.abs(cos) <= 1.0)
     assert np.max(np.abs(cos - np.cos(2.0 * half))) <= 2 * 2.0**-52
     assert np.max(np.abs(sin - np.sin(2.0 * half))) <= 2 * 2.0**-52
     # the balanced path's factor is the same cosine
-    balanced, _ = spinbath._half_angle_product(half[:, None], np.ones((1, 1)), None)
+    balanced, _ = spinbath._half_angle_product(half[None, :], np.ones((1, 1)), None)
     assert balanced[0].tobytes() == cos.tobytes()
 
 

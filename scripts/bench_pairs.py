@@ -9,8 +9,11 @@ result on the last line of each run's stdout.  The parent runs first in odd
 pairs and the change in even ones, so that neither side always meets the
 machine as the other left it.  It prints every pair's order and end-to-end
 metrics, then for each metric the two medians, the interquartile
-range of the parent's runs and how many pairs the change improved.  Which way
-is better comes from CHANGE_DIR's BENCHMARK.json; nothing is imported from
+range of the parent's runs, how many pairs the change improved and a verdict:
+"gain" (better in at least 9/10 of the pairs, median gain beyond the parent's
+IQR), "worse beyond bound" (median worse than the parent's by more than the
+metric's relative bound) or "within bound".  Which way is better, and each
+bound, come from CHANGE_DIR's BENCHMARK.json; nothing is imported from
 perfbench/.  It exits 1 when a run fails or reports a failed operation.
 """
 
@@ -33,11 +36,17 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric of better: medians, the parent's quartile spread and the pairs won.
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float]) -> dict[str, dict]:
+    """Per metric of better: medians, the parent's quartile spread, the pairs won
+    and a verdict.
 
     pairs holds (parent, change) metric dicts, name -> value, one per seed;
-    better maps a metric name to "lower" or "higher".
+    better maps a metric name to "lower" or "higher", bounds to the relative
+    amount by which its median may worsen.  The verdict is "gain" when the
+    change is better in at least 9/10 of the pairs and its median gain exceeds
+    the parent's interquartile range, "worse beyond bound" when its median is
+    worse than the parent's by more than the bound, and "within bound" otherwise.
     """
     out = {}
     for name, way in better.items():
@@ -45,14 +54,24 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict[st
         change = [c[name] for _, c in pairs]
         sign = 1.0 if way == "lower" else -1.0
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
-        gain = sign * (statistics.median(parent) - statistics.median(change))
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        gain = sign * (p_med - c_med)
+        improved = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        beyond_iqr = gain > q3 - q1
+        if 10 * improved >= 9 * len(pairs) and beyond_iqr:
+            verdict = "gain"
+        elif -gain > bounds[name] * abs(p_med):
+            verdict = "worse beyond bound"
+        else:
+            verdict = "within bound"
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": p_med,
+            "change_median": c_med,
             "parent_iqr": q3 - q1,
-            "improved": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "improved": improved,
             "pairs": len(pairs),
-            "gain_beyond_iqr": gain > q3 - q1,
+            "gain_beyond_iqr": beyond_iqr,
+            "verdict": verdict,
         }
     return out
 
@@ -81,6 +100,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     pairs = []
     print("seed  first   " + "  ".join(f"{name:>23}" for name in better))
@@ -91,10 +111,11 @@ def main(argv=None) -> int:
         pairs.append(pair)
         print(f"{seed:>4}  {order[0]}  " + "  ".join(
             f"{pair[0][name]:>10.4g} -> {pair[1][name]:<10.4g}" for name in better), flush=True)
-    for name, s in summarize(pairs, better).items():
+    for name, s in summarize(pairs, better, bounds).items():
         print(f"{name}: median {s['parent_median']:.4g} -> {s['change_median']:.4g}, "
               f"parent IQR {s['parent_iqr']:.3g}, better in {s['improved']}/{s['pairs']} pairs, "
-              f"median gain {'beyond' if s['gain_beyond_iqr'] else 'within'} the parent IQR")
+              f"median gain {'beyond' if s['gain_beyond_iqr'] else 'within'} the parent IQR: "
+              f"{s['verdict']} (bound {bounds[name]:g})")
     return 0
 
 

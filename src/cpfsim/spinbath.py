@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from ._mc import Chunk, McConfig, MomentStats, collect_moments, validate_times
+from ._mc import Chunk, McConfig, MomentStats, collect_moments, cos2, validate_times
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -306,17 +306,18 @@ def _half_angle_product(g: np.ndarray, lags: np.ndarray, pol: float | None):
     arrays for couplings g (N, m), one contiguous row per spin, and lags (L, 1).
     One vectorized tan of the half angle, h, gives cos x = 2/(1+h^2) - 1 in
     [-1, 1] and sin x = h 2/(1+h^2), within 2 ulp of 1 of libm and exactly (1, 0)
-    at x = 0.  pol None (balanced amplitudes) skips the sines (im None); re keeps
-    the bits of pol = 0.0."""
+    at x = 0.  pol None (balanced amplitudes) skips the sines (im None): each
+    factor is _mc.cos2 of the half angle, and re keeps the bits of pol = 0.0."""
     shape = (lags.shape[0], g.shape[1])
-    re, h, c = np.ones(shape), np.empty(shape), np.empty(shape)
-    im, im_d = (None, None) if pol is None else (np.zeros(shape), np.empty(shape))
+    re, h = np.ones(shape), np.empty(shape)
+    if pol is None:
+        for g_k in g:
+            re *= cos2(np.multiply(g_k, lags, out=h))
+        return re, None
+    c, im, im_d = np.empty(shape), np.zeros(shape), np.empty(shape)
     for g_k in g:
         np.tan(np.multiply(g_k, lags, out=h), out=h)
         np.divide(2.0, np.add(np.square(h, out=c), 1.0, out=c), out=c)  # 2/(1+h^2)
-        if pol is None:
-            re *= np.subtract(c, 1.0, out=c)
-            continue
         h *= c
         h *= pol
         c -= 1.0
@@ -365,10 +366,13 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
 # Per-trajectory float64 values one draw holds besides its couplings and the
 # block of uniforms they are drawn in, at most: the half-angle kernel's general
 # path keeps five (4, chunk_size) lag arrays (re, im, tan, cos, one product:
-# 20), its balanced path (|alpha| == |beta|) three (12); the rows of re and the
-# centred columns afterwards about 9.  The rest is headroom for small objects,
-# which weigh on short chunks.
+# 20), its balanced path (|alpha| == |beta|) two (re and the factor: 8); the
+# rows of re and the centred columns afterwards about 9.  The rest is headroom.
 _ENSEMBLE_DRAW_COLUMNS = 40
+# Bytes of the small objects of one draw whatever its size (the stream, array
+# headers, the lags): up to 3.3 kB under tracemalloc, on chunks of 1-5
+# trajectories, where the per-trajectory headroom is a few hundred bytes.
+_ENSEMBLE_DRAW_FIXED_BYTES = 4096
 
 
 def _ensemble_block_rows(n_spins: int) -> int:
@@ -378,10 +382,11 @@ def _ensemble_block_rows(n_spins: int) -> int:
 
 
 def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
-    """Peak bytes of one chunk's draw: the couplings, the per-trajectory arrays
-    and one block of uniforms."""
+    """Peak bytes of one chunk's draw: the couplings, the per-trajectory arrays,
+    one block of uniforms and the draw's small objects."""
     m, n = cfg.resolved_chunk_size, spec.n_spins
-    return 8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, _ensemble_block_rows(n)) * n)
+    return (8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, _ensemble_block_rows(n)) * n)
+            + _ENSEMBLE_DRAW_FIXED_BYTES)
 
 
 def _ensemble_stats(

@@ -20,6 +20,10 @@ exactly, so the primary samplers are free of time-discretization error:
     StaticLorentz: theta1 = gt~ t, theta2 = gt~ tau, gt~ ~ Cauchy(omega/2,
                    gamma/2) drawn by inverse CDF
 
+Each stage takes cos 2 theta from one vectorized tan of theta (_mc.cos2,
+2/(1 + tan^2 theta) - 1), within 2 ulp of 1 of libm's cos, not from cos
+itself, which numpy may run as scalar libm where its tan is vectorized.
+
 A discretized Ornstein-Uhlenbeck path integrator (ou_path_reference) exists
 solely as an independent check of the ExpCorrGauss covariance formulas.
 
@@ -40,6 +44,7 @@ from ._mc import (
     McConfig,
     MomentStats,
     collect_moments,
+    cos2,
     map_chunks,
     validate_times,
 )
@@ -105,19 +110,13 @@ def _theta2(model: NoiseModel, d: np.ndarray, t: float, tau: float) -> np.ndarra
     return b * d[0] + c * d[1]
 
 
-def _cos2(theta: np.ndarray) -> np.ndarray:
-    """cos 2 theta, in theta's buffer."""
-    theta *= 2.0
-    return np.cos(theta, out=theta)
-
-
 def _cos2_theta2(chunk: Chunk, model: NoiseModel, d: np.ndarray, t: float, tau: float):
     """cos 2 theta2 of the chunk's draws d.  Off the OU model it depends on tau
     alone, and a grid keeps it in one slot per tau (read-only there)."""
     if isinstance(model, analytic.ExpCorrGauss):
-        return _cos2(_theta2(model, d, t, tau))
+        return cos2(_theta2(model, d, t, tau))
     (b,) = chunk.memo(f"cos2 {tau.hex()}", model, tau,
-                      lambda: (_cos2(_theta2(model, d, t, tau)),))
+                      lambda: (cos2(_theta2(model, d, t, tau)),))
     return b
 
 
@@ -129,7 +128,7 @@ def _moment_stats(
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (d,) = chunk.memo("phase", _PAIR_LAW.get(type(model), model), None,
                           lambda: (_phase_draws(model, chunk.stream(), chunk.size),))
-        (a,) = chunk.memo("cos1", model, t, lambda: (_cos2(_theta1(model, d, t)),))
+        (a,) = chunk.memo("cos1", model, t, lambda: (cos2(_theta1(model, d, t)),))
         b = _cos2_theta2(chunk, model, d, t, tau)
         return a, b, a * b
 
@@ -191,10 +190,10 @@ def _kept_stage(model: NoiseModel, d: np.ndarray, u: np.ndarray, cos1: np.ndarra
     return cell, u[idx, 2], d[:, idx] if isinstance(model, analytic.ExpCorrGauss) else idx
 
 
-def _z_counts(cell: np.ndarray, u_z: np.ndarray, cos2: np.ndarray, y_select: int) -> np.ndarray:
-    """The four kept cells' counts; p(z = +1 | y_select) is built in the kept
-    trajectories' cos 2 theta2 buffer."""
-    p_z = np.negative(cos2, out=cos2) if y_select < 0 else cos2  # the bits of cos2 * y
+def _z_counts(cell: np.ndarray, u_z: np.ndarray, b: np.ndarray, y_select: int) -> np.ndarray:
+    """The four kept cells' counts; p(z = +1 | y_select) is built in b, the kept
+    trajectories' cos 2 theta2."""
+    p_z = np.negative(b, out=b) if y_select < 0 else b  # the bits of b * y
     p_z += 1.0
     p_z *= 0.5
     return np.bincount(cell - 2 * (u_z < p_z), minlength=4)
@@ -212,12 +211,12 @@ def _kept_counts(model: NoiseModel, t: float, tau: float, y_select: int, cfg: Mc
     def worker(chunk: Chunk) -> np.ndarray:
         d, u = chunk.memo("outcomes", _PAIR_LAW.get(type(model), model), None, lambda: draw(chunk))
         cell, u_z, r = chunk.memo(f"kept {y_select:+d}", model, t, lambda: _kept_stage(
-            model, d, u, _cos2(_theta1(model, d, t)), y_select))
+            model, d, u, cos2(_theta1(model, d, t)), y_select))
         if r.ndim == 2:
-            cos2 = _cos2(_theta2(model, r, t, tau))
+            b = cos2(_theta2(model, r, t, tau))
         else:  # gathered from the chunk's, which a grid keeps per tau
-            cos2 = _cos2_theta2(chunk, model, d, t, tau)[r]
-        return _z_counts(cell, u_z, cos2, y_select)
+            b = _cos2_theta2(chunk, model, d, t, tau)[r]
+        return _z_counts(cell, u_z, b, y_select)
 
     return sum(map_chunks(worker, cfg, workers))
 
@@ -258,7 +257,8 @@ def ou_path_reference(
     x' = x e^{-dt/tau_c} + g sqrt(1 - e^{-2 dt/tau_c}) eta, starting from the
     stationary law, and integrates the phase by the trapezoid rule.  Carries
     an O(dt^2) quadrature bias; the exact bivariate sampler is the primary
-    path.  Raises StepTooCoarse for path_dt > tau_c / 10.
+    path.  Raises StepTooCoarse for path_dt > tau_c / 10.  It keeps libm's
+    cos 2 theta, so that it shares no arithmetic with the samplers' _mc.cos2.
     """
     if not isinstance(model, analytic.ExpCorrGauss):
         raise TypeError("ou_path_reference requires an ExpCorrGauss model")

@@ -1093,10 +1093,18 @@ def test_import_does_not_load_thread_pool():
     assert proc.stdout == "False\n"
 
 
-# spin_bath with complex amplitudes (oracle), and a Monte Carlo run with mc.path_dt
-@pytest.mark.parametrize("name", ["spin_bath_oracle", "ou_montecarlo"])
+# spin_bath with complex amplitudes (oracle)
+@pytest.mark.parametrize("name", ["spin_bath_oracle"])
 def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.3.0", name)
+
+
+# an OU Monte Carlo run with mc.path_dt over three chunks.  Since 0.7.0 the
+# noise-model estimators take cos 2 theta from a tan of theta (_mc.cos2), not
+# from cos, so the 0.3.0 values and errors move by rounding alone.
+@pytest.mark.parametrize("name", ["ou_montecarlo"])
+def test_montecarlo_manifest_written_by_0_3_0_reruns_within_1e_12(tmp_path, name):
+    assert_reruns_within_1e_12(tmp_path, "0.3.0", name)
 
 
 # sampling on an OU surface at y_select = -1 over two unequal chunks, and on a
@@ -1115,16 +1123,7 @@ def test_manifest_written_by_0_5_0_reruns_byte_for_byte(tmp_path, name):
 # 0.5.0 values and errors move by rounding alone.
 @pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence"])
 def test_ensemble_manifest_written_by_0_5_0_reruns_within_1e_12(tmp_path, name):
-    redo, stored = rerun_stored(tmp_path, "0.5.0", name)
-    got, want = (list(csv.DictReader(io.StringIO(p.read_text(), newline="")))
-                 for p in (redo, stored))
-    assert len(got) == len(want) == 3
-    for row, old in zip(got, want):
-        assert list(row) == list(old)  # the header
-        for field in set(row) - {"value", "std_error"}:  # t, tau, n_samples, labels
-            assert row[field] == old[field]
-        for field in ("value", "std_error"):
-            assert abs(float(row[field]) - float(old[field])) <= 1e-12
+    assert_reruns_within_1e_12(tmp_path, "0.5.0", name)
 
 
 # the two ensembles above, and the Cauchy ensemble's closed form on a square
@@ -1136,6 +1135,14 @@ def test_ensemble_manifest_written_by_0_5_0_reruns_within_1e_12(tmp_path, name):
                                   "bath_oracle_plus_x"])
 def test_manifest_written_by_0_6_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.6.0", name)
+
+
+# an OU Monte Carlo surface over three unequal chunks, from tau = 0; a static
+# Lorentz conditional coherence whose tau = 0, 0.4 and 0.8 go through the
+# per-tau slots, over two unequal chunks
+@pytest.mark.parametrize("name", ["ou_surface", "static_lorentz_coherence"])
+def test_manifest_written_by_0_7_0_reruns_byte_for_byte(tmp_path, name):
+    assert_reruns_byte_for_byte(tmp_path, "0.7.0", name)
 
 
 def rerun_stored(tmp_path, version, name):
@@ -1154,6 +1161,21 @@ def rerun_stored(tmp_path, version, name):
 def assert_reruns_byte_for_byte(tmp_path, version, name):
     redo, stored = rerun_stored(tmp_path, version, name)
     assert redo.read_bytes() == stored.read_bytes()
+
+
+def assert_reruns_within_1e_12(tmp_path, version, name):
+    """The rerun's rows keep every field but value and std_error, which move by
+    at most 1e-12."""
+    redo, stored = rerun_stored(tmp_path, version, name)
+    got, want = (list(csv.DictReader(io.StringIO(p.read_text(), newline="")))
+                 for p in (redo, stored))
+    assert len(got) == len(want) == 3
+    for row, old in zip(got, want):
+        assert list(row) == list(old)  # the header
+        for field in set(row) - {"value", "std_error"}:  # t, tau, n_samples, labels
+            assert row[field] == old[field]
+        for field in ("value", "std_error"):
+            assert abs(float(row[field]) - float(old[field])) <= 1e-12
 
 
 def test_package_version_matches_pyproject():

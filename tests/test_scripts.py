@@ -80,8 +80,9 @@ def test_bench_pairs_summarizes_fixture_pairs_without_running_a_benchmark():
     walls = [(0.36, 0.25), (0.40, 0.26), (0.35, 0.24), (0.30, 0.31), (0.38, 0.27)]
     pairs = [({"wall_s": p, "peak_rss_mb": 50.0, "ops": 10.0},
               {"wall_s": c, "peak_rss_mb": 50.5, "ops": 12.0}) for p, c in walls]
-    got = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower",
-                                        "ops": "higher"})
+    better = {"wall_s": "lower", "peak_rss_mb": "lower", "ops": "higher"}
+    bounds = {"wall_s": 0.25, "peak_rss_mb": 0.1, "ops": 0.1}
+    got = bench_pairs.summarize(pairs, better, bounds)
     wall = got["wall_s"]
     assert (wall["parent_median"], wall["change_median"]) == (0.36, 0.26)
     assert wall["improved"] == 4 and wall["pairs"] == 5
@@ -89,6 +90,27 @@ def test_bench_pairs_summarizes_fixture_pairs_without_running_a_benchmark():
     assert wall["parent_iqr"] == pytest.approx(0.065) and wall["gain_beyond_iqr"]
     assert got["peak_rss_mb"]["improved"] == 0 and not got["peak_rss_mb"]["gain_beyond_iqr"]
     assert got["ops"]["improved"] == 5 and got["ops"]["gain_beyond_iqr"]
+    # 4/5 pairs is short of 9/10, whatever the medians; 50.0 -> 50.5 MB is 1 %
+    assert [got[name]["verdict"] for name in better] == ["within bound", "within bound", "gain"]
+
+    # ten pairs: wall_s better in 9 and by more than the parent IQR; peak_rss_mb
+    # 12 % worse against its 10 % bound; ops 11 % lower against 10 %, and then 9 %
+    walls = [(0.30 + 0.01 * k, 0.20 + 0.01 * k) for k in range(9)] + [(0.30, 0.40)]
+    pairs = [({"wall_s": p, "peak_rss_mb": 50.0, "ops": 10.0},
+              {"wall_s": c, "peak_rss_mb": 56.0, "ops": 8.9}) for p, c in walls]
+    got = bench_pairs.summarize(pairs, better, bounds)
+    assert got["wall_s"]["improved"] == 9 and got["wall_s"]["gain_beyond_iqr"]
+    assert [got[name]["verdict"] for name in better] == [
+        "gain", "worse beyond bound", "worse beyond bound"]
+    for pair in pairs:
+        pair[1]["ops"] = 9.1
+    assert bench_pairs.summarize(pairs, better, bounds)["ops"]["verdict"] == "within bound"
+    # better in 9/10 pairs but by less than the parent IQR is no gain
+    pairs = [({"wall_s": 0.30 + 0.01 * k}, {"wall_s": 0.30 + 0.01 * k - 0.001}) for k in range(9)]
+    pairs.append(({"wall_s": 0.30}, {"wall_s": 0.31}))
+    wall = bench_pairs.summarize(pairs, {"wall_s": "lower"}, {"wall_s": 0.25})["wall_s"]
+    assert wall["improved"] == 9 and not wall["gain_beyond_iqr"]
+    assert wall["verdict"] == "within bound"
 
 
 def test_bench_pairs_help_runs_nothing(tmp_path):
@@ -120,3 +142,7 @@ def test_bench_pairs_alternates_which_checkout_runs_first(tmp_path, monkeypatch,
         ["4", "parent"], ["5", "change"], ["6", "parent"], ["7", "change"]]
     # each pair reads parent -> change, whichever ran first
     assert all("0.3 -> 0.2" in line for line in lines[1:5])
+    # one verdict per metric, against the bound of the change's BENCHMARK.json
+    assert [line.split(": ")[0] for line in lines[5:]] == ["wall_s", "setup_s", "peak_rss_mb"]
+    assert lines[5].endswith(": gain (bound 0.25)")  # better in 4/4 pairs, IQR 0
+    assert lines[6].endswith(": within bound (bound 0.25)")  # setup_s unchanged

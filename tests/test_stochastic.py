@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from cpfsim import _mc, analytic, core, stochastic
+from cpfsim import _mc, analytic, core, spinbath, stochastic
 from cpfsim.errors import EmptyPostselection, StepTooCoarse, ZeroProbabilityPostselection
 from cpfsim.stochastic import McConfig
 
@@ -32,6 +32,32 @@ def test_sample_phase_pair_matches_model_law():
     d = stochastic._phase_draws(GAUSS, np.random.default_rng(5), 20)
     th1, th2 = stochastic._theta1(GAUSS, d, 2.0), stochastic._theta2(GAUSS, d, 2.0, 0.5)
     assert th2 == pytest.approx(th1 * 0.25, rel=1e-12)
+
+
+def test_cos2_matches_libm():
+    # angles theta: signed zeros, subnormal and tiny ones, Cauchy tails and
+    # log-uniform magnitudes up to 1e300, and ones whose double overflows
+    rng = np.random.default_rng(43)
+    theta = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e-20, 1e-8, 5e14, -5e14,
+         1e300, -1e300, 8.9e307, -8.9e307],
+        10.0 ** rng.uniform(-320.0, -3.0, 20_000),
+        0.5 * np.tan(np.pi * (rng.random(200_000) - 0.5)),
+        rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-3.0, 300.0, 200_000),
+    ])
+    got = _mc.cos2(theta.copy())
+    assert np.all(got[:2] == 1.0)
+    assert np.all(np.abs(got) <= 1.0)
+    assert np.max(np.abs(got - np.cos(2.0 * theta))) <= 2 * 2.0**-52
+    overflow = np.array([1e308, -1e308, sys.float_info.max, -sys.float_info.max])
+    assert np.all(np.abs(overflow) > sys.float_info.max / 2.0)  # 2 theta is inf
+    assert np.all(np.abs(_mc.cos2(overflow.copy())) <= 1.0)  # finite, no NaN
+    # a static model's cos 2 theta1 stage and the balanced ensemble's factor at
+    # couplings d and lag t are the same bits
+    d = stochastic._phase_draws(GAUSS, np.random.default_rng(44), 50_000)
+    stage = stochastic.cos2(stochastic._theta1(GAUSS, d, 0.9))
+    factor, _ = spinbath._half_angle_product(d[None, :], np.array([[0.9]]), None)
+    assert stage.tobytes() == factor[0].tobytes()
 
 
 def eight_cells(model, t, tau, cfg, workers=1):
@@ -142,7 +168,7 @@ def test_sampling_grid_reads_z_out_on_the_kept_trajectories_only(monkeypatch, mo
     cfg = McConfig(n_trajectories=5_000, seed=12, chunk_size=3_000)
     ts, taus = (0.0, 0.5, 1.2), (0.3, 0.9)
     full, readouts = [], []
-    cos2, z_counts = stochastic._cos2, stochastic._z_counts
+    cos2, z_counts = stochastic.cos2, stochastic._z_counts
 
     def spy_cos2(theta):
         full.append(theta.size in (3_000, 2_000))
@@ -152,7 +178,7 @@ def test_sampling_grid_reads_z_out_on_the_kept_trajectories_only(monkeypatch, mo
         readouts.append((cell.size, u_z.size, c.size))
         return z_counts(cell, u_z, c, y)
 
-    monkeypatch.setattr(stochastic, "_cos2", spy_cos2)
+    monkeypatch.setattr(stochastic, "cos2", spy_cos2)
     monkeypatch.setattr(stochastic, "_z_counts", spy_z_counts)
     with _mc.grid_memo():
         for t in ts:

@@ -2,8 +2,10 @@
 
 Runs every job of each workload at each seed through cpfsim.cli.main, at the
 job's own thread count, in a temporary directory, and prints one line per
-CSV: its sha256 and workload/seed/path.  Checkouts whose CSVs are
-byte-identical print the same lines, so comparing two is one diff:
+CSV: its sha256 and workload/seed/path, after one leading "#" line naming
+the numerics the bits rest on (numpy's version and its float64 tan, exp and
+expm1 loops, as in a run manifest).  Checkouts whose CSVs are byte-identical
+on the same numerics print the same lines, so comparing two is one diff:
 
     PYTHONPATH=src python scripts/csv_digests.py mc_surface mc_ensemble \\
         --seeds 1 2 > digests.txt
@@ -49,6 +51,9 @@ def main() -> None:
                     help="workload seeds (default 1 2)")
     args = ap.parse_args()
     print(f"cpfsim from {Path(cli.__file__).parent}", file=sys.stderr)
+    numerics = cli.numerics()
+    loops = " ".join(f"{name}={loop}" for name, loop in numerics["float64_loops"].items())
+    print(f"# numpy {numerics['numpy']}, float64 loops: {loops}")
     for workload in args.workloads:
         for seed in args.seeds:
             print("\n".join(digests(workload, seed)), flush=True)

@@ -10,6 +10,6 @@ Subpackages:
 
 from . import analytic, core, errors, spinbath, stochastic
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = ["analytic", "core", "errors", "spinbath", "stochastic", "__version__"]

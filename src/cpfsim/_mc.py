@@ -232,7 +232,9 @@ class MomentStats:
     sampler draws column 0 alone).  Each chunk keeps its second moments about
     its own mean, and chunks merge pairwise (Chan, Golub and LeVeque), so
     nearly constant columns keep their small variances instead of cancelling
-    them away.
+    them away.  Every sum is one of numpy's pairwise reductions or a Python
+    float sum in a fixed order, never a BLAS call, so the bits do not depend
+    on which kernel the linked BLAS picks for the CPU.
     """
 
     n: int
@@ -241,24 +243,31 @@ class MomentStats:
 
     @classmethod
     def from_samples(cls, cols) -> MomentStats:
-        """cols holds dim 1-D columns of n_samples.  The bits are those of the
-        (n_samples, dim) stack's axis-0 sum, which adds rows in order to 0.0
-        (pairwise for one column), and of d.T @ d."""
+        """cols holds dim 1-D columns of n_samples.  s[j] is cols[j].sum() and
+        m2[i, j] = m2[j, i] the sum of d_i * d_j (i <= j), both numpy pairwise
+        sums, where d_j = cols[j] - s[j] / n_samples.  Besides the columns it
+        holds dim + 1 rows of n_samples: the d_j and one row of products."""
         n, dim = cols[0].size, len(cols)
-        s, d = np.empty(dim), np.empty((dim, n))
+        s, m2 = np.empty(dim), np.empty((dim, dim))
+        d, p = np.empty((dim, n)), np.empty(n)
         for j, c in enumerate(cols):
-            s[j] = 0.0 + np.cumsum(c, out=d[j])[-1] if dim > 1 else c.sum()
+            s[j] = c.sum()
             np.subtract(c, s[j] / n, out=d[j])
-        return cls(n, s, d @ d.T)
+        for i in range(dim):
+            for j in range(i, dim):
+                m2[i, j] = m2[j, i] = np.multiply(d[i], d[j], out=p).sum()
+        return cls(n, s, m2)
 
     @classmethod
     def from_counts(cls, rows: np.ndarray, counts: np.ndarray) -> MomentStats:
         """from_samples of rows[k] (integers) repeated counts[k] times: exact column
-        sums, and no (n_samples, dim) array."""
+        sums, count-weighted centred products added over the rows in order, and
+        no (n_samples, dim) array."""
         n = int(counts.sum())
-        s = counts @ rows
+        s = (counts[:, None] * rows).sum(axis=0)
         d = rows - s / n
-        return cls(n, s.astype(float), (d.T * counts) @ d)
+        m2 = (d[:, :, None] * counts[:, None, None] * d[:, None, :]).sum(axis=0)
+        return cls(n, s.astype(float), m2)
 
     def merge(self, other: MomentStats) -> MomentStats:
         n = self.n + other.n
@@ -269,22 +278,31 @@ class MomentStats:
     def mean(self) -> np.ndarray:
         return self.s / self.n
 
-    def _cov_of_mean(self) -> np.ndarray:
-        """Covariance matrix of the column means (sample cov / n)."""
-        if self.n < 2:
-            return np.zeros_like(self.m2)
-        return self.m2 / (self.n - 1) / self.n
+    def _cov_of_mean(self, k: int) -> list[list[float]]:
+        """Covariance of the first k column means (sample cov / n), Python floats."""
+        n = self.n
+        if n < 2:
+            return [[0.0] * k for _ in range(k)]
+        return [[m_ij / (n - 1) / n for m_ij in row] for row in self.m2[:k, :k].tolist()]
 
     def _delta(self, value: float, grad: list[float]) -> Estimate:
-        """Estimate of a smooth function of the first len(grad) column means."""
-        g = np.array(grad, dtype=float)
-        k = g.size
-        var = float(g @ self._cov_of_mean()[:k, :k] @ g)
-        return Estimate(float(value), math.sqrt(max(var, 0.0)), self.n)
+        """Estimate of a smooth function of the first len(grad) column means.
+
+        grad holds Python floats.  The quadratic form (grad' cov) grad is summed
+        in Python floats in index order: first the row vector grad' cov, then
+        its product with grad."""
+        cov = self._cov_of_mean(len(grad))
+        var = 0.0
+        for j, g_j in enumerate(grad):
+            col = 0.0
+            for g_i, row in zip(grad, cov):
+                col += g_i * row[j]
+            var += col * g_j
+        return Estimate(value, math.sqrt(max(var, 0.0)), self.n)
 
     def estimate(self, index: int) -> Estimate:
         """Mean of one column as an Estimate."""
-        var = self._cov_of_mean()[index, index]
+        var = self._cov_of_mean(index + 1)[index][index]
         return Estimate(float(self.mean()[index]), math.sqrt(var), self.n)
 
     def moments(self) -> tuple[Estimate, Estimate, Estimate]:
@@ -293,7 +311,7 @@ class MomentStats:
 
     def cpf(self) -> Estimate:
         """Plug-in C_pf = f_joint - f_t f_tau, delta-method error."""
-        m = self.mean()
+        m = self.mean().tolist()
         return self._delta(m[2] - m[0] * m[1], [-m[1], -m[0], 1.0])
 
     def conditional_coherence(self, yx: int) -> Estimate:
@@ -302,7 +320,7 @@ class MomentStats:
         Raises ZeroProbabilityPostselection when the estimated weight
         |1 + yx f_t| is at most ESTIMATED_POSTSELECTION_EPS.
         """
-        m = self.mean()
+        m = self.mean().tolist()
         denom = 1.0 + yx * m[0]
         if abs(denom) <= ESTIMATED_POSTSELECTION_EPS:
             raise ZeroProbabilityPostselection(

@@ -32,7 +32,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, is_dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -693,6 +693,27 @@ def write_csv(rows: Results, path: Path) -> None:
             fh.write(block[block != 0])
 
 
+# float64 ufuncs whose loop numpy picks by CPU, and whose bits differ between loops
+_DISPATCHED = ("tan", "exp", "expm1")
+
+
+@cache
+def _float64_loops() -> dict[str, str | None]:
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+    except ImportError:
+        return dict.fromkeys(_DISPATCHED)
+    info = opt_func_info(func_name=f"^({'|'.join(_DISPATCHED)})$", signature="^float64$")
+    return {name: info.get(name, {}).get("dd", {}).get("current") for name in _DISPATCHED}
+
+
+def numerics() -> dict:
+    """What the output bits rest on besides the config: the numpy version and the
+    float64 loop (SIMD target) numpy runs for each of tan, exp and expm1 on this
+    CPU, None where this numpy cannot say.  No sum goes through BLAS."""
+    return {"numpy": np.__version__, "float64_loops": dict(_float64_loops())}
+
+
 def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float) -> Path:
     manifest = {
         "kind": "cpfsim-run-manifest",
@@ -703,6 +724,7 @@ def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float)
             "numpy": np.__version__,
             "cpfsim": __import__("cpfsim").__version__,
         },
+        "numerics": numerics(),
         "wall_time_s": wall_time_s,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

@@ -367,7 +367,8 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
 # block of uniforms they are drawn in, at most: the half-angle kernel's general
 # path keeps five (4, chunk_size) lag arrays (re, im, tan, cos, one product:
 # 20), its balanced path (|alpha| == |beta|) two (re and the factor: 8); the
-# rows of re and the centred columns afterwards about 9.  The rest is headroom.
+# rows of re and the joint column, then MomentStats' centred rows and its one
+# row of products: about 10 afterwards.  The rest is headroom.
 _ENSEMBLE_DRAW_COLUMNS = 40
 # Bytes of the small objects of one draw whatever its size (the stream, array
 # headers, the lags): up to 3.3 kB under tracemalloc, on chunks of 1-5
@@ -502,7 +503,7 @@ def _x_probability(
     """
     np.add(up, np.multiply(outcome, dn, out=out), out=out)
     out /= math.sqrt(2.0)
-    prob = float(np.vdot(out, out).real)
+    prob = float(np.square(out.view(float)).sum())  # |out|^2, a pairwise sum
     if collapse and prob > 0.0:
         out /= math.sqrt(prob)
     return prob
@@ -601,4 +602,7 @@ def oracle_conditional_coherence(
         raise ZeroProbabilityPostselection(f"P(y={y:+d}|x={x:+d}) = 0")
     ph = phase(tau, np.empty_like(state[0]))
     up, dn = rows[x]
-    return 2.0 * y * complex(np.vdot(dn * np.conj(ph), up * ph))
+    a, b = dn * np.conj(ph), up * ph  # <a|b> from pairwise sums of real products
+    re = (a.real * b.real).sum() + (a.imag * b.imag).sum()
+    im = (a.real * b.imag).sum() - (a.imag * b.real).sum()
+    return 2.0 * y * complex(re, im)

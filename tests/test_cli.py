@@ -569,7 +569,8 @@ def test_run_oracle_table(tmp_path):
 
 def test_run_oracle_surface_from_zero_time(tmp_path):
     # the 7-spin bath whose oracle table at t = tau = 0 rounds one entry to 1 + 2**-52
-    rng = np.random.default_rng(307)
+    # (tests/test_spinbath.py::test_oracle_at_zero_times_clips_an_entry_rounded_above_one)
+    rng = np.random.default_rng(366)
     a = rng.normal(size=7) + 1j * rng.normal(size=7)
     b = rng.normal(size=7) + 1j * rng.normal(size=7)
     norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
@@ -1093,56 +1094,78 @@ def test_import_does_not_load_thread_pool():
     assert proc.stdout == "False\n"
 
 
+# Since 0.8.0 the oracle's |psi|^2 and overlaps are numpy pairwise sums, not
+# BLAS dot products, and MomentStats sums in numpy and Python floats, not in
+# BLAS.  Earlier fixtures that go through either move by rounding alone and
+# rerun within 1e-12; sampling keeps its values and counts, only its errors move.
+
 # spin_bath with complex amplitudes (oracle)
 @pytest.mark.parametrize("name", ["spin_bath_oracle"])
-def test_manifest_written_by_0_3_0_reruns_byte_for_byte(tmp_path, name):
-    assert_reruns_byte_for_byte(tmp_path, "0.3.0", name)
+def test_oracle_manifest_written_by_0_3_0_reruns_within_1e_12(tmp_path, name):
+    assert_reruns_within_1e_12(tmp_path, "0.3.0", name)
 
 
 # an OU Monte Carlo run with mc.path_dt over three chunks.  Since 0.7.0 the
-# noise-model estimators take cos 2 theta from a tan of theta (_mc.cos2), not
-# from cos, so the 0.3.0 values and errors move by rounding alone.
+# noise-model estimators also take cos 2 theta from a tan of theta (_mc.cos2).
 @pytest.mark.parametrize("name", ["ou_montecarlo"])
 def test_montecarlo_manifest_written_by_0_3_0_reruns_within_1e_12(tmp_path, name):
     assert_reruns_within_1e_12(tmp_path, "0.3.0", name)
 
 
-# sampling on an OU surface at y_select = -1 over two unequal chunks, and on a
-# static Lorentz pair of points whose tau = 0 and 0.8 go through the per-tau
-# slots; closed forms of a scaled spin bath on a square surface (whose values
-# repeat across the diagonal) and as a probability table
-@pytest.mark.parametrize("name", ["ou_sampling_surface", "static_lorentz_sampling",
-                                  "bath_surface", "bath_table"])
+# closed forms of a scaled spin bath on a square surface (whose values repeat
+# across the diagonal) and as a probability table
+@pytest.mark.parametrize("name", ["bath_surface", "bath_table"])
 def test_manifest_written_by_0_5_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.5.0", name)
 
 
+# sampling on an OU surface at y_select = -1 over two unequal chunks, and on a
+# static Lorentz pair of points whose tau = 0 and 0.8 go through the per-tau
+# slots
+@pytest.mark.parametrize("name", ["ou_sampling_surface", "static_lorentz_sampling"])
+def test_sampling_manifest_written_by_0_5_0_reruns_within_1e_12(tmp_path, name):
+    assert_reruns_within_1e_12(tmp_path, "0.5.0", name, moving=("std_error",))
+
+
 # Cauchy ensembles of 2 chunks: balanced amplitudes (the ensemble kernel's
 # real-only path) and unbalanced ones (its general path).  Since 0.6.0 their
-# spin factors come from a tan of the half angle, not from cos and sin, so the
-# 0.5.0 values and errors move by rounding alone.
+# spin factors come from a tan of the half angle, not from cos and sin.
 @pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence"])
 def test_ensemble_manifest_written_by_0_5_0_reruns_within_1e_12(tmp_path, name):
     assert_reruns_within_1e_12(tmp_path, "0.5.0", name)
 
 
-# the two ensembles above, and the Cauchy ensemble's closed form on a square
-# surface that starts at t = tau = 0 with unbalanced amplitudes; the oracle on
-# a surface from t = tau = 0, where an entry rounds to 1 + 2**-52 and is
-# clipped, and as a table from |+x>, whose x = -1 entries are exactly 0.0
-@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence",
-                                  "lorentz_surface", "bath_oracle_surface",
-                                  "bath_oracle_plus_x"])
+# the Cauchy ensemble's closed form on a square surface that starts at
+# t = tau = 0 with unbalanced amplitudes; the oracle as a table from |+x>,
+# whose x = -1 entries are exactly 0.0
+@pytest.mark.parametrize("name", ["lorentz_surface", "bath_oracle_plus_x"])
 def test_manifest_written_by_0_6_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.6.0", name)
+
+
+# the two ensembles above; the oracle on a surface from t = tau = 0
+@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_conditional_coherence",
+                                  "bath_oracle_surface"])
+def test_manifest_written_by_0_6_0_reruns_within_1e_12(tmp_path, name):
+    assert_reruns_within_1e_12(tmp_path, "0.6.0", name)
 
 
 # an OU Monte Carlo surface over three unequal chunks, from tau = 0; a static
 # Lorentz conditional coherence whose tau = 0, 0.4 and 0.8 go through the
 # per-tau slots, over two unequal chunks
 @pytest.mark.parametrize("name", ["ou_surface", "static_lorentz_coherence"])
-def test_manifest_written_by_0_7_0_reruns_byte_for_byte(tmp_path, name):
-    assert_reruns_byte_for_byte(tmp_path, "0.7.0", name)
+def test_manifest_written_by_0_7_0_reruns_within_1e_12(tmp_path, name):
+    assert_reruns_within_1e_12(tmp_path, "0.7.0", name)
+
+
+# the 0.7.0 pair with new seeds; an unbalanced Cauchy ensemble's CPF over two
+# chunks; sampling on an OU surface at y_select = -1 over two unequal chunks;
+# the oracle on a surface from t = tau = 0, where an entry rounds above 1 and
+# is clipped.  Their manifests record the numerics they were written on.
+@pytest.mark.parametrize("name", ["ou_surface", "static_lorentz_coherence", "lorentz_cpf",
+                                  "ou_sampling_surface", "bath_oracle_surface"])
+def test_manifest_written_by_0_8_0_reruns_byte_for_byte(tmp_path, name):
+    assert_reruns_byte_for_byte(tmp_path, "0.8.0", name)
 
 
 def rerun_stored(tmp_path, version, name):
@@ -1163,19 +1186,22 @@ def assert_reruns_byte_for_byte(tmp_path, version, name):
     assert redo.read_bytes() == stored.read_bytes()
 
 
-def assert_reruns_within_1e_12(tmp_path, version, name):
-    """The rerun's rows keep every field but value and std_error, which move by
-    at most 1e-12."""
+def assert_reruns_within_1e_12(tmp_path, version, name, moving=("value", "std_error")):
+    """The rerun's rows keep every field but those named in moving, which move
+    by at most 1e-12."""
     redo, stored = rerun_stored(tmp_path, version, name)
     got, want = (list(csv.DictReader(io.StringIO(p.read_text(), newline="")))
                  for p in (redo, stored))
-    assert len(got) == len(want) == 3
+    assert len(got) == len(want) > 0
     for row, old in zip(got, want):
         assert list(row) == list(old)  # the header
-        for field in set(row) - {"value", "std_error"}:  # t, tau, n_samples, labels
+        for field in set(row) - set(moving):  # t, tau, n_samples, labels
             assert row[field] == old[field]
-        for field in ("value", "std_error"):
-            assert abs(float(row[field]) - float(old[field])) <= 1e-12
+        for field in moving:
+            if old[field]:  # empty for the oracle's std_error
+                assert abs(float(row[field]) - float(old[field])) <= 1e-12
+            else:
+                assert row[field] == ""
 
 
 def test_package_version_matches_pyproject():

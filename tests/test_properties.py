@@ -212,14 +212,16 @@ def size_examples(test):
 @example([np.full(3, -0.0), np.full(3, -0.0)])  # numpy sums from +0.0
 @given(sample_columns())
 def test_moment_stats_from_columns_keeps_the_bits_of_the_stacked_form(cols):
-    # the constructor's old body, on the (n, dim) stack of the columns
-    stack = np.column_stack(cols)
-    n = stack.shape[0]
-    s = stack.sum(axis=0)
-    d = stack - s / n
+    # numpy's pairwise sums along the last axis of the contiguous (dim, n) stack
+    # and of the (dim, dim, n) products: no BLAS call
+    rows = np.array(cols)
+    n = rows.shape[1]
+    s = rows.sum(axis=1)
+    d = rows - (s / n)[:, None]
     got = _mc.MomentStats.from_samples(cols)
     assert got.n == n
-    assert got.s.tobytes() == s.tobytes() and got.m2.tobytes() == (d.T @ d).tobytes()
+    assert got.s.tobytes() == s.tobytes()
+    assert got.m2.tobytes() == (d[:, None, :] * d[None, :, :]).sum(axis=2).tobytes()
 
 
 @given(st.lists(st.integers(0, 2_000), min_size=4, max_size=4).filter(any))

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from cpfsim import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # script -> (small arguments, CSVs it writes)
@@ -60,8 +62,14 @@ def test_csv_digests_prints_one_line_per_csv_of_the_workload(tmp_path):
     # the cheapest workload (five analytic and oracle runs), in a directory of its own
     proc = _run("csv_digests.py", "closed_forms", "--seeds", "3", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    # the numerics the digests rest on, as a run manifest records them
+    numerics = cli.numerics()
+    loops = numerics["float64_loops"]
+    assert header == (f"# numpy {numerics['numpy']}, float64 loops: tan={loops['tan']} "
+                      f"exp={loops['exp']} expm1={loops['expm1']}")
     names = ["bath_surface", "bath_table", "lorentz_surface", "oracle_surface", "ou_surface"]
-    for line, name in zip(proc.stdout.splitlines(), names, strict=True):
+    for line, name in zip(lines, names, strict=True):
         assert re.fullmatch(rf"[0-9a-f]{{64}}  closed_forms/3/{name}\.csv", line), line
     assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
 

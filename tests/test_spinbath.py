@@ -146,10 +146,15 @@ def test_oracle_matches_product_formula(n, y):
 
 
 @pytest.mark.parametrize("y", [+1, -1])
-def test_oracle_at_zero_times_clips_an_entry_rounded_above_one(y):
+def test_oracle_at_zero_times_clips_an_entry_rounded_above_one(y, monkeypatch):
     # this bath's renormalized state reads P(z = y, x = y | y) as 1 + 2**-52
-    spec = random_spec(np.random.default_rng(307), 7)
+    raw = []
+    table_type = core.CpfProbabilityTable
+    monkeypatch.setattr(core, "CpfProbabilityTable",
+                        lambda y, entries: raw.append(entries) or table_type(y, entries))
+    spec = random_spec(np.random.default_rng(366), 7)
     table = spinbath.oracle_protocol(spec, PLUS, 0.0, 0.0, y)
+    assert raw[0][(y, y)] > 1.0
     assert table.entries[(y, y)] == 1.0
     assert all(0.0 <= p <= 1.0 for p in table.entries.values())
     assert core.cpf_from_moments(table.moment_set()) == 0.0

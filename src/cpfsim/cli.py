@@ -523,6 +523,12 @@ def parse_config(doc: Any) -> ExperimentConfig:
             f"tau_grid.count: must equal t_grid.count ({t_grid.count}) for pointwise "
             f"quantity {quantity!r}, got {tau_grid.count}"
         )
+    if kind == "exp_corr_gauss":  # the closed forms' scale, or the samplers' last variances
+        g, tc, t_max = model.g, model.tau_c, max(t_grid.stop, (tau_grid or t_grid).stop)
+        if not all(map(math.isfinite, (4.0 * (tc * g * (tc * g)),) if method == "analytic" else
+                       analytic.phase_covariance(model, t_max, t_max))):
+            raise ConfigError(f"model.g, model.tau_c: g = {g!r}, tau_c = {tc!r} overflow the phase"
+                              f" variance by time {t_max!r}; tau_c -> inf is kind 'static_gauss'")
     n_tau = (tau_grid or t_grid).count
     if quantity == "cpf_surface" and t_grid.count * n_tau > _MAX_POINTS:
         raise ConfigError(

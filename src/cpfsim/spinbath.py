@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from ._mc import Chunk, McConfig, MomentStats, collect_moments, cos2, validate_times
+from ._mc import Chunk, McConfig, MomentStats, collect_moments, validate_times
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -301,34 +301,66 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 # ---------------------------------------------------------------------------
 # Cauchy-coupling ensemble: Monte Carlo
 
-def _half_angle_product(g: np.ndarray, lags: np.ndarray, pol: float | None):
-    """Re and Im of prod_k (cos x_k + i pol sin x_k), x_k = 2 g_k lag, as (L, m)
-    arrays for couplings g (N, m), one contiguous row per spin, and lags (L, 1).
-    One vectorized tan of the half angle, h, gives cos x = 2/(1+h^2) - 1 in
-    [-1, 1] and sin x = h 2/(1+h^2), within 2 ulp of 1 of libm and exactly (1, 0)
-    at x = 0.  pol None (balanced amplitudes) skips the sines (im None): each
-    factor is _mc.cos2 of the half angle, and re keeps the bits of pol = 0.0."""
-    shape = (lags.shape[0], g.shape[1])
-    re, h = np.ones(shape), np.empty(shape)
-    if pol is None:
-        for g_k in g:
-            re *= cos2(np.multiply(g_k, lags, out=h))
-        return re, None
-    c, im, im_d = np.empty(shape), np.zeros(shape), np.empty(shape)
-    for g_k in g:
-        np.tan(np.multiply(g_k, lags, out=h), out=h)
-        np.divide(2.0, np.add(np.square(h, out=c), 1.0, out=c), out=c)  # 2/(1+h^2)
-        h *= c
-        h *= pol
+def _spin_blocks(g: np.ndarray, t: float, tau: float | None, pol: float | None):
+    """Re and Im (None when pol is None) of prod_k (cos x_k + i pol sin x_k), x_k = 2 g_k lag,
+    for couplings g (N, m), as rows for the lags t, tau, t + tau, t - tau (t alone when tau is
+    None), from two tangents a spin: cos(A +- B) = cA cB -+ sA sB, sin(A +- B) = sA cB +- cA sB.
+    Factors fold in spin order, as a spin loop's would at t and tau; at t == tau, t - tau is 1.0."""
+    n, m = g.shape
+    k, lags, rows = (1, 1, 1) if tau is None else (2, 4, 3 if t == tau else 4)  # rows folded
+    # lag-major block buffers: the fold stack, or c, d, x and two spin-major copies of c, d
+    block = max(1, min(n, _ENSEMBLE_BLOCK_VALUES // (m * (2 * k if pol is None else 6 * lags + 2))))
+    re = np.ones((lags, m))
+
+    def half_angles(gb: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+        # cos and sin of 2 gb half as in _mc.cos2: w - 1 and h w, h = tan, w = 2/(1+h^2)
+        np.tan(np.multiply(gb, np.array([t, tau][:k])[:, None, None], out=s), out=s)
+        np.divide(2.0, np.add(np.square(s, out=c), 1.0, out=c), out=c)
+        s *= c
         c -= 1.0
-        # (re, im) <- (re c - im d, re d + im c), d = pol sin x in h
-        np.multiply(im, h, out=im_d)
-        h *= re
-        re *= c
-        re -= im_d
-        im *= c
-        im += h
-    return re, im
+    if pol is None:
+        stack = np.empty((2 * k, block + (block > 1), m))
+        f = stack[:, stack.shape[1] - block:]  # cos, then sin and scratch
+
+        def fold(out: np.ndarray, b: int) -> None:
+            if b == 1:
+                out *= f[:len(out), 0]
+            else:  # after a copy of the running product
+                stack[:len(out), 0] = out
+                np.multiply.reduce(stack[:len(out), :b + 1], axis=1, out=out)
+
+        for lo in range(0, n, block):
+            b = min(block, n - lo)
+            half_angles(g[lo:lo + block], f[:k, :b], f[k:, :b])
+            fold(re[:k], b)
+            if tau is not None:
+                ss = np.multiply(f[2, :b], f[3, :b], out=f[3, :b])
+                cc = np.multiply(f[0, :b], f[1, :b], out=f[2, :b])
+                np.subtract(cc, ss, out=f[0, :b])
+                np.add(cc, ss, out=f[1, :b])
+                fold(re[2:rows], b)
+        return re, None
+    cd, x_all = np.empty((2, lags, block, m)), np.empty((2, block, m))
+    r, i, i_d = re[:rows], np.zeros((rows, m)), np.empty((rows, m))
+    for lo in range(0, n, block):
+        c, d, x = cd[0, :, :n - lo], cd[1, :, :n - lo], x_all[:, :n - lo]
+        half_angles(g[lo:lo + block], c[:k], d[:k])
+        if tau is not None:
+            np.multiply(cd[:, 0, :n - lo], c[1], out=x)  # cA cB, sA cB
+            np.subtract(x[0], np.multiply(d[0], d[1], out=d[3]), out=c[2])
+            np.add(x[0], d[3], out=c[3])
+            np.add(x[1], np.multiply(c[0], d[1], out=d[3]), out=d[2])  # sin(A + B)
+            np.subtract(x[1], d[3], out=d[3])
+        d *= pol
+        for c_k, d_k in np.ascontiguousarray(cd[:, :rows, :n - lo].transpose(2, 0, 1, 3)):
+            # (re, im) <- (re c - im d, re d + im c)
+            np.multiply(i, d_k, out=i_d)
+            d_k *= r
+            r *= c_k
+            r -= i_d
+            i *= c_k
+            i += d_k
+    return re, i
 
 
 def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
@@ -336,7 +368,6 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     f_t column alone when tau is None."""
     n = spec.n_spins
     pol = abs(spec.alpha) ** 2 - abs(spec.beta) ** 2
-    lags = np.array([[t]] if tau is None else [[t], [tau], [t + tau], [t - tau]])
 
     def couplings(chunk: Chunk) -> tuple[np.ndarray]:
         # gtilde_k / N by inverse CDF, spin-major: the stream's (m, N) uniforms
@@ -357,23 +388,26 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (g,) = chunk.memo("couplings", spec, None, lambda: couplings(chunk))
-        re, _ = _half_angle_product(g, lags, pol or None)
+        re, _ = _spin_blocks(g, t, tau, pol or None)
         return (re[0],) if tau is None else (re[0], re[1], 0.5 * (re[2] + re[3]))
 
     return sample
 
 
-# Per-trajectory float64 values one draw holds besides its couplings and the
-# block of uniforms they are drawn in, at most: the half-angle kernel's general
-# path keeps five (4, chunk_size) lag arrays (re, im, tan, cos, one product:
-# 20), its balanced path (|alpha| == |beta|) two (re and the factor: 8); the
-# rows of re and the joint column, then MomentStats' centred rows and its one
-# row of products: about 10 afterwards.  The rest is headroom.
+# Per-trajectory float64 values one draw holds besides its couplings, the block
+# of uniforms they are drawn in and the kernel's blocks of several spins, at
+# most: the kernel's general path keeps (4, chunk_size) re, im and products
+# (12) and one-spin blocks (10), its balanced path (|alpha| == |beta|) re and a
+# one-spin block or a copy of re (8); then re, the joint column, MomentStats'
+# centred rows and its row of products: about 10.  The rest is headroom.
 _ENSEMBLE_DRAW_COLUMNS = 40
 # Bytes of the small objects of one draw whatever its size (the stream, array
 # headers, the lags): up to 3.3 kB under tracemalloc, on chunks of 1-5
 # trajectories, where the per-trajectory headroom is a few hundred bytes.
 _ENSEMBLE_DRAW_FIXED_BYTES = 4096
+# Most values in the kernel's buffers for blocks of several spins, besides numpy's
+# buffers (3 * np.getbufsize() at most) for ufuncs on a block's non-contiguous views.
+_ENSEMBLE_BLOCK_VALUES = 2**16
 
 
 def _ensemble_block_rows(n_spins: int) -> int:
@@ -384,10 +418,10 @@ def _ensemble_block_rows(n_spins: int) -> int:
 
 def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
     """Peak bytes of one chunk's draw: the couplings, the per-trajectory arrays,
-    one block of uniforms and the draw's small objects."""
+    one block of uniforms, the kernel's blocks and the draw's small objects."""
     m, n = cfg.resolved_chunk_size, spec.n_spins
-    return (8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, _ensemble_block_rows(n)) * n)
-            + _ENSEMBLE_DRAW_FIXED_BYTES)
+    return (8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, _ensemble_block_rows(n)) * n
+                 + _ENSEMBLE_BLOCK_VALUES + 3 * np.getbufsize()) + _ENSEMBLE_DRAW_FIXED_BYTES)
 
 
 def _ensemble_stats(

@@ -16,6 +16,7 @@ import pytest
 import cpfsim
 from cpfsim import _mc, analytic, cli, core, spinbath, stochastic
 from cpfsim.errors import ConfigError
+from reruns import assert_bytes_on_the_same_loops, assert_within_1e_12
 
 
 # a spin_bath config for the oracle method, which alone takes a system_init
@@ -243,6 +244,51 @@ def test_spin_bath_echoes_its_default_amplitudes(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["config"]["model"] == echo
+
+
+def ou_config(g, tau_c, method, t_stop=1.0):
+    doc = base_config(model={"kind": "exp_corr_gauss", "g": g, "tau_c": tau_c}, method=method,
+                      t_grid={"start": 0.5, "stop": t_stop, "count": 2},
+                      tau_grid={"start": 0.5, "stop": 1.0, "count": 2})
+    if method != "analytic":
+        doc["mc"] = {"n_trajectories": 1_000, "seed": 1}
+    return doc
+
+
+@pytest.mark.parametrize("g, tau_c, method, t_stop", [
+    pytest.param(1e200, 1.0, "analytic", 1.0, id="analytic-g"),  # (tau_c g) ** 2 overflowed
+    pytest.param(1.0, 1e308, "analytic", 1.0, id="analytic-tau_c"),
+    pytest.param(9e153, 1.0, "analytic", 1.0, id="analytic-4-g2-tau_c2"),  # f_joint was NaN
+    pytest.param(1.0, 1e308, "montecarlo", 1.0, id="montecarlo-tau_c"),  # variances were NaN
+    pytest.param(1e200, 1e-200, "montecarlo", 1.0, id="montecarlo-g-g"),
+    pytest.param(1.0, 1e300, "sampling", 1.0, id="sampling-tau_c"),
+    pytest.param(1.0, 1.0, "montecarlo", 1e308, id="montecarlo-t_grid"),
+    pytest.param(1.0, 1e-300, "montecarlo", 1e10, id="montecarlo-t-over-tau_c"),
+])
+def test_ou_parameters_whose_phase_variance_overflows_exit_2(tmp_path, monkeypatch, capsys,
+                                                             g, tau_c, method, t_stop):
+    # these crashed with an OverflowError or a NaN estimate (exit 1) or ended in
+    # a model error (exit 3); they are rejected at parse time and named
+    _no_evaluation(monkeypatch)
+    code, out = run_cli(tmp_path, ou_config(g, tau_c, method, t_stop))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("config error: model.g, model.tau_c: ")
+    assert f"g = {g!r}, tau_c = {tau_c!r}" in err and "kind 'static_gauss'" in err
+
+
+@pytest.mark.parametrize("g, tau_c, method, t_stop", [
+    (1e200, 1e-200, "analytic", 1.0),  # (tau_c g) ** 2 is 1, though g * g overflows
+    (1e-300, 1e300, "analytic", 1.0),
+    (1e-300, 1e300, "montecarlo", 1.0),
+    (1.0, 1.0, "analytic", 1e308),  # the closed forms decay to 0.0
+    (1.0, 1.0, "montecarlo", 8e307),
+    (1e100, 1.0, "montecarlo", 1e100),
+])
+def test_ou_parameters_with_finite_phase_variances_still_run(tmp_path, g, tau_c, method, t_stop):
+    code, out = run_cli(tmp_path, ou_config(g, tau_c, method, t_stop))
+    assert code == 0
+    assert all(math.isfinite(float(row["value"])) for row in read_rows(out))
 
 
 # ---------------------------------------------------------------------------
@@ -1158,14 +1204,32 @@ def test_manifest_written_by_0_7_0_reruns_within_1e_12(tmp_path, name):
     assert_reruns_within_1e_12(tmp_path, "0.7.0", name)
 
 
-# the 0.7.0 pair with new seeds; an unbalanced Cauchy ensemble's CPF over two
-# chunks; sampling on an OU surface at y_select = -1 over two unequal chunks;
-# the oracle on a surface from t = tau = 0, where an entry rounds above 1 and
-# is clipped.  Their manifests record the numerics they were written on.
-@pytest.mark.parametrize("name", ["ou_surface", "static_lorentz_coherence", "lorentz_cpf",
+# the 0.7.0 pair with new seeds; sampling on an OU surface at y_select = -1
+# over two unequal chunks; the oracle on a surface from t = tau = 0, where an
+# entry rounds above 1 and is clipped.  Their manifests record the numerics
+# they were written on.
+@pytest.mark.parametrize("name", ["ou_surface", "static_lorentz_coherence",
                                   "ou_sampling_surface", "bath_oracle_surface"])
 def test_manifest_written_by_0_8_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.8.0", name)
+
+
+# an unbalanced Cauchy ensemble's CPF over two chunks.  Since 0.9.0 the
+# ensemble kernel takes its t +- tau factors from the angle-sum identities:
+# f_joint, and with it the CPF, moves by rounding.
+@pytest.mark.parametrize("name", ["lorentz_cpf"])
+def test_ensemble_manifest_written_by_0_8_0_reruns_within_1e_12(tmp_path, name):
+    assert_reruns_within_1e_12(tmp_path, "0.8.0", name)
+
+
+# Cauchy ensembles through the 0.9.0 kernel: a balanced CPF with t != tau over
+# two chunks; an unbalanced conditional coherence (yx = -1) on the diagonal,
+# where the t - tau product stays 1.0; the moments of 2,000 spins over chunks
+# of 7 trajectories, balanced and unbalanced, so that blocks hold many spins
+@pytest.mark.parametrize("name", ["lorentz_cpf", "lorentz_diagonal_coherence",
+                                  "lorentz_2000_spins_moments", "lorentz_2000_spins_unbalanced"])
+def test_manifest_written_by_0_9_0_reruns_byte_for_byte(tmp_path, name):
+    assert_reruns_byte_for_byte(tmp_path, "0.9.0", name)
 
 
 def rerun_stored(tmp_path, version, name):
@@ -1178,30 +1242,22 @@ def rerun_stored(tmp_path, version, name):
     assert cli.main(["run", "--config", str(manifest), "--output", str(redo), "--quiet"]) == 0
     rerun = json.loads((tmp_path / "redo.csv.manifest.json").read_text())
     assert rerun["config"] == dict(stored["config"], output_path=str(redo))
-    return redo, manifest.with_name(stored["outputs"][0])
+    return redo, manifest.with_name(stored["outputs"][0]), stored
 
 
 def assert_reruns_byte_for_byte(tmp_path, version, name):
-    redo, stored = rerun_stored(tmp_path, version, name)
-    assert redo.read_bytes() == stored.read_bytes()
+    """Bytes on the float64 loops the manifest was written on (X86_V4 for one
+    without a numerics block, as every stored fixture was written there), and
+    within 1e-12 on others: see reruns.assert_bytes_on_the_same_loops."""
+    redo, stored, manifest = rerun_stored(tmp_path, version, name)
+    assert_bytes_on_the_same_loops(redo, stored, manifest, cli.numerics()["float64_loops"])
 
 
 def assert_reruns_within_1e_12(tmp_path, version, name, moving=("value", "std_error")):
     """The rerun's rows keep every field but those named in moving, which move
     by at most 1e-12."""
-    redo, stored = rerun_stored(tmp_path, version, name)
-    got, want = (list(csv.DictReader(io.StringIO(p.read_text(), newline="")))
-                 for p in (redo, stored))
-    assert len(got) == len(want) > 0
-    for row, old in zip(got, want):
-        assert list(row) == list(old)  # the header
-        for field in set(row) - set(moving):  # t, tau, n_samples, labels
-            assert row[field] == old[field]
-        for field in moving:
-            if old[field]:  # empty for the oracle's std_error
-                assert abs(float(row[field]) - float(old[field])) <= 1e-12
-            else:
-                assert row[field] == ""
+    redo, stored, _ = rerun_stored(tmp_path, version, name)
+    assert_within_1e_12(redo, stored, moving)
 
 
 def test_package_version_matches_pyproject():

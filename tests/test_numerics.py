@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reruns import assert_bytes_on_the_same_loops
 
 from cpfsim import cli
 
@@ -17,9 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
 # Reruns every stored manifest under DATA (argv[1]) into argv[2], one CSV per
-# manifest, named after its version directory and its file.
+# manifest, named after its version directory and its file, and writes the
+# child's numerics there as numerics.json.
 _RERUN_STORED = """
-import sys
+import json, sys
 from pathlib import Path
 from cpfsim import cli
 data, out = Path(sys.argv[1]), Path(sys.argv[2])
@@ -27,7 +29,11 @@ for manifest in sorted(data.glob("manifests_*/*.csv.manifest.json")):
     csv = out / f"{manifest.parent.name}-{manifest.name.removesuffix('.manifest.json')}"
     code = cli.main(["run", "--config", str(manifest), "--output", str(csv), "--quiet"])
     assert code == 0, f"{manifest}: exit {code}"
+(out / "numerics.json").write_text(json.dumps(cli.numerics()))
 """
+
+# numpy's AVX-512 dispatch targets, which every stored fixture was written on
+_NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
 def _blas_name() -> str:
@@ -51,11 +57,13 @@ def _openblas_kernels() -> list[str]:
     return ["Prescott"] + (["Haswell"] if _cpu_has("AVX2", "FMA3") else [])
 
 
-def _rerun_stored(out: Path, kernel: str | None) -> dict[str, bytes]:
+def _rerun_stored(out: Path, kernel: str | None, **env_vars: str) -> dict[str, bytes]:
     """CSV name -> bytes of every stored manifest rerun in a child process whose
-    OpenBLAS kernel is forced to kernel (None: the CPU's own)."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    OpenBLAS kernel is forced to kernel (None: the CPU's own), with env_vars
+    set in its environment."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", *env_vars)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(env_vars)
     if kernel is not None:
         env["OPENBLAS_CORETYPE"] = kernel
     out.mkdir()
@@ -76,6 +84,24 @@ def test_stored_manifests_rerun_to_the_same_bytes_under_every_openblas_kernel(tm
         got = _rerun_stored(tmp_path / kernel, kernel)
         assert got.keys() == want.keys()
         assert [name for name in want if got[name] != want[name]] == [], kernel
+
+
+@pytest.mark.skipif("X86_V4" not in cli.numerics()["float64_loops"].values(),
+                    reason="numpy runs no AVX-512 (X86_V4) float64 loop here to disable")
+def test_stored_manifests_rerun_as_their_tests_require_without_avx512(tmp_path):
+    # every stored fixture was written on the X86_V4 loops, so in a child with
+    # AVX-512 disabled each one has to rerun within 1e-12, and byte for byte
+    # only where its loops are still the ones it names
+    got = _rerun_stored(tmp_path / "no-avx512", None, **_NO_AVX512)
+    loops = json.loads((tmp_path / "no-avx512" / "numerics.json").read_text())["float64_loops"]
+    assert "X86_V4" not in loops.values()
+    manifests = sorted(DATA.glob("manifests_*/*.csv.manifest.json"))
+    assert len(got) == len(manifests)
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        redo = tmp_path / "no-avx512" / f"{path.parent.name}-{manifest['outputs'][0]}"
+        assert_bytes_on_the_same_loops(redo, path.with_name(manifest["outputs"][0]), manifest,
+                                       loops)
 
 
 # numpy calls that can go through BLAS, by attribute name

@@ -144,18 +144,24 @@ def test_table_cpf_is_bitwise_independent_of_y(moments, t, tau):
     assert plus == minus
 
 
-def half_angle_product(g, lags, pol):
-    """The ensemble kernel's recurrence as plain expressions, no buffers: one tan
-    of each half angle g_k lag gives cos and sin of the angle 2 g_k lag."""
-    re, im = 1.0, 0.0
+def half_angle_product(g, t, tau, pol):
+    """The ensemble kernel as plain expressions, no buffers: one tan of each half
+    angle g_k t and g_k tau gives cos and sin of the angles at t and tau, the
+    angle-sum identities those at t + tau and t - tau (none at t == tau, where
+    that product stays 1.0), and the factors fold spin by spin."""
+    re, im = np.ones((4, g.shape[0])), np.zeros((4, g.shape[0]))
     for g_k in g.T:
-        h = np.tan(g_k * lags)
-        s = 2.0 / (h * h + 1.0)
-        c = s - 1.0
+        h = np.tan(g_k * np.array([[t], [tau]]))
+        w = 2.0 / (h * h + 1.0)
+        (ca, cb), (sa, sb) = w - 1.0, h * w
+        c = np.array([ca, cb, ca * cb - sa * sb, ca * cb + sa * sb])
+        s = np.array([sa, sb, sa * cb + ca * sb, sa * cb - ca * sb])
+        if t == tau:
+            c[3], s[3] = 1.0, 0.0
         if pol is None:
             re = re * c
         else:
-            d = pol * (h * s)
+            d = pol * s
             re, im = re * c - im * d, re * d + im * c
     return re
 
@@ -166,23 +172,30 @@ def test_ensemble_realizations_follow_the_spin_bath_product_formula(spec, seed, 
     m, n = 5, spec.n_spins
     u = _mc.Chunk(seed, 0, m).stream().random((m, n))
     g = (0.5 * spec.omega + 0.5 * spec.gamma * np.tan(math.pi * (u - 0.5))) / n
-    lags = np.array([t, tau, t + tau, t - tau])[:, None]
+    lags = np.array([t, tau, t + tau, t - tau])
     pol = abs(spec.alpha) ** 2 - abs(spec.beta) ** 2
-    re = half_angle_product(g, lags, pol or None)
+    re = half_angle_product(g, t, tau, pol or None)
     cols = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(seed, 0, m))
     assert cols[0].tobytes() == re[0].tobytes() and cols[1].tobytes() == re[1].tobytes()
     assert cols[2].tobytes() == (0.5 * (re[2] + re[3])).tobytes()
     # the kernel's balanced path keeps the bits of its general path's real part
-    assert (spinbath._half_angle_product(g.T, lags, None)[0].tobytes()
-            == spinbath._half_angle_product(g.T, lags, 0.0)[0].tobytes())
-    # and every realization is the spin bath of its couplings, to a few ulp a spin
+    g_spins = np.ascontiguousarray(g.T)
+    assert (spinbath._spin_blocks(g_spins, t, tau, None)[0].tobytes()
+            == spinbath._spin_blocks(g_spins, t, tau, 0.0)[0].tobytes())
+    # and every realization is the spin bath of its couplings, to a few ulp a
+    # spin.  At t +- tau the two angles differ by rounding too: the bath's
+    # 2 g_k fl(t +- tau) rounds the lag and the product, the kernel's angles
+    # 2 fl(g_k t) and 2 fl(g_k tau) their half angles, three roundings of at
+    # most half an ulp of |2 g_k| (t + tau) each
     bound = 4 * n * 2.0**-52
     for j in range(m):
         bath = spinbath.SpinBathSpec(g[j], np.full(n, spec.alpha), np.full(n, spec.beta))
-        assert np.all(np.abs(re[:, j] - spinbath.coherence(bath, lags[:, 0]).real) <= bound)
+        lag_rounding = 1.5 * np.sum(np.abs(2.0 * g[j])) * (t + tau) * 2.0**-52
+        err = np.abs(re[:, j] - spinbath.coherence(bath, lags).real)
+        assert np.all(err[:2] <= bound) and np.all(err[2:] <= bound + lag_rounding)
         want = spinbath.moment_set(bath, t, tau)
         assert abs(cols[0][j] - want.f_t) <= bound and abs(cols[1][j] - want.f_tau) <= bound
-        assert abs(cols[2][j] - want.f_joint) <= bound
+        assert abs(cols[2][j] - want.f_joint) <= bound + lag_rounding
 
 
 @st.composite

@@ -464,8 +464,12 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
     monkeypatch.setattr(spinbath, "collect_moments", never)
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=10**7)
     cfg = McConfig(n_trajectories=65_536, chunk_size=65_536)
-    # one block of the draw is one trajectory's 10**7 uniforms; 4 kB of small objects
-    assert spinbath._ensemble_chunk_bytes(spec, cfg) == 8 * (65_536 * (10**7 + 40) + 10**7) + 4096
+    # one block of the draw is one trajectory's 10**7 uniforms; the kernel's blocks
+    # of several spins 2**16 values and numpy's ufunc buffers 3 * 8192; 4 kB of
+    # small objects
+    assert np.getbufsize() == 8192
+    assert (spinbath._ensemble_chunk_bytes(spec, cfg)
+            == 8 * (65_536 * (10**7 + 40) + 10**7 + 2**16 + 3 * 8192) + 4096)
     with pytest.raises(BathTooLarge, match="lower mc.chunk_size"):
         spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
     # the benchmark's ensemble points (N = 50, chunks of 16,384) stay far below
@@ -474,7 +478,7 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
         McConfig(n_trajectories=16_384, chunk_size=16_384),
     )
     # one block of the draw is 655 trajectories of 50 uniforms
-    assert points == 8 * (16_384 * 90 + 655 * 50) + 4096 == 12_062_576
+    assert points == 8 * (16_384 * 90 + 655 * 50 + 2**16 + 3 * 8192) + 4096 == 12_783_472
     assert points < spinbath.ENSEMBLE_MAX_BYTES / 10
 
 
@@ -514,40 +518,81 @@ def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
 @pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
                          ids=["balanced", "unbalanced"])
 def test_ensemble_draw_is_bit_identical_to_the_one_shot_draw(n_spins, chunk, amplitudes):
-    # the draw as one (m, N) block of uniforms and the kernel over its strided
-    # columns: the blocked, spin-major draw keeps every bit across block edges
+    # the draw as one (m, N) block of uniforms and the kernel spin by spin over
+    # its strided columns: the blocked, spin-major draw keeps every bit across
+    # block edges
     spec = spinbath.LorentzCouplingSpec(gamma=1.3, omega=0.4, n_spins=n_spins, **amplitudes)
     t, tau = 0.7, 1.1
-    g = _mc.Chunk(5, 2, chunk).stream().random((chunk, n_spins))
+    re = spin_by_spin(one_shot_couplings(spec, _mc.Chunk(5, 2, chunk)), t, tau, polarization(spec))
+    want = (re[0], re[1], 0.5 * (re[2] + re[3]))
+    got = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(5, 2, chunk))
+    assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
+
+
+def one_shot_couplings(spec, chunk):
+    """A chunk's (N, m) couplings, drawn as one (m, N) block of uniforms."""
+    g = chunk.stream().random((chunk.size, spec.n_spins))
     g -= 0.5
     g *= math.pi
     np.tan(g, out=g)
     g *= 0.5 * spec.gamma
     g += 0.5 * spec.omega
-    g /= n_spins
-    lags = np.array([[t], [tau], [t + tau], [t - tau]])
-    pol = abs(spec.alpha) ** 2 - abs(spec.beta) ** 2 or None
-    shape = (4, chunk)
-    re, h, c = np.ones(shape), np.empty(shape), np.empty(shape)
-    im, im_d = (None, None) if pol is None else (np.zeros(shape), np.empty(shape))
-    for g_k in g.T:
-        np.tan(np.multiply(g_k, lags, out=h), out=h)
-        np.divide(2.0, np.add(np.square(h, out=c), 1.0, out=c), out=c)
+    g /= spec.n_spins
+    return g.T
+
+
+def polarization(spec):
+    """The kernel's pol: None for balanced amplitudes."""
+    return abs(spec.alpha) ** 2 - abs(spec.beta) ** 2 or None
+
+
+def spin_by_spin(g, t, tau, pol):
+    """Re of the ensemble product at the lags t, tau, t + tau and t - tau, spin
+    by spin: f_t and f_tau by one tan of each lag's half angle (the formula of
+    0.8.0), the t +- tau factors by the angle-sum identities on those at t and
+    tau, and the re/im recurrence of 0.8.0."""
+    re, im = np.ones((4, g.shape[1])), np.zeros((4, g.shape[1]))
+    for g_k in g:
+        h = np.tan(g_k * np.array([[t], [tau]]))
+        w = 2.0 / (1.0 + h * h)
+        (c_a, c_b), (s_a, s_b) = w - 1.0, h * w
+        c = np.array([c_a, c_b, c_a * c_b - s_a * s_b, c_a * c_b + s_a * s_b])
         if pol is None:
-            re *= np.subtract(c, 1.0, out=c)
+            re *= c
             continue
-        h *= c
-        h *= pol
-        c -= 1.0
-        np.multiply(im, h, out=im_d)
-        h *= re
-        re *= c
-        re -= im_d
-        im *= c
-        im += h
-    want = (re[0], re[1], 0.5 * (re[2] + re[3]))
-    got = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(5, 2, chunk))
-    assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
+        d = pol * np.array([s_a, s_b, s_a * c_b + c_a * s_b, s_a * c_b - c_a * s_b])
+        re, im = re * c - im * d, re * d + im * c
+    return re
+
+
+@pytest.mark.parametrize("n_spins, chunk", [(50, 1_000), (2_000, 7), (1, 5), (7, 3)])
+@pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
+                         ids=["balanced", "unbalanced"])
+def test_ensemble_draw_on_the_diagonal_keeps_a_t_minus_tau_product_of_one(
+        n_spins, chunk, amplitudes):
+    # at t == tau the t - tau factor is never formed: f_joint is 0.5 (P(2t) +
+    # 1.0) bit for bit, with P(2t) the t + tau product, and the kernel's t - tau
+    # row is exactly 1.0
+    spec = spinbath.LorentzCouplingSpec(gamma=1.1, omega=0.3, n_spins=n_spins, **amplitudes)
+    g, pol = one_shot_couplings(spec, _mc.Chunk(9, 1, chunk)), polarization(spec)
+    p_2t = spin_by_spin(g, 0.8, 0.8, pol)[2]
+    f_t, f_tau, f_joint = spinbath._ensemble_cols(spec, 0.8, 0.8)(_mc.Chunk(9, 1, chunk))
+    assert f_joint.tobytes() == (0.5 * (p_2t + 1.0)).tobytes()
+    assert f_t.tobytes() == f_tau.tobytes()
+    re, _ = spinbath._spin_blocks(np.ascontiguousarray(g), 0.8, 0.8, pol)
+    assert np.all(re[3] == 1.0) and re[2].tobytes() == p_2t.tobytes()
+
+
+@pytest.mark.parametrize("n_spins, chunk", [(50, 1_000), (2_000, 7), (1, 5)])
+@pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
+                         ids=["balanced", "unbalanced"])
+def test_two_time_draw_keeps_the_bits_of_the_t_only_draws(n_spins, chunk, amplitudes):
+    # f_t and f_tau of a draw at (t, tau) are the t-only draws at t and at tau
+    spec = spinbath.LorentzCouplingSpec(gamma=0.9, omega=-0.5, n_spins=n_spins, **amplitudes)
+    f_t, f_tau, _ = spinbath._ensemble_cols(spec, 0.45, 1.3)(_mc.Chunk(4, 0, chunk))
+    (at_t,) = spinbath._ensemble_cols(spec, 0.45, None)(_mc.Chunk(4, 0, chunk))
+    (at_tau,) = spinbath._ensemble_cols(spec, 1.3, None)(_mc.Chunk(4, 0, chunk))
+    assert f_t.tobytes() == at_t.tobytes() and f_tau.tobytes() == at_tau.tobytes()
 
 
 def test_ensemble_couplings_are_kept_spin_major():
@@ -558,24 +603,71 @@ def test_ensemble_couplings_are_kept_spin_major():
     assert g.shape == (50, 1_000) and g.flags.c_contiguous
 
 
-def test_half_angle_factors_match_libm():
-    # half angles g lag: signed zeros, subnormal and tiny ones, Cauchy tails and
-    # log-uniform magnitudes up to an angle of 1e15
-    rng = np.random.default_rng(41)
-    half = np.concatenate([
+def adversarial_half_angles(seed: int) -> np.ndarray:
+    """Signed zeros, subnormal and tiny half angles, Cauchy tails and log-uniform
+    magnitudes up to an angle of 1e15."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
         [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e-20, 1e-8, 5e14, -5e14],
         10.0 ** rng.uniform(-320.0, -3.0, 20_000),
         0.5 * np.tan(np.pi * (rng.random(200_000) - 0.5)),
         rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-3.0, np.log10(5e14), 200_000),
     ])
-    cos, sin = (v[0] for v in spinbath._half_angle_product(half[None, :], np.ones((1, 1)), 1.0))
+
+
+def test_half_angle_factors_match_libm():
+    half = adversarial_half_angles(41)  # half angles g lag
+    cos, sin = (v[0] for v in spinbath._spin_blocks(half[None, :], 1.0, None, 1.0))
     assert np.all(cos[:2] == 1.0) and np.all(sin[:2] == 0.0)
     assert np.all(np.abs(cos) <= 1.0)
     assert np.max(np.abs(cos - np.cos(2.0 * half))) <= 2 * 2.0**-52
     assert np.max(np.abs(sin - np.sin(2.0 * half))) <= 2 * 2.0**-52
     # the balanced path's factor is the same cosine
-    balanced, _ = spinbath._half_angle_product(half[None, :], np.ones((1, 1)), None)
+    balanced, _ = spinbath._spin_blocks(half[None, :], 1.0, None, None)
     assert balanced[0].tobytes() == cos.tobytes()
+
+
+@pytest.mark.parametrize("tau", [1.0 + 2.0**-52, 0.37, 3.0, 2.0**-30, 1e-300, 7e5])
+def test_angle_sum_factors_match_the_libm_identity(tau):
+    # one spin of coupling a at t = 1: half angles a and b = a tau, the kernel's
+    # own product.  Its t + tau and t - tau factors (Re, and Im at pol = 1)
+    # against cos 2a cos 2b -+ sin 2a sin 2b and sin 2a cos 2b +- cos 2a sin 2b
+    # from libm.  Every factor is bounded, so the error is absolute: the
+    # identity has no pole, unlike a tan of the rounded sum a + b.
+    a = adversarial_half_angles(41)
+    b = a * tau
+    ca, sa, cb, sb = np.cos(2.0 * a), np.sin(2.0 * a), np.cos(2.0 * b), np.sin(2.0 * b)
+    re, im = spinbath._spin_blocks(a[None, :], 1.0, tau, 1.0)
+    assert np.max(np.abs(re[2] - (ca * cb - sa * sb))) <= 4 * 2.0**-52
+    assert np.max(np.abs(re[3] - (ca * cb + sa * sb))) <= 4 * 2.0**-52
+    assert np.max(np.abs(im[2] - (sa * cb + ca * sb))) <= 4 * 2.0**-52
+    assert np.max(np.abs(im[3] - (sa * cb - ca * sb))) <= 4 * 2.0**-52
+    assert np.max(np.abs(np.concatenate([re, im]))) <= 1.0 + 4 * 2.0**-52
+    # a zero half angle gives the other factor exactly; the balanced path's
+    # factors are the same cosines
+    assert np.all(re[2:, :2] == re[1, :2])  # a = +-0.0
+    assert np.all(re[2:, b == 0.0] == re[0, b == 0.0])
+    balanced, _ = spinbath._spin_blocks(a[None, :], 1.0, tau, None)
+    assert balanced.tobytes() == re.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 3, 1_000])
+def test_multiply_reduce_over_a_block_is_the_spin_order_fold(m):
+    # the balanced kernel folds a block of b spins by multiply.reduce along axis
+    # 1 of its lag-major (slots, b + 1, m) stack, whose column 0 holds the
+    # running product; that has to be the left fold in spin order, bit for bit,
+    # for the C-contiguous stack (axis 0 of a (b + 1, L, m) one too)
+    rng = np.random.default_rng(m)
+    for b in range(1, 301):
+        stack = np.cos(3.0 * rng.standard_normal((4, b + 1, m)))
+        want = stack[:2, 0].copy()
+        for k in range(1, b + 1):
+            want *= stack[:2, k]
+        got = np.empty((2, m))
+        np.multiply.reduce(stack[:2], axis=1, out=got)
+        assert got.tobytes() == want.tobytes()
+        spin_major = np.ascontiguousarray(stack.swapaxes(0, 1))
+        assert np.multiply.reduce(spin_major, axis=0)[:2].tobytes() == want.tobytes()
 
 
 def test_lorentz_mc_conditional_coherence():

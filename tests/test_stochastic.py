@@ -56,7 +56,7 @@ def test_cos2_matches_libm():
     # couplings d and lag t are the same bits
     d = stochastic._phase_draws(GAUSS, np.random.default_rng(44), 50_000)
     stage = stochastic.cos2(stochastic._theta1(GAUSS, d, 0.9))
-    factor, _ = spinbath._half_angle_product(d[None, :], np.array([[0.9]]), None)
+    factor, _ = spinbath._spin_blocks(d[None, :], 0.9, None, None)
     assert stage.tobytes() == factor[0].tobytes()
 
 

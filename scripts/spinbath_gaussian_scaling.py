@@ -14,7 +14,7 @@ import numpy as np
 
 from cpfsim import analytic, core, spinbath
 
-N_VALUES = (2, 5, 10, 20, 50, 200)
+N_VALUES = (2, 5, 10, 20, 50, 200, 1_000, 10_000)
 G = 1.0
 
 
@@ -30,7 +30,7 @@ def main() -> None:
     t_grid = np.linspace(0.0, args.t_max, 81)
     pair_grid = np.linspace(0.05, args.t_max, 21)
 
-    print(f"{'N':>4}  {'max |df|':>10}  {'max |dC|':>10}")
+    print(f"{'N':>6}  {'max |df|':>10}  {'max |dC|':>10}")
     scaling_rows = []
     for n in N_VALUES:
         spec = spinbath.scaled_gaussian_bath(n, G)
@@ -41,7 +41,7 @@ def main() -> None:
         bath_cpf = core.cpf_from_moments(spinbath.moment_set(spec, t, u))
         dc = np.max(np.abs(bath_cpf - analytic.cpf(gauss, t, u)))
         scaling_rows.append((n, df, dc))
-        print(f"{n:4d}  {df:10.2e}  {dc:10.2e}")
+        print(f"{n:6d}  {df:10.2e}  {dc:10.2e}")
 
     with open(out_dir / "spinbath_scaling.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

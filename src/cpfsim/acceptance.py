@@ -338,7 +338,7 @@ def criterion_10_property_suite(c: _Checker, workers: int = 1) -> None:
             edge_ok &= analytic.cpf(model, 0.0, s) == 0.0
     spec = _random_spec(rng, 4)
     for s in rng.uniform(0.0, 3.0, size=5):
-        # bath product formula carries ~N ulp of state-normalization dust
+        # 0.0 exactly: f(0) == 1.0 (the tests assert it); the bound is headroom
         edge_ok &= abs(_bath_cpf(spec, s, 0.0)) <= 1e-13
         edge_ok &= abs(_bath_cpf(spec, 0.0, s)) <= 1e-13
     c.check(edge_ok, "C_pf(t,0) = C_pf(0,tau) = 0 (exact for noise models)")

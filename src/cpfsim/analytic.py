@@ -178,7 +178,8 @@ def first_moment(model: NoiseModel, s):
         case White(gamma_w=gw):
             return np.exp(-2.0 * gw * s)
         case ExpCorrGauss(g=g, tau_c=tc):
-            return np.exp(-4.0 * (tc * g) ** 2 * _h(s / tc))
+            with np.errstate(over="ignore"):  # -inf at huge s: f -> 0, as intended
+                return np.exp(-4.0 * (tc * g) ** 2 * _h(s / tc))
         case StaticGauss(g=g):
             # np.square: a 0-d ** 2 can round differently from the array path
             return np.exp(-2.0 * np.square(g * s))
@@ -207,7 +208,8 @@ def joint_moment(model: NoiseModel, t, tau):
             a = (tc * g) ** 2
             phi = 4.0 * a * (-np.expm1(-t / tc)) * (-np.expm1(-tau / tc))
             # log-space combination avoids 0 * inf from underflow * cosh overflow
-            log_ff = -4.0 * a * (_h(t / tc) + _h(tau / tc))
+            with np.errstate(over="ignore"):  # -inf at huge times, as in first_moment
+                log_ff = -4.0 * a * (_h(t / tc) + _h(tau / tc))
             joint = 0.5 * (np.exp(log_ff + phi) + np.exp(log_ff - phi))
             # t = 0 or tau = 0: factorize exactly so cpf cancels to 0.0
             return np.where(phi == 0.0, first_moment(model, t) * first_moment(model, tau), joint)[()]

@@ -153,62 +153,91 @@ def _finite(t) -> np.ndarray:
     return t
 
 
-def _spin_product(couplings, amplitudes, t):
-    """Re and Im of prod_k (|a_k|^2 e^{+i 2 g_k t} + |b_k|^2 e^{-i 2 g_k t}).
+# Most values in the kernel's buffers for blocks of several spins, for the closed-form
+# bath and the Cauchy ensemble alike, besides numpy's buffers (3 * np.getbufsize() at
+# most) for ufuncs on a block's non-contiguous views.
+_ENSEMBLE_BLOCK_VALUES = 2**16
 
-    couplings is an array whose rows g_k (one per spin, scalars or arrays)
-    broadcast against t; amplitudes yields the matching (a_k, b_k) scalars.
-    Spin by spin into preallocated arrays of the broadcast shape, updated in
-    place: the general path holds five of them (re, im, the cosine and sine
-    factors and one product), so memory stays flat in N.  The arithmetic is
-    real: numpy's complex multiply (and its array abs) round differently in
-    their scalar and vector loops, so a point would not match a grid bit for
-    bit.
 
-    Balanced path: when every spin has |a_k|^2 == |b_k|^2, each sine factor
-    is (|a_k|^2 - |b_k|^2) sin = +-0, so the kernel skips the sines and the
-    imaginary recurrence, updates two arrays (re and the factor) and returns
-    im as a third, of zeros.  re keeps the bits of the general path (re c - (+-0) == re c
-    for nonzero re c); only the sign of a zero im may differ from it.
-    """
-    weights = [(abs(a_k) ** 2, abs(b_k) ** 2) for a_k, b_k in amplitudes]
-    shape = np.broadcast_shapes(np.shape(couplings)[1:], np.shape(t))
-    re, c = np.ones(shape), np.empty(shape)
-    if all(up == dn for up, dn in weights):
-        for g_k, (up, dn) in zip(couplings, weights):
-            np.multiply(2.0 * g_k, t, out=c)
-            np.cos(c, out=c)
-            c *= up + dn
-            re *= c
-        return re, np.zeros(shape)
-    im, d, im_d = np.zeros(shape), np.empty(shape), np.empty(shape)
-    for g_k, (up, dn) in zip(couplings, weights):
-        np.multiply(2.0 * g_k, t, out=c)
-        np.sin(c, out=d)
-        np.cos(c, out=c)
-        c *= up + dn
-        d *= up - dn
-        # (re, im) <- (re c - im d, re d + im c)
-        np.multiply(im, d, out=im_d)
-        d *= re
-        re *= c
-        re -= im_d
-        im *= c
-        im += d
-    return re, im
+def _spin_blocks(g: np.ndarray, t: float | np.ndarray, tau: float | None, pol):
+    """Re and Im (None when pol is None) of prod_k (cos x_k + i pol_k sin x_k), x_k = 2 g_k lag,
+    for couplings g (N, m) and pol a float or one per spin, as rows for the lags t, tau, t + tau,
+    t - tau (for t, a float or 1-d lags, when tau is None), from two tangents a spin:
+    cos(A +- B) = cA cB -+ sA sB, sin(A +- B) = sA cB +- cA sB.  Factors fold in spin order,
+    as a spin loop's would at t and tau; at t == tau, t - tau is 1.0."""
+    n, m = g.shape
+    ts = np.atleast_1d(t) if tau is None else np.array([t, tau])
+    k, lags, rows = (ts.size,) * 3 if tau is None else (2, 4, 3 if t == tau else 4)  # rows folded
+    # lag-major block buffers: the fold stack, or c, d, x and two spin-major copies of c, d
+    slots = 2 * k if pol is None else 6 * lags + 2
+    block = max(1, min(n, _ENSEMBLE_BLOCK_VALUES // max(1, m * slots)))  # 1: no lags
+    re = np.ones((lags, m))
+
+    def half_angles(gb: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+        # cos and sin of 2 gb half as in _mc.cos2: w - 1 and h w, h = tan, w = 2/(1+h^2)
+        np.tan(np.multiply(gb, ts[:, None, None], out=s), out=s)
+        np.divide(2.0, np.add(np.square(s, out=c), 1.0, out=c), out=c)
+        s *= c
+        c -= 1.0
+    if pol is None:
+        stack = np.empty((2 * k, block + (block > 1), m))
+        f = stack[:, stack.shape[1] - block:]  # cos, then sin and scratch
+
+        def fold(out: np.ndarray, b: int) -> None:
+            if b == 1:
+                out *= f[:len(out), 0]
+            else:  # after a copy of the running product
+                stack[:len(out), 0] = out
+                np.multiply.reduce(stack[:len(out), :b + 1], axis=1, out=out)
+
+        for lo in range(0, n, block):
+            b = min(block, n - lo)
+            half_angles(g[lo:lo + block], f[:k, :b], f[k:, :b])
+            fold(re[:k], b)
+            if tau is not None:
+                ss = np.multiply(f[2, :b], f[3, :b], out=f[3, :b])
+                cc = np.multiply(f[0, :b], f[1, :b], out=f[2, :b])
+                np.subtract(cc, ss, out=f[0, :b])
+                np.add(cc, ss, out=f[1, :b])
+                fold(re[2:rows], b)
+        return re, None
+    cd, x_all = np.empty((2, lags, block, m)), np.empty((2, block, m))
+    r, i, i_d = re[:rows], np.zeros((rows, m)), np.empty((rows, m))
+    for lo in range(0, n, block):
+        c, d, x = cd[0, :, :n - lo], cd[1, :, :n - lo], x_all[:, :n - lo]
+        half_angles(g[lo:lo + block], c[:k], d[:k])
+        if tau is not None:
+            np.multiply(cd[:, 0, :n - lo], c[1], out=x)  # cA cB, sA cB
+            np.subtract(x[0], np.multiply(d[0], d[1], out=d[3]), out=c[2])
+            np.add(x[0], d[3], out=c[3])
+            np.add(x[1], np.multiply(c[0], d[1], out=d[3]), out=d[2])  # sin(A + B)
+            np.subtract(x[1], d[3], out=d[3])
+        d *= pol[lo:lo + block, None] if np.ndim(pol) else pol
+        for c_k, d_k in np.ascontiguousarray(cd[:, :rows, :n - lo].transpose(2, 0, 1, 3)):
+            # (re, im) <- (re c - im d, re d + im c)
+            np.multiply(i, d_k, out=i_d)
+            d_k *= r
+            r *= c_k
+            r -= i_d
+            i *= c_k
+            i += d_k
+    return re, i
 
 
 def coherence(spec: SpinBathSpec, t):
-    """Bath overlap c_t by the product formula; c_0 = 1, |c_t| <= 1.
+    """Bath overlap c_t by the product formula; c_0 = 1 exactly, |c_t| <= 1.
 
-    Takes a scalar or an array of times and returns the same shape.  The
+    Takes a scalar or an array of times and returns the same shape.  Each
+    spin's factor is cos x + i (|alpha_k|^2 - |beta_k|^2) sin x, x = 2 g_k t,
+    from _spin_blocks: the spin norms (1 within 1e-12) are not multiplied in.  The
     protocol only uses t >= 0, but negative arguments (arising as t-tau
     inside conditional quantities) evaluate the same product formula, which
     is the analytic continuation: c_{-t} = conj(c_t).
     """
     t = _finite(t)
-    re, im = _spin_product(spec.couplings, zip(spec.alphas, spec.betas), t)
-    return (re + 1j * im)[()]
+    pol = np.abs(spec.alphas) ** 2 - np.abs(spec.betas) ** 2
+    re, im = _spin_blocks(spec.couplings[:, None], np.ravel(t), None, pol if pol.any() else None)
+    return (re + 1j * (0.0 if im is None else im)).reshape(t.shape)[()]
 
 
 def _moment_set(overlap, t, tau) -> core.MomentSet:
@@ -226,10 +255,9 @@ def _moment_set(overlap, t, tau) -> core.MomentSet:
 def moment_set(spec: SpinBathSpec, t, tau) -> core.MomentSet:
     """Table moments (f(t), f(tau), [f(t+tau)+f(t-tau)]/2) with f = Re c.
 
-    t and tau are scalars or arrays that broadcast against each other.  The
-    CPF vanishes at t = 0 or tau = 0 only up to state-normalization rounding
-    (a few n_spins ulp), since f(0) is the computed product of per-spin
-    norms rather than an exact 1.0.
+    t and tau are scalars or arrays that broadcast against each other.  f(0)
+    is exactly 1.0 and f(-u) is f(u) bit for bit, so the CPF is exactly 0.0 at
+    t = 0 or tau = 0.
     """
     return _moment_set(lambda u: coherence(spec, u), t, tau)
 
@@ -276,7 +304,8 @@ def lorentz_coherence(spec: LorentzCouplingSpec, t):
     spec is normalized, the bracket is cos + i (|a|^2 - |b|^2) sin: c_0 = 1.
     """
     t, n = _finite(t), spec.n_spins
-    # bracket^N in polar form, in real arithmetic for the reason given in coherence
+    # bracket^N in polar form, in real arithmetic: numpy's complex multiply rounds
+    # differently in its scalar and vector loops, so a point would miss its grid's bits
     arg = spec.omega * t / n
     re, im = np.cos(arg), (abs(spec.alpha) ** 2 - abs(spec.beta) ** 2) * np.sin(arg)
     size = np.exp(-spec.gamma * np.abs(t)) * np.power(np.hypot(re, im), float(n))
@@ -300,68 +329,6 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 
 # ---------------------------------------------------------------------------
 # Cauchy-coupling ensemble: Monte Carlo
-
-def _spin_blocks(g: np.ndarray, t: float, tau: float | None, pol: float | None):
-    """Re and Im (None when pol is None) of prod_k (cos x_k + i pol sin x_k), x_k = 2 g_k lag,
-    for couplings g (N, m), as rows for the lags t, tau, t + tau, t - tau (t alone when tau is
-    None), from two tangents a spin: cos(A +- B) = cA cB -+ sA sB, sin(A +- B) = sA cB +- cA sB.
-    Factors fold in spin order, as a spin loop's would at t and tau; at t == tau, t - tau is 1.0."""
-    n, m = g.shape
-    k, lags, rows = (1, 1, 1) if tau is None else (2, 4, 3 if t == tau else 4)  # rows folded
-    # lag-major block buffers: the fold stack, or c, d, x and two spin-major copies of c, d
-    block = max(1, min(n, _ENSEMBLE_BLOCK_VALUES // (m * (2 * k if pol is None else 6 * lags + 2))))
-    re = np.ones((lags, m))
-
-    def half_angles(gb: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-        # cos and sin of 2 gb half as in _mc.cos2: w - 1 and h w, h = tan, w = 2/(1+h^2)
-        np.tan(np.multiply(gb, np.array([t, tau][:k])[:, None, None], out=s), out=s)
-        np.divide(2.0, np.add(np.square(s, out=c), 1.0, out=c), out=c)
-        s *= c
-        c -= 1.0
-    if pol is None:
-        stack = np.empty((2 * k, block + (block > 1), m))
-        f = stack[:, stack.shape[1] - block:]  # cos, then sin and scratch
-
-        def fold(out: np.ndarray, b: int) -> None:
-            if b == 1:
-                out *= f[:len(out), 0]
-            else:  # after a copy of the running product
-                stack[:len(out), 0] = out
-                np.multiply.reduce(stack[:len(out), :b + 1], axis=1, out=out)
-
-        for lo in range(0, n, block):
-            b = min(block, n - lo)
-            half_angles(g[lo:lo + block], f[:k, :b], f[k:, :b])
-            fold(re[:k], b)
-            if tau is not None:
-                ss = np.multiply(f[2, :b], f[3, :b], out=f[3, :b])
-                cc = np.multiply(f[0, :b], f[1, :b], out=f[2, :b])
-                np.subtract(cc, ss, out=f[0, :b])
-                np.add(cc, ss, out=f[1, :b])
-                fold(re[2:rows], b)
-        return re, None
-    cd, x_all = np.empty((2, lags, block, m)), np.empty((2, block, m))
-    r, i, i_d = re[:rows], np.zeros((rows, m)), np.empty((rows, m))
-    for lo in range(0, n, block):
-        c, d, x = cd[0, :, :n - lo], cd[1, :, :n - lo], x_all[:, :n - lo]
-        half_angles(g[lo:lo + block], c[:k], d[:k])
-        if tau is not None:
-            np.multiply(cd[:, 0, :n - lo], c[1], out=x)  # cA cB, sA cB
-            np.subtract(x[0], np.multiply(d[0], d[1], out=d[3]), out=c[2])
-            np.add(x[0], d[3], out=c[3])
-            np.add(x[1], np.multiply(c[0], d[1], out=d[3]), out=d[2])  # sin(A + B)
-            np.subtract(x[1], d[3], out=d[3])
-        d *= pol
-        for c_k, d_k in np.ascontiguousarray(cd[:, :rows, :n - lo].transpose(2, 0, 1, 3)):
-            # (re, im) <- (re c - im d, re d + im c)
-            np.multiply(i, d_k, out=i_d)
-            d_k *= r
-            r *= c_k
-            r -= i_d
-            i *= c_k
-            i += d_k
-    return re, i
-
 
 def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     """Sampler of the per-realization (f_t, f_tau, f_joint) columns, or of the
@@ -405,9 +372,6 @@ _ENSEMBLE_DRAW_COLUMNS = 40
 # headers, the lags): up to 3.3 kB under tracemalloc, on chunks of 1-5
 # trajectories, where the per-trajectory headroom is a few hundred bytes.
 _ENSEMBLE_DRAW_FIXED_BYTES = 4096
-# Most values in the kernel's buffers for blocks of several spins, besides numpy's
-# buffers (3 * np.getbufsize() at most) for ufuncs on a block's non-contiguous views.
-_ENSEMBLE_BLOCK_VALUES = 2**16
 
 
 def _ensemble_block_rows(n_spins: int) -> int:

@@ -663,6 +663,23 @@ def test_run_cpf_surface_is_cartesian(tmp_path):
     ]
 
 
+def test_run_surface_of_a_large_scaled_bath_from_zero(tmp_path):
+    # 5,000 spins: a product with each spin's rounded norm multiplied in gave
+    # f_t = 1.0000000000011102 at t = 0, and the run exited 3 (model error)
+    doc = base_config(
+        quantity="cpf_surface",
+        model={"kind": "scaled_spin_bath", "n_spins": 5_000, "g": 1.0},
+        t_grid={"start": 0.0, "stop": 1.0, "count": 5},
+    )
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) == 25
+    on_axes = [r["value"] for r in rows if "0" in (r["t"], r["tau"])]
+    assert len(on_axes) == 9 and set(on_axes) == {"0"}
+    assert all(float(r["value"]) > 0.0 for r in rows if "0" not in (r["t"], r["tau"]))
+
+
 def _number(field, kind):
     return "" if field == "" else format(kind(field), ".17g" if kind is float else "d")
 
@@ -1159,10 +1176,12 @@ def test_montecarlo_manifest_written_by_0_3_0_reruns_within_1e_12(tmp_path, name
 
 
 # closed forms of a scaled spin bath on a square surface (whose values repeat
-# across the diagonal) and as a probability table
+# across the diagonal) and as a probability table.  Since 0.10.0 the bath's
+# spin factors come from a tan of the half angle and leave out each spin's
+# rounded norm, as the ensemble's do: the values move by rounding.
 @pytest.mark.parametrize("name", ["bath_surface", "bath_table"])
-def test_manifest_written_by_0_5_0_reruns_byte_for_byte(tmp_path, name):
-    assert_reruns_byte_for_byte(tmp_path, "0.5.0", name)
+def test_bath_manifest_written_by_0_5_0_reruns_within_1e_12(tmp_path, name):
+    assert_reruns_within_1e_12(tmp_path, "0.5.0", name)
 
 
 # sampling on an OU surface at y_select = -1 over two unequal chunks, and on a
@@ -1230,6 +1249,15 @@ def test_ensemble_manifest_written_by_0_8_0_reruns_within_1e_12(tmp_path, name):
                                   "lorentz_2000_spins_moments", "lorentz_2000_spins_unbalanced"])
 def test_manifest_written_by_0_9_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.9.0", name)
+
+
+# spin-bath closed forms through the ensemble's blocked half-angle kernel: a
+# scaled bath's CPF surface from t = tau = 0 with omega > 0 (the general path);
+# a probability table of four spins with complex amplitudes, from t = tau = 0;
+# the CPF surface of 5,000 spins from t = tau = 0, whose rows on the axes are 0
+@pytest.mark.parametrize("name", ["bath_surface", "bath_table", "bath_5000_spins_surface"])
+def test_manifest_written_by_0_10_0_reruns_byte_for_byte(tmp_path, name):
+    assert_reruns_byte_for_byte(tmp_path, "0.10.0", name)
 
 
 def rerun_stored(tmp_path, version, name):

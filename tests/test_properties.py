@@ -255,27 +255,30 @@ def test_ensemble_coherence_draw_is_the_first_lag_of_the_four_lag_draw(spec, see
     assert np.all(one[0] == four[0])
 
 
-def plain_spin_product(couplings, amplitudes, t):
-    """The spin product's complex recurrence as plain expressions, no buffers."""
-    re, im = 1.0, 0.0
-    for g_k, (a_k, b_k) in zip(couplings, amplitudes):
-        up, dn = abs(a_k) ** 2, abs(b_k) ** 2
-        theta = 2.0 * g_k * t
-        c, d = (up + dn) * np.cos(theta), (up - dn) * np.sin(theta)
+def plain_spin_product(couplings, pol, lags):
+    """The spin product's half-angle recurrence as plain expressions, no buffers or
+    blocks: per spin h = tan(g_k lag), w = 2/(1+h^2), cos = w - 1, sin = h w and
+    (re, im) <- (re cos - im pol_k sin, re pol_k sin + im cos), at (lags, m)."""
+    re, im = np.ones((lags.size, couplings.shape[1])), np.zeros((lags.size, couplings.shape[1]))
+    for g_k, pol_k in zip(couplings, pol):
+        h = np.tan(g_k * lags[:, None])
+        w = 2.0 / (h * h + 1.0)
+        c, d = w - 1.0, pol_k * (h * w)
         re, im = re * c - im * d, re * d + im * c
     return re, im
 
 
 @st.composite
 def spin_products(draw, balanced):
-    """(couplings (n, m), amplitudes, lags (4, m)) for the spin product kernel.
+    """(couplings (n, m), per-spin pol, 1-d lags) for the spin product kernel.
 
-    Balanced amplitudes have |a_k| == |b_k| bit for bit: b_k is a_k or its
+    pol is |a_k|^2 - |b_k|^2 of random amplitudes, as spinbath.coherence takes
+    it.  Balanced amplitudes have |a_k| == |b_k| bit for bit: b_k is a_k or its
     conjugate times one of +-1, +-i, all exact, so the relative phase is random.
     """
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    n, m, n_lags = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     couplings = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * m, max_size=n * m)))
-    lags = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=4 * m, max_size=4 * m)))
+    lags = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n_lags, max_size=n_lags)))
     if balanced:
         def pair(phi, conj, turn):
             a = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2.0)
@@ -285,37 +288,38 @@ def spin_products(draw, balanced):
                           st.sampled_from([1, -1, 1j, -1j]))
     else:
         pairs = amplitudes()
-    amps = draw(st.lists(pairs, min_size=n, max_size=n))
-    return couplings.reshape(n, m), amps, lags.reshape(4, m)
+    alphas, betas = np.array(draw(st.lists(pairs, min_size=n, max_size=n))).T
+    return couplings.reshape(n, m), np.abs(alphas) ** 2 - np.abs(betas) ** 2, lags
 
 
 @given(spin_products(balanced=True))
 def test_balanced_spin_product_keeps_the_general_paths_real_part(case):
-    couplings, amps, lags = case
-    assert all(abs(a) ** 2 == abs(b) ** 2 for a, b in amps)
-    re, im = spinbath._spin_product(couplings, amps, lags)
-    assert np.all(im == 0.0)
-    # a first spin that is uncoupled and fully up is unbalanced, which sends the
-    # kernel down its general path, and multiplies the product by exactly 1 + 0i
+    couplings, pol, lags = case
+    assert not pol.any()
+    re, im = spinbath._spin_blocks(couplings, lags, None, None)
+    assert im is None and re.shape == (lags.size, couplings.shape[1])
+    # a first spin that is uncoupled and fully up (pol 1) sends the kernel down
+    # its general path, and multiplies the product by exactly 1 + 0i
     up_spin = np.zeros((1, couplings.shape[1]))
-    general = spinbath._spin_product(np.vstack([up_spin, couplings]), [(1.0, 0.0)] + amps, lags)
+    general = spinbath._spin_blocks(np.vstack([up_spin, couplings]), lags, None,
+                                    np.append(1.0, pol))
     assert np.all(re == general[0]) and np.all(general[1] == 0.0)
-    assert np.all(re == plain_spin_product(couplings, amps, lags)[0])
+    assert np.all(re == plain_spin_product(couplings, pol, lags)[0])
     # a 0-d lag gives the bits of its element of the grid
-    for i, j in np.ndindex(lags.shape):
-        point = spinbath._spin_product(couplings[:, j], amps, lags[i, j])
-        assert point[0].shape == () and point[0] == re[i, j] and point[1] == 0.0
+    for i, lag in enumerate(lags):
+        point, point_im = spinbath._spin_blocks(couplings, lag, None, None)
+        assert point_im is None and point.tobytes() == re[i].tobytes()
 
 
 @given(spin_products(balanced=False))
 def test_general_spin_product_equals_the_plain_recurrence(case):
-    couplings, amps, lags = case
-    re, im = spinbath._spin_product(couplings, amps, lags)
-    want_re, want_im = plain_spin_product(couplings, amps, lags)
-    assert np.all(re == want_re) and np.all(im == want_im)
-    for i, j in np.ndindex(lags.shape):
-        point = spinbath._spin_product(couplings[:, j], amps, lags[i, j])
-        assert point[0] == re[i, j] and point[1] == im[i, j]
+    couplings, pol, lags = case
+    re, im = spinbath._spin_blocks(couplings, lags, None, pol)
+    want_re, want_im = plain_spin_product(couplings, pol, lags)
+    assert re.tobytes() == want_re.tobytes() and im.tobytes() == want_im.tobytes()
+    for i, lag in enumerate(lags):
+        point = spinbath._spin_blocks(couplings, lag, None, pol)
+        assert point[0].tobytes() == re[i].tobytes() and point[1].tobytes() == im[i].tobytes()
 
 
 # One-point estimators whose chunks have memo stages, the models they run on

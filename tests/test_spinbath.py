@@ -100,6 +100,53 @@ def test_coherence_bounded(n, t):
     assert abs(spinbath.coherence(spec, t)) <= 1.0 + 1e-12
 
 
+def test_large_bath_coherence_is_exactly_one_at_zero():
+    # each spin's norm |alpha|^2 + |beta|^2 rounds to 1 + 2^-52 here; a product
+    # that multiplied it in would reach (1 + 2^-52)^N, over MomentSet's bound
+    # of 1 + 1e-12 from N = 4,600 on
+    spec = spinbath.scaled_gaussian_bath(10**4, 1.0)
+    assert spinbath.coherence(spec, 0.0) == 1.0
+    assert spinbath.moment_set(spec, 0.0, 0.0).f_joint == 1.0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.floats(0.0, 10.0))
+def test_bath_cpf_is_exactly_zero_at_a_zero_lag(seed, n, s):
+    spec = random_spec(np.random.default_rng(seed), n)
+    assert bath_cpf(spec, s, 0.0) == 0.0 and bath_cpf(spec, 0.0, s) == 0.0
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_coherence_keeps_the_shape_of_its_times(balanced):
+    spec = random_spec(np.random.default_rng(5), 3)
+    if balanced:
+        half = np.full(3, 1.0 / math.sqrt(2.0))
+        spec = spinbath.SpinBathSpec(spec.couplings, half, 1j * half)
+    for t in (0.3, np.array([]), np.zeros((2, 0)), np.full((2, 3), 0.3)):
+        got = spinbath.coherence(spec, t)
+        assert np.shape(got) == np.shape(t) and np.all(got == spinbath.coherence(spec, 0.3))
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_coherence_over_many_spin_blocks_is_the_spin_loop(balanced):
+    # 3,000 spins at 40 lags go through the kernel in blocks of 819 spins
+    # (balanced) or 270 (general); the plain loop takes them one at a time
+    rng = np.random.default_rng(23)
+    spec = random_spec(rng, 3_000)
+    if balanced:
+        half = np.full(3_000, 1.0 / math.sqrt(2.0))
+        spec = spinbath.SpinBathSpec(spec.couplings, half, 1j * half)
+    lags = rng.uniform(-3.0, 3.0, 40)
+    pol = np.abs(spec.alphas) ** 2 - np.abs(spec.betas) ** 2
+    re, im = np.ones(40), np.zeros(40)
+    for g_k, pol_k in zip(spec.couplings, pol):
+        h = np.tan(g_k * lags)
+        w = 2.0 / (h * h + 1.0)
+        c, d = w - 1.0, pol_k * (h * w)
+        re, im = re * c - im * d, re * d + im * c
+    got = spinbath.coherence(spec, lags)
+    assert np.all(got.real == re) and np.all(got.imag == (0.0 if balanced else im))
+
+
 # ---------------------------------------------------------------------------
 # single-spin baths carry no conditional past-future correlation
 

@@ -11,8 +11,10 @@ machine as the other left it.  It prints every pair's order and end-to-end
 metrics, then for each metric the two medians, the interquartile
 range of the parent's runs, how many pairs the change improved and a verdict:
 "gain" (better in at least 9/10 of the pairs, median gain beyond the parent's
-IQR), "worse beyond bound" (median worse than the parent's by more than the
-metric's relative bound) or "within bound".  Which way is better, and each
+IQR), "unresolved" (the parent's IQR is wider than the metric's relative bound
+of its median, and not every change run beats every parent run), "worse beyond
+bound" (median worse than the parent's by more than the bound) or "within
+bound".  Which way is better, and each
 bound, come from CHANGE_DIR's BENCHMARK.json; nothing is imported from
 perfbench/.  It exits 1 when a run fails or reports a failed operation.
 """
@@ -45,8 +47,10 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     better maps a metric name to "lower" or "higher", bounds to the relative
     amount by which its median may worsen.  The verdict is "gain" when the
     change is better in at least 9/10 of the pairs and its median gain exceeds
-    the parent's interquartile range, "worse beyond bound" when its median is
-    worse than the parent's by more than the bound, and "within bound" otherwise.
+    the parent's interquartile range; "unresolved" when that range is more than
+    the bound times the parent's median, unless every change run is better than
+    every parent run; "worse beyond bound" when the change's median is worse than
+    the parent's by more than the bound, and "within bound" otherwise.
     """
     out = {}
     for name, way in better.items():
@@ -58,8 +62,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         gain = sign * (p_med - c_med)
         improved = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
         beyond_iqr = gain > q3 - q1
+        every_run_better = min(sign * p for p in parent) > max(sign * c for c in change)
         if 10 * improved >= 9 * len(pairs) and beyond_iqr:
             verdict = "gain"
+        elif q3 - q1 > bounds[name] * abs(p_med) and not every_run_better:
+            verdict = "unresolved"
         elif -gain > bounds[name] * abs(p_med):
             verdict = "worse beyond bound"
         else:

@@ -8,6 +8,11 @@ are merged in ascending chunk order, which makes every estimate bit-identical
 for a given (seed, chunk_size, n) regardless of how many workers execute the
 chunks.
 
+The steps every sampler shares from its inputs to its factors live here: the
+time and parameter checks (check_times, check_real), the block draw of a
+chunk's rows (draw_rows), the Cauchy inverse CDF (cauchy) and cos 2 theta,
+sin 2 theta from one tan of theta (cos2).
+
 A sampler works on one Chunk in stages: the chunk's draws, a per-t stage, a
 per-tau stage where tau alone fixes it, and the rest of the point.  Inside
 grid_memo() the points of a grid, which all draw the same chunk streams, compute
@@ -35,6 +40,8 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 # draw (several arrays of chunk_size rows) nor the list of chunks exhausts memory.
 MAX_CHUNK_SIZE = 1 << 20
 MAX_CHUNKS = 1 << 16
+# Values of one block of a chunk's draw (draw_rows), 256 KiB.
+DRAW_BLOCK_VALUES = 2**15
 # Bytes one grid_memo() scope holds at most; a stage past the budget is
 # recomputed at every call.
 GRID_MEMO_MAX_BYTES = 16 << 20
@@ -49,11 +56,12 @@ ESTIMATED_POSTSELECTION_EPS = 1e-9
 class McConfig:
     """Monte Carlo run parameters.
 
-    chunk_size defaults to min(2**16, n_trajectories) and must not exceed
-    n_trajectories or MAX_CHUNK_SIZE, and the run must split into at most
-    MAX_CHUNKS chunks; chunk_size is part of the reproducibility contract (it
-    fixes the random-stream layout).  path_dt is only consumed by
-    path-integrating samplers; None selects a model-dependent default.
+    chunk_size defaults to min(2**16, n_trajectories), which __post_init__
+    stores, and must not exceed n_trajectories or MAX_CHUNK_SIZE, and the run
+    must split into at most MAX_CHUNKS chunks; chunk_size is part of the
+    reproducibility contract (it fixes the random-stream layout).  path_dt is
+    only consumed by path-integrating samplers; None selects a model-dependent
+    default.
     """
 
     n_trajectories: int
@@ -67,39 +75,26 @@ class McConfig:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories!r}")
         object.__setattr__(self, "n_trajectories", n)
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-        if self.chunk_size is not None:
-            c = int(self.chunk_size)
-            if c < 1 or c > n:
-                raise ValueError(
-                    f"chunk_size must be in [1, n_trajectories], got {self.chunk_size!r}"
-                )
-            if c > MAX_CHUNK_SIZE:
-                raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {c}")
-            object.__setattr__(self, "chunk_size", c)
-        chunks = -(-n // self.resolved_chunk_size)
+        c = min(DEFAULT_CHUNK_SIZE, n) if self.chunk_size is None else int(self.chunk_size)
+        if c < 1 or c > n:
+            raise ValueError(f"chunk_size must be in [1, n_trajectories], got {self.chunk_size!r}")
+        if c > MAX_CHUNK_SIZE:
+            raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {c}")
+        object.__setattr__(self, "chunk_size", c)
+        chunks = -(-n // c)
         if chunks > MAX_CHUNKS:
             raise ValueError(
-                f"n_trajectories {n} at chunk_size {self.resolved_chunk_size} makes {chunks} "
+                f"n_trajectories {n} at chunk_size {c} makes {chunks} "
                 f"chunks, over the {MAX_CHUNKS}-chunk limit"
             )
         if self.path_dt is not None:
-            dt = float(self.path_dt)
-            if not math.isfinite(dt) or dt <= 0.0:
-                raise ValueError(f"path_dt must be finite and > 0, got {self.path_dt!r}")
-            object.__setattr__(self, "path_dt", dt)
-
-    @property
-    def resolved_chunk_size(self) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return min(DEFAULT_CHUNK_SIZE, self.n_trajectories)
+            object.__setattr__(self, "path_dt", check_real(self.path_dt, "path_dt"))
 
 
 def chunk_sizes(cfg: McConfig) -> list[int]:
     """Trajectory counts per chunk, in chunk-index order."""
-    c = cfg.resolved_chunk_size
-    full, rest = divmod(cfg.n_trajectories, c)
-    return [c] * full + ([rest] if rest else [])
+    full, rest = divmod(cfg.n_trajectories, cfg.chunk_size)
+    return [cfg.chunk_size] * full + ([rest] if rest else [])
 
 
 # The open grid_memo() scope's slots, (seed, chunk, stage) -> (owner, tag, value,
@@ -201,27 +196,69 @@ def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
         return list(pool.map(worker, chunks))
 
 
-def cos2(theta: np.ndarray) -> np.ndarray:
-    """cos 2 theta as 2/(1 + tan^2 theta) - 1, in theta's buffer.
+def block_rows(width: int) -> int:
+    """Trajectories per block of draw_rows: DRAW_BLOCK_VALUES values, or one
+    trajectory's width when that is more."""
+    return max(1, DRAW_BLOCK_VALUES // width)
 
-    One vectorized tan of the half angle: numpy's float64 cos can be scalar
-    libm where its tan is vectorized.  Within 2 ulp of 1 of libm's cos 2 theta,
-    in [-1, 1], exactly 1.0 at theta = +-0.0, and finite where 2 theta overflows.
+
+def draw_rows(draw, width: int, m: int) -> np.ndarray:
+    """(width, m) rows of m trajectories' width values each, drawn trajectory-major
+    as one (m, width) draw would be: draw((rows, width)) block by block, each block
+    stored transposed, so that no (m, width) copy is held beside the rows."""
+    out, rows = np.empty((width, m)), block_rows(width)
+    for lo in range(0, m, rows):
+        out[:, lo:lo + rows] = draw((min(rows, m - lo), width)).T
+    return out
+
+
+def cauchy(u: np.ndarray, gamma: float, omega: float) -> np.ndarray:
+    """Cauchy(omega/2, gamma/2) values from the uniforms u by inverse CDF, in u's buffer."""
+    u -= 0.5
+    u *= math.pi
+    np.tan(u, out=u)
+    u *= 0.5 * gamma
+    u += 0.5 * omega
+    return u
+
+
+def cos2(theta: np.ndarray, sin: np.ndarray | None = None) -> np.ndarray:
+    """cos 2 theta as w - 1, w = 2/(1 + h^2), h = tan theta, in theta's buffer,
+    and with sin also sin 2 theta as h w into sin.
+
+    One vectorized tan of the half angle: numpy's float64 cos and sin can be
+    scalar libm where its tan is vectorized.  Within 2 ulp of 1 of libm's cos 2
+    theta and sin 2 theta, in [-1, 1], exactly (1, 0) at theta = +-0.0, and
+    finite where 2 theta overflows.
     """
-    np.tan(theta, out=theta)
-    np.square(theta, out=theta)
+    h = np.tan(theta, out=theta if sin is None else sin)
+    np.square(h, out=theta)
     theta += 1.0
     np.divide(2.0, theta, out=theta)
+    if sin is not None:
+        sin *= theta
     theta -= 1.0
     return theta
 
 
-def validate_times(t, tau) -> tuple[float, float]:
-    """t and tau as floats, checked to be finite and >= 0."""
-    t, tau = float(t), float(tau)
-    if not (math.isfinite(t) and math.isfinite(tau)) or t < 0.0 or tau < 0.0:
-        raise ValueError(f"t and tau must be finite and >= 0, got t={t!r}, tau={tau!r}")
-    return t, tau
+def check_real(value: float, name: str, positive: bool = True) -> float:
+    """value as a float, checked to be finite and, if positive, > 0 (a model
+    parameter or path_dt); a ValueError names the argument name."""
+    v = float(value)
+    if not math.isfinite(v) or (positive and v <= 0.0):
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
+    return v
+
+
+def check_times(value, name: str, lags: bool = False) -> np.ndarray:
+    """value as a float64 array whose elements are finite and, unless they are
+    lags (which may be negative), >= 0; a ValueError names the argument name."""
+    v = np.asarray(value, dtype=float)
+    ok = np.isfinite(v) if lags else (v >= 0.0) & (v < math.inf)
+    if np.count_nonzero(ok) < v.size:  # all() takes 2 us on a scalar; each point checks 2
+        rule = "finite" if lags else "finite and >= 0"
+        raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
+    return v
 
 
 @dataclass(frozen=True, eq=False)  # array fields: no value equality

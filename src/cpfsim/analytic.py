@@ -39,22 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from ._mc import check_real, check_times
 from .errors import UndefinedCorrelation
-
-
-def _positive(value: float, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return v
-
-
-def _times(value, name: str = "t") -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    bad = ~(np.isfinite(v) & (v >= 0.0))
-    if np.any(bad):
-        raise ValueError(f"{name} must be finite and >= 0, got {float(v[bad][0])!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -64,7 +50,7 @@ class White:
     gamma_w: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma_w", _positive(self.gamma_w, "gamma_w"))
+        object.__setattr__(self, "gamma_w", check_real(self.gamma_w, "gamma_w"))
 
 
 @dataclass(frozen=True)
@@ -78,8 +64,8 @@ class ExpCorrGauss:
     tau_c: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g", _positive(self.g, "g"))
-        object.__setattr__(self, "tau_c", _positive(self.tau_c, "tau_c"))
+        object.__setattr__(self, "g", check_real(self.g, "g"))
+        object.__setattr__(self, "tau_c", check_real(self.tau_c, "tau_c"))
 
 
 @dataclass(frozen=True)
@@ -89,7 +75,7 @@ class StaticGauss:
     g: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g", _positive(self.g, "g"))
+        object.__setattr__(self, "g", check_real(self.g, "g"))
 
 
 @dataclass(frozen=True)
@@ -104,11 +90,8 @@ class StaticLorentz:
     omega: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", _positive(self.gamma, "gamma"))
-        w = float(self.omega)
-        if not math.isfinite(w):
-            raise ValueError(f"omega must be finite, got {self.omega!r}")
-        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "gamma", check_real(self.gamma, "gamma"))
+        object.__setattr__(self, "omega", check_real(self.omega, "omega", positive=False))
 
 
 NoiseModel = White | ExpCorrGauss | StaticGauss | StaticLorentz
@@ -146,8 +129,7 @@ def phase_covariance(model: NoiseModel, t: float, tau: float) -> tuple[float, fl
 
     Raises UndefinedCorrelation for StaticLorentz.
     """
-    t = float(_times(t, "t"))
-    tau = float(_times(tau, "tau"))
+    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
     match model:
         case White(gamma_w=gw):
             return gw * t, gw * tau, 0.0
@@ -173,7 +155,7 @@ def first_moment(model: NoiseModel, s):
 
     Takes a scalar or an array of times and returns the same shape.
     """
-    s = _times(s, "s")
+    s = check_times(s, "s")
     match model:
         case White(gamma_w=gw):
             return np.exp(-2.0 * gw * s)
@@ -199,8 +181,8 @@ def joint_moment(model: NoiseModel, t, tau):
 
     t and tau are scalars or arrays that broadcast against each other.
     """
-    t = _times(t, "t")
-    tau = _times(tau, "tau")
+    t = check_times(t, "t")
+    tau = check_times(tau, "tau")
     match model:
         case White():
             return first_moment(model, t) * first_moment(model, tau)
@@ -227,6 +209,7 @@ def moment_set(model: NoiseModel, t, tau) -> core.MomentSet:
     White the joint moment is computed as the literal product of the two
     first moments, so the connected combination cancels to exactly 0.0.
     """
+    t, tau = check_times(t, "t"), check_times(tau, "tau")
     f_t = first_moment(model, t)
     f_tau = first_moment(model, tau)
     if isinstance(model, White):
@@ -263,7 +246,7 @@ def dephasing_rate(model: NoiseModel, t):
     (constant gamma for omega = 0; diverges where the cosine envelope crosses
     zero, i.e. where the coherence itself vanishes).
     """
-    t = _times(t, "t")
+    t = check_times(t, "t")
     match model:
         case White(gamma_w=gw):
             return np.full_like(t, 2.0 * gw)[()]

@@ -426,6 +426,10 @@ def _parse_model(doc: Any, path: str) -> tuple[str, Any, dict[str, Any]]:
 
 # Most evaluation points of one grid, or of a cpf_surface: a 1024 x 1024 surface.
 _MAX_POINTS = 2**20
+# Most work of one run, 2^_MAX_WORK_BITS: points x trajectories (x spins for the Cauchy
+# ensemble), or points x 2^N amplitudes for the oracle.  2^42 is about 30 hours at 4.1e7
+# trajectories a second; README, "Work budget", says how it was chosen.
+_MAX_WORK_BITS = 42
 
 _GRID_FIELDS: tuple[_Field, ...] = (
     ("start", _float, _REQUIRED),
@@ -455,15 +459,9 @@ _MC_FIELDS: tuple[_Field, ...] = (
 )
 
 
-def _parse_mc(doc: Any, path: str) -> McConfig:
-    """The mc section, its chunk size pinned so that the manifest records it."""
-    mc = _construct(McConfig, _section(doc, path, _MC_FIELDS), path)
-    return replace(mc, chunk_size=mc.resolved_chunk_size)
-
-
-def _parse_system_init(doc: Any, path: str) -> spinbath.SystemInit:
-    fields = _section(doc, path, (("a", _complex, _REQUIRED), ("b", _complex, _REQUIRED)))
-    return _construct(spinbath.SystemInit, fields, path)
+def _object(build: Callable[..., Any], fields: tuple[_Field, ...]) -> Callable[[Any, str], Any]:
+    """Parser of a section into build(**its parsed fields)."""
+    return lambda doc, path: _construct(build, _section(doc, path, fields), path)
 
 
 _CONFIG_FIELDS: tuple[_Field, ...] = (
@@ -474,8 +472,9 @@ _CONFIG_FIELDS: tuple[_Field, ...] = (
     ("tau_grid", _optional(_parse_grid), None),
     ("yx", _outcome, 1),
     ("y_select", _outcome, 1),
-    ("mc", _optional(_parse_mc), None),
-    ("system_init", _optional(_parse_system_init), None),
+    ("mc", _optional(_object(McConfig, _MC_FIELDS)), None),  # chunk size pinned for the echo
+    ("system_init", _optional(_object(spinbath.SystemInit, (
+        ("a", _complex, _REQUIRED), ("b", _complex, _REQUIRED)))), None),
     ("output_path", _output_path, "cpfsim_out.csv"),
 )
 
@@ -541,6 +540,13 @@ def parse_config(doc: Any) -> ExperimentConfig:
         raise ConfigError(f"mc: not used by deterministic method {method!r}")
     if values["system_init"] is not None and method != "oracle":
         raise ConfigError("system_init: only used by the oracle method")
+    points = t_grid.count * (n_tau if quantity == "cpf_surface" else 1)
+    field, each = (("mc.n_trajectories", mc.n_trajectories * getattr(model, "n_spins", 1)) if mc
+                   else ("model", 2**model.n_spins) if method == "oracle" else ("", 1))
+    if points * each > 1 << _MAX_WORK_BITS:
+        raise ConfigError(f"{field}: {points} points x 2^{math.log2(each):.1f} each is "
+                          f"2^{math.log2(points * each):.1f} of work, "
+                          f"over the 2^{_MAX_WORK_BITS} budget")
 
     canonical = _echo({**values, "model": model_fields})
     values.update(model=model, system_init=values["system_init"] or spinbath.SystemInit.plus())

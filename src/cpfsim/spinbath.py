@@ -31,18 +31,23 @@ per-realization probability *table* over the ensemble before combining
 moments (table-first order).
 
 The closed forms take scalar or array times; their moment sets feed the
-array combinators of core.
+array combinators of core.  The steps from a chunk's stream to the spin
+factors come from _mc: the ensemble's couplings from its Cauchy inverse CDF
+(_mc.cauchy) in its block draw (_mc.draw_rows), and each spin's cos 2x and
+sin 2x, for the closed forms too, from one tan of the half angle (_mc.cos2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from ._mc import Chunk, McConfig, MomentStats, collect_moments, validate_times
+from ._mc import (Chunk, McConfig, MomentStats, block_rows, cauchy, check_real, check_times,
+                  collect_moments, cos2, draw_rows)
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -129,28 +134,15 @@ class LorentzCouplingSpec:
     beta: complex = 1.0 / math.sqrt(2.0)
 
     def __post_init__(self) -> None:
-        gm = float(self.gamma)
-        if not math.isfinite(gm) or gm <= 0.0:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
-        w = float(self.omega)
-        if not math.isfinite(w):
-            raise ValueError(f"omega must be finite, got {self.omega!r}")
+        object.__setattr__(self, "gamma", check_real(self.gamma, "gamma"))
+        object.__setattr__(self, "omega", check_real(self.omega, "omega", positive=False))
         n = int(self.n_spins)
         if n < 1:
             raise ValueError(f"n_spins must be >= 1, got {self.n_spins!r}")
         a, b = _normalized_pair(self.alpha, self.beta, "bath spin")
-        object.__setattr__(self, "gamma", gm)
-        object.__setattr__(self, "omega", w)
         object.__setattr__(self, "n_spins", n)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-
-
-def _finite(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
-    return t
 
 
 # Most values in the kernel's buffers for blocks of several spins, for the closed-form
@@ -162,9 +154,9 @@ _ENSEMBLE_BLOCK_VALUES = 2**16
 def _spin_blocks(g: np.ndarray, t: float | np.ndarray, tau: float | None, pol):
     """Re and Im (None when pol is None) of prod_k (cos x_k + i pol_k sin x_k), x_k = 2 g_k lag,
     for couplings g (N, m) and pol a float or one per spin, as rows for the lags t, tau, t + tau,
-    t - tau (for t, a float or 1-d lags, when tau is None), from two tangents a spin:
-    cos(A +- B) = cA cB -+ sA sB, sin(A +- B) = sA cB +- cA sB.  Factors fold in spin order,
-    as a spin loop's would at t and tau; at t == tau, t - tau is 1.0."""
+    t - tau (for t, a float or 1-d lags, when tau is None), from two tangents a spin (_mc.cos2)
+    and the angle sums of _angle_sums.  Factors fold in spin order, as a spin loop's would at t
+    and tau; at t == tau, t - tau is 1.0."""
     n, m = g.shape
     ts = np.atleast_1d(t) if tau is None else np.array([t, tau])
     k, lags, rows = (ts.size,) * 3 if tau is None else (2, 4, 3 if t == tau else 4)  # rows folded
@@ -172,13 +164,6 @@ def _spin_blocks(g: np.ndarray, t: float | np.ndarray, tau: float | None, pol):
     slots = 2 * k if pol is None else 6 * lags + 2
     block = max(1, min(n, _ENSEMBLE_BLOCK_VALUES // max(1, m * slots)))  # 1: no lags
     re = np.ones((lags, m))
-
-    def half_angles(gb: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-        # cos and sin of 2 gb half as in _mc.cos2: w - 1 and h w, h = tan, w = 2/(1+h^2)
-        np.tan(np.multiply(gb, ts[:, None, None], out=s), out=s)
-        np.divide(2.0, np.add(np.square(s, out=c), 1.0, out=c), out=c)
-        s *= c
-        c -= 1.0
     if pol is None:
         stack = np.empty((2 * k, block + (block > 1), m))
         f = stack[:, stack.shape[1] - block:]  # cos, then sin and scratch
@@ -192,26 +177,20 @@ def _spin_blocks(g: np.ndarray, t: float | np.ndarray, tau: float | None, pol):
 
         for lo in range(0, n, block):
             b = min(block, n - lo)
-            half_angles(g[lo:lo + block], f[:k, :b], f[k:, :b])
+            cos2(np.multiply(g[lo:lo + block], ts[:, None, None], out=f[:k, :b]), f[k:, :b])
             fold(re[:k], b)
-            if tau is not None:
-                ss = np.multiply(f[2, :b], f[3, :b], out=f[3, :b])
-                cc = np.multiply(f[0, :b], f[1, :b], out=f[2, :b])
-                np.subtract(cc, ss, out=f[0, :b])
-                np.add(cc, ss, out=f[1, :b])
+            if tau is not None:  # cos(A +- B) into the rows of cos A, cos B; the sines are scratch
+                _angle_sums(f[0::2, :b], f[1::2, :b], f[:2, :b], f[2:, :b])
                 fold(re[2:rows], b)
         return re, None
     cd, x_all = np.empty((2, lags, block, m)), np.empty((2, block, m))
     r, i, i_d = re[:rows], np.zeros((rows, m)), np.empty((rows, m))
     for lo in range(0, n, block):
         c, d, x = cd[0, :, :n - lo], cd[1, :, :n - lo], x_all[:, :n - lo]
-        half_angles(g[lo:lo + block], c[:k], d[:k])
-        if tau is not None:
-            np.multiply(cd[:, 0, :n - lo], c[1], out=x)  # cA cB, sA cB
-            np.subtract(x[0], np.multiply(d[0], d[1], out=d[3]), out=c[2])
-            np.add(x[0], d[3], out=c[3])
-            np.add(x[1], np.multiply(c[0], d[1], out=d[3]), out=d[2])  # sin(A + B)
-            np.subtract(x[1], d[3], out=d[3])
+        cos2(np.multiply(g[lo:lo + block], ts[:, None, None], out=c[:k]), d[:k])
+        if tau is not None:  # cos(A +- B), then sin(A -+ B) = sA cB -+ cA sB
+            _angle_sums(cd[:, 0, :n - lo], cd[:, 1, :n - lo], c[2:], x)
+            _angle_sums(cd[::-1, 0, :n - lo], cd[:, 1, :n - lo], d[:1:-1], x)
         d *= pol[lo:lo + block, None] if np.ndim(pol) else pol
         for c_k, d_k in np.ascontiguousarray(cd[:, :rows, :n - lo].transpose(2, 0, 1, 3)):
             # (re, im) <- (re c - im d, re d + im c)
@@ -224,6 +203,16 @@ def _spin_blocks(g: np.ndarray, t: float | np.ndarray, tau: float | None, pol):
     return re, i
 
 
+def _angle_sums(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """(a0 b0 - a1 b1, a0 b0 + a1 b1) into out's rows, the products in scratch's rows
+    (which may be a[1] and b[1]): cos(A +- B) = cA cB -+ sA sB for a = (cA, sA),
+    b = (cB, sB); sin(A -+ B) = sA cB -+ cA sB for a = (sA, cA)."""
+    q = np.multiply(a[1], b[1], out=scratch[1])
+    p = np.multiply(a[0], b[0], out=scratch[0])
+    np.subtract(p, q, out=out[0])
+    np.add(p, q, out=out[1])
+
+
 def coherence(spec: SpinBathSpec, t):
     """Bath overlap c_t by the product formula; c_0 = 1 exactly, |c_t| <= 1.
 
@@ -234,7 +223,7 @@ def coherence(spec: SpinBathSpec, t):
     inside conditional quantities) evaluate the same product formula, which
     is the analytic continuation: c_{-t} = conj(c_t).
     """
-    t = _finite(t)
+    t = check_times(t, "t", lags=True)
     pol = np.abs(spec.alphas) ** 2 - np.abs(spec.betas) ** 2
     re, im = _spin_blocks(spec.couplings[:, None], np.ravel(t), None, pol if pol.any() else None)
     return (re + 1j * (0.0 if im is None else im)).reshape(t.shape)[()]
@@ -248,7 +237,7 @@ def _moment_set(overlap, t, tau) -> core.MomentSet:
         bits, inverse = np.unique(np.ravel(u).view(np.int64), return_inverse=True)
         return overlap(bits.view(float)).real[inverse].reshape(np.shape(u))
 
-    t, tau = _finite(t), _finite(tau)
+    t, tau = check_times(t, "t"), check_times(tau, "tau")
     return core.MomentSet(f_t=f(t), f_tau=f(tau), f_joint=0.5 * (f(t + tau) + f(t - tau)))
 
 
@@ -272,9 +261,7 @@ def scaled_gaussian_bath(n_spins: int, g: float, omega: float = 0.0) -> SpinBath
     n = int(n_spins)
     if n < 1:
         raise ValueError(f"n_spins must be >= 1, got {n_spins!r}")
-    g = float(g)
-    if not math.isfinite(g) or g <= 0.0:
-        raise ValueError(f"g must be finite and > 0, got {g!r}")
+    g = check_real(g, "g")
     pol = float(omega) / (2.0 * g * math.sqrt(n))
     if abs(pol) > 1.0:
         raise UnreachablePolarization(
@@ -303,7 +290,7 @@ def lorentz_coherence(spec: LorentzCouplingSpec, t):
     amplitudes |alpha| = |beta| give e^{-gamma|t|} cos^N(omega t/N).  As the
     spec is normalized, the bracket is cos + i (|a|^2 - |b|^2) sin: c_0 = 1.
     """
-    t, n = _finite(t), spec.n_spins
+    t, n = check_times(t, "t", lags=True), spec.n_spins
     # bracket^N in polar form, in real arithmetic: numpy's complex multiply rounds
     # differently in its scalar and vector loops, so a point would miss its grid's bits
     arg = spec.omega * t / n
@@ -336,25 +323,15 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     n = spec.n_spins
     pol = abs(spec.alpha) ** 2 - abs(spec.beta) ** 2
 
-    def couplings(chunk: Chunk) -> tuple[np.ndarray]:
-        # gtilde_k / N by inverse CDF, spin-major: the stream's (m, N) uniforms
-        # block by block, each transformed in its own buffer and stored transposed
-        stream, rows = chunk.stream(), _ensemble_block_rows(n)
-        g = np.empty((n, chunk.size))
-        for lo in range(0, chunk.size, rows):
-            u = stream.random((min(rows, chunk.size - lo), n))
-            u -= 0.5
-            u *= math.pi
-            np.tan(u, out=u)
-            u *= 0.5 * spec.gamma
-            u += 0.5 * spec.omega
-            u /= n
-            g[:, lo:lo + rows] = u.T
-            del u  # the next block is not drawn beside this one
-        return (g,)
+    def couplings(stream: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+        g = cauchy(stream.random(shape), spec.gamma, spec.omega)  # gtilde_k, then / N
+        g /= n
+        return g
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
-        (g,) = chunk.memo("couplings", spec, None, lambda: couplings(chunk))
+        # spin-major (N, m) couplings from the stream's (m, N) uniforms
+        (g,) = chunk.memo("couplings", spec, None, lambda: (draw_rows(
+            functools.partial(couplings, chunk.stream()), n, chunk.size),))
         re, _ = _spin_blocks(g, t, tau, pol or None)
         return (re[0],) if tau is None else (re[0], re[1], 0.5 * (re[2] + re[3]))
 
@@ -374,17 +351,12 @@ _ENSEMBLE_DRAW_COLUMNS = 40
 _ENSEMBLE_DRAW_FIXED_BYTES = 4096
 
 
-def _ensemble_block_rows(n_spins: int) -> int:
-    """Trajectories per block of the couplings' draw: 2^15 uniforms (256 KiB),
-    or one trajectory's N when that is more."""
-    return max(1, 2**15 // n_spins)
-
-
 def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
     """Peak bytes of one chunk's draw: the couplings, the per-trajectory arrays,
-    one block of uniforms, the kernel's blocks and the draw's small objects."""
-    m, n = cfg.resolved_chunk_size, spec.n_spins
-    return (8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, _ensemble_block_rows(n)) * n
+    one block of uniforms (_mc.block_rows), the kernel's blocks and the draw's
+    small objects."""
+    m, n = cfg.chunk_size, spec.n_spins
+    return (8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, block_rows(n)) * n
                  + _ENSEMBLE_BLOCK_VALUES + 3 * np.getbufsize()) + _ENSEMBLE_DRAW_FIXED_BYTES)
 
 
@@ -392,12 +364,11 @@ def _ensemble_stats(
     spec: LorentzCouplingSpec, t: float, tau: float | None, cfg: McConfig, workers: int
 ) -> MomentStats:
     """MomentStats of _ensemble_cols(spec, t, tau) over the Cauchy ensemble."""
-    t, tau_checked = validate_times(t, 0.0 if tau is None else tau)
-    tau = None if tau is None else tau_checked
+    t, tau = float(check_times(t, "t")), None if tau is None else float(check_times(tau, "tau"))
     need = _ensemble_chunk_bytes(spec, cfg)
     if need > ENSEMBLE_MAX_BYTES:
         raise BathTooLarge(
-            f"N = {spec.n_spins} spins at chunk_size {cfg.resolved_chunk_size} draw "
+            f"N = {spec.n_spins} spins at chunk_size {cfg.chunk_size} draw "
             f"{need / 2**20:.0f} MiB per chunk, over the {ENSEMBLE_MAX_BYTES // 2**20} MiB "
             "budget; lower mc.chunk_size"
         )
@@ -553,8 +524,7 @@ def oracle_protocol(
     """
     if np.ndim(tau) > 1:
         raise ValueError("tau must be a scalar or a 1-d array")
-    t = validate_times(t, 0.0)[0]
-    taus = [validate_times(t, tau_k)[1] for tau_k in np.atleast_1d(tau).tolist()]
+    t, taus = float(check_times(t, "t")), check_times(np.atleast_1d(tau), "tau").tolist()
     y = core.validate_outcome(y, "y")
     state = _initial_state(spec, init)
     phase = _propagator_phase(spec, propagator)
@@ -588,7 +558,7 @@ def oracle_conditional_coherence(
     core.conditional_coherence of moment_set.  The times, x and y are
     checked before the state is built.
     """
-    t, tau = validate_times(t, tau)
+    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
     x = core.validate_outcome(x, "x")
     y = core.validate_outcome(y, "y")
     state = _initial_state(spec, init)

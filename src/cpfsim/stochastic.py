@@ -20,6 +20,8 @@ exactly, so the primary samplers are free of time-discretization error:
     StaticLorentz: theta1 = gt~ t, theta2 = gt~ tau, gt~ ~ Cauchy(omega/2,
                    gamma/2) drawn by inverse CDF
 
+The draws come from _mc: the Gaussian pairs from its block draw
+(_mc.draw_rows), the Cauchy frequency from its inverse CDF (_mc.cauchy).
 Each stage takes cos 2 theta from one vectorized tan of theta (_mc.cos2,
 2/(1 + tan^2 theta) - 1), within 2 ulp of 1 of libm's cos, not from cos
 itself, which numpy may run as scalar libm where its tan is vectorized.
@@ -43,10 +45,12 @@ from ._mc import (
     Chunk,
     McConfig,
     MomentStats,
+    cauchy,
+    check_times,
     collect_moments,
     cos2,
+    draw_rows,
     map_chunks,
-    validate_times,
 )
 from .analytic import NoiseModel
 from .errors import EmptyPostselection, StepTooCoarse
@@ -73,16 +77,11 @@ def _phase_draws(model: NoiseModel, rng: np.random.Generator, m: int) -> np.ndar
     (m, 2) and kept as two rows, for Gaussian processes; a static model's frequency."""
     match model:
         case analytic.White() | analytic.ExpCorrGauss():
-            # block by block, so no (m, 2) copy is held next to the rows
-            d = np.empty((2, m))
-            for k in range(0, m, 4096):
-                d[:, k:k + 4096] = rng.standard_normal((min(4096, m - k), 2)).T
-            return d
+            return draw_rows(rng.standard_normal, 2, m)
         case analytic.StaticGauss(g=g):
             return g * rng.standard_normal(m)
         case analytic.StaticLorentz(gamma=gamma, omega=omega):
-            u = rng.random(m)
-            return 0.5 * omega + 0.5 * gamma * np.tan(math.pi * (u - 0.5))
+            return cauchy(rng.random(m), gamma, omega)
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -123,7 +122,7 @@ def _cos2_theta2(chunk: Chunk, model: NoiseModel, d: np.ndarray, t: float, tau: 
 def _moment_stats(
     model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int
 ) -> MomentStats:
-    t, tau = validate_times(t, tau)
+    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (d,) = chunk.memo("phase", _PAIR_LAW.get(type(model), model), None,
@@ -239,7 +238,7 @@ def mc_cpf_sampling(
     trajectory falls in one (z, x) cell, as at short times.
     """
     y_select = core.validate_outcome(y_select, "y_select")
-    t, tau = validate_times(t, tau)
+    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
     kept = _kept_counts(model, t, tau, y_select, cfg, workers)
     if not kept.any():
         raise EmptyPostselection(
@@ -262,7 +261,7 @@ def ou_path_reference(
     """
     if not isinstance(model, analytic.ExpCorrGauss):
         raise TypeError("ou_path_reference requires an ExpCorrGauss model")
-    t, tau = validate_times(t, tau)
+    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
     g, tc = model.g, model.tau_c
     dt = cfg.path_dt if cfg.path_dt is not None else min(tc, 1.0 / g) / 50.0
     if dt > tc / 10.0:

@@ -1,7 +1,10 @@
 """Command line interface: config validation, outputs, manifests, exit codes."""
 
+import copy
 import csv
+import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -793,6 +796,70 @@ def test_exit_code_ensemble_over_memory_budget(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(tmp_path, doc)
     assert code == 3
     assert "over the 256 MiB budget" in capsys.readouterr().err
+
+
+def test_a_run_over_the_work_budget_exits_2_before_any_evaluation(tmp_path, monkeypatch, capsys):
+    # a 1024 x 1024 OU surface at 2^36 trajectories: 2^56 trajectory evaluations,
+    # about 56 years at 4.1e7 a second
+    def never(*args, **kwargs):
+        raise AssertionError("the run was evaluated")
+
+    monkeypatch.setattr(cli, "evaluate_rows", never)
+    doc = base_config(
+        model={"kind": "exp_corr_gauss", "g": 1.0, "tau_c": 1.0},
+        quantity="cpf_surface",
+        method="montecarlo",
+        t_grid={"start": 0.0, "stop": 1.0, "count": 1024},
+        mc={"n_trajectories": 2**36, "chunk_size": 2**20},
+    )
+    code, _ = run_cli(tmp_path, doc)
+    assert code == 2
+    assert ("mc.n_trajectories: 1048576 points x 2^36.0 each is 2^56.0 of work, over the 2^42 "
+            "budget") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, field", [
+    # points x trajectories x spins for the Cauchy ensemble
+    (base_config(model={"kind": "lorentz_coupling", "gamma": 1.0, "n_spins": 2**10},
+                 t_grid={"start": 0.2, "stop": 2.0, "count": 4}, method="montecarlo",
+                 mc={"n_trajectories": 2**30}), "mc.n_trajectories"),
+    # points x 2^N amplitudes for the oracle
+    (base_config(model={"kind": "spin_bath", "couplings": [0.1] * 40},
+                 t_grid={"start": 0.2, "stop": 2.0, "count": 4}, method="oracle"), "model"),
+])
+def test_work_budget_counts_spins_and_oracle_amplitudes(doc, field):
+    cli.parse_config(doc)  # 2^42 exactly: at the budget
+    doc = {**doc, "t_grid": {"start": 0.2, "stop": 2.0, "count": 5}}
+    with pytest.raises(ConfigError, match=rf"^{field}: 5 points x 2\^40\.0 each is 2\^42\.3 of"):
+        cli.parse_config(doc)
+
+
+def test_stored_and_benchmark_configs_are_under_the_work_budget():
+    # every stored manifest, and every run and sweep leg of perfbench's workloads
+    # at seeds 1, 2, 3 and 7, read from perfbench/ (nothing there is changed)
+    root = Path(__file__).resolve().parents[1]
+    docs = {str(p): json.loads(p.read_text(encoding="utf-8"))
+            for p in sorted((root / "tests" / "data").glob("manifests_*/*.manifest.json"))}
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3, 7):
+            for job in workloads.jobs_for(name, seed):
+                sweep = job.config.get("sweep", {})
+                for combo in itertools.product(*(sweep[key] for key in sorted(sweep))):
+                    doc = copy.deepcopy(job.config)
+                    for key, value in zip(sorted(sweep), combo):
+                        cli._set_by_path(doc, key, value)
+                    docs[f"{name}/{seed}/{job.name}{list(combo)}"] = doc
+    assert len(docs) > 80
+    for doc in docs.values():
+        cli.parse_config(doc)  # raises past the budget
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

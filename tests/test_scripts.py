@@ -120,6 +120,19 @@ def test_bench_pairs_summarizes_fixture_pairs_without_running_a_benchmark():
     assert wall["improved"] == 9 and not wall["gain_beyond_iqr"]
     assert wall["verdict"] == "within bound"
 
+    # a parent spread wider than the bound (IQR 0.2 on a median of 0.5, against
+    # 0.25 x 0.5) leaves a change that is not better in every run unresolved,
+    # whichever way its median moved; one whose every run beats every parent run
+    # is resolved
+    parent = [0.3, 0.7, 0.4, 0.6, 0.5, 0.35, 0.65, 0.45, 0.55, 0.5]
+    for change, verdict in [([p + 0.01 for p in parent], "unresolved"),
+                            ([p - 0.01 for p in parent], "unresolved"),
+                            ([0.29 - 0.01 * k for k in range(10)], "gain"),
+                            ([0.299] * 10, "within bound")]:
+        pairs = [({"wall_s": p}, {"wall_s": c}) for p, c in zip(parent, change)]
+        wall = bench_pairs.summarize(pairs, {"wall_s": "lower"}, {"wall_s": 0.25})["wall_s"]
+        assert wall["parent_iqr"] > 0.25 * wall["parent_median"] and wall["verdict"] == verdict
+
 
 def test_bench_pairs_help_runs_nothing(tmp_path):
     proc = _run("bench_pairs.py", "--help", cwd=tmp_path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpfsim import _mc, analytic, core, spinbath
+from cpfsim import _mc, analytic, core, spinbath, stochastic
 from cpfsim._mc import McConfig
 from cpfsim.errors import (
     BathTooLarge,
@@ -145,6 +145,13 @@ def test_coherence_over_many_spin_blocks_is_the_spin_loop(balanced):
         re, im = re * c - im * d, re * d + im * c
     got = spinbath.coherence(spec, lags)
     assert np.all(got.real == re) and np.all(got.imag == (0.0 if balanced else im))
+    # a point has its grid element's bits: at 1 lag the spins go in one block of
+    # 3,000, at 200 lags in blocks of 54 (general) or 163 (balanced)
+    for size in (1, 200):
+        grid = rng.uniform(-3.0, 3.0, size)
+        got = spinbath.coherence(spec, grid)
+        for k in sorted({0, size // 2, size - 1}):
+            assert np.asarray(spinbath.coherence(spec, grid[k])).tobytes() == got[k].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +311,38 @@ def test_array_tau_oracle_equals_per_tau_scalar_calls(n, y, propagator):
                                     (0.5, math.inf)])
 def test_oracle_conditional_coherence_rejects_bad_times(t, tau):
     spec = random_spec(np.random.default_rng(19), 3)
-    with pytest.raises(ValueError, match="t and tau must be finite and >= 0"):
+    name = "tau" if t == 0.5 else "t"  # the first bad argument is named
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got"):
         spinbath.oracle_conditional_coherence(spec, PLUS, t, tau, +1, +1)
+
+
+@pytest.mark.parametrize("t, tau", [(-1.0, 0.5), (0.5, -1.0), (math.nan, 0.5), (0.5, math.inf)])
+def test_every_moment_entry_point_rejects_a_bad_time_and_names_it(t, tau):
+    # the bath closed forms returned moments at t = -1.0 (their check took any finite
+    # lag), and analytic.moment_set named "s", an argument the caller never passed
+    name = "t" if tau == 0.5 else "tau"
+    bath = spinbath.scaled_gaussian_bath(4, 1.0, 0.5)
+    ensemble_spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=3)
+    model, cfg = analytic.StaticGauss(1.0), McConfig(n_trajectories=10)
+    for call in [
+        lambda: analytic.moment_set(model, t, tau),
+        lambda: analytic.phase_covariance(model, t, tau),
+        lambda: spinbath.moment_set(bath, t, tau),
+        lambda: spinbath.lorentz_moment_set(ensemble_spec, t, tau),
+        lambda: stochastic.mc_moments(model, t, tau, cfg),
+        lambda: stochastic.mc_cpf_sampling(model, t, tau, +1, cfg),
+        lambda: spinbath.lorentz_mc_moments(ensemble_spec, t, tau, cfg),
+        lambda: spinbath.oracle_protocol(bath, PLUS, t, tau, +1),
+        lambda: spinbath.oracle_conditional_coherence(bath, PLUS, t, tau, +1, +1),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got"):
+            call()
+    # the coherences take lags, which may be negative: c_{-t} = conj(c_t)
+    assert spinbath.coherence(bath, -0.5) == np.conj(spinbath.coherence(bath, 0.5))
+    assert spinbath.lorentz_coherence(ensemble_spec, -0.5) == np.conj(
+        spinbath.lorentz_coherence(ensemble_spec, 0.5))
+    with pytest.raises(ValueError, match="^t must be finite, got nan"):
+        spinbath.coherence(bath, [0.5, math.nan])
 
 
 def test_oracle_entry_points_check_their_arguments_before_building_the_state():
@@ -561,19 +598,48 @@ def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
     for n_spins in (1, 7, 50, 200, 40_000)
     for rows in [max(1, 2**15 // n_spins)]
     for size in (rows - 1, rows, rows + 1, 3 * rows + 17) if size >= 1
+] + [
+    # chunks that are no multiple of the block; 1,000 x 70,001 couplings (560 MB) are left out
+    pytest.param(n_spins, size, id=f"{n_spins}-{size}")
+    for n_spins in (1, 50, 1_000) for size in (1, 7, 70_001) if n_spins * size < 10**7
 ])
 @pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
                          ids=["balanced", "unbalanced"])
-def test_ensemble_draw_is_bit_identical_to_the_one_shot_draw(n_spins, chunk, amplitudes):
+def test_ensemble_draw_is_bit_identical_to_the_one_shot_draw(n_spins, chunk, amplitudes,
+                                                            monkeypatch):
     # the draw as one (m, N) block of uniforms and the kernel spin by spin over
     # its strided columns: the blocked, spin-major draw keeps every bit across
-    # block edges
+    # block edges, and the couplings are those of 0.10.0's inline blocked draw
     spec = spinbath.LorentzCouplingSpec(gamma=1.3, omega=0.4, n_spins=n_spins, **amplitudes)
     t, tau = 0.7, 1.1
-    re = spin_by_spin(one_shot_couplings(spec, _mc.Chunk(5, 2, chunk)), t, tau, polarization(spec))
+    g = one_shot_couplings(spec, _mc.Chunk(5, 2, chunk))
+    re = spin_by_spin(g, t, tau, polarization(spec))
     want = (re[0], re[1], 0.5 * (re[2] + re[3]))
-    got = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(5, 2, chunk))
+    monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", 2**30)  # keeps 50 x 70,001 couplings
+    with _mc.grid_memo():
+        got = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(5, 2, chunk))
+        (kept,) = _mc._memo[(5, 2, "couplings")][2]
     assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
+    old = blocked_couplings(spec, _mc.Chunk(5, 2, chunk))
+    assert kept.tobytes() == old.tobytes() == np.ascontiguousarray(g).tobytes()
+
+
+def blocked_couplings(spec, chunk):
+    """A chunk's (N, m) couplings as 0.10.0 drew them inline: blocks of
+    max(1, 2**15 // N) trajectories, each transformed in place and stored transposed."""
+    stream, n = chunk.stream(), spec.n_spins
+    rows = max(1, 2**15 // n)
+    g = np.empty((n, chunk.size))
+    for lo in range(0, chunk.size, rows):
+        u = stream.random((min(rows, chunk.size - lo), n))
+        u -= 0.5
+        u *= math.pi
+        np.tan(u, out=u)
+        u *= 0.5 * spec.gamma
+        u += 0.5 * spec.omega
+        u /= n
+        g[:, lo:lo + rows] = u.T
+    return g
 
 
 def one_shot_couplings(spec, chunk):
@@ -672,6 +738,13 @@ def test_half_angle_factors_match_libm():
     # the balanced path's factor is the same cosine
     balanced, _ = spinbath._spin_blocks(half[None, :], 1.0, None, None)
     assert balanced[0].tobytes() == cos.tobytes()
+    # the factors are _mc.cos2's (the sine times pol = 1, so sin 2 * -0.0 is +0.0),
+    # which runs the ufunc sequence of 0.10.0's inline half_angles
+    sin_2 = np.empty_like(half)
+    assert _mc.cos2(half.copy(), sin_2).tobytes() == cos.tobytes() and np.all(sin_2 == sin)
+    h = np.tan(half)
+    w = np.divide(2.0, np.add(np.square(h), 1.0))
+    assert (w - 1.0).tobytes() == cos.tobytes() and (h * w).tobytes() == sin_2.tobytes()
 
 
 @pytest.mark.parametrize("tau", [1.0 + 2.0**-52, 0.37, 3.0, 2.0**-30, 1e-300, 7e5])

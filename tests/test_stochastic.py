@@ -49,6 +49,11 @@ def test_cos2_matches_libm():
     assert np.all(got[:2] == 1.0)
     assert np.all(np.abs(got) <= 1.0)
     assert np.max(np.abs(got - np.cos(2.0 * theta))) <= 2 * 2.0**-52
+    # with a sin buffer: the same cosines, and sin 2 theta as closely
+    sin = np.empty_like(theta)
+    assert _mc.cos2(theta.copy(), sin).tobytes() == got.tobytes()
+    assert np.all(sin[:2] == 0.0) and np.all(np.abs(sin) <= 1.0)
+    assert np.max(np.abs(sin - np.sin(2.0 * theta))) <= 2 * 2.0**-52
     overflow = np.array([1e308, -1e308, sys.float_info.max, -sys.float_info.max])
     assert np.all(np.abs(overflow) > sys.float_info.max / 2.0)  # 2 theta is inf
     assert np.all(np.abs(_mc.cos2(overflow.copy())) <= 1.0)  # finite, no NaN
@@ -193,12 +198,17 @@ def test_sampling_grid_reads_z_out_on_the_kept_trajectories_only(monkeypatch, mo
     assert sum(full) == 2 * (len(ts) + per_tau * len(taus))
 
 
-@pytest.mark.parametrize("m", [1, 4_095, 4_096, 4_097, 20_000])
+@pytest.mark.parametrize("m", [1, 7, 4_095, 4_096, 4_097, 16_384, 16_385, 20_000, 70_001])
 def test_gaussian_pair_draws_are_the_rows_of_one_m_by_2_draw(m):
-    a, b = (_mc.Chunk(3, 1, m).stream() for _ in range(2))
+    a, b, c = (_mc.Chunk(3, 1, m).stream() for _ in range(3))
     rows = stochastic._phase_draws(OU, a, m)
     assert rows.flags.c_contiguous and rows.tobytes() == b.standard_normal((m, 2)).T.tobytes()
     assert a.random(3).tobytes() == b.random(3).tobytes()  # the stream goes on as after one draw
+    # and as the draw of 0.10.0, in blocks of 4,096 pairs (_mc.draw_rows takes 16,384)
+    old = np.empty((2, m))
+    for k in range(0, m, 4096):
+        old[:, k:k + 4096] = c.standard_normal((min(4096, m - k), 2)).T
+    assert rows.tobytes() == old.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +480,8 @@ def test_mc_config_validation():
         McConfig(n_trajectories=10, chunk_size=11)
     with pytest.raises(ValueError):
         McConfig(n_trajectories=10, path_dt=-0.1)
-    assert McConfig(n_trajectories=10).resolved_chunk_size == 10
+    assert McConfig(n_trajectories=10).chunk_size == 10  # the default, stored
+    assert McConfig(n_trajectories=10**6).chunk_size == _mc.DEFAULT_CHUNK_SIZE
 
 
 def test_mc_config_bounds_the_chunk_layout():

@@ -9,9 +9,9 @@ for a given (seed, chunk_size, n) regardless of how many workers execute the
 chunks.
 
 The steps every sampler shares from its inputs to its factors live here: the
-time and parameter checks (check_times, check_real), the block draw of a
-chunk's rows (draw_rows), the Cauchy inverse CDF (cauchy) and cos 2 theta,
-sin 2 theta from one tan of theta (cos2).
+time, parameter and count checks (check_times, check_real, check_count), the
+block draw of a chunk's rows (draw_rows), the Cauchy inverse CDF (cauchy) and
+cos 2 theta, sin 2 theta from one tan of theta (cos2).
 
 A sampler works on one Chunk in stages: the chunk's draws, a per-t stage, a
 per-tau stage where tau alone fixes it, and the rest of the point.  Inside
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import struct
 import threading
 from dataclasses import dataclass
@@ -70,14 +71,13 @@ class McConfig:
     path_dt: float | None = None
 
     def __post_init__(self) -> None:
-        n = int(self.n_trajectories)
-        if n < 1:
-            raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories!r}")
+        n = check_count(self.n_trajectories, "n_trajectories")
         object.__setattr__(self, "n_trajectories", n)
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-        c = min(DEFAULT_CHUNK_SIZE, n) if self.chunk_size is None else int(self.chunk_size)
-        if c < 1 or c > n:
+        c = min(DEFAULT_CHUNK_SIZE, n) if self.chunk_size is None else self.chunk_size
+        if not (isinstance(c, numbers.Real) and 1 <= c <= n):
             raise ValueError(f"chunk_size must be in [1, n_trajectories], got {self.chunk_size!r}")
+        c = check_count(c, "chunk_size")
         if c > MAX_CHUNK_SIZE:
             raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {c}")
         object.__setattr__(self, "chunk_size", c)
@@ -248,6 +248,16 @@ def check_real(value: float, name: str, positive: bool = True) -> float:
     if not math.isfinite(v) or (positive and v <= 0.0):
         raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
     return v
+
+
+def check_count(value, name: str) -> int:
+    """value as an int, checked to be integral (3.0 passes, 2.9 does not) and
+    >= 1 (n_trajectories, chunk_size, n_spins); a ValueError names the argument name."""
+    if not (isinstance(value, numbers.Real) and value % 1 == 0):  # nan and inf fail too
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return int(value)
 
 
 def check_times(value, name: str, lags: bool = False) -> np.ndarray:

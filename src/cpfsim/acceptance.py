@@ -225,8 +225,8 @@ def criterion_7_ou_limits(c: _Checker, workers: int = 1) -> None:
         tau_c = 1e4 * t
         model = analytic.ExpCorrGauss(1.0, tau_c)
         static = analytic.StaticGauss(1.0)
-        d1 = abs(analytic.first_moment(model, t) - analytic.first_moment(static, t))
-        d2 = abs(analytic.joint_moment(model, t, t) - analytic.joint_moment(static, t, t))
+        a, b = (analytic.moment_set(m, t, t) for m in (model, static))
+        d1, d2 = abs(a.f_t - b.f_t), abs(a.f_joint - b.f_joint)
         c.check(
             max(d1, d2) < 1e-3,
             f"static limit at t={t}: |df| = {d1:.1e}, |djoint| = {d2:.1e} < 1e-3",
@@ -247,7 +247,7 @@ def criterion_7_ou_limits(c: _Checker, workers: int = 1) -> None:
                 est = stochastic.mc_cpf_semianalytic(model, t, tau, cfg, workers)
             ok &= _within(f1.value, analytic.first_moment(model, t), f1.std_error, 3.0)
             ok &= _within(f2.value, analytic.first_moment(model, tau), f2.std_error, 3.0)
-            ok &= _within(fj.value, analytic.joint_moment(model, t, tau), fj.std_error, 3.0)
+            ok &= _within(fj.value, analytic.moment_set(model, t, tau).f_joint, fj.std_error, 3.0)
             ok &= _within(est.value, analytic.cpf(model, t, tau), est.std_error, 3.0)
         c.check(ok, f"tau_c={tau_c}: MC moments and CPF within 3 sigma at 5 diagonal points")
         # the diagonal maximum sits near g t ~ 2, i.e. t ~ 2 sqrt(2 tau_c)

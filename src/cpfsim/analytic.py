@@ -155,7 +155,11 @@ def first_moment(model: NoiseModel, s):
 
     Takes a scalar or an array of times and returns the same shape.
     """
-    s = check_times(s, "s")
+    return _first_moment(model, check_times(s, "s"))
+
+
+def _first_moment(model: NoiseModel, s):
+    # s is checked by the caller; the static models also take s = t - tau < 0 (f is even)
     match model:
         case White(gamma_w=gw):
             return np.exp(-2.0 * gw * s)
@@ -166,56 +170,35 @@ def first_moment(model: NoiseModel, s):
             # np.square: a 0-d ** 2 can round differently from the array path
             return np.exp(-2.0 * np.square(g * s))
         case StaticLorentz(gamma=gamma, omega=omega):
-            return _lorentz_f(gamma, omega, s)
-    raise TypeError(f"unknown noise model {model!r}")
-
-
-def _lorentz_f(gamma: float, omega: float, s):
-    # s may be negative here (via t - tau); f is even in s.
-    s = np.abs(s)
-    return np.exp(-gamma * s) * np.cos(omega * s)
-
-
-def joint_moment(model: NoiseModel, t, tau):
-    """f(t, tau) = E[cos 2 theta1 cos 2 theta2]; reduces to f at t=0 or tau=0.
-
-    t and tau are scalars or arrays that broadcast against each other.
-    """
-    t = check_times(t, "t")
-    tau = check_times(tau, "tau")
-    match model:
-        case White():
-            return first_moment(model, t) * first_moment(model, tau)
-        case ExpCorrGauss(g=g, tau_c=tc):
-            a = (tc * g) ** 2
-            phi = 4.0 * a * (-np.expm1(-t / tc)) * (-np.expm1(-tau / tc))
-            # log-space combination avoids 0 * inf from underflow * cosh overflow
-            with np.errstate(over="ignore"):  # -inf at huge times, as in first_moment
-                log_ff = -4.0 * a * (_h(t / tc) + _h(tau / tc))
-            joint = 0.5 * (np.exp(log_ff + phi) + np.exp(log_ff - phi))
-            # t = 0 or tau = 0: factorize exactly so cpf cancels to 0.0
-            return np.where(phi == 0.0, first_moment(model, t) * first_moment(model, tau), joint)[()]
-        case StaticGauss():
-            return 0.5 * (first_moment(model, t + tau) + first_moment(model, np.abs(t - tau)))
-        case StaticLorentz(gamma=gamma, omega=omega):
-            return 0.5 * (_lorentz_f(gamma, omega, t + tau) + _lorentz_f(gamma, omega, t - tau))
+            s = np.abs(s)
+            return np.exp(-gamma * s) * np.cos(omega * s)
     raise TypeError(f"unknown noise model {model!r}")
 
 
 def moment_set(model: NoiseModel, t, tau) -> core.MomentSet:
     """The protocol MomentSet (f_t, f_tau, f_joint) for this model.
 
-    t and tau are scalars or arrays that broadcast against each other.  For
-    White the joint moment is computed as the literal product of the two
-    first moments, so the connected combination cancels to exactly 0.0.
+    t and tau are scalars or arrays that broadcast against each other.  The
+    joint moment f(t, tau) is built from f(t) and f(tau) (White: their literal
+    product, so the connected combination cancels to exactly 0.0; OU: its
+    log-space form) or, for the static models, from f at t + tau and t - tau.
     """
     t, tau = check_times(t, "t"), check_times(tau, "tau")
-    f_t = first_moment(model, t)
-    f_tau = first_moment(model, tau)
-    if isinstance(model, White):
-        f_joint = f_t * f_tau
-    else:
-        f_joint = joint_moment(model, t, tau)
+    f_t, f_tau = _first_moment(model, t), _first_moment(model, tau)
+    match model:
+        case White():
+            f_joint = f_t * f_tau
+        case ExpCorrGauss(g=g, tau_c=tc):
+            a = (tc * g) ** 2
+            phi = 4.0 * a * (-np.expm1(-t / tc)) * (-np.expm1(-tau / tc))
+            # log-space combination avoids 0 * inf from underflow * cosh overflow
+            with np.errstate(over="ignore"):  # -inf at huge times, as in _first_moment
+                log_ff = -4.0 * a * (_h(t / tc) + _h(tau / tc))
+            joint = 0.5 * (np.exp(log_ff + phi) + np.exp(log_ff - phi))
+            # t = 0 or tau = 0: factorize exactly so cpf cancels to 0.0
+            f_joint = np.where(phi == 0.0, f_t * f_tau, joint)[()]
+        case StaticGauss() | StaticLorentz():
+            f_joint = 0.5 * (_first_moment(model, t + tau) + _first_moment(model, t - tau))
     return core.MomentSet(f_t=f_t, f_tau=f_tau, f_joint=f_joint)
 
 

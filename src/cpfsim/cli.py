@@ -522,8 +522,13 @@ def parse_config(doc: Any) -> ExperimentConfig:
             f"tau_grid.count: must equal t_grid.count ({t_grid.count}) for pointwise "
             f"quantity {quantity!r}, got {tau_grid.count}"
         )
+    tau_stop = (tau_grid or t_grid).stop
+    # the closed forms take f at t + tau, and the last sum must not overflow
+    if method == "analytic" and quantity not in _T_ONLY and math.isinf(t_grid.stop + tau_stop):
+        raise ConfigError(f"t_grid.stop, tau_grid.stop: the last t + tau, {t_grid.stop!r} + "
+                          f"{tau_stop!r}, is not finite")
     if kind == "exp_corr_gauss":  # the closed forms' scale, or the samplers' last variances
-        g, tc, t_max = model.g, model.tau_c, max(t_grid.stop, (tau_grid or t_grid).stop)
+        g, tc, t_max = model.g, model.tau_c, max(t_grid.stop, tau_stop)
         if not all(map(math.isfinite, (4.0 * (tc * g * (tc * g)),) if method == "analytic" else
                        analytic.phase_covariance(model, t_max, t_max))):
             raise ConfigError(f"model.g, model.tau_c: g = {g!r}, tau_c = {tc!r} overflow the phase"

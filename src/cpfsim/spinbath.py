@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from ._mc import (Chunk, McConfig, MomentStats, block_rows, cauchy, check_real, check_times,
-                  collect_moments, cos2, draw_rows)
+from ._mc import (Chunk, McConfig, MomentStats, block_rows, cauchy, check_count, check_real,
+                  check_times, collect_moments, cos2, draw_rows)
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -136,9 +136,7 @@ class LorentzCouplingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", check_real(self.gamma, "gamma"))
         object.__setattr__(self, "omega", check_real(self.omega, "omega", positive=False))
-        n = int(self.n_spins)
-        if n < 1:
-            raise ValueError(f"n_spins must be >= 1, got {self.n_spins!r}")
+        n = check_count(self.n_spins, "n_spins")
         a, b = _normalized_pair(self.alpha, self.beta, "bath spin")
         object.__setattr__(self, "n_spins", n)
         object.__setattr__(self, "alpha", a)
@@ -230,15 +228,16 @@ def coherence(spec: SpinBathSpec, t):
 
 
 def _moment_set(overlap, t, tau) -> core.MomentSet:
-    """Moments of Re overlap, which is called once per distinct value (told
-    apart by its bits) of each lag and spread back to that lag's shape; the
-    overlaps are elementwise, so the bits are those of a call on every point."""
-    def f(u):
-        bits, inverse = np.unique(np.ravel(u).view(np.int64), return_inverse=True)
-        return overlap(bits.view(float)).real[inverse].reshape(np.shape(u))
-
+    """Moments of Re overlap, which is called once, on the distinct values (told
+    apart by their bits) of the four lags t, tau, t + tau and t - tau together;
+    each moment takes its own lag's shape.  The overlaps are elementwise, so the
+    bits are those of a call on every point."""
     t, tau = check_times(t, "t"), check_times(tau, "tau")
-    return core.MomentSet(f_t=f(t), f_tau=f(tau), f_joint=0.5 * (f(t + tau) + f(t - tau)))
+    lags = (t, tau, t + tau, t - tau)
+    bits, inverse = np.unique(np.concatenate(lags, axis=None).view(np.int64), return_inverse=True)
+    f = np.split(overlap(bits.view(float)).real[inverse], np.cumsum([u.size for u in lags])[:-1])
+    f_t, f_tau, f_sum, f_diff = (part.reshape(u.shape) for part, u in zip(f, lags))
+    return core.MomentSet(f_t=f_t, f_tau=f_tau, f_joint=0.5 * (f_sum + f_diff))
 
 
 def moment_set(spec: SpinBathSpec, t, tau) -> core.MomentSet:
@@ -258,9 +257,7 @@ def scaled_gaussian_bath(n_spins: int, g: float, omega: float = 0.0) -> SpinBath
     omega / (2 g sqrt(N)), so that c_t -> exp(i omega t - 2 (g t)^2) for
     N >> 1.  Raises UnreachablePolarization when |omega/(2 g sqrt(N))| > 1.
     """
-    n = int(n_spins)
-    if n < 1:
-        raise ValueError(f"n_spins must be >= 1, got {n_spins!r}")
+    n = check_count(n_spins, "n_spins")
     g = check_real(g, "g")
     pol = float(omega) / (2.0 * g * math.sqrt(n))
     if abs(pol) > 1.0:

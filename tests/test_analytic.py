@@ -131,7 +131,7 @@ def test_static_gauss_joint_matches_quadrature(t, tau):
     g = 0.9
     model = analytic.StaticGauss(g)
     quad = _hermite_joint(g, t, tau)
-    assert analytic.joint_moment(model, t, tau) == pytest.approx(quad, abs=1e-12)
+    assert analytic.moment_set(model, t, tau).f_joint == pytest.approx(quad, abs=1e-12)
 
 
 def test_static_gauss_joint_needs_the_half():
@@ -143,7 +143,7 @@ def test_static_gauss_joint_needs_the_half():
         analytic.StaticGauss(g), abs(t - tau)
     )
     assert abs(unhalved - quad) > 0.4
-    assert abs(analytic.joint_moment(analytic.StaticGauss(g), t, tau) - quad) < 1e-12
+    assert abs(analytic.moment_set(analytic.StaticGauss(g), t, tau).f_joint - quad) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_static_lorentz_moments_match_cauchy_average():
     (fa, sa), (fb, sb), (fj, sj) = _cauchy_mc_moments(gamma, omega, t, tau)
     assert analytic.first_moment(model, t) == pytest.approx(fa, abs=4 * sa)
     assert analytic.first_moment(model, tau) == pytest.approx(fb, abs=4 * sb)
-    assert analytic.joint_moment(model, t, tau) == pytest.approx(fj, abs=4 * sj)
+    assert analytic.moment_set(model, t, tau).f_joint == pytest.approx(fj, abs=4 * sj)
 
 
 def test_static_lorentz_first_moment_form():
@@ -195,15 +195,15 @@ def test_ou_static_limit():
     assert analytic.first_moment(model, t) == pytest.approx(
         analytic.first_moment(static, t), abs=1e-5
     )
-    assert analytic.joint_moment(model, t, tau) == pytest.approx(
-        analytic.joint_moment(static, t, tau), abs=1e-5
+    assert analytic.moment_set(model, t, tau).f_joint == pytest.approx(
+        analytic.moment_set(static, t, tau).f_joint, abs=1e-5
     )
 
 
 def test_ou_joint_moment_log_space_stability():
     # deep-decay regime where f underflows to ~1e-290: no overflow, no nan
     model = analytic.ExpCorrGauss(4.0, 20.0)
-    val = analytic.joint_moment(model, 30.0, 30.0)
+    val = analytic.moment_set(model, 30.0, 30.0).f_joint
     assert math.isfinite(val) and 0.0 <= val <= 1.0
 
 

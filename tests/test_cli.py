@@ -280,6 +280,44 @@ def test_ou_parameters_whose_phase_variance_overflows_exit_2(tmp_path, monkeypat
     assert f"g = {g!r}, tau_c = {tau_c!r}" in err and "kind 'static_gauss'" in err
 
 
+@pytest.mark.parametrize("model", [
+    {"kind": "static_gauss", "g": 0.7},  # a traceback that named "s"
+    {"kind": "scaled_spin_bath", "n_spins": 5, "g": 0.9},  # a traceback, "t must be finite"
+    {"kind": "lorentz_coupling", "gamma": 0.7},
+    {"kind": "static_lorentz", "gamma": 0.6},  # exit 3: "f_joint must be finite, got nan"
+    {"kind": "white", "gamma_w": 0.4},  # ran
+])
+@pytest.mark.parametrize("quantity, tau_grid", [
+    ("cpf", None),  # tau = t
+    ("moments", {"start": 0.0, "stop": 1e308, "count": 2}),
+    ("cpf_surface", {"start": 0.5, "stop": 1.7e308, "count": 3}),
+])
+def test_analytic_runs_whose_last_t_plus_tau_overflows_exit_2(tmp_path, monkeypatch, capsys,
+                                                              model, quantity, tau_grid):
+    _no_evaluation(monkeypatch)
+    doc = base_config(model=model, quantity=quantity,
+                      t_grid={"start": 1.0, "stop": 1e308, "count": 2})
+    if tau_grid is not None:
+        doc["tau_grid"] = tau_grid
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    tau_stop = (tau_grid or doc["t_grid"])["stop"]
+    assert err == (f"config error: t_grid.stop, tau_grid.stop: the last t + tau, 1e+308 + "
+                   f"{tau_stop!r}, is not finite\n")
+
+
+def test_t_plus_tau_rule_leaves_t_only_quantities_and_finite_sums_alone(tmp_path):
+    for quantity, tau_grid in [("coherence", None), ("cpf", {"start": 0.0, "stop": 1.0,
+                                                             "count": 2})]:
+        doc = base_config(quantity=quantity, t_grid={"start": 1.0, "stop": 1e308, "count": 2})
+        if tau_grid is not None:
+            doc["tau_grid"] = tau_grid
+        code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        assert [float(row["t"]) for row in read_rows(out)] == [1.0, 1e308]
+
+
 @pytest.mark.parametrize("g, tau_c, method, t_stop", [
     (1e200, 1e-200, "analytic", 1.0),  # (tau_c g) ** 2 is 1, though g * g overflows
     (1e-300, 1e300, "analytic", 1.0),

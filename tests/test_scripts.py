@@ -25,7 +25,7 @@ SCRIPTS = {
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(
-        [*SCRIPTS, "bench_pairs.py", "csv_digests.py"]
+        [*SCRIPTS, "bench_pairs.py", "code_lines.py", "csv_digests.py"]
     )
 
 
@@ -72,6 +72,37 @@ def test_csv_digests_prints_one_line_per_csv_of_the_workload(tmp_path):
     for line, name in zip(lines, names, strict=True):
         assert re.fullmatch(rf"[0-9a-f]{{64}}  closed_forms/3/{name}\.csv", line), line
     assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
+
+
+def test_code_lines_counts_neither_blanks_nor_comments_nor_docstrings(tmp_path):
+    (tmp_path / "b.py").write_text('''"""Module docstring,
+over two lines."""
+
+import math  # 1
+
+
+class A:  # 2
+    """Class docstring."""
+
+    # a comment line
+    x = (1,  # 3, 4: one statement over two lines
+         2)
+
+    def f(self):  # 5
+        """Function
+        docstring."""
+        return """a string
+that is code"""  # 6, 7
+
+
+def g():
+    return math.pi  # 8, 9
+''', encoding="utf-8")
+    (tmp_path / "a.py").write_text("# only a comment\n\nx = 1\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
+    proc = _run("code_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["     1  a.py", "     9  b.py", "    10  total"]
 
 
 def _load_script(name):

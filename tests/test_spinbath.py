@@ -1,5 +1,6 @@
 """Finite spin baths: product formula, statevector oracle, Cauchy ensembles."""
 
+import collections
 import math
 import tracemalloc
 
@@ -343,6 +344,40 @@ def test_every_moment_entry_point_rejects_a_bad_time_and_names_it(t, tau):
         spinbath.lorentz_coherence(ensemble_spec, 0.5))
     with pytest.raises(ValueError, match="^t must be finite, got nan"):
         spinbath.coherence(bath, [0.5, math.nan])
+
+
+def test_each_moment_set_checks_its_times_once_and_runs_its_kernel_once(monkeypatch):
+    # an OU moment set checked its times 8 times (its joint moment and that moment's
+    # fallback took the first moments again), and a bath or ensemble moment set ran
+    # its overlap once per lag: t, tau, t + tau and t - tau
+    calls = collections.Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[module.__name__, name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(analytic, "check_times"), (spinbath, "_spin_blocks"),
+                         (spinbath, "lorentz_coherence")]:
+        count(module, name)
+    t, tau = np.meshgrid(np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.5, 4), indexing="ij")
+    for call, want in [
+        (lambda: analytic.moment_set(analytic.ExpCorrGauss(0.9, 1.3), t, tau),
+         {("cpfsim.analytic", "check_times"): 2}),
+        (lambda: spinbath.moment_set(spinbath.scaled_gaussian_bath(4, 1.0, 0.5), t, tau),
+         {("cpfsim.spinbath", "_spin_blocks"): 1}),
+        (lambda: spinbath.moment_set(spinbath.scaled_gaussian_bath(4, 1.0), t[0, 0], tau),
+         {("cpfsim.spinbath", "_spin_blocks"): 1}),
+        (lambda: spinbath.lorentz_moment_set(spinbath.LorentzCouplingSpec(1.0, 0.4, 3), t, tau),
+         {("cpfsim.spinbath", "lorentz_coherence"): 1}),
+    ]:
+        calls.clear()
+        call()
+        assert calls == want
 
 
 def test_oracle_entry_points_check_their_arguments_before_building_the_state():

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -484,6 +485,33 @@ def test_mc_config_validation():
     assert McConfig(n_trajectories=10**6).chunk_size == _mc.DEFAULT_CHUNK_SIZE
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: McConfig(10.7), "n_trajectories"),
+    (lambda: McConfig(100, chunk_size=10.5), "chunk_size"),
+    (lambda: spinbath.LorentzCouplingSpec(1.0, n_spins=2.9), "n_spins"),
+    (lambda: spinbath.scaled_gaussian_bath(3.5, 1.0), "n_spins"),
+])
+def test_a_count_that_is_not_an_integer_is_rejected_and_named(make, name):
+    # these were truncated: 10 trajectories, chunks of 10, 2 spins and 3 spins
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        make()
+
+
+def test_integral_counts_pass_and_counts_below_one_keep_their_messages():
+    assert McConfig(10.0, chunk_size=5.0).n_trajectories == 10
+    assert type(McConfig(10.0, chunk_size=5.0).chunk_size) is int
+    assert spinbath.LorentzCouplingSpec(1.0, n_spins=np.int64(3)).n_spins == 3
+    assert spinbath.scaled_gaussian_bath(4.0, 1.0).n_spins == 4
+    for make, message in [
+        (lambda: McConfig(0), "n_trajectories must be >= 1, got 0"),
+        (lambda: McConfig(10, chunk_size=0), "chunk_size must be in [1, n_trajectories], got 0"),
+        (lambda: spinbath.LorentzCouplingSpec(1.0, n_spins=0), "n_spins must be >= 1, got 0"),
+        (lambda: spinbath.scaled_gaussian_bath(-2, 1.0), "n_spins must be >= 1, got -2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
 def test_mc_config_bounds_the_chunk_layout():
     most = _mc.MAX_CHUNK_SIZE * _mc.MAX_CHUNKS
     cfg = McConfig(n_trajectories=most, chunk_size=_mc.MAX_CHUNK_SIZE)
@@ -588,7 +616,7 @@ def test_ou_path_reference_matches_exact_discrete_law():
 
 def test_ou_path_quadrature_bias_is_second_order():
     t, tau = 1.0, 0.8
-    cont = analytic.joint_moment(OU, t, tau)
+    cont = analytic.moment_set(OU, t, tau).f_joint
     bias = abs(_discrete_moments(OU, t, tau, 0.02)[2] - cont)
     bias_half = abs(_discrete_moments(OU, t, tau, 0.01)[2] - cont)
     assert bias / bias_half == pytest.approx(4.0, rel=0.15)

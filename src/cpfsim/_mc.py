@@ -3,7 +3,8 @@
 Sampling is partitioned into fixed-size chunks.  Chunk i draws from an
 independent Philox stream keyed by the run seed with the chunk index placed
 in the high half of the 256-bit counter, so streams never overlap and any
-chunk (hence any trajectory) is recomputable in isolation.  Chunk statistics
+chunk (hence any trajectory) is recomputable in isolation; an offset in the
+low half starts a draw part way into the chunk's stream.  Chunk statistics
 are merged in ascending chunk order, which makes every estimate bit-identical
 for a given (seed, chunk_size, n) regardless of how many workers execute the
 chunks.
@@ -73,7 +74,7 @@ class McConfig:
     def __post_init__(self) -> None:
         n = check_count(self.n_trajectories, "n_trajectories")
         object.__setattr__(self, "n_trajectories", n)
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", least=None) & _MASK64)
         c = min(DEFAULT_CHUNK_SIZE, n) if self.chunk_size is None else self.chunk_size
         if not (isinstance(c, numbers.Real) and 1 <= c <= n):
             raise ValueError(f"chunk_size must be in [1, n_trajectories], got {self.chunk_size!r}")
@@ -141,8 +142,11 @@ class Chunk:
     index: int
     size: int
 
-    def stream(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.seed, counter=self.index << 128))
+    def stream(self, offset: int = 0) -> np.random.Generator:
+        """The chunk's Philox stream, offset 4-value blocks in: it gives the values
+        that the chunk's stream gives after its first 4 * offset."""
+        return np.random.Generator(
+            np.random.Philox(key=self.seed, counter=(self.index << 128) + offset))
 
     def memo(self, stage: str, owner, t: float | None, compute) -> tuple:
         """compute(), a tuple of arrays that depends on this chunk, on owner (the
@@ -250,13 +254,14 @@ def check_real(value: float, name: str, positive: bool = True) -> float:
     return v
 
 
-def check_count(value, name: str) -> int:
+def check_count(value, name: str, least: int | None = 1) -> int:
     """value as an int, checked to be integral (3.0 passes, 2.9 does not) and
-    >= 1 (n_trajectories, chunk_size, n_spins); a ValueError names the argument name."""
+    >= least unless least is None (n_trajectories, chunk_size, n_spins; the seed
+    has no bound); a ValueError names the argument name."""
     if not (isinstance(value, numbers.Real) and value % 1 == 0):  # nan and inf fail too
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
 
 

@@ -184,6 +184,8 @@ def moment_set(model: NoiseModel, t, tau) -> core.MomentSet:
     log-space form) or, for the static models, from f at t + tau and t - tau.
     """
     t, tau = check_times(t, "t"), check_times(tau, "tau")
+    with np.errstate(over="ignore"):  # an overflowing sum raises, named, instead
+        t_plus_tau = check_times(t + tau, "t + tau")
     f_t, f_tau = _first_moment(model, t), _first_moment(model, tau)
     match model:
         case White():
@@ -198,7 +200,7 @@ def moment_set(model: NoiseModel, t, tau) -> core.MomentSet:
             # t = 0 or tau = 0: factorize exactly so cpf cancels to 0.0
             f_joint = np.where(phi == 0.0, f_t * f_tau, joint)[()]
         case StaticGauss() | StaticLorentz():
-            f_joint = 0.5 * (_first_moment(model, t + tau) + _first_moment(model, t - tau))
+            f_joint = 0.5 * (_first_moment(model, t_plus_tau) + _first_moment(model, t - tau))
     return core.MomentSet(f_t=f_t, f_tau=f_tau, f_joint=f_joint)
 
 

@@ -233,7 +233,8 @@ def _moment_set(overlap, t, tau) -> core.MomentSet:
     each moment takes its own lag's shape.  The overlaps are elementwise, so the
     bits are those of a call on every point."""
     t, tau = check_times(t, "t"), check_times(tau, "tau")
-    lags = (t, tau, t + tau, t - tau)
+    with np.errstate(over="ignore"):  # an overflowing sum raises, named, instead
+        lags = (t, tau, check_times(t + tau, "t + tau"), t - tau)
     bits, inverse = np.unique(np.concatenate(lags, axis=None).view(np.int64), return_inverse=True)
     f = np.split(overlap(bits.view(float)).real[inverse], np.cumsum([u.size for u in lags])[:-1])
     f_t, f_tau, f_sum, f_diff = (part.reshape(u.shape) for part, u in zip(f, lags))
@@ -314,9 +315,16 @@ def lorentz_moment_set(spec: LorentzCouplingSpec, t, tau) -> core.MomentSet:
 # ---------------------------------------------------------------------------
 # Cauchy-coupling ensemble: Monte Carlo
 
+# Trajectories of one tile of an ensemble chunk: its (N, tile) couplings are the
+# most a draw holds at once.  Tile k starts k * _ENSEMBLE_TILE * N uniforms into
+# the chunk's stream, a whole number of Philox blocks.  Smaller tiles slow the
+# kernel's general path, which folds one spin of a tile per Python iteration.
+_ENSEMBLE_TILE = 4096
+
+
 def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     """Sampler of the per-realization (f_t, f_tau, f_joint) columns, or of the
-    f_t column alone when tau is None."""
+    f_t column alone when tau is None, tile by tile."""
     n = spec.n_spins
     pol = abs(spec.alpha) ** 2 - abs(spec.beta) ** 2
 
@@ -325,22 +333,36 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
         g /= n
         return g
 
+    def tile(chunk: Chunk, lo: int) -> tuple[np.ndarray]:
+        """Spin-major (N, tile) couplings of the trajectories from lo, from the
+        (tile, N) uniforms the chunk's stream holds lo * N uniforms in."""
+        draw = functools.partial(couplings, chunk.stream(lo * n // 4))
+        return (draw_rows(draw, n, min(_ENSEMBLE_TILE, chunk.size - lo)),)
+
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
-        # spin-major (N, m) couplings from the stream's (m, N) uniforms
-        (g,) = chunk.memo("couplings", spec, None, lambda: (draw_rows(
-            functools.partial(couplings, chunk.stream()), n, chunk.size),))
-        re, _ = _spin_blocks(g, t, tau, pol or None)
-        return (re[0],) if tau is None else (re[0], re[1], 0.5 * (re[2] + re[3]))
+        cols = np.empty((1 if tau is None else 3, chunk.size))
+        for lo in range(0, chunk.size, _ENSEMBLE_TILE):
+            (g,) = chunk.memo(f"couplings {lo // _ENSEMBLE_TILE}", spec, None,
+                              functools.partial(tile, chunk, lo))
+            re, _ = _spin_blocks(g, t, tau, pol or None)
+            hi = lo + g.shape[1]
+            cols[0, lo:hi] = re[0]
+            if tau is not None:
+                cols[1, lo:hi] = re[1]
+                np.add(re[2], re[3], out=cols[2, lo:hi])
+                cols[2, lo:hi] *= 0.5
+            del g, re  # before the next tile is drawn
+        return tuple(cols)
 
     return sample
 
 
-# Per-trajectory float64 values one draw holds besides its couplings, the block
-# of uniforms they are drawn in and the kernel's blocks of several spins, at
-# most: the kernel's general path keeps (4, chunk_size) re, im and products
-# (12) and one-spin blocks (10), its balanced path (|alpha| == |beta|) re and a
-# one-spin block or a copy of re (8); then re, the joint column, MomentStats'
-# centred rows and its row of products: about 10.  The rest is headroom.
+# Per-trajectory float64 values one draw holds besides its tile of couplings, the
+# block of uniforms they are drawn in and the kernel's blocks of several spins, at
+# most: the kernel's general path keeps (4, tile) re, im and products (12) and
+# one-spin blocks (10), its balanced path (|alpha| == |beta|) re and a one-spin
+# block or a copy of re (8); then the chunk's columns, MomentStats' centred rows
+# and its row of products: about 7.  The rest is headroom.
 _ENSEMBLE_DRAW_COLUMNS = 40
 # Bytes of the small objects of one draw whatever its size (the stream, array
 # headers, the lags): up to 3.3 kB under tracemalloc, on chunks of 1-5
@@ -349,11 +371,12 @@ _ENSEMBLE_DRAW_FIXED_BYTES = 4096
 
 
 def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
-    """Peak bytes of one chunk's draw: the couplings, the per-trajectory arrays,
-    one block of uniforms (_mc.block_rows), the kernel's blocks and the draw's
-    small objects."""
+    """Peak bytes of one chunk's draw: one tile's couplings, the per-trajectory
+    arrays, one block of uniforms (_mc.block_rows), the kernel's blocks and the
+    draw's small objects."""
     m, n = cfg.chunk_size, spec.n_spins
-    return (8 * (m * (n + _ENSEMBLE_DRAW_COLUMNS) + min(m, block_rows(n)) * n
+    tile = min(m, _ENSEMBLE_TILE)
+    return (8 * (tile * n + m * _ENSEMBLE_DRAW_COLUMNS + min(tile, block_rows(n)) * n
                  + _ENSEMBLE_BLOCK_VALUES + 3 * np.getbufsize()) + _ENSEMBLE_DRAW_FIXED_BYTES)
 
 

@@ -540,15 +540,48 @@ def test_evaluate_rows_equals_per_point_estimator_calls(monkeypatch, doc, estima
 
     generators = []
     stream = _mc.Chunk.stream
-    monkeypatch.setattr(_mc.Chunk, "stream",
-                        lambda c: generators.append((c.seed, c.index)) or stream(c))
+    monkeypatch.setattr(_mc.Chunk, "stream", lambda c, *offset: generators.append(
+        (c.seed, c.index, *offset)) or stream(c, *offset))
     rows = cli.evaluate_rows(config, workers)
-    # the first point draws each of the two chunks; every later point reuses them
-    assert sorted(generators) == [(5, 0), (5, 1)]
+    # the first point draws each of the two chunks (an ensemble chunk of 2,000
+    # trajectories is one tile, at offset 0); every later point reuses them
+    assert sorted(g[:2] for g in generators) == [(5, 0), (5, 1)]
+    assert all(g[2:] in [(), (0,)] for g in generators)
     for field, column in (("value", rows.value), ("std_error", rows.std_error),
                           ("n_samples", rows.n_samples)):
         expected = np.array([getattr(e, field) for e in want], dtype=column.dtype)
         assert column.ravel().tobytes() == expected.tobytes(), field
+
+
+@pytest.mark.parametrize("n_spins", [1, 7, 50])
+@pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
+                         ids=["balanced", "unbalanced"])
+def test_an_ensemble_grid_that_keeps_some_tiles_of_a_chunk_keeps_every_bit(
+        monkeypatch, n_spins, amplitudes):
+    # chunks of 9,000 and 4,000 trajectories: tiles of 4,096, 4,096 and 808, then
+    # one of 4,000; the memo budget holds the first and the last tile of chunk 0
+    # only, so every later point redraws chunk 0's middle tile and all of chunk 1
+    model = {"kind": "lorentz_coupling", "gamma": 1.1, "omega": 0.3, "n_spins": n_spins,
+             **amplitudes}
+    config = cli.parse_config(base_config(
+        **SURFACE, model=model, quantity="cpf_surface", method="montecarlo",
+        mc={"n_trajectories": 13_000, "chunk_size": 9_000, "seed": 5}))
+    keys = cli._row_keys(config)
+    want = [spinbath.lorentz_mc_cpf(config.model, t, tau, config.mc)
+            for t, tau in zip(keys.t.tolist(), keys.tau.tolist())]
+    monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", 8 * n_spins * (4_096 + 808))
+    tiles = []
+    stream = _mc.Chunk.stream
+    monkeypatch.setattr(_mc.Chunk, "stream",
+                        lambda c, offset: tiles.append((c.index, offset)) or stream(c, offset))
+    rows = cli.evaluate_rows(config)
+    for field in ("value", "std_error", "n_samples"):
+        expected = np.array([getattr(e, field) for e in want], dtype=getattr(rows, field).dtype)
+        assert getattr(rows, field).ravel().tobytes() == expected.tobytes(), field
+    points = len(want)
+    offsets = [0, 4_096 * n_spins // 4, 8_192 * n_spins // 4]
+    assert sorted(tiles) == sorted([(0, k) for k in offsets] + [(1, 0)]
+                                   + [(0, offsets[1]), (1, 0)] * (points - 1))
 
 
 # the white and static grids of GRID_VS_POINTS, whose cos 2 theta2 is a per-tau stage

@@ -349,7 +349,8 @@ def test_every_moment_entry_point_rejects_a_bad_time_and_names_it(t, tau):
 def test_each_moment_set_checks_its_times_once_and_runs_its_kernel_once(monkeypatch):
     # an OU moment set checked its times 8 times (its joint moment and that moment's
     # fallback took the first moments again), and a bath or ensemble moment set ran
-    # its overlap once per lag: t, tau, t + tau and t - tau
+    # its overlap once per lag: t, tau, t + tau and t - tau; now t, tau and the
+    # derived lag t + tau are checked once each
     calls = collections.Counter()
 
     def count(module, name):
@@ -367,7 +368,7 @@ def test_each_moment_set_checks_its_times_once_and_runs_its_kernel_once(monkeypa
     t, tau = np.meshgrid(np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.5, 4), indexing="ij")
     for call, want in [
         (lambda: analytic.moment_set(analytic.ExpCorrGauss(0.9, 1.3), t, tau),
-         {("cpfsim.analytic", "check_times"): 2}),
+         {("cpfsim.analytic", "check_times"): 3}),
         (lambda: spinbath.moment_set(spinbath.scaled_gaussian_bath(4, 1.0, 0.5), t, tau),
          {("cpfsim.spinbath", "_spin_blocks"): 1}),
         (lambda: spinbath.moment_set(spinbath.scaled_gaussian_bath(4, 1.0), t[0, 0], tau),
@@ -566,6 +567,25 @@ def test_lorentz_mc_cpf_table_first_matches_closed_form():
     assert est.std_error < 2e-3
 
 
+@pytest.mark.parametrize("moment_set", [
+    lambda t, tau: spinbath.moment_set(spinbath.scaled_gaussian_bath(5, 0.9), t, tau),
+    lambda t, tau: spinbath.lorentz_moment_set(spinbath.LorentzCouplingSpec(0.6, 0.3, 4), t, tau),
+    lambda t, tau: analytic.moment_set(analytic.StaticLorentz(0.6), t, tau),
+    lambda t, tau: analytic.moment_set(analytic.StaticGauss(0.9), t, tau),
+    lambda t, tau: analytic.moment_set(analytic.ExpCorrGauss(0.9, 1.3), t, tau),
+    lambda t, tau: analytic.moment_set(analytic.White(0.4), t, tau),
+], ids=["bath", "ensemble", "static_lorentz", "static_gauss", "ou", "white"])
+def test_moment_sets_name_an_overflowing_t_plus_tau(moment_set):
+    # the bath said "t must be finite, got inf" and StaticLorentz raised
+    # InvalidMomentSet (f_joint nan), each after numpy's overflow warning, which
+    # the test configuration turns into an error
+    for t, tau in [(1e308, 1e308), (np.array([0.5, 1e308]), 1e308)]:
+        with pytest.raises(ValueError, match=r"^t \+ tau must be finite and >= 0, got inf$"):
+            moment_set(t, tau)
+    # a huge finite sum still passes
+    assert np.isfinite(moment_set(1e150, 2e150).f_joint)
+
+
 def test_lorentz_mc_moments_match_moment_set():
     spec = spinbath.LorentzCouplingSpec(gamma=0.9, omega=0.7, n_spins=3)
     cfg = McConfig(n_trajectories=300_000, seed=2026)
@@ -583,12 +603,13 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
     monkeypatch.setattr(spinbath, "collect_moments", never)
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=10**7)
     cfg = McConfig(n_trajectories=65_536, chunk_size=65_536)
-    # one block of the draw is one trajectory's 10**7 uniforms; the kernel's blocks
-    # of several spins 2**16 values and numpy's ufunc buffers 3 * 8192; 4 kB of
-    # small objects
+    # one tile of 4,096 trajectories' couplings, 40 values per trajectory of the
+    # chunk; one block of the draw is one trajectory's 10**7 uniforms; the
+    # kernel's blocks of several spins 2**16 values and numpy's ufunc buffers
+    # 3 * 8192; 4 kB of small objects
     assert np.getbufsize() == 8192
     assert (spinbath._ensemble_chunk_bytes(spec, cfg)
-            == 8 * (65_536 * (10**7 + 40) + 10**7 + 2**16 + 3 * 8192) + 4096)
+            == 8 * (4_096 * 10**7 + 65_536 * 40 + 10**7 + 2**16 + 3 * 8192) + 4096)
     with pytest.raises(BathTooLarge, match="lower mc.chunk_size"):
         spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
     # the benchmark's ensemble points (N = 50, chunks of 16,384) stay far below
@@ -597,8 +618,50 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
         McConfig(n_trajectories=16_384, chunk_size=16_384),
     )
     # one block of the draw is 655 trajectories of 50 uniforms
-    assert points == 8 * (16_384 * 90 + 655 * 50 + 2**16 + 3 * 8192) + 4096 == 12_783_472
+    assert (points == 8 * (4_096 * 50 + 16_384 * 40 + 655 * 50 + 2**16 + 3 * 8192) + 4096
+            == 7_868_272)
     assert points < spinbath.ENSEMBLE_MAX_BYTES / 10
+    # a chunk shorter than a tile is one tile; a one-spin tile is one block of uniforms
+    assert (spinbath._ensemble_chunk_bytes(spinbath.LorentzCouplingSpec(gamma=1.0),
+                                           McConfig(n_trajectories=100_000))
+            == 8 * (4_096 + 65_536 * 40 + 4_096 + 2**16 + 3 * 8192) + 4096)
+    assert (spinbath._ensemble_chunk_bytes(spinbath.LorentzCouplingSpec(1.0, n_spins=70),
+                                           McConfig(n_trajectories=300))
+            == 8 * (300 * 70 + 300 * 40 + 300 * 70 + 2**16 + 3 * 8192) + 4096)
+
+
+def test_ensemble_budget_counts_one_tile_so_large_baths_pass(monkeypatch):
+    # N = 2,000 at the default chunk counted 65,536 x 2,000 couplings (1,021 MiB)
+    # and raised BathTooLarge; one tile of them is 62.5 MiB, 83.4 MiB in all
+    drawn = []
+    monkeypatch.setattr(spinbath, "collect_moments",
+                        lambda sample, cfg, workers: drawn.append(cfg) or _mc.MomentStats(
+                            2, np.zeros(1), np.zeros((1, 1))))
+    spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=2_000)
+    cfg = McConfig(n_trajectories=65_536)
+    assert cfg.chunk_size == 65_536
+    assert (spinbath._ensemble_chunk_bytes(spec, cfg)
+            == 8 * (4_096 * 2_000 + 65_536 * 40 + 16 * 2_000 + 2**16 + 3 * 8192) + 4096)
+    spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
+    assert drawn == [cfg]
+
+
+@pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
+                         ids=["balanced", "unbalanced"])
+def test_an_ensemble_point_at_the_default_chunk_holds_one_tile(amplitudes):
+    # a point of 50 spins and 65,536 trajectories held all 26 MB of its chunk's
+    # couplings (a 29 MB peak); a tile of them is 1.6 MB
+    spec = spinbath.LorentzCouplingSpec(gamma=0.9, n_spins=50, **amplitudes)
+    cfg = McConfig(n_trajectories=65_536, seed=3)
+    _mc.Chunk(3, 0, 1).stream()  # a process's first stream imports numpy.random (0.76 MB)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spinbath.lorentz_mc_cpf(spec, 0.7, 1.1, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("n_spins, chunk, amplitudes", [
@@ -625,7 +688,7 @@ def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
     counted = spinbath._ensemble_chunk_bytes(
         spec, McConfig(n_trajectories=chunk, chunk_size=chunk)
     )
-    assert 8 * chunk * n_spins < peak <= counted
+    assert 8 * min(chunk, spinbath._ENSEMBLE_TILE) * n_spins < peak <= counted
 
 
 @pytest.mark.parametrize("n_spins, chunk", [
@@ -643,8 +706,9 @@ def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
 def test_ensemble_draw_is_bit_identical_to_the_one_shot_draw(n_spins, chunk, amplitudes,
                                                             monkeypatch):
     # the draw as one (m, N) block of uniforms and the kernel spin by spin over
-    # its strided columns: the blocked, spin-major draw keeps every bit across
-    # block edges, and the couplings are those of 0.10.0's inline blocked draw
+    # its strided columns: the blocked, spin-major draw, tile by tile, each tile
+    # from its own stream offset, keeps every bit across block and tile edges, and
+    # the couplings are those of 0.10.0's inline blocked draw of the whole chunk
     spec = spinbath.LorentzCouplingSpec(gamma=1.3, omega=0.4, n_spins=n_spins, **amplitudes)
     t, tau = 0.7, 1.1
     g = one_shot_couplings(spec, _mc.Chunk(5, 2, chunk))
@@ -653,7 +717,9 @@ def test_ensemble_draw_is_bit_identical_to_the_one_shot_draw(n_spins, chunk, amp
     monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", 2**30)  # keeps 50 x 70,001 couplings
     with _mc.grid_memo():
         got = spinbath._ensemble_cols(spec, t, tau)(_mc.Chunk(5, 2, chunk))
-        (kept,) = _mc._memo[(5, 2, "couplings")][2]
+        tiles = [f"couplings {k}" for k in range(-(-chunk // 4_096))]
+        assert sorted(_mc._memo) == sorted((5, 2, stage) for stage in tiles)
+        kept = np.concatenate([_mc._memo[(5, 2, stage)][2][0] for stage in tiles], axis=1)
     assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
     old = blocked_couplings(spec, _mc.Chunk(5, 2, chunk))
     assert kept.tobytes() == old.tobytes() == np.ascontiguousarray(g).tobytes()
@@ -744,11 +810,15 @@ def test_two_time_draw_keeps_the_bits_of_the_t_only_draws(n_spins, chunk, amplit
 
 
 def test_ensemble_couplings_are_kept_spin_major():
+    # one slot a tile of 4,096 trajectories; the last tile may be shorter
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=50)
-    with _mc.grid_memo():
-        spinbath._ensemble_cols(spec, 0.7, 1.1)(_mc.Chunk(3, 0, 1_000))
-        (g,) = _mc._memo[(3, 0, "couplings")][2]
-    assert g.shape == (50, 1_000) and g.flags.c_contiguous
+    for chunk, tiles in [(1_000, [1_000]), (10_000, [4_096, 4_096, 1_808])]:
+        with _mc.grid_memo():
+            spinbath._ensemble_cols(spec, 0.7, 1.1)(_mc.Chunk(3, 0, chunk))
+            kept = [_mc._memo[(3, 0, f"couplings {k}")][2] for k in range(len(tiles))]
+            assert len(_mc._memo) == len(tiles)
+        for (g,), size in zip(kept, tiles):
+            assert g.shape == (50, size) and g.flags.c_contiguous
 
 
 def adversarial_half_angles(seed: int) -> np.ndarray:

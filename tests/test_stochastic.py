@@ -490,11 +490,23 @@ def test_mc_config_validation():
     (lambda: McConfig(100, chunk_size=10.5), "chunk_size"),
     (lambda: spinbath.LorentzCouplingSpec(1.0, n_spins=2.9), "n_spins"),
     (lambda: spinbath.scaled_gaussian_bath(3.5, 1.0), "n_spins"),
+    (lambda: McConfig(10, seed=1.5), "seed"),
+    (lambda: McConfig(10, seed=1.9), "seed"),
+    (lambda: McConfig(10, seed=math.nan), "seed"),
 ])
 def test_a_count_that_is_not_an_integer_is_rejected_and_named(make, name):
-    # these were truncated: 10 trajectories, chunks of 10, 2 spins and 3 spins
+    # these were truncated: 10 trajectories, chunks of 10, 2 spins and 3 spins,
+    # and seeds 1.5 and 1.9 both ran seed 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
         make()
+
+
+def test_integral_seeds_keep_the_64_bit_mask():
+    assert McConfig(10, seed=0).seed == 0
+    assert McConfig(10, seed=3.0).seed == 3 and type(McConfig(10, seed=3.0).seed) is int
+    assert McConfig(10, seed=np.int64(7)).seed == 7
+    assert McConfig(10, seed=-1).seed == 2**64 - 1
+    assert McConfig(10, seed=2**64 + 5).seed == 5
 
 
 def test_integral_counts_pass_and_counts_below_one_keep_their_messages():

@@ -189,15 +189,22 @@ def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
     """Run worker(chunk) for every Chunk of cfg, results in chunk order.
 
     A run of one chunk, or at one worker, runs inline; otherwise a thread
-    pool of at most one worker per chunk.
+    pool of at most one worker per chunk, each chunk under the numpy error
+    state of the calling thread (a pool thread does not inherit it).
     """
     chunks = [Chunk(cfg.seed, i, m) for i, m in enumerate(chunk_sizes(cfg))]
     if workers <= 1 or len(chunks) == 1:
         return [worker(chunk) for chunk in chunks]
     from concurrent.futures import ThreadPoolExecutor  # only parallel runs pay its import
 
+    state = np.geterr()
+
+    def run(chunk: Chunk):
+        with np.errstate(**state):
+            return worker(chunk)
+
     with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return list(pool.map(worker, chunks))
+        return list(pool.map(run, chunks))
 
 
 def block_rows(width: int) -> int:

@@ -97,16 +97,6 @@ class StaticLorentz:
 NoiseModel = White | ExpCorrGauss | StaticGauss | StaticLorentz
 
 
-def model_tag(model: NoiseModel) -> str:
-    """Short lowercase tag used in CSV output and configs."""
-    return {
-        White: "white",
-        ExpCorrGauss: "exp_corr_gauss",
-        StaticGauss: "static_gauss",
-        StaticLorentz: "static_lorentz",
-    }[type(model)]
-
-
 def _h(u):
     # h(u) = u - (1 - e^{-u}) = u + expm1(-u), accurate for small u.
     return u + np.expm1(-u)

@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 I/O failure, 2 bad config (a file that is not UTF-8
 JSON too, or an output path that is the config file, a directory or no file
 name at all), bad command-line value (e.g. --threads 0, a negative or
 non-finite --sigma-tol/--abs-tol, an unknown --criteria number) or grid
-mismatch, 3 runtime model error (impossible postselection, bath too large,
-...), 5 `compare` beyond tolerance; `selftest` exits 1 when a criterion fails.
+mismatch, 3 runtime model error (impossible postselection, bath too large, a
+result that is not finite, ...), 5 `compare` beyond tolerance; `selftest`
+exits 1 when a criterion fails.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import analytic, core, spinbath, stochastic
 from ._mc import McConfig, grid_memo
-from .errors import ConfigError, CpfError, GridMismatch
+from .errors import ConfigError, CpfError, GridMismatch, NonFiniteResult
 
 CSV_HEADER = ("t", "tau", "value", "std_error", "n_samples", "quantity", "model", "method")
 
@@ -253,27 +254,19 @@ def _real(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _float(value: Any, path: str, positive: bool = False) -> float:
+# A field's JSON type is checked here and its range by the object it builds:
+# model and mc fields by their constructors, grid fields by _parse_grid.
+
+def _float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = _real(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
-    if positive and out <= 0.0:
-        raise ConfigError(f"{path}: must be > 0, got {value!r}")
-    return out
+    return _real(value)
 
 
-def _int(value: Any, path: str, positive: bool = False) -> int:
+def _int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{path}: must be > 0, got {value!r}")
     return value
-
-
-_positive_float = partial(_float, positive=True)
-_positive_int = partial(_int, positive=True)
 
 
 def _floats(value: Any, path: str) -> list[float]:
@@ -379,14 +372,14 @@ class _Kind:
 
 
 MODEL_KINDS: dict[str, _Kind] = {
-    "white": _Kind(_NOISE, analytic.White, (("gamma_w", _positive_float, _REQUIRED),)),
+    "white": _Kind(_NOISE, analytic.White, (("gamma_w", _float, _REQUIRED),)),
     "exp_corr_gauss": _Kind(_NOISE, analytic.ExpCorrGauss, (
-        ("g", _positive_float, _REQUIRED),
-        ("tau_c", _positive_float, _REQUIRED),
+        ("g", _float, _REQUIRED),
+        ("tau_c", _float, _REQUIRED),
     )),
-    "static_gauss": _Kind(_NOISE, analytic.StaticGauss, (("g", _positive_float, _REQUIRED),)),
+    "static_gauss": _Kind(_NOISE, analytic.StaticGauss, (("g", _float, _REQUIRED),)),
     "static_lorentz": _Kind(_NOISE, analytic.StaticLorentz, (
-        ("gamma", _positive_float, _REQUIRED),
+        ("gamma", _float, _REQUIRED),
         ("omega", _float, 0.0),
     )),
     "spin_bath": _Kind(_BATH, spinbath.SpinBathSpec, (
@@ -395,14 +388,14 @@ MODEL_KINDS: dict[str, _Kind] = {
         ("betas", _raw, None),
     )),
     "scaled_spin_bath": _Kind(_BATH, lambda **f: spinbath.scaled_gaussian_bath(**f), (
-        ("n_spins", _positive_int, _REQUIRED),
-        ("g", _positive_float, _REQUIRED),
+        ("n_spins", _int, _REQUIRED),
+        ("g", _float, _REQUIRED),
         ("omega", _float, 0.0),
     )),
     "lorentz_coupling": _Kind(_ENSEMBLE, spinbath.LorentzCouplingSpec, (
-        ("gamma", _positive_float, _REQUIRED),
+        ("gamma", _float, _REQUIRED),
         ("omega", _float, 0.0),
-        ("n_spins", _positive_int, 1),
+        ("n_spins", _int, 1),
         ("alpha", _complex, _HALF),
         ("beta", _complex, _HALF),
     )),
@@ -434,16 +427,18 @@ _MAX_WORK_BITS = 42
 _GRID_FIELDS: tuple[_Field, ...] = (
     ("start", _float, _REQUIRED),
     ("stop", _float, _REQUIRED),
-    ("count", _positive_int, _REQUIRED),
+    ("count", _int, _REQUIRED),
 )
 
 
 def _parse_grid(doc: Any, path: str) -> GridSpec:
     grid = GridSpec(**_section(doc, path, _GRID_FIELDS))
-    if grid.start < 0.0:
-        raise ConfigError(f"{path}.start: must be >= 0, got {grid.start!r}")
-    if grid.stop < grid.start:
-        raise ConfigError(f"{path}.stop: must be >= start")
+    if not 0.0 <= grid.start < math.inf:
+        raise ConfigError(f"{path}.start: must be finite and >= 0, got {grid.start!r}")
+    if not grid.start <= grid.stop < math.inf:
+        raise ConfigError(f"{path}.stop: must be finite and >= start, got {grid.stop!r}")
+    if grid.count < 1:
+        raise ConfigError(f"{path}.count: must be > 0, got {grid.count!r}")
     if grid.count > 1 and grid.stop == grid.start:
         raise ConfigError(f"{path}.count: must be 1 when start == stop")
     if grid.count > _MAX_POINTS:
@@ -452,10 +447,10 @@ def _parse_grid(doc: Any, path: str) -> GridSpec:
 
 
 _MC_FIELDS: tuple[_Field, ...] = (
-    ("n_trajectories", _positive_int, _REQUIRED),
+    ("n_trajectories", _int, _REQUIRED),
     ("seed", _int, 0),
-    ("chunk_size", _optional(_positive_int), None),
-    ("path_dt", _optional(_positive_float), None),
+    ("chunk_size", _optional(_int), None),
+    ("path_dt", _optional(_float), None),
 )
 
 
@@ -533,19 +528,17 @@ def parse_config(doc: Any) -> ExperimentConfig:
                        analytic.phase_covariance(model, t_max, t_max))):
             raise ConfigError(f"model.g, model.tau_c: g = {g!r}, tau_c = {tc!r} overflow the phase"
                               f" variance by time {t_max!r}; tau_c -> inf is kind 'static_gauss'")
-    n_tau = (tau_grid or t_grid).count
-    if quantity == "cpf_surface" and t_grid.count * n_tau > _MAX_POINTS:
-        raise ConfigError(
-            f"quantity: cpf_surface of {t_grid.count} x {n_tau} points is over the "
-            f"{_MAX_POINTS}-point limit"
-        )
+    n_tau = (tau_grid or t_grid).count if quantity == "cpf_surface" else 1
+    points = t_grid.count * n_tau  # over the limit only on a surface: each grid is within it
+    if points > _MAX_POINTS:
+        raise ConfigError(f"quantity: {quantity} of {t_grid.count} x {n_tau} points is over the "
+                          f"{_MAX_POINTS}-point limit")
     if method in ("montecarlo", "sampling") and mc is None:
         raise ConfigError(f"mc: required for method {method!r}")
     if method not in ("montecarlo", "sampling") and mc is not None:
         raise ConfigError(f"mc: not used by deterministic method {method!r}")
     if values["system_init"] is not None and method != "oracle":
         raise ConfigError("system_init: only used by the oracle method")
-    points = t_grid.count * (n_tau if quantity == "cpf_surface" else 1)
     field, each = (("mc.n_trajectories", mc.n_trajectories * getattr(model, "n_spins", 1)) if mc
                    else ("model", 2**model.n_spins) if method == "oracle" else ("", 1))
     if points * each > 1 << _MAX_WORK_BITS:
@@ -626,31 +619,51 @@ def _deterministic_columns(
 
 
 def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
-    """Produce the long-format result rows for one experiment config."""
+    """Produce the long-format result rows for one experiment config.
+
+    numpy's overflow and invalid warnings are silenced: a result that is not
+    finite raises NonFiniteResult instead, from its Monte Carlo Estimate or
+    from the check of every column (_check_finite).
+    """
     family = MODEL_KINDS[config.model_kind].family
     keys = _row_keys(config)
     t, tau = keys.t, keys.tau
     std_error = n_samples = None
-    if config.method in ("analytic", "oracle"):
-        columns = _deterministic_columns(config, family, t, tau)
-        value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
-    else:
-        q = config.quantity
-        estimate = family.mc["sampling" if config.method == "sampling" else
-                             "cpf" if q == "cpf_surface" else q]
-        taus = [None] * t.size if tau is None else tau.tolist()
-        # Monte Carlo points all draw the chunk streams of config.mc: each chunk
-        # is drawn once and each per-t stage computed once per t (a single
-        # point has nothing to share and would only hold the memo)
-        with grid_memo() if t.size > 1 else contextlib.nullcontext():
-            points = [estimate(config, t_k, tau_k, workers) for t_k, tau_k in zip(t.tolist(), taus)]
-        grid = points if q == "moments" else [[e] for e in points]  # estimates per row label
-        value, std_error, n_samples = (
-            np.array([[getattr(e, name) for e in p] for p in grid], dtype)
-            for name, dtype in (("value", float), ("std_error", float), ("n_samples", np.int64)))
-    return Results(
-        t, tau, keys.labels, value, std_error, n_samples, config.model_kind, config.method
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.method in ("analytic", "oracle"):
+            columns = _deterministic_columns(config, family, t, tau)
+            value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
+        else:
+            q = config.quantity
+            estimate = family.mc["sampling" if config.method == "sampling" else
+                                 "cpf" if q == "cpf_surface" else q]
+            taus = [None] * t.size if tau is None else tau.tolist()
+            # Monte Carlo points all draw the chunk streams of config.mc: each chunk
+            # is drawn once and each per-t stage computed once per t (a single
+            # point has nothing to share and would only hold the memo)
+            with grid_memo() if t.size > 1 else contextlib.nullcontext():
+                points = [estimate(config, t_k, tau_k, workers)
+                          for t_k, tau_k in zip(t.tolist(), taus)]
+            grid = points if q == "moments" else [[e] for e in points]  # estimates per row label
+            value, std_error, n_samples = (
+                np.array([[getattr(e, name) for e in p] for p in grid], dtype) for name, dtype
+                in (("value", float), ("std_error", float), ("n_samples", np.int64)))
+    rows = Results(t, tau, keys.labels, value, std_error, n_samples, config.model_kind,
+                   config.method)
+    _check_finite(rows)
+    return rows
+
+
+def _check_finite(rows: Results) -> None:
+    """Raise NonFiniteResult, naming the row's label (its quantity) and point, at
+    the first value or std_error that is inf or nan.  A column's min and max,
+    which propagate nan, decide without a temporary the size of the column."""
+    for column in (rows.value, rows.std_error):
+        if column is not None and not np.isfinite([column.min(), column.max()]).all():
+            row = int(np.argmin(np.isfinite(column.ravel())))
+            t, tau, label = rows.key(row)
+            at = f"t={t!r}" if tau is None else f"t={t!r}, tau={tau!r}"
+            raise NonFiniteResult(f"{label} at {at} is {float(column.flat[row])!r}, not finite")
 
 
 # ---------------------------------------------------------------------------

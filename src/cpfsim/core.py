@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMomentSet, InvalidProbabilityTable, ZeroProbabilityPostselection
+from .errors import (InvalidMomentSet, InvalidProbabilityTable, NonFiniteResult,
+                     ZeroProbabilityPostselection)
 
 OUTCOMES: tuple[int, int] = (+1, -1)
 
@@ -204,9 +205,10 @@ class Estimate:
         se = float(self.std_error)
         n = int(self.n_samples)
         if not math.isfinite(v):
-            raise ValueError(f"value must be finite, got {v!r}")
+            raise NonFiniteResult(f"value must be finite, got {v!r}")
         if not math.isfinite(se) or se < 0.0:
-            raise ValueError(f"std_error must be finite and >= 0, got {se!r}")
+            error = ValueError if math.isfinite(se) else NonFiniteResult
+            raise error(f"std_error must be finite and >= 0, got {se!r}")
         if n < 1:
             raise ValueError(f"n_samples must be >= 1, got {n}")
         object.__setattr__(self, "value", v)

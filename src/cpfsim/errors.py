@@ -30,7 +30,8 @@ class EmptyPostselection(CpfError):
 
 class BathTooLarge(CpfError):
     """Requested bath too large to simulate: the dense statevector oracle beyond
-    its spin count, or a Cauchy-ensemble chunk beyond its memory budget."""
+    its spin count, or a Cauchy-ensemble chunk or a scaled bath's arrays beyond
+    the memory budget."""
 
 
 class UnreachablePolarization(CpfError):
@@ -39,6 +40,11 @@ class UnreachablePolarization(CpfError):
 
 class StepTooCoarse(CpfError):
     """Path integration step too large relative to the noise correlation time."""
+
+
+class NonFiniteResult(CpfError, ValueError):
+    """A computed value or standard error is inf or nan: the parameters or times
+    overflow the float range.  Also a ValueError, the error of a bad Estimate."""
 
 
 class UndefinedCorrelation(CpfError):

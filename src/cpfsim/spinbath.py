@@ -56,19 +56,22 @@ from .errors import (
 
 ORACLE_MAX_SPINS = 14
 
-# Largest draw of one Cauchy-ensemble chunk, as counted by _ensemble_chunk_bytes.
+# Largest draw of one Cauchy-ensemble chunk, as counted by _ensemble_chunk_bytes,
+# and largest arrays of a scaled bath (_SCALED_SPIN_BYTES a spin).
 ENSEMBLE_MAX_BYTES = 256 * 2**20
+# Bytes a spin of scaled_gaussian_bath takes: its coupling and two complex amplitudes.
+_SCALED_SPIN_BYTES = 40
 
 
-def _normalized_pair(a: complex, b: complex, what: str) -> tuple[complex, complex]:
-    a, b = complex(a), complex(b)
-    for v in (a, b):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"{what} amplitudes must be finite")
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"{what} amplitudes must satisfy |a|^2+|b|^2=1, got {norm!r}")
-    return a, b
+def _check_amplitudes(a, b, what: str) -> None:
+    """Raise a ValueError naming what and the first bad norm unless |a|^2 + |b|^2
+    is 1 within 1e-12, for a pair of scalars or each pair of per-spin arrays.  An
+    amplitude that is not finite, or whose square overflows, has an inf or nan norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.atleast_1d(np.abs(a) ** 2 + np.abs(b) ** 2)
+        bad = norm[~(np.abs(norm - 1.0) <= 1e-12)]
+    if bad.size:
+        raise ValueError(f"{what} amplitudes must satisfy |a|^2+|b|^2=1, got {float(bad[0])!r}")
 
 
 @dataclass(frozen=True, eq=False)  # array fields: no value equality
@@ -81,17 +84,14 @@ class SpinBathSpec:
 
     def __post_init__(self) -> None:
         g = np.atleast_1d(np.asarray(self.couplings, dtype=float))
-        a = np.atleast_1d(np.asarray(self.alphas, dtype=complex))
-        b = np.atleast_1d(np.asarray(self.betas, dtype=complex))
+        a, b = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (self.alphas, self.betas))
         if not (g.ndim == a.ndim == b.ndim == 1) or not (g.size == a.size == b.size):
             raise ValueError("couplings, alphas, betas must be 1-d of equal length")
         if g.size < 1:
             raise ValueError("need at least one bath spin")
         if not np.all(np.isfinite(g)):
             raise ValueError("couplings must be finite")
-        norms = np.abs(a) ** 2 + np.abs(b) ** 2
-        if not np.all(np.isfinite(norms)) or np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("per-spin amplitudes must satisfy |alpha|^2+|beta|^2=1")
+        _check_amplitudes(a, b, "per-spin")
         for name, arr in (("couplings", g), ("alphas", a), ("betas", b)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -109,9 +109,9 @@ class SystemInit:
     b: complex
 
     def __post_init__(self) -> None:
-        a, b = _normalized_pair(self.a, self.b, "system")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", complex(self.a))
+        object.__setattr__(self, "b", complex(self.b))
+        _check_amplitudes(self.a, self.b, "system")
 
     @classmethod
     def plus(cls) -> SystemInit:
@@ -136,11 +136,10 @@ class LorentzCouplingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", check_real(self.gamma, "gamma"))
         object.__setattr__(self, "omega", check_real(self.omega, "omega", positive=False))
-        n = check_count(self.n_spins, "n_spins")
-        a, b = _normalized_pair(self.alpha, self.beta, "bath spin")
-        object.__setattr__(self, "n_spins", n)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "n_spins", check_count(self.n_spins, "n_spins"))
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "beta", complex(self.beta))
+        _check_amplitudes(self.alpha, self.beta, "bath spin")
 
 
 # Most values in the kernel's buffers for blocks of several spins, for the closed-form
@@ -256,11 +255,17 @@ def scaled_gaussian_bath(n_spins: int, g: float, omega: float = 0.0) -> SpinBath
 
     Couplings g_k = g / sqrt(N) and amplitudes with |alpha|^2 - |beta|^2 =
     omega / (2 g sqrt(N)), so that c_t -> exp(i omega t - 2 (g t)^2) for
-    N >> 1.  Raises UnreachablePolarization when |omega/(2 g sqrt(N))| > 1.
+    N >> 1.  Raises UnreachablePolarization when |omega/(2 g sqrt(N))| > 1,
+    and BathTooLarge, before any allocation, when its arrays would take more
+    than ENSEMBLE_MAX_BYTES.
     """
     n = check_count(n_spins, "n_spins")
-    g = check_real(g, "g")
-    pol = float(omega) / (2.0 * g * math.sqrt(n))
+    g, omega = check_real(g, "g"), check_real(omega, "omega", positive=False)
+    if n * _SCALED_SPIN_BYTES > ENSEMBLE_MAX_BYTES:
+        raise BathTooLarge(f"N = {n} spins take {n * _SCALED_SPIN_BYTES >> 20} MiB of "
+                           f"couplings and amplitudes, over the {ENSEMBLE_MAX_BYTES // 2**20} "
+                           "MiB budget")
+    pol = omega / (2.0 * g * math.sqrt(n))
     if abs(pol) > 1.0:
         raise UnreachablePolarization(
             f"|alpha|^2 - |beta|^2 = {pol!r} is outside [-1, 1]; "

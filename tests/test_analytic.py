@@ -53,11 +53,6 @@ def test_model_parameter_validation():
         analytic.first_moment(analytic.White(1.0), -0.5)
 
 
-def test_model_tags():
-    tags = [analytic.model_tag(m) for m in ALL_MODELS]
-    assert tags == ["white", "exp_corr_gauss", "static_gauss", "static_lorentz"]
-
-
 # ---------------------------------------------------------------------------
 # phase covariance vs direct kernel integration
 

@@ -1,5 +1,6 @@
 """Command line interface: config validation, outputs, manifests, exit codes."""
 
+import contextlib
 import copy
 import csv
 import importlib.util
@@ -11,10 +12,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cpfsim
 from cpfsim import _mc, analytic, cli, core, spinbath, stochastic
@@ -104,17 +108,18 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(model={"kind": "white"}), "model.gamma_w: required field is missing"),
         (lambda d: d.update(model={"kind": "white", "gamma_w": "x"}),
          "model.gamma_w: expected a number, got 'x'"),
-        (lambda d: d.update(model={"kind": "white", "gamma_w": 0}), "model.gamma_w: must be > 0, got 0"),
+        (lambda d: d.update(model={"kind": "white", "gamma_w": 0}),
+         "model: gamma_w must be finite and > 0, got 0.0"),
         (lambda d: d.update(model={"kind": "white", "gamma_w": 10**400}),
-         "model.gamma_w: must be finite, got 1000000"),
+         "model: gamma_w must be finite and > 0, got inf"),
         (lambda d: d.update(model={"kind": "exp_corr_gauss", "g": 0.9}),
          "model.tau_c: required field is missing"),
         (lambda d: d.update(model={"kind": "exp_corr_gauss", "g": 0.9, "tau_c": 0.0}),
-         "model.tau_c: must be > 0, got 0.0"),
+         "model: tau_c must be finite and > 0, got 0.0"),
         (lambda d: d.update(model={"kind": "static_gauss", "g": True}),
          "model.g: expected a number, got True"),
         (lambda d: d.update(model={"kind": "static_lorentz", "gamma": 0.6, "omega": math.nan}),
-         "model.omega: must be finite, got nan"),
+         "model: omega must be finite, got nan"),
         (lambda d: d.update(model={"kind": "static_lorentz", "omega": 0.9}),
          "model.gamma: required field is missing"),
         (lambda d: d.update(model={"kind": "spin_bath", "couplings": 3}),
@@ -137,11 +142,11 @@ def test_parse_config_accepts_manifest_document():
          "model.betas[0]: expected a number or [re, im] pair, got [0, 0, 0]"),
         (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
                                    "alphas": [1.0, [10**400, 0]], "betas": [0.0, 0.0]}),
-         "model: per-spin amplitudes must satisfy |alpha|^2+|beta|^2=1"),
+         "model: per-spin amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
         (lambda d: d.update(model={"kind": "scaled_spin_bath", "n_spins": 1.5, "g": 0.9}),
          "model.n_spins: expected an integer, got 1.5"),
         (lambda d: d.update(model={"kind": "scaled_spin_bath", "n_spins": 0, "g": 0.9}),
-         "model.n_spins: must be > 0, got 0"),
+         "model: n_spins must be >= 1, got 0"),
         (lambda d: d.update(model={"kind": "scaled_spin_bath", "n_spins": 2, "g": 0.9, "omega": "w"}),
          "model.omega: expected a number, got 'w'"),
         (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "alpha": "a"}),
@@ -149,7 +154,7 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "beta": 0.5}),
          "model: bath spin amplitudes must satisfy |a|^2+|b|^2=1, got 0.7499999999999999"),
         (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "alpha": [0, -10**400]}),
-         "model: bath spin amplitudes must be finite"),
+         "model: bath spin amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
         (lambda d: d.update(model={"kind": "lorentz_coupling", "gamma": 0.7, "zeta": 1, "aaa": 2}),
          "model.aaa: unknown field"),
         (lambda d: d.update(t_grid=5), "t_grid: expected a JSON object, got int"),
@@ -173,11 +178,11 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(method="montecarlo", mc={"seed": 1}),
          "mc.n_trajectories: required field is missing"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 0}),
-         "mc.n_trajectories: must be > 0, got 0"),
+         "mc: n_trajectories must be >= 1, got 0"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "seed": "1"}),
          "mc.seed: expected an integer, got '1'"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "chunk_size": 0}),
-         "mc.chunk_size: must be > 0, got 0"),
+         "mc: chunk_size must be in [1, n_trajectories], got 0"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "chunk_size": 20}),
          "mc: chunk_size must be in [1, n_trajectories], got 20"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 2**21, "chunk_size": 2**21}),
@@ -188,7 +193,7 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "path_dt": "x"}),
          "mc.path_dt: expected a number, got 'x'"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "path_dt": 0}),
-         "mc.path_dt: must be > 0, got 0"),
+         "mc: path_dt must be finite and > 0, got 0.0"),
         (lambda d: d.update(method="montecarlo", mc={"n_trajectories": 10, "threads": 2}),
          "mc.threads: unknown field"),
         (lambda d: d.update(ORACLE, system_init=[1, 0]), "system_init: expected a JSON object, got list"),
@@ -931,6 +936,144 @@ def test_stored_and_benchmark_configs_are_under_the_work_budget():
     assert len(docs) > 80
     for doc in docs.values():
         cli.parse_config(doc)  # raises past the budget
+
+
+def run_strictly(tmp_path, doc, *extra):
+    """run_cli with every warning an error: a run must print nothing numpy says."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(tmp_path, doc, *extra)
+
+
+@pytest.mark.parametrize("section, overrides", [
+    # an OverflowError traceback (exit 1)
+    ("model", {"model": {"kind": "lorentz_coupling", "gamma": 0.7, "alpha": 1e200}}),
+    ("system_init", {**ORACLE, "system_init": {"a": 1e200, "b": 0.0}}),
+    # exit 2, after numpy's RuntimeWarning
+    ("model", {"model": {"kind": "spin_bath", "couplings": [0.5], "alphas": [1e200],
+                         "betas": [0.0]}}),
+])
+def test_amplitudes_whose_norm_overflows_exit_2(tmp_path, monkeypatch, capsys, section, overrides):
+    _no_evaluation(monkeypatch)
+    code, out = run_strictly(tmp_path, base_config(**overrides))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith(f"config error: {section}: ") and err.count("\n") == 1
+    assert err.endswith(" amplitudes must satisfy |a|^2+|b|^2=1, got inf\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("model, quantity, method, t, named", [
+    # tracebacks: "ValueError: value must be finite, got nan" (exit 1)
+    ({"kind": "static_gauss", "g": 0.5}, "coherence", "montecarlo", 1.7e308, "value"),
+    ({"kind": "white", "gamma_w": 1.7e308}, "conditional_coherence", "montecarlo", 3.0, "value"),
+    ({"kind": "lorentz_coupling", "gamma": 1.7e308, "n_spins": 2}, "cpf", "montecarlo", 1.0,
+     "value"),
+    # nan and inf written at exit 0
+    ({"kind": "static_lorentz", "gamma": 1e12, "omega": 1e200}, "coherence", "analytic", 1e300,
+     "coherence at t=1e+300 is nan"),
+    ({"kind": "static_gauss", "g": 1.7e308}, "rate", "analytic", 1.0, "rate at t=1.0 is inf"),
+])
+def test_runs_whose_results_are_not_finite_exit_3_and_write_nothing(
+        tmp_path, capsys, threads, model, quantity, method, t, named):
+    doc = base_config(model=model, quantity=quantity, method=method,
+                      t_grid={"start": t, "stop": t, "count": 1})
+    if method == "montecarlo":  # four chunks, so that two threads map them
+        doc["mc"] = {"n_trajectories": 1000, "seed": 1, "chunk_size": 250}
+    code, out = run_strictly(tmp_path, doc, "--threads", threads)
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists() and not cli._manifest_path(out).exists()
+    assert err.startswith("model error: ") and err.count("\n") == 1 and named in err
+
+
+def test_a_scaled_bath_over_the_memory_budget_exits_3_before_any_allocation(
+        tmp_path, monkeypatch, capsys):
+    # 10^9 spins made three 10^9-long arrays (40 GB) while the config was parsed
+    def never(*args, **kwargs):
+        raise AssertionError("the bath was allocated")
+
+    monkeypatch.setattr(np, "full", never)
+    _no_evaluation(monkeypatch)
+    doc = base_config(model={"kind": "scaled_spin_bath", "n_spins": 10**9, "g": 0.9})
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert err == ("model error: N = 1000000000 spins take 38146 MiB of couplings and "
+                   "amplitudes, over the 256 MiB budget\n")
+
+
+# Parameters and amplitudes span the positive floats and inf (1.8e308, refused
+# with exit 2), and times reach 1e308; values of order 1 are drawn as often, so
+# that runs also get through to their CSV.  Counts stay small, so that no example
+# allocates much.
+_PARAMETER = st.one_of(st.floats(0.1, 3.0), st.floats(min_value=5e-324, max_value=1.8e308))
+_TIME = st.one_of(st.floats(0.0, 3.0), st.floats(min_value=0.0, max_value=1e308))
+_PAIR = st.one_of(st.tuples(_PARAMETER, _PARAMETER),
+                  st.floats(0.0, math.pi / 2).map(lambda x: (math.cos(x), math.sin(x))))
+
+
+@st.composite
+def _grid(draw, count=None):
+    start = draw(_TIME)
+    stop = draw(st.floats(min_value=start, max_value=1e308))
+    count = 1 if start == stop else count or draw(st.integers(1, 3))
+    return {"start": start, "stop": stop, "count": count}
+
+
+@st.composite
+def cli_documents(draw):
+    """A run config of any kind, quantity and method that _Family.methods allows."""
+    kind = draw(st.sampled_from(sorted(cli.MODEL_KINDS)))
+    family = cli.MODEL_KINDS[kind].family
+    quantity = draw(st.sampled_from([q for q in cli.QUANTITIES if family.methods(q)]))
+    method = draw(st.sampled_from(family.methods(quantity)))
+    model = {"kind": kind}
+    for name, _, default in cli.MODEL_KINDS[kind].fields:
+        if default is not cli._REQUIRED and draw(st.booleans()):
+            continue  # the default
+        if name in ("alpha", "alphas"):  # drawn with beta and betas
+            n = len(model.get("couplings", [None]))
+            pairs = draw(st.lists(_PAIR, min_size=n, max_size=n))
+            a, b = ([p[i] for p in pairs] for i in (0, 1))
+            model.update({"alpha": a[0], "beta": b[0]} if name == "alpha" else
+                         {"alphas": a, "betas": b})
+        elif name not in ("beta", "betas"):
+            model[name] = draw({"n_spins": st.integers(1, 64),
+                                "couplings": st.lists(_PARAMETER, min_size=1, max_size=64),
+                                }.get(name, _PARAMETER))
+    t_grid = draw(_grid())
+    doc = {"model": model, "quantity": quantity, "method": method, "t_grid": t_grid,
+           "yx": draw(st.sampled_from([1, -1])), "y_select": draw(st.sampled_from([1, -1])),
+           "output_path": "out.csv"}
+    if quantity not in cli._T_ONLY and draw(st.booleans()):
+        doc["tau_grid"] = draw(_grid(None if quantity == "cpf_surface" else t_grid["count"]))
+    if method in ("montecarlo", "sampling"):
+        n = draw(st.integers(1, 2000))
+        doc["mc"] = {"n_trajectories": n, "seed": draw(st.integers(0, 2**64 - 1)),
+                     "chunk_size": draw(st.integers(-(-n // 16), n))}  # at most 16 chunks
+    if method == "oracle" and draw(st.booleans()):
+        a, b = draw(_PAIR)
+        doc["system_init"] = {"a": a, "b": b}
+    return doc
+
+
+@settings(max_examples=300, derandomize=True)
+@given(doc=cli_documents(), threads=st.sampled_from(["1", "2"]))
+def test_every_run_exits_0_2_or_3_and_writes_only_finite_values(doc, threads):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error", RuntimeWarning)
+        config = write_json(Path(tmp), doc)
+        out = Path(tmp) / "out.csv"
+        code = cli.main(["run", "--config", str(config), "--output", str(out), "--quiet",
+                         "--threads", threads])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            for row in read_rows(out):
+                assert math.isfinite(float(row["value"])), row
+                assert row["std_error"] == "" or math.isfinite(float(row["std_error"])), row
+        else:
+            assert not out.exists() and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpfsim import core, spinbath
-from cpfsim.errors import InvalidMomentSet, InvalidProbabilityTable, ZeroProbabilityPostselection
+from cpfsim.errors import (
+    CpfError,
+    InvalidMomentSet,
+    InvalidProbabilityTable,
+    NonFiniteResult,
+    ZeroProbabilityPostselection,
+)
 
 
 def moments_strategy():
@@ -205,6 +211,21 @@ def test_estimate_validation_and_repr():
         core.Estimate(0.0, -1.0, 1)
     with pytest.raises(ValueError):
         core.Estimate(0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("value, std_error, message", [
+    (math.nan, 0.0, "value must be finite, got nan"),
+    (-math.inf, 0.0, "value must be finite, got -inf"),
+    (0.5, math.inf, "std_error must be finite and >= 0, got inf"),
+])
+def test_a_non_finite_estimate_is_a_domain_error_and_a_value_error(value, std_error, message):
+    # a ValueError alone, which the CLI did not catch: a traceback, exit 1
+    assert issubclass(NonFiniteResult, CpfError) and issubclass(NonFiniteResult, ValueError)
+    with pytest.raises(NonFiniteResult, match=f"^{re.escape(message)}$"):
+        core.Estimate(value, std_error, 10)
+    with pytest.raises(ValueError) as info:
+        core.Estimate(0.0, -1.0, 1)  # a negative std_error is no domain error
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("make", [

@@ -2,7 +2,9 @@
 
 import collections
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +62,35 @@ def test_system_init():
     assert init.a == 1.0 and init.b == 0.0
     with pytest.raises(ValueError):
         spinbath.SystemInit(1.0, 1.0)
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda a: spinbath.SystemInit(a, 0.0), "system"),
+    (lambda a: spinbath.LorentzCouplingSpec(1.0, alpha=a, beta=0.0), "bath spin"),
+    (lambda a: spinbath.SpinBathSpec([0.5, 0.5], [1.0, a], [0.0, 0.0]), "per-spin"),
+])
+@pytest.mark.parametrize("a, norm", [
+    (1e200, "inf"),  # |a|^2 overflows: an OverflowError, or numpy's RuntimeWarning
+    (complex(0.0, -math.inf), "inf"),
+    (complex(math.nan, 0.0), "nan"),
+    (0.5, "0.25"),
+])
+def test_one_amplitude_rule_for_scalar_and_per_spin_pairs(make, what, a, norm):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} amplitudes must satisfy |a|^2+|b|^2=1, got {norm}")):
+            make(a)
+
+
+def test_scaled_bath_arrays_are_bounded_before_they_are_allocated(monkeypatch):
+    # 40 bytes a spin: the couplings and both amplitudes
+    monkeypatch.setattr(spinbath, "ENSEMBLE_MAX_BYTES", 400)
+    assert spinbath.scaled_gaussian_bath(10, 0.9).n_spins == 10
+    monkeypatch.setattr(np, "full", None)  # not called past the bound
+    with pytest.raises(BathTooLarge, match=r"^N = 11 spins take 0 MiB of couplings and "
+                                           r"amplitudes, over the 0 MiB budget$"):
+        spinbath.scaled_gaussian_bath(11, 0.9)
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,15 @@ def test_per_tau_slots_on_racing_pool_threads_keep_every_point_exact(monkeypatch
     assert got == want
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_runs_every_chunk_under_the_callers_error_state(workers):
+    # numpy's error state is per thread (a context variable), and pool threads
+    # started with the default "warn"
+    with np.errstate(over="ignore", invalid="raise"):
+        states = _mc.map_chunks(lambda chunk: np.geterr(), McConfig(4, chunk_size=1), workers)
+    assert [(s["over"], s["invalid"]) for s in states] == [("ignore", "raise")] * 4
+
+
 def test_chunk_size_is_part_of_the_stream_layout():
     a = stochastic.mc_cpf_semianalytic(
         OU, 1.0, 0.8, McConfig(n_trajectories=64_000, seed=4, chunk_size=8_000)

@@ -20,6 +20,8 @@ grid_memo() the points of a grid, which all draw the same chunk streams, compute
 each chunk's draws once, each per-t stage once per t (rows are t-major) and each
 per-tau stage once per tau (a slot per tau); the bits do not change.  A sweep's
 legs share one scope, so draws that no model parameter scales are drawn once.
+Outside such a scope a point may run the stages after its draws tile by tile
+(Chunk.tiles), which keeps its temporaries small.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ MAX_CHUNK_SIZE = 1 << 20
 MAX_CHUNKS = 1 << 16
 # Values of one block of a chunk's draw (draw_rows), 256 KiB.
 DRAW_BLOCK_VALUES = 2**15
+# Trajectories of one tile of a lone point's chunk (Chunk.tiles): a tile's float64
+# arrays take 64 KiB, below glibc's default 128 KiB mmap threshold, so the heap reuses
+# a freed tile's pages where a chunk's would go back to the system and fault in again.
+POINT_TILE = 1 << 13
 # Bytes one grid_memo() scope holds at most; a stage past the budget is
 # recomputed at every call.
 GRID_MEMO_MAX_BYTES = 16 << 20
@@ -147,6 +153,12 @@ class Chunk:
         that the chunk's stream gives after its first 4 * offset."""
         return np.random.Generator(
             np.random.Philox(key=self.seed, counter=(self.index << 128) + offset))
+
+    def tiles(self) -> list[slice]:
+        """The chunk's trajectories in slices of POINT_TILE (the last may be shorter),
+        or in one slice inside grid_memo(), where a grid's points share whole stages."""
+        step = self.size if _memo is not None else POINT_TILE
+        return [slice(lo, lo + step) for lo in range(0, self.size, step)]
 
     def memo(self, stage: str, owner, t: float | None, compute) -> tuple:
         """compute(), a tuple of arrays that depends on this chunk, on owner (the
@@ -255,7 +267,10 @@ def cos2(theta: np.ndarray, sin: np.ndarray | None = None) -> np.ndarray:
 def check_real(value: float, name: str, positive: bool = True) -> float:
     """value as a float, checked to be finite and, if positive, > 0 (a model
     parameter or path_dt); a ValueError names the argument name."""
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v) or (positive and v <= 0.0):
         raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
     return v

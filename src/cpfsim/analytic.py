@@ -148,6 +148,19 @@ def first_moment(model: NoiseModel, s):
     return _first_moment(model, check_times(s, "s"))
 
 
+def _ou_scale(g: float, tc: float) -> float:
+    """(tau_c g)^2 of the OU closed forms; a ValueError names g and tau_c where 4 (tau_c g)^2
+    overflows, as f(0) = exp(-4 (tau_c g)^2 h(0)) would then be NaN."""
+    try:
+        a = (tc * g) ** 2
+    except OverflowError:
+        a = math.inf
+    if math.isinf(4.0 * a):
+        raise ValueError(f"g = {g!r}, tau_c = {tc!r} overflow the OU scale 4 (tau_c g)^2; "
+                         "tau_c -> inf is StaticGauss")
+    return a
+
+
 def _first_moment(model: NoiseModel, s):
     # s is checked by the caller; the static models also take s = t - tau < 0 (f is even)
     match model:
@@ -155,7 +168,7 @@ def _first_moment(model: NoiseModel, s):
             return np.exp(-2.0 * gw * s)
         case ExpCorrGauss(g=g, tau_c=tc):
             with np.errstate(over="ignore"):  # -inf at huge s: f -> 0, as intended
-                return np.exp(-4.0 * (tc * g) ** 2 * _h(s / tc))
+                return np.exp(-4.0 * _ou_scale(g, tc) * _h(s / tc))
         case StaticGauss(g=g):
             # np.square: a 0-d ** 2 can round differently from the array path
             return np.exp(-2.0 * np.square(g * s))
@@ -181,7 +194,7 @@ def moment_set(model: NoiseModel, t, tau) -> core.MomentSet:
         case White():
             f_joint = f_t * f_tau
         case ExpCorrGauss(g=g, tau_c=tc):
-            a = (tc * g) ** 2
+            a = _ou_scale(g, tc)
             phi = 4.0 * a * (-np.expm1(-t / tc)) * (-np.expm1(-tau / tc))
             # log-space combination avoids 0 * inf from underflow * cosh overflow
             with np.errstate(over="ignore"):  # -inf at huge times, as in _first_moment

@@ -137,6 +137,7 @@ class LorentzCouplingSpec:
         object.__setattr__(self, "gamma", check_real(self.gamma, "gamma"))
         object.__setattr__(self, "omega", check_real(self.omega, "omega", positive=False))
         object.__setattr__(self, "n_spins", check_count(self.n_spins, "n_spins"))
+        check_real(self.n_spins, "n_spins")  # the closed form takes N as a float
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         _check_amplitudes(self.alpha, self.beta, "bath spin")

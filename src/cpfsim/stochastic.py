@@ -176,7 +176,7 @@ def _kept_stage(model: NoiseModel, d: np.ndarray, u: np.ndarray, cos1: np.ndarra
     """x and y of every trajectory from the outcome uniforms u (m, 3) and cos 2 theta1,
     in whose buffer p(y = +1 | x) is built; then, of those with y == y_select, the
     cell 2 z_idx + x_idx at z = -1, the z uniform and what cos 2 theta2 needs: the
-    OU model's normal draw rows, or the index into the chunk's per-tau array."""
+    OU model's normal draw rows, or the index into the tile's per-tau array."""
     x_up = u[:, 0] < 0.5
     p_y = cos1
     p_y *= 2.0 * x_up.astype(float) - 1.0  # x = +-1.0, in float steps (bool casts are slow)
@@ -201,21 +201,25 @@ def _z_counts(cell: np.ndarray, u_z: np.ndarray, b: np.ndarray, y_select: int) -
 def _kept_counts(model: NoiseModel, t: float, tau: float, y_select: int, cfg: McConfig,
                  workers: int = 1) -> np.ndarray:
     """Counts[2 z_idx + x_idx] of the sampled triples with y == y_select; index 0 is +1.
-    Every trajectory draws x and y; only the kept ones are read out in z."""
+    Every trajectory draws x and y; only the kept ones are read out in z.  A chunk draws
+    whole, then runs the rest tile by tile (Chunk.tiles) and adds the tiles' counts."""
 
     def draw(chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
         rng = chunk.stream()
         return _phase_draws(model, rng, chunk.size), rng.random((chunk.size, 3))
 
-    def worker(chunk: Chunk) -> np.ndarray:
-        d, u = chunk.memo("outcomes", _PAIR_LAW.get(type(model), model), None, lambda: draw(chunk))
+    def tile(chunk: Chunk, d: np.ndarray, u: np.ndarray) -> np.ndarray:
         cell, u_z, r = chunk.memo(f"kept {y_select:+d}", model, t, lambda: _kept_stage(
             model, d, u, cos2(_theta1(model, d, t)), y_select))
         if r.ndim == 2:
             b = cos2(_theta2(model, r, t, tau))
-        else:  # gathered from the chunk's, which a grid keeps per tau
+        else:  # gathered from the tile's, which a grid keeps per tau
             b = _cos2_theta2(chunk, model, d, t, tau)[r]
         return _z_counts(cell, u_z, b, y_select)
+
+    def worker(chunk: Chunk) -> np.ndarray:
+        d, u = chunk.memo("outcomes", _PAIR_LAW.get(type(model), model), None, lambda: draw(chunk))
+        return sum(tile(chunk, d[..., s], u[s]) for s in chunk.tiles())
 
     return sum(map_chunks(worker, cfg, workers))
 

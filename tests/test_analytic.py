@@ -7,6 +7,7 @@ moments against a frozen-seed Monte Carlo over the frequency distribution.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def test_model_parameter_validation():
             analytic.StaticLorentz(bad)
     with pytest.raises(ValueError):
         analytic.first_moment(analytic.White(1.0), -0.5)
+
+
+@pytest.mark.parametrize("g, tau_c", [(1e100, 1e100), (1.0, 1e154), (1e200, 1e-40)])
+def test_ou_closed_forms_name_a_scale_that_overflows(g, tau_c):
+    # (tau_c g)^2 raised a bare "OverflowError: (34, 'Numerical result out of
+    # range')" at the first pair; 4 (tau_c g)^2 was -inf (a NaN f at s = 0) at
+    # the second, and g * g was inf at the third
+    model = analytic.ExpCorrGauss(g, tau_c)
+    message = "^" + re.escape(f"g = {g!r}, tau_c = {tau_c!r} overflow the OU scale 4 (tau_c g)^2; ")
+    for evaluate in (lambda: analytic.moment_set(model, 1.0, 1.0),
+                     lambda: analytic.first_moment(model, 0.0),
+                     lambda: analytic.cpf(model, 1.0, 0.5)):
+        with pytest.raises(ValueError, match=message):
+            evaluate()
+    # below the limit the closed forms run
+    assert analytic.first_moment(analytic.ExpCorrGauss(1.0, 1e153), 0.0) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -962,6 +962,17 @@ def test_amplitudes_whose_norm_overflows_exit_2(tmp_path, monkeypatch, capsys, s
     assert err.endswith(" amplitudes must satisfy |a|^2+|b|^2=1, got inf\n")
 
 
+def test_a_lorentz_ensemble_of_more_spins_than_the_float_range_exits_2(tmp_path, monkeypatch,
+                                                                       capsys):
+    # its closed form ended in "OverflowError: int too large to convert to float", exit 1
+    _no_evaluation(monkeypatch)
+    doc = base_config(model={"kind": "lorentz_coupling", "gamma": 0.7, "n_spins": 10**400})
+    code, out = run_strictly(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err == f"config error: model: n_spins must be finite and > 0, got {10**400}\n"
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("model, quantity, method, t, named", [
     # tracebacks: "ValueError: value must be finite, got nan" (exit 1)

@@ -25,7 +25,7 @@ SCRIPTS = {
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(
-        [*SCRIPTS, "bench_pairs.py", "code_lines.py", "csv_digests.py"]
+        [*SCRIPTS, "bench_pairs.py", "code_lines.py", "csv_digests.py", "job_rusage.py"]
     )
 
 
@@ -71,6 +71,19 @@ def test_csv_digests_prints_one_line_per_csv_of_the_workload(tmp_path):
     names = ["bath_surface", "bath_table", "lorentz_surface", "oracle_surface", "ou_surface"]
     for line, name in zip(lines, names, strict=True):
         assert re.fullmatch(rf"[0-9a-f]{{64}}  closed_forms/3/{name}\.csv", line), line
+    assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
+
+
+def test_job_rusage_prints_one_line_per_job_of_the_workload(tmp_path):
+    # one pass of the cheapest workload, in a directory of its own
+    proc = _run("job_rusage.py", "closed_forms", "--seed", "3", "--passes", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.startswith("# closed_forms seed 3, 1 passes: job, median wall s")
+    names = ["ou_surface", "bath_surface", "bath_table", "lorentz_surface", "oracle_surface"]
+    assert sorted(line.split()[0] for line in lines) == sorted(names)
+    for line in lines:
+        assert re.fullmatch(r"\w+  \d+\.\d{4}  \d+  \d+\.\d", line), line
     assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
 
 

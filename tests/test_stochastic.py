@@ -4,6 +4,7 @@ import contextlib
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,64 @@ def test_sampling_estimate_is_the_where_pipeline_on_the_chunk_draws(
                for t, tau in points]
     assert [(e.value.hex(), e.std_error.hex(), e.n_samples) for e in got] == \
         [(e.value.hex(), e.std_error.hex(), e.n_samples) for e in want]
+
+
+def whole_chunk_counts(model, t, tau, y_select, cfg):
+    """_kept_counts with every stage on a whole chunk, as a chunk ran before tiles."""
+    counts = 0
+    for i, m in enumerate(_mc.chunk_sizes(cfg)):
+        rng = _mc.Chunk(cfg.seed, i, m).stream()
+        d, u = stochastic._phase_draws(model, rng, m), rng.random((m, 3))
+        cell, u_z, r = stochastic._kept_stage(
+            model, d, u, _mc.cos2(stochastic._theta1(model, d, t)), y_select)
+        if r.ndim == 2:
+            b = _mc.cos2(stochastic._theta2(model, r, t, tau))
+        else:
+            b = _mc.cos2(stochastic._theta2(model, d, t, tau))[r]
+        counts = counts + stochastic._z_counts(cell, u_z, b, y_select)
+    return counts
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("y_select", core.OUTCOMES)
+@pytest.mark.parametrize("chunk", [1, 8_191, 8_192, 8_193, 34_464, 65_536])
+def test_tiled_counts_are_the_whole_chunk_counts(monkeypatch, model, y_select, chunk):
+    # two chunks, the second one trajectory short (one chunk at chunk size 1)
+    cfg = McConfig(n_trajectories=max(1, 2 * chunk - 1), seed=21, chunk_size=chunk)
+    t, tau = 0.8, 1.3
+    want = whole_chunk_counts(model, t, tau, y_select, cfg)
+    readouts = []
+    z_counts = stochastic._z_counts
+    monkeypatch.setattr(stochastic, "_z_counts",
+                        lambda *args: readouts.append(args[0]) or z_counts(*args))
+    for in_grid in (False, True):
+        for workers in (1, 2):
+            readouts.clear()
+            with _mc.grid_memo() if in_grid else contextlib.nullcontext():
+                got = stochastic._kept_counts(model, t, tau, y_select, cfg, workers)
+            assert np.array_equal(got, want)
+            # a lone point reads out tile by tile, a grid's point a chunk at a time
+            tile = chunk if in_grid else _mc.POINT_TILE
+            assert len(readouts) == sum(-(-m // tile) for m in _mc.chunk_sizes(cfg))
+
+
+@pytest.mark.parametrize("y_select", core.OUTCOMES)
+def test_a_lone_sampling_point_at_the_default_chunk_holds_one_tile(y_select):
+    # a lone OU point of 65,536 trajectories held its chunk's temporaries
+    # (a 4.46 MB peak); past its draws d and u it now holds one tile's
+    m = 65_536
+    cfg = McConfig(n_trajectories=m, seed=3)
+    assert cfg.chunk_size == m
+    _mc.Chunk(3, 0, 1).stream()  # a process's first stream imports numpy.random (0.76 MB)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stochastic.mc_cpf_sampling(OU, 0.7, 1.1, y_select, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # d: two normals a trajectory, u: three uniforms; a tile: 8 float64 arrays
+    assert peak < 8 * (5 * m + 8 * _mc.POINT_TILE)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -508,6 +567,37 @@ def test_a_count_that_is_not_an_integer_is_rejected_and_named(make, name):
     # and seeds 1.5 and 1.9 both ran seed 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
         make()
+
+
+@pytest.mark.parametrize("make, name, rule", [
+    (analytic.White, "gamma_w", "finite and > 0"),
+    (lambda v: analytic.ExpCorrGauss(v, 1.0), "g", "finite and > 0"),
+    (lambda v: analytic.ExpCorrGauss(1.0, v), "tau_c", "finite and > 0"),
+    (analytic.StaticGauss, "g", "finite and > 0"),
+    (analytic.StaticLorentz, "gamma", "finite and > 0"),
+    (lambda v: analytic.StaticLorentz(1.0, v), "omega", "finite"),
+    (lambda v: spinbath.LorentzCouplingSpec(v), "gamma", "finite and > 0"),
+    (lambda v: spinbath.LorentzCouplingSpec(1.0, v), "omega", "finite"),
+    (lambda v: spinbath.scaled_gaussian_bath(5, v), "g", "finite and > 0"),
+    (lambda v: spinbath.scaled_gaussian_bath(5, 1.0, v), "omega", "finite"),
+    (lambda v: McConfig(10, path_dt=v), "path_dt", "finite and > 0"),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_beyond_the_float_range_is_refused_and_named(make, name, rule, sign):
+    # float(10**400) raised a bare "OverflowError: int too large to convert to float"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {'-' * (sign < 0)}10+$"):
+        make(sign * 10**400)
+
+
+def test_a_lorentz_ensemble_of_more_spins_than_the_float_range_is_refused():
+    # it was built, and its closed form raised a bare OverflowError
+    with pytest.raises(ValueError, match="^n_spins must be finite and > 0, got 10+$"):
+        spinbath.LorentzCouplingSpec(1.0, 0.5, n_spins=10**400)
+    # the largest integer that converts still has a finite closed form
+    n = int(sys.float_info.max) + 2**969
+    assert float(n) == sys.float_info.max
+    spec = spinbath.LorentzCouplingSpec(1.0, 0.5, n_spins=n, alpha=0.8, beta=0.6)
+    assert np.all(np.isfinite(spinbath.lorentz_coherence(spec, np.array([0.0, 1.0, 2.0]))))
 
 
 def test_integral_seeds_keep_the_64_bit_mask():

@@ -10,7 +10,8 @@ for a given (seed, chunk_size, n) regardless of how many workers execute the
 chunks.
 
 The steps every sampler shares from its inputs to its factors live here: the
-time, parameter and count checks (check_times, check_real, check_count), the
+time, parameter and count checks (check_times, check_real, check_count) and the
+form of a refused value in their messages (shown), the
 block draw of a chunk's rows (draw_rows), the Cauchy inverse CDF (cauchy) and
 cos 2 theta, sin 2 theta from one tan of theta (cos2).
 
@@ -19,7 +20,9 @@ per-tau stage where tau alone fixes it, and the rest of the point.  Inside
 grid_memo() the points of a grid, which all draw the same chunk streams, compute
 each chunk's draws once, each per-t stage once per t (rows are t-major) and each
 per-tau stage once per tau (a slot per tau); the bits do not change.  A sweep's
-legs share one scope, so draws that no model parameter scales are drawn once.
+legs share one scope, and a slot serves every model equal to its owner: legs
+of one model (a sweep over yx, y_select, quantity or method) share the draws
+and the per-tau stages, and draws that no model parameter scales are drawn once.
 Outside such a scope a point may run the stages after its draws tile by tile
 (Chunk.tiles), which keeps its temporaries small.
 """
@@ -83,15 +86,16 @@ class McConfig:
         object.__setattr__(self, "seed", check_count(self.seed, "seed", least=None) & _MASK64)
         c = min(DEFAULT_CHUNK_SIZE, n) if self.chunk_size is None else self.chunk_size
         if not (isinstance(c, numbers.Real) and 1 <= c <= n):
-            raise ValueError(f"chunk_size must be in [1, n_trajectories], got {self.chunk_size!r}")
+            raise ValueError(
+                f"chunk_size must be in [1, n_trajectories], got {shown(self.chunk_size)}")
         c = check_count(c, "chunk_size")
         if c > MAX_CHUNK_SIZE:
-            raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {c}")
+            raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {shown(c)}")
         object.__setattr__(self, "chunk_size", c)
         chunks = -(-n // c)
         if chunks > MAX_CHUNKS:
             raise ValueError(
-                f"n_trajectories {n} at chunk_size {c} makes {chunks} "
+                f"n_trajectories {shown(n)} at chunk_size {c} makes {shown(chunks)} "
                 f"chunks, over the {MAX_CHUNKS}-chunk limit"
             )
         if self.path_dt is not None:
@@ -119,15 +123,13 @@ def grid_memo():
     """Scope in which the points of a grid share their chunks' stages (Chunk.memo).
 
     Its slots hold at most GRID_MEMO_MAX_BYTES and are dropped when the
-    outermost scope exits.  A nested scope (a sweep leg) keeps only the draws:
-    the stages of a t or tau belong to an earlier leg's model object.
+    outermost scope exits.  A nested scope (a sweep leg) starts a generation,
+    whose new stages may evict an earlier one's slots past the budget.
     """
     global _memo, _memo_bytes, _depth, _generation
     with _memo_lock:
         if _depth == 0:
             _memo, _memo_bytes = {}, 0
-        for key in [key for key, (_, (_, t), _, _) in _memo.items() if t is not None]:
-            _memo_bytes -= sum(a.nbytes for a in _memo.pop(key)[2])
         _depth += 1
         _generation += 1
     try:
@@ -165,8 +167,8 @@ class Chunk:
         model, or the law of draws no parameter scales) and on t (tau for a
         per-tau stage, None for a chunk's draws) only.
         Inside grid_memo() it is kept, read-only, in the slot of (seed, index,
-        stage) while it fits the budget, and returned while owner (the same
-        object), size and t's bits hold.
+        stage) while it fits the budget, and returned while size and t's bits
+        hold, to an equal owner (frozen dataclasses compare by value).
         """
         global _memo_bytes
         slots = _memo
@@ -175,7 +177,7 @@ class Chunk:
         key = (self.seed, self.index, stage)
         tag = (self.size, None if t is None else struct.pack("<d", t))
         slot = slots.get(key)
-        if slot is not None and slot[0] is owner and slot[1] == tag:
+        if slot is not None and slot[0] == owner and slot[1] == tag:
             return slot[2]
         with _memo_lock:  # an old value goes before its successor is computed
             if (old := slots.pop(key, None)) is not None:
@@ -264,6 +266,17 @@ def cos2(theta: np.ndarray, sin: np.ndarray | None = None) -> np.ndarray:
     return theta
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, or 3 digits of an integer too long for repr
+    (past sys.get_int_max_str_digits(), 4,300 digits by default): 1.00e+5000."""
+    try:
+        return repr(value)
+    except ValueError:
+        import decimal  # only such a refusal pays its import
+
+        return f"{decimal.Decimal(value):.3g}"
+
+
 def check_real(value: float, name: str, positive: bool = True) -> float:
     """value as a float, checked to be finite and, if positive, > 0 (a model
     parameter or path_dt); a ValueError names the argument name."""
@@ -272,7 +285,8 @@ def check_real(value: float, name: str, positive: bool = True) -> float:
     except OverflowError:  # an integer beyond the float range
         v = math.inf
     if not math.isfinite(v) or (positive and v <= 0.0):
-        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, "
+                         f"got {shown(value)}")
     return v
 
 
@@ -281,9 +295,9 @@ def check_count(value, name: str, least: int | None = 1) -> int:
     >= least unless least is None (n_trajectories, chunk_size, n_spins; the seed
     has no bound); a ValueError names the argument name."""
     if not (isinstance(value, numbers.Real) and value % 1 == 0):  # nan and inf fail too
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be >= {least}, got {shown(value)}")
     return int(value)
 
 

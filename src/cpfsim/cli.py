@@ -808,21 +808,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _row_columns(keys: RowKeys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t, tau and label of every CSV row; tau is -1 for t-only quantities (times are >= 0)."""
-    n_labels = len(keys.labels)
-    tau = np.full(len(keys), -1.0) if keys.tau is None else np.repeat(keys.tau, n_labels)
-    return np.repeat(keys.t, n_labels), tau, np.tile(np.array(keys.labels), keys.t.size)
+def _first_mismatch(keys_a: RowKeys, keys_b: RowKeys) -> int | None:
+    """The first row whose (t, tau, label) differs between two key sets of as many rows.
+    Rows of equal label counts compare as points and labels, one boolean a point at a
+    time; otherwise row by row, and distinct labels differ within lcm(the counts) rows."""
+    n = len(keys_a.labels)
+    if n != len(keys_b.labels):
+        return next((r for r in range(len(keys_a)) if keys_a.key(r) != keys_b.key(r)), None)
+    rows = [j for j, (p, q) in enumerate(zip(keys_a.labels, keys_b.labels)) if p != q][:1]
+    if (keys_a.tau is None) != (keys_b.tau is None):
+        rows.append(0)
+    for a, b in [(keys_a.t, keys_b.t), (keys_a.tau, keys_b.tau)]:
+        if a is not None and b is not None:
+            k = int(np.argmax(a != b))  # 0 where none differs
+            rows += [k * n] if a[k] != b[k] else []
+    return min(rows, default=None)
 
 
 def _check_keys(keys_a: RowKeys, keys_b: RowKeys) -> None:
     """Raise GridMismatch unless both result sets have the same rows in the same order."""
     if len(keys_a) != len(keys_b):
         raise GridMismatch(f"result sets have {len(keys_a)} vs {len(keys_b)} rows")
-    (t_a, tau_a, q_a), (t_b, tau_b, q_b) = _row_columns(keys_a), _row_columns(keys_b)
-    differ = (t_a != t_b) | (tau_a != tau_b) | (q_a != q_b)
-    if differ.any():
-        row = int(np.argmax(differ))
+    if (row := _first_mismatch(keys_a, keys_b)) is not None:
         raise GridMismatch(
             "row mismatch: ({}, {}, {}) vs ({}, {}, {})".format(*keys_a.key(row), *keys_b.key(row))
         )

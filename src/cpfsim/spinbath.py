@@ -47,7 +47,7 @@ import numpy as np
 
 from . import core
 from ._mc import (Chunk, McConfig, MomentStats, block_rows, cauchy, check_count, check_real,
-                  check_times, collect_moments, cos2, draw_rows)
+                  check_times, collect_moments, cos2, draw_rows, shown)
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -61,6 +61,17 @@ ORACLE_MAX_SPINS = 14
 ENSEMBLE_MAX_BYTES = 256 * 2**20
 # Bytes a spin of scaled_gaussian_bath takes: its coupling and two complex amplitudes.
 _SCALED_SPIN_BYTES = 40
+
+
+def _amplitudes(a, b, what: str) -> tuple[complex, complex]:
+    """(a, b) as complex numbers, checked by _check_amplitudes; an integer beyond the
+    float range has an inf norm."""
+    try:
+        a, b = complex(a), complex(b)
+    except OverflowError:
+        a = b = complex(math.inf)
+    _check_amplitudes(a, b, what)
+    return a, b
 
 
 def _check_amplitudes(a, b, what: str) -> None:
@@ -109,9 +120,9 @@ class SystemInit:
     b: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        _check_amplitudes(self.a, self.b, "system")
+        a, b = _amplitudes(self.a, self.b, "system")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def plus(cls) -> SystemInit:
@@ -138,9 +149,9 @@ class LorentzCouplingSpec:
         object.__setattr__(self, "omega", check_real(self.omega, "omega", positive=False))
         object.__setattr__(self, "n_spins", check_count(self.n_spins, "n_spins"))
         check_real(self.n_spins, "n_spins")  # the closed form takes N as a float
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        _check_amplitudes(self.alpha, self.beta, "bath spin")
+        alpha, beta = _amplitudes(self.alpha, self.beta, "bath spin")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 # Most values in the kernel's buffers for blocks of several spins, for the closed-form
@@ -263,9 +274,9 @@ def scaled_gaussian_bath(n_spins: int, g: float, omega: float = 0.0) -> SpinBath
     n = check_count(n_spins, "n_spins")
     g, omega = check_real(g, "g"), check_real(omega, "omega", positive=False)
     if n * _SCALED_SPIN_BYTES > ENSEMBLE_MAX_BYTES:
-        raise BathTooLarge(f"N = {n} spins take {n * _SCALED_SPIN_BYTES >> 20} MiB of "
-                           f"couplings and amplitudes, over the {ENSEMBLE_MAX_BYTES // 2**20} "
-                           "MiB budget")
+        raise BathTooLarge(f"N = {shown(n)} spins take {shown(n * _SCALED_SPIN_BYTES >> 20)} "
+                           "MiB of couplings and amplitudes, over the "
+                           f"{ENSEMBLE_MAX_BYTES // 2**20} MiB budget")
     pol = omega / (2.0 * g * math.sqrt(n))
     if abs(pol) > 1.0:
         raise UnreachablePolarization(
@@ -363,13 +374,14 @@ def _ensemble_cols(spec: LorentzCouplingSpec, t: float, tau: float | None):
     return sample
 
 
-# Per-trajectory float64 values one draw holds besides its tile of couplings, the
-# block of uniforms they are drawn in and the kernel's blocks of several spins, at
-# most: the kernel's general path keeps (4, tile) re, im and products (12) and
-# one-spin blocks (10), its balanced path (|alpha| == |beta|) re and a one-spin
-# block or a copy of re (8); then the chunk's columns, MomentStats' centred rows
-# and its row of products: about 7.  The rest is headroom.
-_ENSEMBLE_DRAW_COLUMNS = 40
+# Per-trajectory float64 values one draw holds, at most.  Of the chunk: its columns,
+# MomentStats' centred rows and its row of products (7).  Of one tile, besides its
+# couplings, the block of uniforms they are drawn in and the kernel's blocks of
+# several spins: the kernel's general path keeps (4, tile) re, im and products (12)
+# and one-spin blocks (10), its balanced path (|alpha| == |beta|) re and a one-spin
+# block or a copy of re (8).  The rest is headroom.
+_ENSEMBLE_CHUNK_COLUMNS = 7
+_ENSEMBLE_TILE_COLUMNS = 33
 # Bytes of the small objects of one draw whatever its size (the stream, array
 # headers, the lags): up to 3.3 kB under tracemalloc, on chunks of 1-5
 # trajectories, where the per-trajectory headroom is a few hundred bytes.
@@ -377,13 +389,14 @@ _ENSEMBLE_DRAW_FIXED_BYTES = 4096
 
 
 def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
-    """Peak bytes of one chunk's draw: one tile's couplings, the per-trajectory
-    arrays, one block of uniforms (_mc.block_rows), the kernel's blocks and the
-    draw's small objects."""
+    """Peak bytes of one chunk's draw: the chunk's per-trajectory arrays, one tile's
+    couplings and per-trajectory arrays, one block of uniforms (_mc.block_rows), the
+    kernel's blocks and the draw's small objects."""
     m, n = cfg.chunk_size, spec.n_spins
     tile = min(m, _ENSEMBLE_TILE)
-    return (8 * (tile * n + m * _ENSEMBLE_DRAW_COLUMNS + min(tile, block_rows(n)) * n
-                 + _ENSEMBLE_BLOCK_VALUES + 3 * np.getbufsize()) + _ENSEMBLE_DRAW_FIXED_BYTES)
+    return (8 * (m * _ENSEMBLE_CHUNK_COLUMNS + tile * (n + _ENSEMBLE_TILE_COLUMNS)
+                 + min(tile, block_rows(n)) * n + _ENSEMBLE_BLOCK_VALUES + 3 * np.getbufsize())
+            + _ENSEMBLE_DRAW_FIXED_BYTES)
 
 
 def _ensemble_stats(

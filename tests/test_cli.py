@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1191,6 +1192,83 @@ def test_compare_rejects_misaligned_rows(tmp_path, monkeypatch, capsys, override
     assert capsys.readouterr().err == f"grid mismatch: row mismatch: {message}\n"
 
 
+def rows_one_by_one(keys):
+    """(t, tau, label) of every row, expanded to one entry a row (the reference for the
+    check, which holds no such copy): tau is -1 for t-only quantities."""
+    n = len(keys.labels)
+    tau = np.full(len(keys), -1.0) if keys.tau is None else np.repeat(keys.tau, n)
+    return np.repeat(keys.t, n), tau, np.tile(np.array(keys.labels), keys.t.size)
+
+
+@st.composite
+def row_key_pairs(draw):
+    """Two RowKeys of as many rows, with times, taus and labels that often agree."""
+    label_sets = [("cpf",), ("coherence",), cli._LABELS["moments"],
+                  cli._LABELS["probability_table"]]
+    rows = 12 * draw(st.integers(1, 4))
+    keys = []
+    for _ in range(2):
+        labels = draw(st.sampled_from(label_sets))
+        t = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                   min_size=rows // len(labels), max_size=rows // len(labels))))
+        tau = draw(st.sampled_from([None, t, t[::-1].copy()]))
+        keys.append(cli.RowKeys(t, tau, labels))
+    return keys
+
+
+@given(row_key_pairs())
+def test_check_keys_names_the_first_row_that_differs(pair):
+    # the check compares points and label tuples; the rows, expanded, are the reference
+    keys_a, keys_b = pair
+    (t_a, tau_a, q_a), (t_b, tau_b, q_b) = rows_one_by_one(keys_a), rows_one_by_one(keys_b)
+    differ = (t_a != t_b) | (tau_a != tau_b) | (q_a != q_b)
+    if not differ.any():
+        cli._check_keys(keys_a, keys_b)
+        return
+    row = int(np.argmax(differ))
+    with pytest.raises(cli.GridMismatch) as info:
+        cli._check_keys(keys_a, keys_b)
+    assert str(info.value) == "row mismatch: ({}, {}, {}) vs ({}, {}, {})".format(
+        *keys_a.key(row), *keys_b.key(row))
+
+
+def test_check_keys_holds_no_copy_of_the_rows():
+    # expanding t, tau and the labels to one entry per row took 360 MiB above the
+    # keys of two 2**20-point probability tables
+    grid = {"start": 0.0, "stop": 1.0, "count": 2**20}
+    doc = base_config(quantity="probability_table", t_grid=grid, tau_grid=grid)
+    keys_a = cli._row_keys(cli.parse_config(doc))
+    keys_b = cli._row_keys(cli.parse_config(dict(doc, y_select=-1)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._check_keys(keys_a, keys_b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("overrides_a, overrides_b, message", [
+    # 4 points of 3 labels against 3 points of 4
+    ({"quantity": "moments", "t_grid": {"start": 0.2, "stop": 0.8, "count": 4}},
+     {"quantity": "probability_table", "t_grid": {"start": 0.2, "stop": 0.8, "count": 3}},
+     "(0.2, 0.2, f_t) vs (0.2, 0.2, p_z+_x+)"),
+    # surfaces whose tau axes differ from the second row on
+    ({"quantity": "cpf_surface", "t_grid": {"start": 0.0, "stop": 1.0, "count": 32}},
+     {"quantity": "cpf_surface", "t_grid": {"start": 0.0, "stop": 1.0, "count": 32},
+      "tau_grid": {"start": 0.0, "stop": 1.5, "count": 32}},
+     "(0.0, 0.03225806451612903, cpf_surface) vs (0.0, 0.04838709677419355, cpf_surface)"),
+])
+def test_compare_names_the_first_misaligned_row(tmp_path, monkeypatch, capsys, overrides_a,
+                                                 overrides_b, message):
+    _no_evaluation(monkeypatch)
+    a = write_json(tmp_path, base_config(**overrides_a), "a.json")
+    b = write_json(tmp_path, base_config(**overrides_b), "b.json")
+    assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b)]) == 2
+    assert capsys.readouterr().err == f"grid mismatch: row mismatch: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep subcommand
 
@@ -1376,6 +1454,40 @@ def test_sweep_legs_share_the_draws_no_model_parameter_scales(tmp_path, monkeypa
             (tmp_path / f"alone{g}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("model, mc, streams, cos2_calls", [
+    # 2 chunks x (3 cos 2 theta1 a leg x 2 legs + 3 per-tau cos 2 theta2)
+    (MODELS["static_gauss"], TWO_CHUNKS, [(0, 0), (1, 0)], 2 * (3 * 2 + 3)),
+    # chunk 0 holds two coupling tiles, the second 4,096 x 3 uniforms into its stream
+    (MODELS["lorentz_coupling"], {"n_trajectories": 10_000, "chunk_size": 6_000, "seed": 5},
+     [(0, 0), (0, 3_072), (1, 0)], None),
+], ids=["static_gauss", "lorentz_coupling"])
+def test_sweep_legs_of_one_model_share_its_draws_and_per_tau_stages(
+        tmp_path, monkeypatch, model, mc, streams, cos2_calls):
+    # legs that differ only in yx run equal models: each chunk or coupling tile is
+    # drawn once across the legs, and each per-tau stage computed once; a per-t
+    # slot holds one t, so each leg computes its own per-t stages
+    doc = base_config(model=model, quantity="conditional_coherence", method="montecarlo",
+                      mc=mc, yx=1, t_grid={"start": 0.2, "stop": 1.4, "count": 3},
+                      tau_grid={"start": 0.3, "stop": 1.5, "count": 3},
+                      output_path=str(tmp_path / "o.csv"), sweep={"yx": [1, -1]})
+    drawn, cos2s = [], []
+    stream, cos2 = _mc.Chunk.stream, stochastic.cos2
+    monkeypatch.setattr(_mc.Chunk, "stream",
+                        lambda c, offset=0: drawn.append((c.index, offset)) or stream(c, offset))
+    monkeypatch.setattr(stochastic, "cos2", lambda *a: cos2s.append(a) or cos2(*a))
+    assert cli.main(["sweep", "--config", str(write_json(tmp_path, doc)), "--quiet"]) == 0
+    assert sorted(drawn) == streams
+    if cos2_calls is not None:
+        assert len(cos2s) == cos2_calls
+    for yx in (1, -1):
+        leg = dict(base_config(**{k: v for k, v in doc.items() if k != "sweep"}), yx=yx,
+                   output_path=str(tmp_path / f"alone{yx}.csv"))
+        assert cli.main(["run", "--config", str(write_json(tmp_path, leg, f"alone{yx}.json")),
+                         "--quiet"]) == 0
+        assert (tmp_path / f"o__yx={yx}.csv").read_bytes() == \
+            (tmp_path / f"alone{yx}.csv").read_bytes()
+
+
 def test_sweep_rejects_legs_that_share_an_output(tmp_path, capsys):
     doc = base_config(output_path=str(tmp_path / "o.csv"), sweep={"model.gamma_w": [0.5, 0.5]})
     cfg = write_json(tmp_path, doc)
@@ -1402,6 +1514,24 @@ def test_sweep_failed_leg_still_writes_index(tmp_path, capsys):
     ]}
     assert len(read_rows(tmp_path / "o__model.n_spins=4.csv")) == 5
     assert not (tmp_path / "o__model.n_spins=20.csv").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (base_config(sweep={"model.gama_w": [0.5, 0.7]}),
+     "sweep.model.gama_w: config has no field 'gama_w'"),
+    # a field the base config leaves at its default is not spelled out there
+    (base_config(quantity="conditional_coherence", sweep={"yx": [1, -1]}),
+     "sweep.yx: config has no field 'yx'"),
+    (base_config(sweep={"mc.seed": [1, 2]}), "sweep.mc.seed: config has no section 'mc'"),
+], ids=["misspelled", "defaulted", "no_section"])
+def test_sweep_refuses_a_key_the_base_config_does_not_spell_out(tmp_path, monkeypatch, capsys,
+                                                                doc, message):
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, doc)
+    assert cli.main(["sweep", "--config", "config.json", "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_sweep_rejects_unknown_field(tmp_path):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cpfsim import _mc, analytic, cli, core, spinbath, stochastic
+from cpfsim.errors import CpfError
 from cpfsim.stochastic import McConfig
 
 times = st.floats(0.0, 4.0)
@@ -396,23 +397,99 @@ def test_nested_grid_memo_shares_the_outer_slots(monkeypatch):
     assert _mc._memo is None
 
 
-def test_a_sweep_legs_entry_drops_the_earlier_legs_per_t_and_per_tau_slots():
+def counting_memo(monkeypatch):
+    """The stages Chunk.memo computes, in order; after every call the memo's slots
+    hold _memo_bytes, within the budget."""
+    computed = []
+    memo = _mc.Chunk.memo
+
+    def counted(chunk, stage, owner, t, compute):
+        value = memo(chunk, stage, owner, t, lambda: computed.append(stage) or compute())
+        held = sum(a.nbytes for _, _, v, _ in _mc._memo.values() for a in v)
+        assert held == _mc._memo_bytes <= _mc.GRID_MEMO_MAX_BYTES
+        return value
+
+    monkeypatch.setattr(_mc.Chunk, "memo", counted)
+    return computed
+
+
+def test_a_sweep_leg_reuses_an_equal_models_slots_and_recomputes_an_unequal_ones(monkeypatch):
     # leg 1 keeps draws ("phase", "outcomes"), per-t stages ("cos1", "kept +1")
-    # and white noise's per-tau stage; leg 2, whose models are other objects,
-    # can share only the draws
+    # and white noise's per-tau stage; leg 2's models are other objects equal to
+    # leg 1's and compute nothing, leg 3's are unequal and share only the draws
+    # that no parameter scales
     cfg = McConfig(300, seed=4, chunk_size=100)
+
+    def point(ou, white):
+        return [estimate_bits(stochastic.mc_moments(ou, 0.4, 0.7, cfg)),
+                estimate_bits([stochastic.mc_cpf_sampling(white, 0.4, 0.7, 1, cfg)])]
+
+    equal = (analytic.ExpCorrGauss(0.9, 1.3), analytic.White(0.4))
+    unequal = (analytic.ExpCorrGauss(0.9, 1.4), analytic.White(0.5))
+    want = {models: point(*models) for models in (equal, unequal)}  # outside any scope
+    computed = counting_memo(monkeypatch)
+
+    def leg(ou, white):
+        computed.clear()
+        with _mc.grid_memo():
+            assert point(ou, white) == want[ou, white]
+        return sorted(computed)
+
+    draws, stages = ["phase", "outcomes"], ["cos1", "kept +1", f"cos2 {(0.7).hex()}"]
     with _mc.grid_memo():
+        assert leg(*equal) == sorted((draws + stages) * 3)
+        first = dict(_mc._memo)
+        assert leg(analytic.ExpCorrGauss(0.9, 1.3), analytic.White(0.4)) == []
+        assert _mc._memo == first
+        assert leg(*unequal) == sorted(stages * 3)
+
+
+def test_a_yx_sweep_keeps_its_reuse_at_a_budget_of_one_legs_stages(monkeypatch):
+    # a reused slot keeps its leg's generation; at a budget of one leg's stages the
+    # next leg's per-t stage takes the room its predecessor frees, so no reused
+    # slot is evicted and each leg computes only its per-t stages
+    cfg = McConfig(300, seed=4, chunk_size=100)
+    points = [(0.2, 0.3), (0.5, 0.9), (1.1, 1.4)]
+
+    def leg(yx):
         with _mc.grid_memo():
-            stochastic.mc_moments(analytic.ExpCorrGauss(0.9, 1.3), 0.4, 0.7, cfg)
-            stochastic.mc_cpf_sampling(analytic.White(0.4), 0.4, 0.7, 1, cfg)
-            first = dict(_mc._memo)
-        assert {stage for _, _, stage in first} == {
-            "phase", "cos1", "outcomes", "kept +1", f"cos2 {(0.7).hex()}"}
+            return [estimate_bits([stochastic.mc_conditional_coherence(
+                analytic.StaticGauss(0.7), t, tau, yx, cfg)]) for t, tau in points]
+
+    want = {yx: leg(yx) for yx in (1, -1)}  # each in a scope of its own
+    with _mc.grid_memo():
+        leg(1)
+        monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", _mc._memo_bytes)
+    computed = counting_memo(monkeypatch)
+    per_t = ["cos1"] * 9  # 3 points x 3 chunks
+    first = per_t + (["phase"] + [f"cos2 {tau.hex()}" for _, tau in points]) * 3
+    with _mc.grid_memo():
+        for yx, stages in [(1, first), (-1, per_t), (1, per_t)]:
+            computed.clear()
+            assert leg(yx) == want[yx]
+            assert sorted(computed) == sorted(stages)
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda omega, cfg: stochastic.mc_moments(analytic.StaticLorentz(1.0, omega), 0.4, 0.7, cfg),
+    lambda omega, cfg: [stochastic.mc_cpf_sampling(analytic.StaticLorentz(1.0, omega), 0.4, 0.7,
+                                                   -1, cfg)],
+    lambda omega, cfg: spinbath.lorentz_mc_moments(
+        spinbath.LorentzCouplingSpec(1.0, omega, 3, 0.8, 0.6), 0.4, 0.7, cfg),
+], ids=["montecarlo", "sampling", "ensemble"])
+def test_models_equal_up_to_a_signed_zero_give_the_same_bits(sampler):
+    # a slot serves every model equal to its owner, and 0.0 == -0.0: the two
+    # models' draws and stages must be the same bits, alone and from each
+    # other's slots
+    cfg = McConfig(5_000, seed=6, chunk_size=2_000)
+    alone = {omega: estimate_bits(sampler(omega, cfg)) for omega in (0.0, -0.0)}
+    assert alone[0.0] == alone[-0.0]
+    for first, second in [(0.0, -0.0), (-0.0, 0.0)]:
         with _mc.grid_memo():
-            draws = {key: slot for key, slot in first.items()
-                     if key[2] in ("phase", "outcomes")}
-            assert _mc._memo == draws
-            assert _mc._memo_bytes == sum(a.nbytes for _, _, v, _ in draws.values() for a in v)
+            assert estimate_bits(sampler(first, cfg)) == alone[first]
+            held = dict(_mc._memo)
+            assert estimate_bits(sampler(second, cfg)) == alone[second]
+            assert _mc._memo == held  # served from the first model's slots
 
 
 def test_an_earlier_scopes_slots_give_way_to_a_stage_past_the_budget(monkeypatch):
@@ -443,6 +520,50 @@ def test_a_replaced_stage_is_dropped_before_its_successor_is_computed():
         held = []
         chunk.memo("cos1", "model", 0.2, lambda: held.append(dict(_mc._memo)) or (np.ones(10),))
         assert held == [{}] and _mc._memo_bytes == 80
+
+
+# every edge of the parameter checks: zeros of each sign, integers past the float range
+# and past repr's 4,300 digits, the smallest and largest floats, inf and nan
+PARAMETER_EDGES = [sign * v for v in (0, 1, 3, 10**400, 10**5000, 0.0, 5e-324, 1.5, 1.8e308,
+                                      math.inf) for sign in (1, -1)] + [math.nan]
+# each owner of parameter checks -> its argument names, and how many it requires
+PARAMETER_OWNERS = {
+    analytic.White: (("gamma_w",), 1),
+    analytic.ExpCorrGauss: (("g", "tau_c"), 2),
+    analytic.StaticGauss: (("g",), 1),
+    analytic.StaticLorentz: (("gamma", "omega"), 1),
+    spinbath.LorentzCouplingSpec: (("gamma", "omega", "n_spins", "alpha", "beta"), 1),
+    spinbath.scaled_gaussian_bath: (("n_spins", "g", "omega"), 2),
+    spinbath.SystemInit: (("a", "b"), 2),
+    McConfig: (("n_trajectories", "seed", "chunk_size", "path_dt"), 1),
+}
+
+
+@st.composite
+def owner_calls(draw):
+    owner = draw(st.sampled_from(list(PARAMETER_OWNERS)))
+    names, required = PARAMETER_OWNERS[owner]
+    edge = st.sampled_from(range(len(PARAMETER_EDGES)))  # indices: repr of 10**5000 fails
+    given_args = draw(st.lists(edge, min_size=required, max_size=len(names)))
+    return owner, [PARAMETER_EDGES[k] for k in given_args]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(owner_calls())
+def test_every_parameter_owner_builds_or_refuses_by_argument(call):
+    # a refusal's str() works, and a ValueError starts with the name of an argument
+    # the caller gave (defaults pass) or names the amplitude pair it refuses
+    owner, args = call
+    names = PARAMETER_OWNERS[owner][0][:len(args)]
+    try:
+        owner(*args)
+    except CpfError as exc:
+        assert str(exc)
+    except ValueError as exc:
+        text = str(exc)
+        amplitudes = {"a", "b", "alpha", "beta"} & set(names)
+        assert (text.split(" ", 1)[0] in names
+                or (amplitudes and " amplitudes must satisfy " in text)), text
 
 
 # the floats at the edges of .17g text, and a zero of each sign

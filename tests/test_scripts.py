@@ -58,6 +58,17 @@ def test_readme_library_quick_start_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
+def test_readme_sweep_example_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("This `scan.json` runs four legs", 1)[1]
+    (tmp_path / "scan.json").write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--config", "scan.json", "--quiet"]) == 0
+    legs = [f"scan__model.tau_c={tau_c}__yx={yx}.csv" for tau_c in (0.5, 2.0) for yx in (1, -1)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["scan.json", "sweep_manifest.json", *legs, *(leg + ".manifest.json" for leg in legs)])
+
+
 def test_csv_digests_prints_one_line_per_csv_of_the_workload(tmp_path):
     # the cheapest workload (five analytic and oracle runs), in a directory of its own
     proc = _run("csv_digests.py", "closed_forms", "--seeds", "3", cwd=tmp_path)

@@ -634,13 +634,13 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
     monkeypatch.setattr(spinbath, "collect_moments", never)
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=10**7)
     cfg = McConfig(n_trajectories=65_536, chunk_size=65_536)
-    # one tile of 4,096 trajectories' couplings, 40 values per trajectory of the
-    # chunk; one block of the draw is one trajectory's 10**7 uniforms; the
-    # kernel's blocks of several spins 2**16 values and numpy's ufunc buffers
-    # 3 * 8192; 4 kB of small objects
+    # 7 values per trajectory of the chunk; one tile of 4,096 trajectories'
+    # couplings and 33 values per trajectory of the tile; one block of the draw
+    # is one trajectory's 10**7 uniforms; the kernel's blocks of several spins
+    # 2**16 values and numpy's ufunc buffers 3 * 8192; 4 kB of small objects
     assert np.getbufsize() == 8192
     assert (spinbath._ensemble_chunk_bytes(spec, cfg)
-            == 8 * (4_096 * 10**7 + 65_536 * 40 + 10**7 + 2**16 + 3 * 8192) + 4096)
+            == 8 * (65_536 * 7 + 4_096 * (10**7 + 33) + 10**7 + 2**16 + 3 * 8192) + 4096)
     with pytest.raises(BathTooLarge, match="lower mc.chunk_size"):
         spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
     # the benchmark's ensemble points (N = 50, chunks of 16,384) stay far below
@@ -649,21 +649,21 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
         McConfig(n_trajectories=16_384, chunk_size=16_384),
     )
     # one block of the draw is 655 trajectories of 50 uniforms
-    assert (points == 8 * (4_096 * 50 + 16_384 * 40 + 655 * 50 + 2**16 + 3 * 8192) + 4096
-            == 7_868_272)
+    assert (points == 8 * (16_384 * 7 + 4_096 * (50 + 33) + 655 * 50 + 2**16 + 3 * 8192) + 4096
+            == 4_624_240)
     assert points < spinbath.ENSEMBLE_MAX_BYTES / 10
     # a chunk shorter than a tile is one tile; a one-spin tile is one block of uniforms
     assert (spinbath._ensemble_chunk_bytes(spinbath.LorentzCouplingSpec(gamma=1.0),
                                            McConfig(n_trajectories=100_000))
-            == 8 * (4_096 + 65_536 * 40 + 4_096 + 2**16 + 3 * 8192) + 4096)
+            == 8 * (65_536 * 7 + 4_096 * (1 + 33) + 4_096 + 2**16 + 3 * 8192) + 4096)
     assert (spinbath._ensemble_chunk_bytes(spinbath.LorentzCouplingSpec(1.0, n_spins=70),
                                            McConfig(n_trajectories=300))
-            == 8 * (300 * 70 + 300 * 40 + 300 * 70 + 2**16 + 3 * 8192) + 4096)
+            == 8 * (300 * 7 + 300 * (70 + 33) + 300 * 70 + 2**16 + 3 * 8192) + 4096)
 
 
 def test_ensemble_budget_counts_one_tile_so_large_baths_pass(monkeypatch):
     # N = 2,000 at the default chunk counted 65,536 x 2,000 couplings (1,021 MiB)
-    # and raised BathTooLarge; one tile of them is 62.5 MiB, 83.4 MiB in all
+    # and raised BathTooLarge; one tile of them is 62.5 MiB, 68.0 MiB in all
     drawn = []
     monkeypatch.setattr(spinbath, "collect_moments",
                         lambda sample, cfg, workers: drawn.append(cfg) or _mc.MomentStats(
@@ -672,9 +672,24 @@ def test_ensemble_budget_counts_one_tile_so_large_baths_pass(monkeypatch):
     cfg = McConfig(n_trajectories=65_536)
     assert cfg.chunk_size == 65_536
     assert (spinbath._ensemble_chunk_bytes(spec, cfg)
-            == 8 * (4_096 * 2_000 + 65_536 * 40 + 16 * 2_000 + 2**16 + 3 * 8192) + 4096)
+            == 8 * (65_536 * 7 + 4_096 * (2_000 + 33) + 16 * 2_000 + 2**16 + 3 * 8192) + 4096)
     spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
     assert drawn == [cfg]
+
+
+def test_ensemble_budget_counts_a_chunk_longer_than_a_tile_by_what_a_tile_holds(monkeypatch):
+    # 40 values per trajectory of a 2**20 chunk counted 321 MiB at N = 1 and
+    # raised BathTooLarge, where the draw peaks at 56 MiB: only the chunk's
+    # columns and MomentStats' rows are as long as the chunk
+    drawn = []
+    monkeypatch.setattr(spinbath, "collect_moments",
+                        lambda sample, cfg, workers: drawn.append(cfg) or _mc.MomentStats(
+                            2, np.zeros(1), np.zeros((1, 1))))
+    spec = spinbath.LorentzCouplingSpec(gamma=1.0)
+    cfg = McConfig(n_trajectories=2**20, chunk_size=2**20)
+    spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
+    assert drawn == [cfg]
+    assert spinbath._ensemble_chunk_bytes(spec, cfg) < 58 * 2**20
 
 
 @pytest.mark.parametrize("amplitudes", [{}, {"alpha": 0.8, "beta": 0.6}],
@@ -699,20 +714,22 @@ def test_an_ensemble_point_at_the_default_chunk_holds_one_tile(amplitudes):
     pytest.param(n_spins, chunk, amplitudes, id=f"{n_spins}-{chunk}{label}")
     for n_spins, chunk in [(50, 16_384), (200, 2_000), (1, 4_096),
                            (200, 200), (50, 100), (200, 5_000),
-                           (100_000, 3), (100_000, 1), (1, 1), (7, 5)]
+                           (100_000, 3), (100_000, 1), (1, 1), (7, 5),
+                           (1, 100_000), (50, 100_000)]
     for label, amplitudes in [("", {}), ("-unbalanced", {"alpha": 0.8, "beta": 0.6})]
 ])
 def test_ensemble_draw_peak_within_counted_bytes(n_spins, chunk, amplitudes):
     # the budget has to count every array one draw holds at its peak, on the
-    # kernel's balanced path and on its general one, and the draw's small
-    # objects, which weigh on chunks of a few trajectories
+    # kernel's balanced path and on its general one, MomentStats' rows of a
+    # chunk longer than a tile, and the draw's small objects, which weigh on
+    # chunks of a few trajectories
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, omega=0.4, n_spins=n_spins, **amplitudes)
     sample = spinbath._ensemble_cols(spec, 0.7, 1.1)
     _mc.Chunk(3, 0, chunk).stream()  # a process's first stream imports numpy.random (0.76 MB)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sample(_mc.Chunk(3, 0, chunk))
+        _mc.MomentStats.from_samples(sample(_mc.Chunk(3, 0, chunk)))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

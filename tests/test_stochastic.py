@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from cpfsim import _mc, analytic, core, spinbath, stochastic
-from cpfsim.errors import EmptyPostselection, StepTooCoarse, ZeroProbabilityPostselection
+from cpfsim.errors import (BathTooLarge, EmptyPostselection, StepTooCoarse,
+                           ZeroProbabilityPostselection)
 from cpfsim.stochastic import McConfig
 
 WHITE = analytic.White(0.35)
@@ -598,6 +599,34 @@ def test_a_lorentz_ensemble_of_more_spins_than_the_float_range_is_refused():
     assert float(n) == sys.float_info.max
     spec = spinbath.LorentzCouplingSpec(1.0, 0.5, n_spins=n, alpha=0.8, beta=0.6)
     assert np.all(np.isfinite(spinbath.lorentz_coherence(spec, np.array([0.0, 1.0, 2.0]))))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    # repr of an integer past 4,300 digits raised "Exceeds the limit (4300 digits)
+    # for integer string conversion", which names no argument
+    (lambda: analytic.White(10**5000), ValueError,
+     "gamma_w must be finite and > 0, got 1.00e+5000"),
+    (lambda: analytic.White(-10**5000), ValueError,
+     "gamma_w must be finite and > 0, got -1.00e+5000"),
+    (lambda: McConfig(10**5000), ValueError,
+     "n_trajectories 1.00e+5000 at chunk_size 65536 makes 1.53e+4995 chunks, "
+     "over the 65536-chunk limit"),
+    (lambda: McConfig(3, chunk_size=10**5000), ValueError,
+     "chunk_size must be in [1, n_trajectories], got 1.00e+5000"),
+    (lambda: spinbath.LorentzCouplingSpec(10**5000), ValueError,
+     "gamma must be finite and > 0, got 1.00e+5000"),
+    (lambda: spinbath.scaled_gaussian_bath(10**5000, 1.0), BathTooLarge,
+     "N = 1.00e+5000 spins take 3.81e+4995 MiB of couplings and amplitudes, "
+     "over the 256 MiB budget"),
+    # complex() raised a bare "OverflowError: int too large to convert to float"
+    (lambda: spinbath.SystemInit(10**400, 0), ValueError,
+     "system amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
+    (lambda: spinbath.LorentzCouplingSpec(1.0, alpha=10**400), ValueError,
+     "bath spin amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
+])
+def test_a_refused_integer_too_long_for_repr_or_float_is_named(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_integral_seeds_keep_the_64_bit_mask():

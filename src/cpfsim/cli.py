@@ -32,7 +32,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable
@@ -104,22 +104,40 @@ _LABELS = {
 class RowKeys:
     """The (t, tau, label) keys of a config's CSV rows, known before evaluation.
 
-    CSV row ``k * len(labels) + j`` is point ``k`` under label ``j``.
+    CSV row ``k * len(labels) + j`` is point ``k`` under label ``j``.  Point k is
+    (t[k], tau[k]), or on a surface (t[k // tau.size], tau[k % tau.size]): a
+    surface keeps its two axes, t-major, and no per-point copy of them.
     """
 
-    t: np.ndarray  # (points,)
-    tau: np.ndarray | None  # (points,); None for t-only quantities
+    t: np.ndarray  # (points,), or a surface's t axis
+    tau: np.ndarray | None  # (points,), or a surface's tau axis; None for t-only quantities
     labels: tuple[str, ...]
+    surface: bool = field(default=False, kw_only=True)
+
+    @property
+    def points(self) -> int:
+        return self.t.size * self.tau.size if self.surface else self.t.size
 
     def __len__(self) -> int:
         """Number of CSV rows."""
-        return self.t.size * len(self.labels)
+        return self.points * len(self.labels)
+
+    def axis_indices(self, points):
+        """(index into t, index into tau) of point numbers (an int or an array)."""
+        return divmod(points, self.tau.size) if self.surface else (points, points)
+
+    def point_times(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(t, tau) of every point; a surface's are built here, for per-point consumers."""
+        if not self.surface:
+            return self.t, self.tau
+        return np.repeat(self.t, self.tau.size), np.tile(self.tau, self.t.size)
 
     def key(self, row: int) -> tuple[float, float | None, str]:
         """(t, tau, label) of one CSV row."""
         point, j = divmod(row, len(self.labels))
-        tau = None if self.tau is None else float(self.tau[point])
-        return float(self.t[point]), tau, self.labels[j]
+        i, k = self.axis_indices(point)
+        tau = None if self.tau is None else float(self.tau[k])
+        return float(self.t[i]), tau, self.labels[j]
 
 
 @dataclass(frozen=True)
@@ -575,14 +593,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # evaluation
 
 def _row_keys(config: ExperimentConfig) -> RowKeys:
-    """Flat (t, tau) arrays of the evaluation points in row order, and the row labels."""
+    """The (t, tau) points of a config in row order, a surface as its two axes, and
+    the row labels."""
     labels = _LABELS.get(config.quantity, (config.quantity,))
     t = config.t_grid.values()
     if config.quantity in _T_ONLY:
         return RowKeys(t, None, labels)
     if config.quantity == "cpf_surface":
-        tau = (config.tau_grid or config.t_grid).values()
-        return RowKeys(np.repeat(t, tau.size), np.tile(tau, t.size), labels)
+        return RowKeys(t, (config.tau_grid or config.t_grid).values(), labels, surface=True)
     return RowKeys(t, t if config.tau_grid is None else config.tau_grid.values(), labels)
 
 
@@ -604,18 +622,22 @@ def _read_out(
 
 
 def _deterministic_columns(
-    config: ExperimentConfig, family: _Family, t: np.ndarray, tau: np.ndarray | None
+    config: ExperimentConfig, family: _Family, keys: RowKeys
 ) -> list[np.ndarray]:
-    """Closed-form or oracle values at every point, one array per row label."""
+    """Closed-form or oracle values at every point, one array per row label: on a
+    surface over (t axis, tau axis), broadcastable to that shape."""
+    t, tau = keys.t, keys.tau
     if config.quantity in _T_ONLY:  # the family's function of the same name
         return [getattr(family, config.quantity)(config.model, t)]
-    if config.method == "analytic":
-        return _read_out(config, family.moments(config.model, t, tau))
-    # one oracle call per run of equal t (rows are t-major), each table read out once
-    runs = np.split(np.arange(t.size), np.flatnonzero(np.diff(t.view(np.int64))) + 1)
+    if config.method == "analytic":  # a surface's closed forms broadcast over its axes
+        tt, uu = (t[:, None], tau[None, :]) if keys.surface else (t, tau)
+        return _read_out(config, family.moments(config.model, tt, uu))
+    # one oracle call per t, with a surface's tau axis or its point's tau, each table
+    # read out once
+    calls = zip(t, itertools.repeat(tau) if keys.surface else tau)
     parts = [_read_out(config, spinbath.oracle_protocol(
-        config.model, config.system_init, t[run[0]], tau[run], config.y_select)) for run in runs]
-    return [np.concatenate(columns) for columns in zip(*parts)]
+        config.model, config.system_init, t_k, taus, config.y_select)) for t_k, taus in calls]
+    return [np.stack(columns) for columns in zip(*parts)]
 
 
 def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
@@ -627,16 +649,17 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
     """
     family = MODEL_KINDS[config.model_kind].family
     keys = _row_keys(config)
-    t, tau = keys.t, keys.tau
     std_error = n_samples = None
     with np.errstate(over="ignore", invalid="ignore"):
         if config.method in ("analytic", "oracle"):
-            columns = _deterministic_columns(config, family, t, tau)
-            value = np.stack([np.broadcast_to(c, t.shape) for c in columns], axis=1)
+            shape = (keys.t.size, keys.tau.size) if keys.surface else (keys.points,)
+            value = np.stack([np.broadcast_to(c, shape) for c in _deterministic_columns(
+                config, family, keys)], axis=-1).reshape(keys.points, -1)
         else:
             q = config.quantity
             estimate = family.mc["sampling" if config.method == "sampling" else
                                  "cpf" if q == "cpf_surface" else q]
+            t, tau = keys.point_times()
             taus = [None] * t.size if tau is None else tau.tolist()
             # Monte Carlo points all draw the chunk streams of config.mc: each chunk
             # is drawn once and each per-t stage computed once per t (a single
@@ -648,8 +671,8 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
             value, std_error, n_samples = (
                 np.array([[getattr(e, name) for e in p] for p in grid], dtype) for name, dtype
                 in (("value", float), ("std_error", float), ("n_samples", np.int64)))
-    rows = Results(t, tau, keys.labels, value, std_error, n_samples, config.model_kind,
-                   config.method)
+    rows = Results(keys.t, keys.tau, keys.labels, value, std_error, n_samples,
+                   config.model_kind, config.method, surface=keys.surface)
     _check_finite(rows)
     return rows
 
@@ -699,27 +722,29 @@ def write_csv(rows: Results, path: Path) -> None:
     """Write the CSV of rows: \\r\\n line ends, floats at .17g, empty missing fields.
 
     Labels, model kinds and methods are plain words, so no field needs
-    quoting.  Each distinct value of a column is formatted once, and a block
-    of lines is written as one array of its fields' texts side by side.
+    quoting.  Each distinct value of a column (of an axis for t and tau) is
+    formatted once, and a block of lines is written as one array of its
+    fields' texts side by side.
     """
-    n_labels, mc = len(rows.labels), rows.std_error is not None
+    n_labels, mc, n_points = len(rows.labels), rows.std_error is not None, rows.points
     # a missing field is one more comma after the text before it
-    per_point = [_distinct_texts(rows.t, ",," if rows.tau is None else ",")]
-    per_point += [] if rows.tau is None else [_distinct_texts(rows.tau)]
+    per_axis = [_distinct_texts(rows.t, ",," if rows.tau is None else ",")]
+    per_axis += [] if rows.tau is None else [_distinct_texts(rows.tau)]
     per_line = [_distinct_texts(rows.value, "," if mc else ",,,")]
     per_line += [_distinct_texts(rows.std_error), _distinct_texts(rows.n_samples)] if mc else []
     tails = np.array([f"{label},{rows.model},{rows.method}\r\n".encode()
-                      for label in rows.labels] * min(rows.t.size, _BLOCK_POINTS))
+                      for label in rows.labels] * min(n_points, _BLOCK_POINTS))
     tails = tails.view(np.uint8).reshape(tails.size, -1)
     with open(path, "wb") as fh:
         fh.write(",".join(CSV_HEADER).encode() + b"\r\n")
-        for start in range(0, rows.t.size, _BLOCK_POINTS):
-            points = slice(start, start + _BLOCK_POINTS)
-            lines = slice(start * n_labels, (start + _BLOCK_POINTS) * n_labels)
+        for start in range(0, n_points, _BLOCK_POINTS):
+            points = np.arange(start, min(start + _BLOCK_POINTS, n_points))
+            lines = slice(start * n_labels, (start + points.size) * n_labels)
             block = np.concatenate(
-                [text[np.repeat(index[points], n_labels)] for text, index in per_point]
+                [text[np.repeat(index[axis], n_labels)]
+                 for (text, index), axis in zip(per_axis, rows.axis_indices(points))]
                 + [text[index[lines]] for text, index in per_line]
-                + [tails[:rows.t[points].size * n_labels]], axis=1)
+                + [tails[:points.size * n_labels]], axis=1)
             fh.write(block[block != 0])
 
 
@@ -818,7 +843,7 @@ def _first_mismatch(keys_a: RowKeys, keys_b: RowKeys) -> int | None:
     rows = [j for j, (p, q) in enumerate(zip(keys_a.labels, keys_b.labels)) if p != q][:1]
     if (keys_a.tau is None) != (keys_b.tau is None):
         rows.append(0)
-    for a, b in [(keys_a.t, keys_b.t), (keys_a.tau, keys_b.tau)]:
+    for a, b in zip(keys_a.point_times(), keys_b.point_times()):
         if a is not None and b is not None:
             k = int(np.argmax(a != b))  # 0 where none differs
             rows += [k * n] if a[k] != b[k] else []

@@ -85,6 +85,15 @@ def _check_amplitudes(a, b, what: str) -> None:
         raise ValueError(f"{what} amplitudes must satisfy |a|^2+|b|^2=1, got {float(bad[0])!r}")
 
 
+def _spin_values(values, dtype) -> np.ndarray:
+    """values as an at least 1-d array of dtype; where an integer is beyond the float
+    range, every value is inf, which the checks of SpinBathSpec refuse by name."""
+    try:
+        return np.atleast_1d(np.asarray(values, dtype=dtype))
+    except OverflowError:
+        return np.atleast_1d(np.full(np.shape(values), math.inf, dtype))
+
+
 @dataclass(frozen=True, eq=False)  # array fields: no value equality
 class SpinBathSpec:
     """N bath spins with couplings g_k and initial amplitudes (alpha_k, beta_k)."""
@@ -94,8 +103,8 @@ class SpinBathSpec:
     betas: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.atleast_1d(np.asarray(self.couplings, dtype=float))
-        a, b = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (self.alphas, self.betas))
+        g = _spin_values(self.couplings, float)
+        a, b = (_spin_values(v, complex) for v in (self.alphas, self.betas))
         if not (g.ndim == a.ndim == b.ndim == 1) or not (g.size == a.size == b.size):
             raise ValueError("couplings, alphas, betas must be 1-d of equal length")
         if g.size < 1:

@@ -403,6 +403,15 @@ def library_values(config, t, tau):
     return {q: core.cpf_from_moments(m)}
 
 
+def grid_points(config):
+    """(t, tau) of every point of a two-time config in row order, from its grids:
+    a surface t-major, a pointwise quantity t and tau side by side."""
+    t = config.t_grid.values().tolist()
+    tau = (config.tau_grid or config.t_grid).values().tolist()
+    return [(a, b) for a in t for b in tau] if config.quantity == "cpf_surface" else [
+        *zip(t, tau)]
+
+
 @pytest.mark.parametrize("kind, quantity, method", DETERMINISTIC)
 def test_run_analytic_cpf_roundtrip(tmp_path, kind, quantity, method):
     doc = base_config(
@@ -436,9 +445,57 @@ def test_run_analytic_cpf_roundtrip(tmp_path, kind, quantity, method):
     assert manifest["wall_time_s"] >= 0.0
 
 
+# a closed form of every family: the noise models, spin baths of balanced, unbalanced
+# and complex amplitudes, a precessing scaled bath and a Cauchy ensemble at omega != 0
+CLOSED_FORM_MODELS = {
+    **{kind: MODELS[kind] for kind in ("white", "exp_corr_gauss", "static_gauss",
+                                       "static_lorentz")},
+    "balanced_bath": {"kind": "spin_bath", "couplings": [0.5, 1.1, 0.8]},
+    "unbalanced_bath": {"kind": "spin_bath", "couplings": [0.5, 1.1],
+                        "alphas": [0.6, 0.8], "betas": [0.8, 0.6]},
+    "complex_bath": MODELS["spin_bath"],
+    "scaled_spin_bath": MODELS["scaled_spin_bath"],
+    "lorentz_coupling": MODELS["lorentz_coupling"],
+}
+
+
+@pytest.mark.parametrize("model", CLOSED_FORM_MODELS.values(), ids=CLOSED_FORM_MODELS)
+def test_an_analytic_surface_over_its_axes_equals_the_flat_points_bitwise(model):
+    # t = 0 and tau = 0 rows, and a tau grid that is not the t grid
+    config = cli.parse_config(base_config(
+        model=model, quantity="cpf_surface", t_grid={"start": 0.0, "stop": 2.0, "count": 5},
+        tau_grid={"start": 0.0, "stop": 1.7, "count": 4}))
+    t, tau = np.array(grid_points(config)).T
+    want = core.cpf_from_moments(
+        cli.MODEL_KINDS[config.model_kind].family.moments(config.model, t, tau))
+    rows = cli.evaluate_rows(config)
+    assert rows.surface and (rows.t.size, rows.tau.size) == (5, 4)
+    assert rows.value.ravel().tobytes() == want.tobytes()
+
+
+def test_an_analytic_surface_is_held_as_its_axes_from_evaluation_to_the_csv():
+    # a 1024 x 1024 OU surface peaked at 81.0 MiB in evaluate_rows and 85.9 MiB in
+    # write_csv (its Results held) with per-point t and tau columns, and at 49.0 and
+    # 53.9 MiB with the two axes
+    grid = {"start": 0.0, "stop": 3.0, "count": 1024}
+    config = cli.parse_config(base_config(model=MODELS["exp_corr_gauss"], quantity="cpf_surface",
+                                          t_grid=grid))
+    tracemalloc.start()
+    try:
+        rows = cli.evaluate_rows(config)
+        evaluate = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cli.write_csv(rows, Path(os.devnull))
+        write = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert evaluate < 65 * 2**20 and write < 70 * 2**20
+    assert (rows.t.size, rows.tau.size, rows.value.size) == (1024, 1024, 2**20)
+
+
 @pytest.mark.parametrize("quantity, moment_sets", [("cpf_surface", 4), ("probability_table", 0)])
 def test_oracle_validates_and_reads_out_each_run_table_once(monkeypatch, quantity, moment_sets):
-    # four distinct t make four runs of equal t, one oracle table each
+    # four t make four oracle calls, one table each
     calls = {"validations": 0, "moment_sets": 0}
     table_class = core.CpfProbabilityTable
     post_init, moment_set = table_class.__post_init__, table_class.moment_set
@@ -538,9 +595,8 @@ GRID_VS_POINTS = [
 @pytest.mark.parametrize("doc, estimator", GRID_VS_POINTS)
 def test_evaluate_rows_equals_per_point_estimator_calls(monkeypatch, doc, estimator, workers):
     config = cli.parse_config(base_config(**doc, mc=TWO_CHUNKS))
-    keys = cli._row_keys(config)
     want = []
-    for t, tau in zip(keys.t.tolist(), keys.tau.tolist()):
+    for t, tau in grid_points(config):
         est = estimator(config.model, t, tau, config.mc, workers)
         want.extend(est if config.quantity == "moments" else [est])
 
@@ -572,9 +628,8 @@ def test_an_ensemble_grid_that_keeps_some_tiles_of_a_chunk_keeps_every_bit(
     config = cli.parse_config(base_config(
         **SURFACE, model=model, quantity="cpf_surface", method="montecarlo",
         mc={"n_trajectories": 13_000, "chunk_size": 9_000, "seed": 5}))
-    keys = cli._row_keys(config)
     want = [spinbath.lorentz_mc_cpf(config.model, t, tau, config.mc)
-            for t, tau in zip(keys.t.tolist(), keys.tau.tolist())]
+            for t, tau in grid_points(config)]
     monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", 8 * n_spins * (4_096 + 808))
     tiles = []
     stream = _mc.Chunk.stream
@@ -622,7 +677,7 @@ def test_per_tau_stages_past_the_grid_memo_budget_keep_every_bit(monkeypatch, do
     ("probability_table", {"start": 0.1, "stop": 0.7, "count": 3}),
     ("cpf", None),
 ])
-def test_evaluate_rows_calls_the_oracle_once_per_run_of_equal_t(monkeypatch, quantity, tau_grid):
+def test_evaluate_rows_calls_the_oracle_once_per_t(monkeypatch, quantity, tau_grid):
     doc = base_config(model=MODELS["spin_bath"], quantity=quantity, method="oracle",
                       t_grid={"start": 0.0, "stop": 2.0, "count": 3}, y_select=-1)
     if tau_grid is not None:
@@ -633,9 +688,11 @@ def test_evaluate_rows_calls_the_oracle_once_per_run_of_equal_t(monkeypatch, qua
     monkeypatch.setattr(spinbath, "oracle_protocol",
                         lambda spec, init, t, tau, y: calls.append(t) or oracle(spec, init, t, tau, y))
     rows = cli.evaluate_rows(config)
-    assert calls == sorted(set(rows.t.tolist()))
+    points = grid_points(config)
+    assert calls == config.t_grid.values().tolist()  # a pointwise grid's t is its point's
     assert rows.std_error is None and rows.n_samples is None
-    for k, (t, tau) in enumerate(zip(rows.t.tolist(), rows.tau.tolist())):
+    assert rows.value.shape == (len(points), 4 if quantity == "probability_table" else 1)
+    for k, (t, tau) in enumerate(points):
         assert rows.value[k].tolist() == list(library_values(config, t, tau).values())
 
 
@@ -1195,24 +1252,42 @@ def test_compare_rejects_misaligned_rows(tmp_path, monkeypatch, capsys, override
 def rows_one_by_one(keys):
     """(t, tau, label) of every row, expanded to one entry a row (the reference for the
     check, which holds no such copy): tau is -1 for t-only quantities."""
-    n = len(keys.labels)
-    tau = np.full(len(keys), -1.0) if keys.tau is None else np.repeat(keys.tau, n)
-    return np.repeat(keys.t, n), tau, np.tile(np.array(keys.labels), keys.t.size)
+    n, points = len(keys.labels), len(keys) // len(keys.labels)
+    t, tau = keys.t, keys.tau
+    if keys.surface:  # t-major
+        t, tau = np.repeat(t, tau.size), np.tile(tau, t.size)
+    tau = np.full(len(keys), -1.0) if tau is None else np.repeat(tau, n)
+    return np.repeat(t, n), tau, np.tile(np.array(keys.labels), points)
 
 
 @st.composite
 def row_key_pairs(draw):
-    """Two RowKeys of as many rows, with times, taus and labels that often agree."""
+    """Two RowKeys of as many rows, with times, taus and labels that often agree:
+    pointwise, t-only, or surfaces of one label whose axes split the points; the
+    second is at times the first with one time moved."""
     label_sets = [("cpf",), ("coherence",), cli._LABELS["moments"],
                   cli._LABELS["probability_table"]]
     rows = 12 * draw(st.integers(1, 4))
+    times = st.sampled_from([0.0, 0.5, 1.0])
     keys = []
     for _ in range(2):
+        if draw(st.booleans()):
+            n_tau = draw(st.sampled_from([d for d in (1, 2, 3, 4, 6) if rows % d == 0]))
+            t = np.array(draw(st.lists(times, min_size=rows // n_tau, max_size=rows // n_tau)))
+            tau = np.array(draw(st.lists(times, min_size=n_tau, max_size=n_tau)))
+            keys.append(cli.RowKeys(t, tau, ("cpf",), surface=True))
+            continue
         labels = draw(st.sampled_from(label_sets))
-        t = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
-                                   min_size=rows // len(labels), max_size=rows // len(labels))))
+        t = np.array(draw(st.lists(times, min_size=rows // len(labels),
+                                   max_size=rows // len(labels))))
         tau = draw(st.sampled_from([None, t, t[::-1].copy()]))
         keys.append(cli.RowKeys(t, tau, labels))
+    if draw(st.booleans()):  # the second the first with one time moved
+        first = keys[0]
+        t, tau = first.t.copy(), None if first.tau is None else first.tau.copy()
+        axis = draw(st.sampled_from([a for a in (t, tau) if a is not None]))
+        axis[draw(st.integers(0, axis.size - 1))] += 0.25
+        keys[1] = cli.RowKeys(t, tau, first.labels, surface=first.surface)
     return keys
 
 

@@ -535,6 +535,7 @@ PARAMETER_OWNERS = {
     spinbath.LorentzCouplingSpec: (("gamma", "omega", "n_spins", "alpha", "beta"), 1),
     spinbath.scaled_gaussian_bath: (("n_spins", "g", "omega"), 2),
     spinbath.SystemInit: (("a", "b"), 2),
+    spinbath.SpinBathSpec: (("couplings", "alphas", "betas"), 3),
     McConfig: (("n_trajectories", "seed", "chunk_size", "path_dt"), 1),
 }
 
@@ -561,7 +562,7 @@ def test_every_parameter_owner_builds_or_refuses_by_argument(call):
         assert str(exc)
     except ValueError as exc:
         text = str(exc)
-        amplitudes = {"a", "b", "alpha", "beta"} & set(names)
+        amplitudes = {"a", "b", "alpha", "beta", "alphas", "betas"} & set(names)
         assert (text.split(" ", 1)[0] in names
                 or (amplitudes and " amplitudes must satisfy " in text)), text
 
@@ -573,31 +574,39 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e30
 
 @st.composite
 def csv_results(draw):
-    """Results whose columns draw from a small pool of floats, so that values repeat."""
+    """Results whose columns draw from a small pool of floats, so that values repeat:
+    pointwise, t-only, or a surface of a t and a tau axis."""
     n = draw(st.sampled_from([1, 2, 1023, 1024, 1025, 2049]))
     labels = draw(st.sampled_from([("cpf",), tuple(label for _, label in cli._TABLE_LABELS)]))
     pool = np.array(EDGE_FLOATS + draw(st.lists(st.floats(), max_size=20)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    surface = draw(st.booleans())
+    # a surface of n points: a t axis of n // n_tau, a tau axis of n_tau
+    n_tau = draw(st.sampled_from([d for d in (1, 2, 3, 5, 41, 1023, 1024) if n % d == 0]))
+    t, tau = ((rng.choice(pool, n // n_tau), rng.choice(pool, n_tau)) if surface
+              else (rng.choice(pool, n), draw(st.sampled_from([None, rng.choice(pool, n)]))))
     shape = (n, len(labels))
-    tau = draw(st.sampled_from([None, rng.choice(pool, n)]))
     std_error = n_samples = None
     if draw(st.booleans()):
         std_error = rng.choice(pool, shape)
         n_samples = rng.choice(np.array([0, 1, 7, -3, 2**62, 2**20]), shape)
-    return cli.Results(rng.choice(pool, n), tau, labels, rng.choice(pool, shape), std_error,
-                       n_samples, draw(st.sampled_from(["white", "spin_bath"])), "analytic")
+    return cli.Results(t, tau, labels, rng.choice(pool, shape), std_error, n_samples,
+                       draw(st.sampled_from(["white", "spin_bath"])), "analytic",
+                       surface=surface)
 
 
 def csv_one_line_at_a_time(rows):
     """The CSV of rows, each line formatted by itself: .17g floats, %d counts."""
     lines = [",".join(cli.CSV_HEADER)]
-    for k in range(rows.t.size):
-        tau = "" if rows.tau is None else "%.17g" % rows.tau[k]
+    for k in range(rows.value.shape[0]):
+        # point k of a surface is (t[k // n_tau], tau[k % n_tau])
+        i, m = divmod(k, rows.tau.size) if rows.surface else (k, k)
+        tau = "" if rows.tau is None else "%.17g" % rows.tau[m]
         for j, label in enumerate(rows.labels):
             mc = (",," if rows.std_error is None
                   else "%.17g,%d," % (rows.std_error[k, j], rows.n_samples[k, j]))
             lines.append("%.17g,%s,%.17g,%s%s,%s,%s" % (
-                rows.t[k], tau, rows.value[k, j], mc, label, rows.model, rows.method))
+                rows.t[i], tau, rows.value[k, j], mc, label, rows.model, rows.method))
     return "".join(line + "\r\n" for line in lines).encode()
 
 

@@ -282,7 +282,7 @@ def check_real(value: float, name: str, positive: bool = True) -> float:
     parameter or path_dt); a ValueError names the argument name."""
     try:
         v = float(value)
-    except OverflowError:  # an integer beyond the float range
+    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
         v = math.inf
     if not math.isfinite(v) or (positive and v <= 0.0):
         raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, "

@@ -35,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -45,18 +45,7 @@ from .errors import ConfigError, CpfError, GridMismatch, NonFiniteResult
 
 CSV_HEADER = ("t", "tau", "value", "std_error", "n_samples", "quantity", "model", "method")
 
-QUANTITIES = (
-    "coherence",
-    "conditional_coherence",
-    "cpf",
-    "cpf_surface",
-    "moments",
-    "rate",
-    "probability_table",
-)
 METHODS = ("analytic", "montecarlo", "sampling", "oracle")
-
-_T_ONLY = ("coherence", "rate")
 
 _TABLE_LABELS = (
     ((+1, +1), "p_z+_x+"),
@@ -92,12 +81,45 @@ class ExperimentConfig:
     canonical: dict
 
 
-# row labels of the quantities that emit more than one row per point; every
-# other quantity labels its single row with its own name
-_LABELS = {
-    "moments": ("f_t", "f_tau", "f_joint"),
-    "probability_table": tuple(label for _, label in _TABLE_LABELS),
+_Source = core.MomentSet | core.CpfProbabilityTable  # a point's moments, or the oracle's table
+
+
+def _of_moments(read: Callable[[ExperimentConfig, core.MomentSet], list[np.ndarray]]):
+    """read, a reader of a point's moments, as a reader of the moments or of the
+    oracle's table."""
+    return lambda config, source: read(config, source.moment_set() if isinstance(
+        source, core.CpfProbabilityTable) else source)
+
+
+def _table(config: ExperimentConfig, source: _Source) -> list[np.ndarray]:
+    if isinstance(source, core.MomentSet):
+        source = core.cpf_probability_table(source, config.y_select)
+    return [source.entries[key] for key, _ in _TABLE_LABELS]
+
+
+_cpf = _of_moments(lambda config, m: [core.cpf_from_moments(m)])
+
+
+class _Quantity(NamedTuple):
+    """One quantity: its row labels, and its reader into one array per label.  A
+    t-only quantity has no reader: its family computes it from t alone."""
+
+    labels: tuple[str, ...]
+    read: Callable[[ExperimentConfig, _Source], list[np.ndarray]] | None = None
+
+
+QUANTITIES: dict[str, _Quantity] = {
+    "coherence": _Quantity(("coherence",)),
+    "conditional_coherence": _Quantity(("conditional_coherence",), _of_moments(
+        lambda config, m: [core.conditional_coherence(m, config.yx)])),
+    "cpf": _Quantity(("cpf",), _cpf),
+    "cpf_surface": _Quantity(("cpf_surface",), _cpf),
+    "moments": _Quantity(("f_t", "f_tau", "f_joint"), _of_moments(
+        lambda config, m: [m.f_t, m.f_tau, m.f_joint])),
+    "rate": _Quantity(("rate",)),
+    "probability_table": _Quantity(tuple(label for _, label in _TABLE_LABELS), _table),
 }
+_T_ONLY = tuple(q for q, entry in QUANTITIES.items() if entry.read is None)
 
 
 @dataclass(frozen=True)
@@ -479,7 +501,7 @@ def _object(build: Callable[..., Any], fields: tuple[_Field, ...]) -> Callable[[
 
 _CONFIG_FIELDS: tuple[_Field, ...] = (
     ("model", _parse_model, _REQUIRED),
-    ("quantity", partial(_choice, options=QUANTITIES), _REQUIRED),
+    ("quantity", partial(_choice, options=tuple(QUANTITIES)), _REQUIRED),
     ("method", partial(_choice, options=METHODS), _REQUIRED),
     ("t_grid", _parse_grid, _REQUIRED),
     ("tau_grid", _optional(_parse_grid), None),
@@ -595,7 +617,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _row_keys(config: ExperimentConfig) -> RowKeys:
     """The (t, tau) points of a config in row order, a surface as its two axes, and
     the row labels."""
-    labels = _LABELS.get(config.quantity, (config.quantity,))
+    labels = QUANTITIES[config.quantity].labels
     t = config.t_grid.values()
     if config.quantity in _T_ONLY:
         return RowKeys(t, None, labels)
@@ -604,38 +626,21 @@ def _row_keys(config: ExperimentConfig) -> RowKeys:
     return RowKeys(t, t if config.tau_grid is None else config.tau_grid.values(), labels)
 
 
-def _read_out(
-    config: ExperimentConfig, source: core.MomentSet | core.CpfProbabilityTable
-) -> list[np.ndarray]:
-    """The values of config's quantity in moments or a table, one array per row label."""
-    q = config.quantity
-    if q == "probability_table":
-        if isinstance(source, core.MomentSet):
-            source = core.cpf_probability_table(source, config.y_select)
-        return [source.entries[key] for key, _ in _TABLE_LABELS]
-    m = source.moment_set() if isinstance(source, core.CpfProbabilityTable) else source
-    if q == "moments":
-        return [m.f_t, m.f_tau, m.f_joint]
-    if q == "conditional_coherence":
-        return [core.conditional_coherence(m, config.yx)]
-    return [core.cpf_from_moments(m)]
-
-
 def _deterministic_columns(
     config: ExperimentConfig, family: _Family, keys: RowKeys
 ) -> list[np.ndarray]:
     """Closed-form or oracle values at every point, one array per row label: on a
     surface over (t axis, tau axis), broadcastable to that shape."""
-    t, tau = keys.t, keys.tau
-    if config.quantity in _T_ONLY:  # the family's function of the same name
+    t, tau, read = keys.t, keys.tau, QUANTITIES[config.quantity].read
+    if read is None:  # a t-only quantity: the family's function of the same name
         return [getattr(family, config.quantity)(config.model, t)]
     if config.method == "analytic":  # a surface's closed forms broadcast over its axes
         tt, uu = (t[:, None], tau[None, :]) if keys.surface else (t, tau)
-        return _read_out(config, family.moments(config.model, tt, uu))
+        return read(config, family.moments(config.model, tt, uu))
     # one oracle call per t, with a surface's tau axis or its point's tau, each table
     # read out once
     calls = zip(t, itertools.repeat(tau) if keys.surface else tau)
-    parts = [_read_out(config, spinbath.oracle_protocol(
+    parts = [read(config, spinbath.oracle_protocol(
         config.model, config.system_init, t_k, taus, config.y_select)) for t_k, taus in calls]
     return [np.stack(columns) for columns in zip(*parts)]
 
@@ -800,12 +805,12 @@ def _refuse_overwriting(config_path: str, csv_path: Path) -> None:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if config.mc is None:
             raise ConfigError("--seed: config has no mc section to reseed")
         config.mc = replace(config.mc, seed=args.seed)
         config.canonical["mc"]["seed"] = config.mc.seed
-    if getattr(args, "output", None) is not None:
+    if args.output is not None:
         config.output_path = _output_path(args.output, "--output")
         config.canonical["output_path"] = args.output
     return config

@@ -65,10 +65,10 @@ _SCALED_SPIN_BYTES = 40
 
 def _amplitudes(a, b, what: str) -> tuple[complex, complex]:
     """(a, b) as complex numbers, checked by _check_amplitudes; an integer beyond the
-    float range has an inf norm."""
+    float range, or a value that is not a number, has an inf norm."""
     try:
         a, b = complex(a), complex(b)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         a = b = complex(math.inf)
     _check_amplitudes(a, b, what)
     return a, b
@@ -87,11 +87,14 @@ def _check_amplitudes(a, b, what: str) -> None:
 
 def _spin_values(values, dtype) -> np.ndarray:
     """values as an at least 1-d array of dtype; where an integer is beyond the float
-    range, every value is inf, which the checks of SpinBathSpec refuse by name."""
+    range, every value is inf, and values that are not numbers (a string, a ragged
+    list) are one nan: the checks of SpinBathSpec refuse both by name."""
     try:
         return np.atleast_1d(np.asarray(values, dtype=dtype))
     except OverflowError:
         return np.atleast_1d(np.full(np.shape(values), math.inf, dtype))
+    except (TypeError, ValueError):  # a ragged list has no shape to keep
+        return np.full(1, math.nan, dtype)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: no value equality
@@ -183,15 +186,12 @@ def _spin_blocks(g: np.ndarray, t: float | np.ndarray, tau: float | None, pol):
     block = max(1, min(n, _ENSEMBLE_BLOCK_VALUES // max(1, m * slots)))  # 1: no lags
     re = np.ones((lags, m))
     if pol is None:
-        stack = np.empty((2 * k, block + (block > 1), m))
-        f = stack[:, stack.shape[1] - block:]  # cos, then sin and scratch
+        stack = np.empty((2 * k, block + 1, m))
+        f = stack[:, 1:]  # cos, then sin and scratch
 
-        def fold(out: np.ndarray, b: int) -> None:
-            if b == 1:
-                out *= f[:len(out), 0]
-            else:  # after a copy of the running product
-                stack[:len(out), 0] = out
-                np.multiply.reduce(stack[:len(out), :b + 1], axis=1, out=out)
+        def fold(out: np.ndarray, b: int) -> None:  # after a copy of the running product
+            stack[:len(out), 0] = out
+            np.multiply.reduce(stack[:len(out), :b + 1], axis=1, out=out)
 
         for lo in range(0, n, block):
             b = min(block, n - lo)

@@ -53,7 +53,7 @@ from ._mc import (
     map_chunks,
 )
 from .analytic import NoiseModel
-from .errors import EmptyPostselection, StepTooCoarse
+from .errors import EmptyPostselection, NonFiniteResult, StepTooCoarse
 
 __all__ = [
     "McConfig",
@@ -97,15 +97,11 @@ def _theta2(model: NoiseModel, d: np.ndarray, t: float, tau: float) -> np.ndarra
     if d.ndim == 1:
         return d * tau
     var1, var2, cov = analytic.phase_covariance(model, t, tau)
-    if isinstance(model, analytic.White):
-        return math.sqrt(var2) * d[1]
-    # second row of the two-step Cholesky of [[var1, cov], [cov, var2]]
+    # second row of the two-step Cholesky of [[var1, cov], [cov, var2]]; White's
+    # cov = 0 gives b = 0 and c = sqrt(var2), as does var1 = 0 at t = 0
     a = math.sqrt(var1)
-    if a > 0.0:
-        b = cov / a
-        c = math.sqrt(max(var2 - b * b, 0.0))
-    else:
-        b, c = 0.0, math.sqrt(var2)
+    b = cov / a if a > 0.0 else 0.0
+    c = math.sqrt(max(var2 - b * b, 0.0))
     return b * d[0] + c * d[1]
 
 
@@ -198,11 +194,20 @@ def _z_counts(cell: np.ndarray, u_z: np.ndarray, b: np.ndarray, y_select: int) -
     return np.bincount(cell - 2 * (u_z < p_z), minlength=4)
 
 
+def _finite_cos2(cos: np.ndarray, name: str, value: float) -> np.ndarray:
+    """cos, the cos 2 theta of a stage, unless a phase overflowed and made one nan: an
+    outcome uniform compares False with nan, which would count it as -1 silently."""
+    if np.isnan(cos).any():
+        raise NonFiniteResult(f"{name} = {value!r} overflows a sampled phase: cos 2 theta is nan")
+    return cos
+
+
 def _kept_counts(model: NoiseModel, t: float, tau: float, y_select: int, cfg: McConfig,
                  workers: int = 1) -> np.ndarray:
     """Counts[2 z_idx + x_idx] of the sampled triples with y == y_select; index 0 is +1.
     Every trajectory draws x and y; only the kept ones are read out in z.  A chunk draws
-    whole, then runs the rest tile by tile (Chunk.tiles) and adds the tiles' counts."""
+    whole, then runs the rest tile by tile (Chunk.tiles) and adds the tiles' counts.
+    Raises NonFiniteResult, naming t or tau, where a phase overflows."""
 
     def draw(chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
         rng = chunk.stream()
@@ -210,12 +215,12 @@ def _kept_counts(model: NoiseModel, t: float, tau: float, y_select: int, cfg: Mc
 
     def tile(chunk: Chunk, d: np.ndarray, u: np.ndarray) -> np.ndarray:
         cell, u_z, r = chunk.memo(f"kept {y_select:+d}", model, t, lambda: _kept_stage(
-            model, d, u, cos2(_theta1(model, d, t)), y_select))
+            model, d, u, _finite_cos2(cos2(_theta1(model, d, t)), "t", t), y_select))
         if r.ndim == 2:
             b = cos2(_theta2(model, r, t, tau))
         else:  # gathered from the tile's, which a grid keeps per tau
             b = _cos2_theta2(chunk, model, d, t, tau)[r]
-        return _z_counts(cell, u_z, b, y_select)
+        return _z_counts(cell, u_z, _finite_cos2(b, "tau", tau), y_select)
 
     def worker(chunk: Chunk) -> np.ndarray:
         d, u = chunk.memo("outcomes", _PAIR_LAW.get(type(model), model), None, lambda: draw(chunk))

@@ -1055,6 +1055,26 @@ def test_runs_whose_results_are_not_finite_exit_3_and_write_nothing(
     assert err.startswith("model error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("y_select", [1, -1])
+@pytest.mark.parametrize("model, t", [
+    ({"kind": "white", "gamma_w": 1e200}, 1e200),
+    ({"kind": "static_gauss", "g": 1e200}, 1e200),
+    ({"kind": "static_lorentz", "gamma": 1.0}, 1e306),  # the Cauchy tail overflows some phases
+])
+def test_a_sampling_run_whose_phases_overflow_exits_3_and_writes_nothing(
+        tmp_path, capsys, model, t, y_select):
+    # u < nan is False, so a nan cos 2 theta1 counted its trajectory as y = -1: these
+    # runs exited 0, or at y_select +1 exited 3 blaming the postselection
+    doc = base_config(model=model, method="sampling", y_select=y_select,
+                      t_grid={"start": t, "stop": t, "count": 1},
+                      tau_grid={"start": 1.0, "stop": 1.0, "count": 1},
+                      mc={"n_trajectories": 10_000, "seed": 1})
+    code, out = run_strictly(tmp_path, doc)
+    assert code == 3 and not out.exists() and not cli._manifest_path(out).exists()
+    assert capsys.readouterr().err == (
+        f"model error: t = {t!r} overflows a sampled phase: cos 2 theta is nan\n")
+
+
 def test_a_scaled_bath_over_the_memory_budget_exits_3_before_any_allocation(
         tmp_path, monkeypatch, capsys):
     # 10^9 spins made three 10^9-long arrays (40 GB) while the config was parsed
@@ -1157,6 +1177,53 @@ def test_threads_below_one_rejected(command, value, capsys):
         cli.main([*command, "--threads", value])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_a_threads_value_that_is_not_an_integer_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", "c.json", "--threads", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "cpfsim run: error: argument --threads: expected an integer, got 'x'")
+
+
+@pytest.mark.parametrize("command, doc, extra, message", [
+    ("run", base_config(quantity="nope"), (),
+     "quantity: unknown quantity 'nope'; expected one of ('coherence', 'conditional_coherence', "
+     "'cpf', 'cpf_surface', 'moments', 'rate', 'probability_table')"),
+    ("run", base_config(method="magic"), (),
+     "method: unknown method 'magic'; expected one of ('analytic', 'montecarlo', 'sampling', "
+     "'oracle')"),
+    ("run", base_config(t_grid={"start": 0.0, "stop": 1.0, "count": 0}), (),
+     "t_grid.count: must be > 0, got 0"),
+    ("run", base_config(), ("--seed", "3"), "--seed: config has no mc section to reseed"),
+    ("sweep", base_config(sweep={"model.gamma_w": [0.5]}), ("--seed", "3"),
+     "--seed: config has no mc section to reseed"),
+    ("sweep", base_config(sweep={"model.gamma_w": 0.5}), (),
+     "sweep.model.gamma_w: expected a non-empty list of values"),
+    ("sweep", base_config(sweep={"model.gamma_w": []}), (),
+     "sweep.model.gamma_w: expected a non-empty list of values"),
+], ids=["quantity", "method", "count", "run-seed", "sweep-seed", "sweep-scalar", "sweep-empty"])
+def test_a_refusal_is_one_full_config_error_line(tmp_path, monkeypatch, capsys,
+                                                 command, doc, extra, message):
+    _no_evaluation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, doc)
+    assert cli.main([command, "--config", "config.json", "--quiet", *extra]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_run_and_sweep_print_what_they_wrote(tmp_path, monkeypatch, capsys):
+    # without --quiet, stdout names each file written, byte for byte
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, base_config(sweep={"model.gamma_w": [0.5, 0.7]}))
+    assert cli.main(["run", "--config", "config.json"]) == 0
+    assert capsys.readouterr().out == "wrote out.csv (5 rows) and out.csv.manifest.json\n"
+    assert cli.main(["sweep", "--config", "config.json"]) == 0
+    assert capsys.readouterr().out == ("wrote out__model.gamma_w=0.5.csv (model.gamma_w=0.5)\n"
+                                       "wrote out__model.gamma_w=0.7.csv (model.gamma_w=0.7)\n"
+                                       "wrote sweep_manifest.json\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
@@ -1265,8 +1332,8 @@ def row_key_pairs(draw):
     """Two RowKeys of as many rows, with times, taus and labels that often agree:
     pointwise, t-only, or surfaces of one label whose axes split the points; the
     second is at times the first with one time moved."""
-    label_sets = [("cpf",), ("coherence",), cli._LABELS["moments"],
-                  cli._LABELS["probability_table"]]
+    label_sets = [("cpf",), ("coherence",), cli.QUANTITIES["moments"].labels,
+                  cli.QUANTITIES["probability_table"].labels]
     rows = 12 * draw(st.integers(1, 4))
     times = st.sampled_from([0.0, 0.5, 1.0])
     keys = []
@@ -1627,6 +1694,15 @@ def test_selftest_single_criterion(capsys):
     assert cli.main(["selftest", "--criteria", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_verbose_prints_the_detail_lines_of_a_pass(capsys):
+    assert cli.main(["selftest", "--criteria", "4", "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"\[ 4\] PASS  Oracle equivalence \(\d+\.\d s\)", lines[0])
+    assert re.fullmatch(r"      ok   25 random specs \(N in 1\.\.10\): max table diff "
+                        r"\S+ <= 1e-10", lines[1])
 
 
 def test_selftest_rejects_bad_criteria(capsys):

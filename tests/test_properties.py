@@ -523,9 +523,11 @@ def test_a_replaced_stage_is_dropped_before_its_successor_is_computed():
 
 
 # every edge of the parameter checks: zeros of each sign, integers past the float range
-# and past repr's 4,300 digits, the smallest and largest floats, inf and nan
+# and past repr's 4,300 digits, the smallest and largest floats, inf and nan, and values
+# that are not numbers: a string, a list, None and a ragged list (SpinBathSpec's arrays)
 PARAMETER_EDGES = [sign * v for v in (0, 1, 3, 10**400, 10**5000, 0.0, 5e-324, 1.5, 1.8e308,
-                                      math.inf) for sign in (1, -1)] + [math.nan]
+                                      math.inf) for sign in (1, -1)] + [
+    math.nan, "x", [1.0], None, [[1.0], [1.0, 2.0]]]
 # each owner of parameter checks -> its argument names, and how many it requires
 PARAMETER_OWNERS = {
     analytic.White: (("gamma_w",), 1),

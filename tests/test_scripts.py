@@ -1,6 +1,7 @@
 """The experiment scripts and the README's library example run end to end."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -25,7 +26,8 @@ SCRIPTS = {
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(
-        [*SCRIPTS, "bench_pairs.py", "code_lines.py", "csv_digests.py", "job_rusage.py"]
+        [*SCRIPTS, "bench_pairs.py", "bench_record.py", "code_lines.py", "csv_digests.py",
+         "job_rusage.py"]
     )
 
 
@@ -96,6 +98,30 @@ def test_job_rusage_prints_one_line_per_job_of_the_workload(tmp_path):
     for line in lines:
         assert re.fullmatch(r"\w+  \d+\.\d{4}  \d+  \d+\.\d", line), line
     assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
+
+
+def test_bench_record_quick_writes_every_section(tmp_path):
+    # every case once at small sizes, and one closed_forms run untraced and traced
+    out = tmp_path / "BENCH_quick.json"
+    proc = _run("bench_record.py", "--quick", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert proc.stdout.startswith(f"wrote {out} ({len(doc['cases'])} cases, ")
+    assert doc["kind"] == "cpfsim-bench" and doc["quick"]
+    env = doc["environment"]
+    assert env["numerics"] == cli.numerics() and env["cpu_count"] == os.cpu_count()
+    assert env["code_lines"] == int(_run("code_lines.py").stdout.split()[-2])
+    runs = doc["workloads"]["closed_forms"]
+    assert runs["untraced"]["1"]["correct"] and "wall_s" in runs["untraced"]["1"]["metrics"]
+    assert "cli.evaluate_s" in runs["traced"]["1"]["metrics"]
+    cases = doc["cases"]
+    assert {name.split(".")[0] for name in cases} == {
+        "closed_forms", "monte_carlo", "oracle", "cli", "selftest"}
+    assert all(case["repeats"] == 1 and case["iqr_s"] == 0.0 for case in cases.values())
+    assert {"monte_carlo.mc_cpf_sampling.workers_1", "monte_carlo.mc_cpf_sampling.workers_2",
+            "cli.ou_surface.write_csv", "selftest.wall"} <= set(cases)
+    assert all(peak > 0.0 for peak in doc["memory"].values()) and len(doc["memory"]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_quick.json"]
 
 
 def test_code_lines_counts_neither_blanks_nor_comments_nor_docstrings(tmp_path):

@@ -54,6 +54,8 @@ def test_spec_validation():
         spinbath.SpinBathSpec([1.0, 2.0], [half], [half])  # length mismatch
     with pytest.raises(ValueError):
         spinbath.SpinBathSpec([math.inf], [half], [half])
+    with pytest.raises(ValueError, match="^need at least one bath spin$"):
+        spinbath.SpinBathSpec([], [], [])
     assert not spec.couplings.flags.writeable
 
 
@@ -184,6 +186,22 @@ def test_coherence_over_many_spin_blocks_is_the_spin_loop(balanced):
         got = spinbath.coherence(spec, grid)
         for k in sorted({0, size // 2, size - 1}):
             assert np.asarray(spinbath.coherence(spec, grid[k])).tobytes() == got[k].tobytes()
+
+
+def test_a_balanced_bath_at_many_times_folds_one_spin_per_block():
+    # past 16,384 times two spins' factors overflow _ENSEMBLE_BLOCK_VALUES, so each block
+    # holds one spin, folded by the same copy-and-reduce: the left fold in spin order
+    rng = np.random.default_rng(29)
+    couplings = rng.uniform(-2.0, 2.0, 5)
+    half = np.full(5, 1.0 / math.sqrt(2.0))
+    spec = spinbath.SpinBathSpec(couplings, half, 1j * half)
+    times = rng.uniform(0.0, 3.0, 40_000)
+    want = np.ones(times.size)
+    for g_k in couplings:
+        h = np.tan(g_k * times)
+        want = want * (2.0 / (h * h + 1.0) - 1.0)
+    got = spinbath.coherence(spec, times)
+    assert np.all(got.real == want) and np.all(got.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +364,18 @@ def test_oracle_conditional_coherence_rejects_bad_times(t, tau):
     name = "tau" if t == 0.5 else "t"  # the first bad argument is named
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got"):
         spinbath.oracle_conditional_coherence(spec, PLUS, t, tau, +1, +1)
+
+
+@pytest.mark.parametrize("a, b, x, y, message", [
+    (1.0, -1.0, +1, +1, "P(x=+1) = 0"),  # an x = -1 eigenstate never gives x = +1
+    (1.0, 1.0, -1, -1, "P(x=-1) = 0"),
+    (1.0, 0.0, +1, -1, "P(y=-1|x=+1) = 0"),  # at t = 0, y = x
+])
+def test_oracle_conditional_coherence_refuses_a_branch_of_zero_probability(a, b, x, y, message):
+    init = spinbath.SystemInit(a / math.hypot(a, b), b / math.hypot(a, b))
+    with pytest.raises(ZeroProbabilityPostselection, match=f"^{re.escape(message)}$"):
+        spinbath.oracle_conditional_coherence(random_spec(np.random.default_rng(19), 3), init,
+                                              0.0, 0.5, x, y)
 
 
 @pytest.mark.parametrize("t, tau", [(-1.0, 0.5), (0.5, -1.0), (math.nan, 0.5), (0.5, math.inf)])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from cpfsim import _mc, analytic, core, spinbath, stochastic
-from cpfsim.errors import (BathTooLarge, EmptyPostselection, StepTooCoarse,
+from cpfsim.errors import (BathTooLarge, EmptyPostselection, NonFiniteResult, StepTooCoarse,
                            ZeroProbabilityPostselection)
 from cpfsim.stochastic import McConfig
 
@@ -35,6 +35,16 @@ def test_sample_phase_pair_matches_model_law():
     d = stochastic._phase_draws(GAUSS, np.random.default_rng(5), 20)
     th1, th2 = stochastic._theta1(GAUSS, d, 2.0), stochastic._theta2(GAUSS, d, 2.0, 0.5)
     assert th2 == pytest.approx(th1 * 0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("t, tau", [(0.0, 0.0), (0.0, 0.7), (1.3, 0.0), (1.3, 0.7)])
+def test_white_theta2_is_the_scaled_second_draw(t, tau):
+    # White's cov = 0: the two-step Cholesky gives b = 0 and c = sqrt(Var theta2), the
+    # bits of the shortcut it replaced, sqrt(Var theta2) d[1]
+    d = stochastic._phase_draws(WHITE, np.random.default_rng(5), 1_000)
+    var2 = analytic.phase_covariance(WHITE, t, tau)[1]
+    want = _mc.cos2(math.sqrt(var2) * d[1])
+    assert _mc.cos2(stochastic._theta2(WHITE, d, t, tau)).tobytes() == want.tobytes()
 
 
 def test_cos2_matches_libm():
@@ -677,6 +687,37 @@ def test_empty_postselection_raises():
             raised = True
             break
     assert raised
+
+
+@pytest.mark.parametrize("in_grid", [False, True])
+@pytest.mark.parametrize("y_select", core.OUTCOMES)
+@pytest.mark.parametrize("model, t, tau, name", [
+    (analytic.White(1e200), 1e200, 1.0, "t"),
+    (analytic.White(1e200), 1.0, 1e200, "tau"),
+    (analytic.StaticGauss(1e200), 1e200, 1.0, "t"),
+    (analytic.StaticLorentz(1.0), 1e306, 1.0, "t"),
+    (analytic.StaticLorentz(1.0), 1.0, 1e306, "tau"),
+])
+def test_sampling_refuses_a_phase_that_overflows(model, t, tau, name, y_select, in_grid):
+    # u < nan is False: a nan cos 2 theta1 counted its trajectory as y = -1, and a nan
+    # cos 2 theta2 its z as -1, silently
+    value = t if name == "t" else tau
+    with (np.errstate(invalid="ignore", over="ignore"),
+          _mc.grid_memo() if in_grid else contextlib.nullcontext(),
+          pytest.raises(NonFiniteResult, match=re.escape(
+              f"{name} = {value!r} overflows a sampled phase: cos 2 theta is nan"))):
+        stochastic.mc_cpf_sampling(model, t, tau, y_select, McConfig(10_000, seed=1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda model: analytic.phase_covariance(model, 1.0, 1.0),
+    lambda model: analytic.first_moment(model, 1.0),
+    lambda model: analytic.dephasing_rate(model, 1.0),
+    lambda model: stochastic.mc_moments(model, 1.0, 1.0, McConfig(10)),
+], ids=["phase_covariance", "first_moment", "dephasing_rate", "mc_moments"])
+def test_an_object_that_is_no_noise_model_is_refused_by_type(call):
+    with pytest.raises(TypeError, match=r"^unknown noise model 'white'$"):
+        call("white")
 
 
 def test_conditional_coherence_rejects_dead_branch():

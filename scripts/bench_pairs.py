@@ -16,7 +16,9 @@ of its median, and not every change run beats every parent run), "worse beyond
 bound" (median worse than the parent's by more than the bound) or "within
 bound".  Which way is better, and each
 bound, come from CHANGE_DIR's BENCHMARK.json; nothing is imported from
-perfbench/.  It exits 1 when a run fails or reports a failed operation.
+perfbench/.  It exits 1 when a run fails, fails its correctness check or
+reports a failed operation; scripts/bench_record.py runs perfbench through the
+same check.
 """
 
 from __future__ import annotations
@@ -83,16 +85,26 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     return out
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result of one untraced perfbench run in checkout."""
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The JSON result that ``perfbench/run.py`` prints for one run in checkout.
+    A run that exits non-zero, fails its correctness check or reports a failed
+    operation raises SystemExit: its numbers are no measurement."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{checkout} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"{checkout} {workload} seed {seed} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     if not result["correct"] or result["failed"]:
-        raise SystemExit(f"{checkout} seed {seed}: {result['failed']} failed operations")
+        raise SystemExit(f"{checkout} {workload} seed {seed}: correct {result['correct']}, "
+                         f"{result['failed']} failed operations")
+    return result
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The metric values of one untraced perfbench run in checkout."""
+    result = perfbench(checkout, workload, seed, seconds)
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 

@@ -11,7 +11,8 @@ there, unless --out names the file.  The document holds:
                and the scripts/code_lines.py total of src/cpfsim;
   workloads    the metrics JSON that perfbench/run.py prints for each workload
                at seeds 1-3 with --trace 0, and for one --trace 1 run of each
-               at seed 1;
+               at seed 1, each run checked by scripts/bench_pairs.py's runner
+               (a run that fails or is not correct stops the recording);
   cases        per-layer cases, each timed in this process as the median and
                interquartile range (exclusive quartiles, as
                scripts/bench_pairs.py) of REPEATS calls: closed forms, Monte
@@ -53,6 +54,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import code_lines  # noqa: E402
 import workloads  # noqa: E402
+from bench_pairs import perfbench  # noqa: E402
 
 from cpfsim import acceptance, analytic, cli, spinbath, stochastic  # noqa: E402
 from cpfsim._mc import McConfig  # noqa: E402
@@ -97,22 +99,12 @@ def environment() -> dict:
     }
 
 
-def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON result that perfbench/run.py prints for one run."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def record_workloads(quick: bool) -> dict:
     names, seeds, seconds = ((["closed_forms"], SEEDS[:1], 0.0) if quick
                              else (list(workloads.WORKLOADS), SEEDS, WORKLOAD_SECONDS))
     return {name: {"seconds": seconds,
-                   "untraced": {str(seed): perfbench(name, seed, seconds, 0) for seed in seeds},
-                   "traced": {str(seeds[0]): perfbench(name, seeds[0], seconds, 1)}}
+                   "untraced": {str(seed): perfbench(ROOT, name, seed, seconds) for seed in seeds},
+                   "traced": {str(seeds[0]): perfbench(ROOT, name, seeds[0], seconds, 1)}}
             for name in names}
 
 

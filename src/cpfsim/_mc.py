@@ -10,10 +10,10 @@ for a given (seed, chunk_size, n) regardless of how many workers execute the
 chunks.
 
 The steps every sampler shares from its inputs to its factors live here: the
-time, parameter and count checks (check_times, check_real, check_count) and the
-form of a refused value in their messages (shown), the
-block draw of a chunk's rows (draw_rows), the Cauchy inverse CDF (cauchy) and
-cos 2 theta, sin 2 theta from one tan of theta (cos2).
+time, parameter and count checks (check_times, check_real, check_count, and
+numeric, which refuses text and bools) and the form of a refused value in their
+messages (shown), the block draw of a chunk's rows (draw_rows), the Cauchy
+inverse CDF (cauchy) and cos 2 theta, sin 2 theta from one tan of theta (cos2).
 
 A sampler works on one Chunk in stages: the chunk's draws, a per-t stage, a
 per-tau stage where tau alone fixes it, and the rest of the point.  Inside
@@ -277,11 +277,23 @@ def shown(value) -> str:
         return f"{decimal.Decimal(value):.3g}"
 
 
+def numeric(value):
+    """value; a TypeError where it, or an element of a list, tuple or array in it,
+    is text or a bool, which float(), complex() and numpy would read as a number."""
+    kind = value.dtype.kind if isinstance(value, np.ndarray) else None
+    if kind in ("b", "S", "U") or isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError("text or a bool is not a number")
+    if kind == "O" or isinstance(value, (list, tuple)):
+        for v in value.flat if kind else value:
+            numeric(v)
+    return value
+
+
 def check_real(value: float, name: str, positive: bool = True) -> float:
     """value as a float, checked to be finite and, if positive, > 0 (a model
     parameter or path_dt); a ValueError names the argument name."""
     try:
-        v = float(value)
+        v = float(numeric(value))
     except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
         v = math.inf
     if not math.isfinite(v) or (positive and v <= 0.0):
@@ -291,10 +303,10 @@ def check_real(value: float, name: str, positive: bool = True) -> float:
 
 
 def check_count(value, name: str, least: int | None = 1) -> int:
-    """value as an int, checked to be integral (3.0 passes, 2.9 does not) and
-    >= least unless least is None (n_trajectories, chunk_size, n_spins; the seed
-    has no bound); a ValueError names the argument name."""
-    if not (isinstance(value, numbers.Real) and value % 1 == 0):  # nan and inf fail too
+    """value as an int, checked to be integral (3.0 passes; 2.9, nan, inf and True
+    do not) and >= least unless least is None (n_trajectories, chunk_size,
+    n_spins; the seed has no bound); a ValueError names the argument name."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value % 1 == 0):
         raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {shown(value)}")
@@ -390,8 +402,7 @@ class MomentStats:
 
     def estimate(self, index: int) -> Estimate:
         """Mean of one column as an Estimate."""
-        var = self._cov_of_mean(index + 1)[index][index]
-        return Estimate(float(self.mean()[index]), math.sqrt(var), self.n)
+        return self._delta(self.mean().tolist()[index], [0.0] * index + [1.0])
 
     def moments(self) -> tuple[Estimate, Estimate, Estimate]:
         """Estimates of (f_t, f_tau, f_joint)."""

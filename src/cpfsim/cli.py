@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import copy
 import errno
+import inspect
 import itertools
 import json
 import math
@@ -248,7 +249,7 @@ _ENSEMBLE = _Family(
 # ---------------------------------------------------------------------------
 # config parsing
 
-_REQUIRED = object()  # the default of a field that must be given
+_REQUIRED = inspect.Parameter.empty  # the default of a field that must be given
 
 # (name, parser, default): parser(value, path) returns the parsed value or
 # raises ConfigError, and a default goes through the same parser
@@ -385,6 +386,25 @@ def _choice(value: Any, path: str, options: tuple[str, ...]) -> str:
     return value
 
 
+# A constructor parameter's parser, by its annotation: every module that defines a
+# constructor uses `from __future__ import annotations`, so annotations are strings.
+_PARSERS: dict[str, Callable[[Any, str], Any]] = {
+    "float": _float, "int": _int, "complex": _complex,
+    "int | None": _optional(_int), "float | None": _optional(_float)}
+
+
+def _fields(build: Callable[..., Any]) -> tuple[_Field, ...]:
+    """The section fields of build's parameters: names, parsers and defaults, in order."""
+    return tuple((p.name, _PARSERS[p.annotation], p.default)
+                 for p in inspect.signature(build).parameters.values())
+
+
+def _object(build: Callable[..., Any]) -> Callable[[Any, str], Any]:
+    """Parser of a section into build(**its fields), which build's signature names."""
+    fields = _fields(build)
+    return lambda doc, path: _construct(build, _section(doc, path, fields), path)
+
+
 _HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -412,33 +432,17 @@ class _Kind:
 
 
 MODEL_KINDS: dict[str, _Kind] = {
-    "white": _Kind(_NOISE, analytic.White, (("gamma_w", _float, _REQUIRED),)),
-    "exp_corr_gauss": _Kind(_NOISE, analytic.ExpCorrGauss, (
-        ("g", _float, _REQUIRED),
-        ("tau_c", _float, _REQUIRED),
-    )),
-    "static_gauss": _Kind(_NOISE, analytic.StaticGauss, (("g", _float, _REQUIRED),)),
-    "static_lorentz": _Kind(_NOISE, analytic.StaticLorentz, (
-        ("gamma", _float, _REQUIRED),
-        ("omega", _float, 0.0),
-    )),
+    "white": _Kind(_NOISE, analytic.White, _fields(analytic.White)),
+    "exp_corr_gauss": _Kind(_NOISE, analytic.ExpCorrGauss, _fields(analytic.ExpCorrGauss)),
+    "static_gauss": _Kind(_NOISE, analytic.StaticGauss, _fields(analytic.StaticGauss)),
+    "static_lorentz": _Kind(_NOISE, analytic.StaticLorentz, _fields(analytic.StaticLorentz)),
+    # array fields, and default amplitudes one per coupling (_bath_amplitudes)
     "spin_bath": _Kind(_BATH, spinbath.SpinBathSpec, (
-        ("couplings", _floats, _REQUIRED),
-        ("alphas", _raw, None),
-        ("betas", _raw, None),
-    )),
-    "scaled_spin_bath": _Kind(_BATH, lambda **f: spinbath.scaled_gaussian_bath(**f), (
-        ("n_spins", _int, _REQUIRED),
-        ("g", _float, _REQUIRED),
-        ("omega", _float, 0.0),
-    )),
-    "lorentz_coupling": _Kind(_ENSEMBLE, spinbath.LorentzCouplingSpec, (
-        ("gamma", _float, _REQUIRED),
-        ("omega", _float, 0.0),
-        ("n_spins", _int, 1),
-        ("alpha", _complex, _HALF),
-        ("beta", _complex, _HALF),
-    )),
+        ("couplings", _floats, _REQUIRED), ("alphas", _raw, None), ("betas", _raw, None))),
+    "scaled_spin_bath": _Kind(_BATH, lambda **f: spinbath.scaled_gaussian_bath(**f),
+                              _fields(spinbath.scaled_gaussian_bath)),
+    "lorentz_coupling": _Kind(_ENSEMBLE, spinbath.LorentzCouplingSpec,
+                              _fields(spinbath.LorentzCouplingSpec)),
 }
 
 
@@ -464,15 +468,11 @@ _MAX_POINTS = 2**20
 # trajectories a second; README, "Work budget", says how it was chosen.
 _MAX_WORK_BITS = 42
 
-_GRID_FIELDS: tuple[_Field, ...] = (
-    ("start", _float, _REQUIRED),
-    ("stop", _float, _REQUIRED),
-    ("count", _int, _REQUIRED),
-)
+_grid_section = _object(GridSpec)
 
 
 def _parse_grid(doc: Any, path: str) -> GridSpec:
-    grid = GridSpec(**_section(doc, path, _GRID_FIELDS))
+    grid = _grid_section(doc, path)
     if not 0.0 <= grid.start < math.inf:
         raise ConfigError(f"{path}.start: must be finite and >= 0, got {grid.start!r}")
     if not grid.start <= grid.stop < math.inf:
@@ -486,19 +486,6 @@ def _parse_grid(doc: Any, path: str) -> GridSpec:
     return grid
 
 
-_MC_FIELDS: tuple[_Field, ...] = (
-    ("n_trajectories", _int, _REQUIRED),
-    ("seed", _int, 0),
-    ("chunk_size", _optional(_int), None),
-    ("path_dt", _optional(_float), None),
-)
-
-
-def _object(build: Callable[..., Any], fields: tuple[_Field, ...]) -> Callable[[Any, str], Any]:
-    """Parser of a section into build(**its parsed fields)."""
-    return lambda doc, path: _construct(build, _section(doc, path, fields), path)
-
-
 _CONFIG_FIELDS: tuple[_Field, ...] = (
     ("model", _parse_model, _REQUIRED),
     ("quantity", partial(_choice, options=tuple(QUANTITIES)), _REQUIRED),
@@ -507,9 +494,8 @@ _CONFIG_FIELDS: tuple[_Field, ...] = (
     ("tau_grid", _optional(_parse_grid), None),
     ("yx", _outcome, 1),
     ("y_select", _outcome, 1),
-    ("mc", _optional(_object(McConfig, _MC_FIELDS)), None),  # chunk size pinned for the echo
-    ("system_init", _optional(_object(spinbath.SystemInit, (
-        ("a", _complex, _REQUIRED), ("b", _complex, _REQUIRED)))), None),
+    ("mc", _optional(_object(McConfig)), None),  # chunk size pinned for the echo
+    ("system_init", _optional(_object(spinbath.SystemInit)), None),
     ("output_path", _output_path, "cpfsim_out.csv"),
 )
 

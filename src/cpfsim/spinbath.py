@@ -47,7 +47,7 @@ import numpy as np
 
 from . import core
 from ._mc import (Chunk, McConfig, MomentStats, block_rows, cauchy, check_count, check_real,
-                  check_times, collect_moments, cos2, draw_rows, shown)
+                  check_times, collect_moments, cos2, draw_rows, numeric, shown)
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -65,9 +65,9 @@ _SCALED_SPIN_BYTES = 40
 
 def _amplitudes(a, b, what: str) -> tuple[complex, complex]:
     """(a, b) as complex numbers, checked by _check_amplitudes; an integer beyond the
-    float range, or a value that is not a number, has an inf norm."""
+    float range, or a value that is not a number (text or a bool too), has an inf norm."""
     try:
-        a, b = complex(a), complex(b)
+        a, b = complex(numeric(a)), complex(numeric(b))
     except (OverflowError, TypeError, ValueError):
         a = b = complex(math.inf)
     _check_amplitudes(a, b, what)
@@ -87,14 +87,17 @@ def _check_amplitudes(a, b, what: str) -> None:
 
 def _spin_values(values, dtype) -> np.ndarray:
     """values as an at least 1-d array of dtype; where an integer is beyond the float
-    range, every value is inf, and values that are not numbers (a string, a ragged
-    list) are one nan: the checks of SpinBathSpec refuse both by name."""
+    range, every value is inf, and where a value is not a number (text, a bool), every
+    value is nan, in the shape of values, or one nan for a ragged list, which has no
+    shape: the checks of SpinBathSpec refuse both by the name of the array."""
     try:
-        return np.atleast_1d(np.asarray(values, dtype=dtype))
-    except OverflowError:
-        return np.atleast_1d(np.full(np.shape(values), math.inf, dtype))
-    except (TypeError, ValueError):  # a ragged list has no shape to keep
-        return np.full(1, math.nan, dtype)
+        return np.atleast_1d(np.asarray(numeric(values), dtype=dtype))
+    except (OverflowError, TypeError, ValueError) as exc:
+        fill = math.inf if isinstance(exc, OverflowError) else math.nan
+    try:
+        return np.atleast_1d(np.full(np.shape(values), fill, dtype))
+    except ValueError:  # a ragged list has no shape to keep
+        return np.full(1, fill, dtype)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: no value equality

@@ -1887,6 +1887,18 @@ def test_readme_lists_every_model_kind_and_field():
     assert readme_model_kinds() == table
 
 
+def test_readme_schema_block_names_each_sections_constructor_parameters():
+    # the sections' fields come from their constructors' signatures, so a renamed
+    # parameter renames a config field: the README's schema block must follow
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("Config schema"):].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    schema = json.loads(re.sub(r"//.*", "", block))
+    assert list(schema) == [name for name, _, _ in cli._CONFIG_FIELDS]
+    for section, build in (("t_grid", cli.GridSpec), ("tau_grid", cli.GridSpec),
+                           ("mc", _mc.McConfig), ("system_init", spinbath.SystemInit)):
+        assert list(schema[section]) == [name for name, _, _ in cli._fields(build)], section
+
+
 def readme_support_matrix():
     """(kind, quantity) -> methods, from the README's quantity x family table."""
     text = (ROOT / "README.md").read_text()

@@ -524,10 +524,11 @@ def test_a_replaced_stage_is_dropped_before_its_successor_is_computed():
 
 # every edge of the parameter checks: zeros of each sign, integers past the float range
 # and past repr's 4,300 digits, the smallest and largest floats, inf and nan, and values
-# that are not numbers: a string, a list, None and a ragged list (SpinBathSpec's arrays)
+# that are not numbers: a string, a list, None, a ragged list (SpinBathSpec's arrays),
+# and text and a bool that float() reads as a number
 PARAMETER_EDGES = [sign * v for v in (0, 1, 3, 10**400, 10**5000, 0.0, 5e-324, 1.5, 1.8e308,
                                       math.inf) for sign in (1, -1)] + [
-    math.nan, "x", [1.0], None, [[1.0], [1.0, 2.0]]]
+    math.nan, "x", [1.0], None, [[1.0], [1.0, 2.0]], "1.5", b"1", True]
 # each owner of parameter checks -> its argument names, and how many it requires
 PARAMETER_OWNERS = {
     analytic.White: (("gamma_w",), 1),
@@ -567,6 +568,50 @@ def test_every_parameter_owner_builds_or_refuses_by_argument(call):
         amplitudes = {"a", "b", "alpha", "beta", "alphas", "betas"} & set(names)
         assert (text.split(" ", 1)[0] in names
                 or (amplitudes and " amplitudes must satisfy " in text)), text
+
+
+# text and bools, which float(), complex() and numpy read as numbers, as a scalar
+# parameter or an element of a per-spin list -> the named refusal
+TEXT_AND_BOOLS = [
+    (lambda: analytic.White("1.5"), "gamma_w must be finite and > 0, got '1.5'"),
+    (lambda: analytic.White(True), "gamma_w must be finite and > 0, got True"),
+    (lambda: analytic.White(np.True_), "gamma_w must be finite and > 0, got np.True_"),
+    (lambda: analytic.ExpCorrGauss(b"1", 1.0), "g must be finite and > 0, got b'1'"),
+    (lambda: analytic.StaticLorentz(1.0, np.str_("0.5")),
+     "omega must be finite, got np.str_('0.5')"),
+    (lambda: McConfig(True), "n_trajectories must be an integer, got True"),
+    (lambda: McConfig(10, seed=False), "seed must be an integer, got False"),
+    (lambda: McConfig(10, chunk_size=True), "chunk_size must be an integer, got True"),
+    (lambda: McConfig(10, path_dt="0.1"), "path_dt must be finite and > 0, got '0.1'"),
+    (lambda: spinbath.LorentzCouplingSpec(1.0, n_spins=True),
+     "n_spins must be an integer, got True"),
+    (lambda: spinbath.LorentzCouplingSpec(1.0, alpha=True, beta=0.0),
+     "bath spin amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
+    (lambda: spinbath.scaled_gaussian_bath(3, "0.5"), "g must be finite and > 0, got '0.5'"),
+    (lambda: spinbath.SystemInit("1", 0), "system amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
+    (lambda: spinbath.SpinBathSpec(["1.0"], ["0.6"], ["0.8"]), "couplings must be finite"),
+    (lambda: spinbath.SpinBathSpec(np.array([True]), [1.0], [0.0]), "couplings must be finite"),
+    (lambda: spinbath.SpinBathSpec([1.0], [True], [0.0]),
+     "per-spin amplitudes must satisfy |a|^2+|b|^2=1, got nan"),
+    (lambda: spinbath.SpinBathSpec([1.0], [0.6], [np.array(b"0.8")]),
+     "per-spin amplitudes must satisfy |a|^2+|b|^2=1, got nan"),
+    # in a list of several spins, the refusal still names the array that holds it
+    (lambda: spinbath.SpinBathSpec(["1.0", "0.5"], [0.6, 0.6], [0.8, 0.8]),
+     "couplings must be finite"),
+    (lambda: spinbath.SpinBathSpec(np.array([1.0, "x"], dtype=object), [1.0, 1.0], [0.0, 0.0]),
+     "couplings must be finite"),
+    (lambda: spinbath.SpinBathSpec([1.0, 1.0], [0.6, True], [0.8, 0.8]),
+     "per-spin amplitudes must satisfy |a|^2+|b|^2=1, got nan"),
+    (lambda: spinbath.SpinBathSpec([1.0, 1.0], [0.6, 0.6], [0.8, b"0.8"]),
+     "per-spin amplitudes must satisfy |a|^2+|b|^2=1, got nan"),
+]
+
+
+@pytest.mark.parametrize("build, message", TEXT_AND_BOOLS)
+def test_every_parameter_owner_refuses_text_and_bools_by_argument(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 # the floats at the edges of .17g text, and a zero of each sign

@@ -215,6 +215,30 @@ def test_bench_pairs_summarizes_fixture_pairs_without_running_a_benchmark():
         assert wall["parent_iqr"] > 0.25 * wall["parent_median"] and wall["verdict"] == verdict
 
 
+@pytest.mark.parametrize("outcome", [{"correct": False, "failed": 0},
+                                     {"correct": True, "failed": 2}])
+def test_bench_scripts_refuse_a_run_that_is_not_correct(monkeypatch, outcome):
+    # both scripts go through bench_pairs.perfbench: a run that exits 0 but fails its
+    # correctness check, or reports failed operations, stops them, traced or not
+    monkeypatch.setattr(sys, "path", [str(ROOT / "scripts"), *sys.path])  # bench_record's too
+    bench_pairs, bench_record = _load_script("bench_pairs.py"), _load_script("bench_record.py")
+    result = {**outcome, "metrics": {"wall_s": {"value": 0.1, "unit": "s"}}}
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=f"log\n{json.dumps(result)}\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match=r"closed_forms seed 1: correct \w+, \d failed"):
+        bench_pairs.run_once(ROOT, "closed_forms", 1, 0.0)
+    with pytest.raises(SystemExit, match=r"closed_forms seed 1: correct \w+, \d failed"):
+        bench_pairs.perfbench(ROOT, "closed_forms", 1, 0.0, trace=1)
+    with pytest.raises(SystemExit, match=r"closed_forms seed 1: correct \w+, \d failed"):
+        bench_record.record_workloads(quick=True)
+    result.update(correct=True, failed=0)  # a correct run passes through whole
+    assert bench_pairs.perfbench(ROOT, "closed_forms", 1, 0.0) == result
+    assert bench_pairs.run_once(ROOT, "closed_forms", 1, 0.0) == {"wall_s": 0.1}
+
+
 def test_bench_pairs_help_runs_nothing(tmp_path):
     proc = _run("bench_pairs.py", "--help", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

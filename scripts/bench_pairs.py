@@ -5,20 +5,23 @@
 
 For each seed it runs ``python3 perfbench/run.py --workload W --seed N
 --seconds S --trace 0`` in PARENT_DIR and in CHANGE_DIR, and reads the JSON
-result on the last line of each run's stdout.  The parent runs first in odd
-pairs and the change in even ones, so that neither side always meets the
-machine as the other left it.  It prints every pair's order and end-to-end
-metrics, then for each metric the two medians, the interquartile
-range of the parent's runs, how many pairs the change improved and a verdict:
-"gain" (better in at least 9/10 of the pairs, median gain beyond the parent's
-IQR), "unresolved" (the parent's IQR is wider than the metric's relative bound
-of its median, and not every change run beats every parent run), "worse beyond
+result on the last line of each run's stdout and the details on the line
+before it.  The parent runs first in odd pairs and the change in even ones, so
+that neither side always meets the machine as the other left it.  It prints
+every pair's order and end-to-end metrics, and beside them the median raw
+wall_s, the seconds of a pass before run.py divides them by its speed probe
+(the probe runs in the same process, so what a side imports can move it).
+Then for each metric it prints the two medians, the interquartile range of the
+parent's runs, how many pairs the change improved and a verdict: "gain"
+(better in at least 9/10 of the pairs, median gain beyond the parent's IQR),
+"unresolved" (the parent's IQR is wider than the metric's relative bound of
+its median, and not every change run beats every parent run), "worse beyond
 bound" (median worse than the parent's by more than the bound) or "within
-bound".  Which way is better, and each
-bound, come from CHANGE_DIR's BENCHMARK.json; nothing is imported from
-perfbench/.  It exits 1 when a run fails, fails its correctness check or
-reports a failed operation; scripts/bench_record.py runs perfbench through the
-same check.
+bound".  The raw wall_s gets the same line with no verdict: it is no declared
+metric.  Which way is better, and each bound, come from CHANGE_DIR's
+BENCHMARK.json; nothing is imported from perfbench/.  It exits 1 when a run
+fails, fails its correctness check or reports a failed operation;
+scripts/bench_record.py runs perfbench through the same check.
 """
 
 from __future__ import annotations
@@ -85,27 +88,33 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     return out
 
 
+RAW_WALL = "raw wall_s"  # the median of a run's passes before speed scaling
+
+
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """The JSON result that ``perfbench/run.py`` prints for one run in checkout.
-    A run that exits non-zero, fails its correctness check or reports a failed
-    operation raises SystemExit: its numbers are no measurement."""
+    """The JSON result that ``perfbench/run.py`` prints for one run in checkout,
+    with the details it prints on the line before under "details".  A run that
+    exits non-zero, fails its correctness check or reports a failed operation
+    raises SystemExit: its numbers are no measurement."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout} {workload} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
-    result = json.loads(proc.stdout.splitlines()[-1])
+    *_, details, last = proc.stdout.splitlines()
+    result = json.loads(last)
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout} {workload} seed {seed}: correct {result['correct']}, "
                          f"{result['failed']} failed operations")
-    return result
+    return {**result, **json.loads(details)}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metric values of one untraced perfbench run in checkout."""
+    """The metric values of one untraced perfbench run in checkout, and its RAW_WALL."""
     result = perfbench(checkout, workload, seed, seconds)
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {**{name: m["value"] for name, m in result["metrics"].items()},
+            RAW_WALL: result["details"]["wall_s"]["raw"]["median"]}
 
 
 def main(argv=None) -> int:
@@ -121,20 +130,23 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
+    columns = [*better, RAW_WALL]
     pairs = []
-    print("seed  first   " + "  ".join(f"{name:>23}" for name in better))
+    print("seed  first   " + "  ".join(f"{name:>23}" for name in columns))
     for number, seed in enumerate(args.seeds, 1):
         order = ["parent", "change"] if number % 2 else ["change", "parent"]
         got = {side: run_once(sides[side], args.workload, seed, args.seconds) for side in order}
         pair = (got["parent"], got["change"])
         pairs.append(pair)
         print(f"{seed:>4}  {order[0]}  " + "  ".join(
-            f"{pair[0][name]:>10.4g} -> {pair[1][name]:<10.4g}" for name in better), flush=True)
-    for name, s in summarize(pairs, better, bounds).items():
+            f"{pair[0][name]:>10.4g} -> {pair[1][name]:<10.4g}" for name in columns), flush=True)
+    for name, s in summarize(pairs, {**better, RAW_WALL: "lower"},
+                             {**bounds, RAW_WALL: bounds["wall_s"]}).items():
+        verdict = "no verdict" if name == RAW_WALL else f"{s['verdict']} (bound {bounds[name]:g})"
         print(f"{name}: median {s['parent_median']:.4g} -> {s['change_median']:.4g}, "
               f"parent IQR {s['parent_iqr']:.3g}, better in {s['improved']}/{s['pairs']} pairs, "
               f"median gain {'beyond' if s['gain_beyond_iqr'] else 'within'} the parent IQR: "
-              f"{s['verdict']} (bound {bounds[name]:g})")
+              f"{verdict}")
     return 0
 
 

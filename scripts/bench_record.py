@@ -9,15 +9,17 @@ there, unless --out names the file.  The document holds:
   environment  CPU count, machine, Python, numpy, the git revision and whether
                the tree differs from it, cli.numerics(), PYTHONDONTWRITEBYTECODE
                and the scripts/code_lines.py total of src/cpfsim;
-  workloads    the metrics JSON that perfbench/run.py prints for each workload
+  workloads    the metrics JSON that perfbench/run.py prints for each workload,
+               with its details (raw and scaled wall_s, ...) under "details",
                at seeds 1-3 with --trace 0, and for one --trace 1 run of each
                at seed 1, each run checked by scripts/bench_pairs.py's runner
                (a run that fails or is not correct stops the recording);
   cases        per-layer cases, each timed in this process as the median and
                interquartile range (exclusive quartiles, as
                scripts/bench_pairs.py) of REPEATS calls: closed forms, Monte
-               Carlo estimators at 1 and 2 workers, the dense oracle, the CLI
-               stages of each closed_forms job and `cpfsim selftest`;
+               Carlo estimators at 1 and 2 workers, the dense oracle, each
+               closed_forms job's cli.main call with the stages its manifest
+               records, and `cpfsim selftest`;
   memory       tracemalloc peaks of a 1024 x 1024 OU surface (evaluate, write)
                and of writing a 2^20-point probability table of distinct values.
 
@@ -201,27 +203,37 @@ def record_cases(quick: bool) -> dict:
 
 
 def cli_cases(repeats: int) -> dict:
-    """The stages of `cpfsim run` for each closed_forms job at seed 1, timed through
-    the public functions: parser, load_config, evaluate_rows, write_csv and
-    write_manifest; then `cpfsim selftest` and each of its criteria."""
+    """`cpfsim run` for each closed_forms job at seed 1: the whole cli.main call
+    (main), and from the same calls the stages its manifest records (parse,
+    evaluate, write_csv); the parse_args of the parser main reuses (parser) and
+    write_manifest (manifest), timed on their own.  Then `cpfsim selftest` and
+    each of its criteria."""
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         for job in workloads.jobs_for("closed_forms", 1):
             path, csv_path = base / f"{job.name}.json", base / f"{job.name}.csv"
             path.write_text(job.config_text(), encoding="utf-8")
-            argv = [job.command, "--config", str(path), "--threads", str(job.threads), "--quiet"]
-            config = cli.load_config(path)
-            rows = cli.evaluate_rows(config, job.threads)
-            stages = {
-                "parser": lambda a=argv: cli.build_parser().parse_args(a),
-                "load_config": lambda p=path: cli.load_config(p),
-                "evaluate": lambda c=config, w=job.threads: cli.evaluate_rows(c, w),
-                "write_csv": lambda r=rows, p=csv_path: cli.write_csv(r, p),
-                "manifest": lambda c=config, p=csv_path: cli.write_manifest(c, p, 0.0),
-            }
-            for stage, call in stages.items():
-                cases[f"cli.{job.name}.{stage}"] = {**timed(call, repeats), "rows": len(rows)}
+            argv = [job.command, "--config", str(path), "--output", str(csv_path),
+                    "--threads", str(job.threads), "--quiet"]
+            runs = {"main": [], "parse": [], "evaluate": [], "write_csv": []}
+            for _ in range(repeats):
+                start = time.perf_counter()
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"cpfsim {' '.join(argv)} failed")
+                runs["main"].append(time.perf_counter() - start)
+                manifest_path = csv_path.with_name(csv_path.name + ".manifest.json")
+                stages = json.loads(manifest_path.read_text(encoding="utf-8"))["stages"]
+                for stage in ("parse", "evaluate", "write_csv"):
+                    runs[stage].append(stages[f"{stage}_s"])
+            config = cli.load_config(manifest_path)
+            times = {stage: summary(seconds) for stage, seconds in runs.items()}
+            times["parser"] = timed(lambda a=argv: cli._parser().parse_args(a), repeats)
+            times["manifest"] = timed(
+                lambda c=config, p=csv_path, s=stages: cli.write_manifest(c, p, 0.0, s), repeats)
+            rows = len(csv_path.read_bytes().splitlines()) - 1  # less the header
+            for stage, case in times.items():
+                cases[f"cli.{job.name}.{stage}"] = {**case, "rows": rows}
     walls, criteria = [], {}
     for _ in range(repeats):
         start = time.perf_counter()

@@ -98,7 +98,10 @@ NoiseModel = White | ExpCorrGauss | StaticGauss | StaticLorentz
 
 
 def _h(u):
-    # h(u) = u - (1 - e^{-u}) = u + expm1(-u), accurate for small u.
+    # h(u) = u - (1 - e^{-u}) = u + expm1(-u).  Not accurate for small u: h is
+    # u^2/2 there, but the two O(u) terms cancel, so the relative error is 1.6e-10
+    # at u = 1e-6 and 1.3e-8 at u = 1e-8.  A stable form moves output bits
+    # (ROADMAP item 5).
     return u + np.expm1(-u)
 
 

@@ -760,7 +760,11 @@ def numerics() -> dict:
     return {"numpy": np.__version__, "float64_loops": dict(_float64_loops())}
 
 
-def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float) -> Path:
+def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float,
+                   stages: dict[str, float]) -> Path:
+    """Write csv_path's manifest: the resolved config, versions, numerics, the
+    seconds from the start of evaluation to the written CSV and the seconds of
+    each stage (parse_s, evaluate_s, write_csv_s)."""
     manifest = {
         "kind": "cpfsim-run-manifest",
         "config": config.canonical,
@@ -772,6 +776,7 @@ def write_manifest(config: ExperimentConfig, csv_path: Path, wall_time_s: float)
         },
         "numerics": numerics(),
         "wall_time_s": wall_time_s,
+        "stages": stages,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     path = _manifest_path(csv_path)
@@ -805,20 +810,36 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_config(config: ExperimentConfig, threads: int) -> tuple[Path, int, Path]:
-    """Evaluate one config, write its CSV and manifest; (CSV path, rows, manifest path)."""
+@contextlib.contextmanager
+def _stage(stages: dict[str, float], name: str):
+    """The stage timer: the seconds the block takes, as stages[name + "_s"]."""
     start = time.perf_counter()
-    rows = evaluate_rows(config, workers=threads)
+    yield
+    stages[f"{name}_s"] = time.perf_counter() - start
+
+
+def _run_config(
+    config: ExperimentConfig, threads: int, stages: dict[str, float]
+) -> tuple[Path, int, Path]:
+    """Evaluate one config, write its CSV and manifest; (CSV path, rows, manifest path).
+    stages holds the seconds of the config's parse; evaluate and write_csv join it."""
+    start = time.perf_counter()
+    with _stage(stages, "evaluate"):
+        rows = evaluate_rows(config, workers=threads)
     csv_path = Path(config.output_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(rows, csv_path)
-    return csv_path, len(rows), write_manifest(config, csv_path, time.perf_counter() - start)
+    with _stage(stages, "write_csv"):
+        write_csv(rows, csv_path)
+    wall_time_s = time.perf_counter() - start
+    return csv_path, len(rows), write_manifest(config, csv_path, wall_time_s, stages)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    stages: dict[str, float] = {}
+    with _stage(stages, "parse"):
+        config = _apply_overrides(load_config(args.config), args)
     _refuse_overwriting(args.config, Path(config.output_path))
-    csv_path, n_rows, manifest = _run_config(config, args.threads)
+    csv_path, n_rows, manifest = _run_config(config, args.threads, stages)
     if not args.quiet:
         print(f"wrote {csv_path} ({n_rows} rows) and {manifest}")
     return 0
@@ -915,14 +936,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"sweep.{key}: expected a non-empty list of values")
 
     keys = sorted(sweep)
-    legs: dict[str, tuple[list[tuple[str, Any]], ExperimentConfig]] = {}
+    legs: dict[str, tuple[list[tuple[str, Any]], ExperimentConfig, dict[str, float]]] = {}
     for combo in itertools.product(*(sweep[k] for k in keys)):
         doc = copy.deepcopy(base_doc)
         doc.pop("sweep")
         assignment = list(zip(keys, combo))
         for key, value in assignment:
             _set_by_path(doc, key, value)
-        config = _apply_overrides(parse_config(doc), args)
+        stages: dict[str, float] = {}
+        with _stage(stages, "parse"):
+            config = _apply_overrides(parse_config(doc), args)
         out = Path(config.output_path)
         # str of a float is its shortest round-tripping repr: distinct values, distinct names
         suffix = "__".join(f"{key}={value}" for key, value in assignment)
@@ -939,16 +962,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"sweep: legs {dict(legs[config.output_path][0])} and {dict(assignment)} "
                 f"both write {config.output_path}"
             )
-        legs[config.output_path] = (assignment, config)
+        legs[config.output_path] = (assignment, config, stages)
 
     # the index lists the finished legs, and the failed leg with its error
     written = []
     try:
         with grid_memo():  # legs that draw the same chunk streams draw them once
-            for assignment, config in legs.values():
+            for assignment, config, stages in legs.values():
                 leg = {"parameters": dict(assignment), "output": Path(config.output_path).name}
                 try:
-                    csv_path, _, _ = _run_config(config, args.threads)
+                    csv_path, _, _ = _run_config(config, args.threads, stages)
                 except (CpfError, OSError) as exc:
                     written.append({**leg, "error": f"{type(exc).__name__}: {exc}"})
                     raise
@@ -1042,8 +1065,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then reused.  parse_args
+    keeps no state between calls; the subcommand functions are bound at the build."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1235,6 +1236,110 @@ def test_compare_tolerance_must_be_finite_and_nonnegative(flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# the parser main reuses, and the stage timer
+
+MC_DOC = base_config(model={"kind": "exp_corr_gauss", "g": 0.9, "tau_c": 1.3},
+                     method="montecarlo", mc={"n_trajectories": 2000, "seed": 3})
+
+# one call of each subcommand and a refused argument; the two runs, with and
+# without --seed and --output, show a value carried over from one call to the next
+PARSER_CALLS = {
+    "run_seeded": ["run", "--config", "mc.json", "--seed", "11", "--output", "seeded.csv"],
+    "compare": ["compare", "--config-a", "mc.json", "--config-b", "mc.json", "--sigma-tol", "2"],
+    "sweep": ["sweep", "--config", "sweep.json", "--quiet"],
+    "selftest": ["selftest", "--criteria", "1"],
+    "bad_threads": ["run", "--config", "mc.json", "--threads", "0"],
+    "run": ["run", "--config", "mc.json"],
+}
+
+
+def main_outcome(cwd, argv, monkeypatch, capsys):
+    """(exit code, stdout, stderr, bytes of each CSV and sweep index) of one main
+    call in a fresh directory cwd; selftest's elapsed seconds are left out."""
+    cwd.mkdir(parents=True)
+    write_json(cwd, MC_DOC, "mc.json")
+    write_json(cwd, base_config(sweep={"model.gamma_w": [0.5, 0.7]}), "sweep.json")
+    monkeypatch.chdir(cwd)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's refusal
+        code = exc.code
+    out, err = capsys.readouterr()
+    written = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())
+               if p.suffix == ".csv" or p.name == "sweep_manifest.json"}
+    return code, re.sub(r"\(\d+\.\d s\)", "(s)", out), err, written
+
+
+@pytest.mark.parametrize("order", [list(PARSER_CALLS), list(PARSER_CALLS)[::-1]],
+                         ids=["forward", "reverse"])
+def test_main_builds_its_parser_once_and_answers_as_a_fresh_one(
+        tmp_path, monkeypatch, capsys, order):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser a call
+        fresh = {name: main_outcome(tmp_path / "fresh" / name, PARSER_CALLS[name],
+                                    monkeypatch, capsys) for name in order}
+    assert fresh["bad_threads"][0] == 2 and "must be >= 1, got 0" in fresh["bad_threads"][2]
+    assert [fresh[name][0] for name in PARSER_CALLS if name != "bad_threads"] == [0] * 5
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for name in order:
+            assert main_outcome(tmp_path / "reused" / name, PARSER_CALLS[name], monkeypatch,
+                                capsys) == fresh[name], name
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_import_builds_no_parser():
+    # the parser is built on the first main call, so importing cli costs nothing more
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cpfsim.cli; print(cpfsim.cli._parser.cache_info())"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "currsize=0" in proc.stdout
+
+
+def assert_stages(manifest):
+    """The manifest times each stage, and evaluate and write_csv lie within wall_time_s."""
+    stages = manifest["stages"]
+    assert list(stages) == ["parse_s", "evaluate_s", "write_csv_s"]
+    assert all(math.isfinite(s) and s >= 0.0 for s in stages.values())
+    assert stages["evaluate_s"] + stages["write_csv_s"] <= manifest["wall_time_s"]
+
+
+def test_run_and_sweep_leg_manifests_time_each_stage(tmp_path, monkeypatch):
+    # each stage's function made 10 ms slower shows up in that stage's seconds
+    def slower(name):
+        function = getattr(cli, name)
+        return lambda *args, **kwargs: time.sleep(0.01) or function(*args, **kwargs)
+
+    for name in ("load_config", "parse_config", "evaluate_rows", "write_csv"):
+        monkeypatch.setattr(cli, name, slower(name))
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, base_config(sweep={"model.gamma_w": [0.5, 0.7]}))
+    assert cli.main(["run", "--config", "config.json", "--quiet"]) == 0
+    assert cli.main(["sweep", "--config", "config.json", "--quiet"]) == 0
+    manifests = sorted(tmp_path.glob("*.manifest.json"))
+    assert [p.name for p in manifests] == ["out.csv.manifest.json",
+                                           "out__model.gamma_w=0.5.csv.manifest.json",
+                                           "out__model.gamma_w=0.7.csv.manifest.json"]
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        assert_stages(manifest)
+        assert min(manifest["stages"].values()) >= 0.01
+    # the sweep's index holds no time: its bytes are the same on every run
+    index = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    assert index == {"kind": "cpfsim-sweep-manifest", "legs": [
+        {"parameters": {"model.gamma_w": 0.5}, "output": "out__model.gamma_w=0.5.csv"},
+        {"parameters": {"model.gamma_w": 0.7}, "output": "out__model.gamma_w=0.7.csv"}]}
+
+
 @pytest.mark.parametrize("cpus, want", [(2, 2), (None, 1)])
 def test_threads_capped_at_cpu_count(monkeypatch, cpus, want):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -1831,6 +1936,14 @@ def test_manifest_written_by_0_9_0_reruns_byte_for_byte(tmp_path, name):
 @pytest.mark.parametrize("name", ["bath_surface", "bath_table", "bath_5000_spins_surface"])
 def test_manifest_written_by_0_10_0_reruns_byte_for_byte(tmp_path, name):
     assert_reruns_byte_for_byte(tmp_path, "0.10.0", name)
+
+
+def test_manifest_without_stages_loads_and_reruns_with_them(tmp_path):
+    # a manifest written before the stage timer has no stages; its rerun's has them
+    redo, stored, manifest = rerun_stored(tmp_path, "0.8.0", "ou_surface")
+    assert "stages" not in manifest
+    assert_bytes_on_the_same_loops(redo, stored, manifest, cli.numerics()["float64_loops"])
+    assert_stages(json.loads((tmp_path / "redo.csv.manifest.json").read_text()))
 
 
 def rerun_stored(tmp_path, version, name):

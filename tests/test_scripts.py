@@ -113,13 +113,23 @@ def test_bench_record_quick_writes_every_section(tmp_path):
     assert env["code_lines"] == int(_run("code_lines.py").stdout.split()[-2])
     runs = doc["workloads"]["closed_forms"]
     assert runs["untraced"]["1"]["correct"] and "wall_s" in runs["untraced"]["1"]["metrics"]
+    assert runs["untraced"]["1"]["details"]["wall_s"]["raw"]["median"] > 0.0
     assert "cli.evaluate_s" in runs["traced"]["1"]["metrics"]
     cases = doc["cases"]
     assert {name.split(".")[0] for name in cases} == {
         "closed_forms", "monte_carlo", "oracle", "cli", "selftest"}
     assert all(case["repeats"] == 1 and case["iqr_s"] == 0.0 for case in cases.values())
     assert {"monte_carlo.mc_cpf_sampling.workers_1", "monte_carlo.mc_cpf_sampling.workers_2",
-            "cli.ou_surface.write_csv", "selftest.wall"} <= set(cases)
+            "selftest.wall"} <= set(cases)
+    # each closed_forms job's cli.main call, with the stages its manifest recorded
+    # in that same call, and the reused parser and the manifest timed on their own
+    stages = ("main", "parse", "evaluate", "write_csv", "parser", "manifest")
+    job_cases = {name for name in cases if name.startswith("cli.ou_surface.")}
+    assert job_cases == {f"cli.ou_surface.{stage}" for stage in stages}
+    ou = {stage: cases[f"cli.ou_surface.{stage}"] for stage in stages}
+    assert all(case["rows"] == 40000 for case in ou.values())
+    assert ou["parse"]["median_s"] + ou["evaluate"]["median_s"] + ou["write_csv"][
+        "median_s"] <= ou["main"]["median_s"]
     assert all(peak > 0.0 for peak in doc["memory"].values()) and len(doc["memory"]) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_quick.json"]
 
@@ -223,9 +233,11 @@ def test_bench_scripts_refuse_a_run_that_is_not_correct(monkeypatch, outcome):
     monkeypatch.setattr(sys, "path", [str(ROOT / "scripts"), *sys.path])  # bench_record's too
     bench_pairs, bench_record = _load_script("bench_pairs.py"), _load_script("bench_record.py")
     result = {**outcome, "metrics": {"wall_s": {"value": 0.1, "unit": "s"}}}
+    details = {"details": {"wall_s": {"raw": {"median": 0.12}, "scaled": {"median": 0.1}}}}
 
     def fake_run(argv, **kwargs):
-        return subprocess.CompletedProcess(argv, 0, stdout=f"log\n{json.dumps(result)}\n")
+        return subprocess.CompletedProcess(
+            argv, 0, stdout=f"log\n{json.dumps(details)}\n{json.dumps(result)}\n")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
     with pytest.raises(SystemExit, match=r"closed_forms seed 1: correct \w+, \d failed"):
@@ -234,9 +246,10 @@ def test_bench_scripts_refuse_a_run_that_is_not_correct(monkeypatch, outcome):
         bench_pairs.perfbench(ROOT, "closed_forms", 1, 0.0, trace=1)
     with pytest.raises(SystemExit, match=r"closed_forms seed 1: correct \w+, \d failed"):
         bench_record.record_workloads(quick=True)
-    result.update(correct=True, failed=0)  # a correct run passes through whole
-    assert bench_pairs.perfbench(ROOT, "closed_forms", 1, 0.0) == result
-    assert bench_pairs.run_once(ROOT, "closed_forms", 1, 0.0) == {"wall_s": 0.1}
+    result.update(correct=True, failed=0)  # a correct run passes through whole, with details
+    assert bench_pairs.perfbench(ROOT, "closed_forms", 1, 0.0) == {**result, **details}
+    assert bench_pairs.run_once(ROOT, "closed_forms", 1, 0.0) == {"wall_s": 0.1,
+                                                                  "raw wall_s": 0.12}
 
 
 def test_bench_pairs_help_runs_nothing(tmp_path):
@@ -256,7 +269,7 @@ def test_bench_pairs_alternates_which_checkout_runs_first(tmp_path, monkeypatch,
     def run_once(checkout, workload, seed, seconds):
         runs.append((checkout.name, seed))
         return {"wall_s": 0.2 if checkout == change else 0.3, "setup_s": 0.1,
-                "peak_rss_mb": 40.0}
+                "peak_rss_mb": 40.0, "raw wall_s": 0.25 if checkout == change else 0.35}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     assert bench_pairs.main([str(parent), str(change), "--workload", "closed_forms",
@@ -266,9 +279,15 @@ def test_bench_pairs_alternates_which_checkout_runs_first(tmp_path, monkeypatch,
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines[1:5]] == [
         ["4", "parent"], ["5", "change"], ["6", "parent"], ["7", "change"]]
-    # each pair reads parent -> change, whichever ran first
-    assert all("0.3 -> 0.2" in line for line in lines[1:5])
-    # one verdict per metric, against the bound of the change's BENCHMARK.json
-    assert [line.split(": ")[0] for line in lines[5:]] == ["wall_s", "setup_s", "peak_rss_mb"]
+    # each pair reads parent -> change, whichever ran first, the raw wall_s last
+    assert lines[0].split()[-2:] == ["raw", "wall_s"]
+    assert all("0.3 -> 0.2" in line and line.split()[-3:] == ["0.35", "->", "0.25"]
+               for line in lines[1:5])
+    # one verdict per metric, against the bound of the change's BENCHMARK.json, and
+    # the raw wall_s's medians without one
+    assert [line.split(": ")[0] for line in lines[5:]] == [
+        "wall_s", "setup_s", "peak_rss_mb", "raw wall_s"]
     assert lines[5].endswith(": gain (bound 0.25)")  # better in 4/4 pairs, IQR 0
     assert lines[6].endswith(": within bound (bound 0.25)")  # setup_s unchanged
+    assert lines[8].startswith("raw wall_s: median 0.35 -> 0.25, parent IQR 0, better in 4/4")
+    assert lines[8].endswith(": no verdict")

@@ -35,11 +35,15 @@ from pathlib import Path
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-3,7' -> [1, 2, 3, 7]."""
+    """'1-3,7' -> [1, 2, 3, 7]; a backwards range such as '3-1' holds no seed and
+    is refused, so that argparse names --seeds before any run starts."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} is empty")
+        seeds.extend(span)
     return seeds
 
 

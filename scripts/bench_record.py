@@ -7,8 +7,10 @@ Writes BENCH_<n>.json at the root of this checkout, n one past the highest
 there, unless --out names the file.  The document holds:
 
   environment  CPU count, machine, Python, numpy, the git revision and whether
-               the tree differs from it, cli.numerics(), PYTHONDONTWRITEBYTECODE
-               and the scripts/code_lines.py total of src/cpfsim;
+               the tree differs from it, cli.numerics(), PYTHONDONTWRITEBYTECODE,
+               the scripts/code_lines.py total of src/cpfsim, and the seconds of
+               perfbench's speed probe (speed.probe_median) at the start and at
+               the end of the recording, with its reference time PROBE_REF_S;
   workloads    the metrics JSON that perfbench/run.py prints for each workload,
                with its details (raw and scaled wall_s, ...) under "details",
                at seeds 1-3 with --trace 0, and for one --trace 1 run of each
@@ -55,8 +57,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import code_lines  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 from bench_pairs import perfbench  # noqa: E402
+from csv_digests import run_checked, write_jobs  # noqa: E402
 
 from cpfsim import acceptance, analytic, cli, spinbath, stochastic  # noqa: E402
 from cpfsim._mc import McConfig  # noqa: E402
@@ -98,6 +102,7 @@ def environment() -> dict:
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "code_lines": sum(code_lines.code_lines(path.read_text(encoding="utf-8"))
                           for path in (ROOT / "src" / "cpfsim").glob("*.py")),
+        "speed_probe": {"ref_s": speed.PROBE_REF_S, "start_s": speed.probe_median()},
     }
 
 
@@ -211,16 +216,12 @@ def cli_cases(repeats: int) -> dict:
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        for job in workloads.jobs_for("closed_forms", 1):
-            path, csv_path = base / f"{job.name}.json", base / f"{job.name}.csv"
-            path.write_text(job.config_text(), encoding="utf-8")
-            argv = [job.command, "--config", str(path), "--output", str(csv_path),
-                    "--threads", str(job.threads), "--quiet"]
+        for job, argv in write_jobs("closed_forms", 1, base):
+            csv_path = base / job.config["output_path"]
             runs = {"main": [], "parse": [], "evaluate": [], "write_csv": []}
             for _ in range(repeats):
                 start = time.perf_counter()
-                if cli.main(argv) != 0:
-                    raise SystemExit(f"cpfsim {' '.join(argv)} failed")
+                run_checked(argv)
                 runs["main"].append(time.perf_counter() - start)
                 manifest_path = csv_path.with_name(csv_path.name + ".manifest.json")
                 stages = json.loads(manifest_path.read_text(encoding="utf-8"))["stages"]
@@ -300,6 +301,7 @@ def main(argv=None) -> int:
     doc["workloads"] = record_workloads(args.quick)
     doc["cases"] = record_cases(args.quick)
     doc["memory"] = record_memory(args.quick)
+    doc["environment"]["speed_probe"]["end_s"] = speed.probe_median()
     doc["recording_s"] = time.perf_counter() - start
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out} ({len(doc['cases'])} cases, {doc['recording_s']:.0f} s)")

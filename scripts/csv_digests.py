@@ -11,11 +11,14 @@ on the same numerics print the same lines, so comparing two is one diff:
         --seeds 1 2 > digests.txt
 
 The jobs come from perfbench/workloads.py of this checkout; cpfsim is
-imported as usual, so PYTHONPATH picks the tree under test.
+imported as usual, so PYTHONPATH picks the tree under test.  write_jobs and
+run_checked are the in-process job runner of scripts/job_rusage.py and
+scripts/bench_record.py too.
 """
 
 import argparse
 import hashlib
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -27,18 +30,31 @@ import workloads  # noqa: E402
 from cpfsim import cli  # noqa: E402
 
 
+def write_jobs(workload: str, seed: int, base: Path) -> list[tuple[workloads.Job, list[str]]]:
+    """(job, its cpfsim argv) of each job of the workload at seed, in workload order,
+    with its config written into base and its output going there too."""
+    jobs = []
+    for job in workloads.jobs_for(workload, seed):
+        config = base / f"{job.name}.json"
+        config.write_text(job.config_text(), encoding="utf-8")
+        jobs.append((job, [job.command, "--config", str(config), "--threads", str(job.threads),
+                           "--output", str(base / job.config["output_path"]), "--quiet"]))
+    return jobs
+
+
+def run_checked(argv: list[str]) -> None:
+    """cli.main(argv) in this process; SystemExit naming the command unless it exits 0."""
+    code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"cpfsim {shlex.join(argv)} exited {code}")
+
+
 def digests(workload: str, seed: int) -> list[str]:
     """'sha256  workload/seed/path' of each CSV the workload's jobs write."""
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        for job in workloads.jobs_for(workload, seed):
-            config = base / f"{job.name}.json"
-            config.write_text(job.config_text(), encoding="utf-8")
-            argv = [job.command, "--config", str(config), "--threads", str(job.threads),
-                    "--output", str(base / job.config["output_path"]), "--quiet"]
-            code = cli.main(argv)
-            if code != 0:
-                raise SystemExit(f"{workload} seed {seed}: job {job.name} exited {code}")
+        for _, argv in write_jobs(workload, seed, base):
+            run_checked(argv)
         return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
                 f"{workload}/{seed}/{path.relative_to(base).as_posix()}"
                 for path in sorted(base.rglob("*.csv"))]

@@ -29,6 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
+from csv_digests import run_checked, write_jobs  # noqa: E402
 
 from cpfsim import cli  # noqa: E402
 
@@ -36,30 +37,20 @@ from cpfsim import cli  # noqa: E402
 def job_rusage(workload: str, seed: int, passes: int) -> list[tuple[str, float, int, float]]:
     """(job, median wall s, median minor faults a run, RSS high-water in MB after its
     first run) of each job of the workload, in workload order."""
-    jobs = workloads.jobs_for(workload, seed)
-    walls = {job.name: [] for job in jobs}
-    faults = {job.name: [] for job in jobs}
-    high = {}
+    walls, faults, high = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        for job in jobs:
-            (base / f"{job.name}.json").write_text(job.config_text(), encoding="utf-8")
+        jobs = write_jobs(workload, seed, Path(tmp))
         for _ in range(passes):
-            for job in jobs:
-                argv = [job.command, "--config", str(base / f"{job.name}.json"),
-                        "--threads", str(job.threads),
-                        "--output", str(base / job.config["output_path"]), "--quiet"]
+            for job, argv in jobs:
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
-                code = cli.main(argv)
-                walls[job.name].append(time.perf_counter() - start)
+                run_checked(argv)
+                walls.setdefault(job.name, []).append(time.perf_counter() - start)
                 usage = resource.getrusage(resource.RUSAGE_SELF)
-                if code != 0:
-                    raise SystemExit(f"{workload} seed {seed}: job {job.name} exited {code}")
-                faults[job.name].append(usage.ru_minflt - before)
+                faults.setdefault(job.name, []).append(usage.ru_minflt - before)
                 high.setdefault(job.name, usage.ru_maxrss / 1024.0)  # KiB on Linux
     return [(job.name, statistics.median(walls[job.name]),
-             round(statistics.median(faults[job.name])), high[job.name]) for job in jobs]
+             round(statistics.median(faults[job.name])), high[job.name]) for job, _ in jobs]
 
 
 def main() -> None:

@@ -56,11 +56,29 @@ _TABLE_LABELS = (
 )
 
 
+# Most evaluation points of one grid, or of a cpf_surface: a 1024 x 1024 surface.
+_MAX_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class GridSpec:
+    """count evenly spaced times from start to stop, both included."""
+
     start: float
     stop: float
     count: int
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.start < math.inf:
+            raise ValueError(f"start must be finite and >= 0, got {self.start!r}")
+        if not self.start <= self.stop < math.inf:
+            raise ValueError(f"stop must be finite and >= start, got {self.stop!r}")
+        if self.count < 1:
+            raise ValueError(f"count must be > 0, got {self.count!r}")
+        if self.count > 1 and self.stop == self.start:
+            raise ValueError("count must be 1 when start == stop")
+        if self.count > _MAX_POINTS:
+            raise ValueError(f"count must be <= {_MAX_POINTS}, got {self.count}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -295,8 +313,7 @@ def _real(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-# A field's JSON type is checked here and its range by the object it builds:
-# model and mc fields by their constructors, grid fields by _parse_grid.
+# A field's JSON type is checked here and its range by its section's constructor.
 
 def _float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -308,12 +325,6 @@ def _int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
-
-
-def _floats(value: Any, path: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    return [_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _outcome(value: Any, path: str) -> int:
@@ -370,14 +381,18 @@ def _check_name_lengths(target: Path) -> None:
     target.exists()  # and the whole path against the system's limit
 
 
-def _raw(value: Any, path: str) -> Any:
-    """The field as given; a later check of its section parses it."""
-    return value
-
-
 def _optional(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
     """parse, with None (an absent or null field) passed through."""
     return lambda value, path: None if value is None else parse(value, path)
+
+
+def _list(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], list]:
+    """A parser of a non-empty list whose elements parse, element i at path[i]."""
+    def parse_list(value: Any, path: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return [parse(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse_list
 
 
 def _choice(value: Any, path: str, options: tuple[str, ...]) -> str:
@@ -390,7 +405,8 @@ def _choice(value: Any, path: str, options: tuple[str, ...]) -> str:
 # constructor uses `from __future__ import annotations`, so annotations are strings.
 _PARSERS: dict[str, Callable[[Any, str], Any]] = {
     "float": _float, "int": _int, "complex": _complex,
-    "int | None": _optional(_int), "float | None": _optional(_float)}
+    "int | None": _optional(_int), "float | None": _optional(_float),
+    "list[float]": _list(_float), "list[complex] | None": _optional(_list(_complex))}
 
 
 def _fields(build: Callable[..., Any]) -> tuple[_Field, ...]:
@@ -403,22 +419,6 @@ def _object(build: Callable[..., Any]) -> Callable[[Any, str], Any]:
     """Parser of a section into build(**its fields), which build's signature names."""
     fields = _fields(build)
     return lambda doc, path: _construct(build, _section(doc, path, fields), path)
-
-
-_HALF = 1.0 / math.sqrt(2.0)
-
-
-def _bath_amplitudes(fields: dict[str, Any]) -> None:
-    """spin_bath, in place: alphas and betas come together, one per coupling, or
-    both default to 1/sqrt 2; their length is known only once couplings are parsed."""
-    n = len(fields["couplings"])
-    if (fields["alphas"] is None) != (fields["betas"] is None):
-        raise ConfigError("model.alphas: alphas and betas must be given together")
-    for name in ("alphas", "betas"):
-        raw = [_HALF] * n if fields[name] is None else fields[name]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ConfigError(f"model.{name}: expected a list of length {n}")
-        fields[name] = [_complex(v, f"model.{name}[{i}]") for i, v in enumerate(raw)]
 
 
 @dataclass(frozen=True)
@@ -436,9 +436,7 @@ MODEL_KINDS: dict[str, _Kind] = {
     "exp_corr_gauss": _Kind(_NOISE, analytic.ExpCorrGauss, _fields(analytic.ExpCorrGauss)),
     "static_gauss": _Kind(_NOISE, analytic.StaticGauss, _fields(analytic.StaticGauss)),
     "static_lorentz": _Kind(_NOISE, analytic.StaticLorentz, _fields(analytic.StaticLorentz)),
-    # array fields, and default amplitudes one per coupling (_bath_amplitudes)
-    "spin_bath": _Kind(_BATH, spinbath.SpinBathSpec, (
-        ("couplings", _floats, _REQUIRED), ("alphas", _raw, None), ("betas", _raw, None))),
+    "spin_bath": _Kind(_BATH, spinbath.SpinBathSpec, _fields(spinbath.SpinBathSpec)),
     "scaled_spin_bath": _Kind(_BATH, lambda **f: spinbath.scaled_gaussian_bath(**f),
                               _fields(spinbath.scaled_gaussian_bath)),
     "lorentz_coupling": _Kind(_ENSEMBLE, spinbath.LorentzCouplingSpec,
@@ -456,42 +454,24 @@ def _parse_model(doc: Any, path: str) -> tuple[str, Any, dict[str, Any]]:
     if entry is None:
         raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
     fields = _section(doc, path, entry.fields)
-    if kind == "spin_bath":
-        _bath_amplitudes(fields)
-    return kind, _construct(entry.build, fields, path), {"kind": kind, **fields}
+    model = _construct(entry.build, fields, path)
+    # a field left at None echoes what the model made of it (spin_bath's amplitudes)
+    echo = {name: getattr(model, name) if v is None else v for name, v in fields.items()}
+    return kind, model, {"kind": kind, **echo}
 
 
-# Most evaluation points of one grid, or of a cpf_surface: a 1024 x 1024 surface.
-_MAX_POINTS = 2**20
 # Most work of one run, 2^_MAX_WORK_BITS: points x trajectories (x spins for the Cauchy
 # ensemble), or points x 2^N amplitudes for the oracle.  2^42 is about 30 hours at 4.1e7
 # trajectories a second; README, "Work budget", says how it was chosen.
 _MAX_WORK_BITS = 42
-
-_grid_section = _object(GridSpec)
-
-
-def _parse_grid(doc: Any, path: str) -> GridSpec:
-    grid = _grid_section(doc, path)
-    if not 0.0 <= grid.start < math.inf:
-        raise ConfigError(f"{path}.start: must be finite and >= 0, got {grid.start!r}")
-    if not grid.start <= grid.stop < math.inf:
-        raise ConfigError(f"{path}.stop: must be finite and >= start, got {grid.stop!r}")
-    if grid.count < 1:
-        raise ConfigError(f"{path}.count: must be > 0, got {grid.count!r}")
-    if grid.count > 1 and grid.stop == grid.start:
-        raise ConfigError(f"{path}.count: must be 1 when start == stop")
-    if grid.count > _MAX_POINTS:
-        raise ConfigError(f"{path}.count: must be <= {_MAX_POINTS}, got {grid.count}")
-    return grid
 
 
 _CONFIG_FIELDS: tuple[_Field, ...] = (
     ("model", _parse_model, _REQUIRED),
     ("quantity", partial(_choice, options=tuple(QUANTITIES)), _REQUIRED),
     ("method", partial(_choice, options=METHODS), _REQUIRED),
-    ("t_grid", _parse_grid, _REQUIRED),
-    ("tau_grid", _optional(_parse_grid), None),
+    ("t_grid", _object(GridSpec), _REQUIRED),
+    ("tau_grid", _optional(_object(GridSpec)), None),
     ("yx", _outcome, 1),
     ("y_select", _outcome, 1),
     ("mc", _optional(_object(McConfig)), None),  # chunk size pinned for the echo
@@ -502,9 +482,11 @@ _CONFIG_FIELDS: tuple[_Field, ...] = (
 
 def _echo(value: Any) -> Any:
     """The JSON form of a parsed value: dataclasses as objects without their
-    None fields, complex numbers as x or [re, im]."""
+    None fields, arrays as lists, complex numbers as x or [re, im]."""
     if is_dataclass(value):
         value = asdict(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
         return {key: _echo(v) for key, v in value.items() if v is not None}
     if isinstance(value, list):

@@ -102,17 +102,25 @@ def _spin_values(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # array fields: no value equality
 class SpinBathSpec:
-    """N bath spins with couplings g_k and initial amplitudes (alpha_k, beta_k)."""
+    """N bath spins with couplings g_k and initial amplitudes (alpha_k, beta_k), held
+    as read-only 1-d arrays.  The amplitudes default to 1/sqrt 2 for every spin."""
 
-    couplings: np.ndarray
-    alphas: np.ndarray
-    betas: np.ndarray
+    couplings: list[float]
+    alphas: list[complex] | None = None
+    betas: list[complex] | None = None
 
     def __post_init__(self) -> None:
         g = _spin_values(self.couplings, float)
-        a, b = (_spin_values(v, complex) for v in (self.alphas, self.betas))
-        if not (g.ndim == a.ndim == b.ndim == 1) or not (g.size == a.size == b.size):
-            raise ValueError("couplings, alphas, betas must be 1-d of equal length")
+        if g.ndim != 1:
+            raise ValueError(f"couplings must be 1-d, got shape {g.shape}")
+        if (self.alphas is None) != (self.betas is None):
+            raise ValueError("alphas and betas must be given together")
+        a, b = (np.full(g.size, 1.0 / math.sqrt(2.0), complex) if v is None
+                else _spin_values(v, complex) for v in (self.alphas, self.betas))
+        for name, arr in (("alphas", a), ("betas", b)):
+            if arr.shape != g.shape:
+                raise ValueError(f"{name} must hold one amplitude per coupling ({g.size}), "
+                                 f"got shape {arr.shape}")
         if g.size < 1:
             raise ValueError("need at least one bath spin")
         if not np.all(np.isfinite(g)):

@@ -101,7 +101,8 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(surprise=True), "surprise"),
         (lambda d: d.update(t_grid={"start": 1.0, "stop": 0.5, "count": 3}), "t_grid"),
         (lambda d: d.update(output_path=""), "output_path"),
-        (lambda d: d.update(t_grid={"start": -1.0, "stop": 0.5, "count": 3}), "t_grid.start"),
+        (lambda d: d.update(t_grid={"start": -1.0, "stop": 0.5, "count": 3}),
+         "t_grid: start must be finite and >= 0, got -1.0"),
         # one case per field text of each section
         (lambda d: d.pop("model"), "model: required field is missing"),
         (lambda d: d.update(model=[1]), "model: expected a JSON object, got list"),
@@ -129,13 +130,13 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, "x"]}),
          "model.couplings[1]: expected a number, got 'x'"),
         (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0], "alphas": [1, 0]}),
-         "model.alphas: alphas and betas must be given together"),
+         "model: alphas and betas must be given together"),
         (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
                                    "alphas": [1.0], "betas": [0.0, 0.0]}),
-         "model.alphas: expected a list of length 2"),
+         "model: alphas must hold one amplitude per coupling (2), got shape (1,)"),
         (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
                                    "alphas": [1.0, 1.0], "betas": 0.0}),
-         "model.betas: expected a list of length 2"),
+         "model.betas: expected a non-empty list"),
         (lambda d: d.update(model={"kind": "spin_bath", "couplings": [0.5, 1.0],
                                    "alphas": [1.0, "x"], "betas": [0.0, 0.0]}),
          "model.alphas[1]: expected a number or [re, im] pair, got 'x'"),
@@ -166,11 +167,11 @@ def test_parse_config_accepts_manifest_document():
         (lambda d: d.update(t_grid={"start": "0", "stop": 1, "count": 5}),
          "t_grid.start: expected a number, got '0'"),
         (lambda d: d.update(tau_grid={"start": 1, "stop": 1, "count": 5}),
-         "tau_grid.count: must be 1 when start == stop"),
+         "tau_grid: count must be 1 when start == stop"),
         (lambda d: d.update(tau_grid={"start": 0, "stop": 1, "count": 5, "step": 0.1}),
          "tau_grid.step: unknown field"),
         (lambda d: d.update(t_grid={"start": 0, "stop": 1, "count": 10**20}),
-         "t_grid.count: must be <= 1048576, got 100000000000000000000"),
+         "t_grid: count must be <= 1048576, got 100000000000000000000"),
         (lambda d: d.update(quantity="cpf_surface", t_grid={"start": 0, "stop": 1, "count": 1025}),
          "quantity: cpf_surface of 1025 x 1025 points is over the 1048576-point limit"),
         (lambda d: d.update(quantity="cpf_surface", t_grid={"start": 0, "stop": 1, "count": 2**20},
@@ -225,6 +226,25 @@ def test_parse_config_rejects_bad_documents(mutate, fragment):
     mutate(doc)
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         cli.parse_config(doc)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1.0, 1.0, 3), "start must be finite and >= 0, got -1.0"),
+    ((math.nan, 1.0, 3), "start must be finite and >= 0, got nan"),
+    ((1.0, 0.5, 3), "stop must be finite and >= start, got 0.5"),
+    ((0.0, math.inf, 3), "stop must be finite and >= start, got inf"),
+    ((0.0, 1.0, 0), "count must be > 0, got 0"),
+    ((1.0, 1.0, 2), "count must be 1 when start == stop"),
+    ((0.0, 1.0, 2**20 + 1), "count must be <= 1048576, got 1048577"),
+])
+def test_grid_spec_refuses_each_rule_by_field_name(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.GridSpec(*args)
+
+
+def test_grid_spec_builds_at_the_edges_of_its_rules():
+    assert cli.GridSpec(0.0, 0.0, 1).values().tolist() == [0.0]
+    assert cli.GridSpec(0.0, 1.0, 2**20).values().size == 2**20
 
 
 def test_parse_config_bath_amplitudes():
@@ -889,7 +909,7 @@ def test_exit_code_grid_over_point_limit(tmp_path, capsys):
     doc = base_config(t_grid={"start": 0.0, "stop": 1.0, "count": 10**20}, output_path="never.csv")
     code, out = run_cli(tmp_path, doc)
     assert code == 2 and not out.exists()
-    assert "t_grid.count: must be <= 1048576" in capsys.readouterr().err
+    assert "t_grid: count must be <= 1048576" in capsys.readouterr().err
     # the largest surface still parses
     grid = {"start": 0.0, "stop": 1.0, "count": 1024}
     assert cli.parse_config(base_config(quantity="cpf_surface", t_grid=grid)).t_grid.count == 1024
@@ -1196,7 +1216,7 @@ def test_a_threads_value_that_is_not_an_integer_exits_2(capsys):
      "method: unknown method 'magic'; expected one of ('analytic', 'montecarlo', 'sampling', "
      "'oracle')"),
     ("run", base_config(t_grid={"start": 0.0, "stop": 1.0, "count": 0}), (),
-     "t_grid.count: must be > 0, got 0"),
+     "t_grid: count must be > 0, got 0"),
     ("run", base_config(), ("--seed", "3"), "--seed: config has no mc section to reseed"),
     ("sweep", base_config(sweep={"model.gamma_w": [0.5]}), ("--seed", "3"),
      "--seed: config has no mc section to reseed"),
@@ -1986,18 +2006,32 @@ def test_package_version_matches_pyproject():
 
 
 def readme_model_kinds():
-    """kind -> field names, from the README's "Model kinds:" paragraph."""
+    """kind -> field names in order, from the README's "Model kinds:" paragraph."""
     text = (ROOT / "README.md").read_text()
     paragraph = text[text.index("Model kinds:"):].split("\n\n")[0]
     return {
-        kind: {name.strip() for name in fields.split(";")[0].split(",")}
+        kind: [name.strip() for name in fields.split(";")[0].split(",")]
         for kind, fields in re.findall(r"`(\w+)`\s*\(([^)]*)\)", paragraph)
     }
 
 
+# each model kind -> the constructor whose signature is its config section
+MODEL_CONSTRUCTORS = {
+    "white": analytic.White, "exp_corr_gauss": analytic.ExpCorrGauss,
+    "static_gauss": analytic.StaticGauss, "static_lorentz": analytic.StaticLorentz,
+    "spin_bath": spinbath.SpinBathSpec, "scaled_spin_bath": spinbath.scaled_gaussian_bath,
+    "lorentz_coupling": spinbath.LorentzCouplingSpec,
+}
+
+
 def test_readme_lists_every_model_kind_and_field():
-    table = {kind: {name for name, _, _ in entry.fields} for kind, entry in cli.MODEL_KINDS.items()}
-    assert readme_model_kinds() == table
+    # every kind's fields are its constructor's parameters, so a renamed parameter
+    # renames a config field: the README's "Model kinds:" sentence must follow, in order
+    assert set(MODEL_CONSTRUCTORS) == set(cli.MODEL_KINDS)
+    for kind, build in MODEL_CONSTRUCTORS.items():
+        assert cli.MODEL_KINDS[kind].fields == cli._fields(build), kind
+    assert readme_model_kinds() == {kind: [name for name, _, _ in cli._fields(build)]
+                                    for kind, build in MODEL_CONSTRUCTORS.items()}
 
 
 def test_readme_schema_block_names_each_sections_constructor_parameters():

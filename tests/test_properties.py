@@ -538,7 +538,7 @@ PARAMETER_OWNERS = {
     spinbath.LorentzCouplingSpec: (("gamma", "omega", "n_spins", "alpha", "beta"), 1),
     spinbath.scaled_gaussian_bath: (("n_spins", "g", "omega"), 2),
     spinbath.SystemInit: (("a", "b"), 2),
-    spinbath.SpinBathSpec: (("couplings", "alphas", "betas"), 3),
+    spinbath.SpinBathSpec: (("couplings", "alphas", "betas"), 1),
     McConfig: (("n_trajectories", "seed", "chunk_size", "path_dt"), 1),
 }
 

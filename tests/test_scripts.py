@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -100,6 +101,20 @@ def test_job_rusage_prints_one_line_per_job_of_the_workload(tmp_path):
     assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
 
 
+def test_job_runner_writes_each_config_and_stops_on_a_job_that_fails(tmp_path, capsys):
+    # the runner csv_digests.py, job_rusage.py and bench_record.py share
+    csv_digests = _load_script("csv_digests.py")
+    jobs = csv_digests.write_jobs("closed_forms", 3, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{j.name}.json" for j, _ in jobs)
+    job, argv = jobs[0]
+    assert argv[:3] == [job.command, "--config", str(tmp_path / f"{job.name}.json")]
+    (tmp_path / f"{job.name}.json").write_text("{}", encoding="utf-8")
+    with pytest.raises(SystemExit, match=re.escape(f"cpfsim {job.command} --config ")) as exc:
+        csv_digests.run_checked(argv)
+    assert str(exc.value).endswith(" exited 2")
+    assert "config error: model: required field is missing" in capsys.readouterr().err
+
+
 def test_bench_record_quick_writes_every_section(tmp_path):
     # every case once at small sizes, and one closed_forms run untraced and traced
     out = tmp_path / "BENCH_quick.json"
@@ -111,6 +126,10 @@ def test_bench_record_quick_writes_every_section(tmp_path):
     env = doc["environment"]
     assert env["numerics"] == cli.numerics() and env["cpu_count"] == os.cpu_count()
     assert env["code_lines"] == int(_run("code_lines.py").stdout.split()[-2])
+    # the machine's speed at the start and at the end, beside the probe's reference
+    probe = env["speed_probe"]
+    assert probe["ref_s"] > 0.0
+    assert all(0.0 < probe[key] < math.inf for key in ("start_s", "end_s"))
     runs = doc["workloads"]["closed_forms"]
     assert runs["untraced"]["1"]["correct"] and "wall_s" in runs["untraced"]["1"]["metrics"]
     assert runs["untraced"]["1"]["details"]["wall_s"]["raw"]["median"] > 0.0
@@ -257,6 +276,23 @@ def test_bench_pairs_help_runs_nothing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "PARENT" in proc.stdout.upper() and "--seeds" in proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_pairs_refuses_an_empty_seed_range_before_any_run(tmp_path, monkeypatch, capsys):
+    bench_pairs = _load_script("bench_pairs.py")
+
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    for seeds in ("3-1", "1-2,5-4"):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "closed_forms",
+                              "--seeds", seeds])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].endswith(
+            f"argument --seeds: seed range {seeds.split(',')[-1]!r} is empty")
 
 
 def test_bench_pairs_alternates_which_checkout_runs_first(tmp_path, monkeypatch, capsys):

@@ -59,6 +59,37 @@ def test_spec_validation():
     assert not spec.couplings.flags.writeable
 
 
+def test_spec_amplitudes_default_to_one_over_root_two_per_coupling():
+    g = [0.5, 1.0, 0.8]
+    half = [1.0 / math.sqrt(2.0)] * len(g)
+    default, explicit = spinbath.SpinBathSpec(g), spinbath.SpinBathSpec(g, half, half)
+    for name in ("couplings", "alphas", "betas"):
+        got, want = getattr(default, name), getattr(explicit, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    t = np.array([0.0, 0.3, 1.1, 2.5])
+    assert spinbath.coherence(default, t).tobytes() == spinbath.coherence(explicit, t).tobytes()
+    got, want = (spinbath.moment_set(s, t[:, None], t[None, :]) for s in (default, explicit))
+    for name in ("f_t", "f_tau", "f_joint"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("amplitudes", [dict(alphas=[1.0, 1.0]), dict(betas=[0.0, 0.0])])
+def test_spec_refuses_one_amplitude_array_without_the_other(amplitudes):
+    with pytest.raises(ValueError, match="^alphas and betas must be given together$"):
+        spinbath.SpinBathSpec([0.5, 1.0], **amplitudes)
+
+
+def test_spec_names_the_amplitude_array_of_the_wrong_length():
+    with pytest.raises(ValueError, match=re.escape(
+            "betas must hold one amplitude per coupling (2), got shape (1,)")):
+        spinbath.SpinBathSpec([0.5, 1.0], [1.0, 1.0], [0.0])
+    with pytest.raises(ValueError, match=re.escape(
+            "alphas must hold one amplitude per coupling (1), got shape (2, 1)")):
+        spinbath.SpinBathSpec([0.5], [[1.0], [1.0]], [0.0])
+    with pytest.raises(ValueError, match=re.escape("couplings must be 1-d, got shape (1, 2)")):
+        spinbath.SpinBathSpec([[0.5, 1.0]])
+
+
 def test_system_init():
     init = spinbath.SystemInit.plus()
     assert init.a == 1.0 and init.b == 0.0

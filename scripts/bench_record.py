@@ -141,28 +141,29 @@ def closed_form_cases(quick: bool):
 
 
 def monte_carlo_cases(quick: bool):
-    """(name, call, trajectories) of every public estimator at 1 and 2 workers, the
+    """(name, call, trajectories) of every Monte Carlo read at 1 and 2 workers, the
     ensemble draw of a large bath, and a Cauchy-ensemble cpf_surface grid."""
     n, n_ensemble, n_path = (2**10, 2**8, 2**8) if quick else (2**18, 2**15, 2**13)
     ou = analytic.ExpCorrGauss(0.9, 1.3)
     ensemble = spinbath.LorentzCouplingSpec(1.0, 0.5, n_spins=50)
+    # the case names are those of the earlier recordings, each the estimator it
+    # timed; each now times its read of the family's one MomentStats entry
     estimators = {
-        "mc_moments": (n, lambda c, w: stochastic.mc_moments(ou, 0.7, 0.4, c, w)),
-        "mc_cpf_semianalytic": (n, lambda c, w: stochastic.mc_cpf_semianalytic(
-            ou, 0.7, 0.4, c, w)),
-        "mc_conditional_coherence": (n, lambda c, w: stochastic.mc_conditional_coherence(
-            ou, 0.7, 0.4, 1, c, w)),
+        "mc_moments": (n, lambda c, w: stochastic.mc_moments(ou, 0.7, 0.4, c, w).moments()),
+        "mc_cpf_semianalytic": (n, lambda c, w: stochastic.mc_moments(ou, 0.7, 0.4, c, w).cpf()),
+        "mc_conditional_coherence": (n, lambda c, w: stochastic.mc_moments(
+            ou, 0.7, 0.4, c, w).conditional_coherence(1)),
         "mc_cpf_sampling": (n, lambda c, w: stochastic.mc_cpf_sampling(ou, 0.7, 0.4, 1, c, w)),
         "ou_path_reference": (n_path, lambda c, w: stochastic.ou_path_reference(
             ou, 0.7, 0.4, c, w)),
-        "lorentz_mc_coherence": (n_ensemble, lambda c, w: spinbath.lorentz_mc_coherence(
-            ensemble, 0.7, c, w)),
+        "lorentz_mc_coherence": (n_ensemble, lambda c, w: spinbath.lorentz_mc_moments(
+            ensemble, 0.7, None, c, w).estimate(0)),
         "lorentz_mc_moments": (n_ensemble, lambda c, w: spinbath.lorentz_mc_moments(
-            ensemble, 0.7, 0.4, c, w)),
-        "lorentz_mc_cpf": (n_ensemble, lambda c, w: spinbath.lorentz_mc_cpf(
-            ensemble, 0.7, 0.4, c, w)),
-        "lorentz_mc_conditional_coherence": (n_ensemble, lambda c, w: (
-            spinbath.lorentz_mc_conditional_coherence(ensemble, 0.7, 0.4, 1, c, w))),
+            ensemble, 0.7, 0.4, c, w).moments()),
+        "lorentz_mc_cpf": (n_ensemble, lambda c, w: spinbath.lorentz_mc_moments(
+            ensemble, 0.7, 0.4, c, w).cpf()),
+        "lorentz_mc_conditional_coherence": (n_ensemble, lambda c, w: spinbath.lorentz_mc_moments(
+            ensemble, 0.7, 0.4, c, w).conditional_coherence(1)),
     }
     for name, (trajectories, estimate) in estimators.items():
         cfg = McConfig(trajectories, seed=1)

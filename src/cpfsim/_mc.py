@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Estimate
+from .core import Estimate, validate_outcome
 from .errors import ZeroProbabilityPostselection
 
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -416,9 +416,11 @@ class MomentStats:
     def conditional_coherence(self, yx: int) -> Estimate:
         """(f_tau + yx f_joint) / (1 + yx f_t) of the means, delta-method error.
 
-        Raises ZeroProbabilityPostselection when the estimated weight
-        |1 + yx f_t| is at most ESTIMATED_POSTSELECTION_EPS.
+        Raises a ValueError unless yx is +1 or -1, and
+        ZeroProbabilityPostselection when the estimated weight |1 + yx f_t| is at
+        most ESTIMATED_POSTSELECTION_EPS.
         """
+        yx = validate_outcome(yx, "yx")
         m = self.mean().tolist()
         denom = 1.0 + yx * m[0]
         if abs(denom) <= ESTIMATED_POSTSELECTION_EPS:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, core, spinbath, stochastic
-from ._mc import McConfig, grid_memo
+from ._mc import McConfig
 
 
 @dataclass
@@ -71,9 +71,9 @@ def criterion_2_gaussian_plateau(c: _Checker, workers: int = 1) -> None:
         f"plateau range [{min(vals):.6f}, {max(vals):.6f}] inside [0.499, 0.5] for gt in [2, 6]",
     )
     target = analytic.cpf(model, 2.0, 2.0)
-    est = stochastic.mc_cpf_semianalytic(
+    est = stochastic.mc_moments(
         model, 2.0, 2.0, McConfig(n_trajectories=1_000_000, seed=20250802), workers
-    )
+    ).cpf()
     c.check(
         _within(est.value, target, est.std_error, 3.0),
         f"MC at gt=2: {est} vs analytic {target:.6f} (3 sigma)",
@@ -142,9 +142,9 @@ def criterion_5_lorentz_lindblad(c: _Checker, workers: int = 1) -> None:
     )
     c.check(dmax <= 1e-12, f"lorentz_coherence(omega=0) = exp(-gamma t) exactly ({dmax:.1e})")
 
-    est_c = spinbath.lorentz_mc_coherence(
-        spec50, 2.0, McConfig(n_trajectories=300_000, seed=20250805), workers
-    )
+    est_c = spinbath.lorentz_mc_moments(
+        spec50, 2.0, None, McConfig(n_trajectories=300_000, seed=20250805), workers
+    ).estimate(0)
     c.check(
         _within(est_c.value, math.exp(-2.0), est_c.std_error, 3.0),
         f"Cauchy MC coherence at t=2: {est_c} vs {math.exp(-2.0):.5f} (3 sigma)",
@@ -152,23 +152,19 @@ def criterion_5_lorentz_lindblad(c: _Checker, workers: int = 1) -> None:
 
     spec1 = spinbath.LorentzCouplingSpec(gamma=1.0)
     target_cpf = core.cpf_from_moments(spinbath.lorentz_moment_set(spec1, 1.0, 1.0))
-    est_cpf = spinbath.lorentz_mc_cpf(
+    est_cpf = spinbath.lorentz_mc_moments(
         spec1, 1.0, 1.0, McConfig(n_trajectories=1_000_000, seed=20250806), workers
-    )
+    ).cpf()
     c.check(
         _within(est_cpf.value, target_cpf, est_cpf.std_error, 3.0),
         f"table-first ensemble MC CPF {est_cpf} vs closed form {target_cpf:.5f} (3 sigma)",
     )
 
     target_cc = core.conditional_coherence(spinbath.lorentz_moment_set(spec1, 1.0, 1.0), +1)
-    est_cc = stochastic.mc_conditional_coherence(
-        analytic.StaticLorentz(1.0),
-        1.0,
-        1.0,
-        +1,
-        McConfig(n_trajectories=1_000_000, seed=20250807),
-        workers,
-    )
+    est_cc = stochastic.mc_moments(
+        analytic.StaticLorentz(1.0), 1.0, 1.0,
+        McConfig(n_trajectories=1_000_000, seed=20250807), workers,
+    ).conditional_coherence(+1)
     c.check(
         _within(est_cc.value, target_cc, est_cc.std_error, 3.0),
         f"conditioned MC coherence {est_cc} vs corrected closed form {target_cc:.5f} (3 sigma)",
@@ -242,9 +238,8 @@ def criterion_7_ou_limits(c: _Checker, workers: int = 1) -> None:
             # independent seed per point; sharing one stream across points
             # would replay the same normal draws at every (t, tau)
             cfg = McConfig(n_trajectories=200_000, seed=20250810 + 100 * i + j)
-            with grid_memo():  # both estimators draw the same chunks of cfg
-                f1, f2, fj = stochastic.mc_moments(model, t, tau, cfg, workers)
-                est = stochastic.mc_cpf_semianalytic(model, t, tau, cfg, workers)
+            stats = stochastic.mc_moments(model, t, tau, cfg, workers)
+            (f1, f2, fj), est = stats.moments(), stats.cpf()
             ok &= _within(f1.value, analytic.first_moment(model, t), f1.std_error, 3.0)
             ok &= _within(f2.value, analytic.first_moment(model, tau), f2.std_error, 3.0)
             ok &= _within(fj.value, analytic.moment_set(model, t, tau).f_joint, fj.std_error, 3.0)
@@ -298,7 +293,7 @@ def criterion_9_estimator_cross_validation(c: _Checker, workers: int = 1) -> Non
             cfg_a = McConfig(n_trajectories=1_000_000, seed=20250820 + 10 * i + j)
             cfg_b = McConfig(n_trajectories=1_000_000, seed=20250920 + 10 * i + j)
             samp = stochastic.mc_cpf_sampling(model, t, tau, +1, cfg_a, workers)
-            semi = stochastic.mc_cpf_semianalytic(model, t, tau, cfg_b, workers)
+            semi = stochastic.mc_moments(model, t, tau, cfg_b, workers).cpf()
             sigma = math.hypot(samp.std_error, semi.std_error)
             pull = abs(samp.value - semi.value) / sigma if sigma > 0 else 0.0
             worst = max(worst, pull)
@@ -364,9 +359,9 @@ def criterion_10_property_suite(c: _Checker, workers: int = 1) -> None:
 
     model = analytic.StaticGauss(1.0)
     cfg = McConfig(n_trajectories=150_000, seed=20250811)
-    base = stochastic.mc_cpf_semianalytic(model, 1.0, 1.0, cfg, workers=1)
+    base = stochastic.mc_moments(model, 1.0, 1.0, cfg, workers=1).cpf()
     rep_ok = all(
-        stochastic.mc_cpf_semianalytic(model, 1.0, 1.0, cfg, workers=w) == base
+        stochastic.mc_moments(model, 1.0, 1.0, cfg, workers=w).cpf() == base
         for w in (2, 4)
     )
     base_s = stochastic.mc_cpf_sampling(model, 1.0, 1.0, +1, cfg, workers=1)

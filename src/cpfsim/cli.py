@@ -41,7 +41,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import analytic, core, spinbath, stochastic
-from ._mc import McConfig, grid_memo
+from ._mc import McConfig, MomentStats, check_count, grid_memo, numeric, shown
 from .errors import ConfigError, CpfError, GridMismatch, NonFiniteResult
 
 CSV_HEADER = ("t", "tau", "value", "std_error", "n_samples", "quantity", "model", "method")
@@ -69,16 +69,19 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.start < math.inf:
-            raise ValueError(f"start must be finite and >= 0, got {self.start!r}")
-        if not self.start <= self.stop < math.inf:
-            raise ValueError(f"stop must be finite and >= start, got {self.stop!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be > 0, got {self.count!r}")
-        if self.count > 1 and self.stop == self.start:
+        start, stop = _real(self.start), _real(self.stop)
+        if not 0.0 <= start < math.inf:
+            raise ValueError(f"start must be finite and >= 0, got {shown(self.start)}")
+        if not start <= stop < math.inf:
+            raise ValueError(f"stop must be finite and >= start, got {shown(self.stop)}")
+        count = check_count(self.count, "count", least=None)
+        if count < 1:
+            raise ValueError(f"count must be > 0, got {shown(self.count)}")
+        if count > 1 and stop == start:
             raise ValueError("count must be 1 when start == stop")
-        if self.count > _MAX_POINTS:
-            raise ValueError(f"count must be <= {_MAX_POINTS}, got {self.count}")
+        if count > _MAX_POINTS:
+            raise ValueError(f"count must be <= {_MAX_POINTS}, got {shown(self.count)}")
+        object.__setattr__(self, "count", count)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -119,22 +122,30 @@ def _table(config: ExperimentConfig, source: _Source) -> list[np.ndarray]:
 _cpf = _of_moments(lambda config, m: [core.cpf_from_moments(m)])
 
 
+def _mc_cpf(config: ExperimentConfig, stats: MomentStats) -> list[core.Estimate]:
+    return [stats.cpf()]
+
+
 class _Quantity(NamedTuple):
-    """One quantity: its row labels, and its reader into one array per label.  A
-    t-only quantity has no reader: its family computes it from t alone."""
+    """One quantity: its row labels, its reader into one array per label, and its
+    reader of a Monte Carlo point's MomentStats into one Estimate per label (None:
+    no Monte Carlo estimate).  A t-only quantity has no array reader: its family
+    computes it from t alone, and its MomentStats hold the f(t) column alone."""
 
     labels: tuple[str, ...]
     read: Callable[[ExperimentConfig, _Source], list[np.ndarray]] | None = None
+    estimates: Callable[[ExperimentConfig, MomentStats], list[core.Estimate]] | None = None
 
 
 QUANTITIES: dict[str, _Quantity] = {
-    "coherence": _Quantity(("coherence",)),
+    "coherence": _Quantity(("coherence",), None, lambda config, stats: [stats.estimate(0)]),
     "conditional_coherence": _Quantity(("conditional_coherence",), _of_moments(
-        lambda config, m: [core.conditional_coherence(m, config.yx)])),
-    "cpf": _Quantity(("cpf",), _cpf),
-    "cpf_surface": _Quantity(("cpf_surface",), _cpf),
+        lambda config, m: [core.conditional_coherence(m, config.yx)]),
+        lambda config, stats: [stats.conditional_coherence(config.yx)]),
+    "cpf": _Quantity(("cpf",), _cpf, _mc_cpf),
+    "cpf_surface": _Quantity(("cpf_surface",), _cpf, _mc_cpf),
     "moments": _Quantity(("f_t", "f_tau", "f_joint"), _of_moments(
-        lambda config, m: [m.f_t, m.f_tau, m.f_joint])),
+        lambda config, m: [m.f_t, m.f_tau, m.f_joint]), lambda config, stats: [*stats.moments()]),
     "rate": _Quantity(("rate",)),
     "probability_table": _Quantity(tuple(label for _, label in _TABLE_LABELS), _table),
 }
@@ -198,19 +209,20 @@ class _Family:
 
     A family declares what it computes, and methods() derives from that which
     methods serve a quantity: analytic all but a rate the family lacks,
-    montecarlo those with an estimator in mc (cpf_surface that of cpf),
-    sampling the CPF where mc has "sampling", and oracle the CPF and the table
-    on a family with the oracle.  The functions are looked up on their modules
-    at call time, so wrappers installed on those modules see every call.
+    montecarlo those with a MomentStats reader on a family with mc, sampling
+    the CPF on a family with sampling, and oracle the CPF and the table on a
+    family with the oracle.  The functions are looked up on their modules at
+    call time, so wrappers installed on those modules see every call.
     """
 
     # (model, t, tau) -> core.MomentSet over broadcast arrays of times
     moments: Callable[[Any, np.ndarray, np.ndarray], core.MomentSet]
     # (model, t) -> real coherence f(t) over an array of times
     coherence: Callable[[Any, np.ndarray], np.ndarray]
-    # quantity, or "sampling" for the sampling method -> per-point estimator
-    # (config, t, tau, workers) -> Estimate, or three of them for "moments"
-    mc: dict[str, Callable[[ExperimentConfig, float, float | None, int], Any]]
+    # (config, t, tau, workers) -> the point's MomentStats (tau None: f(t) alone)
+    mc: Callable[[ExperimentConfig, float, float | None, int], MomentStats] | None = None
+    # whether the sampling method estimates the CPF (stochastic.mc_cpf_sampling)
+    sampling: bool = False
     # (model, t) -> dephasing rate over an array of times
     rate: Callable[[Any, np.ndarray], np.ndarray] | None = None
     # whether the statevector oracle replays the protocol on these models
@@ -221,8 +233,8 @@ class _Family:
         key = "cpf" if quantity == "cpf_surface" else quantity
         return tuple(method for method, serves in zip(METHODS, (
             key != "rate" or self.rate is not None,
-            key in self.mc,
-            key == "cpf" and "sampling" in self.mc,
+            self.mc is not None and QUANTITIES[quantity].estimates is not None,
+            key == "cpf" and self.sampling,
             self.oracle and key in ("cpf", "probability_table"),
         )) if serves)
 
@@ -230,38 +242,21 @@ class _Family:
 _NOISE = _Family(
     moments=lambda model, t, tau: analytic.moment_set(model, t, tau),
     coherence=lambda model, t: analytic.first_moment(model, t),
-    mc={
-        "coherence": lambda c, t, tau, w: stochastic.mc_moments(c.model, t, 0.0, c.mc, w)[0],
-        "conditional_coherence": lambda c, t, tau, w: stochastic.mc_conditional_coherence(
-            c.model, t, tau, c.yx, c.mc, w
-        ),
-        "cpf": lambda c, t, tau, w: stochastic.mc_cpf_semianalytic(c.model, t, tau, c.mc, w),
-        "moments": lambda c, t, tau, w: stochastic.mc_moments(c.model, t, tau, c.mc, w),
-        "sampling": lambda c, t, tau, w: stochastic.mc_cpf_sampling(
-            c.model, t, tau, c.y_select, c.mc, w
-        ),
-    },
+    mc=lambda c, t, tau, w: stochastic.mc_moments(c.model, t, tau, c.mc, w),
+    sampling=True,
     rate=lambda model, t: analytic.dephasing_rate(model, t),
 )
 
 _BATH = _Family(
     moments=lambda spec, t, tau: spinbath.moment_set(spec, t, tau),
     coherence=lambda spec, t: spinbath.coherence(spec, t).real,
-    mc={},
     oracle=True,
 )
 
 _ENSEMBLE = _Family(
     moments=lambda spec, t, tau: spinbath.lorentz_moment_set(spec, t, tau),
     coherence=lambda spec, t: spinbath.lorentz_coherence(spec, t).real,
-    mc={
-        "coherence": lambda c, t, tau, w: spinbath.lorentz_mc_coherence(c.model, t, c.mc, w),
-        "conditional_coherence": lambda c, t, tau, w: spinbath.lorentz_mc_conditional_coherence(
-            c.model, t, tau, c.yx, c.mc, w
-        ),
-        "cpf": lambda c, t, tau, w: spinbath.lorentz_mc_cpf(c.model, t, tau, c.mc, w),
-        "moments": lambda c, t, tau, w: spinbath.lorentz_mc_moments(c.model, t, tau, c.mc, w),
-    },
+    mc=lambda c, t, tau, w: spinbath.lorentz_mc_moments(c.model, t, tau, c.mc, w),
 )
 
 # ---------------------------------------------------------------------------
@@ -305,12 +300,15 @@ def _construct(build: Callable[..., Any], fields: dict[str, Any], path: str) -> 
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _real(value: int | float) -> float:
-    """float(value), with an integer beyond the float range as +-inf."""
+def _real(value: Any) -> float:
+    """float(value), with an integer beyond the float range as +-inf and a value
+    that is not a number (text, a bool, None, a list) as nan."""
     try:
-        return float(value)
+        return float(numeric(value))
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
 
 
 # A field's JSON type is checked here and its range by its section's constructor.
@@ -629,18 +627,21 @@ def evaluate_rows(config: ExperimentConfig, workers: int = 1) -> Results:
             value = np.stack([np.broadcast_to(c, shape) for c in _deterministic_columns(
                 config, family, keys)], axis=-1).reshape(keys.points, -1)
         else:
-            q = config.quantity
-            estimate = family.mc["sampling" if config.method == "sampling" else
-                                 "cpf" if q == "cpf_surface" else q]
+            read = QUANTITIES[config.quantity].estimates
+
+            def estimates(t_k: float, tau_k: float | None) -> list[core.Estimate]:
+                if config.method == "sampling":
+                    return [stochastic.mc_cpf_sampling(
+                        config.model, t_k, tau_k, config.y_select, config.mc, workers)]
+                return read(config, family.mc(config, t_k, tau_k, workers))
+
             t, tau = keys.point_times()
             taus = [None] * t.size if tau is None else tau.tolist()
             # Monte Carlo points all draw the chunk streams of config.mc: each chunk
             # is drawn once and each per-t stage computed once per t (a single
             # point has nothing to share and would only hold the memo)
             with grid_memo() if t.size > 1 else contextlib.nullcontext():
-                points = [estimate(config, t_k, tau_k, workers)
-                          for t_k, tau_k in zip(t.tolist(), taus)]
-            grid = points if q == "moments" else [[e] for e in points]  # estimates per row label
+                grid = [estimates(t_k, tau_k) for t_k, tau_k in zip(t.tolist(), taus)]
             value, std_error, n_samples = (
                 np.array([[getattr(e, name) for e in p] for p in grid], dtype) for name, dtype
                 in (("value", float), ("std_error", float), ("n_samples", np.int64)))

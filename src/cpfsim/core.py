@@ -29,6 +29,7 @@ and the conditioning outcome y is always explicit in table constructors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,13 @@ POSTSELECTION_EPS = 1e-12
 
 
 def validate_outcome(value: int, name: str = "outcome") -> int:
-    """Return ``value`` as a plain int after checking it is +1 or -1."""
-    v = int(value)
-    if v != value or v not in OUTCOMES:
-        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
-    return v
+    """Return ``value`` as a plain int after checking it is the number +1 or -1
+    (1.0 passes; True, None, nan, text and lists do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value not in OUTCOMES:
+        from ._mc import shown  # _mc imports core: core imports _mc only to refuse
+
+        raise ValueError(f"{name} must be +1 or -1, got {shown(value)}")
+    return int(value)
 
 
 def joint_moment_bounds(f_t: float, f_tau: float) -> tuple[float, float]:

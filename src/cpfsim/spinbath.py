@@ -26,9 +26,9 @@ branches is 2 g_k t per spin, exactly reproducing c_t above.
 The Lorentz-ensemble model draws each total coupling gtilde_k = N g_k from
 an independent Cauchy(omega/2, gamma/2) density.  Averaging e^{2 i gtilde s}
 gives e^{i omega s - gamma |s|}, hence the closed forms lorentz_coherence
-and lorentz_moment_set.  The Monte Carlo estimators average the
-per-realization probability *table* over the ensemble before combining
-moments (table-first order).
+and lorentz_moment_set.  Its Monte Carlo entry, lorentz_mc_moments, averages
+the per-realization moments, and so the probability *table*, over the
+ensemble before combining them (table-first order).
 
 The closed forms take scalar or array times; their moment sets feed the
 array combinators of core.  The steps from a chunk's stream to the spin
@@ -419,10 +419,19 @@ def _ensemble_chunk_bytes(spec: LorentzCouplingSpec, cfg: McConfig) -> int:
             + _ENSEMBLE_DRAW_FIXED_BYTES)
 
 
-def _ensemble_stats(
-    spec: LorentzCouplingSpec, t: float, tau: float | None, cfg: McConfig, workers: int
+def lorentz_mc_moments(
+    spec: LorentzCouplingSpec, t: float, tau: float | None, cfg: McConfig, workers: int = 1
 ) -> MomentStats:
-    """MomentStats of _ensemble_cols(spec, t, tau) over the Cauchy ensemble."""
+    """MomentStats of the per-realization (f(t), f(tau), f_joint) over the Cauchy
+    ensemble, or of f(t) alone (Re c_t) when tau is None.
+
+    The per-realization probability table is linear in the per-realization
+    moments, so the ensemble-averaged table is the table of the averaged
+    moments: .cpf() and .conditional_coherence(yx) of these stats combine the
+    averaged moments in table-first order, the order of lorentz_moment_set.
+    Raises BathTooLarge, before any draw, when one chunk's draw would take more
+    than ENSEMBLE_MAX_BYTES.
+    """
     t, tau = float(check_times(t, "t")), None if tau is None else float(check_times(tau, "tau"))
     need = _ensemble_chunk_bytes(spec, cfg)
     if need > ENSEMBLE_MAX_BYTES:
@@ -432,47 +441,6 @@ def _ensemble_stats(
             "budget; lower mc.chunk_size"
         )
     return collect_moments(_ensemble_cols(spec, t, tau), cfg, workers)
-
-
-def lorentz_mc_coherence(
-    spec: LorentzCouplingSpec, t: float, cfg: McConfig, workers: int = 1
-) -> core.Estimate:
-    """Ensemble-averaged Re c_t by direct Cauchy sampling."""
-    return _ensemble_stats(spec, t, None, cfg, workers).estimate(0)
-
-
-def lorentz_mc_moments(
-    spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int = 1
-) -> tuple[core.Estimate, core.Estimate, core.Estimate]:
-    """Ensemble means of (f(t), f(tau), f_joint): the averaged-table moments."""
-    return _ensemble_stats(spec, t, tau, cfg, workers).moments()
-
-
-def lorentz_mc_cpf(
-    spec: LorentzCouplingSpec, t: float, tau: float, cfg: McConfig, workers: int = 1
-) -> core.Estimate:
-    """Ensemble CPF in table-first order: average the table, then combine.
-
-    The per-realization probability table is linear in the per-realization
-    moments, so the ensemble-averaged table is the table of the averaged
-    moments, and its CPF is f_joint - f_t f_tau of those: the closed form
-    of lorentz_moment_set.
-    """
-    return _ensemble_stats(spec, t, tau, cfg, workers).cpf()
-
-
-def lorentz_mc_conditional_coherence(
-    spec: LorentzCouplingSpec, t: float, tau: float, yx: int, cfg: McConfig, workers: int = 1
-) -> core.Estimate:
-    """Ensemble conditional coherence (real part) from averaged moments.
-
-    Evaluates [E f_tau + yx E f_joint] / [1 + yx E f_t] over the Cauchy
-    ensemble, with delta-method error.  Raises ZeroProbabilityPostselection
-    when the estimated denominator magnitude is at most
-    _mc.ESTIMATED_POSTSELECTION_EPS.
-    """
-    yx = core.validate_outcome(yx, "yx")
-    return _ensemble_stats(spec, t, tau, cfg, workers).conditional_coherence(yx)
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,7 @@ from .errors import EmptyPostselection, NonFiniteResult, StepTooCoarse
 __all__ = [
     "McConfig",
     "mc_moments",
-    "mc_cpf_semianalytic",
     "mc_cpf_sampling",
-    "mc_conditional_coherence",
     "ou_path_reference",
 ]
 
@@ -115,56 +113,30 @@ def _cos2_theta2(chunk: Chunk, model: NoiseModel, d: np.ndarray, t: float, tau: 
     return b
 
 
-def _moment_stats(
-    model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int
+def mc_moments(
+    model: NoiseModel, t: float, tau: float | None, cfg: McConfig, workers: int = 1
 ) -> MomentStats:
-    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
+    """MomentStats of cos 2theta1, cos 2theta2 and their product, or of cos 2theta1
+    alone when tau is None.
+
+    Their means estimate f(t), f'(tau) and f(t,tau) (.moments()); .cpf() reads the
+    plug-in CPF f(t,tau) - f(t) f'(tau) and .conditional_coherence(yx) the
+    conditioned coherence [f'(tau) + yx f(t,tau)] / [1 + yx f(t)], both with
+    delta-method errors over the shared trajectories.  f'(tau) is measured from
+    theta2 alone, so a stationarity violation would show up as f'(tau) != f(tau).
+    """
+    t, tau = float(check_times(t, "t")), None if tau is None else float(check_times(tau, "tau"))
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (d,) = chunk.memo("phase", _PAIR_LAW.get(type(model), model), None,
                           lambda: (_phase_draws(model, chunk.stream(), chunk.size),))
         (a,) = chunk.memo("cos1", model, t, lambda: (cos2(_theta1(model, d, t)),))
+        if tau is None:
+            return (a,)
         b = _cos2_theta2(chunk, model, d, t, tau)
         return a, b, a * b
 
     return collect_moments(sample, cfg, workers)
-
-
-def mc_moments(
-    model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int = 1
-) -> tuple[core.Estimate, core.Estimate, core.Estimate]:
-    """Sample means of cos 2theta1, cos 2theta2 and their product.
-
-    These estimate f(t), f'(tau) and f(t,tau).  f'(tau) is measured from
-    theta2 alone, so a stationarity violation would show up as
-    f'(tau) != f(tau).
-    """
-    return _moment_stats(model, t, tau, cfg, workers).moments()
-
-
-def mc_cpf_semianalytic(
-    model: NoiseModel, t: float, tau: float, cfg: McConfig, workers: int = 1
-) -> core.Estimate:
-    """Plug-in CPF estimator f(t,tau) - f(t) f'(tau) on shared trajectories.
-
-    Standard error by the delta method over the joint covariance of the
-    three moment means.
-    """
-    return _moment_stats(model, t, tau, cfg, workers).cpf()
-
-
-def mc_conditional_coherence(
-    model: NoiseModel, t: float, tau: float, yx: int, cfg: McConfig, workers: int = 1
-) -> core.Estimate:
-    """Conditioned coherence estimate [f'(tau) + yx f(t,tau)] / [1 + yx f(t)].
-
-    The numerator is the unconditional average of cos 2theta2 (1 + yx
-    cos 2theta1); the denominator uses the same-sample estimate of f(t).
-    Raises ZeroProbabilityPostselection when the estimated denominator
-    magnitude is at most _mc.ESTIMATED_POSTSELECTION_EPS.
-    """
-    yx = core.validate_outcome(yx, "yx")
-    return _moment_stats(model, t, tau, cfg, workers).conditional_coherence(yx)
 
 
 def _kept_stage(model: NoiseModel, d: np.ndarray, u: np.ndarray, cos1: np.ndarray,

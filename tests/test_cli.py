@@ -236,6 +236,15 @@ def test_parse_config_rejects_bad_documents(mutate, fragment):
     ((0.0, 1.0, 0), "count must be > 0, got 0"),
     ((1.0, 1.0, 2), "count must be 1 when start == stop"),
     ((0.0, 1.0, 2**20 + 1), "count must be <= 1048576, got 1048577"),
+    # values that are no numbers, and fractional counts, under the same names
+    (("0", 1.0, 1), "start must be finite and >= 0, got '0'"),
+    ((True, 1.0, 1), "start must be finite and >= 0, got True"),
+    ((0.0, None, 1), "stop must be finite and >= start, got None"),
+    ((0.0, [1.0], 3), "stop must be finite and >= start, got [1.0]"),
+    ((0.0, 1.0, 2.5), "count must be an integer, got 2.5"),
+    ((0.0, 1.0, True), "count must be an integer, got True"),
+    ((0.0, 1.0, None), "count must be an integer, got None"),
+    ((0.0, 1.0, "3"), "count must be an integer, got '3'"),
 ])
 def test_grid_spec_refuses_each_rule_by_field_name(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -245,6 +254,10 @@ def test_grid_spec_refuses_each_rule_by_field_name(args, message):
 def test_grid_spec_builds_at_the_edges_of_its_rules():
     assert cli.GridSpec(0.0, 0.0, 1).values().tolist() == [0.0]
     assert cli.GridSpec(0.0, 1.0, 2**20).values().size == 2**20
+    # an integral float or numpy count is the int count
+    for count in (3.0, np.int64(3)):
+        grid = cli.GridSpec(0, 1, count)
+        assert type(grid.count) is int and grid.values().tolist() == [0.0, 0.5, 1.0]
 
 
 def test_parse_config_bath_amplitudes():
@@ -578,37 +591,61 @@ TWO_CHUNKS = {"n_trajectories": 3_000, "chunk_size": 2_000, "seed": 5}
 # each tau, 0.0 among them, repeated at three t from 0.0
 REPEATED_TAU = {"t_grid": {"start": 0.0, "stop": 1.2, "count": 3},
                 "tau_grid": {"start": 0.0, "stop": 0.9, "count": 2}}
+
+
+# per-point estimators, named by what they read of a family's MomentStats
+def mc_cpf_semianalytic(m, t, tau, cfg, w):
+    return stochastic.mc_moments(m, t, tau, cfg, w).cpf()
+
+
+def mc_moments(m, t, tau, cfg, w):
+    return stochastic.mc_moments(m, t, tau, cfg, w).moments()
+
+
+def lorentz_mc_cpf(m, t, tau, cfg, w):
+    return spinbath.lorentz_mc_moments(m, t, tau, cfg, w).cpf()
+
+
+# the white and static grids, whose cos 2 theta2 is a per-tau stage
+PER_TAU_GRIDS = [
+    (dict(REPEATED_TAU, model=MODELS[kind], quantity="cpf_surface", method=method), estimator)
+    for kind in ("white", "static_lorentz") for method, estimator in (
+        ("montecarlo", mc_cpf_semianalytic),
+        ("sampling", lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)))]
 GRID_VS_POINTS = [
-    (dict(SURFACE, model=OU, quantity="cpf_surface", method="montecarlo"),
-     stochastic.mc_cpf_semianalytic),
+    (dict(SURFACE, model=OU, quantity="cpf_surface", method="montecarlo"), mc_cpf_semianalytic),
     (dict(SURFACE, model=OU, quantity="cpf_surface", method="sampling", y_select=-1),
      lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, -1, cfg, w)),
     ({"model": {"kind": "static_lorentz", "gamma": 0.7, "omega": 0.3}, "quantity": "moments",
       "method": "montecarlo", "t_grid": {"start": 0.1, "stop": 2.0, "count": 3}},
-     stochastic.mc_moments),
+     mc_moments),
     (dict(SURFACE, model={"kind": "lorentz_coupling", "gamma": 1.0, "n_spins": 6},
           quantity="cpf_surface", method="montecarlo"),
-     spinbath.lorentz_mc_cpf),
+     lorentz_mc_cpf),
     (dict(SURFACE, model=MODELS["static_gauss"], quantity="cpf_surface", method="montecarlo"),
-     stochastic.mc_cpf_semianalytic),
+     mc_cpf_semianalytic),
     (dict(SURFACE, model=MODELS["static_gauss"], quantity="cpf_surface", method="sampling"),
      lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)),
     ({"model": MODELS["white"], "quantity": "moments", "method": "montecarlo",
       "t_grid": {"start": 0.1, "stop": 2.0, "count": 3}},
-     stochastic.mc_moments),
+     mc_moments),
     ({"model": MODELS["white"], "quantity": "conditional_coherence", "method": "montecarlo",
       "yx": -1, "t_grid": {"start": 0.1, "stop": 2.0, "count": 3},
       "tau_grid": {"start": 0.3, "stop": 1.2, "count": 3}},
-     lambda m, t, tau, cfg, w: stochastic.mc_conditional_coherence(m, t, tau, -1, cfg, w)),
+     lambda m, t, tau, cfg, w: stochastic.mc_moments(m, t, tau, cfg, w).conditional_coherence(-1)),
     # each t, 0.0 among them, repeated over three tau from 0.0
     (dict(model=OU, quantity="cpf_surface", method="sampling",
           t_grid={"start": 0.0, "stop": 1.5, "count": 2},
           tau_grid={"start": 0.0, "stop": 2.0, "count": 3}),
      lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)),
-    *[(dict(REPEATED_TAU, model=MODELS[kind], quantity="cpf_surface", method=method), estimator)
-      for kind in ("white", "static_lorentz") for method, estimator in (
-          ("montecarlo", stochastic.mc_cpf_semianalytic),
-          ("sampling", lambda m, t, tau, cfg, w: stochastic.mc_cpf_sampling(m, t, tau, 1, cfg, w)))],
+    *PER_TAU_GRIDS,
+    # t-only: the f(t) column alone, at t = 0.0 too
+    *[({"model": MODELS[kind], "quantity": "coherence", "method": "montecarlo",
+        "t_grid": {"start": 0.0, "stop": 1.4, "count": 3}},
+       lambda m, t, tau, cfg, w, mc=mc: mc(m, t, None, cfg, w).estimate(0))
+      for kind, mc in (("exp_corr_gauss", stochastic.mc_moments),
+                       ("static_lorentz", stochastic.mc_moments),
+                       ("lorentz_coupling", spinbath.lorentz_mc_moments))],
 ]
 
 
@@ -649,7 +686,7 @@ def test_an_ensemble_grid_that_keeps_some_tiles_of_a_chunk_keeps_every_bit(
     config = cli.parse_config(base_config(
         **SURFACE, model=model, quantity="cpf_surface", method="montecarlo",
         mc={"n_trajectories": 13_000, "chunk_size": 9_000, "seed": 5}))
-    want = [spinbath.lorentz_mc_cpf(config.model, t, tau, config.mc)
+    want = [spinbath.lorentz_mc_moments(config.model, t, tau, config.mc).cpf()
             for t, tau in grid_points(config)]
     monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", 8 * n_spins * (4_096 + 808))
     tiles = []
@@ -666,8 +703,7 @@ def test_an_ensemble_grid_that_keeps_some_tiles_of_a_chunk_keeps_every_bit(
                                    + [(0, offsets[1]), (1, 0)] * (points - 1))
 
 
-# the white and static grids of GRID_VS_POINTS, whose cos 2 theta2 is a per-tau stage
-@pytest.mark.parametrize("doc", [doc for doc, _ in GRID_VS_POINTS[-4:]])
+@pytest.mark.parametrize("doc", [doc for doc, _ in PER_TAU_GRIDS])
 def test_per_tau_stages_past_the_grid_memo_budget_keep_every_bit(monkeypatch, doc):
     config = cli.parse_config(base_config(**doc, mc=TWO_CHUNKS))
     want = cli.evaluate_rows(config)

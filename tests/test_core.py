@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpfsim import core, spinbath
+from cpfsim import _mc, analytic, core, spinbath, stochastic
 from cpfsim.errors import (
     CpfError,
     InvalidMomentSet,
@@ -37,6 +37,39 @@ def test_outcome_validation():
     for bad in (0, 2, -2, 0.5):
         with pytest.raises(ValueError):
             core.validate_outcome(bad, "x")
+
+
+# every caller of validate_outcome, with its argument name
+OUTCOME_CALLERS = [
+    ("y_select", lambda v: stochastic.mc_cpf_sampling(
+        analytic.White(0.5), 0.4, 0.3, v, _mc.McConfig(10))),
+    ("y", lambda v: spinbath.oracle_protocol(
+        spinbath.SpinBathSpec([0.5]), spinbath.SystemInit.plus(), 0.4, 0.3, v)),
+    ("y", lambda v: core.cpf_probability_table(core.MomentSet(0.5, 0.5, 0.5), v)),
+    ("yx", lambda v: _mc.MomentStats(2, np.array([1.0, 1.0, 1.0]), np.zeros((3, 3)))
+     .conditional_coherence(v)),
+]
+
+
+CALLER_IDS = ["mc_cpf_sampling", "oracle_protocol", "cpf_probability_table",
+              "MomentStats.conditional_coherence"]
+# None, nan, inf, lists and bools, and numbers that are not +-1, as their messages show them
+NO_OUTCOMES = [(v, repr(v)) for v in (None, math.nan, math.inf, -math.inf, [1], [1, -1], True,
+                                      False, np.True_, "1", 0, 2, 0.5)] + [(10**5000, "1.00e+5000")]
+
+
+@pytest.mark.parametrize("name, call", OUTCOME_CALLERS, ids=CALLER_IDS)
+@pytest.mark.parametrize("bad, shown", NO_OUTCOMES, ids=[shown for _, shown in NO_OUTCOMES])
+def test_each_caller_refuses_a_value_that_is_no_outcome_by_name(name, call, bad, shown):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be +1 or -1, got {shown}')}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", OUTCOME_CALLERS, ids=CALLER_IDS)
+def test_each_caller_takes_an_outcome_as_an_int_or_a_float(name, call):
+    # 1.0 and -1.0 are the outcomes; so are numpy's integers
+    for outcome in (1, -1.0, np.int64(1)):
+        call(outcome)
 
 
 def test_joint_moment_bounds_known_values():

@@ -134,7 +134,7 @@ def test_monte_carlo_cpf_on_the_axes_is_exactly_zero(model, s, seed):
     # a zero-length interval gives cos 2theta == 1 on every trajectory
     cfg = McConfig(n_trajectories=300, seed=seed, chunk_size=128)
     for t, tau in ((s, 0.0), (0.0, s)):
-        assert stochastic.mc_cpf_semianalytic(model, t, tau, cfg).value == 0.0
+        assert stochastic.mc_moments(model, t, tau, cfg).cpf().value == 0.0
 
 
 @given(moment_functions(), times, times)
@@ -327,9 +327,10 @@ def test_general_spin_product_equals_the_plain_recurrence(case):
 # (two of each kind differ only in parameters) and run layouts that share
 # seeds and chunk indices but not chunk sizes.
 MEMO_ESTIMATORS = {
-    "moments": lambda model, t, tau, cfg: stochastic.mc_moments(model, t, tau, cfg),
+    "moments": lambda model, t, tau, cfg: stochastic.mc_moments(model, t, tau, cfg).moments(),
     "sampling": lambda model, t, tau, cfg: (stochastic.mc_cpf_sampling(model, t, tau, 1, cfg),),
-    "ensemble": lambda spec, t, tau, cfg: spinbath.lorentz_mc_moments(spec, t, tau, cfg),
+    "ensemble": lambda spec, t, tau, cfg: (
+        spinbath.lorentz_mc_moments(spec, t, tau, cfg).moments()),
 }
 MEMO_MODELS = [analytic.White(0.35), analytic.ExpCorrGauss(0.9, 1.3),
                analytic.ExpCorrGauss(0.4, 2.0), analytic.StaticGauss(0.8),
@@ -390,9 +391,9 @@ def test_nested_grid_memo_shares_the_outer_slots(monkeypatch):
     model, cfg = analytic.ExpCorrGauss(0.9, 1.3), McConfig(300, seed=4, chunk_size=100)
     with _mc.grid_memo():
         with _mc.grid_memo():
-            first = stochastic.mc_moments(model, 0.4, 0.7, cfg)
+            first = stochastic.mc_moments(model, 0.4, 0.7, cfg).moments()
         assert sorted(_mc._memo) == [(4, i, stage) for i in range(3) for stage in ("cos1", "phase")]
-        assert stochastic.mc_moments(model, 0.4, 1.3, cfg) != first
+        assert stochastic.mc_moments(model, 0.4, 1.3, cfg).moments() != first
     assert streams == [(4, 0), (4, 1), (4, 2)]
     assert _mc._memo is None
 
@@ -421,7 +422,7 @@ def test_a_sweep_leg_reuses_an_equal_models_slots_and_recomputes_an_unequal_ones
     cfg = McConfig(300, seed=4, chunk_size=100)
 
     def point(ou, white):
-        return [estimate_bits(stochastic.mc_moments(ou, 0.4, 0.7, cfg)),
+        return [estimate_bits(stochastic.mc_moments(ou, 0.4, 0.7, cfg).moments()),
                 estimate_bits([stochastic.mc_cpf_sampling(white, 0.4, 0.7, 1, cfg)])]
 
     equal = (analytic.ExpCorrGauss(0.9, 1.3), analytic.White(0.4))
@@ -453,8 +454,9 @@ def test_a_yx_sweep_keeps_its_reuse_at_a_budget_of_one_legs_stages(monkeypatch):
 
     def leg(yx):
         with _mc.grid_memo():
-            return [estimate_bits([stochastic.mc_conditional_coherence(
-                analytic.StaticGauss(0.7), t, tau, yx, cfg)]) for t, tau in points]
+            return [estimate_bits([stochastic.mc_moments(
+                analytic.StaticGauss(0.7), t, tau, cfg).conditional_coherence(yx)])
+                for t, tau in points]
 
     want = {yx: leg(yx) for yx in (1, -1)}  # each in a scope of its own
     with _mc.grid_memo():
@@ -471,11 +473,12 @@ def test_a_yx_sweep_keeps_its_reuse_at_a_budget_of_one_legs_stages(monkeypatch):
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda omega, cfg: stochastic.mc_moments(analytic.StaticLorentz(1.0, omega), 0.4, 0.7, cfg),
+    lambda omega, cfg: stochastic.mc_moments(
+        analytic.StaticLorentz(1.0, omega), 0.4, 0.7, cfg).moments(),
     lambda omega, cfg: [stochastic.mc_cpf_sampling(analytic.StaticLorentz(1.0, omega), 0.4, 0.7,
                                                    -1, cfg)],
     lambda omega, cfg: spinbath.lorentz_mc_moments(
-        spinbath.LorentzCouplingSpec(1.0, omega, 3, 0.8, 0.6), 0.4, 0.7, cfg),
+        spinbath.LorentzCouplingSpec(1.0, omega, 3, 0.8, 0.6), 0.4, 0.7, cfg).moments(),
 ], ids=["montecarlo", "sampling", "ensemble"])
 def test_models_equal_up_to_a_signed_zero_give_the_same_bits(sampler):
     # a slot serves every model equal to its owner, and 0.0 == -0.0: the two
@@ -498,16 +501,19 @@ def test_an_earlier_scopes_slots_give_way_to_a_stage_past_the_budget(monkeypatch
     # seed's stages never push out the leg's own
     model = analytic.ExpCorrGauss(0.9, 1.3)
     cfgs = [McConfig(300, seed=seed, chunk_size=100) for seed in (1, 2, 3)]
-    want = [estimate_bits(stochastic.mc_moments(model, 0.4, 0.7, cfg)) for cfg in cfgs]
+    want = [estimate_bits(stochastic.mc_moments(model, 0.4, 0.7, cfg).moments())
+            for cfg in cfgs]
     with _mc.grid_memo():
         stochastic.mc_moments(model, 0.4, 0.7, cfgs[0])
         monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", _mc._memo_bytes)
     with _mc.grid_memo():
         for cfg, bits in zip(cfgs, want):
             with _mc.grid_memo():
-                assert estimate_bits(stochastic.mc_moments(model, 0.4, 0.7, cfg)) == bits
+                stats = stochastic.mc_moments(model, 0.4, 0.7, cfg)
+                assert estimate_bits(stats.moments()) == bits
                 assert {seed for seed, _, _ in _mc._memo} == {cfg.seed}
-                assert estimate_bits(stochastic.mc_moments(model, 0.4, 0.7, cfgs[0])) == want[0]
+                stats = stochastic.mc_moments(model, 0.4, 0.7, cfgs[0])
+                assert estimate_bits(stats.moments()) == want[0]
                 assert {seed for seed, _, _ in _mc._memo} == {cfg.seed}
             assert len(_mc._memo) == 6 and _mc._memo_bytes == _mc.GRID_MEMO_MAX_BYTES
 
@@ -540,6 +546,7 @@ PARAMETER_OWNERS = {
     spinbath.SystemInit: (("a", "b"), 2),
     spinbath.SpinBathSpec: (("couplings", "alphas", "betas"), 1),
     McConfig: (("n_trajectories", "seed", "chunk_size", "path_dt"), 1),
+    cli.GridSpec: (("start", "stop", "count"), 3),
 }
 
 

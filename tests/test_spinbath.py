@@ -585,7 +585,7 @@ def test_lorentz_mc_cpf_is_exactly_zero_at_a_zero_lag(alpha, beta):
     spec = spinbath.LorentzCouplingSpec(gamma=1.3, omega=0.4, n_spins=50, alpha=alpha, beta=beta)
     cfg = McConfig(n_trajectories=3_000, seed=17, chunk_size=1_000)
     for t, tau in ((0.0, 0.9), (0.9, 0.0)):
-        est = spinbath.lorentz_mc_cpf(spec, t, tau, cfg)
+        est = spinbath.lorentz_mc_moments(spec, t, tau, cfg).cpf()
         assert est.value == 0.0 and est.std_error == 0.0
 
 
@@ -646,7 +646,7 @@ def test_lorentz_mc_coherence_matches_closed_form():
     cfg = McConfig(n_trajectories=200_000, seed=2024)
     for n in (1, 50):
         spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=n)
-        est = spinbath.lorentz_mc_coherence(spec, 1.3, cfg)
+        est = spinbath.lorentz_mc_moments(spec, 1.3, None, cfg).estimate(0)
         want = math.exp(-1.3)
         assert abs(est.value - want) <= 4.0 * est.std_error
 
@@ -654,7 +654,7 @@ def test_lorentz_mc_coherence_matches_closed_form():
 def test_lorentz_mc_cpf_table_first_matches_closed_form():
     spec = spinbath.LorentzCouplingSpec(gamma=1.0)
     cfg = McConfig(n_trajectories=400_000, seed=2025)
-    est = spinbath.lorentz_mc_cpf(spec, 1.0, 1.0, cfg)
+    est = spinbath.lorentz_mc_moments(spec, 1.0, 1.0, cfg).cpf()
     assert abs(est.value - 0.43233235838169365) <= 4.0 * est.std_error
     assert est.std_error < 2e-3
 
@@ -682,7 +682,7 @@ def test_lorentz_mc_moments_match_moment_set():
     spec = spinbath.LorentzCouplingSpec(gamma=0.9, omega=0.7, n_spins=3)
     cfg = McConfig(n_trajectories=300_000, seed=2026)
     want = spinbath.lorentz_moment_set(spec, 0.8, 0.5)
-    f_t, f_tau, f_joint = spinbath.lorentz_mc_moments(spec, 0.8, 0.5, cfg)
+    f_t, f_tau, f_joint = spinbath.lorentz_mc_moments(spec, 0.8, 0.5, cfg).moments()
     assert abs(f_t.value - want.f_t) <= 4.0 * f_t.std_error
     assert abs(f_tau.value - want.f_tau) <= 4.0 * f_tau.std_error
     assert abs(f_joint.value - want.f_joint) <= 4.0 * f_joint.std_error
@@ -703,7 +703,7 @@ def test_ensemble_memory_budget_rejects_before_any_draw(monkeypatch):
     assert (spinbath._ensemble_chunk_bytes(spec, cfg)
             == 8 * (65_536 * 7 + 4_096 * (10**7 + 33) + 10**7 + 2**16 + 3 * 8192) + 4096)
     with pytest.raises(BathTooLarge, match="lower mc.chunk_size"):
-        spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
+        spinbath.lorentz_mc_moments(spec, 0.5, None, cfg).estimate(0)
     # the benchmark's ensemble points (N = 50, chunks of 16,384) stay far below
     points = spinbath._ensemble_chunk_bytes(
         spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=50),
@@ -734,7 +734,7 @@ def test_ensemble_budget_counts_one_tile_so_large_baths_pass(monkeypatch):
     assert cfg.chunk_size == 65_536
     assert (spinbath._ensemble_chunk_bytes(spec, cfg)
             == 8 * (65_536 * 7 + 4_096 * (2_000 + 33) + 16 * 2_000 + 2**16 + 3 * 8192) + 4096)
-    spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
+    spinbath.lorentz_mc_moments(spec, 0.5, None, cfg).estimate(0)
     assert drawn == [cfg]
 
 
@@ -748,7 +748,7 @@ def test_ensemble_budget_counts_a_chunk_longer_than_a_tile_by_what_a_tile_holds(
                             2, np.zeros(1), np.zeros((1, 1))))
     spec = spinbath.LorentzCouplingSpec(gamma=1.0)
     cfg = McConfig(n_trajectories=2**20, chunk_size=2**20)
-    spinbath.lorentz_mc_coherence(spec, 0.5, cfg)
+    spinbath.lorentz_mc_moments(spec, 0.5, None, cfg).estimate(0)
     assert drawn == [cfg]
     assert spinbath._ensemble_chunk_bytes(spec, cfg) < 58 * 2**20
 
@@ -764,7 +764,7 @@ def test_an_ensemble_point_at_the_default_chunk_holds_one_tile(amplitudes):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        spinbath.lorentz_mc_cpf(spec, 0.7, 1.1, cfg)
+        spinbath.lorentz_mc_moments(spec, 0.7, 1.1, cfg).cpf()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -1007,7 +1007,7 @@ def test_multiply_reduce_over_a_block_is_the_spin_order_fold(m):
 def test_lorentz_mc_conditional_coherence():
     spec = spinbath.LorentzCouplingSpec(gamma=1.0)
     cfg = McConfig(n_trajectories=300_000, seed=2027)
-    est = spinbath.lorentz_mc_conditional_coherence(spec, 1.0, 1.0, +1, cfg)
+    est = spinbath.lorentz_mc_moments(spec, 1.0, 1.0, cfg).conditional_coherence(+1)
     want = core.conditional_coherence(ensemble(1.0)(1.0, 1.0), +1)
     assert abs(est.value - want) <= 4.0 * est.std_error
 
@@ -1015,5 +1015,5 @@ def test_lorentz_mc_conditional_coherence():
 def test_lorentz_mc_reproducible_across_workers():
     spec = spinbath.LorentzCouplingSpec(gamma=1.0, n_spins=5)
     cfg = McConfig(n_trajectories=64_000, seed=31, chunk_size=8_000)
-    base = spinbath.lorentz_mc_cpf(spec, 0.9, 1.1, cfg, workers=1)
-    assert spinbath.lorentz_mc_cpf(spec, 0.9, 1.1, cfg, workers=3) == base
+    base = spinbath.lorentz_mc_moments(spec, 0.9, 1.1, cfg, workers=1).cpf()
+    assert spinbath.lorentz_mc_moments(spec, 0.9, 1.1, cfg, workers=3).cpf() == base

@@ -326,7 +326,7 @@ def test_triple_frequencies_reject_wrong_model():
 def test_mc_moments_match_analytic(model):
     cfg = McConfig(n_trajectories=400_000, seed=90)
     want = analytic.moment_set(model, 1.1, 0.8)
-    f_t, f_tau, f_joint = stochastic.mc_moments(model, 1.1, 0.8, cfg)
+    f_t, f_tau, f_joint = stochastic.mc_moments(model, 1.1, 0.8, cfg).moments()
     assert abs(_pull(f_t, want.f_t)) < 4.0
     assert abs(_pull(f_tau, want.f_tau)) < 4.0
     assert abs(_pull(f_joint, want.f_joint)) < 4.0
@@ -335,7 +335,7 @@ def test_mc_moments_match_analytic(model):
 def test_mc_moments_stationarity_at_equal_times():
     # both intervals have the same marginal law when t = tau
     cfg = McConfig(n_trajectories=300_000, seed=91)
-    f_t, f_tau, _ = stochastic.mc_moments(OU, 1.4, 1.4, cfg)
+    f_t, f_tau, _ = stochastic.mc_moments(OU, 1.4, 1.4, cfg).moments()
     want = analytic.first_moment(OU, 1.4)
     assert abs(_pull(f_t, want)) < 4.0
     assert abs(_pull(f_tau, want)) < 4.0
@@ -345,7 +345,7 @@ def test_mc_moments_stationarity_at_equal_times():
 def test_mc_cpf_semianalytic_matches_analytic(model):
     cfg = McConfig(n_trajectories=400_000, seed=92)
     want = analytic.cpf(model, 0.9, 1.2)
-    est = stochastic.mc_cpf_semianalytic(model, 0.9, 1.2, cfg)
+    est = stochastic.mc_moments(model, 0.9, 1.2, cfg).cpf()
     assert abs(_pull(est, want)) < 4.0
 
 
@@ -354,7 +354,7 @@ def test_mc_conditional_coherence_matches_analytic():
     for model in (GAUSS, OU):
         for yx in (+1, -1):
             want = analytic.conditional_coherence(model, 1.0, 0.7, yx)
-            est = stochastic.mc_conditional_coherence(model, 1.0, 0.7, yx, cfg)
+            est = stochastic.mc_moments(model, 1.0, 0.7, cfg).conditional_coherence(yx)
             assert abs(_pull(est, want)) < 4.0
 
 
@@ -362,7 +362,7 @@ def test_mc_conditional_coherence_white_is_memoryless():
     cfg = McConfig(n_trajectories=300_000, seed=94)
     want = analytic.first_moment(WHITE, 0.7)
     for yx in (+1, -1):
-        est = stochastic.mc_conditional_coherence(WHITE, 1.0, 0.7, yx, cfg)
+        est = stochastic.mc_moments(WHITE, 1.0, 0.7, cfg).conditional_coherence(yx)
         assert abs(_pull(est, want)) < 4.0
 
 
@@ -414,7 +414,7 @@ def test_semianalytic_pulls_are_standard_normal():
     pulls = []
     for seed in range(40):
         cfg = McConfig(n_trajectories=20_000, seed=500 + seed)
-        pulls.append(_pull(stochastic.mc_cpf_semianalytic(OU, 1.0, 1.0, cfg), truth))
+        pulls.append(_pull(stochastic.mc_moments(OU, 1.0, 1.0, cfg).cpf(), truth))
     pulls = np.asarray(pulls)
     within2 = np.mean(np.abs(pulls) < 2.0)
     assert within2 >= 0.8
@@ -427,7 +427,7 @@ def test_semianalytic_error_bar_survives_nearly_constant_columns():
     # one-pass covariance cancelled the CPF's error bar to 0 at most seeds
     model, t, n = analytic.StaticGauss(0.3), 0.02, 20_000
     for seed in range(40):
-        est = stochastic.mc_cpf_semianalytic(model, t, t, McConfig(n_trajectories=n, seed=seed))
+        est = stochastic.mc_moments(model, t, t, McConfig(n_trajectories=n, seed=seed)).cpf()
         # the same draws (a single chunk), linearized about their means in a second pass
         d = stochastic._phase_draws(model, _mc.Chunk(seed, 0, n).stream(), n)
         th1, th2 = stochastic._theta1(model, d, t), stochastic._theta2(model, d, t, t)
@@ -453,12 +453,8 @@ def test_sampling_error_bar_is_honest():
 
 
 def test_standard_error_scales_as_inverse_sqrt_n():
-    small = stochastic.mc_cpf_semianalytic(
-        OU, 1.0, 1.0, McConfig(n_trajectories=40_000, seed=7)
-    )
-    large = stochastic.mc_cpf_semianalytic(
-        OU, 1.0, 1.0, McConfig(n_trajectories=400_000, seed=7)
-    )
+    small = stochastic.mc_moments(OU, 1.0, 1.0, McConfig(n_trajectories=40_000, seed=7)).cpf()
+    large = stochastic.mc_moments(OU, 1.0, 1.0, McConfig(n_trajectories=400_000, seed=7)).cpf()
     ratio = small.std_error / large.std_error
     assert ratio == pytest.approx(math.sqrt(10.0), rel=0.2)
 
@@ -466,10 +462,30 @@ def test_standard_error_scales_as_inverse_sqrt_n():
 # ---------------------------------------------------------------------------
 # reproducibility contract
 
+@pytest.mark.parametrize("entry, model", [
+    *[(stochastic.mc_moments, model) for model in ALL_MODELS],
+    (spinbath.lorentz_mc_moments, spinbath.LorentzCouplingSpec(1.1, 0.3, 7)),
+    (spinbath.lorentz_mc_moments, spinbath.LorentzCouplingSpec(1.1, 0.3, 7, 0.8, 0.6)),
+], ids=["white", "static_gauss", "exp_corr_gauss", "static_lorentz", "ensemble_balanced",
+        "ensemble_unbalanced"])
+@pytest.mark.parametrize("chunk_size", [1_000, 2_500])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_t_only_point_is_the_f_t_column_of_its_tau_zero_point(entry, model, chunk_size, workers):
+    # tau None samples the f(t) column alone; its estimate keeps every bit of the
+    # f(t) of the three columns at tau = 0, as a coherence row needs
+    cfg = McConfig(n_trajectories=6_000, seed=13, chunk_size=chunk_size)
+    for t in (0.0, 0.7, 2.3):
+        alone = entry(model, t, None, cfg, workers)
+        assert alone.s.shape == (1,)
+        got, want = alone.estimate(0), entry(model, t, 0.0, cfg, workers).moments()[0]
+        assert (got.value.hex(), got.std_error.hex(), got.n_samples) == (
+            want.value.hex(), want.std_error.hex(), want.n_samples)
+
+
 def test_worker_count_does_not_change_results():
     cfg = McConfig(n_trajectories=96_000, seed=41, chunk_size=16_000)
     for fn in (
-        lambda w: stochastic.mc_cpf_semianalytic(OU, 1.0, 0.8, cfg, workers=w),
+        lambda w: stochastic.mc_moments(OU, 1.0, 0.8, cfg, workers=w).cpf(),
         lambda w: stochastic.mc_cpf_sampling(OU, 1.0, 0.8, -1, cfg, workers=w),
         lambda w: stochastic.ou_path_reference(OU, 0.6, 0.4, cfg, workers=w),
     ):
@@ -510,7 +526,7 @@ def test_per_tau_slots_on_racing_pool_threads_keep_every_point_exact(monkeypatch
     cfg = McConfig(n_trajectories=64 * 50, seed=9, chunk_size=50)
     points = [(t, tau) for t in (0.0, 0.3, 1.1) for tau in (0.5, 0.2)]
     estimators = [lambda t, tau, w: stochastic.mc_cpf_sampling(model, t, tau, 1, cfg, w),
-                  lambda t, tau, w: stochastic.mc_moments(model, t, tau, cfg, w)]
+                  lambda t, tau, w: stochastic.mc_moments(model, t, tau, cfg, w).moments()]
     want = [est(t, tau, 1) for est in estimators for t, tau in points]
     budget = 64 * 50 * 8 * 9 // 2
     monkeypatch.setattr(_mc, "GRID_MEMO_MAX_BYTES", budget)
@@ -540,15 +556,15 @@ def test_map_chunks_runs_every_chunk_under_the_callers_error_state(workers):
 
 
 def test_chunk_size_is_part_of_the_stream_layout():
-    a = stochastic.mc_cpf_semianalytic(
+    a = stochastic.mc_moments(
         OU, 1.0, 0.8, McConfig(n_trajectories=64_000, seed=4, chunk_size=8_000)
-    )
-    b = stochastic.mc_cpf_semianalytic(
+    ).cpf()
+    b = stochastic.mc_moments(
         OU, 1.0, 0.8, McConfig(n_trajectories=64_000, seed=4, chunk_size=16_000)
-    )
-    c = stochastic.mc_cpf_semianalytic(
+    ).cpf()
+    c = stochastic.mc_moments(
         OU, 1.0, 0.8, McConfig(n_trajectories=64_000, seed=4, chunk_size=8_000)
-    )
+    ).cpf()
     assert a != b
     assert a == c
 
@@ -724,7 +740,7 @@ def test_conditional_coherence_rejects_dead_branch():
     # t = 0 pins the middle outcome to y = x, so yx = -1 has zero weight
     cfg = McConfig(n_trajectories=1_000, seed=3)
     with pytest.raises(ZeroProbabilityPostselection):
-        stochastic.mc_conditional_coherence(WHITE, 0.0, 0.5, -1, cfg)
+        stochastic.mc_moments(WHITE, 0.0, 0.5, cfg).conditional_coherence(-1)
 
 
 def test_negative_times_rejected():

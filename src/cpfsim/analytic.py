@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from ._mc import check_real, check_times
+from ._mc import check_real, check_time, check_times
 from .errors import UndefinedCorrelation
 
 
@@ -122,7 +122,7 @@ def phase_covariance(model: NoiseModel, t: float, tau: float) -> tuple[float, fl
 
     Raises UndefinedCorrelation for StaticLorentz.
     """
-    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
+    t, tau = check_time(t, "t"), check_time(tau, "tau")
     match model:
         case White(gamma_w=gw):
             return gw * t, gw * tau, 0.0

@@ -41,7 +41,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import analytic, core, spinbath, stochastic
-from ._mc import McConfig, MomentStats, check_count, grid_memo, numeric, shown
+from ._mc import McConfig, MomentStats, check_count, check_time, grid_memo, real, shown
 from .errors import ConfigError, CpfError, GridMismatch, NonFiniteResult
 
 CSV_HEADER = ("t", "tau", "value", "std_error", "n_samples", "quantity", "model", "method")
@@ -69,9 +69,7 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
-        start, stop = _real(self.start), _real(self.stop)
-        if not 0.0 <= start < math.inf:
-            raise ValueError(f"start must be finite and >= 0, got {shown(self.start)}")
+        start, stop = check_time(self.start, "start"), real(self.stop)
         if not start <= stop < math.inf:
             raise ValueError(f"stop must be finite and >= start, got {shown(self.stop)}")
         count = check_count(self.count, "count", least=None)
@@ -300,23 +298,12 @@ def _construct(build: Callable[..., Any], fields: dict[str, Any], path: str) -> 
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _real(value: Any) -> float:
-    """float(value), with an integer beyond the float range as +-inf and a value
-    that is not a number (text, a bool, None, a list) as nan."""
-    try:
-        return float(numeric(value))
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-    except (TypeError, ValueError):
-        return math.nan
-
-
 # A field's JSON type is checked here and its range by its section's constructor.
 
 def _float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return _real(value)
+    return real(value)
 
 
 def _int(value: Any, path: str) -> int:
@@ -336,7 +323,7 @@ def _complex(value: Any, path: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
-    return complex(_real(parts[0]), _real(parts[1]))
+    return complex(real(parts[0]), real(parts[1]))
 
 
 def _output_path(value: Any, path: str) -> str:
@@ -946,6 +933,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"both write {config.output_path}"
             )
         legs[config.output_path] = (assignment, config, stages)
+    index_path = Path(next(iter(legs))).with_name("sweep_manifest.json")
+    _refuse_overwriting(args.config, index_path)
 
     # the index lists the finished legs, and the failed leg with its error
     written = []
@@ -963,7 +952,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     label = ", ".join(f"{k}={v}" for k, v in assignment)
                     print(f"wrote {csv_path} ({label})")
     finally:
-        index_path = Path(next(iter(legs))).with_name("sweep_manifest.json")
         _write_json(index_path, {"kind": "cpfsim-sweep-manifest", "legs": written})
         if not args.quiet:
             print(f"wrote {index_path}")
@@ -975,7 +963,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     known = [number for number, _, _ in acceptance.CRITERIA]
     try:
-        numbers = [int(v) for v in args.criteria.split(",")] if args.criteria else known
+        numbers = [int(v) for v in args.criteria.split(",")] if args.criteria is not None else known
     except ValueError:
         numbers = None
     if numbers is None or not set(numbers) <= set(known):

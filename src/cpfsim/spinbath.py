@@ -47,7 +47,7 @@ import numpy as np
 
 from . import core
 from ._mc import (Chunk, McConfig, MomentStats, block_rows, cauchy, check_count, check_real,
-                  check_times, collect_moments, cos2, draw_rows, numeric, shown)
+                  check_time, check_times, collect_moments, cos2, draw_rows, real, reals, shown)
 from .errors import (
     BathTooLarge,
     UnreachablePolarization,
@@ -63,41 +63,16 @@ ENSEMBLE_MAX_BYTES = 256 * 2**20
 _SCALED_SPIN_BYTES = 40
 
 
-def _amplitudes(a, b, what: str) -> tuple[complex, complex]:
-    """(a, b) as complex numbers, checked by _check_amplitudes; an integer beyond the
-    float range, or a value that is not a number (text or a bool too), has an inf norm."""
-    try:
-        a, b = complex(numeric(a)), complex(numeric(b))
-    except (OverflowError, TypeError, ValueError):
-        a = b = complex(math.inf)
-    _check_amplitudes(a, b, what)
-    return a, b
-
-
 def _check_amplitudes(a, b, what: str) -> None:
     """Raise a ValueError naming what and the first bad norm unless |a|^2 + |b|^2
-    is 1 within 1e-12, for a pair of scalars or each pair of per-spin arrays.  An
-    amplitude that is not finite, or whose square overflows, has an inf or nan norm."""
+    is 1 within 1e-12, for a pair of scalars or each pair of per-spin arrays (from
+    _mc.real or _mc.reals).  An amplitude that is not finite, or whose square
+    overflows, has an inf or nan norm."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.atleast_1d(np.abs(a) ** 2 + np.abs(b) ** 2)
         bad = norm[~(np.abs(norm - 1.0) <= 1e-12)]
     if bad.size:
         raise ValueError(f"{what} amplitudes must satisfy |a|^2+|b|^2=1, got {float(bad[0])!r}")
-
-
-def _spin_values(values, dtype) -> np.ndarray:
-    """values as an at least 1-d array of dtype; where an integer is beyond the float
-    range, every value is inf, and where a value is not a number (text, a bool), every
-    value is nan, in the shape of values, or one nan for a ragged list, which has no
-    shape: the checks of SpinBathSpec refuse both by the name of the array."""
-    try:
-        return np.atleast_1d(np.asarray(numeric(values), dtype=dtype))
-    except (OverflowError, TypeError, ValueError) as exc:
-        fill = math.inf if isinstance(exc, OverflowError) else math.nan
-    try:
-        return np.atleast_1d(np.full(np.shape(values), fill, dtype))
-    except ValueError:  # a ragged list has no shape to keep
-        return np.full(1, fill, dtype)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: no value equality
@@ -110,13 +85,13 @@ class SpinBathSpec:
     betas: list[complex] | None = None
 
     def __post_init__(self) -> None:
-        g = _spin_values(self.couplings, float)
+        g = np.atleast_1d(reals(self.couplings))
         if g.ndim != 1:
             raise ValueError(f"couplings must be 1-d, got shape {g.shape}")
         if (self.alphas is None) != (self.betas is None):
             raise ValueError("alphas and betas must be given together")
         a, b = (np.full(g.size, 1.0 / math.sqrt(2.0), complex) if v is None
-                else _spin_values(v, complex) for v in (self.alphas, self.betas))
+                else np.atleast_1d(reals(v, complex)) for v in (self.alphas, self.betas))
         for name, arr in (("alphas", a), ("betas", b)):
             if arr.shape != g.shape:
                 raise ValueError(f"{name} must hold one amplitude per coupling ({g.size}), "
@@ -143,7 +118,8 @@ class SystemInit:
     b: complex
 
     def __post_init__(self) -> None:
-        a, b = _amplitudes(self.a, self.b, "system")
+        a, b = real(self.a, complex), real(self.b, complex)
+        _check_amplitudes(a, b, "system")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -172,7 +148,8 @@ class LorentzCouplingSpec:
         object.__setattr__(self, "omega", check_real(self.omega, "omega", positive=False))
         object.__setattr__(self, "n_spins", check_count(self.n_spins, "n_spins"))
         check_real(self.n_spins, "n_spins")  # the closed form takes N as a float
-        alpha, beta = _amplitudes(self.alpha, self.beta, "bath spin")
+        alpha, beta = real(self.alpha, complex), real(self.beta, complex)
+        _check_amplitudes(alpha, beta, "bath spin")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -432,7 +409,7 @@ def lorentz_mc_moments(
     Raises BathTooLarge, before any draw, when one chunk's draw would take more
     than ENSEMBLE_MAX_BYTES.
     """
-    t, tau = float(check_times(t, "t")), None if tau is None else float(check_times(tau, "tau"))
+    t, tau = check_time(t, "t"), None if tau is None else check_time(tau, "tau")
     need = _ensemble_chunk_bytes(spec, cfg)
     if need > ENSEMBLE_MAX_BYTES:
         raise BathTooLarge(
@@ -549,9 +526,9 @@ def oracle_protocol(
     the state is built.  Raises BathTooLarge for N > 14 and
     ZeroProbabilityPostselection if P(y) = 0 (also for an empty tau array).
     """
-    if np.ndim(tau) > 1:
+    t, tau = check_time(t, "t"), check_times(tau, "tau")
+    if tau.ndim > 1:
         raise ValueError("tau must be a scalar or a 1-d array")
-    t, taus = float(check_times(t, "t")), check_times(np.atleast_1d(tau), "tau").tolist()
     y = core.validate_outcome(y, "y")
     state = _initial_state(spec, init)
     phase = _propagator_phase(spec, propagator)
@@ -562,8 +539,8 @@ def oracle_protocol(
         raise ZeroProbabilityPostselection(f"P(y={y:+d}) = 0 for this protocol")
 
     ph, conj_ph, up, dn, bath = (np.empty_like(state[0]) for _ in range(5))
-    entries = {(z, x): np.zeros(np.shape(tau)) for z in core.OUTCOMES for x in core.OUTCOMES}
-    for k, tau_k in enumerate(taus):
+    entries = {(z, x): np.zeros(tau.shape) for z in core.OUTCOMES for x in core.OUTCOMES}
+    for k, tau_k in enumerate(tau.ravel().tolist()):
         np.conj(phase(tau_k, ph), out=conj_ph)
         for x, (up_y, dn_y) in rows.items():
             np.multiply(up_y, ph, out=up)
@@ -585,7 +562,7 @@ def oracle_conditional_coherence(
     core.conditional_coherence of moment_set.  The times, x and y are
     checked before the state is built.
     """
-    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
+    t, tau = check_time(t, "t"), check_time(tau, "tau")
     x = core.validate_outcome(x, "x")
     y = core.validate_outcome(y, "y")
     state = _initial_state(spec, init)

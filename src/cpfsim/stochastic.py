@@ -46,7 +46,7 @@ from ._mc import (
     McConfig,
     MomentStats,
     cauchy,
-    check_times,
+    check_time,
     collect_moments,
     cos2,
     draw_rows,
@@ -125,7 +125,7 @@ def mc_moments(
     delta-method errors over the shared trajectories.  f'(tau) is measured from
     theta2 alone, so a stationarity violation would show up as f'(tau) != f(tau).
     """
-    t, tau = float(check_times(t, "t")), None if tau is None else float(check_times(tau, "tau"))
+    t, tau = check_time(t, "t"), None if tau is None else check_time(tau, "tau")
 
     def sample(chunk: Chunk) -> tuple[np.ndarray, ...]:
         (d,) = chunk.memo("phase", _PAIR_LAW.get(type(model), model), None,
@@ -219,7 +219,7 @@ def mc_cpf_sampling(
     trajectory falls in one (z, x) cell, as at short times.
     """
     y_select = core.validate_outcome(y_select, "y_select")
-    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
+    t, tau = check_time(t, "t"), check_time(tau, "tau")
     kept = _kept_counts(model, t, tau, y_select, cfg, workers)
     if not kept.any():
         raise EmptyPostselection(
@@ -242,7 +242,7 @@ def ou_path_reference(
     """
     if not isinstance(model, analytic.ExpCorrGauss):
         raise TypeError("ou_path_reference requires an ExpCorrGauss model")
-    t, tau = float(check_times(t, "t")), float(check_times(tau, "tau"))
+    t, tau = check_time(t, "t"), check_time(tau, "tau")
     g, tc = model.g, model.tau_c
     dt = cfg.path_dt if cfg.path_dt is not None else min(tc, 1.0 / g) / 50.0
     if dt > tc / 10.0:

@@ -1584,6 +1584,9 @@ def test_compare_names_the_first_misaligned_row(tmp_path, monkeypatch, capsys, o
      base_config(output_path="s.json", sweep={"model.gamma_w": [0.5, 0.7]}), []),
     ("sweep", "s__model.gamma_w=0.7.csv.manifest.json",
      base_config(output_path="s.csv", sweep={"model.gamma_w": [0.5, 0.7]}), []),
+    # the sweep index goes next to the first leg, and no leg runs before it is checked
+    ("sweep", "sweep_manifest.json",
+     base_config(output_path="s.csv", sweep={"model.gamma_w": [0.5, 0.7]}), []),
 ])
 def test_exit_code_output_over_its_own_config(tmp_path, monkeypatch, capsys,
                                               command, name, doc, extra):
@@ -1867,7 +1870,7 @@ def test_selftest_verbose_prints_the_detail_lines_of_a_pass(capsys):
 
 
 def test_selftest_rejects_bad_criteria(capsys):
-    for value in ("four", "11", "1,,2", "4,11"):
+    for value in ("four", "11", "1,,2", "4,11", ""):
         assert cli.main(["selftest", "--criteria", value]) == 2
         out = capsys.readouterr()
         assert out.out == ""  # rejected before any criterion runs

@@ -1,6 +1,7 @@
 """Properties of the array moment spine and the shared spin product, over random models."""
 
 import functools
+import inspect
 import math
 import tempfile
 from pathlib import Path
@@ -593,9 +594,9 @@ TEXT_AND_BOOLS = [
     (lambda: spinbath.LorentzCouplingSpec(1.0, n_spins=True),
      "n_spins must be an integer, got True"),
     (lambda: spinbath.LorentzCouplingSpec(1.0, alpha=True, beta=0.0),
-     "bath spin amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
+     "bath spin amplitudes must satisfy |a|^2+|b|^2=1, got nan"),
     (lambda: spinbath.scaled_gaussian_bath(3, "0.5"), "g must be finite and > 0, got '0.5'"),
-    (lambda: spinbath.SystemInit("1", 0), "system amplitudes must satisfy |a|^2+|b|^2=1, got inf"),
+    (lambda: spinbath.SystemInit("1", 0), "system amplitudes must satisfy |a|^2+|b|^2=1, got nan"),
     (lambda: spinbath.SpinBathSpec(["1.0"], ["0.6"], ["0.8"]), "couplings must be finite"),
     (lambda: spinbath.SpinBathSpec(np.array([True]), [1.0], [0.0]), "couplings must be finite"),
     (lambda: spinbath.SpinBathSpec([1.0], [True], [0.0]),
@@ -619,6 +620,82 @@ def test_every_parameter_owner_refuses_text_and_bools_by_argument(build, message
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+_TIME_MODEL, _TIME_CFG = analytic.StaticGauss(0.9), McConfig(10)
+_TIME_BATH, _TIME_ENSEMBLE = spinbath.SpinBathSpec([0.3, -0.7]), spinbath.LorentzCouplingSpec(1.0)
+_PLUS = spinbath.SystemInit.plus()
+# each public function that takes a time -> its other arguments, and each of its times
+# with what it takes: "one" point's time, "one" or None (a t-only call), an "array" of
+# times (a scalar too), or an array of "lags", which may be negative
+TIME_TAKERS = {
+    analytic.phase_covariance: (dict(model=_TIME_MODEL), dict(t="one", tau="one")),
+    analytic.first_moment: (dict(model=_TIME_MODEL), dict(s="array")),
+    analytic.moment_set: (dict(model=_TIME_MODEL), dict(t="array", tau="array")),
+    analytic.cpf: (dict(model=_TIME_MODEL), dict(t="array", tau="array")),
+    analytic.conditional_coherence: (dict(model=_TIME_MODEL, yx=-1), dict(t="array", tau="array")),
+    analytic.dephasing_rate: (dict(model=_TIME_MODEL), dict(t="array")),
+    spinbath.coherence: (dict(spec=_TIME_BATH), dict(t="lags")),
+    spinbath.moment_set: (dict(spec=_TIME_BATH), dict(t="array", tau="array")),
+    spinbath.lorentz_coherence: (dict(spec=_TIME_ENSEMBLE), dict(t="lags")),
+    spinbath.lorentz_moment_set: (dict(spec=_TIME_ENSEMBLE), dict(t="array", tau="array")),
+    spinbath.lorentz_mc_moments: (dict(spec=_TIME_ENSEMBLE, cfg=_TIME_CFG),
+                                  dict(t="one", tau="one or None")),
+    spinbath.oracle_protocol: (dict(spec=_TIME_BATH, init=_PLUS, y=1), dict(t="one", tau="array")),
+    spinbath.oracle_conditional_coherence: (dict(spec=_TIME_BATH, init=_PLUS, x=1, y=-1),
+                                            dict(t="one", tau="one")),
+    stochastic.mc_moments: (dict(model=_TIME_MODEL, cfg=_TIME_CFG), dict(t="one", tau="one or None")),
+    stochastic.mc_cpf_sampling: (dict(model=_TIME_MODEL, y_select=-1, cfg=_TIME_CFG),
+                                 dict(t="one", tau="one")),
+    stochastic.ou_path_reference: (dict(model=analytic.ExpCorrGauss(0.9, 1.3), cfg=_TIME_CFG),
+                                   dict(t="one", tau="one")),
+}
+# times every entry refuses: text, bytes and bools, which float() and numpy read as
+# numbers, a ragged list, integers past the float range and past repr's 4,300 digits
+BAD_TIMES = ["0.5", np.str_("0.5"), b"0.5", True, np.True_, [[1.0], [1.0, 2.0]],
+             10**400, -10**400, 10**5000, math.nan, math.inf, -math.inf]
+
+
+def bad_times(kind: str) -> list:
+    """BAD_TIMES, and what an argument of the kind refuses besides: None but for a
+    t-only call's tau, a negative time but for lags, and several times at a point."""
+    return BAD_TIMES + ([None] if kind != "one or None" else []) + (
+        [-0.5] if kind != "lags" else []) + (
+        [np.array([0.5, 1.0]), [0.5]] if kind.startswith("one") else [])
+
+
+@st.composite
+def time_calls(draw):
+    """(function, the name of one of its times, its other arguments, valid times drawn)."""
+    function = draw(st.sampled_from(list(TIME_TAKERS)))
+    given_args, takes = TIME_TAKERS[function]
+    name = draw(st.sampled_from(sorted(takes)))
+    times = {n: draw(st.lists(st.floats(-4.0 if k == "lags" else 0.0, 4.0), min_size=1,
+                              max_size=3) if k in ("array", "lags") else st.floats(0.0, 4.0))
+             for n, k in takes.items() if n != name}
+    return function, name, {**given_args, **times}
+
+
+@settings(max_examples=150, derandomize=True)
+@given(time_calls())
+def test_every_time_taker_refuses_a_bad_time_by_argument(call):
+    # "1.5" and True read as times, 10**400 raised a bare OverflowError, a ragged list
+    # numpy's shape error, and [0.5] at a point's entry a bare TypeError
+    function, name, kwargs = call
+    for bad in bad_times(TIME_TAKERS[function][1][name]):
+        with pytest.raises(ValueError) as exc:
+            function(**kwargs, **{name: bad})
+        assert str(exc.value).startswith(f"{name} "), str(exc.value)  # "t + tau" counts as t
+
+
+def test_every_public_function_that_takes_a_time_is_a_time_taker():
+    # a new entry that takes t, tau or s joins TIME_TAKERS, and so the property above
+    found = sorted(f"{module.__name__}.{name}" for module in (analytic, spinbath, stochastic)
+                   for name, f in vars(module).items()
+                   if inspect.isfunction(f) and not name.startswith("_")
+                   and f.__module__ == module.__name__
+                   and {"t", "tau", "s"} & set(inspect.signature(f).parameters))
+    assert found == sorted(f"{f.__module__}.{f.__name__}" for f in TIME_TAKERS)
 
 
 # the floats at the edges of .17g text, and a zero of each sign

@@ -19,7 +19,8 @@ there, unless --out names the file.  The document holds:
   cases        per-layer cases, each timed in this process as the median and
                interquartile range (exclusive quartiles, as
                scripts/bench_pairs.py) of REPEATS calls: closed forms, Monte
-               Carlo estimators at 1 and 2 workers, the dense oracle, each
+               Carlo estimators at 1 and 2 workers, a map of two small chunks
+               at 1 and 2 workers (its fixed cost), the dense oracle, each
                closed_forms job's cli.main call with the stages its manifest
                records, and `cpfsim selftest`;
   memory       tracemalloc peaks of a 1024 x 1024 OU surface (evaluate, write)
@@ -141,8 +142,9 @@ def closed_form_cases(quick: bool):
 
 
 def monte_carlo_cases(quick: bool):
-    """(name, call, trajectories) of every Monte Carlo read at 1 and 2 workers, the
-    ensemble draw of a large bath, and a Cauchy-ensemble cpf_surface grid."""
+    """(name, call, trajectories) of every Monte Carlo read at 1 and 2 workers, a
+    sampling point of two 1,024-trajectory chunks at 1 and 2 workers, the ensemble
+    draw of a large bath, and a Cauchy-ensemble cpf_surface grid."""
     n, n_ensemble, n_path = (2**10, 2**8, 2**8) if quick else (2**18, 2**15, 2**13)
     ou = analytic.ExpCorrGauss(0.9, 1.3)
     ensemble = spinbath.LorentzCouplingSpec(1.0, 0.5, n_spins=50)
@@ -170,6 +172,13 @@ def monte_carlo_cases(quick: bool):
         for workers in (1, 2):
             yield (f"monte_carlo.{name}.workers_{workers}",
                    lambda e=estimate, c=cfg, w=workers: e(c, w), trajectories)
+    # a map's fixed cost: a sampling point of two small chunks, as in mc_surface's
+    # two-chunk sweep, where handing out the chunks weighs as much as drawing them
+    two_chunks = McConfig(2 * 2**10, seed=1, chunk_size=2**10)
+    for workers in (1, 2):
+        yield (f"monte_carlo.two_chunk_map.workers_{workers}",
+               lambda w=workers: stochastic.mc_cpf_sampling(ou, 0.7, 0.4, 1, two_chunks, w),
+               two_chunks.n_trajectories)
     n_spins = 10**3 if quick else 10**5
     for amplitudes, (alpha, beta) in (("balanced", (0.5**0.5, 0.5**0.5)),
                                       ("unbalanced", (0.8, 0.6))):

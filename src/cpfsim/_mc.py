@@ -34,6 +34,7 @@ import contextlib
 import functools
 import math
 import numbers
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -110,8 +111,8 @@ def chunk_sizes(cfg: McConfig) -> list[int]:
 
 
 # The open grid_memo() scope's slots, (seed, chunk, stage) -> (owner, tag, value,
-# generation), and their bytes, changed under the lock; pool threads touch only
-# their own chunk's slots.  Each grid_memo() entry (a sweep leg) is a generation.
+# generation), and their bytes, changed under the lock; a map's threads touch only
+# the slots of the chunks they run.  Each grid_memo() entry (a sweep leg) is a generation.
 _memo: dict | None = None
 _memo_bytes = 0
 _memo_lock = threading.Lock()
@@ -200,26 +201,68 @@ class Chunk:
         return value
 
 
+@functools.cache
+def _pool():
+    """The process's one thread pool of map_chunks, built on its first parallel map.
+
+    The caller of a map is one of its workers, so the pool holds at most one thread
+    fewer than the CPUs (os.cpu_count(), which also caps the CLI's --threads), and
+    at least one.  More could not run at once, and the executor starts a thread
+    whenever a task arrives before the last one's thread has turned idle, so under
+    a larger cap a run of 2-worker maps would gather threads, each with an
+    allocator arena of its own.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # only parallel runs pay its import
+
+    return ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="cpfsim-mc")
+
+
+# a fork child has none of the parent's pool threads: its first parallel map builds a pool
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def map_chunks(worker, cfg: McConfig, workers: int = 1) -> list:
     """Run worker(chunk) for every Chunk of cfg, results in chunk order.
 
-    A run of one chunk, or at one worker, runs inline; otherwise a thread
-    pool of at most one worker per chunk, each chunk under the numpy error
-    state of the calling thread (a pool thread does not inherit it).
+    A run of one chunk, or at one worker, runs inline.  Otherwise the calling
+    thread and at most min(workers, chunks) - 1 helper tasks on the process's one
+    thread pool (_pool) take the next chunk in index order until none is left,
+    each under the numpy error state of the calling thread (a pool thread does
+    not inherit it); the results, hence every merge and output byte, are the
+    same at any worker count.  Once a chunk raises an Exception no further chunk
+    is handed out, and when the running ones finish the failed chunk of the
+    lowest index raises, as in a serial run; a KeyboardInterrupt in the caller's
+    chunk stops the hand-out too, and propagates at once.  Helpers that have not
+    started when the caller finds no chunk left are cancelled, so maps that
+    share the pool never wait on each other's queued tasks.
     """
     chunks = [Chunk(cfg.seed, i, m) for i, m in enumerate(chunk_sizes(cfg))]
     if workers <= 1 or len(chunks) == 1:
         return [worker(chunk) for chunk in chunks]
-    from concurrent.futures import ThreadPoolExecutor  # only parallel runs pay its import
+    state, lock, results, failed = np.geterr(), threading.Lock(), [None] * len(chunks), {}
+    todo = list(range(len(chunks) - 1, -1, -1))  # popped from the end: index order
 
-    state = np.geterr()
+    def next_index() -> int | None:
+        with lock:
+            return todo.pop() if todo and not failed else None
 
-    def run(chunk: Chunk):
+    def take() -> None:
         with np.errstate(**state):
-            return worker(chunk)
+            while (i := next_index()) is not None:
+                try:
+                    results[i] = worker(chunks[i])
+                except BaseException as exc:  # no further chunk is handed out
+                    failed[i] = exc
+                    if not isinstance(exc, Exception):
+                        raise  # a KeyboardInterrupt propagates at once, with no wait
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return list(pool.map(run, chunks))
+    helpers = [_pool().submit(take) for _ in range(min(workers, len(chunks)) - 1)]
+    take()
+    for helper in helpers:
+        helper.cancel() or helper.result()  # wait only for a helper that started
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def block_rows(width: int) -> int:
@@ -346,12 +389,18 @@ def check_time(value, name: str) -> float:
 
 def check_times(value, name: str, lags: bool = False) -> np.ndarray:
     """value as a float64 array (reals) whose elements are finite and, unless they
-    are lags (which may be negative), >= 0; a ValueError names the argument name."""
+    are lags (which may be negative), >= 0; a ValueError names the argument name and
+    shows the value given, or in a list or an array the first element refused (an
+    element of an array as a Python number)."""
     v = reals(value)
     ok = np.isfinite(v) if lags else (v >= 0.0) & (v < math.inf)
     if np.count_nonzero(ok) < v.size:  # all() takes 3x as long on a small array
+        given = np.asarray(value, dtype=object)  # as given; a ragged list's has another shape
+        if given.shape == v.shape and (v.ndim or isinstance(value, np.ndarray)):
+            for element in given.flat[np.argmin(ok):]:  # the first one refused alone raises
+                check_times(element, name, lags)
         rule = "finite" if lags else "finite and >= 0"
-        raise ValueError(f"{name} must be {rule}, got {float(v[~ok][0])!r}")
+        raise ValueError(f"{name} must be {rule}, got {shown(value)}")
     return v
 
 

@@ -191,7 +191,8 @@ def moment_set(model: NoiseModel, t, tau) -> core.MomentSet:
     """
     t, tau = check_times(t, "t"), check_times(tau, "tau")
     with np.errstate(over="ignore"):  # an overflowing sum raises, named, instead
-        t_plus_tau = check_times(t + tau, "t + tau")
+        # (as an array, whose refused element shows as a float, not a numpy scalar)
+        t_plus_tau = check_times(np.asarray(t + tau), "t + tau")
     f_t, f_tau = _first_moment(model, t), _first_moment(model, tau)
     match model:
         case White():

@@ -242,7 +242,8 @@ def _moment_set(overlap, t, tau) -> core.MomentSet:
     bits are those of a call on every point."""
     t, tau = check_times(t, "t"), check_times(tau, "tau")
     with np.errstate(over="ignore"):  # an overflowing sum raises, named, instead
-        lags = (t, tau, check_times(t + tau, "t + tau"), t - tau)
+        # (as an array, whose refused element shows as a float, not a numpy scalar)
+        lags = (t, tau, check_times(np.asarray(t + tau), "t + tau"), t - tau)
     bits, inverse = np.unique(np.concatenate(lags, axis=None).view(np.int64), return_inverse=True)
     f = np.split(overlap(bits.view(float)).real[inverse], np.cumsum([u.size for u in lags])[:-1])
     f_t, f_tau, f_sum, f_diff = (part.reshape(u.shape) for part, u in zip(f, lags))

@@ -680,12 +680,19 @@ def time_calls(draw):
 @given(time_calls())
 def test_every_time_taker_refuses_a_bad_time_by_argument(call):
     # "1.5" and True read as times, 10**400 raised a bare OverflowError, a ragged list
-    # numpy's shape error, and [0.5] at a point's entry a bare TypeError
+    # numpy's shape error, and [0.5] at a point's entry a bare TypeError.  The refusal
+    # shows the value given, or in a list of times the first element refused (it
+    # showed "got nan" for text and "got inf" for 10**400)
     function, name, kwargs = call
-    for bad in bad_times(TIME_TAKERS[function][1][name]):
+    kind = TIME_TAKERS[function][1][name]
+    cases = [(bad, bad) for bad in bad_times(kind)]
+    if kind in ("array", "lags"):
+        cases += [([0.25, bad, -1.0], bad) for bad in BAD_TIMES if not isinstance(bad, list)]
+    for time, refused in cases:
         with pytest.raises(ValueError) as exc:
-            function(**kwargs, **{name: bad})
+            function(**kwargs, **{name: time})
         assert str(exc.value).startswith(f"{name} "), str(exc.value)  # "t + tau" counts as t
+        assert str(exc.value).endswith(f", got {_mc.shown(refused)}"), str(exc.value)
 
 
 def test_every_public_function_that_takes_a_time_is_a_time_taker():

@@ -97,7 +97,9 @@ def test_job_rusage_prints_one_line_per_job_of_the_workload(tmp_path):
     names = ["ou_surface", "bath_surface", "bath_table", "lorentz_surface", "oracle_surface"]
     assert sorted(line.split()[0] for line in lines) == sorted(names)
     for line in lines:
-        assert re.fullmatch(r"\w+  \d+\.\d{4}  \d+  \d+\.\d", line), line
+        assert re.fullmatch(r"\w+  \d+\.\d{4}  \d+  \d+\.\d  \d+\.\d", line), line
+        first, last = map(float, line.split()[-2:])
+        assert first <= last  # a high-water never falls
     assert list(tmp_path.iterdir()) == []  # the runs wrote only to their temporary directory
 
 
@@ -139,7 +141,9 @@ def test_bench_record_quick_writes_every_section(tmp_path):
         "closed_forms", "monte_carlo", "oracle", "cli", "selftest"}
     assert all(case["repeats"] == 1 and case["iqr_s"] == 0.0 for case in cases.values())
     assert {"monte_carlo.mc_cpf_sampling.workers_1", "monte_carlo.mc_cpf_sampling.workers_2",
+            "monte_carlo.two_chunk_map.workers_1", "monte_carlo.two_chunk_map.workers_2",
             "selftest.wall"} <= set(cases)
+    assert cases["monte_carlo.two_chunk_map.workers_2"]["trajectories"] == 2048
     # each closed_forms job's cli.main call, with the stages its manifest recorded
     # in that same call, and the reused parser and the manifest timed on their own
     stages = ("main", "parse", "evaluate", "write_csv", "parser", "manifest")

@@ -2,8 +2,12 @@
 
 import contextlib
 import math
+import multiprocessing
+import os
 import re
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -495,7 +499,8 @@ def test_worker_count_does_not_change_results():
 
 
 def test_grid_memo_on_racing_pool_threads_keeps_every_point_exact(monkeypatch):
-    # 64 chunks on 8 threads that switch every microsecond, with a budget that
+    # 64 chunks at 8 workers (the caller and every thread of the pool, one fewer than
+    # the CPUs) on threads that switch every microsecond, with a budget that
     # holds about 3/5 of one point's stages, so slots fill up mid-point; the
     # rows are t-major, so each t's stage is replaced while chunks race
     cfg = McConfig(n_trajectories=64 * 50, seed=9, chunk_size=50)
@@ -553,6 +558,108 @@ def test_map_chunks_runs_every_chunk_under_the_callers_error_state(workers):
     with np.errstate(over="ignore", invalid="raise"):
         states = _mc.map_chunks(lambda chunk: np.geterr(), McConfig(4, chunk_size=1), workers)
     assert [(s["over"], s["invalid"]) for s in states] == [("ignore", "raise")] * 4
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_map_chunks_raises_the_error_of_the_lowest_chunk_that_failed(workers):
+    # chunk 1 fails last in time: at 2 and 4 workers chunk 3 has failed while it
+    # sleeps, and the serial run's error still wins
+    def worker(chunk):
+        if chunk.index == 1:
+            time.sleep(0.05)
+        if chunk.index in (1, 3):
+            raise ValueError(f"chunk {chunk.index}")
+        return chunk.index
+
+    with pytest.raises(ValueError, match="^chunk 1$"):
+        _mc.map_chunks(worker, McConfig(4, chunk_size=1), workers)
+
+
+def test_a_keyboard_interrupt_in_the_callers_chunk_propagates_at_once():
+    # the caller raises while the helper's chunk still runs, and the helper, once
+    # released, takes no further chunk
+    caller, ran = threading.get_ident(), []
+    started, release = threading.Event(), threading.Event()
+
+    def worker(chunk):
+        ran.append(chunk.index)
+        if threading.get_ident() != caller:
+            started.set()
+            release.wait(timeout=30)
+            return
+        started.wait(timeout=30)  # the helper runs its chunk
+        raise KeyboardInterrupt
+
+    begin = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _mc.map_chunks(worker, McConfig(8, chunk_size=1), 2)
+        assert time.perf_counter() - begin < 10.0
+    finally:
+        release.set()
+    time.sleep(0.1)
+    assert sorted(ran) == [0, 1]
+
+
+def test_maps_on_two_threads_at_once_each_get_their_serial_bits():
+    # two callers share the one pool, on threads that switch every microsecond
+    cfg = McConfig(n_trajectories=8 * 200, seed=13, chunk_size=200)
+    models = (OU, GAUSS)
+    want = {m: stochastic.mc_moments(m, 0.7, 0.4, cfg).moments() for m in models}
+    got, barrier = {}, threading.Barrier(len(models))
+
+    def run(model):
+        barrier.wait()
+        got[model] = [stochastic.mc_moments(model, 0.7, 0.4, cfg, 2).moments()
+                      for _ in range(10)]
+
+    threads = [threading.Thread(target=run, args=(m,)) for m in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {m: [want[m]] * 10 for m in models}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_fork_child_maps_on_a_pool_of_its_own():
+    # the parent's pool threads do not exist in a fork child: a helper task the child
+    # gave the parent's pool never ran, and its caller took every chunk alone
+    cfg = McConfig(n_trajectories=4 * 200, seed=2, chunk_size=200)
+    want = stochastic.mc_moments(OU, 0.7, 0.4, cfg, 2).moments()  # the parent's pool runs
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def child():
+        both = threading.Barrier(2, timeout=10)
+
+        def on_two_threads(chunk):
+            both.wait()  # each of the two chunks waits for the other one's thread
+            return threading.get_ident()
+
+        threads = _mc.map_chunks(on_two_threads, McConfig(2, chunk_size=1), 2)
+        writer.send((len(set(threads)), stochastic.mc_moments(OU, 0.7, 0.4, cfg, 2).moments()))
+
+    # Python 3.12 warns that a fork of a process with threads may deadlock the child
+    warns = pytest.warns(DeprecationWarning) if sys.version_info >= (3, 12) else (
+        contextlib.nullcontext())
+    with warns:
+        proc = context.Process(target=child)
+        proc.start()
+    try:
+        proc.join(timeout=30)
+        assert proc.exitcode == 0, "the fork child's map failed or did not finish"
+        assert reader.recv() == (2, want)
+    finally:
+        proc.kill()
+        proc.join(timeout=10)
+    assert not proc.is_alive()
 
 
 def test_chunk_size_is_part_of_the_stream_layout():
